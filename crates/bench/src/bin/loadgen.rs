@@ -560,8 +560,8 @@ fn main() -> ExitCode {
         eprintln!("--clients, --replicas, --requests, --scale and --max-batch must be positive");
         return ExitCode::from(2);
     }
-    if !closed && rps_list.iter().any(|&r| r <= 0.0) {
-        eprintln!("--rps rates must be positive");
+    if !closed && rps_list.iter().any(|&r| !(r.is_finite() && r > 0.0)) {
+        eprintln!("--rps rates must be positive and finite");
         return ExitCode::from(2);
     }
     let mut tenants: Vec<TenantClass> = if tenant_specs.is_empty() {

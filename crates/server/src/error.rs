@@ -45,6 +45,12 @@ pub enum ServerError {
         /// Input sets the caller supplied.
         actual: usize,
     },
+    /// An open-loop load's offered rate is not a positive, finite number
+    /// of requests per second.
+    InvalidRate {
+        /// The rejected rate.
+        rps: f64,
+    },
     /// The server (scheduler thread) is gone — submitted after shutdown.
     Disconnected,
     /// A replica worker thread died (panicked) instead of reporting its
@@ -55,10 +61,11 @@ pub enum ServerError {
         /// Replica index within the partition.
         replica: usize,
     },
-    /// The scheduler thread died (panicked) instead of returning its
-    /// session state at shutdown — e.g. a panicking custom
-    /// [`crate::AdmissionPolicy`]. Surfaced as a value from
-    /// [`crate::Server::try_finish`] (and a clean panic message from
+    /// The scheduler died (panicked) instead of returning its session
+    /// state — e.g. a panicking custom [`crate::AdmissionPolicy`] — or,
+    /// run on the caller's thread by [`crate::drive`], stopped making
+    /// progress. Surfaced as a value from [`crate::Server::try_finish`]
+    /// and [`crate::drive`] (and a clean panic message from
     /// [`crate::Server::finish`]) rather than re-raising the foreign
     /// panic payload.
     SchedulerFailed {
@@ -101,6 +108,10 @@ impl std::fmt::Display for ServerError {
                 f,
                 "load generator got {actual} input sets for a fleet of {expected} partitions"
             ),
+            ServerError::InvalidRate { rps } => write!(
+                f,
+                "open-loop rate must be positive and finite (requests/s), got {rps}"
+            ),
             ServerError::Disconnected => {
                 write!(f, "the server is no longer running (channel disconnected)")
             }
@@ -109,7 +120,7 @@ impl std::fmt::Display for ServerError {
                 "replica worker {replica} of partition {partition} died without reporting"
             ),
             ServerError::SchedulerFailed { message } => {
-                write!(f, "the scheduler thread died without reporting: {message}")
+                write!(f, "the scheduler failed without reporting: {message}")
             }
             ServerError::Runtime(e) => write!(f, "runtime error: {e}"),
         }
@@ -169,5 +180,7 @@ mod tests {
         }
         .to_string();
         assert!(msg.contains("scheduler") && msg.contains("policy panicked"));
+        let msg = ServerError::InvalidRate { rps: f64::NAN }.to_string();
+        assert!(msg.contains("positive and finite") && msg.contains("NaN"));
     }
 }

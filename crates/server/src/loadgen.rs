@@ -29,25 +29,34 @@
 //! in global arrival order and caps each client's outstanding window at
 //! `2 · partitions · max_batch + 64` requests. When the earliest-
 //! arrival client is window-full, the driver heartbeats every client's
-//! watermark ([`ClientHandle::advance`]) and blocks on that client's
-//! completions: the watermarks push the scheduler's frontier past every
-//! outstanding arrival, and the window is wide enough that some
-//! partition then holds a closable full batch (pigeonhole over
-//! `2·max_batch` requests in one former), so the blocking receive
-//! always makes progress. Memory is O(clients · window), independent of
-//! the request budget — the property the CI million-request smoke's RSS
-//! ceiling asserts. The per-client traces are drawn from the same seeds
-//! and gap formula as the threaded driver, and batch close instants are
-//! trace-deterministic (see [`BatchFormer`](crate::BatchFormer)), so a
-//! streaming run's modeled statistics are **bit-identical** to the
-//! threaded run over the same configuration (asserted in
-//! `tests/server_serving.rs`).
+//! watermark and collects completions: the watermarks push the
+//! scheduler's frontier past every outstanding arrival, and the window
+//! is wide enough that some partition then holds a closable full batch
+//! (pigeonhole over `2·max_batch` requests in one former), so collecting
+//! makes progress. On a model-only server the driver runs the scheduler
+//! core itself on the calling thread: it submits, heartbeats, runs the
+//! core's close loop and drains its outbox, with no scheduler thread,
+//! worker or channel in between, and the window bounds the outbox too.
+//! A pump that resolves nothing is returned as
+//! [`ServerError::SchedulerFailed`] rather than retried. A functional
+//! server is driven through its [`ClientHandle`]s instead, blocking on
+//! the window-full client's completions. Memory is O(clients · window),
+//! independent of the request budget — the property the CI
+//! million-request smoke's RSS ceiling asserts. The per-client traces are
+//! drawn from the same seeds and gap formula as the threaded driver, and
+//! batch close instants are trace-deterministic (see
+//! [`BatchFormer`](crate::BatchFormer)), so a streaming run's modeled
+//! statistics are **bit-identical** to the threaded run over the same
+//! configuration (asserted in `tests/server_serving.rs`).
 
-use crate::server::{ClientHandle, ClientMode, ClientSpec, Server, ServerConfig};
-use crate::{ChipFleet, ServerError, ServerReport};
+use crate::server::{
+    panic_message, ClientHandle, ClientMode, ClientSpec, Scheduler, Server, ServerConfig,
+};
+use crate::{ChipFleet, RequestMeta, ServerError, ServerReport, TenantId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use red_tensor::FeatureMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How the load generator drives the fleet.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,15 +119,17 @@ fn client_rng(seed: u64, idx: usize) -> StdRng {
 /// # Errors
 ///
 /// [`ServerError::NoClients`] for zero clients;
+/// [`ServerError::InvalidRate`] for an open-loop `rps` that is not
+/// positive and finite;
 /// [`ServerError::TrafficMismatch`] when a functional run's `traffic`
 /// does not provide exactly one input set per partition;
 /// [`ServerError::NoInputs`] for an empty per-partition set;
 /// [`ServerError::InputMismatch`] when an input does not match its
-/// partition's first stage.
-///
-/// # Panics
-///
-/// Panics if an open-loop `rps` is not strictly positive.
+/// partition's first stage;
+/// [`ServerError::SchedulerFailed`] when the scheduler panicked (e.g. in
+/// a custom [`AdmissionPolicy`](crate::AdmissionPolicy)), whichever
+/// driver ran it, or when the model-only streaming driver stopped
+/// making progress.
 pub fn drive(
     fleet: &ChipFleet,
     server_config: &ServerConfig,
@@ -129,7 +140,9 @@ pub fn drive(
         return Err(ServerError::NoClients);
     }
     if let LoadMode::Open { rps } = load.mode {
-        assert!(rps > 0.0, "open-loop rps must be positive, got {rps}");
+        if !(rps.is_finite() && rps > 0.0) {
+            return Err(ServerError::InvalidRate { rps });
+        }
     }
     let partitions = fleet.partition_count();
     if server_config.is_functional() {
@@ -168,25 +181,49 @@ pub fn drive(
         .iter()
         .map(|t| t.slo_ns.or(load.slo_ns))
         .collect();
-    let (server, handles) = Server::start(fleet, server_config, &specs)?;
     let ctx = DriveCtx {
         load,
         traffic,
         slos: &slos,
+        specs: &specs,
         partitions,
         functional: server_config.is_functional(),
     };
-    if load.stream && matches!(load.mode, LoadMode::Open { .. }) {
-        drive_streaming(handles, &ctx, server_config.max_batch_bound());
+    let streaming = load.stream && matches!(load.mode, LoadMode::Open { .. });
+    let max_batch = server_config.max_batch_bound();
+    if streaming && !ctx.functional {
+        let mut core = Scheduler::new(fleet, server_config, &specs)?;
+        // The core runs on this thread, so a panic inside it (say, in a
+        // custom admission policy) unwinds here: report it the way the
+        // threaded shell's join does.
+        return catch_unwind(AssertUnwindSafe(move || {
+            drive_streaming(&mut core, &ctx, max_batch)?;
+            Ok(core.finish())
+        }))
+        .unwrap_or_else(|payload| {
+            Err(ServerError::SchedulerFailed {
+                message: panic_message(&*payload),
+            })
+        });
+    }
+    let (server, mut handles) = Server::start(fleet, server_config, &specs)?;
+    let streamed = if streaming {
+        drive_streaming(&mut handles, &ctx, max_batch)
     } else {
         std::thread::scope(|scope| {
-            for handle in handles {
+            for handle in handles.drain(..) {
                 let ctx = &ctx;
                 scope.spawn(move || drive_client(handle, ctx));
             }
         });
-    }
-    server.try_finish()
+        Ok(())
+    };
+    // Dropping finishes every client, even those of a stream cut short,
+    // so the shell can drain. A dead scheduler explains a broken stream,
+    // so its failure wins.
+    drop(handles);
+    let report = server.try_finish()?;
+    streamed.map(|()| report)
 }
 
 /// Everything a driver needs besides the handles.
@@ -194,6 +231,7 @@ struct DriveCtx<'a> {
     load: &'a LoadgenConfig,
     traffic: &'a [Vec<FeatureMap<i64>>],
     slos: &'a [Option<u64>],
+    specs: &'a [ClientSpec],
     partitions: usize,
     functional: bool,
 }
@@ -202,6 +240,11 @@ impl DriveCtx<'_> {
     /// Partition for request `k` of client `idx`.
     fn network(&self, idx: usize, k: usize) -> usize {
         (idx + k) % self.partitions
+    }
+
+    /// Deadline of a request of `tenant` arriving at `arrival`.
+    fn deadline(&self, tenant: TenantId, arrival: u64) -> Option<u64> {
+        self.slos[tenant].map(|s| arrival + s)
     }
 
     /// Input for request `k` of client `idx` on partition `net`.
@@ -214,7 +257,7 @@ impl DriveCtx<'_> {
     fn submit(&self, handle: &mut ClientHandle, k: usize, arrival: u64) -> Result<(), ServerError> {
         let idx = handle.id();
         let net = self.network(idx, k);
-        let deadline = self.slos[handle.tenant()].map(|s| arrival + s);
+        let deadline = self.deadline(handle.tenant(), arrival);
         if self.functional {
             handle.submit_to(net, self.input(idx, k, net), arrival, deadline)?;
         } else {
@@ -274,16 +317,14 @@ fn drive_client(mut handle: ClientHandle, ctx: &DriveCtx<'_>) {
     }
 }
 
-/// One client's state inside the streaming driver.
+/// One client's trace inside the streaming driver.
 struct StreamClient {
-    handle: ClientHandle,
     rng: StdRng,
     clock: f64,
     /// Next request index (gap draws and input rotation stay aligned
     /// with the threaded driver's `k`).
     k: usize,
     budget: usize,
-    outstanding: usize,
     /// The next arrival, already drawn; `None` once the trace is
     /// exhausted (budget spent or horizon passed).
     next: Option<u64>,
@@ -303,39 +344,141 @@ impl StreamClient {
                 Some(self.clock as u64)
             };
         }
-        if self.next.is_none() {
-            // Retire promptly: a quiet-but-unfinished client would pin
-            // the scheduler's frontier and stall everyone's batches.
-            self.handle.finish();
+    }
+}
+
+/// Where the streaming driver sends its trace: a threaded server's client
+/// handles, or the scheduler core itself on the calling thread.
+trait Session {
+    /// Submits request `k` of `client`, arriving at `arrival_ns`.
+    fn send(
+        &mut self,
+        ctx: &DriveCtx<'_>,
+        client: usize,
+        k: usize,
+        arrival_ns: u64,
+    ) -> Result<(), ServerError>;
+
+    /// Promises that `client` submits nothing before `watermark_ns`.
+    fn heartbeat(&mut self, client: usize, watermark_ns: u64);
+
+    /// Declares `client`'s trace over.
+    fn retire(&mut self, client: usize);
+
+    /// Collects at least one completion of `client`, taking every
+    /// completion collected (of any client) off `outstanding`.
+    fn collect(&mut self, client: usize, outstanding: &mut [usize]) -> Result<(), ServerError>;
+}
+
+/// A threaded server: blocks on the client's own completion channel.
+impl Session for Vec<ClientHandle> {
+    fn send(
+        &mut self,
+        ctx: &DriveCtx<'_>,
+        client: usize,
+        k: usize,
+        arrival_ns: u64,
+    ) -> Result<(), ServerError> {
+        ctx.submit(&mut self[client], k, arrival_ns)
+    }
+
+    fn heartbeat(&mut self, client: usize, watermark_ns: u64) {
+        // A dead server surfaces at the next submit or collect.
+        let _ = self[client].advance(watermark_ns);
+    }
+
+    fn retire(&mut self, client: usize) {
+        self[client].finish();
+    }
+
+    fn collect(&mut self, client: usize, outstanding: &mut [usize]) -> Result<(), ServerError> {
+        self[client].recv()?;
+        outstanding[client] -= 1;
+        Ok(())
+    }
+}
+
+/// The core on the calling thread: a collect runs its close loop and
+/// drains the outbox. The heartbeats before it have already told the
+/// core everything the driver knows, so a pump that resolves nothing
+/// would resolve nothing forever — an error, not a retry.
+impl Session for Scheduler {
+    fn send(
+        &mut self,
+        ctx: &DriveCtx<'_>,
+        client: usize,
+        k: usize,
+        arrival_ns: u64,
+    ) -> Result<(), ServerError> {
+        let tenant = ctx.specs[client].tenant;
+        let meta = RequestMeta {
+            client,
+            tenant,
+            network: ctx.network(client, k),
+            seq: k as u64,
+            arrival_ns,
+            deadline_ns: ctx.deadline(tenant, arrival_ns),
+        };
+        self.submit(meta, None);
+        Ok(())
+    }
+
+    fn heartbeat(&mut self, client: usize, watermark_ns: u64) {
+        self.advance(client, watermark_ns);
+    }
+
+    fn retire(&mut self, client: usize) {
+        self.finish_client(client);
+    }
+
+    fn collect(&mut self, client: usize, outstanding: &mut [usize]) -> Result<(), ServerError> {
+        self.close_ready();
+        let mut resolved = 0usize;
+        for completion in self.outbox() {
+            outstanding[completion.meta.client] -= 1;
+            resolved += 1;
         }
+        if resolved == 0 {
+            return Err(ServerError::SchedulerFailed {
+                message: format!(
+                    "the streaming pump made no progress: client {client} has {} requests \
+                     outstanding and no batch can close",
+                    outstanding[client]
+                ),
+            });
+        }
+        Ok(())
     }
 }
 
 /// The O(1)-memory open-loop driver (see the module docs).
-fn drive_streaming(handles: Vec<ClientHandle>, ctx: &DriveCtx<'_>, max_batch: usize) {
+fn drive_streaming(
+    session: &mut impl Session,
+    ctx: &DriveCtx<'_>,
+    max_batch: usize,
+) -> Result<(), ServerError> {
     let load = ctx.load;
     let LoadMode::Open { rps } = load.mode else {
         unreachable!("streaming applies to open loops only");
     };
     let rate = rps / load.clients as f64;
     let window = 2 * ctx.partitions * max_batch + 64;
-    let mut cls: Vec<StreamClient> = handles
-        .into_iter()
-        .enumerate()
-        .map(|(idx, handle)| {
-            let mut cl = StreamClient {
-                handle,
-                rng: client_rng(load.seed, idx),
-                clock: 0.0,
-                k: 0,
-                budget: client_budget(load.requests, load.clients, idx),
-                outstanding: 0,
-                next: None,
-            };
-            cl.draw_next(load, rate);
-            cl
+    let mut cls: Vec<StreamClient> = (0..load.clients)
+        .map(|idx| StreamClient {
+            rng: client_rng(load.seed, idx),
+            clock: 0.0,
+            k: 0,
+            budget: client_budget(load.requests, load.clients, idx),
+            next: None,
         })
         .collect();
+    let mut outstanding = vec![0usize; load.clients];
+    for (idx, cl) in cls.iter_mut().enumerate() {
+        cl.draw_next(load, rate);
+        if cl.next.is_none() {
+            session.retire(idx);
+        }
+    }
     // Globally earliest pending arrival, lowest client id on ties.
     let earliest = |cls: &[StreamClient]| {
         cls.iter()
@@ -345,41 +488,37 @@ fn drive_streaming(handles: Vec<ClientHandle>, ctx: &DriveCtx<'_>, max_batch: us
             .map(|(_, i)| i)
     };
     while let Some(c) = earliest(&cls) {
-        if cls[c].outstanding < window {
+        if outstanding[c] < window {
             let arrival = cls[c].next.take().expect("selected for a pending arrival");
             let k = cls[c].k;
             cls[c].k += 1;
-            if ctx.submit(&mut cls[c].handle, k, arrival).is_ok() {
-                cls[c].outstanding += 1;
-            }
+            session.send(ctx, c, k, arrival)?;
+            outstanding[c] += 1;
             cls[c].draw_next(load, rate);
+            if cls[c].next.is_none() {
+                // Retire promptly: a quiet-but-unfinished client would
+                // pin the scheduler's frontier and stall everyone's
+                // batches.
+                session.retire(c);
+            }
         } else {
             // The earliest client is window-full: promise every
             // client's next arrival to the scheduler so the frontier
-            // clears all outstanding work, then block on the earliest
-            // client — the window guarantees a closable full batch.
-            for cl in cls.iter_mut() {
+            // clears all outstanding work, then collect — the window
+            // guarantees a closable full batch.
+            for (i, cl) in cls.iter().enumerate() {
                 if let Some(t) = cl.next {
-                    let _ = cl.handle.advance(t);
+                    session.heartbeat(i, t);
                 }
             }
-            if cls[c].handle.recv().is_err() {
-                break;
-            }
-            cls[c].outstanding -= 1;
+            session.collect(c, &mut outstanding)?;
         }
     }
-    // Every trace is retired (handles finished); drain what's in
-    // flight.
-    for cl in &mut cls {
-        cl.handle.finish();
-        while cl.outstanding > 0 {
-            if cl.handle.recv().is_err() {
-                break;
-            }
-            cl.outstanding -= 1;
-        }
+    // Every trace is retired; drain what is in flight.
+    while let Some(c) = outstanding.iter().position(|&n| n > 0) {
+        session.collect(c, &mut outstanding)?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -102,7 +102,7 @@ pub struct PartitionReport {
     pub total: LatencyHistogram,
     /// Virtual busy time the scheduler charged this partition.
     pub modeled_busy_ns: u64,
-    /// The same quantity re-derived by this partition's workers.
+    /// The same quantity re-derived on this partition's replicas' side.
     pub runtime_modeled_ns: u64,
     /// `true` while every batch's measured schedule also reconciled
     /// with the partition chip's analytic `PipelineReport`.
@@ -148,11 +148,13 @@ impl PartitionReport {
 /// cross-check: a scheduler that loses or double-charges a batch, or an
 /// engine whose dataflow diverges from its priced geometry, breaks it.
 ///
-/// In model-only mode (`functional == false`) the workers skip
-/// execution and charge the analytic schedule per delivered batch, so
-/// the cross-check degrades to a batch-conservation check (every batch
-/// the scheduler charged was delivered and sized identically) rather
-/// than an independent measurement — reports say so via `functional`.
+/// In model-only mode (`functional == false`) nothing executes: the
+/// scheduler core re-derives each batch's replica-side charge from the
+/// chip's analytic schedule and `Chip::phase_ratio`, apart from the
+/// tier tables it priced the batch with, so the cross-check degrades to
+/// a batch-conservation and tier-pricing check (every batch the
+/// scheduler charged was sized and priced identically) rather than an
+/// independent measurement — reports say so via `functional`.
 #[derive(Debug, Clone)]
 pub struct ServerReport {
     /// Network name(s) the fleet serves (`+`-joined across partitions).
@@ -203,8 +205,9 @@ pub struct ServerReport {
     pub last_completion_ns: u64,
     /// Virtual busy time the scheduler charged, summed over batches.
     pub modeled_busy_ns: u64,
-    /// The same quantity re-derived by the replica workers from measured
-    /// `RuntimeReport`s.
+    /// The same quantity re-derived on the replicas' side: by the
+    /// workers from measured `RuntimeReport`s, or per model-only batch
+    /// from the chip's analytic schedule.
     pub runtime_modeled_ns: u64,
     /// `true` while every executed batch's measured schedule also
     /// reconciled with the chip's analytic `PipelineReport`.

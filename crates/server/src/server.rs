@@ -1,33 +1,48 @@
-//! The online serving engine: MPSC request queue → per-partition
-//! dynamic micro-batch formers → SLO-aware tenant admission → replica
-//! workers, with optional virtual-clock autoscaling.
+//! The online serving engine: per-partition dynamic micro-batch formers
+//! → SLO-aware tenant admission → replicas, with optional virtual-clock
+//! autoscaling.
 //!
-//! # Threads and channels
+//! # Core and shell
 //!
 //! ```text
-//! clients ──(unbounded MPSC, Submit/Advance/Done)──▶ scheduler thread
-//!    ▲                                                  │ (bounded, per replica)
-//!    │                                                  ▼
-//!    └──(unbounded, Completion)◀── replica workers (per partition × replica)
+//!               submit · advance · finish_client · close_ready
+//! driver ─────────────────────────────────────────────▶ Scheduler (core)
+//!    ▲                                                       │ effects
+//!    └── outbox: Completion, addressed by meta.client ◀──────┤
+//!        exec:   ExecBatch, per (partition, replica)  ◀──────┘
+//!
+//! model-only streaming drive: the driver is the calling thread —
+//! no scheduler thread, no workers, no channels
+//!
+//! Server::start, the shell (functional serving, external clients):
+//!
+//! clients ──(MPSC: Submit/Advance/Done)──▶ shell thread ⇄ core
+//!    ▲                                       │       │ ExecBatch (bounded,
+//!    ├──(Completion: shed, modeled)◀─────────┘       ▼  per replica)
+//!    └──(Completion: served)◀─────────────── replica workers
 //! ```
 //!
-//! The **scheduler** owns the virtual clock: it merges per-client
-//! request streams in `(arrival, client, seq)` order, routes each
-//! request to its target **partition** (resident network), closes
-//! micro-batches through one [`BatchFormer`] per partition (never
-//! finalizing a batch a future arrival could still change — see the
-//! former's module docs), runs the partition's forked
-//! [`AdmissionPolicy`] at dispatch with that chip's modeled service
-//! law, and charges each executed batch the pipelined schedule
-//! `fill + (B-1)·steady` on the virtual clock. **Replica workers** do
-//! the host-side functional execution (`Chip::run_batched_with_scratch`,
-//! bit-exact against the sequential golden path) and deliver outputs
-//! directly to clients, so virtual-time bookkeeping never waits on host
-//! execution. Shed requests are answered by the scheduler itself and
-//! cost zero chip time. In model-only mode
-//! ([`ServerConfig::model_only`]) workers skip execution and answer
-//! [`Outcome::Modeled`] — every virtual-clock figure is unchanged,
-//! which is what lets the load generator sustain 10⁶-request runs.
+//! The **core** (`Scheduler`) owns the virtual clock and does no I/O: its
+//! driver hands it client events as method calls, and it queues effects
+//! for the driver to carry out. It merges per-client request streams in
+//! `(arrival, client, seq)` order, routes each request to its target
+//! **partition** (resident network), closes micro-batches through one
+//! [`BatchFormer`] per partition (never finalizing a batch a future
+//! arrival could still change — see the former's module docs), runs the
+//! partition's forked [`AdmissionPolicy`] at dispatch with that chip's
+//! modeled service law, and charges each executed batch the pipelined
+//! schedule `fill + (B-1)·steady` on the virtual clock. Shed requests
+//! cost zero chip time and are answered through the outbox. On a
+//! functional server each admitted batch leaves as an `ExecBatch` effect
+//! for a **replica worker**, which does the host-side functional
+//! execution (`Chip::run_batched_with_scratch`, bit-exact against the
+//! sequential golden path) and delivers outputs directly to clients, so
+//! virtual-time bookkeeping never waits on host execution. In model-only
+//! mode ([`ServerConfig::model_only`]) the core charges each batch in
+//! place and answers [`Outcome::Modeled`] through the outbox — every
+//! virtual-clock figure is unchanged, and with no thread or channel hop
+//! per request the load generator sustains 10⁶-request runs on one
+//! thread.
 //!
 //! Because every latency figure derives from the virtual clock, a
 //! serving session's statistics are a deterministic function of the
@@ -50,7 +65,7 @@ use crate::tenant::{TenantClass, TenantId};
 use crate::{AutoscaleConfig, ChipFleet, ScaleEvent, ServerError};
 use red_arch::CostModel;
 use red_device::DriftModel;
-use red_runtime::{ExecPrecision, HardwarePerImage};
+use red_runtime::{Chip, ExecPrecision, HardwarePerImage};
 use red_telemetry::{
     AlertEngine, AlertPolicy, AlertState, AlertTransition, AlertWindow, ArgValue, Counter, Gauge,
     LatencyHistogram, Phase, ScrapeConfig, Scraper, Telemetry, TenantWindow, TraceEvent,
@@ -195,8 +210,8 @@ impl ServerConfig {
     /// lifecycle spans, batch/stage execute spans, scale instants, and
     /// the per-tenant/per-partition metrics plane into it. The default
     /// disabled handle costs one branch per would-be record. Every
-    /// recorded timestamp is virtual-clock, and all emission happens on
-    /// the scheduler thread into per-partition streams, so the exported
+    /// recorded timestamp is virtual-clock, and all emission happens in
+    /// the scheduler core, into per-partition streams, so the exported
     /// trace is a deterministic function of the request trace.
     pub fn telemetry(mut self, handle: Telemetry) -> Self {
         self.telemetry = handle;
@@ -243,11 +258,14 @@ impl ServerConfig {
         self.alerts.clone()
     }
 
-    /// Skips functional execution: workers charge the modeled schedule
-    /// and answer [`Outcome::Modeled`]. Virtual-clock statistics are
+    /// Skips functional execution: the scheduler core charges the
+    /// modeled schedule itself and answers [`Outcome::Modeled`], so no
+    /// replica worker is spawned, and a streaming [`crate::drive`] runs
+    /// the core on the calling thread. Virtual-clock statistics are
     /// identical to a functional run over the same trace (asserted in
     /// `tests/server_serving.rs`); host cost drops by the chip
-    /// simulation, which is what makes 10⁶-request load runs feasible.
+    /// simulation and every thread and channel hop, which is what makes
+    /// 10⁶-request load runs feasible.
     pub fn model_only(mut self) -> Self {
         self.functional = false;
         self
@@ -364,12 +382,12 @@ impl From<ClientMode> for ClientSpec {
     }
 }
 
-/// What clients send to the scheduler.
+/// What client handles send to the shell thread, which applies each one
+/// to the scheduler core.
 enum Event {
     Submit {
         meta: RequestMeta,
         input: Option<FeatureMap<i64>>,
-        responder: Sender<Completion>,
     },
     /// A watermark heartbeat: the client promises to submit nothing
     /// before the given virtual instant.
@@ -411,7 +429,6 @@ pub struct ClientHandle {
     expected_shapes: Arc<Vec<(usize, usize, usize)>>,
     functional: bool,
     events: Sender<Event>,
-    completion_tx: Sender<Completion>,
     completions: Receiver<Completion>,
     done: bool,
 }
@@ -527,11 +544,7 @@ impl ClientHandle {
             deadline_ns,
         };
         self.events
-            .send(Event::Submit {
-                meta,
-                input,
-                responder: self.completion_tx.clone(),
-            })
+            .send(Event::Submit { meta, input })
             .map_err(|_| ServerError::Disconnected)?;
         self.seq += 1;
         self.last_arrival_ns = arrival;
@@ -654,24 +667,25 @@ struct ClientState {
     watermark_ns: u64,
 }
 
-/// One request riding to a replica worker.
+/// One request riding to a replica.
 struct ExecItem {
     meta: RequestMeta,
     timing: RequestTiming,
-    responder: Sender<Completion>,
 }
 
-/// One admitted batch riding to a replica worker (`inputs[i]` belongs
-/// to `items[i]`; `inputs` is empty on a model-only server). The
-/// scheduler stamps the execution tier the batch was priced at; the
-/// worker executes (and re-derives its charge) at the same tier.
+/// One admitted batch for a replica (`inputs[i]` belongs to `items[i]`;
+/// `inputs` is empty on a model-only server). The core stamps the
+/// execution tier it priced the batch at; the replica executes (and
+/// re-derives its charge) at the same tier.
 struct ExecBatch {
     inputs: Vec<FeatureMap<i64>>,
     items: Vec<ExecItem>,
     tier: ExecPrecision,
 }
 
-/// What one replica worker hands back at shutdown.
+/// One replica's side of the reconciliation ledger: kept by its worker
+/// and handed back at shutdown on a functional server, charged in place
+/// by the core on a model-only one.
 #[derive(Default)]
 struct ReplicaStats {
     batches: u64,
@@ -690,7 +704,8 @@ struct ReplicaStats {
     error_bound: f64,
 }
 
-type Payload = (Option<FeatureMap<i64>>, Sender<Completion>);
+/// A pending request's functional input (`None` on a model-only server).
+type Payload = Option<FeatureMap<i64>>;
 
 /// Pre-bound per-partition metric handles (all no-ops when telemetry is
 /// disabled): binding happens once at [`Server::start`], so the
@@ -879,7 +894,14 @@ struct PartitionState {
     hw: HardwarePerImage,
     metrics: PartitionMetrics,
     policy: Box<dyn AdmissionPolicy>,
-    replica_tx: Vec<SyncSender<ExecBatch>>,
+    /// The partition's chip and its unrounded analytic fill and steady
+    /// interval, from which a model-only batch re-derives its
+    /// replica-side charge ([`PartitionState::charge_modeled`]).
+    chip: Chip,
+    analytic_fill_ns: f64,
+    analytic_steady_ns: f64,
+    /// Per-replica reconciliation ledgers, by replica index.
+    replica_stats: Vec<ReplicaStats>,
     free_at: Vec<u64>,
     active: usize,
     autoscaler: Option<Autoscaler>,
@@ -897,6 +919,29 @@ struct PartitionState {
     per_replica: Vec<(u64, u64, u64)>, // (batches, images, busy_ns)
     /// Scraper + alert engine, armed by [`ServerConfig::scrape`].
     obs: Option<PartitionObs>,
+}
+
+impl PartitionState {
+    /// Charges a model-only batch of `b` requests at `tier` to replica
+    /// `r`'s ledger the way a replica re-derives it: the chip's analytic
+    /// schedule scaled by [`Chip::phase_ratio`], rounded once. It is
+    /// computed from the chip, not read from the tier tables the dispatch
+    /// priced the batch with, so [`ServerReport::reconciles`] still
+    /// cross-checks those tables.
+    fn charge_modeled(&mut self, r: usize, b: u64, tier: ExecPrecision) {
+        let ratio = self.chip.phase_ratio(tier);
+        let fill = (self.analytic_fill_ns * ratio).round() as u64;
+        let steady = (self.analytic_steady_ns * ratio).round() as u64;
+        let stats = &mut self.replica_stats[r];
+        stats.runtime_modeled_ns += fill + (b - 1) * steady;
+        stats.batches += 1;
+        stats.images += b;
+        if tier != ExecPrecision::Full {
+            stats.error_bound = stats
+                .error_bound
+                .max(self.chip.truncation_error_bound(tier));
+        }
+    }
 }
 
 /// Per-tenant ledgers the scheduler accumulates.
@@ -941,7 +986,7 @@ struct ReplicaChaos {
     repair_until_ns: Option<u64>,
 }
 
-///// Per-partition chaos state: this partition's slice of the fault plan
+/// Per-partition chaos state: this partition's slice of the fault plan
 /// (each event paired with its seed, derived from the *global* plan
 /// index, for deterministic stuck-at strikes) plus the replica health
 /// records.
@@ -990,7 +1035,15 @@ struct ChaosState {
     attempts: HashMap<(ClientId, u64), u32>,
 }
 
-struct Scheduler {
+/// The synchronous scheduler core (see the module docs). Its driver
+/// hands it client events as method calls — [`Scheduler::submit`],
+/// [`Scheduler::advance`], [`Scheduler::finish_client`] — then runs
+/// [`Scheduler::close_ready`] and carries out the effects that queues:
+/// completions in the outbox, and functional batches for the replica
+/// workers. It does no I/O and spawns nothing, so a model-only streaming
+/// session runs it on the caller's thread and every other session runs
+/// it inside the [`Server`] shell: one scheduling code path for both.
+pub(crate) struct Scheduler {
     clients: Vec<ClientState>,
     parts: Vec<PartitionState>,
     tenants: Vec<TenantStat>,
@@ -1004,6 +1057,28 @@ struct Scheduler {
     tele: Telemetry,
     out: GlobalStats,
     chaos: Option<ChaosState>,
+    /// Completions awaiting delivery, each to client `meta.client`.
+    outbox: Vec<Completion>,
+    /// Functional batches awaiting their replica worker, as `(partition,
+    /// replica, batch)`; never filled on a model-only server.
+    exec: Vec<(usize, usize, ExecBatch)>,
+    /// The configuration the session report echoes.
+    info: SessionInfo,
+}
+
+/// The session configuration a [`ServerReport`] echoes.
+struct SessionInfo {
+    network: String,
+    design: String,
+    replicas: usize,
+    max_batch: usize,
+    max_wait_ns: u64,
+    policy: String,
+    tenant_classes: Vec<TenantClass>,
+    partition_names: Vec<String>,
+    /// The effective alert policy when scraping is armed (drives the
+    /// end-of-session `error-bound` rule in [`Scheduler::finish`]).
+    alert_policy: Option<AlertPolicy>,
 }
 
 // Trace track layout. Request lifecycle events live on the scheduler
@@ -1063,10 +1138,6 @@ impl Scheduler {
             .unwrap_or(u64::MAX)
     }
 
-    fn all_done(&self) -> bool {
-        self.clients.iter().all(|c| c.done)
-    }
-
     /// The virtual instant the trace provably ended, for drain-mode
     /// closes: the latest final watermark among finished clients (a
     /// client disconnects at its last arrival or heartbeat). Zero when
@@ -1081,34 +1152,94 @@ impl Scheduler {
             .unwrap_or(0)
     }
 
-    fn handle(&mut self, event: Event) {
-        match event {
-            Event::Submit {
-                mut meta,
-                input,
-                responder,
-            } => {
-                let st = &mut self.clients[meta.client];
-                // Enforce the watermark invariant the former's safety
-                // argument rests on (no-op for well-behaved handles).
-                meta.arrival_ns = meta.arrival_ns.max(st.watermark_ns);
-                st.watermark_ns = meta.arrival_ns;
-                if st.mode == ClientMode::Closed {
-                    st.in_flight += 1;
-                }
-                self.out.offered += 1;
-                self.out.first_arrival_ns = self.out.first_arrival_ns.min(meta.arrival_ns);
-                self.tenants[meta.tenant].offered += 1;
-                let part = &mut self.parts[meta.network];
-                part.offered += 1;
-                part.former.push(meta, (input, responder));
-            }
-            Event::Advance(id, watermark_ns) => {
-                let st = &mut self.clients[id];
-                st.watermark_ns = st.watermark_ns.max(watermark_ns);
-            }
-            Event::Done(id) => self.clients[id].done = true,
+    /// Queues a submitted request in its partition's former, counting it
+    /// as offered. The arrival is clamped to the client's watermark —
+    /// the invariant the former's safety argument rests on (a no-op for
+    /// well-behaved drivers).
+    pub(crate) fn submit(&mut self, mut meta: RequestMeta, input: Payload) {
+        let st = &mut self.clients[meta.client];
+        meta.arrival_ns = meta.arrival_ns.max(st.watermark_ns);
+        st.watermark_ns = meta.arrival_ns;
+        if st.mode == ClientMode::Closed {
+            st.in_flight += 1;
         }
+        self.out.offered += 1;
+        self.out.first_arrival_ns = self.out.first_arrival_ns.min(meta.arrival_ns);
+        self.tenants[meta.tenant].offered += 1;
+        let part = &mut self.parts[meta.network];
+        part.offered += 1;
+        part.former.push(meta, input);
+    }
+
+    /// A watermark heartbeat: `client` promises to submit nothing before
+    /// `watermark_ns`.
+    pub(crate) fn advance(&mut self, client: ClientId, watermark_ns: u64) {
+        let st = &mut self.clients[client];
+        st.watermark_ns = st.watermark_ns.max(watermark_ns);
+    }
+
+    /// `client` will submit nothing more. Idempotent.
+    pub(crate) fn finish_client(&mut self, client: ClientId) {
+        self.clients[client].done = true;
+    }
+
+    /// Applies one client event from the [`Server`] shell.
+    fn apply(&mut self, event: Event) {
+        match event {
+            Event::Submit { meta, input } => self.submit(meta, input),
+            Event::Advance(client, watermark_ns) => self.advance(client, watermark_ns),
+            Event::Done(client) => self.finish_client(client),
+        }
+    }
+
+    /// Closes and dispatches every batch the frontier has made final,
+    /// queueing the resulting effects, until no partition can close
+    /// another.
+    pub(crate) fn close_ready(&mut self) {
+        loop {
+            let mut progressed = false;
+            for p in 0..self.parts.len() {
+                let frontier = self.frontier();
+                let drain_end = self.drain_end();
+                if let Some(batch) = self.parts[p].former.try_close(frontier, drain_end) {
+                    self.dispatch(p, batch);
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+    }
+
+    /// `true` once every client has finished and every former is empty:
+    /// nothing is left to close.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.clients.iter().all(|c| c.done) && self.parts.iter().all(|p| p.former.is_empty())
+    }
+
+    /// Drains the outbox: the completions queued since the last call,
+    /// each addressed to client `meta.client`.
+    pub(crate) fn outbox(&mut self) -> std::vec::Drain<'_, Completion> {
+        self.outbox.drain(..)
+    }
+
+    /// Hands an admitted batch to replica `r` of partition `p`. On a
+    /// functional server it leaves as an exec effect for the replica's
+    /// worker; on a model-only one it is charged to the replica's ledger
+    /// here and answered [`Outcome::Modeled`].
+    fn ship(&mut self, p: usize, r: usize, batch: ExecBatch) {
+        if self.functional {
+            self.exec.push((p, r, batch));
+            return;
+        }
+        self.parts[p].charge_modeled(r, batch.items.len() as u64, batch.tier);
+        self.outbox
+            .extend(batch.items.into_iter().map(|item| Completion {
+                meta: item.meta,
+                timing: item.timing,
+                outcome: Outcome::Modeled,
+            }));
     }
 
     fn dispatch(&mut self, p: usize, batch: FormedBatch<Payload>) {
@@ -1151,7 +1282,7 @@ impl Scheduler {
         let mut inputs = Vec::new();
         let mut shed_here = 0u64;
         let mut items = Vec::with_capacity(batch.requests.len());
-        for (meta, (input, responder)) in batch.requests {
+        for (meta, input) in batch.requests {
             let position = items.len();
             let predicted = start + tfill + position as u64 * tsteady;
             let estimate = ServiceEstimate {
@@ -1230,11 +1361,7 @@ impl Scheduler {
                 if self.functional {
                     inputs.push(input.expect("functional servers always carry inputs"));
                 }
-                items.push(ExecItem {
-                    meta,
-                    timing,
-                    responder,
-                });
+                items.push(ExecItem { meta, timing });
             } else {
                 self.out.shed += 1;
                 part.shed += 1;
@@ -1270,7 +1397,7 @@ impl Scheduler {
                             .arg("outcome", ArgValue::Str("shed")),
                     );
                 }
-                let _ = responder.send(Completion {
+                self.outbox.push(Completion {
                     meta,
                     timing,
                     outcome: Outcome::Shed,
@@ -1340,23 +1467,15 @@ impl Scheduler {
                     );
                 }
             }
-            if let Err(failed) = part.replica_tx[r].send(ExecBatch {
-                inputs,
-                items,
-                tier,
-            }) {
-                // The worker is gone (cannot happen short of a panic);
-                // answer the batch ourselves so closed-loop clients
-                // never hang.
-                self.out.send_failures += b;
-                for item in failed.0.items {
-                    let _ = item.responder.send(Completion {
-                        meta: item.meta,
-                        timing: item.timing,
-                        outcome: Outcome::Failed,
-                    });
-                }
-            }
+            self.ship(
+                p,
+                r,
+                ExecBatch {
+                    inputs,
+                    items,
+                    tier,
+                },
+            );
             makespan
         };
         // Autoscaling: every dispatch is a decision instant on the
@@ -1373,7 +1492,7 @@ impl Scheduler {
         // the saturation trigger: admission control caps the queue
         // near its lag bound, so a shedding partition signals overload
         // through utilization + shed count, not backlog.
-        let effective = part.active;
+        let effective = self.parts[p].active;
         self.autoscale_tick(p, batch.close_ns, makespan, effective);
         self.brownout_tick(p, batch.close_ns, effective);
         // Chaos-free runs route to every active replica.
@@ -1824,14 +1943,13 @@ impl Scheduler {
         // stamped completion for crash partitioning.
         struct Admitted {
             meta: RequestMeta,
-            input: Option<FeatureMap<i64>>,
-            responder: Sender<Completion>,
+            input: Payload,
             predicted: u64,
             position: usize,
         }
         let mut admitted: Vec<Admitted> = Vec::with_capacity(requests.len());
         let mut shed_here = 0u64;
-        for (meta, (input, responder)) in requests {
+        for (meta, input) in requests {
             let position = admitted.len();
             let predicted = start + fill + position as u64 * steady;
             let estimate = ServiceEstimate {
@@ -1858,7 +1976,6 @@ impl Scheduler {
                 admitted.push(Admitted {
                     meta,
                     input,
-                    responder,
                     predicted,
                     position,
                 });
@@ -1907,7 +2024,7 @@ impl Scheduler {
                             .arg("outcome", ArgValue::Str("shed")),
                     );
                 }
-                let _ = responder.send(Completion {
+                self.outbox.push(Completion {
                     meta,
                     timing,
                     outcome: Outcome::Shed,
@@ -1994,7 +2111,6 @@ impl Scheduler {
             items.push(ExecItem {
                 meta: a.meta,
                 timing,
-                responder: a.responder,
             });
         }
 
@@ -2062,21 +2178,15 @@ impl Scheduler {
                     );
                 }
             }
-            let part = &mut self.parts[p];
-            if let Err(failed) = part.replica_tx[r].send(ExecBatch {
-                inputs,
-                items,
-                tier,
-            }) {
-                self.out.send_failures += s;
-                for item in failed.0.items {
-                    let _ = item.responder.send(Completion {
-                        meta: item.meta,
-                        timing: item.timing,
-                        outcome: Outcome::Failed,
-                    });
-                }
-            }
+            self.ship(
+                p,
+                r,
+                ExecBatch {
+                    inputs,
+                    items,
+                    tier,
+                },
+            );
             makespan
         };
 
@@ -2094,7 +2204,7 @@ impl Scheduler {
                             .arg("replica", ArgValue::U64(r as u64)),
                     );
                 }
-                self.resolve_victim(chaos, p, v.meta, v.input, v.responder, t);
+                self.resolve_victim(chaos, p, v.meta, v.input, t);
             }
         }
         makespan
@@ -2111,15 +2221,14 @@ impl Scheduler {
         chaos: &mut ChaosState,
         p: usize,
         meta: RequestMeta,
-        input: Option<FeatureMap<i64>>,
-        responder: Sender<Completion>,
+        input: Payload,
         now: u64,
     ) {
         let mut now = now;
         loop {
             let attempts = chaos.attempts.entry((meta.client, meta.seq)).or_insert(0);
             if *attempts >= chaos.health.max_retries {
-                self.shed_lost(p, meta, &responder, now);
+                self.shed_lost(p, meta, now);
                 return;
             }
             *attempts += 1;
@@ -2128,7 +2237,7 @@ impl Scheduler {
                 self.parts[p].metrics.retries.add(1);
                 let mut requeued = meta;
                 requeued.arrival_ns = now;
-                self.parts[p].former.push(requeued, (input, responder));
+                self.parts[p].former.push(requeued, input);
                 return;
             };
             let part = &self.parts[p];
@@ -2140,13 +2249,13 @@ impl Scheduler {
                 .min_by_key(|(i, &t)| (t, *i))
                 .map(|(i, _)| i);
             let Some(r2) = sibling else {
-                self.shed_lost(p, meta, &responder, now);
+                self.shed_lost(p, meta, now);
                 return;
             };
             let hstart = now.max(self.parts[p].free_at[r2]);
             let predicted = hstart + self.parts[p].fill_ns;
             if predicted > deadline {
-                self.shed_lost(p, meta, &responder, now);
+                self.shed_lost(p, meta, now);
                 return;
             }
             self.out.hedges += 1;
@@ -2168,7 +2277,7 @@ impl Scheduler {
                     continue;
                 }
             }
-            self.serve_hedge(p, r2, meta, input, responder, hstart, predicted);
+            self.serve_hedge(p, r2, meta, input, hstart, predicted);
             return;
         }
     }
@@ -2176,14 +2285,12 @@ impl Scheduler {
     /// Serves one hedged request as a solo batch on replica `r` —
     /// admission was already granted on the original dispatch, so the
     /// request goes straight to the chip.
-    #[allow(clippy::too_many_arguments)]
     fn serve_hedge(
         &mut self,
         p: usize,
         r: usize,
         meta: RequestMeta,
-        input: Option<FeatureMap<i64>>,
-        responder: Sender<Completion>,
+        input: Payload,
         start: u64,
         completion: u64,
     ) {
@@ -2281,34 +2388,20 @@ impl Scheduler {
         } else {
             Vec::new()
         };
-        let items = vec![ExecItem {
-            meta,
-            timing,
-            responder,
-        }];
-        let part = &mut self.parts[p];
         // Hedges are deadline-rescues charged the full-precision fill;
         // they execute at full tier regardless of the controller.
-        if let Err(failed) = part.replica_tx[r].send(ExecBatch {
+        let batch = ExecBatch {
             inputs,
-            items,
+            items: vec![ExecItem { meta, timing }],
             tier: ExecPrecision::Full,
-        }) {
-            self.out.send_failures += 1;
-            for item in failed.0.items {
-                let _ = item.responder.send(Completion {
-                    meta: item.meta,
-                    timing: item.timing,
-                    outcome: Outcome::Failed,
-                });
-            }
-        }
+        };
+        self.ship(p, r, batch);
     }
 
     /// Sheds one request at instant `now` with
     /// [`ShedReason::ReplicaLost`] — the terminal resolution of an
     /// orphan whose retry budget, deadline, or sibling pool ran out.
-    fn shed_lost(&mut self, p: usize, meta: RequestMeta, responder: &Sender<Completion>, now: u64) {
+    fn shed_lost(&mut self, p: usize, meta: RequestMeta, now: u64) {
         let timing = RequestTiming {
             arrival_ns: meta.arrival_ns,
             dispatch_ns: now,
@@ -2353,7 +2446,7 @@ impl Scheduler {
                     .arg("outcome", ArgValue::Str("shed")),
             );
         }
-        let _ = responder.send(Completion {
+        self.outbox.push(Completion {
             meta,
             timing,
             outcome: Outcome::Shed,
@@ -2372,49 +2465,6 @@ impl Scheduler {
             self.pump_chaos(&mut chaos, p, u64::MAX, false);
         }
         self.chaos = Some(chaos);
-    }
-
-    fn run(mut self, events: Receiver<Event>) -> Scheduler {
-        loop {
-            loop {
-                let mut progressed = false;
-                for p in 0..self.parts.len() {
-                    let frontier = self.frontier();
-                    let drain_end = self.drain_end();
-                    if let Some(batch) = self.parts[p].former.try_close(frontier, drain_end) {
-                        self.dispatch(p, batch);
-                        progressed = true;
-                    }
-                }
-                if !progressed {
-                    break;
-                }
-            }
-            if self.all_done() && self.parts.iter().all(|p| p.former.is_empty()) {
-                break;
-            }
-            match events.recv() {
-                Ok(event) => {
-                    self.handle(event);
-                    while let Ok(event) = events.try_recv() {
-                        self.handle(event);
-                    }
-                }
-                // Every sender gone: no more submissions are possible,
-                // whatever Done events may have been missed.
-                Err(_) => {
-                    for c in &mut self.clients {
-                        c.done = true;
-                    }
-                }
-            }
-        }
-        self.finalize_chaos();
-        self.flush_observability();
-        if self.out.offered == 0 {
-            self.out.first_arrival_ns = 0;
-        }
-        self
     }
 }
 
@@ -2438,58 +2488,79 @@ impl std::fmt::Debug for ReplicaStats {
     }
 }
 
-/// Host-side execution of one replica. Functional mode drains its batch
-/// queue through [`red_runtime::Chip::run_batched_with_scratch_at`] at
-/// the batch's brownout tier with a persistent per-replica scratch,
-/// answers clients directly, and re-derives the scheduler's virtual
+/// The [`Server`] shell's thread: applies client events to the core,
+/// runs its close loop, and carries out its effects — each completion to
+/// its client's channel, each functional batch to its replica worker —
+/// until every client has finished and every batch is out. Returns the
+/// core for [`Server::try_finish`]; the batch senders drop on return,
+/// which releases the workers.
+fn run_shell(
+    mut core: Scheduler,
+    events: Receiver<Event>,
+    clients: Vec<Sender<Completion>>,
+    replicas: Vec<Vec<SyncSender<ExecBatch>>>,
+) -> Scheduler {
+    loop {
+        core.close_ready();
+        for completion in core.outbox() {
+            let _ = clients[completion.meta.client].send(completion);
+        }
+        for (p, r, batch) in core.exec.drain(..) {
+            if let Err(failed) = replicas[p][r].send(batch) {
+                // The worker is gone (cannot happen short of a panic);
+                // answer the batch here so closed-loop clients never
+                // hang.
+                core.out.send_failures += failed.0.items.len() as u64;
+                for item in failed.0.items {
+                    let _ = clients[item.meta.client].send(Completion {
+                        meta: item.meta,
+                        timing: item.timing,
+                        outcome: Outcome::Failed,
+                    });
+                }
+            }
+        }
+        if core.is_drained() {
+            return core;
+        }
+        match events.recv() {
+            Ok(event) => {
+                core.apply(event);
+                while let Ok(event) = events.try_recv() {
+                    core.apply(event);
+                }
+            }
+            // Every sender gone: no more submissions are possible,
+            // whatever Done events may have been missed.
+            Err(_) => {
+                for client in 0..core.clients.len() {
+                    core.finish_client(client);
+                }
+            }
+        }
+    }
+}
+
+/// Host-side execution of one replica of a functional server: drains its
+/// batch queue through [`Chip::run_batched_with_scratch_at`] at the
+/// batch's brownout tier with a persistent per-replica scratch, answers
+/// each request's client directly, and re-derives the core's virtual
 /// charge from the *measured* `RuntimeReport` for
 /// [`ServerReport::reconciles`] — the measured schedule is
 /// value-independent, so a degraded batch scales the measured fill and
-/// bottleneck by the same [`red_runtime::Chip::phase_ratio`] the
-/// scheduler priced it with. A degraded batch is also re-run at full
-/// precision against a second (lazily built) scratch to meter the
-/// session's worst *observed* output error against the advertised
-/// [`red_runtime::Chip::truncation_error_bound`]. Model-only mode skips
-/// execution and charges the tier-scaled analytic schedule per
-/// delivered batch — the reconciliation then checks batch conservation
-/// (count and sizes) across the scheduler/worker boundary rather than
-/// an independent measurement.
+/// bottleneck by the same [`Chip::phase_ratio`] the core priced it with.
+/// A degraded batch is also re-run at full precision against a second
+/// (lazily built) scratch to meter the session's worst *observed* output
+/// error against the advertised [`Chip::truncation_error_bound`]. A
+/// model-only server has no workers: its core charges each batch itself
+/// ([`PartitionState::charge_modeled`]).
 fn replica_worker(
-    chip: red_runtime::Chip,
+    chip: Chip,
     batches: Receiver<ExecBatch>,
-    functional: bool,
+    clients: Vec<Sender<Completion>>,
 ) -> ReplicaStats {
     let analytic = chip.pipeline_report();
     let mut stats = ReplicaStats::default();
-    if !functional {
-        let fill = analytic.fill_latency_ns();
-        let steady = analytic.steady_interval_ns();
-        while let Ok(batch) = batches.recv() {
-            // Identical to the scheduler's tier pricing: full-precision
-            // analytic latency scaled by the tier's phase ratio, rounded
-            // once (ratio 1.0 is a bit-exact multiply).
-            let ratio = chip.phase_ratio(batch.tier);
-            let f = (fill * ratio).round() as u64;
-            let s = (steady * ratio).round() as u64;
-            let b = batch.items.len() as u64;
-            stats.runtime_modeled_ns += f + (b - 1) * s;
-            stats.batches += 1;
-            stats.images += b;
-            if batch.tier != ExecPrecision::Full {
-                stats.error_bound = stats
-                    .error_bound
-                    .max(chip.truncation_error_bound(batch.tier));
-            }
-            for item in batch.items {
-                let _ = item.responder.send(Completion {
-                    meta: item.meta,
-                    timing: item.timing,
-                    outcome: Outcome::Modeled,
-                });
-            }
-        }
-        return stats;
-    }
     let mut scratch = chip.make_scratch();
     // The full-precision reference scratch for degraded batches; built
     // on first use so brownout-free sessions pay nothing.
@@ -2537,7 +2608,7 @@ fn replica_worker(
                     }
                 }
                 for (item, output) in batch.items.into_iter().zip(run.outputs) {
-                    let _ = item.responder.send(Completion {
+                    let _ = clients[item.meta.client].send(Completion {
                         meta: item.meta,
                         timing: item.timing,
                         outcome: Outcome::Served(output),
@@ -2550,7 +2621,7 @@ fn replica_worker(
                     stats.first_error = Some(e.to_string());
                 }
                 for item in batch.items {
-                    let _ = item.responder.send(Completion {
+                    let _ = clients[item.meta.client].send(Completion {
                         meta: item.meta,
                         timing: item.timing,
                         outcome: Outcome::Failed,
@@ -2562,59 +2633,41 @@ fn replica_worker(
     stats
 }
 
-/// A running serving session over a [`ChipFleet`].
+/// A running serving session over a [`ChipFleet`]: the thread-and-channel
+/// shell around the scheduler core (see the module docs).
 ///
-/// [`Server::start`] spawns the scheduler thread and one worker per
-/// provisioned replica and returns a [`ClientHandle`] per requested
-/// client. Drop (or [`finish`](ClientHandle::finish)) every handle,
-/// then call [`Server::finish`] to drain, join, and collect the
-/// [`ServerReport`].
+/// [`Server::start`] spawns the shell thread, which runs the core, and on
+/// a functional server one worker per provisioned replica, and returns a
+/// [`ClientHandle`] per requested client. Drop (or
+/// [`finish`](ClientHandle::finish)) every handle, then call
+/// [`Server::finish`] to drain, join, and collect the [`ServerReport`].
 #[derive(Debug)]
 pub struct Server {
     events: Sender<Event>,
     scheduler: JoinHandle<Scheduler>,
     workers: Vec<(usize, JoinHandle<ReplicaStats>)>,
-    network: String,
-    design: String,
-    replicas: usize,
-    clients: usize,
-    max_batch: usize,
-    max_wait_ns: u64,
-    policy_name: String,
-    functional: bool,
-    tenant_classes: Vec<TenantClass>,
-    partition_names: Vec<String>,
-    partition_replicas: Vec<usize>,
-    telemetry: Telemetry,
-    /// The effective alert policy when scraping is armed (drives the
-    /// end-of-session `error-bound` rule in [`Server::try_finish`]).
-    alert_policy: Option<AlertPolicy>,
 }
 
-impl Server {
-    /// Starts serving: one scheduler thread, one worker per provisioned
-    /// replica of every partition, one [`ClientHandle`] per entry of
-    /// `clients`. Accepts `&[ClientMode]` (every client under tenant 0)
-    /// or `&[ClientSpec]` for multi-tenant registration.
+impl Scheduler {
+    /// Builds the core of a session over `fleet` under `config`, one
+    /// client per entry of `specs`: per-partition formers, service laws,
+    /// forked policies and metric handles, plus the armed chaos, scrape
+    /// and alert planes.
     ///
     /// # Errors
     ///
-    /// [`ServerError::NoClients`] when `clients` is empty;
+    /// [`ServerError::NoClients`] when `specs` is empty;
     /// [`ServerError::UnknownTenant`] when a spec names a tenant class
     /// the config does not declare.
-    pub fn start<S>(
+    pub(crate) fn new(
         fleet: &ChipFleet,
         config: &ServerConfig,
-        clients: &[S],
-    ) -> Result<(Server, Vec<ClientHandle>), ServerError>
-    where
-        S: Clone + Into<ClientSpec>,
-    {
-        if clients.is_empty() {
+        specs: &[ClientSpec],
+    ) -> Result<Scheduler, ServerError> {
+        if specs.is_empty() {
             return Err(ServerError::NoClients);
         }
-        let specs: Vec<ClientSpec> = clients.iter().cloned().map(Into::into).collect();
-        for spec in &specs {
+        for spec in specs {
             if spec.tenant >= config.tenants.len() {
                 return Err(ServerError::UnknownTenant {
                     tenant: spec.tenant,
@@ -2622,14 +2675,6 @@ impl Server {
                 });
             }
         }
-        let expected_shapes = Arc::new(
-            fleet
-                .partitions()
-                .iter()
-                .map(|p| p.chip().input_shape())
-                .collect::<Vec<_>>(),
-        );
-
         let tele = config.telemetry.clone();
         if tele.is_enabled() {
             tele.name_process(TRACE_PID_SCHED, "scheduler");
@@ -2638,9 +2683,7 @@ impl Server {
             }
         }
 
-        let (event_tx, event_rx) = channel::<Event>();
         let mut parts = Vec::with_capacity(fleet.partition_count());
-        let mut workers = Vec::with_capacity(fleet.replicas());
         for (pi, partition) in fleet.partitions().iter().enumerate() {
             let analytic = partition.chip().pipeline_report();
             let fill_ns = analytic.fill_latency_ns().round() as u64;
@@ -2798,20 +2841,6 @@ impl Server {
                     &part_labels,
                 ),
             };
-            let mut replica_tx = Vec::with_capacity(partition.replicas());
-            for _ in 0..partition.replicas() {
-                // Capacity 2: classic double buffering — one batch
-                // executing, one staged — with backpressure into the
-                // scheduler.
-                let (tx, rx) = sync_channel::<ExecBatch>(2);
-                let replica = partition.replica_chip();
-                let functional = config.functional;
-                workers.push((
-                    pi,
-                    std::thread::spawn(move || replica_worker(replica, rx, functional)),
-                ));
-                replica_tx.push(tx);
-            }
             let autoscaler = config
                 .autoscale
                 .map(|cfg| Autoscaler::new(cfg, pi, partition.replicas(), config.tenants.len()));
@@ -2947,7 +2976,12 @@ impl Server {
                 hw_by_tier,
                 metrics,
                 policy: config.policy.fork(),
-                replica_tx,
+                chip: partition.replica_chip(),
+                analytic_fill_ns: analytic.fill_latency_ns(),
+                analytic_steady_ns: analytic.steady_interval_ns(),
+                replica_stats: (0..partition.replicas())
+                    .map(|_| ReplicaStats::default())
+                    .collect(),
                 free_at: vec![0; partition.replicas()],
                 active,
                 autoscaler,
@@ -3015,7 +3049,35 @@ impl Server {
             }
         });
 
-        let scheduler_state = Scheduler {
+        let mut designs: Vec<String> = Vec::new();
+        for p in fleet.partitions() {
+            let label = p.chip().design().label().to_string();
+            if !designs.contains(&label) {
+                designs.push(label);
+            }
+        }
+        let info = SessionInfo {
+            network: fleet
+                .partitions()
+                .iter()
+                .map(|p| p.chip().name())
+                .collect::<Vec<_>>()
+                .join("+"),
+            design: designs.join("+"),
+            replicas: fleet.replicas(),
+            max_batch: config.max_batch,
+            max_wait_ns: config.max_wait_ns,
+            policy: config.policy.name().to_string(),
+            tenant_classes: config.tenants.clone(),
+            partition_names: fleet
+                .partitions()
+                .iter()
+                .map(|p| p.chip().name().to_string())
+                .collect(),
+            alert_policy: (config.scrape.is_some() && tele.is_enabled())
+                .then(|| config.alerts.clone().unwrap_or_default()),
+        };
+        Ok(Scheduler {
             clients: specs
                 .iter()
                 .map(|spec| ClientState {
@@ -3026,7 +3088,7 @@ impl Server {
                 })
                 .collect(),
             parts,
-            tele: tele.clone(),
+            tele,
             tenants: config
                 .tenants
                 .iter()
@@ -3063,64 +3125,274 @@ impl Server {
                 served_by_tier: [0; 3],
             },
             chaos,
-        };
-        let scheduler = std::thread::spawn(move || scheduler_state.run(event_rx));
+            outbox: Vec::new(),
+            exec: Vec::new(),
+            info,
+        })
+    }
 
-        let handles = specs
+    /// Ends the session and assembles its report: applies the plan
+    /// events and repairs the traffic never reached, flushes the last
+    /// scrape window, and folds every ledger into a [`ServerReport`].
+    /// Called once [`Scheduler::is_drained`] holds and, on a functional
+    /// server, once the workers' ledgers are back in `replica_stats`.
+    pub(crate) fn finish(mut self) -> ServerReport {
+        self.finalize_chaos();
+        self.flush_observability();
+        let mut alerts: Vec<AlertReport> = Vec::new();
+        for part in &mut self.parts {
+            if let Some(obs) = part.obs.take() {
+                alerts.extend(obs.into_reports());
+            }
+        }
+        let first_arrival_ns = if self.out.first_arrival_ns == u64::MAX {
+            0
+        } else {
+            self.out.first_arrival_ns
+        };
+        let span_ns = self.out.last_completion_ns.saturating_sub(first_arrival_ns);
+        let mut replica_reports = Vec::with_capacity(self.info.replicas);
+        for (pi, part) in self.parts.iter().enumerate() {
+            let ledgers = part.replica_stats.iter().zip(&part.per_replica);
+            for (ri, (s, &(batches, images, busy_ns))) in ledgers.enumerate() {
+                replica_reports.push(ReplicaReport {
+                    partition: pi,
+                    replica: ri,
+                    batches,
+                    images,
+                    busy_ns,
+                    utilization: if span_ns == 0 {
+                        0.0
+                    } else {
+                        busy_ns as f64 / span_ns as f64
+                    },
+                    host_ns: s.host_ns,
+                });
+            }
+        }
+        let partition_reports = self
+            .parts
             .iter()
+            .zip(&self.info.partition_names)
             .enumerate()
-            .map(|(id, spec)| {
-                let (completion_tx, completions) = channel::<Completion>();
-                ClientHandle {
-                    id,
-                    tenant: spec.tenant,
-                    seq: 0,
-                    last_arrival_ns: 0,
-                    expected_shapes: Arc::clone(&expected_shapes),
-                    functional: config.functional,
-                    events: event_tx.clone(),
-                    completion_tx,
-                    completions,
-                    done: false,
+            .map(|(pi, (part, network))| PartitionReport {
+                partition: pi,
+                network: network.clone(),
+                replicas_provisioned: part.free_at.len(),
+                replicas_active: part.active,
+                offered: part.offered,
+                served: part.served,
+                shed: part.shed,
+                batches: part.batches,
+                total: part.total.clone(),
+                modeled_busy_ns: part.modeled_busy_ns,
+                runtime_modeled_ns: part
+                    .replica_stats
+                    .iter()
+                    .map(|s| s.runtime_modeled_ns)
+                    .sum(),
+                batches_reconciled: part.replica_stats.iter().all(|s| s.unreconciled == 0),
+                scale_events: part.scale_events.clone(),
+                brownout_events: part.brownout_events.clone(),
+                served_by_tier: part.served_by_tier.to_vec(),
+            })
+            .collect::<Vec<_>>();
+        let tele = &self.tele;
+        let tenant_reports = self
+            .info
+            .tenant_classes
+            .iter()
+            .zip(self.tenants)
+            .enumerate()
+            .map(|(ti, (class, stat))| {
+                // Fold the core's per-tenant ledgers into the metrics
+                // plane once at shutdown — the hot path records into the
+                // report histograms only, never twice.
+                tele.histogram(
+                    "red_request_queue_wait_ns",
+                    "Virtual-clock queue wait per served request",
+                    &[("tenant", &class.name)],
+                )
+                .merge(&stat.queue_wait);
+                tele.histogram(
+                    "red_request_total_ns",
+                    "Virtual-clock arrival-to-completion latency per served request",
+                    &[("tenant", &class.name)],
+                )
+                .merge(&stat.total);
+                TenantReport {
+                    tenant: ti,
+                    name: class.name.clone(),
+                    weight: class.weight,
+                    priority: class.priority,
+                    slo_ns: class.slo_ns,
+                    offered: stat.offered,
+                    served: stat.served,
+                    shed: stat.shed,
+                    queue_wait: stat.queue_wait,
+                    total: stat.total,
                 }
             })
             .collect();
-
-        let mut designs: Vec<String> = Vec::new();
-        for p in fleet.partitions() {
-            let label = p.chip().design().label().to_string();
-            if !designs.contains(&label) {
-                designs.push(label);
+        let stats: Vec<&ReplicaStats> = self.parts.iter().flat_map(|p| &p.replica_stats).collect();
+        let max_observed_error = stats
+            .iter()
+            .map(|s| s.max_observed_error)
+            .fold(0.0, f64::max);
+        let precision_error_bound = stats.iter().map(|s| s.error_bound).fold(0.0, f64::max);
+        // The end-of-session `error-bound` rule: the worst observed
+        // degradation error has consumed the policy's margin of the
+        // advertised worst-case bound. Evaluated here because the
+        // observed error exists only once every batch has executed; it
+        // never resolves (there is nothing after session end to calm
+        // down).
+        if let Some(policy) = &self.info.alert_policy {
+            if policy.error_bound_breached(max_observed_error, precision_error_bound) {
+                tele.counter(
+                    "red_alerts_fired_total",
+                    "Alert-rule fire edges",
+                    &[("rule", "error-bound")],
+                )
+                .add(1);
+                alerts.push(AlertReport {
+                    partition: 0,
+                    rule: "error-bound".to_string(),
+                    tenant: None,
+                    fired_at_ns: self.out.last_completion_ns,
+                    resolved_at_ns: None,
+                    value: max_observed_error / precision_error_bound,
+                });
             }
         }
+        ServerReport {
+            network: self.info.network,
+            design: self.info.design,
+            replicas: self.info.replicas,
+            clients: self.clients.len(),
+            max_batch: self.info.max_batch,
+            max_wait_ns: self.info.max_wait_ns,
+            policy: self.info.policy,
+            functional: self.functional,
+            offered: self.out.offered,
+            served: self.out.served,
+            shed: self.out.shed,
+            failed: stats.iter().map(|s| s.failed).sum::<u64>() + self.out.send_failures,
+            batches: self.out.batches,
+            queue_wait: self.out.queue_wait,
+            execute: self.out.execute,
+            total: self.out.total,
+            shed_wait: self.out.shed_wait,
+            batch_sizes: self.out.batch_sizes,
+            first_arrival_ns,
+            last_completion_ns: self.out.last_completion_ns,
+            modeled_busy_ns: self.out.modeled_busy_ns,
+            runtime_modeled_ns: stats.iter().map(|s| s.runtime_modeled_ns).sum(),
+            batches_reconciled: stats.iter().all(|s| s.unreconciled == 0),
+            tenant_reports,
+            partition_reports,
+            replica_reports,
+            host_exec_ns: stats.iter().map(|s| s.host_ns).sum(),
+            first_error: stats.iter().find_map(|s| s.first_error.clone()),
+            sheds_by_reason: ShedReason::ALL
+                .iter()
+                .zip(&self.out.sheds_by_reason)
+                .map(|(reason, &n)| (reason.as_str().to_string(), n))
+                .collect(),
+            faults_injected: self.out.faults_injected,
+            reprograms: self.out.reprograms,
+            retries: self.out.retries,
+            hedges: self.out.hedges,
+            served_by_tier: ExecPrecision::ALL
+                .iter()
+                .map(|t| (t.name().to_string(), self.out.served_by_tier[t.index()]))
+                .collect(),
+            max_observed_error,
+            precision_error_bound,
+            alerts,
+        }
+    }
+}
+
+impl Server {
+    /// Starts serving: the shell thread running the scheduler core, one
+    /// worker per provisioned replica of every partition on a functional
+    /// server, and one [`ClientHandle`] per entry of `clients`. Accepts
+    /// `&[ClientMode]` (every client under tenant 0) or `&[ClientSpec]`
+    /// for multi-tenant registration.
+    ///
+    /// # Errors
+    ///
+    /// [`ServerError::NoClients`] when `clients` is empty;
+    /// [`ServerError::UnknownTenant`] when a spec names a tenant class
+    /// the config does not declare.
+    pub fn start<S>(
+        fleet: &ChipFleet,
+        config: &ServerConfig,
+        clients: &[S],
+    ) -> Result<(Server, Vec<ClientHandle>), ServerError>
+    where
+        S: Clone + Into<ClientSpec>,
+    {
+        let specs: Vec<ClientSpec> = clients.iter().cloned().map(Into::into).collect();
+        let core = Scheduler::new(fleet, config, &specs)?;
+        let expected_shapes = Arc::new(
+            fleet
+                .partitions()
+                .iter()
+                .map(|p| p.chip().input_shape())
+                .collect::<Vec<_>>(),
+        );
+        let (event_tx, event_rx) = channel::<Event>();
+        let (completion_tx, completion_rx): (Vec<_>, Vec<_>) =
+            specs.iter().map(|_| channel::<Completion>()).unzip();
+        let mut workers = Vec::new();
+        let mut replica_tx = Vec::with_capacity(fleet.partition_count());
+        for (pi, partition) in fleet.partitions().iter().enumerate() {
+            // A model-only core charges its batches itself: no workers.
+            let replicas = if config.functional {
+                partition.replicas()
+            } else {
+                0
+            };
+            let mut txs = Vec::with_capacity(replicas);
+            for _ in 0..replicas {
+                // Capacity 2: classic double buffering — one batch
+                // executing, one staged — with backpressure into the
+                // shell.
+                let (tx, rx) = sync_channel::<ExecBatch>(2);
+                let chip = partition.replica_chip();
+                let clients = completion_tx.clone();
+                workers.push((
+                    pi,
+                    std::thread::spawn(move || replica_worker(chip, rx, clients)),
+                ));
+                txs.push(tx);
+            }
+            replica_tx.push(txs);
+        }
+        let scheduler =
+            std::thread::spawn(move || run_shell(core, event_rx, completion_tx, replica_tx));
+        let handles = specs
+            .iter()
+            .zip(completion_rx)
+            .enumerate()
+            .map(|(id, (spec, completions))| ClientHandle {
+                id,
+                tenant: spec.tenant,
+                seq: 0,
+                last_arrival_ns: 0,
+                expected_shapes: Arc::clone(&expected_shapes),
+                functional: config.functional,
+                events: event_tx.clone(),
+                completions,
+                done: false,
+            })
+            .collect();
         Ok((
             Server {
                 events: event_tx,
                 scheduler,
                 workers,
-                network: fleet
-                    .partitions()
-                    .iter()
-                    .map(|p| p.chip().name())
-                    .collect::<Vec<_>>()
-                    .join("+"),
-                design: designs.join("+"),
-                replicas: fleet.replicas(),
-                clients: specs.len(),
-                max_batch: config.max_batch,
-                max_wait_ns: config.max_wait_ns,
-                policy_name: config.policy.name().to_string(),
-                functional: config.functional,
-                tenant_classes: config.tenants.clone(),
-                partition_names: fleet
-                    .partitions()
-                    .iter()
-                    .map(|p| p.chip().name().to_string())
-                    .collect(),
-                partition_replicas: fleet.partitions().iter().map(|p| p.replicas()).collect(),
-                alert_policy: (config.scrape.is_some() && tele.is_enabled())
-                    .then(|| config.alerts.clone().unwrap_or_default()),
-                telemetry: tele,
             },
             handles,
         ))
@@ -3147,228 +3419,59 @@ impl Server {
     /// [`Server::finish`], but a dead thread comes back as a value
     /// instead of a panic: [`ServerError::ReplicaFailed`] names the
     /// partition and replica of a dead worker, and
-    /// [`ServerError::SchedulerFailed`] carries the scheduler thread's
-    /// panic message (the scheduler owns the virtual clock, so there is
-    /// no meaningful report without it). Every surviving thread is
-    /// still joined first on both paths, so nothing is leaked.
+    /// [`ServerError::SchedulerFailed`] carries the shell thread's panic
+    /// message (the core owns the virtual clock, so there is no
+    /// meaningful report without it). Every surviving thread is still
+    /// joined first on both paths, so nothing is leaked.
     ///
     /// # Errors
     ///
-    /// [`ServerError::SchedulerFailed`] when the scheduler thread
-    /// panicked; otherwise [`ServerError::ReplicaFailed`] for the first
-    /// (by partition, then replica index) worker thread that panicked
-    /// instead of reporting its statistics.
+    /// [`ServerError::SchedulerFailed`] when the shell thread panicked;
+    /// otherwise [`ServerError::ReplicaFailed`] for the first (by
+    /// partition, then replica index) worker thread that panicked
+    /// instead of reporting its ledger.
     pub fn try_finish(self) -> Result<ServerReport, ServerError> {
         drop(self.events);
-        let mut sched = match self.scheduler.join() {
-            Ok(sched) => sched,
+        let mut core = match self.scheduler.join() {
+            Ok(core) => core,
             Err(payload) => {
-                // The unwinding scheduler dropped its batch senders, so
-                // the workers drain and exit; join them before
-                // reporting, leaking nothing on the error path.
+                // The unwinding shell dropped its batch senders, so the
+                // workers drain and exit; join them before reporting,
+                // leaking nothing on the error path.
                 for (_, worker) in self.workers {
                     let _ = worker.join();
                 }
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                return Err(ServerError::SchedulerFailed { message });
+                return Err(ServerError::SchedulerFailed {
+                    message: panic_message(&*payload),
+                });
             }
         };
-        // Dropping the batch senders releases the workers: they drain
-        // their queues and return.
-        let mut alerts: Vec<AlertReport> = Vec::new();
-        for part in &mut sched.parts {
-            part.replica_tx.clear();
-            if let Some(obs) = part.obs.take() {
-                alerts.extend(obs.into_reports());
-            }
-        }
-        let mut per_part_stats: Vec<Vec<ReplicaStats>> =
-            (0..sched.parts.len()).map(|_| Vec::new()).collect();
-        let mut failed_worker: Option<(usize, usize)> = None;
+        // The shell dropped its batch senders on return: the workers
+        // drain their queues and hand back their ledgers.
+        let mut next_replica = vec![0usize; core.parts.len()];
+        let mut failed_worker = None;
         for (p, worker) in self.workers {
-            let replica = per_part_stats[p].len();
+            let r = next_replica[p];
+            next_replica[p] += 1;
             match worker.join() {
-                Ok(stats) => per_part_stats[p].push(stats),
+                Ok(stats) => core.parts[p].replica_stats[r] = stats,
                 Err(_) => {
-                    if failed_worker.is_none() {
-                        failed_worker = Some((p, replica));
-                    }
-                    per_part_stats[p].push(ReplicaStats::default());
+                    failed_worker.get_or_insert((p, r));
                 }
             }
         }
         if let Some((partition, replica)) = failed_worker {
             return Err(ServerError::ReplicaFailed { partition, replica });
         }
-        let first_arrival_ns = if sched.out.first_arrival_ns == u64::MAX {
-            0
-        } else {
-            sched.out.first_arrival_ns
-        };
-        let span_ns = sched
-            .out
-            .last_completion_ns
-            .saturating_sub(first_arrival_ns);
-        let mut replica_reports = Vec::with_capacity(self.replicas);
-        for (pi, stats) in per_part_stats.iter().enumerate() {
-            for (ri, s) in stats.iter().enumerate() {
-                let (batches, images, busy_ns) = sched.parts[pi].per_replica[ri];
-                replica_reports.push(ReplicaReport {
-                    partition: pi,
-                    replica: ri,
-                    batches,
-                    images,
-                    busy_ns,
-                    utilization: if span_ns == 0 {
-                        0.0
-                    } else {
-                        busy_ns as f64 / span_ns as f64
-                    },
-                    host_ns: s.host_ns,
-                });
-            }
-        }
-        let partition_reports = sched
-            .parts
-            .iter()
-            .enumerate()
-            .map(|(pi, part)| PartitionReport {
-                partition: pi,
-                network: self.partition_names[pi].clone(),
-                replicas_provisioned: self.partition_replicas[pi],
-                replicas_active: part.active,
-                offered: part.offered,
-                served: part.served,
-                shed: part.shed,
-                batches: part.batches,
-                total: part.total.clone(),
-                modeled_busy_ns: part.modeled_busy_ns,
-                runtime_modeled_ns: per_part_stats[pi]
-                    .iter()
-                    .map(|s| s.runtime_modeled_ns)
-                    .sum(),
-                batches_reconciled: per_part_stats[pi].iter().all(|s| s.unreconciled == 0),
-                scale_events: part.scale_events.clone(),
-                brownout_events: part.brownout_events.clone(),
-                served_by_tier: part.served_by_tier.to_vec(),
-            })
-            .collect::<Vec<_>>();
-        let tenant_reports = self
-            .tenant_classes
-            .iter()
-            .zip(sched.tenants)
-            .enumerate()
-            .map(|(ti, (class, stat))| {
-                // Fold the scheduler's per-tenant ledgers into the
-                // metrics plane once at shutdown — the hot path records
-                // into the report histograms only, never twice.
-                self.telemetry
-                    .histogram(
-                        "red_request_queue_wait_ns",
-                        "Virtual-clock queue wait per served request",
-                        &[("tenant", &class.name)],
-                    )
-                    .merge(&stat.queue_wait);
-                self.telemetry
-                    .histogram(
-                        "red_request_total_ns",
-                        "Virtual-clock arrival-to-completion latency per served request",
-                        &[("tenant", &class.name)],
-                    )
-                    .merge(&stat.total);
-                TenantReport {
-                    tenant: ti,
-                    name: class.name.clone(),
-                    weight: class.weight,
-                    priority: class.priority,
-                    slo_ns: class.slo_ns,
-                    offered: stat.offered,
-                    served: stat.served,
-                    shed: stat.shed,
-                    queue_wait: stat.queue_wait,
-                    total: stat.total,
-                }
-            })
-            .collect();
-        let flat_stats: Vec<&ReplicaStats> = per_part_stats.iter().flatten().collect();
-        let max_observed_error = flat_stats
-            .iter()
-            .map(|s| s.max_observed_error)
-            .fold(0.0, f64::max);
-        let precision_error_bound = flat_stats.iter().map(|s| s.error_bound).fold(0.0, f64::max);
-        // The end-of-session `error-bound` rule: the worst observed
-        // degradation error has consumed the policy's margin of the
-        // advertised worst-case bound. Evaluated here because the
-        // observed error exists only after the workers join; it never
-        // resolves (there is nothing after session end to calm down).
-        if let Some(policy) = &self.alert_policy {
-            if policy.error_bound_breached(max_observed_error, precision_error_bound) {
-                self.telemetry
-                    .counter(
-                        "red_alerts_fired_total",
-                        "Alert-rule fire edges",
-                        &[("rule", "error-bound")],
-                    )
-                    .add(1);
-                alerts.push(AlertReport {
-                    partition: 0,
-                    rule: "error-bound".to_string(),
-                    tenant: None,
-                    fired_at_ns: sched.out.last_completion_ns,
-                    resolved_at_ns: None,
-                    value: max_observed_error / precision_error_bound,
-                });
-            }
-        }
-        Ok(ServerReport {
-            network: self.network,
-            design: self.design,
-            replicas: self.replicas,
-            clients: self.clients,
-            max_batch: self.max_batch,
-            max_wait_ns: self.max_wait_ns,
-            policy: self.policy_name,
-            functional: self.functional,
-            offered: sched.out.offered,
-            served: sched.out.served,
-            shed: sched.out.shed,
-            failed: flat_stats.iter().map(|s| s.failed).sum::<u64>() + sched.out.send_failures,
-            batches: sched.out.batches,
-            queue_wait: sched.out.queue_wait,
-            execute: sched.out.execute,
-            total: sched.out.total,
-            shed_wait: sched.out.shed_wait,
-            batch_sizes: sched.out.batch_sizes,
-            first_arrival_ns,
-            last_completion_ns: sched.out.last_completion_ns,
-            modeled_busy_ns: sched.out.modeled_busy_ns,
-            runtime_modeled_ns: flat_stats.iter().map(|s| s.runtime_modeled_ns).sum(),
-            batches_reconciled: flat_stats.iter().all(|s| s.unreconciled == 0),
-            tenant_reports,
-            partition_reports,
-            replica_reports,
-            host_exec_ns: flat_stats.iter().map(|s| s.host_ns).sum(),
-            first_error: flat_stats.iter().find_map(|s| s.first_error.clone()),
-            sheds_by_reason: ShedReason::ALL
-                .iter()
-                .zip(&sched.out.sheds_by_reason)
-                .map(|(reason, &n)| (reason.as_str().to_string(), n))
-                .collect(),
-            faults_injected: sched.out.faults_injected,
-            reprograms: sched.out.reprograms,
-            retries: sched.out.retries,
-            hedges: sched.out.hedges,
-            served_by_tier: ExecPrecision::ALL
-                .iter()
-                .map(|t| (t.name().to_string(), sched.out.served_by_tier[t.index()]))
-                .collect(),
-            max_observed_error,
-            precision_error_bound,
-            alerts,
-        })
+        Ok(core.finish())
     }
+}
+
+/// The message a panic carried, for [`ServerError::SchedulerFailed`].
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }

@@ -386,9 +386,10 @@ proptest! {
 // ===========================================================================
 
 use red_sim::red_server::{
-    AdmissionPolicy, AutoscaleConfig, LatencyHistogram, ServerReport, ServiceEstimate,
-    StrictPriority, TenantClass, WeightedFair,
+    AdmissionPolicy, AutoscaleConfig, BrownoutConfig, FaultPlan, LatencyHistogram, ScrapeConfig,
+    ServerError, ServerReport, ServiceEstimate, StrictPriority, TenantClass, WeightedFair,
 };
+use red_sim::red_telemetry::Telemetry;
 
 /// The tenant lineup of the committed `BENCH_loadgen.json` baseline: a
 /// latency-pinned interactive class, a mid-tier standard class, and a
@@ -566,21 +567,44 @@ fn multi_network_fleet_routes_requests_bit_exact_per_network() {
     );
 }
 
-/// The O(1)-memory streaming driver and the thread-per-client driver
-/// produce **bit-identical** modeled statistics for the same
-/// configuration: batch close instants are trace-deterministic, so the
-/// report cannot depend on which driver delivered the trace.
+/// The model-only streaming driver, which runs the scheduler core on
+/// the calling thread, and the thread-per-client driver, which goes
+/// through the threaded server shell, produce **bit-identical** modeled
+/// statistics for the same configuration — on a plain weighted-fair
+/// session and off the happy path: under a fault plan with a crash and
+/// a strike, with brownout armed, and with the scraper and alert engine
+/// on. Batch close instants are trace-deterministic, so the report
+/// cannot depend on which driver delivered the trace.
 #[test]
 fn streaming_driver_matches_threaded_driver_bit_for_bit() {
     let (fleet, peak) = two_network_fleet(2);
     let slo_ns = 200_000;
     let classes = tenant_lineup(slo_ns);
-    let config = ServerConfig::new()
+    let plain = ServerConfig::new()
         .max_batch(8)
         .max_wait_ns(20_000)
         .policy(WeightedFair::new(&classes, 100_000))
         .tenants(classes)
         .model_only();
+    // Built afresh per run: each alerting session needs its own
+    // telemetry handle.
+    let config = |case: &str| match case {
+        "plain" => plain.clone(),
+        "chaos" => plain.clone().fault_plan(
+            FaultPlan::new(23)
+                .crash(5_000_000, 0, 1)
+                .strikes(12_000_000, 1, 0, 512),
+        ),
+        "brownout" => plain.clone().brownout(BrownoutConfig::default()),
+        "alerts" => plain
+            .clone()
+            .telemetry(Telemetry::enabled())
+            .scrape(ScrapeConfig {
+                interval_ns: 1_000_000,
+                ..ScrapeConfig::default()
+            }),
+        other => unreachable!("no case {other}"),
+    };
     let load = |stream: bool| LoadgenConfig {
         mode: LoadMode::Open { rps: 1.8 * peak },
         clients: 9,
@@ -590,12 +614,124 @@ fn streaming_driver_matches_threaded_driver_bit_for_bit() {
         seed: 23,
         stream,
     };
-    let threaded = drive(&fleet, &config, &load(false), &[]).unwrap();
-    let streaming = drive(&fleet, &config, &load(true), &[]).unwrap();
-    assert!(threaded.reconciles());
-    assert!(streaming.reconciles());
-    assert!(threaded.shed > 0, "1.8x overload must shed");
-    assert_modeled_stats_identical(&threaded, &streaming);
+    for case in ["plain", "chaos", "brownout", "alerts"] {
+        let threaded = drive(&fleet, &config(case), &load(false), &[]).unwrap();
+        let streaming = drive(&fleet, &config(case), &load(true), &[]).unwrap();
+        assert!(threaded.reconciles(), "{case}: threaded reconciles");
+        assert!(streaming.reconciles(), "{case}: streaming reconciles");
+        assert!(threaded.shed > 0, "{case}: 1.8x overload must shed");
+        assert_modeled_stats_identical(&threaded, &streaming);
+        assert_eq!(threaded.served_by_tier, streaming.served_by_tier, "{case}");
+        assert_eq!(threaded.retries, streaming.retries, "{case}: retries");
+        assert_eq!(threaded.hedges, streaming.hedges, "{case}: hedges");
+        assert_eq!(
+            threaded.sheds_by_reason, streaming.sheds_by_reason,
+            "{case}"
+        );
+        assert_eq!(threaded.alerts, streaming.alerts, "{case}: alert episodes");
+        // Each case must actually leave the happy path it names.
+        match case {
+            "chaos" => assert_eq!(streaming.faults_injected, 2, "both faults fire"),
+            "brownout" => assert!(
+                streaming
+                    .partition_reports
+                    .iter()
+                    .any(|p| !p.brownout_events.is_empty()),
+                "overload must step a brownout tier"
+            ),
+            "alerts" => assert!(!streaming.alerts.is_empty(), "overload must fire an alert"),
+            _ => {}
+        }
+    }
+}
+
+/// A policy whose every admission decision panics.
+#[derive(Debug)]
+struct PanickingPolicy;
+
+impl AdmissionPolicy for PanickingPolicy {
+    fn name(&self) -> &'static str {
+        "panicking"
+    }
+
+    fn admit(&mut self, _meta: &RequestMeta, _estimate: &ServiceEstimate) -> bool {
+        panic!("admission policy panicked on purpose")
+    }
+
+    fn fork(&self) -> Box<dyn AdmissionPolicy> {
+        Box::new(PanickingPolicy)
+    }
+}
+
+/// A panicking custom policy surfaces as `SchedulerFailed` from `drive`
+/// whichever driver runs the scheduler: the model-only streaming driver
+/// runs the core on the calling thread, the functional thread-per-client
+/// driver inside the threaded server shell.
+#[test]
+fn a_panicking_policy_surfaces_as_scheduler_failed_on_both_drivers() {
+    let stack = networks::dcgan_generator(SCALE).unwrap();
+    let chip = ChipBuilder::new()
+        .design(Design::red(RedLayoutPolicy::Auto))
+        .compile_seeded(&stack, 5, 42)
+        .unwrap();
+    let fleet = ChipFleet::new(chip, 2).unwrap();
+    let inputs = networks::request_stream(&stack, 4, 48, 3);
+    let config = ServerConfig::new()
+        .max_batch(4)
+        .max_wait_ns(10_000)
+        .policy(PanickingPolicy);
+    let load = |stream: bool| LoadgenConfig {
+        mode: LoadMode::Open { rps: 100_000.0 },
+        clients: 3,
+        requests: 24,
+        horizon_ns: None,
+        slo_ns: None,
+        seed: 1,
+        stream,
+    };
+    for (driver, result) in [
+        (
+            "inline model-only",
+            drive(&fleet, &config.clone().model_only(), &load(true), &[]),
+        ),
+        (
+            "threaded functional",
+            drive(&fleet, &config, &load(false), std::slice::from_ref(&inputs)),
+        ),
+    ] {
+        match result {
+            Err(ServerError::SchedulerFailed { message }) => assert!(
+                message.contains("panicked on purpose"),
+                "{driver}: the panic message survives, got {message:?}"
+            ),
+            other => panic!("{driver}: expected SchedulerFailed, got {other:?}"),
+        }
+    }
+}
+
+/// Open-loop rates must be positive and finite: `drive` answers NaN,
+/// infinities, zero and negative rates with a typed error instead of
+/// panicking or stamping every arrival at t = 0.
+#[test]
+fn drive_rejects_non_finite_and_non_positive_rates() {
+    let (fleet, _) = two_network_fleet(1);
+    for rps in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+        let load = LoadgenConfig {
+            mode: LoadMode::Open { rps },
+            clients: 2,
+            requests: 8,
+            horizon_ns: None,
+            slo_ns: None,
+            seed: 1,
+            stream: true,
+        };
+        match drive(&fleet, &ServerConfig::new().model_only(), &load, &[]) {
+            Err(ServerError::InvalidRate { rps: got }) => {
+                assert!(got == rps || (got.is_nan() && rps.is_nan()), "{rps}");
+            }
+            other => panic!("rps {rps}: expected InvalidRate, got {other:?}"),
+        }
+    }
 }
 
 /// Under sustained overload, weighted-fair admission pins the
