@@ -28,6 +28,9 @@
 //! `--json <path>` additionally emits the table machine-readably — the
 //! file committed as `BENCH_serve.json` is the perf-trajectory baseline,
 //! regenerated with the command shown in README's Performance section.
+//! Each row carries an `output_digest` (FNV-1a over the batch's output
+//! tensors), so replaying the baseline through `benchdiff` pins the
+//! functional outputs exactly, not just the modeled figures.
 //! `--trace <path>` records every chip run's per-stage virtual-clock
 //! schedule as a Chrome trace-event / Perfetto timeline (one trace
 //! process per table row; open at `ui.perfetto.dev`).
@@ -61,6 +64,7 @@ struct ServeRow {
     images_per_s: f64,
     speedup_vs_zero_padding: f64,
     energy_per_image_uj: f64,
+    output_digest: u64,
     host_ms: f64,
     host_images_per_s: f64,
 }
@@ -90,7 +94,8 @@ impl ServeRow {
              \"stages\":{},\"macros\":{},\
              \"area_mm2\":{:.6},\"fill_us\":{:.6},\"interval_us\":{:.6},\
              \"images_per_s\":{:.3},\"speedup_vs_zero_padding\":{:.4},\
-             \"energy_per_image_uj\":{:.6},\"host_ms\":{:.3},\"host_images_per_s\":{:.2}}}",
+             \"energy_per_image_uj\":{:.6},\"output_digest\":\"{:016x}\",\
+             \"host_ms\":{:.3},\"host_images_per_s\":{:.2}}}",
             json_escape(&self.network),
             json_escape(&self.design),
             json_escape(&self.xbar),
@@ -104,6 +109,7 @@ impl ServeRow {
             self.images_per_s,
             self.speedup_vs_zero_padding,
             self.energy_per_image_uj,
+            self.output_digest,
             self.host_ms,
             self.host_images_per_s,
         )
@@ -112,8 +118,29 @@ impl ServeRow {
 
 /// Schema version of the `--json` document: 2 added the explicit
 /// `version` key plus per-row `exec_mode` (noisy rows previously shared
-/// the row schema by convention only).
-const JSON_SCHEMA_VERSION: u32 = 2;
+/// the row schema by convention only); 3 added per-row `output_digest`.
+const JSON_SCHEMA_VERSION: u32 = 3;
+
+/// 64-bit FNV-1a over a batch's output tensors: each tensor's shape,
+/// then its values, as little-endian bytes.
+fn output_digest(outputs: &[FeatureMap<i64>]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for out in outputs {
+        for dim in [out.height(), out.width(), out.channels()] {
+            eat(dim as u64);
+        }
+        for &v in out.as_slice() {
+            eat(v as u64);
+        }
+    }
+    hash
+}
 
 fn write_json(path: &str, batch: usize, scale: usize, rows: &[ServeRow]) -> std::io::Result<()> {
     let objects: Vec<String> = rows.iter().map(ServeRow::json_object).collect();
@@ -317,6 +344,7 @@ fn main() -> ExitCode {
                     images_per_s: report.throughput_per_s(),
                     speedup_vs_zero_padding: zp_interval / report.steady_interval_ns,
                     energy_per_image_uj: report.energy_per_image_pj / 1e6,
+                    output_digest: output_digest(&run.outputs),
                     host_ms: report.wall_ns as f64 / 1e6,
                     host_images_per_s: report.host_images_per_s(),
                 });
