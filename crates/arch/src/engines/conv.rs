@@ -200,10 +200,10 @@ impl ConvEngine {
     /// Executes the convolution on every input of a batch. When the
     /// array is large enough for batching to pay
     /// ([`CrossbarArray::vmm_batch_pays`] — cache-blocked exact on ideal
-    /// crossbars, phase-major analog otherwise), each output pixel's
-    /// windows are gathered across the whole batch and multiplied
-    /// through [`CrossbarArray::vmm_batch`]; smaller arrays take a
-    /// per-image loop with shared scratch. Bit-exact against per-input
+    /// crossbars), each output pixel's windows are gathered across the
+    /// whole batch and multiplied through [`CrossbarArray::vmm_batch`];
+    /// smaller or non-ideal arrays take a per-image loop with shared
+    /// scratch. Bit-exact against per-input
     /// [`ConvEngine::run`] either way.
     ///
     /// # Errors

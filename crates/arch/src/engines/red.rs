@@ -250,13 +250,12 @@ impl DeconvEngine for RedEngine {
 
     /// Batched execution: when the sub-crossbars are large enough for
     /// batched VMMs to pay ([`SubCrossbarTensor::batch_pays`] — blocked
-    /// exact on ideal crossbars, phase-major analog over the
-    /// effective-current plane otherwise), the plan is replayed
+    /// exact VMMs on ideal crossbars), the plan is replayed
     /// pixel-major: each gather's input pixel is collected across the
     /// whole batch and driven through the tap's sub-crossbar once via
-    /// [`SubCrossbarTensor::eval_tap_batch_into`]. Smaller sub-crossbars
-    /// take the per-image loop with shared scratch. Bit-exact against
-    /// per-input [`DeconvEngine::run`] either way.
+    /// [`SubCrossbarTensor::eval_tap_batch_into`]. Smaller or non-ideal
+    /// sub-crossbars take the per-image loop with shared scratch.
+    /// Bit-exact against per-input [`DeconvEngine::run`] either way.
     fn run_batch(&self, inputs: &[FeatureMap<i64>]) -> Result<Vec<Execution>, ArchError> {
         if inputs.len() <= 1 || !self.sct.batch_pays() {
             let mut scratch = self.make_scratch();
@@ -508,16 +507,13 @@ mod tests {
     fn run_batch_batched_tap_path_matches_per_image_noisy() {
         // 256-channel 256-filter taps: each sub-crossbar's
         // effective-current plane is 256 x 2048 f64 = 4 MiB (8 MiB for
-        // the halved layout's 2C-row pair arrays), so the batched analog
-        // tap path engages in both layouts — including the halved
-        // layout's zero-filled n x 2C staging — and results must stay
-        // bit-exact vs per-image runs.
+        // the halved layout's 2C-row pair arrays). A noisy batch runs
+        // per image in both layouts, and results must stay bit-exact vs
+        // per-image runs.
         let (layer, kernel, input) = setup(3, 2, 1, 0, 2, 256, 256);
         let cfg = XbarConfig::noisy(0.01, 0.0, 0.001, 23);
         for policy in [RedLayoutPolicy::AlwaysFull, RedLayoutPolicy::AlwaysHalved] {
             let engine = RedEngine::new(&cfg, &layer, &kernel, policy).unwrap();
-            assert!(engine.sct().batch_pays());
-            assert!(engine.sct().array(0).analog_batching_pays());
             let inputs: Vec<_> = (0..3).map(|k| input.map(|v| v + k as i64)).collect();
             let batch = engine.run_batch(&inputs).unwrap();
             for (one, exec) in inputs.iter().zip(&batch) {

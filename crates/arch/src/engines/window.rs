@@ -100,11 +100,10 @@ pub(crate) fn run_plan(
 /// Replays a window plan pixel-major over a whole batch, gathering every
 /// image's window per output pixel and multiplying them through the
 /// batched [`CrossbarArray::vmm_batch`] — cache-blocked exact VMM on the
-/// ideal path, phase-major analog VMM over the effective-current plane
-/// otherwise, with one [`VmmScratch`] owned here and reused for every
-/// output pixel. Inputs must already be shape-checked; callers gate this
-/// on [`CrossbarArray::vmm_batch_pays`] — below those thresholds the
-/// per-image [`run_plan`] loop is faster.
+/// ideal path, per-input analog VMMs otherwise — with one [`VmmScratch`]
+/// owned here and reused for every output pixel. Inputs must already be
+/// shape-checked; callers gate this on [`CrossbarArray::vmm_batch_pays`]
+/// — below that threshold the per-image [`run_plan`] loop is faster.
 pub(crate) fn run_plan_batch(
     plan: &ExecPlan,
     array: &CrossbarArray,

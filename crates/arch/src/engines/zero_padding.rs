@@ -188,14 +188,12 @@ impl DeconvEngine for ZeroPaddingEngine {
 
     /// Batched execution: when the `(KH·KW·C) × M` array is large enough
     /// for batching to pay ([`CrossbarArray::vmm_batch_pays`] — the
-    /// cache-blocked exact path on ideal crossbars, the phase-major
-    /// analog path over the effective-current plane otherwise), every
-    /// output pixel's windows are gathered for the whole batch and
-    /// multiplied through [`CrossbarArray::vmm_batch`], so the weights
-    /// (or plane rows) stream from cache once per block instead of once
-    /// per image. Smaller arrays fall back to per-image execution with
-    /// shared scratch. Bit-exact against per-input
-    /// [`DeconvEngine::run`] either way.
+    /// cache-blocked exact path on ideal crossbars), every output pixel's
+    /// windows are gathered for the whole batch and multiplied through
+    /// [`CrossbarArray::vmm_batch`], so the weights stream from cache
+    /// once per block instead of once per image. Smaller or non-ideal
+    /// arrays fall back to per-image execution with shared scratch.
+    /// Bit-exact against per-input [`DeconvEngine::run`] either way.
     fn run_batch(&self, inputs: &[FeatureMap<i64>]) -> Result<Vec<Execution>, ArchError> {
         if !self.array.vmm_batch_pays() {
             let mut scratch = self.make_scratch();

@@ -1,8 +1,7 @@
 //! Criterion benches: the non-ideal analog VMM pipeline — the seed
-//! per-phase-recompute reference vs the planned path over the
-//! programming-time effective-current plane, and per-input vs phase-major
-//! batched execution, at an array size below and one above the batching
-//! threshold.
+//! per-phase-recompute reference vs the planned kernel over the
+//! programming-time effective-current plane, and the planned kernel on
+//! the array shapes that dominate the `full`-preset serving lineup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use red_core::prelude::*;
@@ -51,34 +50,37 @@ fn analog_single(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-input loop vs the phase-major row-blocked batch over a batch of 8,
-/// below (128 KiB / 2 MiB planes) and above (8 MiB) the
-/// `analog_batching_pays` threshold. Below it `vmm_analog_batch` itself
-/// takes the per-input loop, so the pair also measures what the gate is
-/// protecting: blocking only pays once the plane overflows the
-/// last-level cache.
-fn analog_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("analog_batch");
-    let n = 8usize;
-    for (rows, cols) in [(64usize, 32usize), (512, 64), (2048, 64)] {
+/// The planned kernel on the lineup's hot shapes, with activations in
+/// 1..=89 like the lineup's ReLU feature maps: a dense 128 x 64 window
+/// array, a 3200 x 64 zero-padding window at 1/4 density (the zero
+/// insertion leaves three of four rows idle), and RED's 2 x 512
+/// two-row sub-crossbar VMMs.
+fn analog_lineup(c: &mut Criterion) {
+    let mut group = c.benchmark_group("analog_lineup");
+    for (rows, cols, every) in [(128usize, 64usize, 1usize), (3200, 64, 4), (2, 512, 1)] {
         let a = CrossbarArray::program(&noisy_cfg(), &make_weights(rows, cols)).expect("programs");
-        let inputs = make_inputs(n, rows);
-        let label = format!("{rows}x{cols}");
-        let mut scratch = VmmScratch::new();
-        let mut out = vec![0i64; n * cols];
-        group.bench_with_input(BenchmarkId::new("per_input", &label), &a, |b, a| {
-            b.iter(|| {
-                for (input, o) in inputs.chunks_exact(rows).zip(out.chunks_exact_mut(cols)) {
-                    a.vmm_analog_into(input, &mut scratch, o);
+        let input: Vec<i64> = (0..rows)
+            .map(|r| {
+                if r % every == 0 {
+                    (r * 7 % 89) as i64 + 1
+                } else {
+                    0
                 }
             })
-        });
-        group.bench_with_input(BenchmarkId::new("batched", &label), &a, |b, a| {
-            b.iter(|| a.vmm_analog_batch(&inputs, n, &mut scratch, &mut out))
+            .collect();
+        let label = if every == 1 {
+            format!("{rows}x{cols}")
+        } else {
+            format!("{rows}x{cols}_1of{every}")
+        };
+        let mut scratch = VmmScratch::new();
+        let mut out = vec![0i64; cols];
+        group.bench_with_input(BenchmarkId::new("planned", &label), &a, |b, a| {
+            b.iter(|| a.vmm_analog_into(&input, &mut scratch, &mut out))
         });
     }
     group.finish();
 }
 
-criterion_group!(benches, analog_single, analog_batch);
+criterion_group!(benches, analog_single, analog_lineup);
 criterion_main!(benches);

@@ -312,8 +312,8 @@ fn main() -> ExitCode {
                         design.label()
                     );
                     // The stage-major batched executor — the path that
-                    // engages the batched (phase-major analog / blocked
-                    // exact) VMMs — must compute the same function.
+                    // engages the blocked exact VMMs — must compute the
+                    // same function.
                     let batched = chip
                         .run_batched(&inputs)
                         .expect("stage-major batched path runs");

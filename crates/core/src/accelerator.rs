@@ -265,12 +265,10 @@ impl CompiledLayer {
 
     /// Executes the layer on every input of a batch, bit-exact against
     /// per-input [`CompiledLayer::run`] calls. Scratch buffers are reused
-    /// across the batch, and when the crossbars are large enough the
-    /// engines multiply whole-batch gathers at once: the row-blocked
-    /// exact VMM on ideal configurations, the phase-major analog VMM over
-    /// the programming-time effective-current plane on noisy ones — so
-    /// weights (or plane rows) stream from cache once per block instead
-    /// of once per image on both paths.
+    /// across the batch, and when an ideal crossbar is large enough the
+    /// engines multiply whole-batch gathers at once through the
+    /// row-blocked exact VMM, so its weights stream from cache once per
+    /// block instead of once per image.
     ///
     /// # Errors
     ///

@@ -122,12 +122,9 @@ impl Chip {
 
     /// Runs `inputs` stage-major: every stage consumes the whole batch
     /// through its engine's batched executor (`CompiledLayer::run_batch`)
-    /// before the next stage starts, so large crossbars stream their
-    /// weight blocks — or, on noisy configurations, their
-    /// effective-current plane blocks — across the batch instead of once
-    /// per image. This is the serving path for **noisy** chips: the
-    /// phase-major batched analog VMM only engages when a whole batch
-    /// reaches the array together.
+    /// before the next stage starts, so large ideal crossbars stream
+    /// their weight blocks across the batch instead of once per image,
+    /// and every stage reuses one scratch for the whole batch.
     ///
     /// Outputs are bit-exact against [`Chip::run_sequential`] (the
     /// engines' batched executors are bit-exact against their per-image

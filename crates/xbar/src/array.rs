@@ -1,3 +1,4 @@
+use crate::config::{round_half_away, round_to_code};
 use crate::{AdcModel, ExecPrecision, WeightScheme, XbarConfig, XbarError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -6,37 +7,30 @@ use red_device::DriftModel;
 
 /// Reusable working memory for the analog VMM pipeline.
 ///
-/// [`CrossbarArray::vmm_analog_into`] and
-/// [`CrossbarArray::vmm_analog_batch`] need a handful of working buffers
-/// (the shift-add accumulators, the per-phase column-current accumulator,
-/// and the phase-decomposition index lists). A scratch owns them so
-/// steady-state execution — thousands of VMMs through the same array —
-/// performs no per-call heap allocation: the buffers are grown on first
-/// use and reused afterwards. One scratch serves arrays of any geometry
-/// and batches of any size (buffers are resized per call), so an engine
-/// can share a single scratch across all its sub-crossbars.
+/// [`CrossbarArray::vmm_analog_into`] needs a handful of working buffers
+/// (the per-phase active-row buckets, the per-phase column-current
+/// accumulator, and the per-column shift-add sums). A scratch owns them
+/// so steady-state execution — thousands of VMMs through the same array
+/// — performs no per-call heap allocation: the buffers are grown on
+/// first use and reused afterwards. One scratch serves arrays of any
+/// geometry (buffers are resized per call), so an engine can share a
+/// single scratch across all its sub-crossbars.
 #[derive(Debug, Clone, Default)]
 pub struct VmmScratch {
-    /// Per-weight shift-add accumulator (single-input path).
-    acc: Vec<i128>,
-    /// Per-physical-column current accumulator for one conversion phase.
-    currents: Vec<f64>,
-    /// Bucket offsets of the phase decomposition: bucket `p` (or
-    /// `k·phases + p` in a batch) owns `phase_rows[off[p]..off[p+1]]`.
-    phase_off: Vec<u32>,
-    /// Active-row indices, grouped per phase bucket, ascending within
-    /// each bucket (the f64 summation order contract).
+    /// Active-row indices per phase bucket, `rows` apart: bucket `p`
+    /// owns `phase_rows[p·rows..][..phase_len[p]]`, ascending (the f64
+    /// summation order contract). Grown, never cleared: only the first
+    /// `phase_len[p]` slots of a bucket are ever read.
     phase_rows: Vec<u32>,
-    /// Counting-sort fill cursors, reused as per-input row-block cursors
-    /// by the phase-major batch kernel.
-    cursors: Vec<u32>,
-    /// Per-input per-weight shift-add accumulators (batch path).
-    batch_acc: Vec<i128>,
-    /// Per-input per-column current accumulators for one phase (batch
-    /// path).
-    batch_currents: Vec<f64>,
+    /// Active-row count of phase bucket `2·bit + (input < 0)`.
+    phase_len: Vec<u32>,
+    /// Per-physical-column current accumulator for one conversion phase,
+    /// then its baseline-cancelled, LSB-normalized value.
+    currents: Vec<f64>,
+    /// Per-physical-column sums of `±count << bit` over every phase.
+    col_acc: Vec<i128>,
     /// Truncated-input staging for the exact path at reduced precision
-    /// (the analog path truncates implicitly by skipping phase buckets).
+    /// (the analog path truncates implicitly by masking phase bits).
     trunc: Vec<i64>,
 }
 
@@ -45,18 +39,6 @@ impl VmmScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// One shift-add slice of one logical weight column, resolved at
-/// programming time: which physical column(s) hold the slice and how far
-/// its counts shift into the recombined weight value. For the
-/// differential scheme `pos`/`neg` are the column pair; for offset binary
-/// both name the same single column.
-#[derive(Debug, Clone, Copy)]
-struct RecombSlice {
-    pos: u32,
-    neg: u32,
-    shift: u32,
 }
 
 /// One programmed ReRAM crossbar array.
@@ -82,9 +64,9 @@ struct RecombSlice {
 /// written — conductance, geometry, wire droop, retention drift,
 /// variation, stuck-at faults — is frozen at [`CrossbarArray::program`]
 /// time into the **effective-current plane** (`i_eff[r][col]`, the read
-/// current each cell contributes to its bitline) and the per-weight
-/// shift-add column map, so a conversion phase is nothing but streaming
-/// additions over contiguous row slices of the plane.
+/// current each cell contributes to its bitline), so a conversion phase
+/// is nothing but streaming additions over contiguous row slices of the
+/// plane.
 #[derive(Debug)]
 pub struct CrossbarArray {
     cfg: XbarConfig,
@@ -106,9 +88,6 @@ pub struct CrossbarArray {
     /// equivalence tests — build it lazily on first use, so the exact
     /// serving path never pays the doubled memory.
     eff_current: std::sync::OnceLock<Vec<f64>>,
-    /// Shift-add recombination map, `weight_cols x slices` row-major:
-    /// which physical columns recombine into which weight at which shift.
-    recomb: Vec<RecombSlice>,
     g_min: f64,
     g_step: f64,
     /// Cells pinned to a rail by post-programming stuck-at strikes
@@ -133,7 +112,6 @@ impl Clone for CrossbarArray {
             weights: self.weights.clone(),
             conductance: self.conductance.clone(),
             eff_current,
-            recomb: self.recomb.clone(),
             g_min: self.g_min,
             g_step: self.g_step,
             struck: self.struck,
@@ -279,31 +257,6 @@ impl CrossbarArray {
             }
         }
 
-        // The shift-add recombination map: which physical columns feed
-        // which weight at which shift is pure geometry, frozen here so
-        // the per-phase recombination is a linear walk.
-        let mut recomb = Vec::with_capacity(weight_cols * slices);
-        for m in 0..weight_cols {
-            for s in 0..slices {
-                let shift = (s as u32) * bpc;
-                match cfg.scheme {
-                    WeightScheme::Differential => recomb.push(RecombSlice {
-                        pos: (m * per_weight + 2 * s) as u32,
-                        neg: (m * per_weight + 2 * s + 1) as u32,
-                        shift,
-                    }),
-                    WeightScheme::OffsetBinary => {
-                        let col = (m * per_weight + s) as u32;
-                        recomb.push(RecombSlice {
-                            pos: col,
-                            neg: col,
-                            shift,
-                        });
-                    }
-                }
-            }
-        }
-
         let arr = Self {
             cfg: *cfg,
             rows,
@@ -312,7 +265,6 @@ impl CrossbarArray {
             weights,
             conductance,
             eff_current: std::sync::OnceLock::new(),
-            recomb,
             g_min,
             g_step,
             struck: 0,
@@ -486,32 +438,15 @@ impl CrossbarArray {
         self.is_ideal() && std::mem::size_of_val(self.weights.as_slice()) >= BLOCK_BYTES_MIN
     }
 
-    /// `true` when [`CrossbarArray::vmm_analog_batch`] will take its
-    /// phase-major row-blocked kernel: the configuration is non-ideal
-    /// (there is an analog path to batch) and the effective-current plane
-    /// is too large (≥ 4 MiB) to stay cache-resident across back-to-back
-    /// per-input passes — the analog analogue of
-    /// [`CrossbarArray::batching_pays`], with the plane (one `f64` per
-    /// physical cell) in the role of the weight matrix. The threshold is
-    /// measured (see the `analog` criterion bench): a 2 MiB plane is
-    /// still last-level-cache resident on the baseline host and blocking
-    /// is a wash, while from ~4 MiB up the phase-major kernel wins
-    /// ~1.3x by paying plane traffic once per block per phase instead of
-    /// once per input.
-    pub fn analog_batching_pays(&self) -> bool {
-        const BLOCK_BYTES_MIN: usize = 1 << 22;
-        !self.is_ideal()
-            && self.rows * self.phys_cols * std::mem::size_of::<f64>() >= BLOCK_BYTES_MIN
-    }
-
     /// `true` when gathering a whole batch for [`CrossbarArray::vmm_batch`]
-    /// is worth it on *either* path — cache-blocked exact
-    /// ([`CrossbarArray::batching_pays`]) or phase-major analog
-    /// ([`CrossbarArray::analog_batching_pays`]). Engines consult this to
-    /// decide whether to gather pixel-major across the batch, which
-    /// trades input locality for weight/plane reuse.
+    /// is worth it. Engines consult this to decide whether to gather
+    /// pixel-major across the batch, which trades input locality for
+    /// weight reuse. Only the cache-blocked exact path
+    /// ([`CrossbarArray::batching_pays`]) reuses anything across inputs:
+    /// the analog batch is a per-input loop, because one analog VMM is
+    /// bound by its per-phase conversion work, not by plane traffic.
     pub fn vmm_batch_pays(&self) -> bool {
-        self.batching_pays() || self.analog_batching_pays()
+        self.batching_pays()
     }
 
     /// Exact digital vector-matrix multiply: `out[m] = Σ_r input[r] * W[r,m]`.
@@ -561,9 +496,8 @@ impl CrossbarArray {
     /// [`CrossbarArray::vmm_exact_into`] either way.
     ///
     /// Non-ideal configurations have no exact path to block; those route
-    /// through [`CrossbarArray::vmm_analog_batch`] — phase-major over the
-    /// effective-current plane when that pays, a per-input analog loop
-    /// otherwise — keeping the semantics of [`CrossbarArray::vmm`].
+    /// through [`CrossbarArray::vmm_analog_batch`], keeping the semantics
+    /// of [`CrossbarArray::vmm`].
     /// `scratch` is only touched on the analog path and is the caller's,
     /// so steady-state batched execution stays allocation-free.
     ///
@@ -753,23 +687,29 @@ impl CrossbarArray {
         out
     }
 
-    /// Allocation-free [`CrossbarArray::vmm_analog`], built on the
-    /// programming-time frozen structures:
+    /// Allocation-free [`CrossbarArray::vmm_analog`]: one kernel over the
+    /// programming-time effective-current plane, in four moves.
     ///
-    /// 1. the input is decomposed **once** into the per-phase active-row
-    ///    sets (counting sort over `2 × input magnitude bits` buckets)
-    ///    instead of rescanning every row per bit × polarity;
-    /// 2. each phase sums **contiguous row slices** of the
-    ///    effective-current plane — streaming additions the compiler can
-    ///    vectorize — instead of strided column-outer gathers that
-    ///    re-derive every cell's wire droop;
-    /// 3. the per-column sums are quantized and recombined through the
-    ///    frozen per-weight column map.
+    /// 1. One set-bit pass over the input buckets the active rows of every
+    ///    conversion phase (magnitude bit × polarity) at a fixed stride.
+    /// 2. Each phase sums its active rows' contiguous plane slices, four
+    ///    rows per sweep of the column accumulator.
+    /// 3. Each phase cancels the baseline and normalizes by the LSB in one
+    ///    pass, then quantizes every physical column and adds
+    ///    `±count << bit` into that column's integer sum.
+    /// 4. The shift-add recombination into weights — and offset binary's
+    ///    reference term — runs once per VMM instead of once per phase.
     ///
-    /// Per column within a phase the additions happen in the same
-    /// ascending-row `f64` order as the reference pipeline, so the result
-    /// is **bit-identical** to [`CrossbarArray::vmm_analog_reference`]
-    /// for every configuration (golden-equivalence property tests).
+    /// The result is **bit-identical** to
+    /// [`CrossbarArray::vmm_analog_reference`] for every configuration
+    /// (golden-equivalence property tests). Per column within a phase the
+    /// `f64` additions happen in the reference's ascending-row order, from
+    /// `0.0`, and the baseline is cancelled by the same subtraction and
+    /// division by `lsb`. The converter rounds exactly as
+    /// [`AdcModel::quantize`] does. Everything after quantization is
+    /// integer arithmetic in `i128`, where deferring the shift-add to the
+    /// end is an identity, so every output — and every
+    /// `accumulator overflow` — matches the per-phase recombination.
     ///
     /// # Panics
     ///
@@ -780,14 +720,13 @@ impl CrossbarArray {
 
     /// [`CrossbarArray::vmm_analog_into`] at an explicit precision tier.
     ///
-    /// The tier's dropped bits set the low edge of the phase window and a
-    /// cheap activation-range scan sets the high edge (bits no input
-    /// reaches never pulse — a lossless cut, since their buckets would be
-    /// empty anyway). Truncation happens *by construction*: dropping the
-    /// `k` lowest phase buckets of the decomposition is elementwise
+    /// The tier's dropped bits are masked off before the set-bit pass, so
+    /// their phases never pulse; phases no input reaches (every bit above
+    /// the live high bit) stay empty and are skipped. Truncation happens
+    /// *by construction*: dropping the `k` lowest phases is elementwise
     /// identical to running the full pipeline on
     /// `sign(x)·((|x| >> k) << k)`, so the [`ExecPrecision::Full`] result
-    /// minus the degraded result is exactly the dropped buckets'
+    /// minus the degraded result is exactly the dropped phases'
     /// contribution — the quantity
     /// [`CrossbarArray::truncation_error_bound`] bounds.
     ///
@@ -803,67 +742,67 @@ impl CrossbarArray {
     ) {
         assert_eq!(input.len(), self.rows, "input length must match rows");
         assert_eq!(out.len(), self.weight_cols, "output length must match");
-        let lo = self.effective_dropped_bits(prec);
-        let hi = self.live_hi_bit(input, lo);
+        self.bucket_phases(input, self.effective_dropped_bits(prec), scratch);
 
-        scratch.acc.clear();
-        scratch.acc.resize(self.weight_cols, 0i128);
-        scratch.currents.clear();
-        scratch.currents.resize(self.phys_cols, 0.0f64);
-        self.decompose_phases(
-            input,
-            lo,
-            hi,
-            &mut scratch.phase_off,
-            &mut scratch.cursors,
-            &mut scratch.phase_rows,
-        );
-
-        // Two polarity phases per live magnitude bit: analog sums cannot
-        // carry input signs, so positive-sign and negative-sign rows pulse
-        // in separate phases and subtract digitally (standard practice).
-        for bit in lo..hi {
-            for polarity in [1i64, -1i64] {
-                let p = 2 * (bit - lo) as usize + usize::from(polarity < 0);
-                let start = scratch.phase_off[p] as usize;
-                let end = scratch.phase_off[p + 1] as usize;
-                if start == end {
-                    continue;
-                }
-                self.sum_active_rows(&scratch.phase_rows[start..end], &mut scratch.currents);
-                let phase_scale = polarity * (1i64 << bit);
-                self.recombine_phase(
-                    &scratch.currents,
-                    end - start,
-                    phase_scale,
-                    &mut scratch.acc,
-                );
+        let v_read = self.cfg.cell.read_voltage;
+        let lsb = v_read * self.g_step;
+        scratch.currents.resize(self.phys_cols, 0.0);
+        scratch.col_acc.clear();
+        scratch.col_acc.resize(self.phys_cols, 0);
+        // Σ ±len·2^bit over the phases: how many offset units the
+        // reference column subtracts, weighted like the counts.
+        let mut pulses = 0i128;
+        // Two polarity phases per magnitude bit: analog sums cannot carry
+        // input signs, so positive-sign and negative-sign rows pulse in
+        // separate phases and subtract digitally (standard practice).
+        for (p, &len) in scratch.phase_len.iter().enumerate() {
+            if len == 0 {
+                continue;
             }
+            let bit = (p / 2) as u32;
+            let negative = p % 2 == 1;
+            let active = &scratch.phase_rows[p * self.rows..][..len as usize];
+            self.sum_rows(active, &mut scratch.currents);
+            // The dummy (baseline) column sits next to the sense amps, so
+            // its reference current sees the same droop statistics as a
+            // column-0 read; first-order, the baseline stays V·g_min per
+            // active row.
+            let baseline = len as f64 * v_read * self.g_min;
+            normalize(&mut scratch.currents, baseline, lsb);
+            let scale = if negative {
+                -(1i64 << bit)
+            } else {
+                1i64 << bit
+            };
+            let raw = &scratch.currents;
+            let acc = &mut scratch.col_acc;
+            match self.cfg.adc {
+                AdcModel::Ideal => accumulate(acc, raw, scale, round_half_away),
+                AdcModel::Saturating { bits } => {
+                    let max = (1i64 << bits) - 1;
+                    accumulate(acc, raw, scale, |x| round_to_code(x, max));
+                }
+            }
+            pulses += i128::from(len) * i128::from(scale);
         }
 
-        for (o, &v) in out.iter_mut().zip(scratch.acc.iter()) {
-            *o = i64::try_from(v).expect("accumulator overflow");
+        let reference = match self.cfg.scheme {
+            WeightScheme::Differential => 0,
+            // Every active row contributes the fixed offset 2^(wb-1) in
+            // each weight, summed digitally from the known pulse count
+            // (the hardware's dummy reference column).
+            WeightScheme::OffsetBinary => i128::from(1i64 << (self.cfg.weight_bits - 1)) * pulses,
+        };
+        let per_weight = self.cfg.phys_cols_per_weight();
+        for (o, cols) in out.iter_mut().zip(scratch.col_acc.chunks_exact(per_weight)) {
+            *o = i64::try_from(self.shift_add(cols) - reference).expect("accumulator overflow");
         }
     }
 
-    /// Phase-major batched analog VMM: `n` input vectors, flattened
-    /// row-major into `inputs` (`n × rows`), produce `n × weight_cols`
-    /// results in `out` — the analog analogue of
-    /// [`CrossbarArray::vmm_batch`]'s cache blocking.
-    ///
-    /// When the effective-current plane is too large to stay resident
-    /// between per-input passes ([`CrossbarArray::analog_batching_pays`]),
-    /// every batch member's phases are decomposed up front and each
-    /// conversion phase streams **row blocks of the plane across the
-    /// whole batch**: a block's rows are summed into every input's column
-    /// currents while the block is hot, so plane traffic is paid once per
-    /// block per phase instead of once per input. Below the threshold (or
-    /// for a single input) the call is a per-input
-    /// [`CrossbarArray::vmm_analog_into`] loop over the shared scratch.
-    ///
-    /// Either way each input's per-column additions happen in the same
-    /// ascending-row order, so results are bit-identical to `n`
-    /// single-input calls (property-tested).
+    /// Batched analog VMM: `n` input vectors, flattened row-major into
+    /// `inputs` (`n × rows`), produce `n × weight_cols` results in `out`,
+    /// one [`CrossbarArray::vmm_analog_into`] per input over the shared
+    /// scratch.
     ///
     /// # Panics
     ///
@@ -878,11 +817,8 @@ impl CrossbarArray {
         self.vmm_analog_batch_at(inputs, n, scratch, out, ExecPrecision::Full);
     }
 
-    /// [`CrossbarArray::vmm_analog_batch`] at an explicit precision tier:
-    /// the phase window (tier-dropped low bits, range-scanned high cap)
-    /// applies batch-wide, so a degraded batch sweeps the plane for
-    /// strictly fewer phases. See
-    /// [`CrossbarArray::vmm_analog_into_at`] for the truncation identity.
+    /// [`CrossbarArray::vmm_analog_batch`] at an explicit precision tier
+    /// (see [`CrossbarArray::vmm_analog_into_at`]).
     ///
     /// # Panics
     ///
@@ -901,136 +837,11 @@ impl CrossbarArray {
             n * self.weight_cols,
             "out must be n x weight_cols"
         );
-        if n <= 1 || !self.analog_batching_pays() {
-            for (input, o) in inputs
-                .chunks_exact(self.rows)
-                .zip(out.chunks_exact_mut(self.weight_cols))
-            {
-                self.vmm_analog_into_at(input, scratch, o, prec);
-            }
-            return;
-        }
-        self.analog_batch_phase_major_at(inputs, n, scratch, out, prec);
-    }
-
-    /// The phase-major row-blocked kernel behind
-    /// [`CrossbarArray::vmm_analog_batch`]. Exposed (hidden) so the
-    /// golden-equivalence tests can exercise it directly on arrays below
-    /// the pays-off threshold, where the public entry point would take
-    /// the per-input fallback; production code should always go through
-    /// [`CrossbarArray::vmm_analog_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != n * rows` or `out.len() != n * weight_cols`.
-    #[doc(hidden)]
-    pub fn analog_batch_phase_major(
-        &self,
-        inputs: &[i64],
-        n: usize,
-        scratch: &mut VmmScratch,
-        out: &mut [i64],
-    ) {
-        self.analog_batch_phase_major_at(inputs, n, scratch, out, ExecPrecision::Full);
-    }
-
-    /// Tier-parameterized [`CrossbarArray::analog_batch_phase_major`]:
-    /// the same row-blocked kernel over the `[dropped, range-scanned)`
-    /// phase window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != n * rows` or `out.len() != n * weight_cols`.
-    #[doc(hidden)]
-    pub fn analog_batch_phase_major_at(
-        &self,
-        inputs: &[i64],
-        n: usize,
-        scratch: &mut VmmScratch,
-        out: &mut [i64],
-        prec: ExecPrecision,
-    ) {
-        assert_eq!(inputs.len(), n * self.rows, "inputs must be n x rows");
-        assert_eq!(
-            out.len(),
-            n * self.weight_cols,
-            "out must be n x weight_cols"
-        );
-        let lo = self.effective_dropped_bits(prec);
-        let hi = self.live_hi_bit(inputs, lo);
-        let n_phases = 2 * (hi - lo) as usize;
-        let pc = self.phys_cols;
-        let wc = self.weight_cols;
-        let plane = self.plane();
-
-        scratch.batch_acc.clear();
-        scratch.batch_acc.resize(n * wc, 0i128);
-        scratch.batch_currents.clear();
-        scratch.batch_currents.resize(n * pc, 0.0f64);
-        self.decompose_phases(
-            inputs,
-            lo,
-            hi,
-            &mut scratch.phase_off,
-            &mut scratch.cursors,
-            &mut scratch.phase_rows,
-        );
-
-        // One plane block stays hot while every input of the batch sums
-        // the active rows it owns inside the block.
-        const ROW_BLOCK: usize = 64;
-        for bit in lo..hi {
-            for polarity in [1i64, -1i64] {
-                let p = 2 * (bit - lo) as usize + usize::from(polarity < 0);
-                let empty = (0..n).all(|k| {
-                    scratch.phase_off[k * n_phases + p] == scratch.phase_off[k * n_phases + p + 1]
-                });
-                if empty {
-                    continue;
-                }
-                scratch.batch_currents.fill(0.0);
-                scratch.cursors.clear();
-                scratch
-                    .cursors
-                    .extend((0..n).map(|k| scratch.phase_off[k * n_phases + p]));
-                for r0 in (0..self.rows).step_by(ROW_BLOCK) {
-                    let r1 = (r0 + ROW_BLOCK).min(self.rows);
-                    for (k, cur) in scratch.cursors.iter_mut().enumerate() {
-                        let bucket_end = scratch.phase_off[k * n_phases + p + 1];
-                        let currents = &mut scratch.batch_currents[k * pc..(k + 1) * pc];
-                        while *cur < bucket_end {
-                            let r = scratch.phase_rows[*cur as usize] as usize;
-                            if r >= r1 {
-                                break;
-                            }
-                            let row = &plane[r * pc..(r + 1) * pc];
-                            for (c, &i) in currents.iter_mut().zip(row) {
-                                *c += i;
-                            }
-                            *cur += 1;
-                        }
-                    }
-                }
-                let phase_scale = polarity * (1i64 << bit);
-                for k in 0..n {
-                    let len = (scratch.phase_off[k * n_phases + p + 1]
-                        - scratch.phase_off[k * n_phases + p])
-                        as usize;
-                    if len == 0 {
-                        continue;
-                    }
-                    self.recombine_phase(
-                        &scratch.batch_currents[k * pc..(k + 1) * pc],
-                        len,
-                        phase_scale,
-                        &mut scratch.batch_acc[k * wc..(k + 1) * wc],
-                    );
-                }
-            }
-        }
-
-        for (o, &v) in out.iter_mut().zip(scratch.batch_acc.iter()) {
-            *o = i64::try_from(v).expect("accumulator overflow");
+        for (input, o) in inputs
+            .chunks_exact(self.rows)
+            .zip(out.chunks_exact_mut(self.weight_cols))
+        {
+            self.vmm_analog_into_at(input, scratch, o, prec);
         }
     }
 
@@ -1047,18 +858,9 @@ impl CrossbarArray {
         prec.dropped_bits().min(self.input_mag_bits() - 1)
     }
 
-    /// The activation-range scan: one past the highest magnitude bit any
-    /// input reaches, clamped to `[lo, mag_bits]`. Bits at or above the
-    /// result have empty phase buckets, so capping the window there is
-    /// lossless — the decomposition just never builds them.
-    fn live_hi_bit(&self, inputs: &[i64], lo: u32) -> u32 {
-        let max_mag = inputs.iter().map(|x| x.unsigned_abs()).max().unwrap_or(0);
-        (u64::BITS - max_mag.leading_zeros()).clamp(lo, self.input_mag_bits())
-    }
-
     /// Truncates `x` to its magnitude bits at or above `dropped`:
     /// `sign(x) · ((|x| >> dropped) << dropped)` — elementwise what the
-    /// analog path's dropped phase buckets amount to.
+    /// analog path's dropped phases amount to.
     fn truncate_input(x: i64, dropped: u32) -> i64 {
         let mag = ((x.unsigned_abs() >> dropped) << dropped) as i64;
         if x < 0 {
@@ -1068,141 +870,88 @@ impl CrossbarArray {
         }
     }
 
-    /// Decomposes `inputs` (one or more concatenated input vectors of
-    /// `self.rows` entries) into per-phase active-row buckets by counting
-    /// sort over the live bit window `[lo, hi)`: bucket
-    /// `k·(2·(hi-lo)) + 2·(bit-lo) + polarity` holds the rows of input
-    /// `k` that pulse in that phase, in ascending row order — the order
-    /// the `f64` per-column summation contract requires. The full-
-    /// precision decomposition is `lo = 0`, `hi = mag_bits`; a brownout
-    /// tier raises `lo` (lossy, bounded) and the activation-range scan
-    /// lowers `hi` (lossless) so fewer buckets are built and swept.
-    fn decompose_phases(
-        &self,
-        inputs: &[i64],
-        lo: u32,
-        hi: u32,
-        off: &mut Vec<u32>,
-        cursors: &mut Vec<u32>,
-        rows_out: &mut Vec<u32>,
-    ) {
-        let n_phases = 2 * (hi - lo) as usize;
-        let buckets = (inputs.len() / self.rows) * n_phases;
-        off.clear();
-        off.resize(buckets + 1, 0u32);
-        for (k, input) in inputs.chunks_exact(self.rows).enumerate() {
-            let base = k * n_phases;
-            for &x in input {
-                if x == 0 {
-                    continue;
-                }
-                let pol = usize::from(x < 0);
-                let mag = x.unsigned_abs();
-                for bit in lo..hi {
-                    if (mag >> bit) & 1 == 1 {
-                        off[base + 2 * (bit - lo) as usize + pol + 1] += 1;
-                    }
-                }
-            }
+    /// The set-bit pass: every row whose input has magnitude bit `b` set
+    /// lands in phase bucket `2·b + (x < 0)`, in ascending row order —
+    /// the order the `f64` per-column summation contract requires. Bits
+    /// below `lo` (the tier's dropped bits) and at or above the streamed
+    /// magnitude width never pulse, so they are masked off first; a row
+    /// costs one step per set bit, and buckets no input reaches stay
+    /// empty.
+    fn bucket_phases(&self, input: &[i64], lo: u32, scratch: &mut VmmScratch) {
+        let mag_bits = self.input_mag_bits();
+        let window = (u64::MAX >> (u64::BITS - mag_bits)) & (u64::MAX << lo);
+        let buckets = 2 * mag_bits as usize;
+        scratch.phase_len.clear();
+        scratch.phase_len.resize(buckets, 0);
+        if scratch.phase_rows.len() < buckets * self.rows {
+            scratch.phase_rows.resize(buckets * self.rows, 0);
         }
-        for b in 0..buckets {
-            off[b + 1] += off[b];
-        }
-        cursors.clear();
-        cursors.extend_from_slice(&off[..buckets]);
-        rows_out.clear();
-        rows_out.resize(off[buckets] as usize, 0u32);
-        for (k, input) in inputs.chunks_exact(self.rows).enumerate() {
-            let base = k * n_phases;
-            for (r, &x) in input.iter().enumerate() {
-                if x == 0 {
-                    continue;
-                }
-                let pol = usize::from(x < 0);
-                let mag = x.unsigned_abs();
-                for bit in lo..hi {
-                    if (mag >> bit) & 1 == 1 {
-                        let cur = &mut cursors[base + 2 * (bit - lo) as usize + pol];
-                        rows_out[*cur as usize] = r as u32;
-                        *cur += 1;
-                    }
-                }
+        for (r, &x) in input.iter().enumerate() {
+            let polarity = usize::from(x < 0);
+            let mut mag = x.unsigned_abs() & window;
+            while mag != 0 {
+                let p = 2 * mag.trailing_zeros() as usize + polarity;
+                let len = &mut scratch.phase_len[p];
+                scratch.phase_rows[p * self.rows + *len as usize] = r as u32;
+                *len += 1;
+                mag &= mag - 1;
             }
         }
     }
 
-    /// Sums the active rows' effective currents per physical column: one
-    /// streaming add of each active row's contiguous plane slice, in
-    /// ascending row order (the bit-exactness contract of the pipeline —
-    /// per column this is the same `f64` addition sequence the reference
-    /// column-outer loop performs).
-    fn sum_active_rows(&self, active: &[u32], currents: &mut [f64]) {
-        currents.fill(0.0);
+    /// Sums the active rows' effective currents per physical column, four
+    /// plane rows per sweep of `sums` as `(((s + a) + b) + c) + d`. Any
+    /// leftover rows (the count mod 4) open the sum instead of closing it,
+    /// so per column this is exactly the ascending-row `f64` addition
+    /// chain from `0.0` that the reference column-outer loop performs.
+    fn sum_rows(&self, active: &[u32], sums: &mut [f64]) {
+        let pc = self.phys_cols;
         let plane = self.plane();
-        for &r in active {
-            let base = r as usize * self.phys_cols;
-            let row = &plane[base..base + self.phys_cols];
-            for (c, &i) in currents.iter_mut().zip(row) {
-                *c += i;
+        let row = |r: u32| &plane[r as usize * pc..][..pc];
+        let (head, quads) = active.split_at(active.len() % 4);
+        match *head {
+            [] => sums.fill(0.0),
+            [a] => {
+                for (s, &a) in sums.iter_mut().zip(row(a)) {
+                    *s = 0.0 + a;
+                }
+            }
+            [a, b] => {
+                for ((s, &a), &b) in sums.iter_mut().zip(row(a)).zip(row(b)) {
+                    *s = (0.0 + a) + b;
+                }
+            }
+            [a, b, c] => {
+                for (((s, &a), &b), &c) in sums.iter_mut().zip(row(a)).zip(row(b)).zip(row(c)) {
+                    *s = ((0.0 + a) + b) + c;
+                }
+            }
+            _ => unreachable!("head holds fewer than 4 rows"),
+        }
+        for q in quads.chunks_exact(4) {
+            let (a, b, c, d) = (row(q[0]), row(q[1]), row(q[2]), row(q[3]));
+            for ((((s, &a), &b), &c), &d) in sums.iter_mut().zip(a).zip(b).zip(c).zip(d) {
+                *s = (((*s + a) + b) + c) + d;
             }
         }
     }
 
-    /// One phase's conversion + recombination: cancels the `g_min`
-    /// baseline (the dummy column sources `V·g_min` per active row),
-    /// quantizes each physical column through the ADC model, and
-    /// shift-adds the counts into the per-weight accumulators via the
-    /// frozen column map, scaled by the phase's `polarity · 2^bit`.
-    fn recombine_phase(
-        &self,
-        currents: &[f64],
-        active_len: usize,
-        phase_scale: i64,
-        acc: &mut [i128],
-    ) {
-        let v_read = self.cfg.cell.read_voltage;
-        // The dummy (baseline) column sits next to the sense amps, so its
-        // reference current sees the same droop statistics as a column-0
-        // read; first-order, the baseline stays V·g_min per active row.
-        let baseline = active_len as f64 * v_read * self.g_min;
-        let lsb = v_read * self.g_step;
-        let slices = self.cfg.slices();
-        let scale = i128::from(phase_scale);
+    /// Shift-add recombination of one weight's physical-column values
+    /// (counts or sums of counts): slice `s` enters at `s·bits_per_cell`,
+    /// a differential pair as `pos − neg`.
+    fn shift_add(&self, cols: &[i128]) -> i128 {
+        let bpc = self.cfg.cell.bits_per_cell;
         match self.cfg.scheme {
-            WeightScheme::Differential => {
-                for (a, cols) in acc.iter_mut().zip(self.recomb.chunks_exact(slices)) {
-                    let mut val = 0i128;
-                    for sc in cols {
-                        let pos = self
-                            .cfg
-                            .adc
-                            .quantize((currents[sc.pos as usize] - baseline) / lsb);
-                        let neg = self
-                            .cfg
-                            .adc
-                            .quantize((currents[sc.neg as usize] - baseline) / lsb);
-                        val += i128::from(pos - neg) << sc.shift;
-                    }
-                    *a += val * scale;
-                }
-            }
-            WeightScheme::OffsetBinary => {
-                // Reference: every active row contributes the fixed offset
-                // 2^(wb-1) in each weight, summed digitally from the known
-                // pulse count (the hardware's dummy reference column).
-                let ref_sum = i128::from(1i64 << (self.cfg.weight_bits - 1)) * active_len as i128;
-                for (a, cols) in acc.iter_mut().zip(self.recomb.chunks_exact(slices)) {
-                    let mut val = 0i128;
-                    for sc in cols {
-                        let count = self
-                            .cfg
-                            .adc
-                            .quantize((currents[sc.pos as usize] - baseline) / lsb);
-                        val += i128::from(count) << sc.shift;
-                    }
-                    *a += (val - ref_sum) * scale;
-                }
-            }
+            WeightScheme::Differential => cols
+                .chunks_exact(2)
+                .enumerate()
+                .map(|(s, pair)| (pair[0] - pair[1]) << (s as u32 * bpc))
+                .sum(),
+            WeightScheme::OffsetBinary => cols
+                .iter()
+                .enumerate()
+                .map(|(s, &v)| v << (s as u32 * bpc))
+                .sum(),
         }
     }
 
@@ -1280,44 +1029,45 @@ impl CrossbarArray {
                 neg[idx % self.phys_cols] -= d;
             }
         }
-        let q_hi = |col: u32| self.cfg.adc.quantize(pos[col as usize] / lsb);
-        let q_lo = |col: u32| self.cfg.adc.quantize(-neg[col as usize] / lsb);
-        let slices = self.cfg.slices();
-        let mut worst = 0u128;
-        match self.cfg.scheme {
-            WeightScheme::Differential => {
-                for cols in self.recomb.chunks_exact(slices) {
-                    let mut upper = 0i128;
-                    let mut lower = 0i128;
-                    for sc in cols {
-                        upper += i128::from(q_hi(sc.pos) - q_lo(sc.neg)) << sc.shift;
-                        lower += i128::from(q_lo(sc.pos) - q_hi(sc.neg)) << sc.shift;
-                    }
-                    worst = worst.max(upper.unsigned_abs().max(lower.unsigned_abs()));
-                }
-            }
-            WeightScheme::OffsetBinary => {
-                let ref_max = i128::from(1i64 << (self.cfg.weight_bits - 1)) * self.rows as i128;
-                for cols in self.recomb.chunks_exact(slices) {
-                    let mut upper = 0i128;
-                    let mut lower = 0i128;
-                    for sc in cols {
-                        upper += i128::from(q_hi(sc.pos)) << sc.shift;
-                        lower += i128::from(q_lo(sc.pos)) << sc.shift;
-                    }
-                    lower -= ref_max;
-                    worst = worst.max(upper.unsigned_abs().max(lower.unsigned_abs()));
-                }
-            }
+        // Per physical column, the extreme counts any subset reaches. A
+        // differential pair's negative column enters its weight negated,
+        // so its extremes swap.
+        let differential = self.cfg.scheme == WeightScheme::Differential;
+        let mut upper = vec![0i128; self.phys_cols];
+        let mut lower = vec![0i128; self.phys_cols];
+        for c in 0..self.phys_cols {
+            let hi = i128::from(self.cfg.adc.quantize(pos[c] / lsb));
+            let lo = i128::from(self.cfg.adc.quantize(-neg[c] / lsb));
+            (upper[c], lower[c]) = if differential && c % 2 == 1 {
+                (lo, hi)
+            } else {
+                (hi, lo)
+            };
         }
-        worst as f64
+        let ref_max = match self.cfg.scheme {
+            WeightScheme::Differential => 0,
+            WeightScheme::OffsetBinary => {
+                i128::from(1i64 << (self.cfg.weight_bits - 1)) * self.rows as i128
+            }
+        };
+        let per_weight = self.cfg.phys_cols_per_weight();
+        upper
+            .chunks_exact(per_weight)
+            .zip(lower.chunks_exact(per_weight))
+            .map(|(u, l)| {
+                let hi = self.shift_add(u).unsigned_abs();
+                hi.max((self.shift_add(l) - ref_max).unsigned_abs())
+            })
+            .max()
+            .unwrap_or(0) as f64
     }
 
     /// The original per-phase-recompute analog pipeline, kept verbatim as
     /// the golden reference: every phase rescans all rows for its active
-    /// set, and every cell's wire droop is re-derived from the
-    /// conductance matrix inside a column-outer strided loop — no
-    /// effective-current plane, no frozen column map.
+    /// set, every cell's wire droop is re-derived from the conductance
+    /// matrix inside a column-outer strided loop, and every phase
+    /// recombines its own counts — no effective-current plane, no
+    /// deferred shift-add.
     ///
     /// [`CrossbarArray::vmm_analog_into`] must stay **bit-identical** to
     /// this for every scheme × ADC × IR-drop × drift combination; the
@@ -1392,6 +1142,23 @@ impl CrossbarArray {
         acc.iter()
             .map(|&v| i64::try_from(v).expect("accumulator overflow"))
             .collect()
+    }
+}
+
+/// Cancels one phase's baseline and normalizes by the LSB, in place:
+/// `(I − baseline) / lsb`, never a multiply by `1/lsb`, which rounds
+/// differently.
+fn normalize(currents: &mut [f64], baseline: f64, lsb: f64) {
+    for c in currents {
+        *c = (*c - baseline) / lsb;
+    }
+}
+
+/// Adds `quantize(raw) · scale` into each physical column's sum, with
+/// the phase's `scale = ±2^bit` (one widening multiply per column).
+fn accumulate(sums: &mut [i128], raw: &[f64], scale: i64, quantize: impl Fn(f64) -> i64) {
+    for (s, &x) in sums.iter_mut().zip(raw) {
+        *s += i128::from(quantize(x)) * i128::from(scale);
     }
 }
 
@@ -1652,10 +1419,7 @@ mod tests {
     }
 
     #[test]
-    fn phase_major_batch_bit_exact_vs_reference_per_input() {
-        // Call the phase-major kernel directly (these arrays sit far
-        // below the pays-off threshold) across the non-ideal lineup,
-        // against the seed reference pipeline.
+    fn analog_batch_bit_exact_vs_reference_per_input() {
         for (i, cfg) in nonideal_lineup().into_iter().enumerate() {
             let rows = 37;
             let cols = 4;
@@ -1666,7 +1430,7 @@ mod tests {
                 .collect();
             let mut out = vec![0i64; n * cols];
             let mut scratch = VmmScratch::new();
-            a.analog_batch_phase_major(&inputs, n, &mut scratch, &mut out);
+            a.vmm_analog_batch_at(&inputs, n, &mut scratch, &mut out, ExecPrecision::Full);
             for (k, chunk) in inputs.chunks_exact(rows).enumerate() {
                 assert_eq!(
                     &out[k * cols..(k + 1) * cols],
@@ -1680,11 +1444,9 @@ mod tests {
     #[test]
     fn analog_batch_above_threshold_bit_exact_and_gated() {
         // 512 x 128 differential 8-bit: phys plane = 512 x 1024 f64 =
-        // 4 MiB, exactly the phase-major threshold.
+        // 4 MiB, well past the last-level cache of the baseline host.
         let cfg = XbarConfig::noisy(0.02, 0.0005, 0.0, 17);
         let a = CrossbarArray::program(&cfg, &ramp_weights(512, 128)).unwrap();
-        assert!(a.analog_batching_pays());
-        assert!(a.vmm_batch_pays());
         assert!(!a.batching_pays()); // not ideal: no exact path to block
         let n = 3;
         let inputs: Vec<i64> = (0..n * 512)
@@ -1699,14 +1461,13 @@ mod tests {
     }
 
     #[test]
-    fn analog_batching_pays_tracks_plane_size_and_ideality() {
+    fn vmm_batch_pays_tracks_weight_size_and_ideality() {
         let small_noisy =
             CrossbarArray::program(&XbarConfig::noisy(0.02, 0.0, 0.0, 1), &ramp_weights(24, 4))
                 .unwrap();
-        assert!(!small_noisy.analog_batching_pays());
+        assert!(!small_noisy.vmm_batch_pays());
         let big_ideal =
             CrossbarArray::program(&XbarConfig::ideal(), &ramp_weights(2048, 64)).unwrap();
-        assert!(!big_ideal.analog_batching_pays()); // ideal: exact path instead
         assert!(big_ideal.vmm_batch_pays()); // weights = 1 MiB, exact blocking
     }
 
@@ -1763,7 +1524,7 @@ mod tests {
     }
 
     #[test]
-    fn degraded_batch_matches_per_input_and_phase_major() {
+    fn degraded_batch_matches_per_input() {
         for (i, cfg) in nonideal_lineup().into_iter().enumerate() {
             let rows = 37;
             let cols = 4;
@@ -1775,7 +1536,7 @@ mod tests {
             for prec in [ExecPrecision::Eco, ExecPrecision::Brownout] {
                 let mut scratch = VmmScratch::new();
                 let mut batch = vec![0i64; n * cols];
-                a.analog_batch_phase_major_at(&inputs, n, &mut scratch, &mut batch, prec);
+                a.vmm_analog_batch_at(&inputs, n, &mut scratch, &mut batch, prec);
                 for (k, chunk) in inputs.chunks_exact(rows).enumerate() {
                     let mut one = vec![0i64; cols];
                     a.vmm_into_at(chunk, &mut scratch, &mut one, prec);

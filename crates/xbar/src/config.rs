@@ -93,9 +93,9 @@ impl AdcModel {
     /// saturating one (the integrate-and-fire counter can neither count
     /// below zero nor past the end of its integration window).
     ///
-    /// This is the single quantization point of the analog pipeline —
-    /// every conversion phase of [`crate::CrossbarArray`] routes through
-    /// it, so the ADC semantics live in exactly one place.
+    /// This defines the ADC semantics of the analog pipeline. The golden
+    /// reference converts through it; the planned kernel converts through
+    /// builtin-free equivalents that unit tests pin to it exactly.
     pub fn quantize(&self, raw: f64) -> i64 {
         match self {
             AdcModel::Ideal => raw.round() as i64,
@@ -104,6 +104,37 @@ impl AdcModel {
                 (raw.round() as i64).clamp(0, max)
             }
         }
+    }
+}
+
+/// The ideal converter's `raw.round() as i64` without the `round`
+/// builtin (a library call on baseline x86-64): truncate toward zero,
+/// then step away from zero when the remainder reaches one half. For
+/// finite `|raw| < 2^63` the truncation and the remainder are exact; past
+/// that the cast saturates and the remainder only pushes further out, so
+/// the saturating steps keep `i64::MIN`/`i64::MAX`. NaN gives 0.
+#[inline]
+pub(crate) fn round_half_away(raw: f64) -> i64 {
+    let t = raw as i64;
+    let rem = raw - t as f64;
+    t.saturating_add(i64::from(rem >= 0.5))
+        .saturating_sub(i64::from(rem <= -0.5))
+}
+
+/// The saturating converter's `(raw.round() as i64).clamp(0, max)`
+/// without the `round` builtin. Below one half (and for NaN) the code is
+/// 0. From one half up it is `floor(raw + 0.5)`, a truncating cast of a
+/// positive value, and `raw + 0.5` is exact below `2^52`. From `2^52` up
+/// every `f64` is already an integer, and adding one half could round up
+/// to the next even one, so `raw` is cast as is.
+#[inline]
+pub(crate) fn round_to_code(raw: f64, max: i64) -> i64 {
+    const INTEGRAL: f64 = (1u64 << 52) as f64;
+    if raw >= 0.5 {
+        let x = if raw < INTEGRAL { raw + 0.5 } else { raw };
+        (x as i64).min(max)
+    } else {
+        0
     }
 }
 
@@ -310,6 +341,48 @@ mod tests {
         let wide = AdcModel::Saturating { bits: 8 };
         assert_eq!(wide.quantize(250.0), 250);
         assert_eq!(wide.quantize(256.0), 255);
+    }
+
+    /// `x` and its 4 nearest neighbours on either side.
+    fn within_4_ulps(x: f64) -> impl Iterator<Item = f64> {
+        (-4i64..=4).map(move |d| f64::from_bits(x.to_bits().wrapping_add_signed(d)))
+    }
+
+    #[test]
+    fn builtin_free_rounding_matches_round_formula() {
+        let two52 = (1u64 << 52) as f64;
+        let two63 = (1u64 << 63) as f64;
+        let specials = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e300,
+            two52 + 1.0,
+            two52 * 2.0 - 1.0,
+            two63,
+            -two63,
+        ];
+        for bits in [1u32, 4, 8, 16] {
+            let max = (1i64 << bits) - 1;
+            // Every k ± 0.5 threshold of the code range, from -0.5 up to
+            // max + 0.5, and its ±4-ulp neighbourhood.
+            let thresholds = (-1..=max).map(|k| k as f64 + 0.5);
+            for x in thresholds.flat_map(within_4_ulps).chain(specials) {
+                let old = (x.round() as i64).clamp(0, max);
+                assert_eq!(round_to_code(x, max), old, "bits {bits}, raw {x:e}");
+            }
+        }
+        let ideal_thresholds = (-(1i64 << 16) - 1..=1 << 16).map(|k| k as f64 + 0.5);
+        for x in ideal_thresholds
+            .chain(specials)
+            .chain(specials.map(|s| -s))
+            .flat_map(within_4_ulps)
+        {
+            assert_eq!(round_half_away(x), x.round() as i64, "raw {x:e}");
+        }
     }
 
     #[test]

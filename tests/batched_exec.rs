@@ -189,16 +189,15 @@ fn pipelined_workers_one_vs_many_bit_exact_for_all_designs() {
 
 /// A warmed caller-owned [`VmmScratch`] makes `vmm_analog_batch` — and
 /// the `vmm_batch` non-ideal fallback that routes through it — perform
-/// **zero** heap allocations, above and below the phase-major threshold:
-/// every buffer (phase decomposition, column currents, batch
-/// accumulators) lives in the scratch, which PR 3's allocation-free
-/// contract hands to the caller.
+/// **zero** heap allocations on large and small planes alike: every
+/// buffer (phase buckets, column currents, shift-add sums) lives in the
+/// scratch, which the allocation-free contract hands to the caller.
 #[test]
 fn warmed_analog_batch_allocates_nothing() {
     use red_sim::red_core::xbar::{CrossbarArray, VmmScratch};
-    // 512 x 128 differential: 4 MiB effective-current plane, exactly the
-    // phase-major gate; 24 x 4 stays on the per-input fallback.
-    for (rows, cols, phase_major) in [(512usize, 128usize, true), (24, 4, false)] {
+    // 512 x 128 differential: a 4 MiB effective-current plane; 24 x 4 is
+    // cache-resident.
+    for (rows, cols) in [(512usize, 128usize), (24, 4)] {
         let cfg = XbarConfig::noisy(0.02, 0.001, 0.0, 13);
         let weights: Vec<Vec<i64>> = (0..rows)
             .map(|r| {
@@ -208,7 +207,6 @@ fn warmed_analog_batch_allocates_nothing() {
             })
             .collect();
         let a = CrossbarArray::program(&cfg, &weights).unwrap();
-        assert_eq!(a.analog_batching_pays(), phase_major, "{rows}x{cols}");
         let n = 3;
         let inputs: Vec<i64> = (0..n * rows)
             .map(|i| ((i * 17) % 255) as i64 - 127)
@@ -230,17 +228,14 @@ fn warmed_analog_batch_allocates_nothing() {
 }
 
 /// Batched noisy execution allocates per *batch*, never per pixel: a
-/// second `run_batch` on a layer whose crossbar crosses the phase-major
-/// analog threshold stays within a small per-batch budget (outputs,
-/// batch gather buffers, one scratch) — orders of magnitude below the
-/// output-pixel count the batch produces.
+/// second `run_batch` on a layer with large effective-current planes
+/// stays within a small per-batch budget (outputs, one scratch) —
+/// orders of magnitude below the output-pixel count the batch produces.
 #[test]
 fn noisy_run_batch_allocates_per_batch_not_per_pixel() {
     // 4x4 stride-2 deconv, 128 channels, 64 filters: the zero-padding
     // array's plane is (16*128) x 512 f64 = 8 MiB and padding-free's
-    // 128 x 8192 f64 = 8 MiB — both cross the phase-major gate; RED's
-    // per-tap planes (128 x 512) stay below it and take the per-image
-    // fallback, which must be equally bounded.
+    // 128 x 8192 f64 = 8 MiB; RED's per-tap planes are 128 x 512.
     let spec = DeconvSpec::with_output_padding(4, 4, 2, 1, 0).unwrap();
     let layer = LayerShape::with_spec(4, 4, 128, 64, spec).unwrap();
     let kernel = synth::kernel(&layer, 100, 7);

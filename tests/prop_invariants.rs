@@ -159,17 +159,19 @@ proptest! {
         prop_assert_eq!(arr.vmm_analog(&input), arr.vmm_exact(&input));
     }
 
-    /// Golden equivalence of the rewritten analog pipeline: the planned
-    /// path (programming-time effective-current plane, per-call phase
-    /// decomposition, frozen recombination map) and the phase-major
-    /// batched path are **bit-identical** to the seed
-    /// per-phase-recompute pipeline (`vmm_analog_reference`) across
-    /// arbitrary scheme x ADC x IR-drop x drift combinations, with
-    /// variation and stuck-at faults drawn in too.
+    /// Golden equivalence of the analog kernel: the planned path
+    /// (programming-time effective-current plane, set-bit phase buckets,
+    /// 4-row plane sums, one shift-add per VMM) and the batched entry
+    /// point are **bit-identical** to the seed per-phase-recompute
+    /// pipeline (`vmm_analog_reference`) across arbitrary scheme x ADC x
+    /// IR-drop x drift combinations, with variation and stuck-at faults
+    /// drawn in too. Cell width, input width and precision tier vary as
+    /// well, so the slice shifts, the phase windows and offset binary's
+    /// deferred reference term are all exercised; a degraded tier is
+    /// checked against the reference on truncated inputs.
     #[test]
     fn analog_plane_bit_identical_to_reference(
-        rows in 1usize..=24,
-        cols in 1usize..=6,
+        (rows, cols) in (1usize..=24, 1usize..=6),
         wseed in any::<u64>(),
         xseed in any::<u64>(),
         offset_binary in any::<bool>(),
@@ -178,16 +180,17 @@ proptest! {
         drift_days in 0u32..=365,
         sigma_pct in 0u32..=5,
         fault_pm in 0u32..=20,          // stuck-off rate, per-mille
+        (cell_bits, input_bits, tier) in (0usize..=2, 2u32..=8, 0usize..=2),
     ) {
         use rand::{Rng, SeedableRng};
         use red_core::device::DriftModel;
-        use red_core::xbar::{CrossbarArray, IrDropModel, VmmScratch};
+        use red_core::xbar::{CrossbarArray, ExecPrecision, IrDropModel, VmmScratch};
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(wseed);
         let weights: Vec<Vec<i64>> = (0..rows)
             .map(|_| (0..cols).map(|_| rng.gen_range(-127..=127)).collect())
             .collect();
-        let cfg = XbarConfig {
+        let mut cfg = XbarConfig {
             scheme: if offset_binary { WeightScheme::OffsetBinary } else { WeightScheme::Differential },
             adc: if adc_bits < 3 {
                 AdcModel::Ideal
@@ -205,38 +208,44 @@ proptest! {
             ),
             ir_drop: IrDropModel::with_resistance(f64::from(ir_centi_ohm) / 100.0),
             drift: DriftModel::after(0.02, f64::from(drift_days) * 86_400.0),
+            input_bits,
             ..XbarConfig::ideal()
         };
+        cfg.cell.bits_per_cell = [1, 2, 4][cell_bits];
         let arr = CrossbarArray::program(&cfg, &weights).unwrap();
 
+        // Mixed-sign inputs over the configured input range, and the
+        // tier's truncation of them: `sign(x)·((|x| >> k) << k)`, with
+        // `k` clamped so one magnitude bit stays live.
+        let prec = ExecPrecision::ALL[tier];
+        let dropped = prec.dropped_bits().min((input_bits - 1).max(1) - 1);
+        let bound = cfg.input_bound();
         let mut rng = rand::rngs::StdRng::seed_from_u64(xseed);
         let n = 3usize;
-        let inputs: Vec<i64> = (0..n * rows).map(|_| rng.gen_range(-127..=127)).collect();
+        let inputs: Vec<i64> = (0..n * rows).map(|_| rng.gen_range(-bound..=bound)).collect();
         let golden: Vec<Vec<i64>> = inputs
             .chunks_exact(rows)
-            .map(|x| arr.vmm_analog_reference(x))
+            .map(|x| {
+                let truncated: Vec<i64> = x
+                    .iter()
+                    .map(|&v| v.signum() * ((v.abs() >> dropped) << dropped))
+                    .collect();
+                arr.vmm_analog_reference(&truncated)
+            })
             .collect();
 
-        // Single-input planned path.
+        // Single-input planned path...
         let mut scratch = VmmScratch::new();
         let mut out = vec![0i64; cols];
         for (x, g) in inputs.chunks_exact(rows).zip(&golden) {
-            arr.vmm_analog_into(x, &mut scratch, &mut out);
-            prop_assert_eq!(&out, g, "planned vs reference");
+            arr.vmm_analog_into_at(x, &mut scratch, &mut out, prec);
+            prop_assert_eq!(&out, g, "planned vs reference at {}", prec);
         }
-        // Public batched entry point (these planes sit far below the
-        // phase-major gate, so this covers the per-input fallback)...
+        // ...and the public batched entry point.
         let mut batch_out = vec![0i64; n * cols];
-        arr.vmm_analog_batch(&inputs, n, &mut scratch, &mut batch_out);
+        arr.vmm_analog_batch_at(&inputs, n, &mut scratch, &mut batch_out, prec);
         for (k, g) in golden.iter().enumerate() {
-            prop_assert_eq!(&batch_out[k * cols..(k + 1) * cols], g.as_slice(), "batched input {}", k);
-        }
-        // ...and the phase-major row-blocked kernel itself, driven
-        // directly so the randomized config sweep reaches it too.
-        batch_out.fill(0);
-        arr.analog_batch_phase_major(&inputs, n, &mut scratch, &mut batch_out);
-        for (k, g) in golden.iter().enumerate() {
-            prop_assert_eq!(&batch_out[k * cols..(k + 1) * cols], g.as_slice(), "phase-major input {}", k);
+            prop_assert_eq!(&batch_out[k * cols..(k + 1) * cols], g.as_slice(), "batched input {} at {}", k, prec);
         }
     }
 
