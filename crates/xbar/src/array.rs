@@ -759,8 +759,8 @@ impl CrossbarArray {
             if len == 0 {
                 continue;
             }
-            let bit = (p / 2) as u32;
-            let negative = p % 2 == 1;
+            let polarity: i64 = if p % 2 == 0 { 1 } else { -1 };
+            let scale = polarity << (p / 2);
             let active = &scratch.phase_rows[p * self.rows..][..len as usize];
             self.sum_rows(active, &mut scratch.currents);
             // The dummy (baseline) column sits next to the sense amps, so
@@ -769,11 +769,6 @@ impl CrossbarArray {
             // active row.
             let baseline = len as f64 * v_read * self.g_min;
             normalize(&mut scratch.currents, baseline, lsb);
-            let scale = if negative {
-                -(1i64 << bit)
-            } else {
-                1i64 << bit
-            };
             let raw = &scratch.currents;
             let acc = &mut scratch.col_acc;
             match self.cfg.adc {
@@ -1236,6 +1231,30 @@ mod tests {
                 "config {i} ({:?} scheme)",
                 cfg.scheme
             );
+        }
+    }
+
+    #[test]
+    fn row_sums_keep_the_ascending_addition_chain() {
+        // Quantization absorbs most last-bit differences, so a reordered
+        // f64 sum can pass the end-to-end tests on typical planes. This
+        // plane cancels catastrophically, so any other association of a
+        // column's rows changes the sum's bits.
+        let mut a = CrossbarArray::program(&XbarConfig::ideal(), &ramp_weights(9, 1)).unwrap();
+        let values = [1e16, 1.0, -1e16, 3.0, 0.1, -2.5e15, 7.0, 1.0, 0.3];
+        let pc = a.phys_cols;
+        let plane: Vec<f64> = (0..9 * pc).map(|i| values[(i / pc + i % pc) % 9]).collect();
+        a.eff_current = std::sync::OnceLock::from(plane.clone());
+        let mut sums = vec![f64::NAN; pc];
+        for n in 1..=9u32 {
+            let active: Vec<u32> = (0..n).collect();
+            a.sum_rows(&active, &mut sums);
+            for (c, &s) in sums.iter().enumerate() {
+                let chain = active
+                    .iter()
+                    .fold(0.0, |x, &r| x + plane[r as usize * pc + c]);
+                assert_eq!(s.to_bits(), chain.to_bits(), "{n} rows, column {c}");
+            }
         }
     }
 
