@@ -375,6 +375,13 @@ mod tests {
                 assert_eq!(round_to_code(x, max), old, "bits {bits}, raw {x:e}");
             }
         }
+        // A converter wider than the f64 mantissa: odd integers from 2^52
+        // up must not round to the next even one.
+        let wide = (1i64 << 60) - 1;
+        for x in specials.into_iter().flat_map(within_4_ulps) {
+            let old = (x.round() as i64).clamp(0, wide);
+            assert_eq!(round_to_code(x, wide), old, "60 bits, raw {x:e}");
+        }
         let ideal_thresholds = (-(1i64 << 16) - 1..=1 << 16).map(|k| k as f64 + 0.5);
         for x in ideal_thresholds
             .chain(specials)
