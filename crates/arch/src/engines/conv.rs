@@ -199,7 +199,7 @@ impl ConvEngine {
 
     /// Executes the convolution on every input of a batch. When the
     /// array is large enough for batching to pay
-    /// ([`CrossbarArray::vmm_batch_pays`] — cache-blocked exact on ideal
+    /// ([`CrossbarArray::batching_pays`] — cache-blocked exact on ideal
     /// crossbars), each output pixel's windows are gathered across the
     /// whole batch and multiplied through [`CrossbarArray::vmm_batch`];
     /// smaller or non-ideal arrays take a per-image loop with shared
@@ -210,7 +210,7 @@ impl ConvEngine {
     ///
     /// As [`ConvEngine::run`]; the first failing input aborts the batch.
     pub fn run_batch(&self, inputs: &[FeatureMap<i64>]) -> Result<Vec<Execution>, ArchError> {
-        if !self.array.vmm_batch_pays() {
+        if !self.array.batching_pays() {
             let mut scratch = self.make_scratch();
             return inputs
                 .iter()

@@ -205,7 +205,7 @@ impl DeconvEngine for PaddingFreeEngine {
     }
 
     /// Batched execution: when the wide `C × (KH·KW·M)` array is large
-    /// enough for batching to pay ([`CrossbarArray::vmm_batch_pays`] —
+    /// enough for batching to pay ([`CrossbarArray::batching_pays`] —
     /// cache-blocked exact VMMs on ideal crossbars), every input pixel is
     /// gathered from the whole batch and multiplied through
     /// [`CrossbarArray::vmm_batch`], so the weights stream from cache
@@ -213,7 +213,7 @@ impl DeconvEngine for PaddingFreeEngine {
     /// arrays fall back to per-image execution with shared scratch.
     /// Bit-exact against per-input [`DeconvEngine::run`] either way.
     fn run_batch(&self, inputs: &[FeatureMap<i64>]) -> Result<Vec<Execution>, ArchError> {
-        if !self.array.vmm_batch_pays() {
+        if !self.array.batching_pays() {
             let mut scratch = self.make_scratch();
             return inputs
                 .iter()
@@ -255,7 +255,7 @@ impl PaddingFreeEngine {
         scratch: &mut PfScratch,
         prec: ExecPrecision,
     ) -> Result<Vec<Execution>, ArchError> {
-        if !self.array.vmm_batch_pays() {
+        if !self.array.batching_pays() {
             return inputs
                 .iter()
                 .map(|input| self.run_with_at(input, scratch, prec))
@@ -400,7 +400,7 @@ mod tests {
         ] {
             let engine = PaddingFreeEngine::new(&cfg, &layer, &kernel).unwrap();
             if engine.array().is_ideal() {
-                assert!(engine.array().vmm_batch_pays());
+                assert!(engine.array().batching_pays());
             }
             let inputs: Vec<_> = (0..2).map(|k| input.map(|v| v - k as i64)).collect();
             let batch = engine.run_batch(&inputs).unwrap();

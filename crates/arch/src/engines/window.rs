@@ -8,7 +8,7 @@
 //! per-image scratch path and the pixel-major batched path.
 
 use super::Execution;
-use crate::plan::ExecPlan;
+use crate::plan::{ExecPlan, GatherEntry};
 use crate::ExecutionStats;
 use red_tensor::FeatureMap;
 use red_xbar::{CrossbarArray, ExecPrecision, VmmScratch};
@@ -32,6 +32,8 @@ pub(crate) struct WindowGeom {
 /// window, the per-pixel output buffer, and the analog-path VMM scratch.
 #[derive(Debug, Clone)]
 pub(crate) struct WindowScratch {
+    /// All zeros between pixels: a pixel writes only its gathered slots
+    /// and clears them after its VMM.
     window: Vec<i64>,
     out: Vec<i64>,
     vmm: VmmScratch,
@@ -47,21 +49,33 @@ impl WindowScratch {
     }
 }
 
-/// Gathers one pixel's receptive field into `window` (zeroed first) and
-/// returns its non-zero entry count.
+/// Gathers one pixel's receptive field into its slots of the all-zero
+/// `window` and returns the window's non-zero entry count, which only
+/// the gathered pixels can contribute. Every other slot is an inserted
+/// or border zero that costs nothing here.
 fn gather_window(
-    plan_entries: &[crate::plan::GatherEntry],
+    plan_entries: &[GatherEntry],
     input: &FeatureMap<i64>,
     channels: usize,
     window: &mut [i64],
 ) -> u128 {
-    window.fill(0);
+    let mut nnz = 0;
     for g in plan_entries {
         let px = input.pixel(g.x as usize, g.y as usize);
         let slot = g.slot as usize;
         window[slot * channels..(slot + 1) * channels].copy_from_slice(px);
+        nnz += px.iter().filter(|x| **x != 0).count();
     }
-    window.iter().filter(|x| **x != 0).count() as u128
+    nnz as u128
+}
+
+/// Clears the slots [`gather_window`] wrote, leaving `window` all zero
+/// for the next pixel.
+fn clear_window(plan_entries: &[GatherEntry], channels: usize, window: &mut [i64]) {
+    for g in plan_entries {
+        let slot = g.slot as usize;
+        window[slot * channels..(slot + 1) * channels].fill(0);
+    }
 }
 
 fn meter_window(stats: &mut ExecutionStats, nnz: u128, window_len: usize, filters: usize) {
@@ -88,10 +102,14 @@ pub(crate) fn run_plan(
 ) -> Execution {
     let mut output = FeatureMap::<i64>::zeros(geom.out_h, geom.out_w, geom.filters);
     let mut stats = ExecutionStats::default();
+    // Cleared once per run, so a run that panicked mid-pixel cannot
+    // leave gathered values behind in a reused scratch.
+    scratch.window.fill(0);
     for ((u, v), gathers) in plan.iter() {
         let nnz = gather_window(gathers, input, geom.channels, &mut scratch.window);
         meter_window(&mut stats, nnz, scratch.window.len(), geom.filters);
         array.vmm_into_at(&scratch.window, &mut scratch.vmm, &mut scratch.out, prec);
+        clear_window(gathers, geom.channels, &mut scratch.window);
         output.pixel_mut(u, v).copy_from_slice(&scratch.out);
     }
     Execution { output, stats }
@@ -102,7 +120,7 @@ pub(crate) fn run_plan(
 /// batched [`CrossbarArray::vmm_batch`] — cache-blocked exact VMM on the
 /// ideal path, per-input analog VMMs otherwise — with one [`VmmScratch`]
 /// owned here and reused for every output pixel. Inputs must already be
-/// shape-checked; callers gate this on [`CrossbarArray::vmm_batch_pays`]
+/// shape-checked; callers gate this on [`CrossbarArray::batching_pays`]
 /// — below that threshold the per-image [`run_plan`] loop is faster.
 pub(crate) fn run_plan_batch(
     plan: &ExecPlan,
@@ -131,6 +149,9 @@ pub(crate) fn run_plan_batch(
             meter_window(st, nnz, geom.window_len, m);
         }
         array.vmm_batch_at(&windows, n, &mut vmm, &mut outs, prec);
+        for window in windows.chunks_exact_mut(geom.window_len) {
+            clear_window(gathers, geom.channels, window);
+        }
         for (k, output) in outputs.iter_mut().enumerate() {
             output
                 .pixel_mut(u, v)

@@ -187,7 +187,7 @@ impl DeconvEngine for ZeroPaddingEngine {
     }
 
     /// Batched execution: when the `(KH·KW·C) × M` array is large enough
-    /// for batching to pay ([`CrossbarArray::vmm_batch_pays`] — the
+    /// for batching to pay ([`CrossbarArray::batching_pays`] — the
     /// cache-blocked exact path on ideal crossbars), every output pixel's
     /// windows are gathered for the whole batch and multiplied through
     /// [`CrossbarArray::vmm_batch`], so the weights stream from cache
@@ -195,7 +195,7 @@ impl DeconvEngine for ZeroPaddingEngine {
     /// arrays fall back to per-image execution with shared scratch.
     /// Bit-exact against per-input [`DeconvEngine::run`] either way.
     fn run_batch(&self, inputs: &[FeatureMap<i64>]) -> Result<Vec<Execution>, ArchError> {
-        if !self.array.vmm_batch_pays() {
+        if !self.array.batching_pays() {
             let mut scratch = self.make_scratch();
             return inputs
                 .iter()
@@ -237,7 +237,7 @@ impl ZeroPaddingEngine {
         scratch: &mut ZpScratch,
         prec: ExecPrecision,
     ) -> Result<Vec<Execution>, ArchError> {
-        if !self.array.vmm_batch_pays() {
+        if !self.array.batching_pays() {
             return inputs
                 .iter()
                 .map(|input| self.run_with_at(input, scratch, prec))
@@ -359,6 +359,34 @@ mod tests {
             let single = engine.run(one).unwrap();
             assert_eq!(single.output, exec.output);
             assert_eq!(single.stats, exec.stats);
+        }
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_runs_on_sparse_windows() {
+        // k16/s8 as in FCN-8s' upscore: each receptive field holds at most
+        // 2x2 real pixels among 16x16 slots, 1/64 dense. A pixel writes
+        // only its gathered slots into the window and clears them after
+        // its VMM, so a reused scratch must carry nothing over.
+        let (layer, kernel, input) = setup(16, 8, 4, 0, 3, 2, 3);
+        let inputs: Vec<_> = (0..3i64)
+            .map(|k| input.map(|v| (v * (k + 1) + 7 * k) % 60))
+            .collect();
+        for cfg in [XbarConfig::ideal(), XbarConfig::noisy(0.01, 0.001, 0.0, 5)] {
+            let engine = ZeroPaddingEngine::new(&cfg, &layer, &kernel).unwrap();
+            let mut scratch = engine.make_scratch();
+            let fresh: Vec<_> = inputs.iter().map(|x| engine.run(x).unwrap()).collect();
+            for (x, want) in inputs.iter().zip(&fresh) {
+                assert_eq!(&engine.run_with(x, &mut scratch).unwrap(), want);
+            }
+            let batch = engine.run_batch_with(&inputs, &mut scratch).unwrap();
+            assert_eq!(batch, fresh);
+            if engine.array().is_ideal() {
+                for (x, exec) in inputs.iter().zip(&fresh) {
+                    let golden = deconv_direct(x, &kernel, layer.spec()).unwrap();
+                    assert_eq!(exec.output, golden);
+                }
+            }
         }
     }
 

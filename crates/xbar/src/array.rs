@@ -9,12 +9,12 @@ use red_device::DriftModel;
 ///
 /// [`CrossbarArray::vmm_analog_into`] needs a handful of working buffers
 /// (the per-phase active-row buckets, the per-phase column-current
-/// accumulator, and the per-column shift-add sums). A scratch owns them
-/// so steady-state execution — thousands of VMMs through the same array
-/// — performs no per-call heap allocation: the buffers are grown on
-/// first use and reused afterwards. One scratch serves arrays of any
-/// geometry (buffers are resized per call), so an engine can share a
-/// single scratch across all its sub-crossbars.
+/// accumulator, and the per-column sums of converted codes). A scratch
+/// owns them so steady-state execution — thousands of VMMs through the
+/// same array — performs no per-call heap allocation: the buffers are
+/// grown on first use and reused afterwards. One scratch serves arrays
+/// of any geometry (buffers are resized per call), so an engine can
+/// share a single scratch across all its sub-crossbars.
 #[derive(Debug, Clone, Default)]
 pub struct VmmScratch {
     /// Active-row indices per phase bucket, `rows` apart: bucket `p`
@@ -24,10 +24,17 @@ pub struct VmmScratch {
     phase_rows: Vec<u32>,
     /// Active-row count of phase bucket `2·bit + (input < 0)`.
     phase_len: Vec<u32>,
-    /// Per-physical-column current accumulator for one conversion phase,
-    /// then its baseline-cancelled, LSB-normalized value.
+    /// Per-physical-column current accumulator for one conversion phase
+    /// (on the `i128` path, then its baseline-cancelled, LSB-normalized
+    /// value).
     currents: Vec<f64>,
-    /// Per-physical-column sums of `±count << bit` over every phase.
+    /// Per-physical-column sums of `±count · 2^bit` over every phase, in
+    /// `f64`, for converters whose sums stay exact integers there
+    /// ([`CrossbarArray::f64_full_scale`]).
+    col_sum: Vec<f64>,
+    /// Per-physical-column sums of `±count · 2^bit` over every phase, in
+    /// `i128`: accumulated directly for every other converter, converted
+    /// from `col_sum` once per VMM otherwise.
     col_acc: Vec<i128>,
     /// Truncated-input staging for the exact path at reduced precision
     /// (the analog path truncates implicitly by masking phase bits).
@@ -433,20 +440,15 @@ impl CrossbarArray {
     /// is too large (≥ 1 MiB) to stay resident between back-to-back
     /// per-input passes. Below the threshold a per-input loop with shared
     /// scratch is faster (measured on the committed baseline host).
+    ///
+    /// Engines consult this to decide whether to gather pixel-major
+    /// across a batch, which trades input locality for weight reuse. Only
+    /// the blocked exact path reuses anything across inputs: the analog
+    /// batch is a per-input loop, because one analog VMM is bound by its
+    /// per-phase conversion work, not by plane traffic.
     pub fn batching_pays(&self) -> bool {
         const BLOCK_BYTES_MIN: usize = 1 << 20;
         self.is_ideal() && std::mem::size_of_val(self.weights.as_slice()) >= BLOCK_BYTES_MIN
-    }
-
-    /// `true` when gathering a whole batch for [`CrossbarArray::vmm_batch`]
-    /// is worth it. Engines consult this to decide whether to gather
-    /// pixel-major across the batch, which trades input locality for
-    /// weight reuse. Only the cache-blocked exact path
-    /// ([`CrossbarArray::batching_pays`]) reuses anything across inputs:
-    /// the analog batch is a per-input loop, because one analog VMM is
-    /// bound by its per-phase conversion work, not by plane traffic.
-    pub fn vmm_batch_pays(&self) -> bool {
-        self.batching_pays()
     }
 
     /// Exact digital vector-matrix multiply: `out[m] = Σ_r input[r] * W[r,m]`.
@@ -694,11 +696,15 @@ impl CrossbarArray {
     ///    conversion phase (magnitude bit × polarity) at a fixed stride.
     /// 2. Each phase sums its active rows' contiguous plane slices, four
     ///    rows per sweep of the column accumulator.
-    /// 3. Each phase cancels the baseline and normalizes by the LSB in one
-    ///    pass, then quantizes every physical column and adds
-    ///    `±count << bit` into that column's integer sum.
+    /// 3. Each phase converts every physical column in one branch-free
+    ///    pass: cancel the baseline, normalize by the LSB, quantize, and
+    ///    add `±count · 2^bit` into that column's sum. The sums are `f64`
+    ///    when they provably stay exact integers there (a saturating
+    ///    converter with `bits + magnitude bits + 1 ≤ 53`), so the pass
+    ///    vectorizes, and `i128` otherwise.
     /// 4. The shift-add recombination into weights — and offset binary's
-    ///    reference term — runs once per VMM instead of once per phase.
+    ///    reference term — runs once per VMM instead of once per phase,
+    ///    on the column sums read as `i128`.
     ///
     /// The result is **bit-identical** to
     /// [`CrossbarArray::vmm_analog_reference`] for every configuration
@@ -707,8 +713,9 @@ impl CrossbarArray {
     /// `0.0`, and the baseline is cancelled by the same subtraction and
     /// division by `lsb`. The converter rounds exactly as
     /// [`AdcModel::quantize`] does. Everything after quantization is
-    /// integer arithmetic in `i128`, where deferring the shift-add to the
-    /// end is an identity, so every output — and every
+    /// integer arithmetic — in `f64` only where every partial sum is an
+    /// integer below 2^53, which `f64` adds exactly — and deferring the
+    /// shift-add to the end is an identity, so every output — and every
     /// `accumulator overflow` — matches the per-phase recombination.
     ///
     /// # Panics
@@ -746,9 +753,14 @@ impl CrossbarArray {
 
         let v_read = self.cfg.cell.read_voltage;
         let lsb = v_read * self.g_step;
+        let full_scale = self.f64_full_scale();
         scratch.currents.resize(self.phys_cols, 0.0);
+        scratch.col_sum.clear();
         scratch.col_acc.clear();
-        scratch.col_acc.resize(self.phys_cols, 0);
+        match full_scale {
+            Some(_) => scratch.col_sum.resize(self.phys_cols, 0.0),
+            None => scratch.col_acc.resize(self.phys_cols, 0),
+        }
         // Σ ±len·2^bit over the phases: how many offset units the
         // reference column subtracts, weighted like the counts.
         let mut pulses = 0i128;
@@ -768,17 +780,27 @@ impl CrossbarArray {
             // column-0 read; first-order, the baseline stays V·g_min per
             // active row.
             let baseline = len as f64 * v_read * self.g_min;
-            normalize(&mut scratch.currents, baseline, lsb);
-            let raw = &scratch.currents;
-            let acc = &mut scratch.col_acc;
-            match self.cfg.adc {
-                AdcModel::Ideal => accumulate(acc, raw, scale, round_half_away),
-                AdcModel::Saturating { bits } => {
-                    let max = (1i64 << bits) - 1;
-                    accumulate(acc, raw, scale, |x| round_to_code(x, max));
+            if let Some(max) = full_scale {
+                let (sums, currents) = (&mut scratch.col_sum, &scratch.currents);
+                convert(sums, currents, baseline, lsb, max, scale as f64);
+            } else {
+                normalize(&mut scratch.currents, baseline, lsb);
+                let raw = &scratch.currents;
+                let acc = &mut scratch.col_acc;
+                match self.cfg.adc {
+                    AdcModel::Ideal => accumulate(acc, raw, scale, round_half_away),
+                    AdcModel::Saturating { bits } => {
+                        let max = (1i64 << bits) - 1;
+                        accumulate(acc, raw, scale, |x| round_to_code(x, max));
+                    }
                 }
             }
             pulses += i128::from(len) * i128::from(scale);
+        }
+        if full_scale.is_some() {
+            // Integers below 2^53: the truncating cast is exact.
+            let sums = scratch.col_sum.iter().map(|&s| i128::from(s as i64));
+            scratch.col_acc.extend(sums);
         }
 
         let reference = match self.cfg.scheme {
@@ -846,6 +868,24 @@ impl CrossbarArray {
         self.cfg.input_bits.saturating_sub(1).max(1)
     }
 
+    /// The saturating converter's full-scale code `2^bits − 1`, when every
+    /// per-column sum of `±count · 2^bit` is an exact integer in `f64`:
+    /// each polarity's phases add at most `(2^bits − 1)(2^mag − 1) <
+    /// 2^(bits + mag)`, and `bits + mag + 1 ≤ 53` keeps that below 2^52,
+    /// inside the 2^53 range where `f64` holds every integer. `None` (the
+    /// ideal converter, whose codes are unbounded, or a wider saturating
+    /// one) selects the `i128` accumulation.
+    fn f64_full_scale(&self) -> Option<f64> {
+        match self.cfg.adc {
+            AdcModel::Saturating { bits }
+                if bits.saturating_add(self.input_mag_bits()) < f64::MANTISSA_DIGITS =>
+            {
+                Some(((1u64 << bits) - 1) as f64)
+            }
+            _ => None,
+        }
+    }
+
     /// Low magnitude bits actually dropped at `prec` on this array: the
     /// tier's nominal count clamped so at least one bit stays live (a
     /// 4-bit-input array browns out by 2 bits, not 4).
@@ -871,8 +911,10 @@ impl CrossbarArray {
     /// below `lo` (the tier's dropped bits) and at or above the streamed
     /// magnitude width never pulse, so they are masked off first; a row
     /// costs one step per set bit, and buckets no input reaches stay
-    /// empty.
+    /// empty. A block of 8 zero rows — the inserted zeros of a
+    /// zero-padded window — costs one OR-reduction.
     fn bucket_phases(&self, input: &[i64], lo: u32, scratch: &mut VmmScratch) {
+        const BLOCK: usize = 8;
         let mag_bits = self.input_mag_bits();
         let window = (u64::MAX >> (u64::BITS - mag_bits)) & (u64::MAX << lo);
         let buckets = 2 * mag_bits as usize;
@@ -881,15 +923,20 @@ impl CrossbarArray {
         if scratch.phase_rows.len() < buckets * self.rows {
             scratch.phase_rows.resize(buckets * self.rows, 0);
         }
-        for (r, &x) in input.iter().enumerate() {
-            let polarity = usize::from(x < 0);
-            let mut mag = x.unsigned_abs() & window;
-            while mag != 0 {
-                let p = 2 * mag.trailing_zeros() as usize + polarity;
-                let len = &mut scratch.phase_len[p];
-                scratch.phase_rows[p * self.rows + *len as usize] = r as u32;
-                *len += 1;
-                mag &= mag - 1;
+        for (b, block) in input.chunks(BLOCK).enumerate() {
+            if block.iter().fold(0, |any, &x| any | x) == 0 {
+                continue;
+            }
+            for (r, &x) in (b * BLOCK..).zip(block) {
+                let polarity = usize::from(x < 0);
+                let mut mag = x.unsigned_abs() & window;
+                while mag != 0 {
+                    let p = 2 * mag.trailing_zeros() as usize + polarity;
+                    let len = &mut scratch.phase_len[p];
+                    scratch.phase_rows[p * self.rows + *len as usize] = r as u32;
+                    *len += 1;
+                    mag &= mag - 1;
+                }
             }
         }
     }
@@ -1157,9 +1204,37 @@ fn accumulate(sums: &mut [i128], raw: &[f64], scale: i64, quantize: impl Fn(f64)
     }
 }
 
+/// One conversion phase of a saturating converter in a single
+/// branch-free pass over the physical columns, which the release build
+/// vectorizes: `raw = (I − baseline) / lsb` (a division, never a
+/// multiply by `1/lsb`, which rounds differently), its code, and
+/// `code · scale` added into the column's `f64` sum, with the phase's
+/// `scale = ±2^bit`.
+///
+/// The code equals [`AdcModel::quantize`]'s `round(raw)` clamped to
+/// `[0, max]`: 0 below one half (NaN and −∞ included), otherwise
+/// `floor(min(raw, max) + 0.5)` — +∞ gives `max`. With `max < 2^52` the
+/// `+ 0.5` is exact, and adding then subtracting 2^52 rounds that
+/// positive value to an integer at most one above its floor, so one
+/// compare finishes the floor without a library call or an integer
+/// conversion. The caller keeps every sum below 2^53 (see
+/// [`CrossbarArray::f64_full_scale`]), so each addition is exact.
+fn convert(sums: &mut [f64], currents: &[f64], baseline: f64, lsb: f64, max: f64, scale: f64) {
+    const TO_INTEGER: f64 = (1u64 << 52) as f64;
+    for (s, &current) in sums.iter_mut().zip(currents) {
+        let raw = (current - baseline) / lsb;
+        let half_up = if raw < max { raw } else { max } + 0.5;
+        let near = (half_up + TO_INTEGER) - TO_INTEGER;
+        let floor = if near > half_up { near - 1.0 } else { near };
+        let code = if raw >= 0.5 { floor } else { 0.0 };
+        *s += code * scale;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::within_4_ulps;
 
     fn ramp_weights(rows: usize, cols: usize) -> Vec<Vec<i64>> {
         (0..rows)
@@ -1254,6 +1329,92 @@ mod tests {
                     .iter()
                     .fold(0.0, |x, &r| x + plane[r as usize * pc + c]);
                 assert_eq!(s.to_bits(), chain.to_bits(), "{n} rows, column {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_conversion_codes_match_quantize() {
+        let two52 = (1u64 << 52) as f64;
+        let specials = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e300,
+            two52 - 1.0,
+            two52 + 1.0,
+        ];
+        for bits in [1u32, 4, 8, 16, 45] {
+            let adc = AdcModel::Saturating { bits };
+            let max = (1i64 << bits) - 1;
+            // Every k ± 0.5 threshold from -0.5 up to max + 0.5; past
+            // 2^16 codes, the first and last 2^16 and those around every
+            // power of two.
+            let ks: Vec<i64> = if bits <= 16 {
+                (-1..=max).collect()
+            } else {
+                (-1..=1 << 16)
+                    .chain(max - (1 << 16)..=max)
+                    .chain((17..bits).flat_map(|j| (1i64 << j) - 2..=(1i64 << j) + 1))
+                    .collect()
+            };
+            let raw: Vec<f64> = ks
+                .iter()
+                .map(|&k| k as f64 + 0.5)
+                .flat_map(within_4_ulps)
+                .chain(specials.into_iter().flat_map(within_4_ulps))
+                .collect();
+            // Identity normalization, so each column's sum is its code.
+            let mut codes = vec![0.0; raw.len()];
+            convert(&mut codes, &raw, 0.0, 1.0, max as f64, 1.0);
+            for (&x, &code) in raw.iter().zip(&codes) {
+                assert_eq!(code, adc.quantize(x) as f64, "bits {bits}, raw {x:e}");
+            }
+            // A phase's scale ±2^bit multiplies the code exactly.
+            let mut scaled = vec![0.0; raw.len()];
+            convert(&mut scaled, &raw, 0.0, 1.0, max as f64, -64.0);
+            for ((&x, &code), &s) in raw.iter().zip(&codes).zip(&scaled) {
+                assert_eq!(s, -64.0 * code, "bits {bits}, raw {x:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn f64_column_sums_stay_exact_up_to_the_53_bit_bound() {
+        // 8-bit inputs stream 7 magnitude bits: a 45-bit converter meets
+        // bits + mag + 1 = 53 and takes the f64 sums; a 46-bit one is 54
+        // and falls back to i128. Conductances `g_min + c·g_step` with `c`
+        // near the converter's full scale drive codes to its top, so the
+        // f64 path sums up to (2^45 - 1)(2^7 - 1), just under 2^52.
+        for (bits, fused) in [(45u32, true), (46, false)] {
+            let cfg = XbarConfig {
+                adc: AdcModel::Saturating { bits },
+                ..XbarConfig::ideal()
+            };
+            let mut a = CrossbarArray::program(&cfg, &ramp_weights(3, 2)).unwrap();
+            assert_eq!(a.f64_full_scale().is_some(), fused, "{bits} bits");
+            let full = ((1u64 << bits) - 1) as f64;
+            let levels = [
+                full - 0.3,
+                full + 0.7,
+                full * 0.5 + 0.5,
+                0.49,
+                3.5,
+                full * 2.0,
+            ];
+            for (i, g) in a.conductance.iter_mut().enumerate() {
+                *g = a.g_min + levels[i % levels.len()] * a.g_step;
+            }
+            a.rebuild_plane();
+            for x in [[127, -127, 127], [127, 127, -127], [-1, 64, 127], [0, 0, 5]] {
+                assert_eq!(
+                    a.vmm_analog(&x),
+                    a.vmm_analog_reference(&x),
+                    "{bits} bits, input {x:?}"
+                );
             }
         }
     }
@@ -1480,14 +1641,14 @@ mod tests {
     }
 
     #[test]
-    fn vmm_batch_pays_tracks_weight_size_and_ideality() {
+    fn batching_pays_tracks_weight_size_and_ideality() {
         let small_noisy =
             CrossbarArray::program(&XbarConfig::noisy(0.02, 0.0, 0.0, 1), &ramp_weights(24, 4))
                 .unwrap();
-        assert!(!small_noisy.vmm_batch_pays());
+        assert!(!small_noisy.batching_pays());
         let big_ideal =
             CrossbarArray::program(&XbarConfig::ideal(), &ramp_weights(2048, 64)).unwrap();
-        assert!(big_ideal.vmm_batch_pays()); // weights = 1 MiB, exact blocking
+        assert!(big_ideal.batching_pays()); // weights = 1 MiB, exact blocking
     }
 
     #[test]

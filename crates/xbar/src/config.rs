@@ -287,7 +287,7 @@ impl Default for XbarConfig {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -344,7 +344,7 @@ mod tests {
     }
 
     /// `x` and its 4 nearest neighbours on either side.
-    fn within_4_ulps(x: f64) -> impl Iterator<Item = f64> {
+    pub(crate) fn within_4_ulps(x: f64) -> impl Iterator<Item = f64> {
         (-4i64..=4).map(move |d| f64::from_bits(x.to_bits().wrapping_add_signed(d)))
     }
 

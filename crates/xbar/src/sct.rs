@@ -262,12 +262,12 @@ impl SubCrossbarTensor {
     /// ([`SubCrossbarTensor::eval_tap_batch_into`]) actually reuses
     /// weight/plane blocks across the batch — every sub-crossbar shares
     /// the same geometry and configuration, so the first array decides
-    /// ([`CrossbarArray::vmm_batch_pays`]). Engines consult this before
+    /// ([`CrossbarArray::batching_pays`]). Engines consult this before
     /// gathering tap inputs pixel-major across a whole batch.
     pub fn batch_pays(&self) -> bool {
         self.arrays
             .first()
-            .is_some_and(CrossbarArray::vmm_batch_pays)
+            .is_some_and(CrossbarArray::batching_pays)
     }
 
     /// Batched [`SubCrossbarTensor::eval_tap_into`]: evaluates kernel tap

@@ -168,7 +168,10 @@ proptest! {
     /// drawn in too. Cell width, input width and precision tier vary as
     /// well, so the slice shifts, the phase windows and offset binary's
     /// deferred reference term are all exercised; a degraded tier is
-    /// checked against the reference on truncated inputs.
+    /// checked against the reference on truncated inputs. Every case
+    /// also reruns on a saturating converter of 44..=62 bits, which
+    /// crosses the `bits + magnitude bits + 1 ≤ 53` bound between the
+    /// kernel's f64 column sums and its i128 fallback.
     #[test]
     fn analog_plane_bit_identical_to_reference(
         (rows, cols) in (1usize..=24, 1usize..=6),
@@ -180,7 +183,7 @@ proptest! {
         drift_days in 0u32..=365,
         sigma_pct in 0u32..=5,
         fault_pm in 0u32..=20,          // stuck-off rate, per-mille
-        (cell_bits, input_bits, tier) in (0usize..=2, 2u32..=8, 0usize..=2),
+        (cell_bits, input_bits, tier, wide_bits) in (0usize..=2, 2u32..=8, 0usize..=2, 44u32..=62),
     ) {
         use rand::{Rng, SeedableRng};
         use red_core::device::DriftModel;
@@ -223,29 +226,37 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(xseed);
         let n = 3usize;
         let inputs: Vec<i64> = (0..n * rows).map(|_| rng.gen_range(-bound..=bound)).collect();
-        let golden: Vec<Vec<i64>> = inputs
-            .chunks_exact(rows)
-            .map(|x| {
-                let truncated: Vec<i64> = x
-                    .iter()
-                    .map(|&v| v.signum() * ((v.abs() >> dropped) << dropped))
-                    .collect();
-                arr.vmm_analog_reference(&truncated)
-            })
-            .collect();
-
-        // Single-input planned path...
+        let wide = CrossbarArray::program(
+            &XbarConfig { adc: AdcModel::Saturating { bits: wide_bits }, ..cfg },
+            &weights,
+        )
+        .unwrap();
         let mut scratch = VmmScratch::new();
-        let mut out = vec![0i64; cols];
-        for (x, g) in inputs.chunks_exact(rows).zip(&golden) {
-            arr.vmm_analog_into_at(x, &mut scratch, &mut out, prec);
-            prop_assert_eq!(&out, g, "planned vs reference at {}", prec);
-        }
-        // ...and the public batched entry point.
-        let mut batch_out = vec![0i64; n * cols];
-        arr.vmm_analog_batch_at(&inputs, n, &mut scratch, &mut batch_out, prec);
-        for (k, g) in golden.iter().enumerate() {
-            prop_assert_eq!(&batch_out[k * cols..(k + 1) * cols], g.as_slice(), "batched input {} at {}", k, prec);
+        for arr in [&arr, &wide] {
+            let golden: Vec<Vec<i64>> = inputs
+                .chunks_exact(rows)
+                .map(|x| {
+                    let truncated: Vec<i64> = x
+                        .iter()
+                        .map(|&v| v.signum() * ((v.abs() >> dropped) << dropped))
+                        .collect();
+                    arr.vmm_analog_reference(&truncated)
+                })
+                .collect();
+            let adc = arr.config().adc;
+
+            // Single-input planned path...
+            let mut out = vec![0i64; cols];
+            for (x, g) in inputs.chunks_exact(rows).zip(&golden) {
+                arr.vmm_analog_into_at(x, &mut scratch, &mut out, prec);
+                prop_assert_eq!(&out, g, "planned vs reference at {}, {:?}", prec, adc);
+            }
+            // ...and the public batched entry point.
+            let mut batch_out = vec![0i64; n * cols];
+            arr.vmm_analog_batch_at(&inputs, n, &mut scratch, &mut batch_out, prec);
+            for (k, g) in golden.iter().enumerate() {
+                prop_assert_eq!(&batch_out[k * cols..(k + 1) * cols], g.as_slice(), "batched input {} at {}, {:?}", k, prec, adc);
+            }
         }
     }
 
