@@ -52,6 +52,25 @@
 //! autoscaling keep that property by scoping their state per partition:
 //! each partition's decision sequence is deterministic even though
 //! cross-partition dispatch interleaving is not.
+//!
+//! # One commit path, one ledger
+//!
+//! Every formed batch takes `Scheduler::commit`, with or without a fault
+//! plan: admission for the whole batch in batch order, then (only with a
+//! plan armed) the crash lookahead, then one pass recording each request
+//! as served, shed, or orphaned by the crash. Orphans are re-queued,
+//! hedged to a sibling as a solo full-precision batch, or shed as
+//! `replica-lost`. `record_served`, `record_shed` and
+//! `Ledger::record_batch` are the only writers of one ledger, kept per
+//! partition: a `Cell` per tenant (offered, served, shed and SLO-miss
+//! counts, served by tier, sheds by reason, and the queue-wait, execute,
+//! total and shed-wait histograms), the per-replica batch charge, the
+//! images executed per tier, and the fault counts. Everything else is a
+//! view of it: `finish` folds the cells into the session, partition and
+//! tenant reports, and `PartitionState::publish` raises the registry
+//! counters to the ledger totals just before each scrape pump and once at
+//! session end, so the report, the Prometheus export and the scraped
+//! series cannot disagree.
 
 use crate::autoscale::Autoscaler;
 use crate::brownout::{BrownoutConfig, BrownoutController, BrownoutEvent};
@@ -182,8 +201,8 @@ impl ServerConfig {
     /// Arms a deterministic fault plan: the scheduler injects the
     /// plan's crashes, stalls, drift advances, and stuck-at strikes on
     /// the virtual clock, runs the canary prober, and self-heals via
-    /// the [`ReplicaState`] machine. Strictly opt-in — with no plan the
-    /// dispatch path is byte-identical to a chaos-free build.
+    /// the [`ReplicaState`] machine. Strictly opt-in — with no plan no
+    /// fault, probe or crash lookahead runs on the shared commit path.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -707,40 +726,269 @@ struct ReplicaStats {
 /// A pending request's functional input (`None` on a model-only server).
 type Payload = Option<FeatureMap<i64>>;
 
-/// Pre-bound per-partition metric handles (all no-ops when telemetry is
-/// disabled): binding happens once at [`Server::start`], so the
-/// dispatch hot path only touches atomics.
-struct PartitionMetrics {
-    served_by_tenant: Vec<Counter>,
-    shed_by_tenant: Vec<Counter>,
+/// One (partition, tenant) cell of the session ledger: every count the
+/// scheduler keeps about request fates. Past the offered count at
+/// [`Scheduler::submit`], [`Scheduler::record_served`] and
+/// [`Scheduler::record_shed`] are its only writers; the reports, the
+/// registry counters and the scrape series are folds of cells.
+#[derive(Default)]
+struct Cell {
+    offered: u64,
+    served: u64,
+    shed: u64,
     /// Served requests whose end-to-end latency exceeded their tenant's
-    /// SLO (`red_slo_miss_total`, labeled by tenant; best-effort
-    /// tenants never miss).
-    slo_miss_by_tenant: Vec<Counter>,
-    /// One counter per [`ShedReason::ALL`] member (`red_sheds_total`,
-    /// labeled by reason).
-    shed_by_reason: Vec<Counter>,
-    xbar_activations: Counter,
-    bit_phase_sweeps: Counter,
-    plane_row_adds: Counter,
-    adc_quantizations: Counter,
-    energy_fj: Counter,
-    images: Counter,
+    /// SLO (best-effort tenants never miss).
+    slo_miss: u64,
+    /// Served requests by [`ExecPrecision::index`].
+    served_by_tier: [u64; 3],
+    /// Sheds by [`ShedReason::index`].
+    sheds_by_reason: [u64; ShedReason::ALL.len()],
+    queue_wait: LatencyHistogram,
+    execute: LatencyHistogram,
+    total: LatencyHistogram,
+    /// Wait absorbed by shed requests before rejection.
+    shed_wait: LatencyHistogram,
+}
+
+impl Cell {
+    /// The fold of `cells`: exact, since counts add and
+    /// [`LatencyHistogram::merge`] adds bucket by bucket.
+    fn sum<'a>(cells: impl IntoIterator<Item = &'a Cell>) -> Cell {
+        let mut acc = Cell::default();
+        for c in cells {
+            acc.offered += c.offered;
+            acc.served += c.served;
+            acc.shed += c.shed;
+            acc.slo_miss += c.slo_miss;
+            add(&mut acc.served_by_tier, &c.served_by_tier);
+            add(&mut acc.sheds_by_reason, &c.sheds_by_reason);
+            acc.queue_wait.merge(&c.queue_wait);
+            acc.execute.merge(&c.execute);
+            acc.total.merge(&c.total);
+            acc.shed_wait.merge(&c.shed_wait);
+        }
+        acc
+    }
+}
+
+/// Adds `x` into `acc` elementwise.
+fn add(acc: &mut [u64], x: &[u64]) {
+    for (a, v) in acc.iter_mut().zip(x) {
+        *a += v;
+    }
+}
+
+/// A partition's fault-plan counts, in [`FAULT_SERIES`] order.
+#[derive(Clone, Copy, Default)]
+struct Faults {
+    injected: u64,
+    reprograms: u64,
+    retries: u64,
+    hedges: u64,
+}
+
+/// One partition's share of the session ledger (see the module docs).
+struct Ledger {
+    /// Request fates, by tenant.
+    cells: Vec<Cell>,
+    /// The batch charge per replica: `(batches, images, busy_ns)`.
+    per_replica: Vec<(u64, u64, u64)>,
+    /// Executed batch sizes (recorded as "latencies" of B ns).
+    batch_sizes: LatencyHistogram,
+    /// Images executed per tier, by [`ExecPrecision::index`]: what the
+    /// hardware counters are priced from.
+    images_by_tier: [u64; 3],
+    faults: Faults,
+}
+
+impl Ledger {
+    /// Charges a `b`-image batch at `tier`, `makespan` long, to replica
+    /// `r` — the only writer of the batch charge.
+    fn record_batch(&mut self, r: usize, b: u64, makespan: u64, tier: ExecPrecision) {
+        let (batches, images, busy_ns) = &mut self.per_replica[r];
+        *batches += 1;
+        *images += b;
+        *busy_ns += makespan;
+        self.batch_sizes.record(b);
+        self.images_by_tier[tier.index()] += b;
+    }
+
+    /// `(batches, busy_ns)` charged across the partition's replicas.
+    fn charged(&self) -> (u64, u64) {
+        self.per_replica
+            .iter()
+            .fold((0, 0), |(b, busy), &(rb, _, rbusy)| (b + rb, busy + rbusy))
+    }
+
+    /// Images executed, then the five [`HardwarePerImage`] counters:
+    /// each tier's exact per-image integers times the images executed
+    /// at that tier. In [`HARDWARE_SERIES`] order.
+    fn hardware(&self, price: &[TierPrice; 3]) -> [u64; 6] {
+        let mut out = [0; 6];
+        for (tp, &n) in price.iter().zip(&self.images_by_tier) {
+            let hw = tp.hw.scaled(n);
+            let row = [
+                n,
+                hw.crossbar_activations,
+                hw.bit_phase_sweeps,
+                hw.plane_row_adds,
+                hw.adc_quantizations,
+                hw.energy_fj,
+            ];
+            add(&mut out, &row);
+        }
+        out
+    }
+}
+
+/// One execution tier's batch pricing: the chip's analytic fill and
+/// steady interval scaled by the tier's live-phase ratio (1.0 at full
+/// precision — a bit-exact multiply, so full-tier batches price exactly
+/// as a brownout-free session), and its per-image hardware counters.
+#[derive(Clone, Copy)]
+struct TierPrice {
+    fill_ns: u64,
+    steady_ns: u64,
+    /// Live-over-full phase ratio, for scaling the tracer's analytic
+    /// per-stage spans.
+    ratio: f64,
+    hw: HardwarePerImage,
+}
+
+impl TierPrice {
+    /// The pipelined makespan `fill + (b-1)·steady` of a `b`-image
+    /// batch (`b ≥ 1`).
+    fn makespan(&self, b: u64) -> u64 {
+        self.fill_ns + (b - 1) * self.steady_ns
+    }
+}
+
+/// A registry counter bound to one ledger total. [`Bound::publish`]
+/// adds what the ledger gained since the last publish, so a counter
+/// moves only at publish instants, and a telemetry handle shared by
+/// successive sessions still sums them.
+struct Bound {
+    counter: Counter,
+    published: u64,
+}
+
+impl Bound {
+    fn new(counter: Counter) -> Self {
+        Self {
+            counter,
+            published: 0,
+        }
+    }
+
+    fn publish(&mut self, total: u64) {
+        if total > self.published {
+            self.counter.add(total - self.published);
+            self.published = total;
+        }
+    }
+}
+
+/// Publishes `totals` into `bounds`, pairwise.
+fn publish_all(bounds: &mut [Bound], totals: impl IntoIterator<Item = u64>) {
+    for (b, total) in bounds.iter_mut().zip(totals) {
+        b.publish(total);
+    }
+}
+
+/// Per-tenant counters: registry name, help, scrape chart — in
+/// `[served, shed, slo_miss]` order.
+const TENANT_SERIES: [(&str, &str, &str); 3] = [
+    (
+        "red_requests_served_total",
+        "Requests admitted and served",
+        "served",
+    ),
+    (
+        "red_requests_shed_total",
+        "Requests denied by admission control",
+        "shed",
+    ),
+    (
+        "red_slo_miss_total",
+        "Served requests that exceeded their tenant's latency SLO",
+        "slo_miss",
+    ),
+];
+
+/// Per-partition hardware counters (registry name, help), in
+/// [`Ledger::hardware`] order.
+const HARDWARE_SERIES: [(&str, &str); 6] = [
+    ("red_images_total", "Images executed"),
+    (
+        "red_xbar_activations_total",
+        "Crossbar vector-operation activations issued",
+    ),
+    (
+        "red_bit_phase_sweeps_total",
+        "Bit-serial input phases swept across activations",
+    ),
+    (
+        "red_plane_row_adds_total",
+        "Non-zero wordline row-current adds",
+    ),
+    (
+        "red_adc_quantizations_total",
+        "ADC integrate-and-fire conversions",
+    ),
+    (
+        "red_energy_femtojoules_total",
+        "Modeled execution energy in femtojoules",
+    ),
+];
+
+/// Fault-plan counters: registry name, help, scrape key — in [`Faults`]
+/// order.
+const FAULT_SERIES: [(&str, &str, &str); 4] = [
+    (
+        "red_faults_injected_total",
+        "Fault-plan events injected",
+        "injected",
+    ),
+    (
+        "red_reprograms_total",
+        "Replica crossbar re-programming repairs",
+        "reprograms",
+    ),
+    (
+        "red_retries_total",
+        "Requests re-queued after losing their replica mid-batch",
+        "retries",
+    ),
+    (
+        "red_hedges_total",
+        "Requests hedged to a sibling replica",
+        "hedges",
+    ),
+];
+
+/// A partition's registry handles (all no-ops when telemetry is
+/// disabled), bound once by [`PartitionMetrics::bind`]. The counters
+/// are written only by [`PartitionState::publish`]; the gauges are set
+/// at decision and scrape instants.
+struct PartitionMetrics {
+    /// [`TENANT_SERIES`], by tenant.
+    tenant: Vec<[Bound; 3]>,
+    /// `red_sheds_total`, by [`ShedReason::index`].
+    sheds_by_reason: Vec<Bound>,
+    /// `red_requests_served_by_tier_total`, by [`ExecPrecision::index`].
+    served_by_tier: Vec<Bound>,
+    /// [`HARDWARE_SERIES`].
+    hardware: Vec<Bound>,
+    /// [`FAULT_SERIES`].
+    faults: Vec<Bound>,
     replicas_active: Gauge,
-    faults_injected: Counter,
-    reprograms: Counter,
-    retries: Counter,
-    hedges: Counter,
-    /// One counter per [`ExecPrecision::ALL`] member
-    /// (`red_requests_served_by_tier_total`, labeled by tier).
-    served_by_tier: Vec<Counter>,
     /// Current execution tier as [`ExecPrecision::index`] (0 = full).
     precision_tier: Gauge,
     /// Modeled backlog ahead of the newest dispatch, in virtual ns
-    /// (`red_backlog_ns`; refreshed at scrape-pump instants).
+    /// (refreshed at scrape-pump instants).
     backlog_ns: Gauge,
     /// Replicas the dispatch may currently route to — active minus
-    /// quarantined/reprogramming (`red_replicas_routable`).
+    /// quarantined/reprogramming.
     replicas_routable: Gauge,
 }
 
@@ -767,12 +1015,8 @@ struct PartitionObs {
     tele: Telemetry,
     partition: usize,
     pid: u32,
-    /// Per-tenant `served` counter-series ids, by tenant index.
-    served_ids: Vec<usize>,
-    /// Per-tenant `shed` counter-series ids.
-    shed_ids: Vec<usize>,
-    /// Per-tenant `slo_miss` counter-series ids.
-    slo_miss_ids: Vec<usize>,
+    /// Per-tenant `[served, shed, slo_miss]` counter-series ids.
+    tenant_ids: Vec<[usize; 3]>,
     /// The `sheds_by_reason` series of [`ShedReason::ReplicaLost`].
     replica_lost_id: usize,
     /// The `replicas_active` gauge series.
@@ -793,17 +1037,20 @@ impl PartitionObs {
     /// instant per transition onto the partition's autoscale track.
     fn ingest(&mut self, windows: &[WindowSnapshot]) {
         for w in windows {
-            let tenants = (0..self.served_ids.len())
-                .map(|t| TenantWindow {
-                    served: w.values[self.served_ids[t]].max(0) as u64,
-                    shed: w.values[self.shed_ids[t]].max(0) as u64,
-                    slo_miss: w.values[self.slo_miss_ids[t]].max(0) as u64,
+            let count = |id: usize| w.values[id].max(0) as u64;
+            let tenants = self
+                .tenant_ids
+                .iter()
+                .map(|&[served, shed, slo_miss]| TenantWindow {
+                    served: count(served),
+                    shed: count(shed),
+                    slo_miss: count(slo_miss),
                 })
                 .collect();
             let aw = AlertWindow {
                 t_ns: w.t_ns,
                 tenants,
-                replica_lost: w.values[self.replica_lost_id].max(0) as u64,
+                replica_lost: count(self.replica_lost_id),
                 active: w.values[self.active_id],
                 routable: w.values[self.routable_id],
             };
@@ -869,30 +1116,17 @@ impl PartitionObs {
 }
 
 /// Per-partition scheduler state: its own former, service law, forked
-/// policy, replica pool, autoscaler, and ledgers. Scoping mutable
-/// policy/autoscaler state here is what keeps reports deterministic —
-/// only the per-partition dispatch order is a function of the trace.
+/// policy, replica pool, autoscaler, and share of the ledger. Scoping
+/// mutable policy/autoscaler state here is what keeps reports
+/// deterministic — only the per-partition dispatch order is a function
+/// of the trace.
 struct PartitionState {
     former: BatchFormer<Payload>,
-    fill_ns: u64,
-    steady_ns: u64,
-    /// Tier-priced fill latencies, indexed by [`ExecPrecision::index`]
-    /// (`[0] == fill_ns` exactly — the full-precision tier is never
-    /// repriced).
-    tier_fill_ns: [u64; 3],
-    /// Tier-priced steady intervals, same indexing.
-    tier_steady_ns: [u64; 3],
-    /// Live-over-full phase ratio per tier (`[0] == 1.0`), for scaling
-    /// the tracer's analytic per-stage spans.
-    tier_ratio: [f64; 3],
-    /// Per-image hardware counters per tier (`[0] == hw` exactly).
-    hw_by_tier: [HardwarePerImage; 3],
+    /// Batch pricing per tier, indexed by [`ExecPrecision::index`].
+    price: [TierPrice; 3],
     /// Per-stage priced latencies, for the tracer's analytic per-stage
     /// execute spans.
     stage_lat: Vec<f64>,
-    /// Exact per-image hardware counters of this partition's chip.
-    hw: HardwarePerImage,
-    metrics: PartitionMetrics,
     policy: Box<dyn AdmissionPolicy>,
     /// The partition's chip and its unrounded analytic fill and steady
     /// interval, from which a model-only batch re-derives its
@@ -908,15 +1142,8 @@ struct PartitionState {
     scale_events: Vec<ScaleEvent>,
     brownout: Option<BrownoutController>,
     brownout_events: Vec<BrownoutEvent>,
-    /// Served requests per tier, indexed by [`ExecPrecision::index`].
-    served_by_tier: [u64; 3],
-    offered: u64,
-    served: u64,
-    shed: u64,
-    batches: u64,
-    modeled_busy_ns: u64,
-    total: LatencyHistogram,
-    per_replica: Vec<(u64, u64, u64)>, // (batches, images, busy_ns)
+    ledger: Ledger,
+    metrics: PartitionMetrics,
     /// Scraper + alert engine, armed by [`ServerConfig::scrape`].
     obs: Option<PartitionObs>,
 }
@@ -942,40 +1169,205 @@ impl PartitionState {
                 .max(self.chip.truncation_error_bound(tier));
         }
     }
+
+    /// The earliest-free active replica that `eligible` admits, lowest
+    /// index on ties — deterministic given the partition's dispatch
+    /// sequence.
+    fn earliest(&self, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+        self.free_at[..self.active]
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| eligible(i))
+            .min_by_key(|&(i, &t)| (t, i))
+            .map(|(i, _)| i)
+    }
+
+    /// The modeled backlog ahead of work closing at `now_ns`: how long
+    /// until the least-loaded active replica frees up.
+    fn backlog_ns(&self, now_ns: u64) -> u64 {
+        let horizon = self.free_at[..self.active]
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(0);
+        horizon.saturating_sub(now_ns)
+    }
+
+    /// The full-precision makespan of a full batch: the unit the
+    /// autoscaler and brownout controller measure backlog in.
+    fn full_batch_ns(&self) -> u64 {
+        self.price[0]
+            .makespan(self.former.max_batch() as u64)
+            .max(1)
+    }
+
+    /// Moves every bound registry counter up to its ledger total. Runs
+    /// just before each scrape pump and once at session end, so the
+    /// scrape series and the Prometheus export read the numbers the
+    /// report folds; counters move nowhere else.
+    fn publish(&mut self) {
+        let (m, ledger) = (&mut self.metrics, &self.ledger);
+        let mut reasons = [0; ShedReason::ALL.len()];
+        let mut tiers = [0; 3];
+        for (bounds, c) in m.tenant.iter_mut().zip(&ledger.cells) {
+            publish_all(bounds, [c.served, c.shed, c.slo_miss]);
+            add(&mut reasons, &c.sheds_by_reason);
+            add(&mut tiers, &c.served_by_tier);
+        }
+        publish_all(&mut m.sheds_by_reason, reasons);
+        publish_all(&mut m.served_by_tier, tiers);
+        publish_all(&mut m.hardware, ledger.hardware(&self.price));
+        let f = ledger.faults;
+        publish_all(
+            &mut m.faults,
+            [f.injected, f.reprograms, f.retries, f.hedges],
+        );
+    }
 }
 
-/// Per-tenant ledgers the scheduler accumulates.
-struct TenantStat {
-    offered: u64,
-    served: u64,
-    shed: u64,
-    queue_wait: LatencyHistogram,
-    total: LatencyHistogram,
-}
-
-/// Session-wide ledgers.
-struct GlobalStats {
-    offered: u64,
-    served: u64,
-    shed: u64,
-    send_failures: u64,
-    batches: u64,
-    queue_wait: LatencyHistogram,
-    execute: LatencyHistogram,
-    total: LatencyHistogram,
-    shed_wait: LatencyHistogram,
-    batch_sizes: LatencyHistogram,
-    first_arrival_ns: u64,
-    last_completion_ns: u64,
-    modeled_busy_ns: u64,
-    /// Sheds by [`ShedReason::index`].
-    sheds_by_reason: Vec<u64>,
-    faults_injected: u64,
-    reprograms: u64,
-    retries: u64,
-    hedges: u64,
-    /// Served requests by [`ExecPrecision::index`].
-    served_by_tier: [u64; 3],
+impl PartitionMetrics {
+    /// Binds partition `pi`'s registry series and, with scraping armed,
+    /// registers the same handles with a fresh scraper — the one list of
+    /// what a partition publishes. Series registration order fixes the
+    /// chart grouping of the exported "C" counter tracks.
+    fn bind(
+        tele: &Telemetry,
+        config: &ServerConfig,
+        pi: usize,
+        active: usize,
+    ) -> (Self, Option<PartitionObs>) {
+        let part_label = pi.to_string();
+        let counter = |name, help, key: &'static str, value: &str| {
+            Bound::new(tele.counter(name, help, &[("partition", &part_label), (key, value)]))
+        };
+        let part_counter =
+            |name, help| Bound::new(tele.counter(name, help, &[("partition", &part_label)]));
+        let gauge = |name, help| tele.gauge(name, help, &[("partition", &part_label)]);
+        let m = PartitionMetrics {
+            tenant: config
+                .tenants
+                .iter()
+                .map(|c| {
+                    TENANT_SERIES.map(|(name, help, _)| counter(name, help, "tenant", &c.name))
+                })
+                .collect(),
+            sheds_by_reason: ShedReason::ALL
+                .iter()
+                .map(|r| {
+                    counter(
+                        "red_sheds_total",
+                        "Requests shed, by attributed reason",
+                        "reason",
+                        r.as_str(),
+                    )
+                })
+                .collect(),
+            served_by_tier: ExecPrecision::ALL
+                .iter()
+                .map(|t| {
+                    counter(
+                        "red_requests_served_by_tier_total",
+                        "Requests served, by execution precision tier",
+                        "tier",
+                        t.name(),
+                    )
+                })
+                .collect(),
+            hardware: HARDWARE_SERIES
+                .iter()
+                .map(|&(name, help)| part_counter(name, help))
+                .collect(),
+            faults: FAULT_SERIES
+                .iter()
+                .map(|&(name, help, _)| part_counter(name, help))
+                .collect(),
+            replicas_active: gauge("red_replicas_active", "Currently active serving replicas"),
+            precision_tier: gauge(
+                "red_precision_tier",
+                "Current brownout execution tier (0 = full, 2 = brownout)",
+            ),
+            backlog_ns: gauge(
+                "red_backlog_ns",
+                "Modeled backlog ahead of the newest dispatch, in virtual ns",
+            ),
+            replicas_routable: gauge(
+                "red_replicas_routable",
+                "Replicas the dispatch may route to (active minus quarantined)",
+            ),
+        };
+        m.replicas_active.set(active as i64);
+        m.precision_tier.set(0);
+        m.replicas_routable.set(active as i64);
+        let obs = config.scrape.filter(|_| tele.is_enabled()).map(|scfg| {
+            let pid = trace_pid(pi);
+            let mut scraper = Scraper::new(scfg, tele.clone(), pi, pi, pid);
+            let mut tenant_ids = vec![[0; 3]; config.tenants.len()];
+            for (k, &(_, _, chart)) in TENANT_SERIES.iter().enumerate() {
+                for (t, c) in config.tenants.iter().enumerate() {
+                    tenant_ids[t][k] =
+                        scraper.counter(chart, &c.name, m.tenant[t][k].counter.clone());
+                }
+            }
+            let reason_ids: Vec<usize> = ShedReason::ALL
+                .iter()
+                .zip(&m.sheds_by_reason)
+                .map(|(r, b)| scraper.counter("sheds_by_reason", r.as_str(), b.counter.clone()))
+                .collect();
+            for (t, b) in ExecPrecision::ALL.iter().zip(&m.served_by_tier) {
+                scraper.counter("tier", t.name(), b.counter.clone());
+            }
+            for (&(_, _, key), b) in FAULT_SERIES.iter().zip(&m.faults) {
+                scraper.counter("faults", key, b.counter.clone());
+            }
+            scraper.gauge("capacity", "backlog_ns", m.backlog_ns.clone());
+            let active_id = scraper.gauge("capacity", "replicas_active", m.replicas_active.clone());
+            let routable_id =
+                scraper.gauge("capacity", "replicas_routable", m.replicas_routable.clone());
+            scraper.quantile("latency", "p50", 0.5);
+            scraper.quantile("latency", "p99", 0.99);
+            let fired_help = "Alert-rule fire edges";
+            let mut fired: Vec<(&'static str, Option<usize>, Counter)> = Vec::new();
+            for (t, c) in config.tenants.iter().enumerate() {
+                for rule in ["fast-burn", "slow-burn"] {
+                    let labels = [
+                        ("partition", part_label.as_str()),
+                        ("rule", rule),
+                        ("tenant", &c.name),
+                    ];
+                    fired.push((
+                        rule,
+                        Some(t),
+                        tele.counter("red_alerts_fired_total", fired_help, &labels),
+                    ));
+                }
+            }
+            for rule in ["replica-lost", "quarantine"] {
+                let labels = [("partition", part_label.as_str()), ("rule", rule)];
+                fired.push((
+                    rule,
+                    None,
+                    tele.counter("red_alerts_fired_total", fired_help, &labels),
+                ));
+            }
+            PartitionObs {
+                engine: AlertEngine::new(
+                    config.alerts.clone().unwrap_or_default(),
+                    config.tenants.len(),
+                ),
+                scraper,
+                tele: tele.clone(),
+                partition: pi,
+                pid,
+                tenant_ids,
+                replica_lost_id: reason_ids[ShedReason::ReplicaLost.index()],
+                active_id,
+                routable_id,
+                fired,
+                episodes: Vec::new(),
+            }
+        });
+        (m, obs)
+    }
 }
 
 /// Per-replica self-healing state (fault-plan runs only).
@@ -984,6 +1376,15 @@ struct ReplicaChaos {
     witness: Witness,
     next_probe_ns: u64,
     repair_until_ns: Option<u64>,
+}
+
+impl ReplicaChaos {
+    /// Repair completion: fresh witness, back to `Active`.
+    fn complete_repair(&mut self) {
+        self.witness.reprogram();
+        self.state = ReplicaState::Active;
+        self.repair_until_ns = None;
+    }
 }
 
 /// Per-partition chaos state: this partition's slice of the fault plan
@@ -1006,6 +1407,16 @@ impl PartChaos {
         (self.cursor..self.events.len())
             .find(|&i| !self.consumed[i])
             .filter(|&i| self.events[i].1.at_ns <= now)
+    }
+
+    /// Marks event `i` consumed, advances the cursor past the consumed
+    /// prefix, and returns the event with its seed.
+    fn consume(&mut self, i: usize) -> (u64, FaultEvent) {
+        self.consumed[i] = true;
+        while self.cursor < self.events.len() && self.consumed[self.cursor] {
+            self.cursor += 1;
+        }
+        self.events[i]
     }
 
     /// How many of the first `active` replicas the scheduler may route
@@ -1046,17 +1457,24 @@ struct ChaosState {
 pub(crate) struct Scheduler {
     clients: Vec<ClientState>,
     parts: Vec<PartitionState>,
-    tenants: Vec<TenantStat>,
     /// Per-tenant precision floors ([`TenantClass::precision_floor`]),
     /// indexed by tenant id.
     floors: Vec<ExecPrecision>,
     /// Per-tenant SLOs ([`TenantClass::slo_ns`]), indexed by tenant id,
-    /// for the `red_slo_miss_total` accounting at serve sites.
+    /// for the SLO-miss count.
     slos: Vec<Option<u64>>,
     functional: bool,
     tele: Telemetry,
-    out: GlobalStats,
     chaos: Option<ChaosState>,
+    /// Earliest submitted arrival (`u64::MAX` before the first).
+    first_arrival_ns: u64,
+    /// Latest virtual completion of any settled request.
+    last_completion_ns: u64,
+    /// Requests answered `Failed` because their replica worker was gone.
+    send_failures: u64,
+    /// Admission verdicts of the batch being committed, in batch order
+    /// (`None` = admitted); reused across batches.
+    verdicts: Vec<Option<ShedReason>>,
     /// Completions awaiting delivery, each to client `meta.client`.
     outbox: Vec<Completion>,
     /// Functional batches awaiting their replica worker, as `(partition,
@@ -1115,6 +1533,13 @@ fn trace_req_id(meta: &RequestMeta) -> u64 {
     ((meta.client as u64) << 32) | (meta.seq & 0xffff_ffff)
 }
 
+/// One event of a request's lifecycle span, on its tenant's track.
+fn request_event(name: &'static str, ph: Phase, ts_ns: u64, meta: &RequestMeta) -> TraceEvent {
+    TraceEvent::new(name, "request", ph, ts_ns)
+        .track(TRACE_PID_SCHED, meta.tenant as u32)
+        .with_id(trace_req_id(meta))
+}
+
 impl Scheduler {
     /// Exclusive-ish lower bound on every future arrival: the minimum
     /// over clients of what each could still submit. A finished client
@@ -1163,11 +1588,9 @@ impl Scheduler {
         if st.mode == ClientMode::Closed {
             st.in_flight += 1;
         }
-        self.out.offered += 1;
-        self.out.first_arrival_ns = self.out.first_arrival_ns.min(meta.arrival_ns);
-        self.tenants[meta.tenant].offered += 1;
+        self.first_arrival_ns = self.first_arrival_ns.min(meta.arrival_ns);
         let part = &mut self.parts[meta.network];
-        part.offered += 1;
+        part.ledger.cells[meta.tenant].offered += 1;
         part.former.push(meta, input);
     }
 
@@ -1242,14 +1665,71 @@ impl Scheduler {
             }));
     }
 
+    /// How many of partition `p`'s active replicas a dispatch may route
+    /// to: all of them unless a fault plan has some under repair.
+    fn routable(&self, p: usize) -> usize {
+        let active = self.parts[p].active;
+        self.chaos
+            .as_ref()
+            .map_or(active, |c| c.parts[p].routable(active))
+    }
+
+    /// One batch-close instant of partition `p`: with a fault plan
+    /// armed, first pump the plan's events, probes and repairs up to the
+    /// close; then [`Scheduler::commit`] the batch; then run the
+    /// autoscale, brownout and scrape ticks.
     fn dispatch(&mut self, p: usize, batch: FormedBatch<Payload>) {
-        // Fault-plan runs take the chaos path; without a plan the code
-        // below is untouched, keeping committed baselines byte-stable.
-        if self.chaos.is_some() {
-            return self.dispatch_chaos(p, batch);
+        let close_ns = batch.close_ns;
+        let mut chaos = self.chaos.take();
+        if let Some(c) = chaos.as_mut() {
+            self.pump_chaos(c, p, close_ns, true);
         }
+        let makespan = self.commit(&mut chaos, p, batch);
+        self.chaos = chaos;
+        // Autoscaling: every dispatch is a decision instant on the
+        // virtual clock. Batches dispatch eagerly (a closed batch is
+        // committed to a replica immediately, starting whenever that
+        // replica frees up), so queue pressure lives in the replica
+        // `free_at` ledger, not the former. The queue-depth signal is
+        // therefore the modeled backlog ahead of the newest dispatch,
+        // in units of full-batch makespans: how many max-size batches
+        // the least-loaded active replica still has to finish before
+        // work closing *now* could start. Every input is a
+        // deterministic function of the partition's dispatch sequence,
+        // which keeps scale decisions trace-reproducible. Sheds feed
+        // the saturation trigger: admission control caps the queue
+        // near its lag bound, so a shedding partition signals overload
+        // through utilization + shed count, not backlog.
+        let effective = self.routable(p);
+        self.autoscale_tick(p, close_ns, makespan, effective);
+        self.brownout_tick(p, close_ns, effective);
+        // Routable capacity after the ticks (autoscaling may have moved
+        // `active`), so the scraped gauge matches what the next
+        // dispatch could actually route to.
+        let routable = self.routable(p);
+        self.observe_tick(p, close_ns, routable);
+    }
+
+    /// The one commit path: every formed batch, with or without a fault
+    /// plan. Admission is decided for the whole batch first, in batch
+    /// order. With a plan armed, the crash lookahead then asks whether a
+    /// planned crash truncates the batch (completions are stamped at
+    /// dispatch, so the crash must be resolved *now*). Then each request
+    /// is recorded in batch order — served, shed, or orphaned by the
+    /// crash — and the survivors are charged and shipped. Orphans are
+    /// re-queued, hedged, or shed with [`ShedReason::ReplicaLost`] —
+    /// never silently dropped. Everything is a pure function of (trace,
+    /// plan, seed): no host time, no iterated hash maps, stable
+    /// tie-breaks throughout. Returns the busy time charged (for the
+    /// autoscaler).
+    fn commit(
+        &mut self,
+        chaos: &mut Option<ChaosState>,
+        p: usize,
+        batch: FormedBatch<Payload>,
+    ) -> u64 {
         let tracing = self.tele.is_enabled();
-        let trigger = batch.trigger.as_str();
+        let (close_ns, trigger) = (batch.close_ns, batch.trigger.as_str());
         // The batch's execution tier: the brownout controller's current
         // tier, capped by the precision floor of every tenant with a
         // request in the formed batch (the `min` under the
@@ -1266,180 +1746,127 @@ impl Scheduler {
             .iter()
             .fold(ctl, |t, (meta, _)| t.min(self.floors[meta.tenant]));
         let part = &mut self.parts[p];
-        let tfill = part.tier_fill_ns[tier.index()];
-        let tsteady = part.tier_steady_ns[tier.index()];
-        let hw_t = part.hw_by_tier[tier.index()];
-        let ratio = part.tier_ratio[tier.index()];
-        // Earliest-free active replica, lowest index on ties —
-        // deterministic given the partition's dispatch sequence.
-        let r = part.free_at[..part.active]
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, &t)| (t, *i))
-            .map(|(i, _)| i)
+        let price = part.price[tier.index()];
+        // Under a fault plan only routable replicas qualify; when every
+        // active replica is down, fall back to the earliest-repaired one
+        // so the batch (and the virtual clock) still makes progress.
+        let routable = |i: usize| {
+            chaos
+                .as_ref()
+                .is_none_or(|c| c.parts[p].replicas[i].state.routable())
+        };
+        let r = part
+            .earliest(routable)
+            .or_else(|| part.earliest(|_| true))
             .expect("a partition always has at least one active replica");
-        let start = batch.close_ns.max(part.free_at[r]);
-        let mut inputs = Vec::new();
-        let mut shed_here = 0u64;
-        let mut items = Vec::with_capacity(batch.requests.len());
-        for (meta, input) in batch.requests {
-            let position = items.len();
-            let predicted = start + tfill + position as u64 * tsteady;
+        let start = close_ns.max(part.free_at[r]);
+
+        // Admission, in batch order: each request is priced at its
+        // position among the requests admitted before it.
+        let mut verdicts = std::mem::take(&mut self.verdicts);
+        let mut admitted = 0u64;
+        for (meta, _) in &batch.requests {
             let estimate = ServiceEstimate {
                 batch_start_ns: start,
-                position,
-                fill_latency_ns: tfill,
-                steady_interval_ns: tsteady,
-                predicted_completion_ns: predicted,
+                position: admitted as usize,
+                fill_latency_ns: price.fill_ns,
+                steady_interval_ns: price.steady_ns,
+                predicted_completion_ns: start + price.fill_ns + admitted * price.steady_ns,
             };
-            let admitted = part.policy.admit(&meta, &estimate);
-            let completion_ns = if admitted { predicted } else { start };
+            if part.policy.admit(meta, &estimate) {
+                admitted += 1;
+                verdicts.push(None);
+            } else {
+                verdicts.push(Some(part.policy.shed_reason(meta, &estimate)));
+            }
+        }
+
+        // Does a planned crash truncate the batch? Survivors are the
+        // admitted requests stamped at or before it.
+        let crash = match chaos.as_mut() {
+            Some(c) if admitted > 0 => self.crash_within(c, p, r, start + price.makespan(admitted)),
+            _ => None,
+        };
+
+        let mut inputs = Vec::new();
+        let mut items = Vec::with_capacity(admitted as usize);
+        let mut orphans = Vec::new();
+        let mut shed_here = 0u64;
+        for ((meta, input), verdict) in batch.requests.into_iter().zip(verdicts.drain(..)) {
+            // One lifecycle span per request across all of its
+            // dispatches: a re-queued orphan is already in the attempts
+            // ledger and its span is still open.
+            let retry = |c: &ChaosState| c.attempts.contains_key(&(meta.client, meta.seq));
+            if tracing && !chaos.as_ref().is_some_and(retry) {
+                self.tele.record(
+                    p,
+                    request_event("req", Phase::AsyncBegin, meta.arrival_ns, &meta)
+                        .arg("network", ArgValue::U64(meta.network as u64)),
+                );
+            }
+            if let Some(reason) = verdict {
+                shed_here += 1;
+                self.record_shed(p, meta, start, reason);
+                continue;
+            }
+            // Survivors precede orphans, so this is the request's
+            // position among the admitted.
+            let position = (items.len() + orphans.len()) as u64;
+            let completion_ns = start + price.fill_ns + position * price.steady_ns;
+            if crash.is_some_and(|t| completion_ns > t) {
+                orphans.push((meta, input));
+                continue;
+            }
             let timing = RequestTiming {
                 arrival_ns: meta.arrival_ns,
                 dispatch_ns: start,
                 completion_ns,
             };
-            let st = &mut self.clients[meta.client];
-            if st.mode == ClientMode::Closed {
-                st.in_flight -= 1;
-                st.watermark_ns = st.watermark_ns.max(completion_ns);
-            }
-            self.out.last_completion_ns = self.out.last_completion_ns.max(completion_ns);
-            let tenant = &mut self.tenants[meta.tenant];
             if tracing {
                 self.tele.record(
                     p,
-                    TraceEvent::new("req", "request", Phase::AsyncBegin, meta.arrival_ns)
-                        .track(TRACE_PID_SCHED, meta.tenant as u32)
-                        .with_id(trace_req_id(&meta))
-                        .arg("network", ArgValue::U64(meta.network as u64)),
+                    request_event("admit", Phase::AsyncInstant, start, &meta)
+                        .arg("position", ArgValue::U64(position))
+                        .arg("replica", ArgValue::U64(r as u64)),
                 );
             }
-            if admitted {
-                self.out.served += 1;
-                part.served += 1;
-                tenant.served += 1;
-                part.metrics.served_by_tenant[meta.tenant].add(1);
-                self.out.served_by_tier[tier.index()] += 1;
-                part.served_by_tier[tier.index()] += 1;
-                part.metrics.served_by_tier[tier.index()].add(1);
-                self.out.queue_wait.record(timing.queue_wait_ns());
-                self.out.execute.record(timing.execute_ns());
-                self.out.total.record(timing.total_ns());
-                tenant.queue_wait.record(timing.queue_wait_ns());
-                tenant.total.record(timing.total_ns());
-                part.total.record(timing.total_ns());
-                if self.slos[meta.tenant].is_some_and(|slo| timing.total_ns() > slo) {
-                    part.metrics.slo_miss_by_tenant[meta.tenant].add(1);
-                }
-                if let Some(obs) = part.obs.as_mut() {
-                    obs.scraper.record_latency(timing.total_ns());
-                }
-                if tracing {
-                    let id = trace_req_id(&meta);
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("admit", "request", Phase::AsyncInstant, start)
-                            .track(TRACE_PID_SCHED, meta.tenant as u32)
-                            .with_id(id)
-                            .arg("position", ArgValue::U64(position as u64))
-                            .arg("replica", ArgValue::U64(r as u64)),
-                    );
-                    // Per-request hardware charge: one image's exact
-                    // counters, so summing the `e` events of every
-                    // served request reproduces the aggregate figures.
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("req", "request", Phase::AsyncEnd, completion_ns)
-                            .track(TRACE_PID_SCHED, meta.tenant as u32)
-                            .with_id(id)
-                            .arg("xbar_activations", ArgValue::U64(hw_t.crossbar_activations))
-                            .arg("adc_quantizations", ArgValue::U64(hw_t.adc_quantizations))
-                            .arg("energy_fj", ArgValue::U64(hw_t.energy_fj)),
-                    );
-                }
-                if self.functional {
-                    inputs.push(input.expect("functional servers always carry inputs"));
-                }
-                items.push(ExecItem { meta, timing });
-            } else {
-                self.out.shed += 1;
-                part.shed += 1;
-                tenant.shed += 1;
-                shed_here += 1;
-                part.metrics.shed_by_tenant[meta.tenant].add(1);
-                // Attribute the denial to its tenant so the autoscaler's
-                // next ScaleEvent can name the worst offender.
-                if let Some(scaler) = part.autoscaler.as_mut() {
-                    scaler.observe_shed(meta.tenant, 1);
-                }
-                if let Some(ctl) = part.brownout.as_mut() {
-                    ctl.observe_shed(1);
-                }
-                self.out.shed_wait.record(timing.queue_wait_ns());
-                let reason = part.policy.shed_reason(&meta, &estimate);
-                self.out.sheds_by_reason[reason.index()] += 1;
-                part.metrics.shed_by_reason[reason.index()].add(1);
-                if tracing {
-                    let id = trace_req_id(&meta);
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("shed", "request", Phase::AsyncInstant, start)
-                            .track(TRACE_PID_SCHED, meta.tenant as u32)
-                            .with_id(id)
-                            .arg("reason", ArgValue::Str(reason.as_str())),
-                    );
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("req", "request", Phase::AsyncEnd, completion_ns)
-                            .track(TRACE_PID_SCHED, meta.tenant as u32)
-                            .with_id(id)
-                            .arg("outcome", ArgValue::Str("shed")),
-                    );
-                }
-                self.outbox.push(Completion {
-                    meta,
-                    timing,
-                    outcome: Outcome::Shed,
-                });
+            self.record_served(p, &meta, &timing, tier);
+            if self.functional {
+                inputs.push(input.expect("functional servers always carry inputs"));
             }
+            items.push(ExecItem { meta, timing });
         }
-        let b = items.len() as u64;
-        let makespan = if b == 0 {
-            0 // fully shed: zero chip time, replica stays free
-        } else {
-            let makespan = tfill + (b - 1) * tsteady;
-            part.free_at[r] = start + makespan;
-            self.out.modeled_busy_ns += makespan;
-            part.modeled_busy_ns += makespan;
-            self.out.batches += 1;
-            part.batches += 1;
-            self.out.batch_sizes.record(b);
-            let (rb, ri, rbusy) = &mut part.per_replica[r];
-            *rb += 1;
-            *ri += b;
-            *rbusy += makespan;
-            // The partition-level hardware charge: exactly `hw × b` at
-            // the batch's tier, the same per-image integers the
-            // request-level `e` events carry.
-            let hwb = hw_t.scaled(b);
-            part.metrics.images.add(b);
-            part.metrics.xbar_activations.add(hwb.crossbar_activations);
-            part.metrics.bit_phase_sweeps.add(hwb.bit_phase_sweeps);
-            part.metrics.plane_row_adds.add(hwb.plane_row_adds);
-            part.metrics.adc_quantizations.add(hwb.adc_quantizations);
-            part.metrics.energy_fj.add(hwb.energy_fj);
+        self.verdicts = verdicts;
+
+        // Charge and ship the survivors: `fill + (s-1)·steady` for the s
+        // survivors — exactly what the replica re-derives from the
+        // survivor-only batch — so `ServerReport::reconciles` holds
+        // under a crash too. A crashed replica's `free_at` already
+        // points at its repair completion. A fully shed batch costs
+        // zero chip time and leaves the replica free.
+        let s = items.len() as u64;
+        let makespan = if s == 0 { 0 } else { price.makespan(s) };
+        if s > 0 {
+            let part = &mut self.parts[p];
+            if crash.is_none() {
+                part.free_at[r] = start + makespan;
+            }
+            part.ledger.record_batch(r, s, makespan, tier);
             if tracing {
                 let pid = trace_pid(p);
                 let mut ev = TraceEvent::new("batch", "exec", Phase::Complete, start)
                     .track(pid, trace_tid_replica(r))
                     .dur(makespan)
-                    .arg("size", ArgValue::U64(b))
+                    .arg("size", ArgValue::U64(s))
                     .arg("trigger", ArgValue::Str(trigger))
-                    .arg("shed", ArgValue::U64(shed_here))
-                    .arg("energy_fj", ArgValue::U64(hwb.energy_fj));
-                // The tier arg rides only on brownout-armed sessions so
-                // earlier committed traces stay byte-identical.
+                    .arg("shed", ArgValue::U64(shed_here));
+                // `lost` rides only on fault-plan sessions and `tier`
+                // only on brownout-armed ones, so earlier committed
+                // traces stay byte-identical.
+                if chaos.is_some() {
+                    ev = ev.arg("lost", ArgValue::U64(orphans.len() as u64));
+                }
+                ev = ev.arg("energy_fj", ArgValue::U64(price.hw.scaled(s).energy_fj));
                 if part.brownout.is_some() {
                     ev = ev.arg("tier", ArgValue::Str(tier.name()));
                 }
@@ -1452,10 +1879,10 @@ impl Scheduler {
                 let mut prefix = 0.0f64;
                 let mut runmax = 0.0f64;
                 for (k, &l) in part.stage_lat.iter().enumerate() {
-                    let l = l * ratio;
+                    let l = l * price.ratio;
                     runmax = runmax.max(l);
                     let begin = start + prefix.round() as u64;
-                    let end = start + (prefix + l + (b - 1) as f64 * runmax).round() as u64;
+                    let end = start + (prefix + l + (s - 1) as f64 * runmax).round() as u64;
                     prefix += l;
                     self.tele.record(
                         p,
@@ -1463,41 +1890,118 @@ impl Scheduler {
                             .track(pid, trace_tid_stage(r, k))
                             .dur(end.saturating_sub(begin))
                             .arg("stage", ArgValue::U64(k as u64))
-                            .arg("images", ArgValue::U64(b)),
+                            .arg("images", ArgValue::U64(s)),
                     );
                 }
             }
-            self.ship(
+            let batch = ExecBatch {
+                inputs,
+                items,
+                tier,
+            };
+            self.ship(p, r, batch);
+        }
+        // Resolve every orphan — retry, hedge, or shed, never lose. The
+        // crash instant is the orphan's new "now".
+        if let (Some(t), Some(chaos)) = (crash, chaos.as_mut()) {
+            for (meta, input) in orphans {
+                self.trace_orphan(p, &meta, t, r);
+                self.resolve_orphan(chaos, p, meta, input, t);
+            }
+        }
+        makespan
+    }
+
+    /// Settles a request at `completion_ns`: a closed-loop client may
+    /// submit again from there. The only writer of client completion
+    /// state.
+    fn settle(&mut self, meta: &RequestMeta, completion_ns: u64) {
+        let st = &mut self.clients[meta.client];
+        if st.mode == ClientMode::Closed {
+            st.in_flight -= 1;
+            st.watermark_ns = st.watermark_ns.max(completion_ns);
+        }
+        self.last_completion_ns = self.last_completion_ns.max(completion_ns);
+    }
+
+    /// Books one served request of partition `p` at `tier` into its
+    /// ledger cell and the scraper's latency window, and closes its
+    /// lifecycle span with one image's exact hardware counters (so
+    /// summing the `e` events of every served request reproduces the
+    /// aggregate figures). The batch charge is
+    /// [`Ledger::record_batch`]'s.
+    fn record_served(
+        &mut self,
+        p: usize,
+        meta: &RequestMeta,
+        timing: &RequestTiming,
+        tier: ExecPrecision,
+    ) {
+        self.settle(meta, timing.completion_ns);
+        let total = timing.total_ns();
+        let slo_miss = self.slos[meta.tenant].is_some_and(|slo| total > slo);
+        let part = &mut self.parts[p];
+        let cell = &mut part.ledger.cells[meta.tenant];
+        cell.served += 1;
+        cell.served_by_tier[tier.index()] += 1;
+        cell.slo_miss += u64::from(slo_miss);
+        cell.queue_wait.record(timing.queue_wait_ns());
+        cell.execute.record(timing.execute_ns());
+        cell.total.record(total);
+        if let Some(obs) = part.obs.as_mut() {
+            obs.scraper.record_latency(total);
+        }
+        if self.tele.is_enabled() {
+            let hw = part.price[tier.index()].hw;
+            self.tele.record(
                 p,
-                r,
-                ExecBatch {
-                    inputs,
-                    items,
-                    tier,
-                },
+                request_event("req", Phase::AsyncEnd, timing.completion_ns, meta)
+                    .arg("xbar_activations", ArgValue::U64(hw.crossbar_activations))
+                    .arg("adc_quantizations", ArgValue::U64(hw.adc_quantizations))
+                    .arg("energy_fj", ArgValue::U64(hw.energy_fj)),
             );
-            makespan
+        }
+    }
+
+    /// Books one request of partition `p` shed at instant `at` for
+    /// `reason` — zero chip time — feeds the denial to the autoscaler
+    /// (which names the worst-shedding tenant in its next event) and
+    /// the brownout controller, and answers it.
+    fn record_shed(&mut self, p: usize, meta: RequestMeta, at: u64, reason: ShedReason) {
+        self.settle(&meta, at);
+        let timing = RequestTiming {
+            arrival_ns: meta.arrival_ns,
+            dispatch_ns: at,
+            completion_ns: at,
         };
-        // Autoscaling: every dispatch is a decision instant on the
-        // virtual clock. Batches dispatch eagerly (a closed batch is
-        // committed to a replica immediately, starting whenever that
-        // replica frees up), so queue pressure lives in the replica
-        // `free_at` ledger, not the former. The queue-depth signal is
-        // therefore the modeled backlog ahead of the newest dispatch,
-        // in units of full-batch makespans: how many max-size batches
-        // the least-loaded active replica still has to finish before
-        // work closing *now* could start. Every input is a
-        // deterministic function of the partition's dispatch sequence,
-        // which keeps scale decisions trace-reproducible. Sheds feed
-        // the saturation trigger: admission control caps the queue
-        // near its lag bound, so a shedding partition signals overload
-        // through utilization + shed count, not backlog.
-        let effective = self.parts[p].active;
-        self.autoscale_tick(p, batch.close_ns, makespan, effective);
-        self.brownout_tick(p, batch.close_ns, effective);
-        // Chaos-free runs route to every active replica.
-        let routable = self.parts[p].active;
-        self.observe_tick(p, batch.close_ns, routable);
+        let part = &mut self.parts[p];
+        let cell = &mut part.ledger.cells[meta.tenant];
+        cell.shed += 1;
+        cell.sheds_by_reason[reason.index()] += 1;
+        cell.shed_wait.record(timing.queue_wait_ns());
+        if let Some(scaler) = part.autoscaler.as_mut() {
+            scaler.observe_shed(meta.tenant, 1);
+        }
+        if let Some(ctl) = part.brownout.as_mut() {
+            ctl.observe_shed(1);
+        }
+        if self.tele.is_enabled() {
+            self.tele.record(
+                p,
+                request_event("shed", Phase::AsyncInstant, at, &meta)
+                    .arg("reason", ArgValue::Str(reason.as_str())),
+            );
+            self.tele.record(
+                p,
+                request_event("req", Phase::AsyncEnd, at, &meta)
+                    .arg("outcome", ArgValue::Str("shed")),
+            );
+        }
+        self.outbox.push(Completion {
+            meta,
+            timing,
+            outcome: Outcome::Shed,
+        });
     }
 
     /// The per-dispatch autoscaling decision instant. `effective` is
@@ -1515,16 +2019,13 @@ impl Scheduler {
         if !scaler.due(close_ns) {
             return;
         }
-        let horizon = part.free_at[..part.active]
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(0);
-        let batch_ns =
-            (part.fill_ns + (part.former.max_batch() as u64 - 1) * part.steady_ns).max(1);
-        let backlog_ns = horizon.saturating_sub(close_ns);
-        let queue = (backlog_ns / batch_ns) as usize;
-        if let Some(event) = scaler.decide(close_ns, queue, backlog_ns, effective.max(1)) {
+        let backlog_ns = part.backlog_ns(close_ns);
+        let queue = (backlog_ns / part.full_batch_ns()) as usize;
+        let decision = part
+            .autoscaler
+            .as_mut()
+            .and_then(|s| s.decide(close_ns, queue, backlog_ns, effective.max(1)));
+        if let Some(event) = decision {
             let delta = event.to as i64 - event.from as i64;
             part.active = (part.active as i64 + delta).clamp(1, part.free_at.len() as i64) as usize;
             part.metrics.replicas_active.set(part.active as i64);
@@ -1559,23 +2060,17 @@ impl Scheduler {
     /// pool is the health plane's lost capacity.
     fn brownout_tick(&mut self, p: usize, close_ns: u64, routable: usize) {
         let part = &mut self.parts[p];
-        let provisioned = part.active;
-        let Some(ctl) = part.brownout.as_mut() else {
-            return;
-        };
-        if !ctl.due(close_ns) {
+        if !part.brownout.as_ref().is_some_and(|ctl| ctl.due(close_ns)) {
             return;
         }
-        let horizon = part.free_at[..part.active]
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(0);
-        let batch_ns =
-            (part.fill_ns + (part.former.max_batch() as u64 - 1) * part.steady_ns).max(1);
-        let backlog_ns = horizon.saturating_sub(close_ns);
-        let queue = (backlog_ns / batch_ns) as usize;
-        if let Some(event) = ctl.decide(close_ns, queue, backlog_ns, routable.max(1), provisioned) {
+        let backlog_ns = part.backlog_ns(close_ns);
+        let queue = (backlog_ns / part.full_batch_ns()) as usize;
+        let provisioned = part.active;
+        let decision = part
+            .brownout
+            .as_mut()
+            .and_then(|ctl| ctl.decide(close_ns, queue, backlog_ns, routable.max(1), provisioned));
+        if let Some(event) = decision {
             part.metrics.precision_tier.set(event.to.index() as i64);
             part.brownout_events.push(event);
             if self.tele.is_enabled() {
@@ -1593,92 +2088,55 @@ impl Scheduler {
         }
     }
 
-    /// The per-dispatch scrape-pump instant: refresh the sampled
-    /// gauges, advance partition `p`'s scraper to `now_ns` (taking one
-    /// registry snapshot per crossed window boundary), and run the
-    /// alert engine over every window that closed. Every input is a
-    /// deterministic function of the partition's dispatch sequence, so
-    /// the scrape series and alert timeline replay byte-identically —
-    /// the same argument the autoscale and brownout ticks rest on.
+    /// The per-dispatch scrape-pump instant: publish the ledger and
+    /// refresh the sampled gauges, advance partition `p`'s scraper to
+    /// `now_ns` (taking one registry snapshot per crossed window
+    /// boundary), and run the alert engine over every window that
+    /// closed. Every input is a deterministic function of the
+    /// partition's dispatch sequence, so the scrape series and alert
+    /// timeline replay byte-identically — the same argument the
+    /// autoscale and brownout ticks rest on.
     fn observe_tick(&mut self, p: usize, now_ns: u64, routable: usize) {
         let part = &mut self.parts[p];
         if part.obs.is_none() {
             return;
         }
-        let horizon = part.free_at[..part.active]
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(0);
-        part.metrics
-            .backlog_ns
-            .set(horizon.saturating_sub(now_ns) as i64);
+        part.publish();
+        part.metrics.backlog_ns.set(part.backlog_ns(now_ns) as i64);
         part.metrics.replicas_routable.set(routable as i64);
         let obs = part.obs.as_mut().expect("checked non-None above");
         let windows = obs.scraper.pump(now_ns);
         obs.ingest(&windows);
     }
 
-    /// End-of-session scrape flush: close the final (possibly partial)
-    /// window at the last virtual completion — after
-    /// [`Scheduler::finalize_chaos`], so end-of-plan repairs and fault
-    /// counters land in it — run the alert engine over the tail, and
-    /// publish every series (with its conservation ledger) for the
-    /// JSON exports.
+    /// End-of-session publish and scrape flush, after
+    /// [`Scheduler::finalize_chaos`] so end-of-plan repairs and fault
+    /// counts land in it: publish every partition's ledger, close the
+    /// final (possibly partial) scrape window at the last virtual
+    /// completion, run the alert engine over the tail, and publish every
+    /// series (with its conservation ledger) for the JSON exports.
     fn flush_observability(&mut self) {
-        let end = self.out.last_completion_ns;
-        for p in 0..self.parts.len() {
-            let part = &mut self.parts[p];
+        let end = self.last_completion_ns;
+        for part in &mut self.parts {
+            part.publish();
+            let backlog_ns = part.backlog_ns(end);
             let Some(obs) = part.obs.as_mut() else {
                 continue;
             };
-            let horizon = part.free_at[..part.active]
-                .iter()
-                .copied()
-                .min()
-                .unwrap_or(0);
-            part.metrics
-                .backlog_ns
-                .set(horizon.saturating_sub(end) as i64);
+            part.metrics.backlog_ns.set(backlog_ns as i64);
             let windows = obs.scraper.finish(end);
             obs.ingest(&windows);
             self.tele.publish_timeseries(obs.scraper.export());
         }
     }
 
-    // ---- Fault-plan (chaos) serving path ---------------------------
+    // ---- Fault plan: injection, probes, self-healing -----------------
     //
-    // Mirrors `dispatch` but interleaves the armed `FaultPlan` with the
-    // batch stream on the virtual clock: plan events, canary probes,
-    // and repair completions are pumped in virtual-time order up to
-    // each batch close; a commit-time lookahead then asks whether a
-    // planned crash truncates the batch being committed (completions
-    // are stamped at dispatch, so the crash must be resolved *now*).
-    // Requests orphaned by a crash are re-queued, hedged, or shed with
-    // `ShedReason::ReplicaLost` — never silently dropped. Everything is
-    // a pure function of (trace, plan, seed): no host time, no iterated
-    // hash maps, stable tie-breaks throughout.
-
-    fn dispatch_chaos(&mut self, p: usize, batch: FormedBatch<Payload>) {
-        let mut chaos = self
-            .chaos
-            .take()
-            .expect("dispatch_chaos runs only with chaos state armed");
-        self.pump_chaos(&mut chaos, p, batch.close_ns, true);
-        let trigger = batch.trigger.as_str();
-        let makespan = self.commit_chaos(&mut chaos, p, batch.requests, batch.close_ns, trigger);
-        let effective = chaos.parts[p].routable(self.parts[p].active);
-        self.chaos = Some(chaos);
-        self.autoscale_tick(p, batch.close_ns, makespan, effective);
-        self.brownout_tick(p, batch.close_ns, effective);
-        // Routable capacity after the ticks (autoscaling may have moved
-        // `active`), so the scraped gauge matches what the next
-        // dispatch could actually route to.
-        let routable = self.chaos.as_ref().map_or(self.parts[p].active, |c| {
-            c.parts[p].routable(self.parts[p].active)
-        });
-        self.observe_tick(p, batch.close_ns, routable);
-    }
+    // The armed `FaultPlan` is interleaved with the batch stream on the
+    // virtual clock: plan events, canary probes, and repair completions
+    // are pumped in virtual-time order up to each batch close, and the
+    // commit-time crash lookahead consumes a planned crash out of order
+    // when it truncates the batch being committed.
 
     /// Processes plan events, canary probes (unless `probes` is off —
     /// the end-of-session flush skips them), and repair completions for
@@ -1715,7 +2173,7 @@ impl Scheduler {
                 );
             }
             match best {
-                Some((t, 0, r)) => self.complete_repair(chaos, p, r, t),
+                Some((_, 0, r)) => chaos.parts[p].replicas[r].complete_repair(),
                 Some((_, 1, i)) => self.apply_plan_event(chaos, p, i),
                 Some((t, _, r)) => self.probe_replica(chaos, p, r, t),
                 None => break,
@@ -1724,24 +2182,17 @@ impl Scheduler {
     }
 
     /// Applies the plan event at `events[i]` (already known due) to its
-    /// partition, emits its `fault` instant, and advances the cursor.
+    /// partition and emits its `fault` instant.
     fn apply_plan_event(&mut self, chaos: &mut ChaosState, p: usize, i: usize) {
-        let (event_seed, event) = chaos.parts[p].events[i];
-        chaos.parts[p].consumed[i] = true;
         let pc = &mut chaos.parts[p];
-        while pc.cursor < pc.events.len() && pc.consumed[pc.cursor] {
-            pc.cursor += 1;
-        }
-        self.count_fault(p, &event, event.replica.min(pc.replicas.len() - 1));
+        let (event_seed, event) = pc.consume(i);
+        let r = event.replica.min(pc.replicas.len() - 1);
+        self.count_fault(p, &event, r);
         match event.kind {
-            FaultKind::Crash => {
-                let r = event.replica.min(chaos.parts[p].replicas.len() - 1);
-                self.quarantine_replica(chaos, p, r, event.at_ns, None);
-            }
+            FaultKind::Crash => self.quarantine_replica(chaos, p, r, event.at_ns, None),
             FaultKind::Stall { ns } => {
-                let part = &mut self.parts[p];
-                let r = event.replica.min(part.free_at.len() - 1);
-                part.free_at[r] = part.free_at[r].max(event.at_ns) + ns;
+                let free_at = &mut self.parts[p].free_at[r];
+                *free_at = (*free_at).max(event.at_ns) + ns;
             }
             FaultKind::Drift { elapsed_s } => {
                 let nu = chaos.health.drift_nu;
@@ -1751,18 +2202,16 @@ impl Scheduler {
                 }
             }
             FaultKind::Strikes { cells } => {
-                let r = event.replica.min(chaos.parts[p].replicas.len() - 1);
                 chaos.parts[p].replicas[r].witness.strike(cells, event_seed);
             }
         }
     }
 
     /// Fault-injection bookkeeping shared by the pump and the crash
-    /// lookahead: the session counter, the metrics plane, and the
-    /// replica-track `fault` instant.
+    /// lookahead: the ledger count and the replica-track `fault`
+    /// instant.
     fn count_fault(&mut self, p: usize, event: &FaultEvent, r: usize) {
-        self.out.faults_injected += 1;
-        self.parts[p].metrics.faults_injected.add(1);
+        self.parts[p].ledger.faults.injected += 1;
         if self.tele.is_enabled() {
             self.tele.record(
                 p,
@@ -1787,15 +2236,14 @@ impl Scheduler {
         t: u64,
         deviation: Option<f64>,
     ) {
-        let begin = self.parts[p].free_at[r].max(t);
+        let part = &mut self.parts[p];
+        let begin = part.free_at[r].max(t);
         let until = begin + chaos.reprogram_ns;
         let rc = &mut chaos.parts[p].replicas[r];
-        rc.state = ReplicaState::Quarantined;
         rc.repair_until_ns = Some(until.max(rc.repair_until_ns.unwrap_or(0)));
         rc.state = ReplicaState::Reprogramming;
-        self.parts[p].free_at[r] = until;
-        self.out.reprograms += 1;
-        self.parts[p].metrics.reprograms.add(1);
+        part.free_at[r] = until;
+        part.ledger.faults.reprograms += 1;
         if self.tele.is_enabled() {
             let mut quarantine = TraceEvent::new("quarantine", "health", Phase::Instant, t)
                 .track(trace_pid(p), trace_tid_replica(r))
@@ -1814,14 +2262,6 @@ impl Scheduler {
                     .arg("energy_pj", ArgValue::F64(chaos.reprogram_energy_pj)),
             );
         }
-    }
-
-    /// Repair completion: fresh witness, back to `Active`.
-    fn complete_repair(&mut self, chaos: &mut ChaosState, p: usize, r: usize, _t: u64) {
-        let rc = &mut chaos.parts[p].replicas[r];
-        rc.witness.reprogram();
-        rc.state = ReplicaState::Active;
-        rc.repair_until_ns = None;
     }
 
     /// One canary probe of replica `r` at instant `t`: replay the golden
@@ -1867,347 +2307,32 @@ impl Scheduler {
         r: usize,
         end: u64,
     ) -> Option<u64> {
-        let pc = &chaos.parts[p];
-        let mut hit = None;
-        for i in pc.cursor..pc.events.len() {
-            if pc.consumed[i] {
-                continue;
-            }
-            let (_, e) = pc.events[i];
-            if e.at_ns > end {
-                break;
-            }
-            if e.kind == FaultKind::Crash && e.replica.min(pc.replicas.len() - 1) == r {
-                hit = Some(i);
-                break;
-            }
-        }
-        let i = hit?;
-        let event = chaos.parts[p].events[i].1;
-        chaos.parts[p].consumed[i] = true;
         let pc = &mut chaos.parts[p];
-        while pc.cursor < pc.events.len() && pc.consumed[pc.cursor] {
-            pc.cursor += 1;
-        }
+        let last = pc.replicas.len() - 1;
+        let i = (pc.cursor..pc.events.len())
+            .filter(|&i| !pc.consumed[i])
+            .take_while(|&i| pc.events[i].1.at_ns <= end)
+            .find(|&i| {
+                let e = pc.events[i].1;
+                e.kind == FaultKind::Crash && e.replica.min(last) == r
+            })?;
+        let (_, event) = pc.consume(i);
         self.count_fault(p, &event, r);
         self.quarantine_replica(chaos, p, r, event.at_ns, None);
         Some(event.at_ns)
     }
 
-    /// The chaos analogue of the per-batch body of `dispatch`: admits,
-    /// serves, and sheds exactly like the normal path, plus crash
-    /// truncation. Returns the busy time charged (for the autoscaler).
-    #[allow(clippy::too_many_lines)]
-    fn commit_chaos(
-        &mut self,
-        chaos: &mut ChaosState,
-        p: usize,
-        requests: Vec<(RequestMeta, Payload)>,
-        close_ns: u64,
-        trigger: &'static str,
-    ) -> u64 {
-        let tracing = self.tele.is_enabled();
-        // Batch tier: controller tier capped by every member tenant's
-        // precision floor — same rule as the chaos-free path.
-        let ctl = self.parts[p]
-            .brownout
-            .as_ref()
-            .map_or(ExecPrecision::Full, BrownoutController::tier);
-        let tier = requests
-            .iter()
-            .fold(ctl, |t, (meta, _)| t.min(self.floors[meta.tenant]));
-        let part = &mut self.parts[p];
-        // Earliest-free *routable* active replica; when every active
-        // replica is down, fall back to the earliest-repaired one so the
-        // batch (and the virtual clock) still makes progress.
-        let pc = &chaos.parts[p];
-        let pick = |routable_only: bool| {
-            part.free_at[..part.active]
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !routable_only || pc.replicas[*i].state.routable())
-                .min_by_key(|(i, &t)| (t, *i))
-                .map(|(i, _)| i)
-        };
-        let r = pick(true)
-            .or_else(|| pick(false))
-            .expect("a partition always has at least one active replica");
-        let start = close_ns.max(part.free_at[r]);
-        let fill = part.tier_fill_ns[tier.index()];
-        let steady = part.tier_steady_ns[tier.index()];
-        let hw_t = part.hw_by_tier[tier.index()];
-        let ratio = part.tier_ratio[tier.index()];
-
-        // Pass 1 — admission, exactly like the normal path. Sheds are
-        // resolved inline; admitted requests are stashed with their
-        // stamped completion for crash partitioning.
-        struct Admitted {
-            meta: RequestMeta,
-            input: Payload,
-            predicted: u64,
-            position: usize,
-        }
-        let mut admitted: Vec<Admitted> = Vec::with_capacity(requests.len());
-        let mut shed_here = 0u64;
-        for (meta, input) in requests {
-            let position = admitted.len();
-            let predicted = start + fill + position as u64 * steady;
-            let estimate = ServiceEstimate {
-                batch_start_ns: start,
-                position,
-                fill_latency_ns: fill,
-                steady_interval_ns: steady,
-                predicted_completion_ns: predicted,
-            };
-            let ok = part.policy.admit(&meta, &estimate);
-            // One lifecycle span per request across all of its
-            // dispatches: a re-queued victim is already in the attempts
-            // ledger and its span is still open.
-            if tracing && !chaos.attempts.contains_key(&(meta.client, meta.seq)) {
-                self.tele.record(
-                    p,
-                    TraceEvent::new("req", "request", Phase::AsyncBegin, meta.arrival_ns)
-                        .track(TRACE_PID_SCHED, meta.tenant as u32)
-                        .with_id(trace_req_id(&meta))
-                        .arg("network", ArgValue::U64(meta.network as u64)),
-                );
-            }
-            if ok {
-                admitted.push(Admitted {
-                    meta,
-                    input,
-                    predicted,
-                    position,
-                });
-            } else {
-                let timing = RequestTiming {
-                    arrival_ns: meta.arrival_ns,
-                    dispatch_ns: start,
-                    completion_ns: start,
-                };
-                let st = &mut self.clients[meta.client];
-                if st.mode == ClientMode::Closed {
-                    st.in_flight -= 1;
-                    st.watermark_ns = st.watermark_ns.max(start);
-                }
-                self.out.last_completion_ns = self.out.last_completion_ns.max(start);
-                let tenant = &mut self.tenants[meta.tenant];
-                self.out.shed += 1;
-                part.shed += 1;
-                tenant.shed += 1;
-                shed_here += 1;
-                part.metrics.shed_by_tenant[meta.tenant].add(1);
-                if let Some(scaler) = part.autoscaler.as_mut() {
-                    scaler.observe_shed(meta.tenant, 1);
-                }
-                if let Some(ctl) = part.brownout.as_mut() {
-                    ctl.observe_shed(1);
-                }
-                self.out.shed_wait.record(timing.queue_wait_ns());
-                let reason = part.policy.shed_reason(&meta, &estimate);
-                self.out.sheds_by_reason[reason.index()] += 1;
-                part.metrics.shed_by_reason[reason.index()].add(1);
-                if tracing {
-                    let id = trace_req_id(&meta);
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("shed", "request", Phase::AsyncInstant, start)
-                            .track(TRACE_PID_SCHED, meta.tenant as u32)
-                            .with_id(id)
-                            .arg("reason", ArgValue::Str(reason.as_str())),
-                    );
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("req", "request", Phase::AsyncEnd, start)
-                            .track(TRACE_PID_SCHED, meta.tenant as u32)
-                            .with_id(id)
-                            .arg("outcome", ArgValue::Str("shed")),
-                    );
-                }
-                self.outbox.push(Completion {
-                    meta,
-                    timing,
-                    outcome: Outcome::Shed,
-                });
-            }
-        }
-
-        // Pass 2 — does a planned crash truncate this batch? Survivors
-        // are the admitted requests stamped at or before the crash.
-        let b_all = admitted.len() as u64;
-        let end = if b_all == 0 {
-            start
-        } else {
-            start + fill + (b_all - 1) * steady
-        };
-        let crash = if b_all == 0 {
-            None
-        } else {
-            self.crash_within(chaos, p, r, end)
-        };
-        let mut inputs = Vec::new();
-        let mut items = Vec::with_capacity(admitted.len());
-        let mut victims = Vec::new();
-        for a in admitted {
-            if crash.is_some_and(|t| a.predicted > t) {
-                victims.push(a);
-                continue;
-            }
-            let timing = RequestTiming {
-                arrival_ns: a.meta.arrival_ns,
-                dispatch_ns: start,
-                completion_ns: a.predicted,
-            };
-            let st = &mut self.clients[a.meta.client];
-            if st.mode == ClientMode::Closed {
-                st.in_flight -= 1;
-                st.watermark_ns = st.watermark_ns.max(a.predicted);
-            }
-            self.out.last_completion_ns = self.out.last_completion_ns.max(a.predicted);
-            let part = &mut self.parts[p];
-            let tenant = &mut self.tenants[a.meta.tenant];
-            self.out.served += 1;
-            part.served += 1;
-            tenant.served += 1;
-            part.metrics.served_by_tenant[a.meta.tenant].add(1);
-            self.out.served_by_tier[tier.index()] += 1;
-            part.served_by_tier[tier.index()] += 1;
-            part.metrics.served_by_tier[tier.index()].add(1);
-            self.out.queue_wait.record(timing.queue_wait_ns());
-            self.out.execute.record(timing.execute_ns());
-            self.out.total.record(timing.total_ns());
-            tenant.queue_wait.record(timing.queue_wait_ns());
-            tenant.total.record(timing.total_ns());
-            part.total.record(timing.total_ns());
-            if self.slos[a.meta.tenant].is_some_and(|slo| timing.total_ns() > slo) {
-                part.metrics.slo_miss_by_tenant[a.meta.tenant].add(1);
-            }
-            if let Some(obs) = part.obs.as_mut() {
-                obs.scraper.record_latency(timing.total_ns());
-            }
-            if tracing {
-                let id = trace_req_id(&a.meta);
-                self.tele.record(
-                    p,
-                    TraceEvent::new("admit", "request", Phase::AsyncInstant, start)
-                        .track(TRACE_PID_SCHED, a.meta.tenant as u32)
-                        .with_id(id)
-                        .arg("position", ArgValue::U64(a.position as u64))
-                        .arg("replica", ArgValue::U64(r as u64)),
-                );
-                self.tele.record(
-                    p,
-                    TraceEvent::new("req", "request", Phase::AsyncEnd, a.predicted)
-                        .track(TRACE_PID_SCHED, a.meta.tenant as u32)
-                        .with_id(id)
-                        .arg("xbar_activations", ArgValue::U64(hw_t.crossbar_activations))
-                        .arg("adc_quantizations", ArgValue::U64(hw_t.adc_quantizations))
-                        .arg("energy_fj", ArgValue::U64(hw_t.energy_fj)),
-                );
-            }
-            if self.functional {
-                inputs.push(a.input.expect("functional servers always carry inputs"));
-            }
-            items.push(ExecItem {
-                meta: a.meta,
-                timing,
-            });
-        }
-
-        // Pass 3 — charge and ship the surviving batch. The scheduler's
-        // busy charge is `fill + (s-1)·steady` for the s survivors —
-        // exactly what the worker re-derives from the survivor-only
-        // batch — so `ServerReport::reconciles` holds under chaos.
-        // Availability is governed separately: a crashed replica's
-        // `free_at` was already pushed to its repair completion.
-        let s = items.len() as u64;
-        let makespan = if s == 0 {
-            0
-        } else {
-            let makespan = fill + (s - 1) * steady;
-            let part = &mut self.parts[p];
-            if crash.is_none() {
-                part.free_at[r] = start + makespan;
-            }
-            self.out.modeled_busy_ns += makespan;
-            part.modeled_busy_ns += makespan;
-            self.out.batches += 1;
-            part.batches += 1;
-            self.out.batch_sizes.record(s);
-            let (rb, ri, rbusy) = &mut part.per_replica[r];
-            *rb += 1;
-            *ri += s;
-            *rbusy += makespan;
-            let hwb = hw_t.scaled(s);
-            part.metrics.images.add(s);
-            part.metrics.xbar_activations.add(hwb.crossbar_activations);
-            part.metrics.bit_phase_sweeps.add(hwb.bit_phase_sweeps);
-            part.metrics.plane_row_adds.add(hwb.plane_row_adds);
-            part.metrics.adc_quantizations.add(hwb.adc_quantizations);
-            part.metrics.energy_fj.add(hwb.energy_fj);
-            if tracing {
-                let pid = trace_pid(p);
-                let mut ev = TraceEvent::new("batch", "exec", Phase::Complete, start)
-                    .track(pid, trace_tid_replica(r))
-                    .dur(makespan)
-                    .arg("size", ArgValue::U64(s))
-                    .arg("trigger", ArgValue::Str(trigger))
-                    .arg("shed", ArgValue::U64(shed_here))
-                    .arg("lost", ArgValue::U64(victims.len() as u64))
-                    .arg("energy_fj", ArgValue::U64(hwb.energy_fj));
-                if part.brownout.is_some() {
-                    ev = ev.arg("tier", ArgValue::Str(tier.name()));
-                }
-                self.tele.record(p, ev);
-                let mut prefix = 0.0f64;
-                let mut runmax = 0.0f64;
-                let stage_lat = part.stage_lat.clone();
-                for (k, &l) in stage_lat.iter().enumerate() {
-                    let l = l * ratio;
-                    runmax = runmax.max(l);
-                    let begin = start + prefix.round() as u64;
-                    let end = start + (prefix + l + (s - 1) as f64 * runmax).round() as u64;
-                    prefix += l;
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("stage", "exec", Phase::Complete, begin)
-                            .track(pid, trace_tid_stage(r, k))
-                            .dur(end.saturating_sub(begin))
-                            .arg("stage", ArgValue::U64(k as u64))
-                            .arg("images", ArgValue::U64(s)),
-                    );
-                }
-            }
-            self.ship(
+    /// The `fault` instant on a request orphaned at `t` by the crash of
+    /// replica `r`.
+    fn trace_orphan(&self, p: usize, meta: &RequestMeta, t: u64, r: usize) {
+        if self.tele.is_enabled() {
+            self.tele.record(
                 p,
-                r,
-                ExecBatch {
-                    inputs,
-                    items,
-                    tier,
-                },
+                request_event("fault", Phase::AsyncInstant, t, meta)
+                    .arg("kind", ArgValue::Str("replica-crash"))
+                    .arg("replica", ArgValue::U64(r as u64)),
             );
-            makespan
-        };
-
-        // Pass 4 — resolve every orphan: retry, hedge, or shed, never
-        // lose. The crash instant is the orphan's new "now".
-        if let Some(t) = crash {
-            for v in victims {
-                if tracing {
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("fault", "request", Phase::AsyncInstant, t)
-                            .track(TRACE_PID_SCHED, v.meta.tenant as u32)
-                            .with_id(trace_req_id(&v.meta))
-                            .arg("kind", ArgValue::Str("replica-crash"))
-                            .arg("replica", ArgValue::U64(r as u64)),
-                    );
-                }
-                self.resolve_victim(chaos, p, v.meta, v.input, t);
-            }
         }
-        makespan
     }
 
     /// Re-serves or sheds one request orphaned at instant `now` by its
@@ -2216,75 +2341,60 @@ impl Scheduler {
     /// earliest routable sibling when the pipeline fill still fits the
     /// budget, and everything else sheds with
     /// [`ShedReason::ReplicaLost`].
-    fn resolve_victim(
+    fn resolve_orphan(
         &mut self,
         chaos: &mut ChaosState,
         p: usize,
         meta: RequestMeta,
         input: Payload,
-        now: u64,
+        mut now: u64,
     ) {
-        let mut now = now;
         loop {
             let attempts = chaos.attempts.entry((meta.client, meta.seq)).or_insert(0);
             if *attempts >= chaos.health.max_retries {
-                self.shed_lost(p, meta, now);
-                return;
+                break;
             }
             *attempts += 1;
+            let part = &mut self.parts[p];
             let Some(deadline) = meta.deadline_ns else {
-                self.out.retries += 1;
-                self.parts[p].metrics.retries.add(1);
-                let mut requeued = meta;
-                requeued.arrival_ns = now;
-                self.parts[p].former.push(requeued, input);
+                part.ledger.faults.retries += 1;
+                part.former.push(
+                    RequestMeta {
+                        arrival_ns: now,
+                        ..meta
+                    },
+                    input,
+                );
                 return;
             };
-            let part = &self.parts[p];
             let pc = &chaos.parts[p];
-            let sibling = part.free_at[..part.active]
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| pc.replicas[*i].state.routable())
-                .min_by_key(|(i, &t)| (t, *i))
-                .map(|(i, _)| i);
-            let Some(r2) = sibling else {
-                self.shed_lost(p, meta, now);
-                return;
+            let Some(r2) = part.earliest(|i| pc.replicas[i].state.routable()) else {
+                break;
             };
-            let hstart = now.max(self.parts[p].free_at[r2]);
-            let predicted = hstart + self.parts[p].fill_ns;
+            let hstart = now.max(part.free_at[r2]);
+            let predicted = hstart + part.price[0].fill_ns;
             if predicted > deadline {
-                self.shed_lost(p, meta, now);
-                return;
+                break;
             }
-            self.out.hedges += 1;
-            self.parts[p].metrics.hedges.add(1);
-            if let Some(t) = self.crash_within(chaos, p, r2, predicted) {
-                if predicted > t {
-                    // The hedge replica dies too — go around again.
-                    if self.tele.is_enabled() {
-                        self.tele.record(
-                            p,
-                            TraceEvent::new("fault", "request", Phase::AsyncInstant, t)
-                                .track(TRACE_PID_SCHED, meta.tenant as u32)
-                                .with_id(trace_req_id(&meta))
-                                .arg("kind", ArgValue::Str("replica-crash"))
-                                .arg("replica", ArgValue::U64(r2 as u64)),
-                        );
-                    }
+            part.ledger.faults.hedges += 1;
+            match self.crash_within(chaos, p, r2, predicted) {
+                // The hedge replica dies too — go around again.
+                Some(t) if predicted > t => {
+                    self.trace_orphan(p, &meta, t, r2);
                     now = t;
-                    continue;
                 }
+                _ => return self.serve_hedge(p, r2, meta, input, hstart, predicted),
             }
-            self.serve_hedge(p, r2, meta, input, hstart, predicted);
-            return;
         }
+        self.record_shed(p, meta, now, ShedReason::ReplicaLost);
     }
 
     /// Serves one hedged request as a solo batch on replica `r` —
     /// admission was already granted on the original dispatch, so the
-    /// request goes straight to the chip.
+    /// request goes straight to the chip. Hedges are deadline rescues:
+    /// they execute, and are charged, at full precision regardless of
+    /// the controller, and keep their own trace shape (a `hedge` admit,
+    /// no stage spans).
     fn serve_hedge(
         &mut self,
         p: usize,
@@ -2295,83 +2405,28 @@ impl Scheduler {
         completion: u64,
     ) {
         let tracing = self.tele.is_enabled();
+        let full = ExecPrecision::Full;
         let timing = RequestTiming {
             arrival_ns: meta.arrival_ns,
             dispatch_ns: start,
             completion_ns: completion,
         };
-        let st = &mut self.clients[meta.client];
-        if st.mode == ClientMode::Closed {
-            st.in_flight -= 1;
-            st.watermark_ns = st.watermark_ns.max(completion);
-        }
-        self.out.last_completion_ns = self.out.last_completion_ns.max(completion);
-        let part = &mut self.parts[p];
-        let tenant = &mut self.tenants[meta.tenant];
-        self.out.served += 1;
-        part.served += 1;
-        tenant.served += 1;
-        part.metrics.served_by_tenant[meta.tenant].add(1);
-        // Hedges always execute at full precision (deadline rescues).
-        self.out.served_by_tier[ExecPrecision::Full.index()] += 1;
-        part.served_by_tier[ExecPrecision::Full.index()] += 1;
-        part.metrics.served_by_tier[ExecPrecision::Full.index()].add(1);
-        self.out.queue_wait.record(timing.queue_wait_ns());
-        self.out.execute.record(timing.execute_ns());
-        self.out.total.record(timing.total_ns());
-        tenant.queue_wait.record(timing.queue_wait_ns());
-        tenant.total.record(timing.total_ns());
-        part.total.record(timing.total_ns());
-        if self.slos[meta.tenant].is_some_and(|slo| timing.total_ns() > slo) {
-            part.metrics.slo_miss_by_tenant[meta.tenant].add(1);
-        }
-        if let Some(obs) = part.obs.as_mut() {
-            obs.scraper.record_latency(timing.total_ns());
-        }
-        let makespan = part.fill_ns;
-        part.free_at[r] = part.free_at[r].max(start + makespan);
-        self.out.modeled_busy_ns += makespan;
-        part.modeled_busy_ns += makespan;
-        self.out.batches += 1;
-        part.batches += 1;
-        self.out.batch_sizes.record(1);
-        let (rb, ri, rbusy) = &mut part.per_replica[r];
-        *rb += 1;
-        *ri += 1;
-        *rbusy += makespan;
-        let hwb = part.hw.scaled(1);
-        part.metrics.images.add(1);
-        part.metrics.xbar_activations.add(hwb.crossbar_activations);
-        part.metrics.bit_phase_sweeps.add(hwb.bit_phase_sweeps);
-        part.metrics.plane_row_adds.add(hwb.plane_row_adds);
-        part.metrics.adc_quantizations.add(hwb.adc_quantizations);
-        part.metrics.energy_fj.add(hwb.energy_fj);
         if tracing {
-            let id = trace_req_id(&meta);
             self.tele.record(
                 p,
-                TraceEvent::new("admit", "request", Phase::AsyncInstant, start)
-                    .track(TRACE_PID_SCHED, meta.tenant as u32)
-                    .with_id(id)
+                request_event("admit", Phase::AsyncInstant, start, &meta)
                     .arg("position", ArgValue::U64(0))
                     .arg("replica", ArgValue::U64(r as u64))
                     .arg("hedge", ArgValue::U64(1)),
             );
-            self.tele.record(
-                p,
-                TraceEvent::new("req", "request", Phase::AsyncEnd, completion)
-                    .track(TRACE_PID_SCHED, meta.tenant as u32)
-                    .with_id(id)
-                    .arg(
-                        "xbar_activations",
-                        ArgValue::U64(part.hw.crossbar_activations),
-                    )
-                    .arg(
-                        "adc_quantizations",
-                        ArgValue::U64(part.hw.adc_quantizations),
-                    )
-                    .arg("energy_fj", ArgValue::U64(part.hw.energy_fj)),
-            );
+        }
+        self.record_served(p, &meta, &timing, full);
+        let part = &mut self.parts[p];
+        let price = part.price[full.index()];
+        let makespan = price.fill_ns;
+        part.free_at[r] = part.free_at[r].max(start + makespan);
+        part.ledger.record_batch(r, 1, makespan, full);
+        if tracing {
             self.tele.record(
                 p,
                 TraceEvent::new("batch", "exec", Phase::Complete, start)
@@ -2380,7 +2435,7 @@ impl Scheduler {
                     .arg("size", ArgValue::U64(1))
                     .arg("trigger", ArgValue::Str("hedge"))
                     .arg("shed", ArgValue::U64(0))
-                    .arg("energy_fj", ArgValue::U64(hwb.energy_fj)),
+                    .arg("energy_fj", ArgValue::U64(price.hw.energy_fj)),
             );
         }
         let inputs = if self.functional {
@@ -2388,69 +2443,12 @@ impl Scheduler {
         } else {
             Vec::new()
         };
-        // Hedges are deadline-rescues charged the full-precision fill;
-        // they execute at full tier regardless of the controller.
         let batch = ExecBatch {
             inputs,
             items: vec![ExecItem { meta, timing }],
-            tier: ExecPrecision::Full,
+            tier: full,
         };
         self.ship(p, r, batch);
-    }
-
-    /// Sheds one request at instant `now` with
-    /// [`ShedReason::ReplicaLost`] — the terminal resolution of an
-    /// orphan whose retry budget, deadline, or sibling pool ran out.
-    fn shed_lost(&mut self, p: usize, meta: RequestMeta, now: u64) {
-        let timing = RequestTiming {
-            arrival_ns: meta.arrival_ns,
-            dispatch_ns: now,
-            completion_ns: now,
-        };
-        let st = &mut self.clients[meta.client];
-        if st.mode == ClientMode::Closed {
-            st.in_flight -= 1;
-            st.watermark_ns = st.watermark_ns.max(now);
-        }
-        self.out.last_completion_ns = self.out.last_completion_ns.max(now);
-        let part = &mut self.parts[p];
-        let tenant = &mut self.tenants[meta.tenant];
-        self.out.shed += 1;
-        part.shed += 1;
-        tenant.shed += 1;
-        part.metrics.shed_by_tenant[meta.tenant].add(1);
-        if let Some(scaler) = part.autoscaler.as_mut() {
-            scaler.observe_shed(meta.tenant, 1);
-        }
-        if let Some(ctl) = part.brownout.as_mut() {
-            ctl.observe_shed(1);
-        }
-        self.out.shed_wait.record(timing.queue_wait_ns());
-        let reason = ShedReason::ReplicaLost;
-        self.out.sheds_by_reason[reason.index()] += 1;
-        part.metrics.shed_by_reason[reason.index()].add(1);
-        if self.tele.is_enabled() {
-            let id = trace_req_id(&meta);
-            self.tele.record(
-                p,
-                TraceEvent::new("shed", "request", Phase::AsyncInstant, now)
-                    .track(TRACE_PID_SCHED, meta.tenant as u32)
-                    .with_id(id)
-                    .arg("reason", ArgValue::Str(reason.as_str())),
-            );
-            self.tele.record(
-                p,
-                TraceEvent::new("req", "request", Phase::AsyncEnd, now)
-                    .track(TRACE_PID_SCHED, meta.tenant as u32)
-                    .with_id(id)
-                    .arg("outcome", ArgValue::Str("shed")),
-            );
-        }
-        self.outbox.push(Completion {
-            meta,
-            timing,
-            outcome: Outcome::Shed,
-        });
     }
 
     /// End-of-session chaos flush: apply any plan events and finish any
@@ -2465,26 +2463,6 @@ impl Scheduler {
             self.pump_chaos(&mut chaos, p, u64::MAX, false);
         }
         self.chaos = Some(chaos);
-    }
-}
-
-impl std::fmt::Debug for Scheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scheduler")
-            .field("offered", &self.out.offered)
-            .field("served", &self.out.served)
-            .field("shed", &self.out.shed)
-            .field("partitions", &self.parts.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl std::fmt::Debug for ReplicaStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplicaStats")
-            .field("batches", &self.batches)
-            .field("images", &self.images)
-            .finish_non_exhaustive()
     }
 }
 
@@ -2510,7 +2488,7 @@ fn run_shell(
                 // The worker is gone (cannot happen short of a panic);
                 // answer the batch here so closed-loop clients never
                 // hang.
-                core.out.send_failures += failed.0.items.len() as u64;
+                core.send_failures += failed.0.items.len() as u64;
                 for item in failed.0.items {
                     let _ = clients[item.meta.client].send(Completion {
                         meta: item.meta,
@@ -2651,8 +2629,8 @@ pub struct Server {
 impl Scheduler {
     /// Builds the core of a session over `fleet` under `config`, one
     /// client per entry of `specs`: per-partition formers, service laws,
-    /// forked policies and metric handles, plus the armed chaos, scrape
-    /// and alert planes.
+    /// forked policies, ledgers and metric handles, plus the armed
+    /// chaos, scrape and alert planes.
     ///
     /// # Errors
     ///
@@ -2685,31 +2663,24 @@ impl Scheduler {
 
         let mut parts = Vec::with_capacity(fleet.partition_count());
         for (pi, partition) in fleet.partitions().iter().enumerate() {
-            let analytic = partition.chip().pipeline_report();
-            let fill_ns = analytic.fill_latency_ns().round() as u64;
-            let steady_ns = analytic.steady_interval_ns().round() as u64;
-            let stage_lat = partition.chip().stage_latency_profile_ns();
-            let hw = partition.chip().hardware_per_image();
-            // Per-tier brownout pricing, computed once: analytic
-            // latencies scaled by each tier's live-phase ratio (index 0
-            // is the full tier — ratio 1.0 is a bit-exact multiply, so
-            // a brownout-free session prices identically to older
-            // builds) and the tier-repriced hardware-per-image ledger.
-            let mut tier_fill_ns = [0u64; 3];
-            let mut tier_steady_ns = [0u64; 3];
-            let mut tier_ratio = [0f64; 3];
-            let mut hw_by_tier = [hw; 3];
-            for tier in ExecPrecision::ALL {
-                let i = tier.index();
-                let ratio = partition.chip().phase_ratio(tier);
-                tier_ratio[i] = ratio;
-                tier_fill_ns[i] = (analytic.fill_latency_ns() * ratio).round() as u64;
-                tier_steady_ns[i] = (analytic.steady_interval_ns() * ratio).round() as u64;
-                hw_by_tier[i] = partition.chip().hardware_per_image_at(tier);
-            }
+            let chip = partition.chip();
+            let analytic = chip.pipeline_report();
+            let stage_lat = chip.stage_latency_profile_ns();
+            // Per-tier pricing, computed once: analytic latencies scaled
+            // by each tier's live-phase ratio and the tier-repriced
+            // hardware-per-image counters.
+            let price = ExecPrecision::ALL.map(|tier| {
+                let ratio = chip.phase_ratio(tier);
+                TierPrice {
+                    fill_ns: (analytic.fill_latency_ns() * ratio).round() as u64,
+                    steady_ns: (analytic.steady_interval_ns() * ratio).round() as u64,
+                    ratio,
+                    hw: chip.hardware_per_image_at(tier),
+                }
+            });
             if tele.is_enabled() {
                 let pid = trace_pid(pi);
-                tele.name_process(pid, &format!("partition{pi}:{}", partition.chip().name()));
+                tele.name_process(pid, &format!("partition{pi}:{}", chip.name()));
                 tele.name_thread(pid, TRACE_TID_AUTOSCALE, "autoscale");
                 for r in 0..partition.replicas() {
                     tele.name_thread(pid, trace_tid_replica(r), &format!("replica{r}"));
@@ -2718,263 +2689,17 @@ impl Scheduler {
                     }
                 }
             }
-            let part_label = pi.to_string();
-            let part_labels: [(&'static str, &str); 1] = [("partition", &part_label)];
-            let metrics = PartitionMetrics {
-                served_by_tenant: config
-                    .tenants
-                    .iter()
-                    .map(|c| {
-                        tele.counter(
-                            "red_requests_served_total",
-                            "Requests admitted and served",
-                            &[("partition", &part_label), ("tenant", &c.name)],
-                        )
-                    })
-                    .collect(),
-                shed_by_tenant: config
-                    .tenants
-                    .iter()
-                    .map(|c| {
-                        tele.counter(
-                            "red_requests_shed_total",
-                            "Requests denied by admission control",
-                            &[("partition", &part_label), ("tenant", &c.name)],
-                        )
-                    })
-                    .collect(),
-                slo_miss_by_tenant: config
-                    .tenants
-                    .iter()
-                    .map(|c| {
-                        tele.counter(
-                            "red_slo_miss_total",
-                            "Served requests that exceeded their tenant's latency SLO",
-                            &[("partition", &part_label), ("tenant", &c.name)],
-                        )
-                    })
-                    .collect(),
-                xbar_activations: tele.counter(
-                    "red_xbar_activations_total",
-                    "Crossbar vector-operation activations issued",
-                    &part_labels,
-                ),
-                bit_phase_sweeps: tele.counter(
-                    "red_bit_phase_sweeps_total",
-                    "Bit-serial input phases swept across activations",
-                    &part_labels,
-                ),
-                plane_row_adds: tele.counter(
-                    "red_plane_row_adds_total",
-                    "Non-zero wordline row-current adds",
-                    &part_labels,
-                ),
-                adc_quantizations: tele.counter(
-                    "red_adc_quantizations_total",
-                    "ADC integrate-and-fire conversions",
-                    &part_labels,
-                ),
-                energy_fj: tele.counter(
-                    "red_energy_femtojoules_total",
-                    "Modeled execution energy in femtojoules",
-                    &part_labels,
-                ),
-                images: tele.counter("red_images_total", "Images executed", &part_labels),
-                replicas_active: tele.gauge(
-                    "red_replicas_active",
-                    "Currently active serving replicas",
-                    &part_labels,
-                ),
-                shed_by_reason: ShedReason::ALL
-                    .iter()
-                    .map(|reason| {
-                        tele.counter(
-                            "red_sheds_total",
-                            "Requests shed, by attributed reason",
-                            &[("partition", &part_label), ("reason", reason.as_str())],
-                        )
-                    })
-                    .collect(),
-                faults_injected: tele.counter(
-                    "red_faults_injected_total",
-                    "Fault-plan events injected",
-                    &part_labels,
-                ),
-                reprograms: tele.counter(
-                    "red_reprograms_total",
-                    "Replica crossbar re-programming repairs",
-                    &part_labels,
-                ),
-                retries: tele.counter(
-                    "red_retries_total",
-                    "Requests re-queued after losing their replica mid-batch",
-                    &part_labels,
-                ),
-                hedges: tele.counter(
-                    "red_hedges_total",
-                    "Requests hedged to a sibling replica",
-                    &part_labels,
-                ),
-                served_by_tier: ExecPrecision::ALL
-                    .iter()
-                    .map(|t| {
-                        tele.counter(
-                            "red_requests_served_by_tier_total",
-                            "Requests served, by execution precision tier",
-                            &[("partition", &part_label), ("tier", t.name())],
-                        )
-                    })
-                    .collect(),
-                precision_tier: tele.gauge(
-                    "red_precision_tier",
-                    "Current brownout execution tier (0 = full, 2 = brownout)",
-                    &part_labels,
-                ),
-                backlog_ns: tele.gauge(
-                    "red_backlog_ns",
-                    "Modeled backlog ahead of the newest dispatch, in virtual ns",
-                    &part_labels,
-                ),
-                replicas_routable: tele.gauge(
-                    "red_replicas_routable",
-                    "Replicas the dispatch may route to (active minus quarantined)",
-                    &part_labels,
-                ),
-            };
             let autoscaler = config
                 .autoscale
                 .map(|cfg| Autoscaler::new(cfg, pi, partition.replicas(), config.tenants.len()));
             let active = autoscaler
                 .as_ref()
                 .map_or(partition.replicas(), Autoscaler::initial_active);
-            metrics.replicas_active.set(active as i64);
-            metrics.precision_tier.set(0);
-            metrics.replicas_routable.set(active as i64);
-            // The observability plane: a registry scraper over the
-            // handles just bound, with the alert engine consuming its
-            // window sequence. Series registration order fixes the
-            // chart grouping of the exported "C" counter tracks.
-            let obs = config.scrape.filter(|_| tele.is_enabled()).map(|scfg| {
-                let pid = trace_pid(pi);
-                let mut scraper = Scraper::new(scfg, tele.clone(), pi, pi, pid);
-                let served_ids = config
-                    .tenants
-                    .iter()
-                    .enumerate()
-                    .map(|(t, c)| {
-                        scraper.counter("served", &c.name, metrics.served_by_tenant[t].clone())
-                    })
-                    .collect();
-                let shed_ids = config
-                    .tenants
-                    .iter()
-                    .enumerate()
-                    .map(|(t, c)| {
-                        scraper.counter("shed", &c.name, metrics.shed_by_tenant[t].clone())
-                    })
-                    .collect();
-                let slo_miss_ids = config
-                    .tenants
-                    .iter()
-                    .enumerate()
-                    .map(|(t, c)| {
-                        scraper.counter("slo_miss", &c.name, metrics.slo_miss_by_tenant[t].clone())
-                    })
-                    .collect();
-                let mut replica_lost_id = 0;
-                for (i, reason) in ShedReason::ALL.iter().enumerate() {
-                    let id = scraper.counter(
-                        "sheds_by_reason",
-                        reason.as_str(),
-                        metrics.shed_by_reason[i].clone(),
-                    );
-                    if i == ShedReason::ReplicaLost.index() {
-                        replica_lost_id = id;
-                    }
-                }
-                for tier in ExecPrecision::ALL {
-                    scraper.counter(
-                        "tier",
-                        tier.name(),
-                        metrics.served_by_tier[tier.index()].clone(),
-                    );
-                }
-                scraper.counter("faults", "injected", metrics.faults_injected.clone());
-                scraper.counter("faults", "reprograms", metrics.reprograms.clone());
-                scraper.counter("faults", "retries", metrics.retries.clone());
-                scraper.counter("faults", "hedges", metrics.hedges.clone());
-                scraper.gauge("capacity", "backlog_ns", metrics.backlog_ns.clone());
-                let active_id = scraper.gauge(
-                    "capacity",
-                    "replicas_active",
-                    metrics.replicas_active.clone(),
-                );
-                let routable_id = scraper.gauge(
-                    "capacity",
-                    "replicas_routable",
-                    metrics.replicas_routable.clone(),
-                );
-                scraper.quantile("latency", "p50", 0.5);
-                scraper.quantile("latency", "p99", 0.99);
-                let mut fired: Vec<(&'static str, Option<usize>, Counter)> = Vec::new();
-                for (t, c) in config.tenants.iter().enumerate() {
-                    for rule in ["fast-burn", "slow-burn"] {
-                        fired.push((
-                            rule,
-                            Some(t),
-                            tele.counter(
-                                "red_alerts_fired_total",
-                                "Alert-rule fire edges",
-                                &[
-                                    ("partition", &part_label),
-                                    ("rule", rule),
-                                    ("tenant", &c.name),
-                                ],
-                            ),
-                        ));
-                    }
-                }
-                for rule in ["replica-lost", "quarantine"] {
-                    fired.push((
-                        rule,
-                        None,
-                        tele.counter(
-                            "red_alerts_fired_total",
-                            "Alert-rule fire edges",
-                            &[("partition", &part_label), ("rule", rule)],
-                        ),
-                    ));
-                }
-                PartitionObs {
-                    engine: AlertEngine::new(
-                        config.alerts.clone().unwrap_or_default(),
-                        config.tenants.len(),
-                    ),
-                    scraper,
-                    tele: tele.clone(),
-                    partition: pi,
-                    pid,
-                    served_ids,
-                    shed_ids,
-                    slo_miss_ids,
-                    replica_lost_id,
-                    active_id,
-                    routable_id,
-                    fired,
-                    episodes: Vec::new(),
-                }
-            });
+            let (metrics, obs) = PartitionMetrics::bind(&tele, config, pi, active);
             parts.push(PartitionState {
                 former: BatchFormer::new(config.max_batch, config.max_wait_ns),
-                fill_ns,
-                steady_ns,
+                price,
                 stage_lat,
-                hw,
-                tier_fill_ns,
-                tier_steady_ns,
-                tier_ratio,
-                hw_by_tier,
-                metrics,
                 policy: config.policy.fork(),
                 chip: partition.replica_chip(),
                 analytic_fill_ns: analytic.fill_latency_ns(),
@@ -2988,14 +2713,14 @@ impl Scheduler {
                 scale_events: Vec::new(),
                 brownout: config.brownout.map(|cfg| BrownoutController::new(cfg, pi)),
                 brownout_events: Vec::new(),
-                served_by_tier: [0; 3],
-                offered: 0,
-                served: 0,
-                shed: 0,
-                batches: 0,
-                modeled_busy_ns: 0,
-                total: LatencyHistogram::new(),
-                per_replica: vec![(0, 0, 0); partition.replicas()],
+                ledger: Ledger {
+                    cells: config.tenants.iter().map(|_| Cell::default()).collect(),
+                    per_replica: vec![(0, 0, 0); partition.replicas()],
+                    batch_sizes: LatencyHistogram::new(),
+                    images_by_tier: [0; 3],
+                    faults: Faults::default(),
+                },
+                metrics,
                 obs,
             });
         }
@@ -3089,42 +2814,14 @@ impl Scheduler {
                 .collect(),
             parts,
             tele,
-            tenants: config
-                .tenants
-                .iter()
-                .map(|_| TenantStat {
-                    offered: 0,
-                    served: 0,
-                    shed: 0,
-                    queue_wait: LatencyHistogram::new(),
-                    total: LatencyHistogram::new(),
-                })
-                .collect(),
             floors: config.tenants.iter().map(|c| c.precision_floor).collect(),
             slos: config.tenants.iter().map(|c| c.slo_ns).collect(),
             functional: config.functional,
-            out: GlobalStats {
-                offered: 0,
-                served: 0,
-                shed: 0,
-                send_failures: 0,
-                batches: 0,
-                queue_wait: LatencyHistogram::new(),
-                execute: LatencyHistogram::new(),
-                total: LatencyHistogram::new(),
-                shed_wait: LatencyHistogram::new(),
-                batch_sizes: LatencyHistogram::new(),
-                first_arrival_ns: u64::MAX,
-                last_completion_ns: 0,
-                modeled_busy_ns: 0,
-                sheds_by_reason: vec![0; ShedReason::ALL.len()],
-                faults_injected: 0,
-                reprograms: 0,
-                retries: 0,
-                hedges: 0,
-                served_by_tier: [0; 3],
-            },
             chaos,
+            first_arrival_ns: u64::MAX,
+            last_completion_ns: 0,
+            send_failures: 0,
+            verdicts: Vec::new(),
             outbox: Vec::new(),
             exec: Vec::new(),
             info,
@@ -3132,10 +2829,12 @@ impl Scheduler {
     }
 
     /// Ends the session and assembles its report: applies the plan
-    /// events and repairs the traffic never reached, flushes the last
-    /// scrape window, and folds every ledger into a [`ServerReport`].
-    /// Called once [`Scheduler::is_drained`] holds and, on a functional
-    /// server, once the workers' ledgers are back in `replica_stats`.
+    /// events and repairs the traffic never reached, publishes the
+    /// ledger and flushes the last scrape window, and folds the ledger
+    /// into a [`ServerReport`] — per partition, per tenant, and in
+    /// total. Called once [`Scheduler::is_drained`] holds and, on a
+    /// functional server, once the workers' ledgers are back in
+    /// `replica_stats`.
     pub(crate) fn finish(mut self) -> ServerReport {
         self.finalize_chaos();
         self.flush_observability();
@@ -3145,15 +2844,15 @@ impl Scheduler {
                 alerts.extend(obs.into_reports());
             }
         }
-        let first_arrival_ns = if self.out.first_arrival_ns == u64::MAX {
+        let first_arrival_ns = if self.first_arrival_ns == u64::MAX {
             0
         } else {
-            self.out.first_arrival_ns
+            self.first_arrival_ns
         };
-        let span_ns = self.out.last_completion_ns.saturating_sub(first_arrival_ns);
+        let span_ns = self.last_completion_ns.saturating_sub(first_arrival_ns);
         let mut replica_reports = Vec::with_capacity(self.info.replicas);
         for (pi, part) in self.parts.iter().enumerate() {
-            let ledgers = part.replica_stats.iter().zip(&part.per_replica);
+            let ledgers = part.replica_stats.iter().zip(&part.ledger.per_replica);
             for (ri, (s, &(batches, images, busy_ns))) in ledgers.enumerate() {
                 replica_reports.push(ReplicaReport {
                     partition: pi,
@@ -3175,26 +2874,30 @@ impl Scheduler {
             .iter()
             .zip(&self.info.partition_names)
             .enumerate()
-            .map(|(pi, (part, network))| PartitionReport {
-                partition: pi,
-                network: network.clone(),
-                replicas_provisioned: part.free_at.len(),
-                replicas_active: part.active,
-                offered: part.offered,
-                served: part.served,
-                shed: part.shed,
-                batches: part.batches,
-                total: part.total.clone(),
-                modeled_busy_ns: part.modeled_busy_ns,
-                runtime_modeled_ns: part
-                    .replica_stats
-                    .iter()
-                    .map(|s| s.runtime_modeled_ns)
-                    .sum(),
-                batches_reconciled: part.replica_stats.iter().all(|s| s.unreconciled == 0),
-                scale_events: part.scale_events.clone(),
-                brownout_events: part.brownout_events.clone(),
-                served_by_tier: part.served_by_tier.to_vec(),
+            .map(|(pi, (part, network))| {
+                let cell = Cell::sum(&part.ledger.cells);
+                let (batches, modeled_busy_ns) = part.ledger.charged();
+                PartitionReport {
+                    partition: pi,
+                    network: network.clone(),
+                    replicas_provisioned: part.free_at.len(),
+                    replicas_active: part.active,
+                    offered: cell.offered,
+                    served: cell.served,
+                    shed: cell.shed,
+                    batches,
+                    total: cell.total,
+                    modeled_busy_ns,
+                    runtime_modeled_ns: part
+                        .replica_stats
+                        .iter()
+                        .map(|s| s.runtime_modeled_ns)
+                        .sum(),
+                    batches_reconciled: part.replica_stats.iter().all(|s| s.unreconciled == 0),
+                    scale_events: part.scale_events.clone(),
+                    brownout_events: part.brownout_events.clone(),
+                    served_by_tier: cell.served_by_tier.to_vec(),
+                }
             })
             .collect::<Vec<_>>();
         let tele = &self.tele;
@@ -3202,35 +2905,34 @@ impl Scheduler {
             .info
             .tenant_classes
             .iter()
-            .zip(self.tenants)
             .enumerate()
-            .map(|(ti, (class, stat))| {
-                // Fold the core's per-tenant ledgers into the metrics
-                // plane once at shutdown — the hot path records into the
-                // report histograms only, never twice.
+            .map(|(ti, class)| {
+                let cell = Cell::sum(self.parts.iter().map(|p| &p.ledger.cells[ti]));
+                // The metrics plane's latency summaries are folds of the
+                // ledger too, taken once at shutdown.
                 tele.histogram(
                     "red_request_queue_wait_ns",
                     "Virtual-clock queue wait per served request",
                     &[("tenant", &class.name)],
                 )
-                .merge(&stat.queue_wait);
+                .merge(&cell.queue_wait);
                 tele.histogram(
                     "red_request_total_ns",
                     "Virtual-clock arrival-to-completion latency per served request",
                     &[("tenant", &class.name)],
                 )
-                .merge(&stat.total);
+                .merge(&cell.total);
                 TenantReport {
                     tenant: ti,
                     name: class.name.clone(),
                     weight: class.weight,
                     priority: class.priority,
                     slo_ns: class.slo_ns,
-                    offered: stat.offered,
-                    served: stat.served,
-                    shed: stat.shed,
-                    queue_wait: stat.queue_wait,
-                    total: stat.total,
+                    offered: cell.offered,
+                    served: cell.served,
+                    shed: cell.shed,
+                    queue_wait: cell.queue_wait,
+                    total: cell.total,
                 }
             })
             .collect();
@@ -3258,11 +2960,25 @@ impl Scheduler {
                     partition: 0,
                     rule: "error-bound".to_string(),
                     tenant: None,
-                    fired_at_ns: self.out.last_completion_ns,
+                    fired_at_ns: self.last_completion_ns,
                     resolved_at_ns: None,
                     value: max_observed_error / precision_error_bound,
                 });
             }
+        }
+        let all = Cell::sum(self.parts.iter().flat_map(|p| &p.ledger.cells));
+        let (mut batches, mut modeled_busy_ns) = (0, 0);
+        let mut batch_sizes = LatencyHistogram::new();
+        let mut faults = Faults::default();
+        for ledger in self.parts.iter().map(|p| &p.ledger) {
+            let (b, busy_ns) = ledger.charged();
+            batches += b;
+            modeled_busy_ns += busy_ns;
+            batch_sizes.merge(&ledger.batch_sizes);
+            faults.injected += ledger.faults.injected;
+            faults.reprograms += ledger.faults.reprograms;
+            faults.retries += ledger.faults.retries;
+            faults.hedges += ledger.faults.hedges;
         }
         ServerReport {
             network: self.info.network,
@@ -3273,19 +2989,19 @@ impl Scheduler {
             max_wait_ns: self.info.max_wait_ns,
             policy: self.info.policy,
             functional: self.functional,
-            offered: self.out.offered,
-            served: self.out.served,
-            shed: self.out.shed,
-            failed: stats.iter().map(|s| s.failed).sum::<u64>() + self.out.send_failures,
-            batches: self.out.batches,
-            queue_wait: self.out.queue_wait,
-            execute: self.out.execute,
-            total: self.out.total,
-            shed_wait: self.out.shed_wait,
-            batch_sizes: self.out.batch_sizes,
+            offered: all.offered,
+            served: all.served,
+            shed: all.shed,
+            failed: stats.iter().map(|s| s.failed).sum::<u64>() + self.send_failures,
+            batches,
+            queue_wait: all.queue_wait,
+            execute: all.execute,
+            total: all.total,
+            shed_wait: all.shed_wait,
+            batch_sizes,
             first_arrival_ns,
-            last_completion_ns: self.out.last_completion_ns,
-            modeled_busy_ns: self.out.modeled_busy_ns,
+            last_completion_ns: self.last_completion_ns,
+            modeled_busy_ns,
             runtime_modeled_ns: stats.iter().map(|s| s.runtime_modeled_ns).sum(),
             batches_reconciled: stats.iter().all(|s| s.unreconciled == 0),
             tenant_reports,
@@ -3295,16 +3011,16 @@ impl Scheduler {
             first_error: stats.iter().find_map(|s| s.first_error.clone()),
             sheds_by_reason: ShedReason::ALL
                 .iter()
-                .zip(&self.out.sheds_by_reason)
-                .map(|(reason, &n)| (reason.as_str().to_string(), n))
+                .zip(all.sheds_by_reason)
+                .map(|(reason, n)| (reason.as_str().to_string(), n))
                 .collect(),
-            faults_injected: self.out.faults_injected,
-            reprograms: self.out.reprograms,
-            retries: self.out.retries,
-            hedges: self.out.hedges,
+            faults_injected: faults.injected,
+            reprograms: faults.reprograms,
+            retries: faults.retries,
+            hedges: faults.hedges,
             served_by_tier: ExecPrecision::ALL
                 .iter()
-                .map(|t| (t.name().to_string(), self.out.served_by_tier[t.index()]))
+                .map(|t| (t.name().to_string(), all.served_by_tier[t.index()]))
                 .collect(),
             max_observed_error,
             precision_error_bound,
