@@ -1,9 +1,24 @@
+//! The RED engine (paper §III-B): pixel-wise mapping (Eq. 1) plus the
+//! zero-skipping data flow (Fig. 5).
+//!
+//! The engine keeps two orders apart. The *modeled* order is Fig. 5(c)'s
+//! cycle schedule: one batch per `s × s` block of output pixels, every
+//! computation mode (Fig. 6) driving its taps' sub-crossbars with the
+//! real input pixels they read. [`ExecutionStats`] meter that schedule
+//! and nothing else. The *host* order is input-stationary: each input
+//! pixel is driven once through every tap it feeds
+//! ([`SubCrossbarTensor::eval_taps`]), and each tap's `M` partial sums
+//! are added into the output pixel the schedule sends them to. A
+//! product does not depend on when the host computes it, and integer
+//! sums do not depend on their order, so outputs are bit-identical to
+//! replaying the modeled schedule gather by gather.
+
 use super::{check_input, check_kernel, DeconvEngine, Execution};
-use crate::plan::ExecPlan;
 use crate::{ArchError, Design, ExecutionStats, RedLayoutPolicy};
 use red_tensor::modes::ModeSet;
 use red_tensor::{FeatureMap, Kernel, LayerShape};
-use red_xbar::{ExecPrecision, SctLayout, SubCrossbarTensor, TapScratch, XbarConfig};
+use red_xbar::{ExecPrecision, SctLayout, SubCrossbarTensor, VmmScratch, XbarConfig};
+use std::ops::Range;
 
 /// The RED design (paper §III-B): pixel-wise mapping (Eq. 1) plus the
 /// zero-skipping data flow (Fig. 5).
@@ -16,30 +31,106 @@ use red_xbar::{ExecPrecision, SctLayout, SubCrossbarTensor, TapScratch, XbarConf
 /// point), and the mode group's partial sums merge into the output pixel
 /// through the vertical sum-up path.
 ///
-/// The mode/tap/coordinate resolution — which input pixel feeds which
-/// sub-crossbar for which output pixel — depends only on the layer
-/// geometry, so it is resolved once at construction into an [`ExecPlan`]
-/// and replayed allocation-free by every run (see [`RedEngine::run_with`]).
+/// Which input pixel feeds which sub-crossbar for which output pixel
+/// depends only on the layer geometry, so it is resolved once at
+/// construction, per input pixel, into a schedule that every run replays
+/// allocation-free (see the module docs and [`RedEngine::run_with`]).
 #[derive(Debug, Clone)]
 pub struct RedEngine {
     layer: LayerShape,
     sct: SubCrossbarTensor,
     modes: ModeSet,
-    plan: ExecPlan,
+    schedule: InputSchedule,
     /// `s × s` output blocks per image (Fig. 5(c) batches).
     blocks: u64,
 }
 
-/// Reusable working memory for [`RedEngine::run_with`]: the vertical
-/// sum-up accumulator, the per-tap partial-sum buffer, and the sub-crossbar
-/// tap scratch. Built once (per run, worker, or batch) and reused for every
-/// output pixel, so steady-state execution performs no per-pixel heap
-/// allocation.
+/// One gather seen from its input pixel: the pixel's partial sums
+/// through tap `tap` add into output pixel `(u, v)`.
+#[derive(Debug, Clone, Copy)]
+struct Scatter {
+    tap: u32,
+    u: u32,
+    v: u32,
+}
+
+/// The zero-skipping schedule in the host's input-stationary order: per
+/// input pixel, in raster order, its gathers (ascending in tap) and the
+/// merged ranges of the taps they use.
+#[derive(Debug, Clone, Default)]
+struct InputSchedule {
+    /// Per input pixel, the ends of its slices of `scatters` and `taps`.
+    ends: Vec<(u32, u32)>,
+    scatters: Vec<Scatter>,
+    taps: Vec<Range<usize>>,
+}
+
+impl InputSchedule {
+    /// Every gather of the zero-skipping schedule, seen from its input
+    /// pixel. A mode's tap `(i, j)` gathers input pixel `(x, y)` for
+    /// output pixel `(u, v)` exactly when `s·x = u + p − i` and
+    /// `s·y = v + p − j` (Fig. 5/6), so tap `(i, j)` of input pixel
+    /// `(x, y)` lands in output pixel `(s·x + i − p, s·y + j − p)` when
+    /// that pixel exists. Enumerating that directly inverts the
+    /// per-output-pixel plan without building it (or an inversion table)
+    /// at compile time; `plan_covers_every_output_pixel_once` checks the
+    /// two hold the same gathers.
+    fn new(layer: &LayerShape) -> Self {
+        let spec = layer.spec();
+        let (s, p, kh, kw) = (
+            spec.stride(),
+            spec.padding(),
+            spec.kernel_h(),
+            spec.kernel_w(),
+        );
+        let geom = layer.output_geometry();
+        let out = |x: usize, i: usize, len: usize| (s * x + i).checked_sub(p).filter(|&u| u < len);
+        let mut schedule = Self::default();
+        for x in 0..layer.input_h() {
+            for y in 0..layer.input_w() {
+                let first = schedule.taps.len();
+                for (i, u) in (0..kh).filter_map(|i| Some((i, out(x, i, geom.height)?))) {
+                    for (j, v) in (0..kw).filter_map(|j| Some((j, out(y, j, geom.width)?))) {
+                        let t = i * kw + j;
+                        let (tap, u, v) = (t as u32, u as u32, v as u32);
+                        schedule.scatters.push(Scatter { tap, u, v });
+                        match schedule.taps[first..].last_mut() {
+                            Some(r) if r.end == t => r.end += 1,
+                            _ => schedule.taps.push(t..t + 1),
+                        }
+                    }
+                }
+                let ends = (schedule.scatters.len(), schedule.taps.len());
+                schedule.ends.push((ends.0 as u32, ends.1 as u32));
+            }
+        }
+        schedule
+    }
+
+    /// Each input pixel's gathers and tap ranges, in raster order.
+    fn pixels(&self) -> impl Iterator<Item = (&[Scatter], &[Range<usize>])> + '_ {
+        let mut start = (0, 0);
+        self.ends.iter().map(move |&(scatters, taps)| {
+            let (scatters, taps) = (scatters as usize, taps as usize);
+            let pixel = (&self.scatters[start.0..scatters], &self.taps[start.1..taps]);
+            start = (scatters, taps);
+            pixel
+        })
+    }
+}
+
+/// Reusable working memory for [`RedEngine::run_with`] and the batched
+/// runs: one input pixel position across the images of a batch, their
+/// partial sums, and the sub-crossbar VMM scratch. Built once (per run,
+/// worker, or batch) and reused for every input pixel, so steady-state
+/// execution performs no per-pixel heap allocation.
 #[derive(Debug, Clone)]
 pub struct RedScratch {
-    acc: Vec<i64>,
-    partial: Vec<i64>,
-    taps: TapScratch,
+    /// `n × C`: input pixel `(x, y)` of each image.
+    pixels: Vec<i64>,
+    /// `n × KH·KW·M`: their partial sums, tap-major per image.
+    partials: Vec<i64>,
+    vmm: VmmScratch,
 }
 
 impl RedEngine {
@@ -58,63 +149,15 @@ impl RedEngine {
         check_kernel(layer, kernel)?;
         let layout = policy.resolve(layer);
         let sct = SubCrossbarTensor::map(cfg, kernel, layout)?;
-        let modes = ModeSet::enumerate(layer.spec());
-        let (plan, blocks) = Self::build_plan(layer, &modes);
+        let s = layer.spec().stride();
+        let geom = layer.output_geometry();
         Ok(Self {
             layer: *layer,
             sct,
-            modes,
-            plan,
-            blocks,
+            modes: ModeSet::enumerate(layer.spec()),
+            schedule: InputSchedule::new(layer),
+            blocks: (geom.height.div_ceil(s) * geom.width.div_ceil(s)) as u64,
         })
-    }
-
-    /// Resolves the zero-skipping gather schedule for every output pixel:
-    /// one batch per `s × s` output block (Fig. 5(c)'s cycle schedule),
-    /// each pixel gathering the real input pixels its mode's taps read.
-    fn build_plan(layer: &LayerShape, modes: &ModeSet) -> (ExecPlan, u64) {
-        let spec = layer.spec();
-        let s = spec.stride();
-        let p = spec.padding();
-        let kw = spec.kernel_w();
-        let geom = layer.output_geometry();
-        let (ih, iw) = (layer.input_h(), layer.input_w());
-        let mut plan = ExecPlan::new();
-        let mut blocks = 0u64;
-        for bu in 0..geom.height.div_ceil(s) {
-            for bv in 0..geom.width.div_ceil(s) {
-                blocks += 1;
-                for a in 0..s {
-                    for b in 0..s {
-                        let (u, v) = (bu * s + a, bv * s + b);
-                        if u >= geom.height || v >= geom.width {
-                            continue;
-                        }
-                        plan.begin_pixel(u, v);
-                        let mode = modes.mode_of_output(u, v, p);
-                        for &(i, j) in &mode.taps {
-                            // Gather condition: tap (i, j) reads input
-                            // (x, y) with s*x = u + p - i.
-                            let Some(du) = (u + p).checked_sub(i) else {
-                                continue;
-                            };
-                            let Some(dv) = (v + p).checked_sub(j) else {
-                                continue;
-                            };
-                            if du % s != 0 || dv % s != 0 {
-                                continue;
-                            }
-                            let (x, y) = (du / s, dv / s);
-                            if x >= ih || y >= iw {
-                                continue;
-                            }
-                            plan.push_gather(i * kw + j, x, y);
-                        }
-                    }
-                }
-            }
-        }
-        (plan, blocks)
     }
 
     /// The sub-crossbar tensor (for inspection/tests).
@@ -127,23 +170,19 @@ impl RedEngine {
         self.sct.layout()
     }
 
-    /// The frozen gather schedule (for inspection/tests).
-    pub fn plan(&self) -> &ExecPlan {
-        &self.plan
-    }
-
-    /// The computation-mode decomposition the plan was resolved from.
+    /// The layer's computation-mode decomposition (Fig. 6): the tap set
+    /// each output pixel's mode gathers through.
     pub fn modes(&self) -> &ModeSet {
         &self.modes
     }
 
     /// Creates working memory for [`RedEngine::run_with`].
     pub fn make_scratch(&self) -> RedScratch {
-        let m = self.layer.filters();
+        let taps = self.layer.spec().taps();
         RedScratch {
-            acc: vec![0i64; m],
-            partial: vec![0i64; m],
-            taps: TapScratch::new(),
+            pixels: Vec::with_capacity(self.layer.channels()),
+            partials: vec![0i64; taps * self.layer.filters()],
+            vmm: VmmScratch::new(),
         }
     }
 
@@ -158,23 +197,24 @@ impl RedEngine {
             total_row_slots: self.blocks as u128
                 * (self.sct.sub_crossbars() * self.sct.rows_per_array()) as u128
                 * cycles_per_batch as u128,
+            output_pixels: self.layer.output_geometry().pixels() as u64,
             ..ExecutionStats::default()
         }
     }
 
-    /// Meters one gathered input pixel: one vector op driving `filters`
-    /// MACs per non-zero channel.
-    fn meter_gather(stats: &mut ExecutionStats, px: &[i64], filters: usize) {
+    /// Meters the `gathers` gathers of one input pixel: each is one
+    /// vector op driving `filters` MACs per non-zero channel.
+    fn meter_gathers(stats: &mut ExecutionStats, px: &[i64], gathers: usize, filters: usize) {
         let nnz = px.iter().filter(|v| **v != 0).count() as u128;
-        stats.vector_ops += 1;
-        stats.nonzero_row_activations += nnz;
-        stats.nonzero_macs += nnz * filters as u128;
+        stats.vector_ops += gathers as u64;
+        stats.nonzero_row_activations += gathers as u128 * nnz;
+        stats.nonzero_macs += gathers as u128 * nnz * filters as u128;
     }
 
     /// Executes the layer on `input` with caller-provided scratch, so a
     /// batch or a pipeline worker pays the buffer setup once instead of
-    /// per image. Replays the compile-time [`ExecPlan`]; the only heap
-    /// allocation per call is the output feature map itself.
+    /// per image. The only heap allocations per call are the output
+    /// feature map and its result vector.
     ///
     /// # Errors
     ///
@@ -203,30 +243,58 @@ impl RedEngine {
         scratch: &mut RedScratch,
         prec: ExecPrecision,
     ) -> Result<Execution, ArchError> {
-        check_input(&self.layer, input)?;
-        let kw = self.layer.spec().kernel_w();
+        let mut run = self.replay(std::slice::from_ref(input), scratch, prec)?;
+        Ok(run.pop().expect("one execution per input"))
+    }
+
+    /// The one replay behind every run: input pixel by input pixel, each
+    /// image's pixel is metered once per gather, the pixel position is
+    /// driven through its taps for the whole batch in one
+    /// [`SubCrossbarTensor::eval_taps`] call, and each gather's partial
+    /// sums are added into its output pixel.
+    fn replay(
+        &self,
+        inputs: &[FeatureMap<i64>],
+        scratch: &mut RedScratch,
+        prec: ExecPrecision,
+    ) -> Result<Vec<Execution>, ArchError> {
+        for input in inputs {
+            check_input(&self.layer, input)?;
+        }
         let geom = self.layer.output_geometry();
-        let m = self.layer.filters();
-
-        let mut output = FeatureMap::<i64>::zeros(geom.height, geom.width, m);
-        let mut stats = self.base_stats();
-
-        for ((u, v), gathers) in self.plan.iter() {
-            scratch.acc.fill(0);
-            for g in gathers {
-                let px = input.pixel(g.x as usize, g.y as usize);
-                Self::meter_gather(&mut stats, px, m);
-                let (i, j) = (g.slot as usize / kw, g.slot as usize % kw);
-                self.sct
-                    .eval_tap_into_at(i, j, px, &mut scratch.taps, &mut scratch.partial, prec);
-                for (o, &q) in scratch.acc.iter_mut().zip(&scratch.partial) {
-                    *o += q;
+        let (m, iw) = (self.layer.filters(), self.layer.input_w());
+        let width = self.layer.spec().taps() * m;
+        let mut runs: Vec<Execution> = inputs
+            .iter()
+            .map(|_| Execution {
+                output: FeatureMap::zeros(geom.height, geom.width, m),
+                stats: self.base_stats(),
+            })
+            .collect();
+        scratch.partials.resize(inputs.len() * width, 0);
+        for (xy, (scatters, taps)) in self.schedule.pixels().enumerate() {
+            if scatters.is_empty() {
+                continue;
+            }
+            scratch.pixels.clear();
+            for (input, run) in inputs.iter().zip(&mut runs) {
+                let px = input.pixel(xy / iw, xy % iw);
+                Self::meter_gathers(&mut run.stats, px, scatters.len(), m);
+                scratch.pixels.extend_from_slice(px);
+            }
+            let partials = &mut scratch.partials;
+            self.sct
+                .eval_taps(taps, &scratch.pixels, &mut scratch.vmm, partials, prec);
+            for (run, partials) in runs.iter_mut().zip(partials.chunks_exact(width)) {
+                for g in scatters {
+                    let out = run.output.pixel_mut(g.u as usize, g.v as usize);
+                    for (o, &q) in out.iter_mut().zip(&partials[g.tap as usize * m..]) {
+                        *o += q;
+                    }
                 }
             }
-            output.pixel_mut(u, v).copy_from_slice(&scratch.acc);
-            stats.output_pixels += 1;
         }
-        Ok(Execution { output, stats })
+        Ok(runs)
     }
 }
 
@@ -248,33 +316,21 @@ impl DeconvEngine for RedEngine {
         self.run_with(input, &mut self.make_scratch())
     }
 
-    /// Batched execution: when the sub-crossbars are large enough for
-    /// batched VMMs to pay ([`SubCrossbarTensor::batch_pays`] — blocked
-    /// exact VMMs on ideal crossbars), the plan is replayed
-    /// pixel-major: each gather's input pixel is collected across the
-    /// whole batch and driven through the tap's sub-crossbar once via
-    /// [`SubCrossbarTensor::eval_tap_batch_into`]. Smaller or non-ideal
-    /// sub-crossbars take the per-image loop with shared scratch.
-    /// Bit-exact against per-input [`DeconvEngine::run`] either way.
+    /// Batched execution through the same replay as [`DeconvEngine::run`]:
+    /// each input pixel position is driven through its taps for every
+    /// image at once, which on ideal sub-crossbars lets
+    /// [`red_xbar::CrossbarArray::vmm_batch`] cache-block large tap
+    /// weight matrices across the batch. Bit-exact against per-input
+    /// [`DeconvEngine::run`].
     fn run_batch(&self, inputs: &[FeatureMap<i64>]) -> Result<Vec<Execution>, ArchError> {
-        if inputs.len() <= 1 || !self.sct.batch_pays() {
-            let mut scratch = self.make_scratch();
-            return inputs
-                .iter()
-                .map(|input| self.run_with(input, &mut scratch))
-                .collect();
-        }
-        self.run_batch_pixel_major(inputs, ExecPrecision::Full)
+        self.replay(inputs, &mut self.make_scratch(), ExecPrecision::Full)
     }
 }
 
 impl RedEngine {
-    /// [`DeconvEngine::run_batch`] with caller-provided scratch: the
-    /// per-image fallback below the batched-tap threshold reuses
-    /// `scratch` instead of allocating a fresh one per call, so a serving
-    /// loop issuing many small batches stays allocation-free in steady
-    /// state. Above the threshold this is exactly `run_batch`. Bit-exact
-    /// against both either way.
+    /// [`DeconvEngine::run_batch`] with caller-provided scratch, so a
+    /// serving loop issuing many small batches stays allocation-free in
+    /// steady state. Bit-exact against `run_batch`.
     ///
     /// # Errors
     ///
@@ -299,76 +355,14 @@ impl RedEngine {
         scratch: &mut RedScratch,
         prec: ExecPrecision,
     ) -> Result<Vec<Execution>, ArchError> {
-        if inputs.len() <= 1 || !self.sct.batch_pays() {
-            return inputs
-                .iter()
-                .map(|input| self.run_with_at(input, scratch, prec))
-                .collect();
-        }
-        self.run_batch_pixel_major(inputs, prec)
-    }
-
-    /// The paying pixel-major batched-tap path (shared by `run_batch`
-    /// and `run_batch_with_at`).
-    fn run_batch_pixel_major(
-        &self,
-        inputs: &[FeatureMap<i64>],
-        prec: ExecPrecision,
-    ) -> Result<Vec<Execution>, ArchError> {
-        for input in inputs {
-            check_input(&self.layer, input)?;
-        }
-        let n = inputs.len();
-        let kw = self.layer.spec().kernel_w();
-        let geom = self.layer.output_geometry();
-        let m = self.layer.filters();
-        let c = self.layer.channels();
-
-        let mut outputs: Vec<FeatureMap<i64>> = inputs
-            .iter()
-            .map(|_| FeatureMap::zeros(geom.height, geom.width, m))
-            .collect();
-        let mut stats = vec![self.base_stats(); n];
-        let mut taps = TapScratch::new();
-        let mut pixels = vec![0i64; n * c];
-        let mut partials = vec![0i64; n * m];
-        let mut accs = vec![0i64; n * m];
-
-        for ((u, v), gathers) in self.plan.iter() {
-            accs.fill(0);
-            for g in gathers {
-                for (k, (input, st)) in inputs.iter().zip(&mut stats).enumerate() {
-                    let px = input.pixel(g.x as usize, g.y as usize);
-                    Self::meter_gather(st, px, m);
-                    pixels[k * c..(k + 1) * c].copy_from_slice(px);
-                }
-                let (i, j) = (g.slot as usize / kw, g.slot as usize % kw);
-                self.sct
-                    .eval_tap_batch_into_at(i, j, &pixels, n, &mut taps, &mut partials, prec);
-                for (o, &q) in accs.iter_mut().zip(&partials) {
-                    *o += q;
-                }
-            }
-            for (k, output) in outputs.iter_mut().enumerate() {
-                output
-                    .pixel_mut(u, v)
-                    .copy_from_slice(&accs[k * m..(k + 1) * m]);
-            }
-            for st in &mut stats {
-                st.output_pixels += 1;
-            }
-        }
-        Ok(outputs
-            .into_iter()
-            .zip(stats)
-            .map(|(output, stats)| Execution { output, stats })
-            .collect())
+        self.replay(inputs, scratch, prec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::ExecPlan;
     use red_tensor::deconv::deconv_direct;
 
     fn setup(
@@ -505,11 +499,11 @@ mod tests {
 
     #[test]
     fn run_batch_batched_tap_path_matches_per_image_noisy() {
-        // 256-channel 256-filter taps: each sub-crossbar's
-        // effective-current plane is 256 x 2048 f64 = 4 MiB (8 MiB for
-        // the halved layout's 2C-row pair arrays). A noisy batch runs
-        // per image in both layouts, and results must stay bit-exact vs
-        // per-image runs.
+        // 256-channel 256-filter taps: each tap's rows of the fused
+        // plane are 256 x 2048 f64 = 4 MiB, so a pixel's fused VMM spans
+        // many column tiles. A noisy batch drives each pixel position for
+        // every image in turn, and results must stay bit-exact vs
+        // per-image runs in both layouts.
         let (layer, kernel, input) = setup(3, 2, 1, 0, 2, 256, 256);
         let cfg = XbarConfig::noisy(0.01, 0.0, 0.001, 23);
         for policy in [RedLayoutPolicy::AlwaysFull, RedLayoutPolicy::AlwaysHalved] {
@@ -524,21 +518,120 @@ mod tests {
         }
     }
 
+    /// The per-output-pixel gather plan of Fig. 5(c): one batch per
+    /// `s × s` output block, each output pixel gathering the real input
+    /// pixels its mode's taps read. Returns it with the block count.
+    fn build_plan(layer: &LayerShape, modes: &ModeSet) -> (ExecPlan, u64) {
+        let spec = layer.spec();
+        let s = spec.stride();
+        let p = spec.padding();
+        let kw = spec.kernel_w();
+        let geom = layer.output_geometry();
+        let (ih, iw) = (layer.input_h(), layer.input_w());
+        let mut plan = ExecPlan::new();
+        let mut blocks = 0u64;
+        for bu in 0..geom.height.div_ceil(s) {
+            for bv in 0..geom.width.div_ceil(s) {
+                blocks += 1;
+                for a in 0..s {
+                    for b in 0..s {
+                        let (u, v) = (bu * s + a, bv * s + b);
+                        if u >= geom.height || v >= geom.width {
+                            continue;
+                        }
+                        plan.begin_pixel(u, v);
+                        let mode = modes.mode_of_output(u, v, p);
+                        for &(i, j) in &mode.taps {
+                            // Gather condition: tap (i, j) reads input
+                            // (x, y) with s*x = u + p - i.
+                            let Some(du) = (u + p).checked_sub(i) else {
+                                continue;
+                            };
+                            let Some(dv) = (v + p).checked_sub(j) else {
+                                continue;
+                            };
+                            if du % s != 0 || dv % s != 0 {
+                                continue;
+                            }
+                            let (x, y) = (du / s, dv / s);
+                            if x >= ih || y >= iw {
+                                continue;
+                            }
+                            plan.push_gather(i * kw + j, x, y);
+                        }
+                    }
+                }
+            }
+        }
+        (plan, blocks)
+    }
+
     #[test]
     fn plan_covers_every_output_pixel_once() {
-        let (layer, kernel, _) = setup(5, 2, 2, 1, 4, 3, 2);
+        // (k, s, p, op, ih): odd and even kernels, a kernel narrower than
+        // the stride (modes without taps), stride 1, FCN's k16/s8.
+        for (k, s, p, op, ih) in [
+            (5, 2, 2, 1, 4),
+            (4, 2, 1, 0, 4),
+            (2, 3, 1, 2, 3),
+            (3, 1, 0, 0, 4),
+            (16, 8, 4, 0, 3),
+        ] {
+            let (layer, kernel, _) = setup(k, s, p, op, ih, 3, 2);
+            let engine = RedEngine::new(
+                &XbarConfig::ideal(),
+                &layer,
+                &kernel,
+                RedLayoutPolicy::AlwaysFull,
+            )
+            .unwrap();
+            let (plan, blocks) = build_plan(&layer, engine.modes());
+            assert_eq!(engine.blocks, blocks);
+            let geom = layer.output_geometry();
+            assert_eq!(plan.pixel_count(), geom.pixels());
+            let mut seen = std::collections::HashSet::new();
+            let mut planned = Vec::new();
+            for ((u, v), gathers) in plan.iter() {
+                assert!(seen.insert((u, v)), "pixel ({u},{v}) planned twice");
+                let (u, v) = (u as u32, v as u32);
+                planned.extend(gathers.iter().map(|g| (g.x, g.y, g.slot, u, v)));
+            }
+            // The input-stationary schedule holds exactly the plan's
+            // gathers, and each input pixel's tap ranges are ascending,
+            // merged, and cover exactly the taps of its gathers.
+            let iw = layer.input_w() as u32;
+            let mut inverted = Vec::new();
+            for (xy, (scatters, taps)) in (0u32..).zip(engine.schedule.pixels()) {
+                inverted.extend(scatters.iter().map(|g| (xy / iw, xy % iw, g.tap, g.u, g.v)));
+                let used: Vec<usize> = scatters.iter().map(|g| g.tap as usize).collect();
+                let ranged: Vec<usize> = taps.iter().flat_map(Clone::clone).collect();
+                assert_eq!(ranged, used, "input pixel {xy}");
+                assert!(taps.windows(2).all(|w| w[0].end < w[1].start), "{taps:?}");
+            }
+            assert_eq!(engine.schedule.ends.len(), ih * ih);
+            planned.sort_unstable();
+            inverted.sort_unstable();
+            assert_eq!(planned, inverted, "k={k} s={s} p={p} op={op}");
+        }
+    }
+
+    #[test]
+    fn ideal_batch_blocks_large_taps_bit_exactly() {
+        // 512 x 256 taps: 1 MiB of weights each, so the batch's tap VMMs
+        // take the exact path's row blocking.
+        let (layer, kernel, input) = setup(2, 2, 0, 0, 2, 512, 256);
         let engine = RedEngine::new(
             &XbarConfig::ideal(),
             &layer,
             &kernel,
-            RedLayoutPolicy::AlwaysFull,
+            RedLayoutPolicy::AlwaysHalved,
         )
         .unwrap();
-        let geom = layer.output_geometry();
-        assert_eq!(engine.plan().pixel_count(), geom.pixels());
-        let mut seen = std::collections::HashSet::new();
-        for ((u, v), _) in engine.plan().iter() {
-            assert!(seen.insert((u, v)), "pixel ({u},{v}) planned twice");
+        assert!(engine.sct().array(0).batching_pays());
+        let inputs: Vec<_> = (0..3).map(|k| input.map(|v| v - k as i64)).collect();
+        let batch = engine.run_batch(&inputs).unwrap();
+        for (one, exec) in inputs.iter().zip(&batch) {
+            assert_eq!(engine.run(one).unwrap(), *exec);
         }
     }
 

@@ -13,10 +13,10 @@
 
 /// One resolved gather: input pixel `(x, y)` feeds engine slot `slot`.
 ///
-/// The slot meaning is engine-defined: for `RedEngine` it is the linear
-/// kernel-tap index `i·KW + j` whose sub-crossbar consumes the pixel; for
-/// the window engines (`ZeroPaddingEngine`, `ConvEngine`) it is the
-/// receptive-field slot `i·KW + j` whose `C` channels the pixel fills.
+/// The slot meaning is engine-defined: for the window engines
+/// (`ZeroPaddingEngine`, `ConvEngine`) it is the receptive-field slot
+/// `i·KW + j` whose `C` channels the pixel fills. (`RedEngine` keeps no
+/// plan: it stores the same gathers per input pixel instead.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatherEntry {
     /// Engine-defined destination slot.

@@ -1,11 +1,12 @@
 //! Criterion benches: the non-ideal analog VMM pipeline — the seed
 //! per-phase-recompute reference vs the planned kernel over the
-//! programming-time effective-current plane, and the planned kernel on
-//! the array shapes that dominate the `full`-preset serving lineup.
+//! programming-time effective-current plane, the planned kernel on the
+//! array shapes that dominate the `full`-preset serving lineup, and
+//! RED's per-input-pixel work on its fused plane.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use red_core::prelude::*;
-use red_core::xbar::{CrossbarArray, VmmScratch};
+use red_core::xbar::{CrossbarArray, SubCrossbarTensor, VmmScratch};
 
 fn make_weights(rows: usize, cols: usize) -> Vec<Vec<i64>> {
     (0..rows)
@@ -82,5 +83,46 @@ fn analog_lineup(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, analog_single, analog_lineup);
+/// RED's work for one input pixel on two lineup shapes: one fused call
+/// over every tap the pixel feeds (what the engine runs) against one VMM
+/// per tap on the tap's own array (the per-gather shape it replaced).
+/// DCGAN stage 3 is 16 channels × 25 taps · 1 filter · 8 physical
+/// columns; FCN stage 1, halved, is 2 channels × 256 taps · 2 filters ·
+/// 8 physical columns.
+fn analog_red_pixel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("analog_red_pixel");
+    let shapes = [
+        ("dcgan_s3_16x25x1", 5, 16, 1, SctLayout::Full),
+        ("fcn_s1_2x256x2", 16, 2, 2, SctLayout::Halved),
+    ];
+    for (label, k, channels, filters, layout) in shapes {
+        let kernel = Kernel::from_fn(k, k, channels, filters, |i, j, ch, m| {
+            ((i * 37 + j * 13 + ch * 7 + m) % 255) as i64 - 127
+        });
+        let sct = SubCrossbarTensor::map(&noisy_cfg(), &kernel, layout).expect("maps");
+        let taps = k * k;
+        let pixel: Vec<i64> = (0..channels).map(|ch| (ch * 7 % 89) as i64 + 1).collect();
+        let mut scratch = VmmScratch::new();
+        let mut out = vec![0i64; taps * filters];
+        let all = 0..taps;
+        let all = std::slice::from_ref(&all);
+        group.bench_with_input(BenchmarkId::new("fused", label), &sct, |b, sct| {
+            b.iter(|| sct.eval_taps(all, &pixel, &mut scratch, &mut out, ExecPrecision::Full))
+        });
+        let per = sct.cycles_per_batch();
+        let mut driven = vec![0i64; per * channels];
+        group.bench_with_input(BenchmarkId::new("per_tap", label), &sct, |b, sct| {
+            b.iter(|| {
+                for (t, o) in out.chunks_exact_mut(filters).enumerate() {
+                    driven.fill(0);
+                    driven[(t % per) * channels..][..channels].copy_from_slice(&pixel);
+                    sct.array(t / per).vmm_analog_into(&driven, &mut scratch, o);
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, analog_single, analog_lineup, analog_red_pixel);
 criterion_main!(benches);

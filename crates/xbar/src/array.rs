@@ -4,6 +4,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use red_device::variation::StuckPolarity;
 use red_device::DriftModel;
+use std::ops::Range;
+
+/// Physical columns per tile of the analog kernel: one tile's `f64`
+/// currents and column sums take 4 KiB each, so together with the plane
+/// row slices a phase reads they stay in L1 across the tile's phases.
+const TILE_COLS: usize = 512;
 
 /// Reusable working memory for the analog VMM pipeline.
 ///
@@ -25,20 +31,26 @@ pub struct VmmScratch {
     /// Active-row count of phase bucket `2·bit + (input < 0)`.
     phase_len: Vec<u32>,
     /// Per-physical-column current accumulator for one conversion phase
-    /// (on the `i128` path, then its baseline-cancelled, LSB-normalized
-    /// value).
+    /// of one column tile (on the `i128` path, then its
+    /// baseline-cancelled, LSB-normalized value).
     currents: Vec<f64>,
     /// Per-physical-column sums of `±count · 2^bit` over every phase, in
     /// `f64`, for converters whose sums stay exact integers there
-    /// ([`CrossbarArray::f64_full_scale`]).
+    /// ([`CrossbarArray::f64_full_scale`]); the requested columns only,
+    /// packed in order.
     col_sum: Vec<f64>,
     /// Per-physical-column sums of `±count · 2^bit` over every phase, in
-    /// `i128`: accumulated directly for every other converter, converted
-    /// from `col_sum` once per VMM otherwise.
+    /// `i128`, packed like `col_sum`: accumulated directly for every other
+    /// converter, converted from `col_sum` once per VMM otherwise.
     col_acc: Vec<i128>,
     /// Truncated-input staging for the exact path at reduced precision
     /// (the analog path truncates implicitly by masking phase bits).
     trunc: Vec<i64>,
+    /// `SubCrossbarTensor`'s staging for exact tap VMMs: the tap arrays'
+    /// input rows (the halved layout's zero-filled `2C` vectors) and one
+    /// tap's partial sums.
+    pub(crate) tap_inputs: Vec<i64>,
+    pub(crate) tap_out: Vec<i64>,
 }
 
 impl VmmScratch {
@@ -443,9 +455,11 @@ impl CrossbarArray {
     ///
     /// Engines consult this to decide whether to gather pixel-major
     /// across a batch, which trades input locality for weight reuse. Only
-    /// the blocked exact path reuses anything across inputs: the analog
-    /// batch is a per-input loop, because one analog VMM is bound by its
-    /// per-phase conversion work, not by plane traffic.
+    /// the blocked exact path reuses anything across inputs. The analog
+    /// batch is a per-input loop: an analog VMM is bound by streaming its
+    /// active plane rows, and the kernel's column tiles keep a tile's rows
+    /// and sums hot across that VMM's phases, but nothing yet reuses a
+    /// tile across inputs.
     pub fn batching_pays(&self) -> bool {
         const BLOCK_BYTES_MIN: usize = 1 << 20;
         self.is_ideal() && std::mem::size_of_val(self.weights.as_slice()) >= BLOCK_BYTES_MIN
@@ -694,9 +708,10 @@ impl CrossbarArray {
     ///
     /// 1. One set-bit pass over the input buckets the active rows of every
     ///    conversion phase (magnitude bit × polarity) at a fixed stride.
-    /// 2. Each phase sums its active rows' contiguous plane slices, four
-    ///    rows per sweep of the column accumulator.
-    /// 3. Each phase converts every physical column in one branch-free
+    /// 2. For each tile of at most 512 physical columns, each phase sums
+    ///    its active rows' contiguous plane slices, four rows per sweep of
+    ///    the column accumulator, so the tile stays in L1 across phases.
+    /// 3. Each phase then converts the tile's columns in one branch-free
     ///    pass: cancel the baseline, normalize by the LSB, quantize, and
     ///    add `±count · 2^bit` into that column's sum. The sums are `f64`
     ///    when they provably stay exact integers there (a saturating
@@ -708,10 +723,11 @@ impl CrossbarArray {
     ///
     /// The result is **bit-identical** to
     /// [`CrossbarArray::vmm_analog_reference`] for every configuration
-    /// (golden-equivalence property tests). Per column within a phase the
-    /// `f64` additions happen in the reference's ascending-row order, from
-    /// `0.0`, and the baseline is cancelled by the same subtraction and
-    /// division by `lsb`. The converter rounds exactly as
+    /// (golden-equivalence property tests). Tiles only regroup columns:
+    /// per column within a phase the `f64` additions happen in the
+    /// reference's ascending-row order, from `0.0`, and the baseline is
+    /// cancelled by the same subtraction and division by `lsb`. The
+    /// converter rounds exactly as
     /// [`AdcModel::quantize`] does. Everything after quantization is
     /// integer arithmetic — in `f64` only where every partial sum is an
     /// integer below 2^53, which `f64` adds exactly — and deferring the
@@ -749,53 +765,101 @@ impl CrossbarArray {
     ) {
         assert_eq!(input.len(), self.rows, "input length must match rows");
         assert_eq!(out.len(), self.weight_cols, "output length must match");
+        let all = std::iter::once(0..self.weight_cols);
+        self.vmm_analog_ranges(self.plane(), input, all, scratch, out, prec);
+    }
+
+    /// The analog kernel behind [`CrossbarArray::vmm_analog_into_at`],
+    /// over any effective-current `plane` this array's configuration
+    /// reads: `input.len()` rows by `out.len()` weight columns' physical
+    /// columns, row-major. Only the weight columns in `ranges` (ascending,
+    /// disjoint) are evaluated and written; the rest of `out` is left as
+    /// it is. `self` supplies the read-out (converter, LSB, baseline,
+    /// scheme), which every array programmed with one configuration
+    /// shares — so `SubCrossbarTensor` runs a fused plane of several
+    /// arrays' rows through one call.
+    ///
+    /// The set-bit pass runs once. Then each tile of at most
+    /// [`TILE_COLS`] physical columns runs every live phase's row sums and
+    /// conversion on that tile alone, so the tile's currents, column sums
+    /// and plane row slices stay in L1 across phases instead of streaming
+    /// through L2 per phase. Per column that is the same arithmetic in the
+    /// same order as one pass over all columns. The read-out and the
+    /// shift-add run once, over the requested columns.
+    pub(crate) fn vmm_analog_ranges<R>(
+        &self,
+        plane: &[f64],
+        input: &[i64],
+        ranges: R,
+        scratch: &mut VmmScratch,
+        out: &mut [i64],
+        prec: ExecPrecision,
+    ) where
+        R: Iterator<Item = Range<usize>> + Clone,
+    {
+        let rows = input.len();
+        let per_weight = self.cfg.phys_cols_per_weight();
+        let plane_cols = out.len() * per_weight;
+        assert_eq!(plane.len(), rows * plane_cols, "plane must be rows x out");
         self.bucket_phases(input, self.effective_dropped_bits(prec), scratch);
 
         let v_read = self.cfg.cell.read_voltage;
         let lsb = v_read * self.g_step;
         let full_scale = self.f64_full_scale();
-        scratch.currents.resize(self.phys_cols, 0.0);
+        let width = ranges.clone().map(|r| r.len()).sum::<usize>() * per_weight;
+        scratch.currents.resize(TILE_COLS, 0.0);
         scratch.col_sum.clear();
         scratch.col_acc.clear();
         match full_scale {
-            Some(_) => scratch.col_sum.resize(self.phys_cols, 0.0),
-            None => scratch.col_acc.resize(self.phys_cols, 0),
+            Some(_) => scratch.col_sum.resize(width, 0.0),
+            None => scratch.col_acc.resize(width, 0),
         }
-        // Σ ±len·2^bit over the phases: how many offset units the
-        // reference column subtracts, weighted like the counts.
-        let mut pulses = 0i128;
         // Two polarity phases per magnitude bit: analog sums cannot carry
         // input signs, so positive-sign and negative-sign rows pulse in
         // separate phases and subtract digitally (standard practice).
-        for (p, &len) in scratch.phase_len.iter().enumerate() {
-            if len == 0 {
-                continue;
-            }
-            let polarity: i64 = if p % 2 == 0 { 1 } else { -1 };
-            let scale = polarity << (p / 2);
-            let active = &scratch.phase_rows[p * self.rows..][..len as usize];
-            self.sum_rows(active, &mut scratch.currents);
-            // The dummy (baseline) column sits next to the sense amps, so
-            // its reference current sees the same droop statistics as a
-            // column-0 read; first-order, the baseline stays V·g_min per
-            // active row.
-            let baseline = len as f64 * v_read * self.g_min;
-            if let Some(max) = full_scale {
-                let (sums, currents) = (&mut scratch.col_sum, &scratch.currents);
-                convert(sums, currents, baseline, lsb, max, scale as f64);
-            } else {
-                normalize(&mut scratch.currents, baseline, lsb);
-                let raw = &scratch.currents;
-                let acc = &mut scratch.col_acc;
-                match self.cfg.adc {
-                    AdcModel::Ideal => accumulate(acc, raw, scale, round_half_away),
-                    AdcModel::Saturating { bits } => {
-                        let max = (1i64 << bits) - 1;
-                        accumulate(acc, raw, scale, |x| round_to_code(x, max));
+        let scale = |p: usize| -> i64 {
+            let polarity: i64 = if p.is_multiple_of(2) { 1 } else { -1 };
+            polarity << (p / 2)
+        };
+        // Σ ±len·2^bit over the phases: how many offset units the
+        // reference column subtracts, weighted like the counts.
+        let pulses: i128 = (scratch.phase_len.iter().enumerate())
+            .map(|(p, &len)| i128::from(len) * i128::from(scale(p)))
+            .sum();
+        // `at` is the tile's first column in the packed column sums.
+        let mut at = 0;
+        for r in ranges.clone() {
+            for c0 in (r.start * per_weight..r.end * per_weight).step_by(TILE_COLS) {
+                let w = TILE_COLS.min(r.end * per_weight - c0);
+                let currents = &mut scratch.currents[..w];
+                for (p, &len) in scratch.phase_len.iter().enumerate() {
+                    if len == 0 {
+                        continue;
+                    }
+                    let active = &scratch.phase_rows[p * rows..][..len as usize];
+                    sum_rows(plane, plane_cols, c0, active, currents);
+                    // The dummy (baseline) column sits next to the sense
+                    // amps, so its reference current sees the same droop
+                    // statistics as a column-0 read; first-order, the
+                    // baseline stays V·g_min per active row.
+                    let baseline = len as f64 * v_read * self.g_min;
+                    if let Some(max) = full_scale {
+                        let sums = &mut scratch.col_sum[at..at + w];
+                        convert(sums, currents, baseline, lsb, max, scale(p) as f64);
+                    } else {
+                        normalize(currents, baseline, lsb);
+                        let acc = &mut scratch.col_acc[at..at + w];
+                        match self.cfg.adc {
+                            AdcModel::Ideal => accumulate(acc, currents, scale(p), round_half_away),
+                            AdcModel::Saturating { bits } => {
+                                let max = (1i64 << bits) - 1;
+                                accumulate(acc, currents, scale(p), |x| round_to_code(x, max));
+                            }
+                        }
                     }
                 }
+                at += w;
             }
-            pulses += i128::from(len) * i128::from(scale);
         }
         if full_scale.is_some() {
             // Integers below 2^53: the truncating cast is exact.
@@ -810,9 +874,11 @@ impl CrossbarArray {
             // (the hardware's dummy reference column).
             WeightScheme::OffsetBinary => i128::from(1i64 << (self.cfg.weight_bits - 1)) * pulses,
         };
-        let per_weight = self.cfg.phys_cols_per_weight();
-        for (o, cols) in out.iter_mut().zip(scratch.col_acc.chunks_exact(per_weight)) {
-            *o = i64::try_from(self.shift_add(cols) - reference).expect("accumulator overflow");
+        let mut sums = scratch.col_acc.chunks_exact(per_weight);
+        for r in ranges {
+            for (o, cols) in out[r].iter_mut().zip(&mut sums) {
+                *o = i64::try_from(self.shift_add(cols) - reference).expect("accumulator overflow");
+            }
         }
     }
 
@@ -917,11 +983,11 @@ impl CrossbarArray {
         const BLOCK: usize = 8;
         let mag_bits = self.input_mag_bits();
         let window = (u64::MAX >> (u64::BITS - mag_bits)) & (u64::MAX << lo);
-        let buckets = 2 * mag_bits as usize;
+        let (buckets, rows) = (2 * mag_bits as usize, input.len());
         scratch.phase_len.clear();
         scratch.phase_len.resize(buckets, 0);
-        if scratch.phase_rows.len() < buckets * self.rows {
-            scratch.phase_rows.resize(buckets * self.rows, 0);
+        if scratch.phase_rows.len() < buckets * rows {
+            scratch.phase_rows.resize(buckets * rows, 0);
         }
         for (b, block) in input.chunks(BLOCK).enumerate() {
             if block.iter().fold(0, |any, &x| any | x) == 0 {
@@ -933,47 +999,10 @@ impl CrossbarArray {
                 while mag != 0 {
                     let p = 2 * mag.trailing_zeros() as usize + polarity;
                     let len = &mut scratch.phase_len[p];
-                    scratch.phase_rows[p * self.rows + *len as usize] = r as u32;
+                    scratch.phase_rows[p * rows + *len as usize] = r as u32;
                     *len += 1;
                     mag &= mag - 1;
                 }
-            }
-        }
-    }
-
-    /// Sums the active rows' effective currents per physical column, four
-    /// plane rows per sweep of `sums` as `(((s + a) + b) + c) + d`. Any
-    /// leftover rows (the count mod 4) open the sum instead of closing it,
-    /// so per column this is exactly the ascending-row `f64` addition
-    /// chain from `0.0` that the reference column-outer loop performs.
-    fn sum_rows(&self, active: &[u32], sums: &mut [f64]) {
-        let pc = self.phys_cols;
-        let plane = self.plane();
-        let row = |r: u32| &plane[r as usize * pc..][..pc];
-        let (head, quads) = active.split_at(active.len() % 4);
-        match *head {
-            [] => sums.fill(0.0),
-            [a] => {
-                for (s, &a) in sums.iter_mut().zip(row(a)) {
-                    *s = 0.0 + a;
-                }
-            }
-            [a, b] => {
-                for ((s, &a), &b) in sums.iter_mut().zip(row(a)).zip(row(b)) {
-                    *s = (0.0 + a) + b;
-                }
-            }
-            [a, b, c] => {
-                for (((s, &a), &b), &c) in sums.iter_mut().zip(row(a)).zip(row(b)).zip(row(c)) {
-                    *s = ((0.0 + a) + b) + c;
-                }
-            }
-            _ => unreachable!("head holds fewer than 4 rows"),
-        }
-        for q in quads.chunks_exact(4) {
-            let (a, b, c, d) = (row(q[0]), row(q[1]), row(q[2]), row(q[3]));
-            for ((((s, &a), &b), &c), &d) in sums.iter_mut().zip(a).zip(b).zip(c).zip(d) {
-                *s = (((*s + a) + b) + c) + d;
             }
         }
     }
@@ -1028,25 +1057,53 @@ impl CrossbarArray {
     ///   contributes at scale `2^b`, so the total over both polarities of
     ///   bits `0..k` is `2·(2^k - 1)` times the per-phase bound.
     pub fn truncation_error_bound_bits(&self, dropped_bits: u32) -> f64 {
-        let k = dropped_bits.min(self.input_mag_bits() - 1);
-        if k == 0 {
+        let residues = self.dropped_residues(dropped_bits);
+        if residues == 0.0 {
             return 0.0;
         }
-        let residues = ((1u64 << k) - 1) as f64;
+        residues * self.error_per_residue()
+    }
+
+    /// `2^k − 1` for the `k` low magnitude bits execution actually drops
+    /// when asked to drop `dropped_bits` (clamped so one bit stays live):
+    /// the largest residue truncation takes off any input.
+    pub(crate) fn dropped_residues(&self, dropped_bits: u32) -> f64 {
+        let k = dropped_bits.min(self.input_mag_bits() - 1);
+        ((1u64 << k) - 1) as f64
+    }
+
+    /// The truncation error bound per unit of dropped residue, so that
+    /// [`CrossbarArray::truncation_error_bound_bits`] is
+    /// `dropped_residues · error_per_residue`. Reads the effective-current
+    /// plane on analog arrays (building it if it is not built).
+    pub(crate) fn error_per_residue(&self) -> f64 {
         if self.is_ideal() {
-            let worst_col = (0..self.weight_cols)
-                .map(|m| {
-                    (0..self.rows)
-                        .map(|r| i128::from(self.weights[r * self.weight_cols + m].unsigned_abs()))
-                        .sum::<i128>()
-                })
-                .max()
-                .unwrap_or(0);
-            residues * worst_col as f64
+            let mut cols = vec![0i128; self.weight_cols];
+            for row in self.weights.chunks_exact(self.weight_cols) {
+                for (col, &w) in cols.iter_mut().zip(row) {
+                    *col += i128::from(w.unsigned_abs());
+                }
+            }
+            cols.into_iter().max().unwrap_or(0) as f64
         } else {
             // Σ_{b<k} 2^b · (two polarity phases) = 2·(2^k − 1).
-            2.0 * residues * self.phase_value_bound()
+            2.0 * self.phase_value_bound()
         }
+    }
+
+    /// Detaches the effective-current plane, building it first if it is
+    /// not built. The array stays usable: its next analog read rebuilds
+    /// the identical plane from the conductances.
+    pub(crate) fn take_plane(&mut self) -> Vec<f64> {
+        self.eff_current
+            .take()
+            .unwrap_or_else(|| self.build_plane())
+    }
+
+    /// `true` while the effective-current plane is built.
+    #[cfg(test)]
+    pub(crate) fn plane_built(&self) -> bool {
+        self.eff_current.get().is_some()
     }
 
     /// Worst-case |recombined value| of any single conversion phase over
@@ -1063,12 +1120,14 @@ impl CrossbarArray {
         let baseline_per_row = v_read * self.g_min;
         let mut pos = vec![0.0f64; self.phys_cols];
         let mut neg = vec![0.0f64; self.phys_cols];
-        for (idx, &i_eff) in plane.iter().enumerate() {
-            let d = i_eff - baseline_per_row;
-            if d >= 0.0 {
-                pos[idx % self.phys_cols] += d;
-            } else {
-                neg[idx % self.phys_cols] -= d;
+        for row in plane.chunks_exact(self.phys_cols) {
+            for ((p, n), &i_eff) in pos.iter_mut().zip(&mut neg).zip(row) {
+                let d = i_eff - baseline_per_row;
+                if d >= 0.0 {
+                    *p += d;
+                } else {
+                    *n -= d;
+                }
             }
         }
         // Per physical column, the extreme counts any subset reaches. A
@@ -1184,6 +1243,43 @@ impl CrossbarArray {
         acc.iter()
             .map(|&v| i64::try_from(v).expect("accumulator overflow"))
             .collect()
+    }
+}
+
+/// Sums the active rows' effective currents over one tile of `plane`
+/// (`plane_cols` columns a row): columns `c0..c0 + sums.len()`, four
+/// plane rows per sweep of `sums` as `(((s + a) + b) + c) + d`. Any
+/// leftover rows (the count mod 4) open the sum instead of closing it, so
+/// per column this is exactly the ascending-row `f64` addition chain from
+/// `0.0` that the reference column-outer loop performs.
+fn sum_rows(plane: &[f64], plane_cols: usize, c0: usize, active: &[u32], sums: &mut [f64]) {
+    let w = sums.len();
+    let row = |r: u32| &plane[r as usize * plane_cols + c0..][..w];
+    let (head, quads) = active.split_at(active.len() % 4);
+    match *head {
+        [] => sums.fill(0.0),
+        [a] => {
+            for (s, &a) in sums.iter_mut().zip(row(a)) {
+                *s = 0.0 + a;
+            }
+        }
+        [a, b] => {
+            for ((s, &a), &b) in sums.iter_mut().zip(row(a)).zip(row(b)) {
+                *s = (0.0 + a) + b;
+            }
+        }
+        [a, b, c] => {
+            for (((s, &a), &b), &c) in sums.iter_mut().zip(row(a)).zip(row(b)).zip(row(c)) {
+                *s = ((0.0 + a) + b) + c;
+            }
+        }
+        _ => unreachable!("head holds fewer than 4 rows"),
+    }
+    for q in quads.chunks_exact(4) {
+        let (a, b, c, d) = (row(q[0]), row(q[1]), row(q[2]), row(q[3]));
+        for ((((s, &a), &b), &c), &d) in sums.iter_mut().zip(a).zip(b).zip(c).zip(d) {
+            *s = (((*s + a) + b) + c) + d;
+        }
     }
 }
 
@@ -1310,21 +1406,101 @@ mod tests {
     }
 
     #[test]
+    fn column_tiles_match_reference_at_tile_seams() {
+        let full = XbarConfig::preset("full").unwrap();
+        // (physical columns, scheme, weight bits, bits per cell): a single
+        // column, either side of one tile, and several tiles.
+        let shapes = [
+            (1, WeightScheme::OffsetBinary, 4, 4),
+            (511, WeightScheme::OffsetBinary, 7, 1),
+            (512, WeightScheme::Differential, 8, 2),
+            (513, WeightScheme::OffsetBinary, 6, 2),
+            (1300, WeightScheme::Differential, 5, 2),
+            (4096, WeightScheme::Differential, 8, 2),
+        ];
+        let x = [-90i64, 127, 0, 45, -3];
+        for (phys, scheme, weight_bits, bits_per_cell) in shapes {
+            // f64 column sums (saturating) and the i128 path (ideal ADC).
+            for adc in [full.adc, AdcModel::Ideal] {
+                let mut cfg = XbarConfig {
+                    scheme,
+                    weight_bits,
+                    adc,
+                    ..full
+                };
+                cfg.cell.bits_per_cell = bits_per_cell;
+                let cols = phys / cfg.phys_cols_per_weight();
+                let span = 2 * cfg.weight_bound() + 1;
+                let weights: Vec<Vec<i64>> = (0..x.len())
+                    .map(|r| {
+                        (0..cols)
+                            .map(|c| (r * 31 + c * 7) as i64 % span - cfg.weight_bound())
+                            .collect()
+                    })
+                    .collect();
+                let a = CrossbarArray::program(&cfg, &weights).unwrap();
+                assert_eq!(a.phys_cols(), phys);
+                let mut scratch = VmmScratch::new();
+                let mut out = vec![0i64; cols];
+                for prec in ExecPrecision::ALL {
+                    let k = a.effective_dropped_bits(prec);
+                    let trunc: Vec<i64> = x
+                        .iter()
+                        .map(|&v| CrossbarArray::truncate_input(v, k))
+                        .collect();
+                    a.vmm_analog_into_at(&x, &mut scratch, &mut out, prec);
+                    let want = a.vmm_analog_reference(&trunc);
+                    assert_eq!(out, want, "{phys} columns, {adc:?}, {prec}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ranged_kernel_writes_only_its_ranges() {
+        // 200 weights x 8 = 1600 physical columns: ranges cross tiles.
+        let cfg = XbarConfig::preset("full").unwrap();
+        let a = CrossbarArray::program(&cfg, &ramp_weights(6, 200)).unwrap();
+        let x = [17i64, -127, 0, 64, 5, -33];
+        let mut scratch = VmmScratch::new();
+        let cases = [
+            vec![0..1, 3..4],
+            vec![1..2, 4..140, 150..200],
+            std::iter::once(0..200).collect(),
+            vec![],
+        ];
+        for prec in ExecPrecision::ALL {
+            let mut whole = vec![0i64; 200];
+            a.vmm_analog_into_at(&x, &mut scratch, &mut whole, prec);
+            for ranges in &cases {
+                let mut out = vec![i64::MIN; 200];
+                let it = ranges.iter().cloned();
+                a.vmm_analog_ranges(a.plane(), &x, it, &mut scratch, &mut out, prec);
+                for (m, (&got, &want)) in out.iter().zip(&whole).enumerate() {
+                    let inside = ranges.iter().any(|r| r.contains(&m));
+                    let want = if inside { want } else { i64::MIN };
+                    assert_eq!(got, want, "column {m} of {ranges:?} at {prec}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn row_sums_keep_the_ascending_addition_chain() {
         // Quantization absorbs most last-bit differences, so a reordered
         // f64 sum can pass the end-to-end tests on typical planes. This
         // plane cancels catastrophically, so any other association of a
         // column's rows changes the sum's bits.
-        let mut a = CrossbarArray::program(&XbarConfig::ideal(), &ramp_weights(9, 1)).unwrap();
         let values = [1e16, 1.0, -1e16, 3.0, 0.1, -2.5e15, 7.0, 1.0, 0.3];
-        let pc = a.phys_cols;
+        let pc = 14;
         let plane: Vec<f64> = (0..9 * pc).map(|i| values[(i / pc + i % pc) % 9]).collect();
-        a.eff_current = std::sync::OnceLock::from(plane.clone());
-        let mut sums = vec![f64::NAN; pc];
+        // A tile of 5 columns from column 3 reads only its own columns.
+        let (c0, w) = (3, 5);
+        let mut sums = vec![f64::NAN; w];
         for n in 1..=9u32 {
             let active: Vec<u32> = (0..n).collect();
-            a.sum_rows(&active, &mut sums);
-            for (c, &s) in sums.iter().enumerate() {
+            sum_rows(&plane, pc, c0, &active, &mut sums);
+            for (c, &s) in (c0..).zip(&sums) {
                 let chain = active
                     .iter()
                     .fold(0.0, |x, &r| x + plane[r as usize * pc + c]);

@@ -57,4 +57,4 @@ pub use array::{CrossbarArray, VmmScratch};
 pub use config::{AdcModel, WeightScheme, XbarConfig, XbarError};
 pub use ir_drop::IrDropModel;
 pub use precision::ExecPrecision;
-pub use sct::{SctLayout, SubCrossbarTensor, TapScratch};
+pub use sct::{SctLayout, SubCrossbarTensor};

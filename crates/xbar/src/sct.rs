@@ -1,23 +1,20 @@
+//! RED's pixel-wise mapping (paper Eq. 1/2) and its host evaluation.
+//!
+//! Two orders are kept apart here. The *modeled* order is the paper's
+//! Fig. 5(c) cycle schedule: every sub-crossbar fires each cycle, driven
+//! by the real input pixels one `s × s` block of output pixels gathers,
+//! and `red-arch`'s `RedEngine` meters exactly that. The *host* order is
+//! free to differ, because a (input pixel, tap) product does not depend on
+//! when it is computed: the host drives each input pixel once through
+//! every tap it feeds ([`SubCrossbarTensor::eval_taps`]). On non-ideal
+//! arrays that is one analog kernel call over a fused plane that holds
+//! every tap's rows side by side, so a pixel pays the kernel's fixed cost
+//! (the set-bit pass, the phase dispatch, the read-out) once instead of
+//! once per tap. Ideal arrays run the taps' exact VMMs.
+
 use crate::{CrossbarArray, ExecPrecision, VmmScratch, XbarConfig, XbarError};
 use red_tensor::Kernel;
-
-/// Reusable working memory for repeated [`SubCrossbarTensor::eval_tap_into`]
-/// calls: the zero-filled `2C` input staging buffer the halved layout
-/// drives its pair arrays with, plus the analog-path [`VmmScratch`]. Built
-/// once per execution context and reused for every tap of every output
-/// pixel, so steady-state evaluation performs no per-tap heap allocation.
-#[derive(Debug, Clone, Default)]
-pub struct TapScratch {
-    padded: Vec<i64>,
-    vmm: VmmScratch,
-}
-
-impl TapScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+use std::ops::Range;
 
 /// Physical arrangement of the sub-crossbar tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,6 +63,16 @@ pub struct SubCrossbarTensor {
     channels: usize,
     filters: usize,
     arrays: Vec<CrossbarArray>,
+    /// Non-ideal configurations only (empty otherwise): the effective
+    /// currents of every tap's `C` rows, `C × (KH·KW·M·per_weight)`
+    /// row-major, tap `t` in columns `t·M·per_weight..`. They are copied
+    /// from each tap array's plane at mapping time, and those planes are
+    /// then dropped, so the fused plane replaces them rather than
+    /// doubling them.
+    fused: Vec<f64>,
+    /// The largest [`CrossbarArray`] truncation error per dropped residue
+    /// over the arrays, recorded at mapping time while each plane exists.
+    error_per_residue: f64,
 }
 
 impl SubCrossbarTensor {
@@ -84,48 +91,50 @@ impl SubCrossbarTensor {
         let (kh, kw) = (kernel.kernel_h(), kernel.kernel_w());
         let (c, m) = (kernel.channels(), kernel.filters());
         let taps = kh * kw;
-        let mut arrays = Vec::new();
-        match layout {
-            SctLayout::Full => {
-                for i in 0..kh {
-                    for j in 0..kw {
-                        let mut flat = Vec::with_capacity(c * m);
-                        for ch in 0..c {
-                            flat.extend_from_slice(kernel.row(i, j, ch));
-                        }
-                        arrays.push(CrossbarArray::program_flat(cfg, c, m, flat)?);
-                    }
-                }
-            }
-            SctLayout::Halved => {
-                let pairs = taps.div_ceil(2);
-                for n in 0..pairs {
-                    // Rows 0..C hold tap 2n, rows C..2C hold tap 2n+1
-                    // (zero rows when 2n+1 falls off an odd tap count).
-                    let mut flat = Vec::with_capacity(2 * c * m);
-                    for half in 0..2 {
-                        let t = 2 * n + half;
-                        if t < taps {
-                            let (i, j) = (t / kw, t % kw);
-                            for ch in 0..c {
-                                flat.extend_from_slice(kernel.row(i, j, ch));
-                            }
-                        } else {
-                            flat.extend(std::iter::repeat_n(0, c * m));
-                        }
-                    }
-                    arrays.push(CrossbarArray::program_flat(cfg, 2 * c, m, flat)?);
-                }
-            }
-        }
-        Ok(Self {
+        let mut sct = Self {
             layout,
             kernel_h: kh,
             kernel_w: kw,
             channels: c,
             filters: m,
-            arrays,
-        })
+            arrays: Vec::new(),
+            fused: Vec::new(),
+            error_per_residue: 0.0,
+        };
+        // Array `n` holds the `per` taps from `per·n`, tap `per·n + half`
+        // in rows `half·C..`; a tap past an odd count leaves zero rows.
+        let per = sct.cycles_per_batch();
+        let fused_cols = taps * m * cfg.phys_cols_per_weight();
+        for n in 0..taps.div_ceil(per) {
+            let mut flat = Vec::with_capacity(per * c * m);
+            for t in per * n..per * (n + 1) {
+                if t < taps {
+                    for ch in 0..c {
+                        flat.extend_from_slice(kernel.row(t / kw, t % kw, ch));
+                    }
+                } else {
+                    flat.extend(std::iter::repeat_n(0, c * m));
+                }
+            }
+            let mut array = CrossbarArray::program_flat(cfg, per * c, m, flat)?;
+            let bound = array.error_per_residue();
+            sct.error_per_residue = sct.error_per_residue.max(bound);
+            if !array.is_ideal() {
+                if sct.fused.is_empty() {
+                    sct.fused = vec![0.0; c * fused_cols];
+                }
+                let plane = array.take_plane();
+                let pc = array.phys_cols();
+                for (half, t) in (per * n..taps.min(per * (n + 1))).enumerate() {
+                    for ch in 0..c {
+                        sct.fused[ch * fused_cols + t * pc..][..pc]
+                            .copy_from_slice(&plane[(half * c + ch) * pc..][..pc]);
+                    }
+                }
+            }
+            sct.arrays.push(array);
+        }
+        Ok(sct)
     }
 
     /// The linear sub-crossbar index of tap `(i, j)`: `i·KW + j` (Eq. 1).
@@ -140,10 +149,7 @@ impl SubCrossbarTensor {
 
     /// Rows per array: `C` for the full layout, `2C` for the halved one.
     pub fn rows_per_array(&self) -> usize {
-        match self.layout {
-            SctLayout::Full => self.channels,
-            SctLayout::Halved => 2 * self.channels,
-        }
+        self.cycles_per_batch() * self.channels
     }
 
     /// The layout this SCT was mapped with.
@@ -189,163 +195,79 @@ impl SubCrossbarTensor {
         &self.arrays[index]
     }
 
-    /// Evaluates kernel tap `(i, j)` for one input pixel vector (length
-    /// `C`), returning the `M` partial sums.
+    /// Evaluates the kernel taps in `taps` — ascending, disjoint ranges of
+    /// linear tap indices `i·KW + j` — for `n` input pixel vectors
+    /// flattened row-major into `inputs` (`n × C`). Pixel `k`'s partial
+    /// sums for tap `t` land in `out[(k·KH·KW + t)·M..][..M]` (`out` is
+    /// `n × KH·KW·M`); entries of taps outside `taps` are left as they
+    /// are.
     ///
-    /// For the halved layout this builds Eq. 2's zero-filled `2C` input
-    /// vector and drives the shared pair array, exactly as the two-cycle
-    /// hardware schedule would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tap is out of range or `input.len() != C`.
-    pub fn eval_tap(&self, i: usize, j: usize, input: &[i64]) -> Vec<i64> {
-        let mut out = vec![0i64; self.filters];
-        self.eval_tap_into(i, j, input, &mut TapScratch::new(), &mut out);
-        out
-    }
-
-    /// Allocation-free [`SubCrossbarTensor::eval_tap`]: writes the `M`
-    /// partial sums into `out`, staging the halved layout's zero-filled
-    /// `2C` vector in `scratch` instead of allocating it per call.
+    /// Each result equals driving the tap's sub-crossbar with the pixel
+    /// ([`CrossbarArray::vmm_into_at`]), the halved layout's with Eq. 2's
+    /// zero-filled `2C` vector, bit for bit. On non-ideal arrays a pixel
+    /// is one analog kernel call over the fused plane, evaluating only the
+    /// requested taps' columns; ideal arrays run each tap's exact VMM over
+    /// all `n` pixels at once ([`CrossbarArray::vmm_batch_at`], which
+    /// cache-blocks large weight matrices).
     ///
     /// # Panics
     ///
-    /// Panics if the tap is out of range, `input.len() != C`, or
-    /// `out.len() != M`.
-    pub fn eval_tap_into(
+    /// Panics if a tap is out of range, `inputs.len()` is not a multiple
+    /// of `C`, or `out.len() != n · KH·KW·M`.
+    pub fn eval_taps(
         &self,
-        i: usize,
-        j: usize,
-        input: &[i64],
-        scratch: &mut TapScratch,
-        out: &mut [i64],
-    ) {
-        self.eval_tap_into_at(i, j, input, scratch, out, ExecPrecision::Full);
-    }
-
-    /// [`SubCrossbarTensor::eval_tap_into`] at an explicit precision
-    /// tier, forwarded to the tap array's
-    /// [`CrossbarArray::vmm_into_at`]. `Full` is bit-identical to the
-    /// unsuffixed path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tap is out of range, `input.len() != C`, or
-    /// `out.len() != M`.
-    pub fn eval_tap_into_at(
-        &self,
-        i: usize,
-        j: usize,
-        input: &[i64],
-        scratch: &mut TapScratch,
+        taps: &[Range<usize>],
+        inputs: &[i64],
+        scratch: &mut VmmScratch,
         out: &mut [i64],
         prec: ExecPrecision,
     ) {
-        assert!(i < self.kernel_h && j < self.kernel_w, "tap out of range");
-        assert_eq!(input.len(), self.channels, "input must have C entries");
-        let t = Self::sc_index(i, j, self.kernel_w);
-        match self.layout {
-            SctLayout::Full => self.arrays[t].vmm_into_at(input, &mut scratch.vmm, out, prec),
-            SctLayout::Halved => {
-                let n = t / 2;
-                scratch.padded.clear();
-                scratch.padded.resize(2 * self.channels, 0);
-                let start = (t % 2) * self.channels;
-                scratch.padded[start..start + self.channels].copy_from_slice(input);
-                self.arrays[n].vmm_into_at(&scratch.padded, &mut scratch.vmm, out, prec);
+        let (c, m) = (self.channels, self.filters);
+        let width = self.kernel_h * self.kernel_w * m;
+        assert!(taps.iter().all(|r| r.end * m <= width), "tap out of range");
+        assert_eq!(inputs.len() % c, 0, "inputs must be n x C");
+        let n = inputs.len() / c;
+        assert_eq!(out.len(), n * width, "out must be n x taps x M");
+        if !self.fused.is_empty() {
+            let cols = taps.iter().map(|r| r.start * m..r.end * m);
+            let read = &self.arrays[0];
+            for (x, o) in inputs.chunks_exact(c).zip(out.chunks_exact_mut(width)) {
+                read.vmm_analog_ranges(&self.fused, x, cols.clone(), scratch, o, prec);
             }
+            return;
         }
-    }
-
-    /// `true` when batched tap evaluation
-    /// ([`SubCrossbarTensor::eval_tap_batch_into`]) actually reuses
-    /// weight/plane blocks across the batch — every sub-crossbar shares
-    /// the same geometry and configuration, so the first array decides
-    /// ([`CrossbarArray::batching_pays`]). Engines consult this before
-    /// gathering tap inputs pixel-major across a whole batch.
-    pub fn batch_pays(&self) -> bool {
-        self.arrays
-            .first()
-            .is_some_and(CrossbarArray::batching_pays)
-    }
-
-    /// Batched [`SubCrossbarTensor::eval_tap_into`]: evaluates kernel tap
-    /// `(i, j)` for `n` input pixel vectors flattened row-major into
-    /// `inputs` (`n × C`), writing `n × M` partial sums into `out`.
-    ///
-    /// Routes through [`CrossbarArray::vmm_batch`], so the tap's weight
-    /// matrix (exact path) or effective-current plane (analog path)
-    /// streams across the whole batch in blocks when that pays; results
-    /// are bit-identical to `n` single-pixel calls either way. For the
-    /// halved layout the `n` zero-filled `2C` staging vectors live in
-    /// `scratch`, exactly like the single-pixel path's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tap is out of range, `inputs.len() != n * C`, or
-    /// `out.len() != n * M`.
-    pub fn eval_tap_batch_into(
-        &self,
-        i: usize,
-        j: usize,
-        inputs: &[i64],
-        n: usize,
-        scratch: &mut TapScratch,
-        out: &mut [i64],
-    ) {
-        self.eval_tap_batch_into_at(i, j, inputs, n, scratch, out, ExecPrecision::Full);
-    }
-
-    /// [`SubCrossbarTensor::eval_tap_batch_into`] at an explicit
-    /// precision tier, forwarded to the tap array's
-    /// [`CrossbarArray::vmm_batch_at`]. `Full` is bit-identical to the
-    /// unsuffixed path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tap is out of range, `inputs.len() != n * C`, or
-    /// `out.len() != n * M`.
-    #[allow(clippy::too_many_arguments)] // mirrors eval_tap_batch_into + tier
-    pub fn eval_tap_batch_into_at(
-        &self,
-        i: usize,
-        j: usize,
-        inputs: &[i64],
-        n: usize,
-        scratch: &mut TapScratch,
-        out: &mut [i64],
-        prec: ExecPrecision,
-    ) {
-        assert!(i < self.kernel_h && j < self.kernel_w, "tap out of range");
-        assert_eq!(inputs.len(), n * self.channels, "inputs must be n x C");
-        assert_eq!(out.len(), n * self.filters, "out must be n x M");
-        let t = Self::sc_index(i, j, self.kernel_w);
-        match self.layout {
-            SctLayout::Full => self.arrays[t].vmm_batch_at(inputs, n, &mut scratch.vmm, out, prec),
-            SctLayout::Halved => {
-                let rows = 2 * self.channels;
-                scratch.padded.clear();
-                scratch.padded.resize(n * rows, 0);
-                let start = (t % 2) * self.channels;
-                for (k, px) in inputs.chunks_exact(self.channels).enumerate() {
-                    scratch.padded[k * rows + start..k * rows + start + self.channels]
-                        .copy_from_slice(px);
+        let per = self.cycles_per_batch();
+        let mut staged = std::mem::take(&mut scratch.tap_inputs);
+        let mut partials = std::mem::take(&mut scratch.tap_out);
+        partials.resize(n * m, 0);
+        for t in taps.iter().flat_map(Clone::clone) {
+            let x = if per == 1 {
+                inputs
+            } else {
+                staged.clear();
+                staged.resize(n * per * c, 0);
+                for (row, px) in staged.chunks_exact_mut(per * c).zip(inputs.chunks_exact(c)) {
+                    row[(t % per) * c..][..c].copy_from_slice(px);
                 }
-                self.arrays[t / 2].vmm_batch_at(&scratch.padded, n, &mut scratch.vmm, out, prec);
+                &staged
+            };
+            self.arrays[t / per].vmm_batch_at(x, n, scratch, &mut partials, prec);
+            for (o, p) in out.chunks_exact_mut(width).zip(partials.chunks_exact(m)) {
+                o[t * m..][..m].copy_from_slice(p);
             }
         }
+        scratch.tap_inputs = staged;
+        scratch.tap_out = partials;
     }
 
     /// Worst-case elementwise partial-sum error of evaluating taps at
     /// `prec` instead of [`ExecPrecision::Full`]: the max of
     /// [`CrossbarArray::truncation_error_bound`] across the
-    /// sub-crossbars.
+    /// sub-crossbars. Every array's bound is its dropped residue times a
+    /// per-residue factor recorded at mapping time, and the residue is
+    /// the same for all of them, so no plane is read here.
     pub fn truncation_error_bound(&self, prec: ExecPrecision) -> f64 {
-        self.arrays
-            .iter()
-            .map(|a| a.truncation_error_bound(prec))
-            .fold(0.0, f64::max)
+        self.arrays[0].dropped_residues(prec.dropped_bits()) * self.error_per_residue
     }
 }
 
@@ -357,6 +279,30 @@ mod tests {
         Kernel::from_fn(kh, kw, c, m, |i, j, cc, mm| {
             ((i * 53 + j * 19 + cc * 7 + mm * 3) % 250) as i64 - 125
         })
+    }
+
+    /// One pixel's partial sums for the taps in `taps`, `KH·KW·M` long.
+    fn eval(sct: &SubCrossbarTensor, taps: &[Range<usize>], input: &[i64]) -> Vec<i64> {
+        let width = sct.kernel_h() * sct.kernel_w() * sct.filters();
+        let mut out = vec![0i64; width];
+        let (scratch, prec) = (&mut VmmScratch::new(), ExecPrecision::Full);
+        sct.eval_taps(taps, input, scratch, &mut out, prec);
+        out
+    }
+
+    /// The noisy configurations the fused plane must reproduce exactly:
+    /// both schemes, saturating and ideal converters.
+    fn noisy_lineup() -> Vec<XbarConfig> {
+        let full = XbarConfig::preset("full").unwrap();
+        let variation = XbarConfig::preset("variation").unwrap();
+        let mut cfgs = vec![full, variation];
+        for cfg in [full, variation] {
+            cfgs.push(XbarConfig {
+                scheme: crate::WeightScheme::OffsetBinary,
+                ..cfg
+            });
+        }
+        cfgs
     }
 
     #[test]
@@ -416,15 +362,8 @@ mod tests {
         let full = SubCrossbarTensor::map(&cfg, &k, SctLayout::Full).unwrap();
         let halved = SubCrossbarTensor::map(&cfg, &k, SctLayout::Halved).unwrap();
         let input: Vec<i64> = (0..6).map(|i| (i as i64) * 9 - 20).collect();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(
-                    full.eval_tap(i, j, &input),
-                    halved.eval_tap(i, j, &input),
-                    "tap ({i},{j})"
-                );
-            }
-        }
+        let all = std::slice::from_ref(&(0..9));
+        assert_eq!(eval(&full, all, &input), eval(&halved, all, &input));
     }
 
     #[test]
@@ -432,10 +371,13 @@ mod tests {
         let k = kernel(2, 2, 4, 3);
         let sct = SubCrossbarTensor::map(&XbarConfig::ideal(), &k, SctLayout::Full).unwrap();
         let input = vec![3i64, -1, 0, 7];
-        let out = sct.eval_tap(1, 0, &input);
-        for m in 0..3 {
-            let expect: i64 = (0..4).map(|c| input[c] * k[(1, 0, c, m)]).sum();
-            assert_eq!(out[m], expect);
+        // Tap 2 = (1, 0) alone; the other taps' entries stay untouched.
+        let out = eval(&sct, std::slice::from_ref(&(2..3)), &input);
+        for (t, partials) in out.chunks_exact(3).enumerate() {
+            for (m, &got) in partials.iter().enumerate() {
+                let expect: i64 = (0..4).map(|c| input[c] * k[(1, 0, c, m)]).sum();
+                assert_eq!(got, if t == 2 { expect } else { 0 }, "tap {t}, filter {m}");
+            }
         }
     }
 
@@ -452,47 +394,80 @@ mod tests {
         assert_eq!(sct.rows_per_array(), 3);
     }
 
+    /// Every tap of every pixel, noisy or ideal, in both layouts and at
+    /// every tier, equals driving the tap's own array (the halved layout's
+    /// with the zero-filled `2C` vector) through the reference pipeline;
+    /// a batch of pixels equals the pixels one at a time over a shared
+    /// scratch, and taps outside the requested ranges stay untouched.
     #[test]
-    fn eval_tap_into_matches_allocating_path_with_shared_scratch() {
-        let k = kernel(3, 3, 5, 4);
-        for layout in [SctLayout::Full, SctLayout::Halved] {
-            let sct = SubCrossbarTensor::map(&XbarConfig::ideal(), &k, layout).unwrap();
-            let mut scratch = TapScratch::new();
-            let mut out = vec![0i64; 4];
-            for i in 0..3 {
-                for j in 0..3 {
-                    let input: Vec<i64> = (0..5)
-                        .map(|c| (c as i64) * 7 - 12 + (i + j) as i64)
-                        .collect();
-                    sct.eval_tap_into(i, j, &input, &mut scratch, &mut out);
-                    assert_eq!(out, sct.eval_tap(i, j, &input), "tap ({i},{j}) {layout:?}");
+    fn eval_tap_batch_matches_per_pixel_both_layouts() {
+        let k = kernel(3, 3, 5, 4); // 9 taps: the halved layout's last pair is half empty
+        let (c, m, width) = (5, 4, 9 * 4);
+        let n = 3;
+        let inputs: Vec<i64> = (0..n * c).map(|i| ((i * 37) % 255) as i64 - 127).collect();
+        let taps = [0..2, 3..4, 5..9];
+        let mut cfgs = noisy_lineup();
+        cfgs.push(XbarConfig::ideal());
+        for cfg in cfgs {
+            for layout in [SctLayout::Full, SctLayout::Halved] {
+                let sct = SubCrossbarTensor::map(&cfg, &k, layout).unwrap();
+                let per = sct.cycles_per_batch();
+                let mut scratch = VmmScratch::new();
+                for prec in ExecPrecision::ALL {
+                    let mut batch = vec![i64::MIN; n * width];
+                    sct.eval_taps(&taps, &inputs, &mut scratch, &mut batch, prec);
+                    for (px, got) in inputs.chunks_exact(c).zip(batch.chunks_exact(width)) {
+                        let mut one = vec![i64::MIN; width];
+                        sct.eval_taps(&taps, px, &mut scratch, &mut one, prec);
+                        assert_eq!(got, one.as_slice(), "{layout:?} {prec}");
+                        for (t, partials) in got.chunks_exact(m).enumerate() {
+                            if !taps.iter().any(|r| r.contains(&t)) {
+                                assert!(partials.iter().all(|&v| v == i64::MIN), "tap {t}");
+                                continue;
+                            }
+                            let mut x = vec![0i64; per * c];
+                            x[(t % per) * c..][..c].copy_from_slice(px);
+                            let mut want = vec![0i64; m];
+                            let array = sct.array(t / per);
+                            array.vmm_into_at(&x, &mut VmmScratch::new(), &mut want, prec);
+                            assert_eq!(partials, want.as_slice(), "tap {t} {layout:?} {prec}");
+                        }
+                    }
                 }
             }
         }
     }
 
+    /// The bound kept at mapping time equals the bound of freshly
+    /// programmed copies of the arrays, bit for bit, at every tier and in
+    /// both layouts, and asking for it builds no tap plane back.
     #[test]
-    fn eval_tap_batch_matches_per_pixel_both_layouts() {
+    fn truncation_bound_matches_fresh_arrays_without_planes() {
         let k = kernel(3, 3, 5, 4);
-        for cfg in [XbarConfig::ideal(), XbarConfig::noisy(0.02, 0.001, 0.0, 31)] {
+        let mut cfgs = noisy_lineup();
+        cfgs.push(XbarConfig::ideal());
+        for cfg in cfgs {
             for layout in [SctLayout::Full, SctLayout::Halved] {
                 let sct = SubCrossbarTensor::map(&cfg, &k, layout).unwrap();
-                let n = 3;
-                let inputs: Vec<i64> = (0..n * 5).map(|i| ((i * 11) % 100) as i64 - 50).collect();
-                let mut scratch = TapScratch::new();
-                let mut out = vec![0i64; n * 4];
-                for i in 0..3 {
-                    for j in 0..3 {
-                        sct.eval_tap_batch_into(i, j, &inputs, n, &mut scratch, &mut out);
-                        for (kk, px) in inputs.chunks_exact(5).enumerate() {
-                            assert_eq!(
-                                &out[kk * 4..(kk + 1) * 4],
-                                sct.eval_tap(i, j, px),
-                                "tap ({i},{j}) input {kk} {layout:?}"
-                            );
-                        }
-                    }
+                let fresh: Vec<CrossbarArray> = (0..sct.sub_crossbars())
+                    .map(|n| {
+                        let a = sct.array(n);
+                        let w = (0..a.rows())
+                            .flat_map(|r| (0..a.weight_cols()).map(move |m| a.weight(r, m)))
+                            .collect();
+                        CrossbarArray::program_flat(&cfg, a.rows(), a.weight_cols(), w).unwrap()
+                    })
+                    .collect();
+                for prec in ExecPrecision::ALL {
+                    let want = fresh
+                        .iter()
+                        .map(|a| a.truncation_error_bound(prec))
+                        .fold(0.0, f64::max);
+                    let got = sct.truncation_error_bound(prec);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{layout:?} {prec}");
                 }
+                assert!(sct.arrays.iter().all(|a| !a.plane_built()), "{layout:?}");
+                assert_eq!(sct.fused.is_empty(), cfg == XbarConfig::ideal());
             }
         }
     }
@@ -502,6 +477,6 @@ mod tests {
     fn bad_tap_panics() {
         let k = kernel(2, 2, 2, 2);
         let sct = SubCrossbarTensor::map(&XbarConfig::ideal(), &k, SctLayout::Full).unwrap();
-        let _ = sct.eval_tap(2, 0, &[1, 2]);
+        let _ = eval(&sct, std::slice::from_ref(&(3..5)), &[1, 2]);
     }
 }

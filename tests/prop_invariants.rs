@@ -260,6 +260,96 @@ proptest! {
         }
     }
 
+    /// Golden equivalence of RED's input-stationary replay: on noisy
+    /// crossbars of both schemes, with a saturating or an ideal
+    /// converter, in both layouts (odd tap counts included) and at every
+    /// precision tier, the engine's outputs and [`ExecutionStats`] equal
+    /// an output-stationary reference built from scratch. That reference
+    /// enumerates every gather of the zero-skipping schedule — tap
+    /// `(i, j)` of input pixel `(x, y)` lands in output pixel
+    /// `(s·x + i − p, s·y + j − p)` when that pixel exists — drives the
+    /// tap's own array through `vmm_analog_reference` (the halved
+    /// layout's with the zero-filled `2C` vector) on the tier's truncated
+    /// pixel, and meters each gather on its own.
+    #[test]
+    fn red_replay_matches_gathered_reference(
+        pb in problem_strategy(),
+        halved in any::<bool>(),
+        offset_binary in any::<bool>(),
+        saturating in any::<bool>(),
+        tier in 0usize..=2,
+        seed in any::<u64>(),
+    ) {
+        use red_core::arch::RedEngine;
+        use red_core::device::variation::{FaultModel, VariationModel};
+
+        let cfg = XbarConfig {
+            scheme: if offset_binary { WeightScheme::OffsetBinary } else { WeightScheme::Differential },
+            adc: if saturating { AdcModel::Saturating { bits: 8 } } else { AdcModel::Ideal },
+            variation: VariationModel::with_sigma(0.03, seed),
+            faults: FaultModel::with_rates(0.002, 0.001, seed ^ 1),
+            ..XbarConfig::preset("full").unwrap()
+        };
+        let policy = if halved { RedLayoutPolicy::AlwaysHalved } else { RedLayoutPolicy::AlwaysFull };
+        let engine = RedEngine::new(&cfg, &pb.layer, &pb.kernel, policy).unwrap();
+        let prec = ExecPrecision::ALL[tier];
+        // 8-bit inputs stream 7 magnitude bits, and one stays live.
+        let dropped = prec.dropped_bits().min(6);
+        // Mixed signs, so both polarity phases pulse.
+        let inputs = [pb.input.map(|v| if v % 3 == 1 { -v } else { v }), pb.input.map(|v| -v)];
+
+        let spec = pb.layer.spec();
+        let (k, s, p) = (spec.kernel_w(), spec.stride(), spec.padding());
+        let (c, m) = (pb.layer.channels(), pb.layer.filters());
+        let geom = pb.layer.output_geometry();
+        let sct = engine.sct();
+        let per = sct.cycles_per_batch();
+        let blocks = (geom.height.div_ceil(s) * geom.width.div_ceil(s)) as u64;
+        let mut scratch = engine.make_scratch();
+        let batch = engine.run_batch_with_at(&inputs, &mut scratch, prec).unwrap();
+        for (input, got) in inputs.iter().zip(&batch) {
+            let mut want = FeatureMap::<i64>::zeros(geom.height, geom.width, m);
+            let mut stats = ExecutionStats {
+                cycles: blocks * per as u64,
+                total_row_slots: u128::from(blocks)
+                    * (sct.sub_crossbars() * sct.rows_per_array() * per) as u128,
+                output_pixels: geom.pixels() as u64,
+                ..ExecutionStats::default()
+            };
+            for (x, y, i, j) in (0..pb.layer.input_h()).flat_map(|x| {
+                (0..pb.layer.input_w()).flat_map(move |y| {
+                    (0..k).flat_map(move |i| (0..k).map(move |j| (x, y, i, j)))
+                })
+            }) {
+                let (Some(u), Some(v)) = ((s * x + i).checked_sub(p), (s * y + j).checked_sub(p))
+                else {
+                    continue;
+                };
+                if u >= geom.height || v >= geom.width {
+                    continue;
+                }
+                let px = input.pixel(x, y);
+                let t = i * k + j;
+                let mut driven = vec![0i64; per * c];
+                for (d, &x) in driven[(t % per) * c..].iter_mut().zip(px) {
+                    *d = x.signum() * ((x.abs() >> dropped) << dropped);
+                }
+                let partial = sct.array(t / per).vmm_analog_reference(&driven);
+                for (o, q) in want.pixel_mut(u, v).iter_mut().zip(partial) {
+                    *o += q;
+                }
+                let nnz = px.iter().filter(|&&x| x != 0).count() as u128;
+                stats.vector_ops += 1;
+                stats.nonzero_row_activations += nnz;
+                stats.nonzero_macs += nnz * m as u128;
+            }
+            prop_assert_eq!(&got.output, &want, "{:?} at {}", policy, prec);
+            prop_assert_eq!(got.stats, stats, "{:?} at {}", policy, prec);
+            let one = engine.run_with_at(input, &mut scratch, prec).unwrap();
+            prop_assert_eq!(&one, got, "single image vs batch");
+        }
+    }
+
     /// Degraded-tier execution obeys its advertised worst-case error
     /// bound on every crossbar preset, the bound itself is monotone
     /// nondecreasing in dropped bits, and for ideal arrays it is
