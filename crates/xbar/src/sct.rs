@@ -394,6 +394,36 @@ mod tests {
         assert_eq!(sct.rows_per_array(), 3);
     }
 
+    /// One scratch reused across every tap, pixel and tier of both layouts
+    /// gives the same partial sums as a fresh scratch and output per call.
+    #[test]
+    fn eval_tap_into_matches_allocating_path_with_shared_scratch() {
+        let k = kernel(3, 3, 5, 4);
+        let mut cfgs = noisy_lineup();
+        cfgs.push(XbarConfig::ideal());
+        for cfg in cfgs {
+            for layout in [SctLayout::Full, SctLayout::Halved] {
+                let sct = SubCrossbarTensor::map(&cfg, &k, layout).unwrap();
+                let mut scratch = VmmScratch::new();
+                let mut out = vec![0i64; 9 * 4];
+                for prec in ExecPrecision::ALL {
+                    for t in 0..9 {
+                        let input: Vec<i64> =
+                            (0..5).map(|c| (c as i64) * 7 - 12 + t as i64).collect();
+                        let range = t..t + 1;
+                        let tap = std::slice::from_ref(&range);
+                        out.fill(0);
+                        sct.eval_taps(tap, &input, &mut scratch, &mut out, prec);
+                        let mut fresh = vec![0i64; 9 * 4];
+                        let fresh_scratch = &mut VmmScratch::new();
+                        sct.eval_taps(tap, &input, fresh_scratch, &mut fresh, prec);
+                        assert_eq!(out, fresh, "tap {t} {layout:?} {prec}");
+                    }
+                }
+            }
+        }
+    }
+
     /// Every tap of every pixel, noisy or ideal, in both layouts and at
     /// every tier, equals driving the tap's own array (the halved layout's
     /// with the zero-filled `2C` vector) through the reference pipeline;
