@@ -3,7 +3,7 @@ use super::Execution;
 use crate::plan::ExecPlan;
 use crate::{ArchError, CostModel, CostReport, Design, DesignGeometry};
 use red_tensor::{ConvLayerShape, FeatureMap, Kernel, LayerShape};
-use red_xbar::{CrossbarArray, XbarConfig};
+use red_xbar::{CrossbarArray, ExecPrecision, XbarConfig};
 
 /// Standard-convolution engine on the crossbar substrate.
 ///
@@ -25,9 +25,9 @@ pub struct ConvEngine {
     plan: ExecPlan,
 }
 
-/// Reusable working memory for [`ConvEngine::run_with`]: the gathered
-/// receptive-field window, the per-pixel output buffer, and the
-/// analog-path VMM scratch.
+/// Reusable working memory for [`ConvEngine::run`]: one gathered
+/// receptive-field window and one output pixel per image of the batch,
+/// and the VMM scratch.
 #[derive(Debug, Clone)]
 pub struct ConvScratch(WindowScratch);
 
@@ -126,22 +126,9 @@ impl ConvEngine {
         &self.array
     }
 
-    fn window_geom(&self) -> WindowGeom {
-        let l = &self.layer;
-        let (oh, ow) = l.output_extent();
-        WindowGeom {
-            channels: l.channels(),
-            filters: l.filters(),
-            out_h: oh,
-            out_w: ow,
-            window_len: l.taps() * l.channels(),
-        }
-    }
-
-    /// Creates working memory for [`ConvEngine::run_with`].
+    /// Creates working memory for [`ConvEngine::run`].
     pub fn make_scratch(&self) -> ConvScratch {
-        let g = self.window_geom();
-        ConvScratch(WindowScratch::new(g.window_len, g.filters))
+        ConvScratch(WindowScratch::default())
     }
 
     fn check_input(&self, input: &FeatureMap<i64>) -> Result<(), ArchError> {
@@ -165,67 +152,39 @@ impl ConvEngine {
         Ok(())
     }
 
-    /// Executes the convolution on `input`.
+    /// Executes the convolution on every input of a batch, replaying the
+    /// compile-time window plan pixel-major at full precision; the only
+    /// heap allocations per call are the outputs. A single image is a
+    /// batch of one.
     ///
     /// # Errors
     ///
-    /// Returns [`ArchError::InputMismatch`] for a wrong-shaped input.
-    pub fn run(&self, input: &FeatureMap<i64>) -> Result<Execution, ArchError> {
-        self.run_with(input, &mut self.make_scratch())
-    }
-
-    /// Executes the convolution on `input` with caller-provided scratch,
-    /// replaying the compile-time window plan; the only heap allocation
-    /// per call is the output feature map itself.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InputMismatch`] for a wrong-shaped input.
-    pub fn run_with(
+    /// Returns [`ArchError::InputMismatch`] when an input's shape does not
+    /// match the layer; no input runs then.
+    pub fn run(
         &self,
-        input: &FeatureMap<i64>,
+        inputs: &[FeatureMap<i64>],
         scratch: &mut ConvScratch,
-    ) -> Result<Execution, ArchError> {
-        self.check_input(input)?;
-        Ok(window::run_plan(
-            &self.plan,
-            &self.array,
-            self.window_geom(),
-            input,
-            &mut scratch.0,
-            red_xbar::ExecPrecision::Full,
-        ))
-    }
-
-    /// Executes the convolution on every input of a batch. When the
-    /// array is large enough for batching to pay
-    /// ([`CrossbarArray::batching_pays`] — cache-blocked exact on ideal
-    /// crossbars), each output pixel's windows are gathered across the
-    /// whole batch and multiplied through [`CrossbarArray::vmm_batch`];
-    /// smaller or non-ideal arrays take a per-image loop with shared
-    /// scratch. Bit-exact against per-input
-    /// [`ConvEngine::run`] either way.
-    ///
-    /// # Errors
-    ///
-    /// As [`ConvEngine::run`]; the first failing input aborts the batch.
-    pub fn run_batch(&self, inputs: &[FeatureMap<i64>]) -> Result<Vec<Execution>, ArchError> {
-        if !self.array.batching_pays() {
-            let mut scratch = self.make_scratch();
-            return inputs
-                .iter()
-                .map(|input| self.run_with(input, &mut scratch))
-                .collect();
-        }
+    ) -> Result<Vec<Execution>, ArchError> {
         for input in inputs {
             self.check_input(input)?;
         }
-        Ok(window::run_plan_batch(
+        let l = &self.layer;
+        let (oh, ow) = l.output_extent();
+        let g = WindowGeom {
+            channels: l.channels(),
+            filters: l.filters(),
+            out_h: oh,
+            out_w: ow,
+            window_len: l.taps() * l.channels(),
+        };
+        Ok(window::run_plan(
             &self.plan,
             &self.array,
-            self.window_geom(),
+            g,
             inputs,
-            red_xbar::ExecPrecision::Full,
+            &mut scratch.0,
+            ExecPrecision::Full,
         ))
     }
 }
@@ -277,6 +236,11 @@ mod tests {
     use super::*;
     use red_tensor::conv::conv2d;
 
+    fn run_one(engine: &ConvEngine, input: &FeatureMap<i64>) -> Result<Execution, ArchError> {
+        let mut runs = engine.run(std::slice::from_ref(input), &mut engine.make_scratch())?;
+        Ok(runs.pop().expect("one execution per input"))
+    }
+
     fn setup(
         k: usize,
         s: usize,
@@ -300,7 +264,7 @@ mod tests {
         for (k, s, p, ih) in [(3, 1, 1, 6), (3, 2, 1, 8), (5, 1, 2, 7), (4, 2, 0, 8)] {
             let (layer, kernel, input) = setup(k, s, p, ih, 4, 3);
             let engine = ConvEngine::new(&XbarConfig::ideal(), &layer, &kernel).unwrap();
-            let exec = engine.run(&input).unwrap();
+            let exec = run_one(&engine, &input).unwrap();
             let golden = conv2d(&input, &kernel, s, p).unwrap();
             assert_eq!(exec.output, golden, "k={k} s={s} p={p}");
             assert_eq!(exec.stats.cycles, layer.output_pixels() as u64);
@@ -313,9 +277,9 @@ mod tests {
         let inputs: Vec<_> = (0..3).map(|k| input.map(|v| v + k as i64)).collect();
         for cfg in [XbarConfig::ideal(), XbarConfig::noisy(0.01, 0.001, 0.0, 31)] {
             let engine = ConvEngine::new(&cfg, &layer, &kernel).unwrap();
-            let batch = engine.run_batch(&inputs).unwrap();
+            let batch = engine.run(&inputs, &mut engine.make_scratch()).unwrap();
             for (one, exec) in inputs.iter().zip(&batch) {
-                let single = engine.run(one).unwrap();
+                let single = run_one(&engine, one).unwrap();
                 assert_eq!(single.output, exec.output);
                 assert_eq!(single.stats, exec.stats);
             }
@@ -325,15 +289,15 @@ mod tests {
     #[test]
     fn run_batch_pixel_major_path_matches_per_image() {
         // 16 taps x 128 channels x 64 filters = 1 MiB of weights: crosses
-        // the blocking threshold, exercising the batched gather +
-        // vmm_batch path.
+        // the blocking threshold, exercising vmm_batch_at's row blocking
+        // across the batch.
         let (layer, kernel, input) = setup(4, 1, 1, 6, 128, 64);
         let engine = ConvEngine::new(&XbarConfig::ideal(), &layer, &kernel).unwrap();
         assert!(engine.array().batching_pays());
         let inputs: Vec<_> = (0..2).map(|k| input.map(|v| v + k as i64)).collect();
-        let batch = engine.run_batch(&inputs).unwrap();
+        let batch = engine.run(&inputs, &mut engine.make_scratch()).unwrap();
         for (one, exec) in inputs.iter().zip(&batch) {
-            let single = engine.run(one).unwrap();
+            let single = run_one(&engine, one).unwrap();
             assert_eq!(single.output, exec.output);
             assert_eq!(single.stats, exec.stats);
         }
@@ -354,7 +318,7 @@ mod tests {
         let bad = Kernel::<i64>::zeros(3, 3, 4, 2);
         assert!(ConvEngine::new(&XbarConfig::ideal(), &layer, &bad).is_err());
         let engine = ConvEngine::new(&XbarConfig::ideal(), &layer, &kernel).unwrap();
-        assert!(engine.run(&FeatureMap::<i64>::zeros(5, 6, 4)).is_err());
+        assert!(run_one(&engine, &FeatureMap::<i64>::zeros(5, 6, 4)).is_err());
     }
 
     #[test]

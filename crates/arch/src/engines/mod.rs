@@ -9,10 +9,27 @@
 //! 2. against each other (all three designs compute the same function);
 //! 3. against [`crate::DesignGeometry`] (measured cycles/activations must
 //!    equal the closed forms the cost model prices).
+//!
+//! Each engine keeps two orders apart. The *modeled* order is the design's
+//! cycle schedule, and [`ExecutionStats`] meter that schedule and nothing
+//! else. The *host* order is whatever computes the same outputs fastest;
+//! products do not depend on when the host computes them, and integer
+//! sums do not depend on their order. Two host replays serve all four
+//! engines, each driving a whole batch through one
+//! [`red_xbar::CrossbarArray::vmm_batch_at`] call per pixel:
+//!
+//! - the window replay (zero-padding and conv) walks output pixels and
+//!   gathers each image's receptive field;
+//! - the scatter replay (padding-free and RED) walks input pixels and adds
+//!   each tap's partial sums straight into the output pixel it lands in.
+//!   For padding-free that differs from the modeled order, where the
+//!   output periphery overlap-adds every tap into the full tensor and
+//!   then crops it.
 
 mod conv;
 mod padding_free;
 mod red;
+mod scatter;
 mod window;
 mod zero_padding;
 
@@ -23,6 +40,7 @@ pub use zero_padding::{ZeroPaddingEngine, ZpScratch};
 
 use crate::{ArchError, Design, ExecutionStats};
 use red_tensor::{FeatureMap, Kernel, LayerShape};
+use red_xbar::ExecPrecision;
 
 /// Result of running one layer through an engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,34 +53,52 @@ pub struct Execution {
 
 /// A functional deconvolution accelerator engine.
 pub trait DeconvEngine {
+    /// Reusable working memory for [`DeconvEngine::run`].
+    type Scratch;
+
     /// The design this engine implements.
     fn design(&self) -> Design;
 
     /// The layer this engine was programmed for.
     fn layer(&self) -> &LayerShape;
 
-    /// Executes the layer on `input`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InputMismatch`] when the input shape does not
-    /// match the layer, and propagates crossbar errors.
-    fn run(&self, input: &FeatureMap<i64>) -> Result<Execution, ArchError>;
+    /// Creates working memory for [`DeconvEngine::run`]. Its buffers grow
+    /// on first use and are resized on every call, so one scratch serves
+    /// batches of any size, and a serving loop reusing it stays
+    /// allocation-free in steady state.
+    fn make_scratch(&self) -> Self::Scratch;
 
-    /// Executes the layer on every input of a batch, bit-exact against
-    /// per-input [`DeconvEngine::run`] calls.
+    /// Executes the layer on every input of a batch at precision tier
+    /// `prec`, one [`Execution`] per input, in order. A single image is a
+    /// batch of one.
     ///
-    /// The default forwards to `run`; engines override it to reuse scratch
-    /// buffers across the batch and to block the exact VMM path over all
-    /// images at once (weights are read from cache once per block instead
-    /// of once per image).
+    /// Each image's execution is the same whatever batch it runs in and
+    /// whatever the scratch ran before. `prec` selects how many low input
+    /// bits every crossbar VMM drops (see [`ExecPrecision`]); metering is
+    /// over the untruncated inputs, so [`ExecutionStats`] are identical
+    /// across tiers.
     ///
     /// # Errors
     ///
-    /// As [`DeconvEngine::run`]; the first failing input aborts the batch.
-    fn run_batch(&self, inputs: &[FeatureMap<i64>]) -> Result<Vec<Execution>, ArchError> {
-        inputs.iter().map(|input| self.run(input)).collect()
-    }
+    /// Returns [`ArchError::InputMismatch`] when an input's shape does not
+    /// match the layer; no input runs then.
+    fn run(
+        &self,
+        inputs: &[FeatureMap<i64>],
+        scratch: &mut Self::Scratch,
+        prec: ExecPrecision,
+    ) -> Result<Vec<Execution>, ArchError>;
+}
+
+/// Runs one image at full precision through a fresh scratch.
+#[cfg(test)]
+pub(crate) fn run_one<E: DeconvEngine>(
+    engine: &E,
+    input: &FeatureMap<i64>,
+) -> Result<Execution, ArchError> {
+    let one = std::slice::from_ref(input);
+    let mut runs = engine.run(one, &mut engine.make_scratch(), ExecPrecision::Full)?;
+    Ok(runs.pop().expect("one execution per input"))
 }
 
 pub(crate) fn check_input(layer: &LayerShape, input: &FeatureMap<i64>) -> Result<(), ArchError> {

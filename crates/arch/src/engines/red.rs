@@ -13,12 +13,13 @@
 //! sums do not depend on their order, so outputs are bit-identical to
 //! replaying the modeled schedule gather by gather.
 
-use super::{check_input, check_kernel, DeconvEngine, Execution};
+use super::scatter::{self, ScatterScratch};
+use super::{check_kernel, DeconvEngine, Execution};
+use crate::plan::InputSchedule;
 use crate::{ArchError, Design, ExecutionStats, RedLayoutPolicy};
 use red_tensor::modes::ModeSet;
 use red_tensor::{FeatureMap, Kernel, LayerShape};
-use red_xbar::{ExecPrecision, SctLayout, SubCrossbarTensor, VmmScratch, XbarConfig};
-use std::ops::Range;
+use red_xbar::{ExecPrecision, SctLayout, SubCrossbarTensor, XbarConfig};
 
 /// The RED design (paper §III-B): pixel-wise mapping (Eq. 1) plus the
 /// zero-skipping data flow (Fig. 5).
@@ -33,8 +34,8 @@ use std::ops::Range;
 ///
 /// Which input pixel feeds which sub-crossbar for which output pixel
 /// depends only on the layer geometry, so it is resolved once at
-/// construction, per input pixel, into a schedule that every run replays
-/// allocation-free (see the module docs and [`RedEngine::run_with`]).
+/// construction into the input-stationary schedule padding-free shares,
+/// and every run replays it allocation-free (see the module docs).
 #[derive(Debug, Clone)]
 pub struct RedEngine {
     layer: LayerShape,
@@ -45,93 +46,11 @@ pub struct RedEngine {
     blocks: u64,
 }
 
-/// One gather seen from its input pixel: the pixel's partial sums
-/// through tap `tap` add into output pixel `(u, v)`.
-#[derive(Debug, Clone, Copy)]
-struct Scatter {
-    tap: u32,
-    u: u32,
-    v: u32,
-}
-
-/// The zero-skipping schedule in the host's input-stationary order: per
-/// input pixel, in raster order, its gathers (ascending in tap) and the
-/// merged ranges of the taps they use.
-#[derive(Debug, Clone, Default)]
-struct InputSchedule {
-    /// Per input pixel, the ends of its slices of `scatters` and `taps`.
-    ends: Vec<(u32, u32)>,
-    scatters: Vec<Scatter>,
-    taps: Vec<Range<usize>>,
-}
-
-impl InputSchedule {
-    /// Every gather of the zero-skipping schedule, seen from its input
-    /// pixel. A mode's tap `(i, j)` gathers input pixel `(x, y)` for
-    /// output pixel `(u, v)` exactly when `s·x = u + p − i` and
-    /// `s·y = v + p − j` (Fig. 5/6), so tap `(i, j)` of input pixel
-    /// `(x, y)` lands in output pixel `(s·x + i − p, s·y + j − p)` when
-    /// that pixel exists. Enumerating that directly inverts the
-    /// per-output-pixel plan without building it (or an inversion table)
-    /// at compile time; `plan_covers_every_output_pixel_once` checks the
-    /// two hold the same gathers.
-    fn new(layer: &LayerShape) -> Self {
-        let spec = layer.spec();
-        let (s, p, kh, kw) = (
-            spec.stride(),
-            spec.padding(),
-            spec.kernel_h(),
-            spec.kernel_w(),
-        );
-        let geom = layer.output_geometry();
-        let out = |x: usize, i: usize, len: usize| (s * x + i).checked_sub(p).filter(|&u| u < len);
-        let mut schedule = Self::default();
-        for x in 0..layer.input_h() {
-            for y in 0..layer.input_w() {
-                let first = schedule.taps.len();
-                for (i, u) in (0..kh).filter_map(|i| Some((i, out(x, i, geom.height)?))) {
-                    for (j, v) in (0..kw).filter_map(|j| Some((j, out(y, j, geom.width)?))) {
-                        let t = i * kw + j;
-                        let (tap, u, v) = (t as u32, u as u32, v as u32);
-                        schedule.scatters.push(Scatter { tap, u, v });
-                        match schedule.taps[first..].last_mut() {
-                            Some(r) if r.end == t => r.end += 1,
-                            _ => schedule.taps.push(t..t + 1),
-                        }
-                    }
-                }
-                let ends = (schedule.scatters.len(), schedule.taps.len());
-                schedule.ends.push((ends.0 as u32, ends.1 as u32));
-            }
-        }
-        schedule
-    }
-
-    /// Each input pixel's gathers and tap ranges, in raster order.
-    fn pixels(&self) -> impl Iterator<Item = (&[Scatter], &[Range<usize>])> + '_ {
-        let mut start = (0, 0);
-        self.ends.iter().map(move |&(scatters, taps)| {
-            let (scatters, taps) = (scatters as usize, taps as usize);
-            let pixel = (&self.scatters[start.0..scatters], &self.taps[start.1..taps]);
-            start = (scatters, taps);
-            pixel
-        })
-    }
-}
-
-/// Reusable working memory for [`RedEngine::run_with`] and the batched
-/// runs: one input pixel position across the images of a batch, their
-/// partial sums, and the sub-crossbar VMM scratch. Built once (per run,
-/// worker, or batch) and reused for every input pixel, so steady-state
-/// execution performs no per-pixel heap allocation.
+/// Reusable working memory for RED's [`DeconvEngine::run`]: one input
+/// pixel position across the images of a batch, their partial sums, and
+/// the sub-crossbar VMM scratch.
 #[derive(Debug, Clone)]
-pub struct RedScratch {
-    /// `n × C`: input pixel `(x, y)` of each image.
-    pixels: Vec<i64>,
-    /// `n × KH·KW·M`: their partial sums, tap-major per image.
-    partials: Vec<i64>,
-    vmm: VmmScratch,
-}
+pub struct RedScratch(ScatterScratch);
 
 impl RedEngine {
     /// Programs the engine for `layer` with `kernel` under `policy`.
@@ -176,16 +95,6 @@ impl RedEngine {
         &self.modes
     }
 
-    /// Creates working memory for [`RedEngine::run_with`].
-    pub fn make_scratch(&self) -> RedScratch {
-        let taps = self.layer.spec().taps();
-        RedScratch {
-            pixels: Vec::with_capacity(self.layer.channels()),
-            partials: vec![0i64; taps * self.layer.filters()],
-            vmm: VmmScratch::new(),
-        }
-    }
-
     /// The per-image [`ExecutionStats`] every run starts from. Every
     /// sub-crossbar fires each batch; in the halved layout the pair
     /// array fires twice (once per half), so the slot count is
@@ -210,95 +119,11 @@ impl RedEngine {
         stats.nonzero_row_activations += gathers as u128 * nnz;
         stats.nonzero_macs += gathers as u128 * nnz * filters as u128;
     }
-
-    /// Executes the layer on `input` with caller-provided scratch, so a
-    /// batch or a pipeline worker pays the buffer setup once instead of
-    /// per image. The only heap allocations per call are the output
-    /// feature map and its result vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InputMismatch`] for a wrong-shaped input.
-    pub fn run_with(
-        &self,
-        input: &FeatureMap<i64>,
-        scratch: &mut RedScratch,
-    ) -> Result<Execution, ArchError> {
-        self.run_with_at(input, scratch, ExecPrecision::Full)
-    }
-
-    /// [`RedEngine::run_with`] at an explicit precision tier: `prec`
-    /// selects how many low input bits every tap VMM drops (see
-    /// [`ExecPrecision`]). Metering is over the untruncated gathered
-    /// pixels, so [`ExecutionStats`] are identical across tiers — the
-    /// tier narrows the conversion-phase window, not the zero-skipping
-    /// schedule.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InputMismatch`] for a wrong-shaped input.
-    pub fn run_with_at(
-        &self,
-        input: &FeatureMap<i64>,
-        scratch: &mut RedScratch,
-        prec: ExecPrecision,
-    ) -> Result<Execution, ArchError> {
-        let mut run = self.replay(std::slice::from_ref(input), scratch, prec)?;
-        Ok(run.pop().expect("one execution per input"))
-    }
-
-    /// The one replay behind every run: input pixel by input pixel, each
-    /// image's pixel is metered once per gather, the pixel position is
-    /// driven through its taps for the whole batch in one
-    /// [`SubCrossbarTensor::eval_taps`] call, and each gather's partial
-    /// sums are added into its output pixel.
-    fn replay(
-        &self,
-        inputs: &[FeatureMap<i64>],
-        scratch: &mut RedScratch,
-        prec: ExecPrecision,
-    ) -> Result<Vec<Execution>, ArchError> {
-        for input in inputs {
-            check_input(&self.layer, input)?;
-        }
-        let geom = self.layer.output_geometry();
-        let (m, iw) = (self.layer.filters(), self.layer.input_w());
-        let width = self.layer.spec().taps() * m;
-        let mut runs: Vec<Execution> = inputs
-            .iter()
-            .map(|_| Execution {
-                output: FeatureMap::zeros(geom.height, geom.width, m),
-                stats: self.base_stats(),
-            })
-            .collect();
-        scratch.partials.resize(inputs.len() * width, 0);
-        for (xy, (scatters, taps)) in self.schedule.pixels().enumerate() {
-            if scatters.is_empty() {
-                continue;
-            }
-            scratch.pixels.clear();
-            for (input, run) in inputs.iter().zip(&mut runs) {
-                let px = input.pixel(xy / iw, xy % iw);
-                Self::meter_gathers(&mut run.stats, px, scatters.len(), m);
-                scratch.pixels.extend_from_slice(px);
-            }
-            let partials = &mut scratch.partials;
-            self.sct
-                .eval_taps(taps, &scratch.pixels, &mut scratch.vmm, partials, prec);
-            for (run, partials) in runs.iter_mut().zip(partials.chunks_exact(width)) {
-                for g in scatters {
-                    let out = run.output.pixel_mut(g.u as usize, g.v as usize);
-                    for (o, &q) in out.iter_mut().zip(&partials[g.tap as usize * m..]) {
-                        *o += q;
-                    }
-                }
-            }
-        }
-        Ok(runs)
-    }
 }
 
 impl DeconvEngine for RedEngine {
+    type Scratch = RedScratch;
+
     fn design(&self) -> Design {
         Design::Red {
             policy: match self.sct.layout() {
@@ -312,56 +137,38 @@ impl DeconvEngine for RedEngine {
         &self.layer
     }
 
-    fn run(&self, input: &FeatureMap<i64>) -> Result<Execution, ArchError> {
-        self.run_with(input, &mut self.make_scratch())
+    fn make_scratch(&self) -> RedScratch {
+        RedScratch(ScatterScratch::default())
     }
 
-    /// Batched execution through the same replay as [`DeconvEngine::run`]:
-    /// each input pixel position is driven through its taps for every
-    /// image at once, which on ideal sub-crossbars lets
-    /// [`red_xbar::CrossbarArray::vmm_batch`] cache-block large tap
-    /// weight matrices across the batch. Bit-exact against per-input
-    /// [`DeconvEngine::run`].
-    fn run_batch(&self, inputs: &[FeatureMap<i64>]) -> Result<Vec<Execution>, ArchError> {
-        self.replay(inputs, &mut self.make_scratch(), ExecPrecision::Full)
-    }
-}
-
-impl RedEngine {
-    /// [`DeconvEngine::run_batch`] with caller-provided scratch, so a
-    /// serving loop issuing many small batches stays allocation-free in
-    /// steady state. Bit-exact against `run_batch`.
-    ///
-    /// # Errors
-    ///
-    /// As [`DeconvEngine::run_batch`].
-    pub fn run_batch_with(
-        &self,
-        inputs: &[FeatureMap<i64>],
-        scratch: &mut RedScratch,
-    ) -> Result<Vec<Execution>, ArchError> {
-        self.run_batch_with_at(inputs, scratch, ExecPrecision::Full)
-    }
-
-    /// [`RedEngine::run_batch_with`] at an explicit precision tier (see
-    /// [`RedEngine::run_with_at`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`DeconvEngine::run_batch`].
-    pub fn run_batch_with_at(
+    /// Replays the zero-skipping schedule input pixel by input pixel: each
+    /// image's pixel is metered once per gather, the pixel position is
+    /// driven through its taps for the whole batch in one
+    /// [`SubCrossbarTensor::eval_taps`] call, and each gather's partial
+    /// sums are added into its output pixel.
+    fn run(
         &self,
         inputs: &[FeatureMap<i64>],
         scratch: &mut RedScratch,
         prec: ExecPrecision,
     ) -> Result<Vec<Execution>, ArchError> {
-        self.replay(inputs, scratch, prec)
+        let m = self.layer.filters();
+        scatter::run_schedule(
+            &self.layer,
+            &self.schedule,
+            inputs,
+            self.base_stats(),
+            &mut scratch.0,
+            |stats, px, gathers| Self::meter_gathers(stats, px, gathers, m),
+            |taps, pixels, vmm, partials| self.sct.eval_taps(taps, pixels, vmm, partials, prec),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::run_one;
     use crate::plan::ExecPlan;
     use red_tensor::deconv::deconv_direct;
 
@@ -402,7 +209,7 @@ mod tests {
                 RedLayoutPolicy::AlwaysFull,
             )
             .unwrap();
-            let exec = engine.run(&input).unwrap();
+            let exec = run_one(&engine, &input).unwrap();
             let golden = deconv_direct(&input, &kernel, layer.spec()).unwrap();
             assert_eq!(exec.output, golden, "k={k} s={s} p={p} op={op}");
         }
@@ -420,7 +227,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(engine.layout(), SctLayout::Halved);
-            let exec = engine.run(&input).unwrap();
+            let exec = run_one(&engine, &input).unwrap();
             let golden = deconv_direct(&input, &kernel, layer.spec()).unwrap();
             assert_eq!(exec.output, golden, "halved k={k} s={s}");
         }
@@ -436,7 +243,7 @@ mod tests {
             RedLayoutPolicy::AlwaysFull,
         )
         .unwrap();
-        let exec = engine.run(&input).unwrap();
+        let exec = run_one(&engine, &input).unwrap();
         // OH*OW / s^2 = 64/4.
         assert_eq!(exec.stats.cycles, 16);
         // Halved doubles it.
@@ -447,7 +254,7 @@ mod tests {
             RedLayoutPolicy::AlwaysHalved,
         )
         .unwrap();
-        assert_eq!(engine.run(&input).unwrap().stats.cycles, 32);
+        assert_eq!(run_one(&engine, &input).unwrap().stats.cycles, 32);
     }
 
     #[test]
@@ -463,13 +270,10 @@ mod tests {
             &kernel,
             RedLayoutPolicy::AlwaysFull,
         )
-        .unwrap()
-        .run(&input)
         .unwrap();
-        let zp = crate::ZeroPaddingEngine::new(&XbarConfig::ideal(), &layer, &kernel)
-            .unwrap()
-            .run(&input)
-            .unwrap();
+        let red = run_one(&red, &input).unwrap();
+        let zp = crate::ZeroPaddingEngine::new(&XbarConfig::ideal(), &layer, &kernel).unwrap();
+        let zp = run_one(&zp, &input).unwrap();
         assert_eq!(
             red.stats.nonzero_row_activations,
             zp.stats.nonzero_row_activations
@@ -489,11 +293,16 @@ mod tests {
         )
         .unwrap();
         let inputs: Vec<_> = (0..3).map(|k| input.map(|v| v + k as i64)).collect();
-        let batch = engine.run_batch(&inputs).unwrap();
+        let mut scratch = engine.make_scratch();
+        let batch = engine
+            .run(&inputs, &mut scratch, ExecPrecision::Full)
+            .unwrap();
         for (one, exec) in inputs.iter().zip(&batch) {
-            let single = engine.run(one).unwrap();
+            let single = run_one(&engine, one).unwrap();
             assert_eq!(single.output, exec.output);
             assert_eq!(single.stats, exec.stats);
+            let reused = engine.run(std::slice::from_ref(one), &mut scratch, ExecPrecision::Full);
+            assert_eq!(reused.unwrap(), [single]);
         }
     }
 
@@ -509,9 +318,12 @@ mod tests {
         for policy in [RedLayoutPolicy::AlwaysFull, RedLayoutPolicy::AlwaysHalved] {
             let engine = RedEngine::new(&cfg, &layer, &kernel, policy).unwrap();
             let inputs: Vec<_> = (0..3).map(|k| input.map(|v| v + k as i64)).collect();
-            let batch = engine.run_batch(&inputs).unwrap();
+            let mut scratch = engine.make_scratch();
+            let batch = engine
+                .run(&inputs, &mut scratch, ExecPrecision::Full)
+                .unwrap();
             for (one, exec) in inputs.iter().zip(&batch) {
-                let single = engine.run(one).unwrap();
+                let single = run_one(&engine, one).unwrap();
                 assert_eq!(single.output, exec.output, "{policy:?}");
                 assert_eq!(single.stats, exec.stats, "{policy:?}");
             }
@@ -629,9 +441,12 @@ mod tests {
         .unwrap();
         assert!(engine.sct().array(0).batching_pays());
         let inputs: Vec<_> = (0..3).map(|k| input.map(|v| v - k as i64)).collect();
-        let batch = engine.run_batch(&inputs).unwrap();
+        let mut scratch = engine.make_scratch();
+        let batch = engine
+            .run(&inputs, &mut scratch, ExecPrecision::Full)
+            .unwrap();
         for (one, exec) in inputs.iter().zip(&batch) {
-            assert_eq!(engine.run(one).unwrap(), *exec);
+            assert_eq!(run_one(&engine, one).unwrap(), *exec);
         }
     }
 
@@ -642,7 +457,7 @@ mod tests {
         assert!(RedEngine::new(&XbarConfig::ideal(), &layer, &bad, RedLayoutPolicy::Auto).is_err());
         let engine =
             RedEngine::new(&XbarConfig::ideal(), &layer, &kernel, RedLayoutPolicy::Auto).unwrap();
-        assert!(engine.run(&FeatureMap::<i64>::zeros(4, 4, 2)).is_err());
+        assert!(run_one(&engine, &FeatureMap::<i64>::zeros(4, 4, 2)).is_err());
     }
 
     #[test]

@@ -1,0 +1,90 @@
+//! The scatter replay: the one host executor of the input-stationary
+//! engines.
+//!
+//! Padding-free and RED do the same host arithmetic per input pixel: drive
+//! the pixel through the kernel taps, then add each tap's `M` partial sums
+//! into the output pixel the tap lands in ([`InputSchedule`]). They differ
+//! in how a pixel is metered and in which crossbar call evaluates its taps,
+//! so the replay takes both as closures. It runs pixel-major over the
+//! batch — one evaluation per input pixel for every image at once — and a
+//! single image is a batch of one.
+
+use super::{check_input, Execution};
+use crate::plan::InputSchedule;
+use crate::{ArchError, ExecutionStats};
+use red_tensor::{FeatureMap, LayerShape};
+use red_xbar::VmmScratch;
+use std::ops::Range;
+
+/// Reusable working memory for [`run_schedule`]: one input pixel position
+/// across the images of a batch, their partial sums, and the VMM scratch.
+/// Grown on first use and resized on every call, so one scratch serves
+/// batches of any size and steady-state execution performs no per-pixel
+/// heap allocation.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ScatterScratch {
+    /// `n × C`: input pixel `(x, y)` of each image.
+    pixels: Vec<i64>,
+    /// `n × KH·KW·M`: their partial sums, tap-major per image.
+    partials: Vec<i64>,
+    vmm: VmmScratch,
+}
+
+/// Replays `schedule` over `inputs`, input pixel by input pixel. Each
+/// image's execution starts from `base` stats, and each image's pixel is
+/// metered by `meter(stats, pixel, landings)`. Then `eval(taps, pixels,
+/// vmm, partials)` evaluates the pixel position for the whole batch —
+/// `pixels` is `n × C`, and it must write at least the taps in `taps` of
+/// the `n × KH·KW·M` `partials` — and each landing's partial sums are
+/// added into its output pixel. Pixels no tap lands from are metered but
+/// not evaluated.
+pub(crate) fn run_schedule(
+    layer: &LayerShape,
+    schedule: &InputSchedule,
+    inputs: &[FeatureMap<i64>],
+    base: ExecutionStats,
+    scratch: &mut ScatterScratch,
+    meter: impl Fn(&mut ExecutionStats, &[i64], usize),
+    mut eval: impl FnMut(&[Range<usize>], &[i64], &mut VmmScratch, &mut [i64]),
+) -> Result<Vec<Execution>, ArchError> {
+    for input in inputs {
+        check_input(layer, input)?;
+    }
+    let geom = layer.output_geometry();
+    let (m, iw) = (layer.filters(), layer.input_w());
+    let width = layer.spec().taps() * m;
+    let mut runs: Vec<Execution> = inputs
+        .iter()
+        .map(|_| Execution {
+            output: FeatureMap::zeros(geom.height, geom.width, m),
+            stats: base,
+        })
+        .collect();
+    scratch.partials.resize(inputs.len() * width, 0);
+    for (xy, (scatters, taps)) in schedule.pixels().enumerate() {
+        scratch.pixels.clear();
+        for (input, run) in inputs.iter().zip(&mut runs) {
+            let px = input.pixel(xy / iw, xy % iw);
+            meter(&mut run.stats, px, scatters.len());
+            scratch.pixels.extend_from_slice(px);
+        }
+        if scatters.is_empty() {
+            continue;
+        }
+        eval(
+            taps,
+            &scratch.pixels,
+            &mut scratch.vmm,
+            &mut scratch.partials,
+        );
+        for (run, partials) in runs.iter_mut().zip(scratch.partials.chunks_exact(width)) {
+            for g in scatters {
+                let out = run.output.pixel_mut(g.u as usize, g.v as usize);
+                for (o, &q) in out.iter_mut().zip(&partials[g.tap as usize * m..]) {
+                    *o += q;
+                }
+            }
+        }
+    }
+    Ok(runs)
+}

@@ -1,11 +1,15 @@
-//! Shared plan-replay executor for the window engines.
+//! The window replay: the one host executor of the output-stationary
+//! engines.
 //!
 //! `ZeroPaddingEngine` and `ConvEngine` differ only in how their window
 //! schedule is *built* (zero-inserted padded coordinates vs strided conv
 //! coordinates); executing a built plan — gather each output pixel's
 //! receptive field, meter it, multiply it through the crossbar — is
-//! identical. This module holds that executor once, for both the
-//! per-image scratch path and the pixel-major batched path.
+//! identical. This module holds that executor once. It runs pixel-major:
+//! at each output pixel it gathers every image's window and drives the
+//! whole batch through one [`CrossbarArray::vmm_batch_at`] call, which
+//! row-blocks large ideal arrays across the batch. A single image is a
+//! batch of one.
 
 use super::Execution;
 use crate::plan::{ExecPlan, GatherEntry};
@@ -28,25 +32,18 @@ pub(crate) struct WindowGeom {
     pub window_len: usize,
 }
 
-/// Reusable working memory for [`run_plan`]: the gathered receptive-field
-/// window, the per-pixel output buffer, and the analog-path VMM scratch.
-#[derive(Debug, Clone)]
+/// Reusable working memory for [`run_plan`]: one gathered window and one
+/// output pixel per image of the batch, and the VMM scratch. Grown on
+/// first use and resized on every call, so one scratch serves batches of
+/// any size.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct WindowScratch {
-    /// All zeros between pixels: a pixel writes only its gathered slots
-    /// and clears them after its VMM.
-    window: Vec<i64>,
-    out: Vec<i64>,
+    /// `n × window_len`, all zeros between pixels: a pixel writes only its
+    /// gathered slots and clears them after its VMM.
+    windows: Vec<i64>,
+    /// `n × M`: the pixel's outputs, image-major.
+    outs: Vec<i64>,
     vmm: VmmScratch,
-}
-
-impl WindowScratch {
-    pub(crate) fn new(window_len: usize, filters: usize) -> Self {
-        Self {
-            window: vec![0i64; window_len],
-            out: vec![0i64; filters],
-            vmm: VmmScratch::new(),
-        }
-    }
 }
 
 /// Gathers one pixel's receptive field into its slots of the all-zero
@@ -87,80 +84,58 @@ fn meter_window(stats: &mut ExecutionStats, nnz: u128, window_len: usize, filter
     stats.output_pixels += 1;
 }
 
-/// Replays a window plan for one image with caller-provided scratch; the
-/// only heap allocation is the output feature map. The input must already
-/// be shape-checked. Metering is over the *untruncated* gathered window,
-/// so [`ExecutionStats`] are identical across precision tiers (the tier
-/// changes conversion phases, not the value-structure schedule).
+/// Replays a window plan pixel-major over a batch with caller-provided
+/// scratch; the only heap allocations are the outputs. Inputs must
+/// already be shape-checked. Each image is metered on its own over the
+/// *untruncated* gathered window, so [`ExecutionStats`] are identical
+/// across precision tiers (the tier changes conversion phases, not the
+/// value-structure schedule), and each image's execution is the same
+/// whatever batch it runs in.
 pub(crate) fn run_plan(
     plan: &ExecPlan,
     array: &CrossbarArray,
     geom: WindowGeom,
-    input: &FeatureMap<i64>,
+    inputs: &[FeatureMap<i64>],
     scratch: &mut WindowScratch,
     prec: ExecPrecision,
-) -> Execution {
-    let mut output = FeatureMap::<i64>::zeros(geom.out_h, geom.out_w, geom.filters);
-    let mut stats = ExecutionStats::default();
-    // Cleared once per run, so a run that panicked mid-pixel cannot
-    // leave gathered values behind in a reused scratch.
-    scratch.window.fill(0);
-    for ((u, v), gathers) in plan.iter() {
-        let nnz = gather_window(gathers, input, geom.channels, &mut scratch.window);
-        meter_window(&mut stats, nnz, scratch.window.len(), geom.filters);
-        array.vmm_into_at(&scratch.window, &mut scratch.vmm, &mut scratch.out, prec);
-        clear_window(gathers, geom.channels, &mut scratch.window);
-        output.pixel_mut(u, v).copy_from_slice(&scratch.out);
-    }
-    Execution { output, stats }
-}
-
-/// Replays a window plan pixel-major over a whole batch, gathering every
-/// image's window per output pixel and multiplying them through the
-/// batched [`CrossbarArray::vmm_batch`] — cache-blocked exact VMM on the
-/// ideal path, per-input analog VMMs otherwise — with one [`VmmScratch`]
-/// owned here and reused for every output pixel. Inputs must already be
-/// shape-checked; callers gate this on [`CrossbarArray::batching_pays`]
-/// — below that threshold the per-image [`run_plan`] loop is faster.
-pub(crate) fn run_plan_batch(
-    plan: &ExecPlan,
-    array: &CrossbarArray,
-    geom: WindowGeom,
-    inputs: &[FeatureMap<i64>],
-    prec: ExecPrecision,
 ) -> Vec<Execution> {
-    let n = inputs.len();
-    let m = geom.filters;
-    let mut outputs: Vec<FeatureMap<i64>> = inputs
+    let (n, m, len) = (inputs.len(), geom.filters, geom.window_len);
+    let mut runs: Vec<Execution> = inputs
         .iter()
-        .map(|_| FeatureMap::zeros(geom.out_h, geom.out_w, m))
+        .map(|_| Execution {
+            output: FeatureMap::zeros(geom.out_h, geom.out_w, m),
+            stats: ExecutionStats::default(),
+        })
         .collect();
-    let mut stats = vec![ExecutionStats::default(); n];
-    let mut windows = vec![0i64; n * geom.window_len];
-    let mut outs = vec![0i64; n * m];
-    let mut vmm = VmmScratch::new();
-
+    // Zeroed once per call, so a run that panicked mid-pixel cannot
+    // leave gathered values behind in a reused scratch.
+    scratch.windows.clear();
+    scratch.windows.resize(n * len, 0);
+    scratch.outs.resize(n * m, 0);
     for ((u, v), gathers) in plan.iter() {
-        for (window, (input, st)) in windows
-            .chunks_exact_mut(geom.window_len)
-            .zip(inputs.iter().zip(&mut stats))
+        for (window, (input, run)) in scratch
+            .windows
+            .chunks_exact_mut(len)
+            .zip(inputs.iter().zip(&mut runs))
         {
             let nnz = gather_window(gathers, input, geom.channels, window);
-            meter_window(st, nnz, geom.window_len, m);
+            meter_window(&mut run.stats, nnz, len, m);
         }
-        array.vmm_batch_at(&windows, n, &mut vmm, &mut outs, prec);
-        for window in windows.chunks_exact_mut(geom.window_len) {
+        array.vmm_batch_at(
+            &scratch.windows,
+            n,
+            &mut scratch.vmm,
+            &mut scratch.outs,
+            prec,
+        );
+        for (window, (run, out)) in scratch
+            .windows
+            .chunks_exact_mut(len)
+            .zip(runs.iter_mut().zip(scratch.outs.chunks_exact(m)))
+        {
             clear_window(gathers, geom.channels, window);
-        }
-        for (k, output) in outputs.iter_mut().enumerate() {
-            output
-                .pixel_mut(u, v)
-                .copy_from_slice(&outs[k * m..(k + 1) * m]);
+            run.output.pixel_mut(u, v).copy_from_slice(out);
         }
     }
-    outputs
-        .into_iter()
-        .zip(stats)
-        .map(|(output, stats)| Execution { output, stats })
-        .collect()
+    runs
 }

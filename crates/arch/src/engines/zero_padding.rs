@@ -25,9 +25,9 @@ pub struct ZeroPaddingEngine {
     plan: ExecPlan,
 }
 
-/// Reusable working memory for [`ZeroPaddingEngine::run_with`]: the
-/// gathered receptive-field window, the per-pixel output buffer, and the
-/// analog-path VMM scratch.
+/// Reusable working memory for the zero-padding engine's
+/// [`DeconvEngine::run`]: one gathered receptive-field window and one
+/// output pixel per image of the batch, and the VMM scratch.
 #[derive(Debug, Clone)]
 pub struct ZpScratch(WindowScratch);
 
@@ -112,68 +112,11 @@ impl ZeroPaddingEngine {
     pub fn plan(&self) -> &ExecPlan {
         &self.plan
     }
-
-    fn window_geom(&self) -> WindowGeom {
-        let geom = self.layer.output_geometry();
-        WindowGeom {
-            channels: self.layer.channels(),
-            filters: self.layer.filters(),
-            out_h: geom.height,
-            out_w: geom.width,
-            window_len: self.layer.spec().taps() * self.layer.channels(),
-        }
-    }
-
-    /// Creates working memory for [`ZeroPaddingEngine::run_with`].
-    pub fn make_scratch(&self) -> ZpScratch {
-        let g = self.window_geom();
-        ZpScratch(WindowScratch::new(g.window_len, g.filters))
-    }
-
-    /// Executes the layer on `input` with caller-provided scratch,
-    /// replaying the compile-time window plan (the rotated-kernel row
-    /// order means window element `((i·KW + j)·C + c)` pairs with rotated
-    /// tap `(i, j)`); the only heap allocation per call is the output
-    /// feature map itself.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InputMismatch`] for a wrong-shaped input.
-    pub fn run_with(
-        &self,
-        input: &FeatureMap<i64>,
-        scratch: &mut ZpScratch,
-    ) -> Result<Execution, ArchError> {
-        self.run_with_at(input, scratch, ExecPrecision::Full)
-    }
-
-    /// [`ZeroPaddingEngine::run_with`] at an explicit precision tier:
-    /// `prec` selects how many low input bits the crossbar drops per
-    /// window (see [`ExecPrecision`]). Metering is unchanged across
-    /// tiers; only the VMM conversion-phase window narrows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InputMismatch`] for a wrong-shaped input.
-    pub fn run_with_at(
-        &self,
-        input: &FeatureMap<i64>,
-        scratch: &mut ZpScratch,
-        prec: ExecPrecision,
-    ) -> Result<Execution, ArchError> {
-        check_input(&self.layer, input)?;
-        Ok(window::run_plan(
-            &self.plan,
-            &self.array,
-            self.window_geom(),
-            input,
-            &mut scratch.0,
-            prec,
-        ))
-    }
 }
 
 impl DeconvEngine for ZeroPaddingEngine {
+    type Scratch = ZpScratch;
+
     fn design(&self) -> Design {
         Design::ZeroPadding
     }
@@ -182,85 +125,37 @@ impl DeconvEngine for ZeroPaddingEngine {
         &self.layer
     }
 
-    fn run(&self, input: &FeatureMap<i64>) -> Result<Execution, ArchError> {
-        self.run_with(input, &mut self.make_scratch())
+    fn make_scratch(&self) -> ZpScratch {
+        ZpScratch(WindowScratch::default())
     }
 
-    /// Batched execution: when the `(KH·KW·C) × M` array is large enough
-    /// for batching to pay ([`CrossbarArray::batching_pays`] — the
-    /// cache-blocked exact path on ideal crossbars), every output pixel's
-    /// windows are gathered for the whole batch and multiplied through
-    /// [`CrossbarArray::vmm_batch`], so the weights stream from cache
-    /// once per block instead of once per image. Smaller or non-ideal
-    /// arrays fall back to per-image execution with shared scratch.
-    /// Bit-exact against per-input [`DeconvEngine::run`] either way.
-    fn run_batch(&self, inputs: &[FeatureMap<i64>]) -> Result<Vec<Execution>, ArchError> {
-        if !self.array.batching_pays() {
-            let mut scratch = self.make_scratch();
-            return inputs
-                .iter()
-                .map(|input| self.run_with(input, &mut scratch))
-                .collect();
-        }
-        self.run_batch_blocked(inputs, ExecPrecision::Full)
-    }
-}
-
-impl ZeroPaddingEngine {
-    /// [`DeconvEngine::run_batch`] with caller-provided scratch: the
-    /// per-image fallback below the batching threshold reuses `scratch`
-    /// instead of allocating a fresh one per call, so a serving loop
-    /// issuing many small batches stays allocation-free in steady state.
-    /// Above the threshold this is exactly `run_batch`. Bit-exact against
-    /// both either way.
-    ///
-    /// # Errors
-    ///
-    /// As [`DeconvEngine::run_batch`].
-    pub fn run_batch_with(
+    /// Replays the compile-time window plan pixel-major (the
+    /// rotated-kernel row order means window element `((i·KW + j)·C + c)`
+    /// pairs with rotated tap `(i, j)`); the only heap allocations per
+    /// call are the outputs.
+    fn run(
         &self,
         inputs: &[FeatureMap<i64>],
         scratch: &mut ZpScratch,
-    ) -> Result<Vec<Execution>, ArchError> {
-        self.run_batch_with_at(inputs, scratch, ExecPrecision::Full)
-    }
-
-    /// [`ZeroPaddingEngine::run_batch_with`] at an explicit precision
-    /// tier (see [`ZeroPaddingEngine::run_with_at`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`DeconvEngine::run_batch`].
-    pub fn run_batch_with_at(
-        &self,
-        inputs: &[FeatureMap<i64>],
-        scratch: &mut ZpScratch,
-        prec: ExecPrecision,
-    ) -> Result<Vec<Execution>, ArchError> {
-        if !self.array.batching_pays() {
-            return inputs
-                .iter()
-                .map(|input| self.run_with_at(input, scratch, prec))
-                .collect();
-        }
-        self.run_batch_blocked(inputs, prec)
-    }
-
-    /// The paying pixel-major batch path (shared by `run_batch` and
-    /// `run_batch_with_at`).
-    fn run_batch_blocked(
-        &self,
-        inputs: &[FeatureMap<i64>],
         prec: ExecPrecision,
     ) -> Result<Vec<Execution>, ArchError> {
         for input in inputs {
             check_input(&self.layer, input)?;
         }
-        Ok(window::run_plan_batch(
+        let geom = self.layer.output_geometry();
+        let g = WindowGeom {
+            channels: self.layer.channels(),
+            filters: self.layer.filters(),
+            out_h: geom.height,
+            out_w: geom.width,
+            window_len: self.layer.spec().taps() * self.layer.channels(),
+        };
+        Ok(window::run_plan(
             &self.plan,
             &self.array,
-            self.window_geom(),
+            g,
             inputs,
+            &mut scratch.0,
             prec,
         ))
     }
@@ -269,6 +164,7 @@ impl ZeroPaddingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::run_one;
     use red_tensor::deconv::deconv_direct;
 
     fn setup(
@@ -296,7 +192,7 @@ mod tests {
         for (k, s, p, op, ih) in [(4, 2, 1, 0, 4), (5, 2, 2, 1, 4), (3, 3, 0, 0, 3)] {
             let (layer, kernel, input) = setup(k, s, p, op, ih, 6, 4);
             let engine = ZeroPaddingEngine::new(&XbarConfig::ideal(), &layer, &kernel).unwrap();
-            let exec = engine.run(&input).unwrap();
+            let exec = run_one(&engine, &input).unwrap();
             let golden = deconv_direct(&input, &kernel, layer.spec()).unwrap();
             assert_eq!(exec.output, golden, "k={k} s={s} p={p} op={op}");
         }
@@ -306,7 +202,7 @@ mod tests {
     fn cycle_count_is_output_pixels() {
         let (layer, kernel, input) = setup(4, 2, 1, 0, 4, 3, 2);
         let engine = ZeroPaddingEngine::new(&XbarConfig::ideal(), &layer, &kernel).unwrap();
-        let exec = engine.run(&input).unwrap();
+        let exec = run_one(&engine, &input).unwrap();
         let geom = layer.output_geometry();
         assert_eq!(exec.stats.cycles, geom.pixels() as u64);
         assert_eq!(exec.stats.output_pixels, geom.pixels() as u64);
@@ -321,7 +217,7 @@ mod tests {
         let kernel = Kernel::from_fn(4, 4, 3, 2, |i, j, c, m| (i + j + c + m) as i64);
         let input = FeatureMap::from_fn(4, 4, 3, |_, _, _| 1); // all non-zero
         let engine = ZeroPaddingEngine::new(&XbarConfig::ideal(), &layer, &kernel).unwrap();
-        let exec = engine.run(&input).unwrap();
+        let exec = run_one(&engine, &input).unwrap();
         let analytic = red_tensor::redundancy::mac_zero_fraction(4, 4, &spec).unwrap();
         assert!(
             (exec.stats.zero_slot_fraction() - analytic).abs() < 1e-12,
@@ -336,9 +232,11 @@ mod tests {
         let inputs: Vec<_> = (0..3).map(|k| input.map(|v| v - k as i64)).collect();
         for cfg in [XbarConfig::ideal(), XbarConfig::noisy(0.01, 0.001, 0.0, 17)] {
             let engine = ZeroPaddingEngine::new(&cfg, &layer, &kernel).unwrap();
-            let batch = engine.run_batch(&inputs).unwrap();
+            let batch = engine
+                .run(&inputs, &mut engine.make_scratch(), ExecPrecision::Full)
+                .unwrap();
             for (one, exec) in inputs.iter().zip(&batch) {
-                let single = engine.run(one).unwrap();
+                let single = run_one(&engine, one).unwrap();
                 assert_eq!(single.output, exec.output);
                 assert_eq!(single.stats, exec.stats);
             }
@@ -348,15 +246,18 @@ mod tests {
     #[test]
     fn run_batch_pixel_major_path_matches_per_image() {
         // 16 taps x 128 channels x 64 filters = 1 MiB of weights: crosses
-        // the blocking threshold, so this exercises the batched gather +
-        // vmm_batch path (the small-layer test above covers the fallback).
+        // the blocking threshold, so this exercises vmm_batch_at's row
+        // blocking across the batch (the small-layer test above covers its
+        // per-input loop).
         let (layer, kernel, input) = setup(4, 2, 1, 0, 4, 128, 64);
         let engine = ZeroPaddingEngine::new(&XbarConfig::ideal(), &layer, &kernel).unwrap();
         assert!(engine.array().batching_pays());
         let inputs: Vec<_> = (0..2).map(|k| input.map(|v| v + k as i64)).collect();
-        let batch = engine.run_batch(&inputs).unwrap();
+        let batch = engine
+            .run(&inputs, &mut engine.make_scratch(), ExecPrecision::Full)
+            .unwrap();
         for (one, exec) in inputs.iter().zip(&batch) {
-            let single = engine.run(one).unwrap();
+            let single = run_one(&engine, one).unwrap();
             assert_eq!(single.output, exec.output);
             assert_eq!(single.stats, exec.stats);
         }
@@ -375,12 +276,17 @@ mod tests {
         for cfg in [XbarConfig::ideal(), XbarConfig::noisy(0.01, 0.001, 0.0, 5)] {
             let engine = ZeroPaddingEngine::new(&cfg, &layer, &kernel).unwrap();
             let mut scratch = engine.make_scratch();
-            let fresh: Vec<_> = inputs.iter().map(|x| engine.run(x).unwrap()).collect();
+            let fresh: Vec<_> = inputs
+                .iter()
+                .map(|x| run_one(&engine, x).unwrap())
+                .collect();
             for (x, want) in inputs.iter().zip(&fresh) {
-                assert_eq!(&engine.run_with(x, &mut scratch).unwrap(), want);
+                let one = std::slice::from_ref(x);
+                let got = engine.run(one, &mut scratch, ExecPrecision::Full);
+                assert_eq!(got.unwrap(), std::slice::from_ref(want));
             }
-            let batch = engine.run_batch_with(&inputs, &mut scratch).unwrap();
-            assert_eq!(batch, fresh);
+            let batch = engine.run(&inputs, &mut scratch, ExecPrecision::Full);
+            assert_eq!(batch.unwrap(), fresh);
             if engine.array().is_ideal() {
                 for (x, exec) in inputs.iter().zip(&fresh) {
                     let golden = deconv_direct(x, &kernel, layer.spec()).unwrap();
@@ -401,7 +307,7 @@ mod tests {
         let engine = ZeroPaddingEngine::new(&XbarConfig::ideal(), &layer, &kernel).unwrap();
         let bad_input = FeatureMap::<i64>::zeros(5, 4, 3);
         assert!(matches!(
-            engine.run(&bad_input),
+            run_one(&engine, &bad_input),
             Err(ArchError::InputMismatch { .. })
         ));
         let _ = input;

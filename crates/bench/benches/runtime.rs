@@ -5,8 +5,8 @@
 //!
 //! The `pipelined_b8_w1` vs `pipelined_b8_auto` pair isolates the
 //! intra-stage data-parallelism win: same chip, same batch, one worker
-//! per stage vs the derived pool. `layer_batch` tracks the plan/scratch
-//! executor (`CompiledLayer::run_batch`) against per-image `run` calls.
+//! per stage vs the derived pool. `layer_batch` tracks one batch call of
+//! `CompiledLayer::run_batch_with` against eight one-image calls.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use red_core::prelude::*;
@@ -65,20 +65,27 @@ fn layer_batch(c: &mut Criterion) {
             .build()
             .compile(&layer, &kernel)
             .expect("layer compiles");
+        // One batch call against eight one-image calls, each reusing one
+        // scratch across iterations.
         group.bench_with_input(
             BenchmarkId::new("run_batch_b8", design.label()),
             &compiled,
-            |b, l| b.iter(|| l.run_batch(&inputs).expect("runs")),
+            |b, l| {
+                let mut scratch = l.make_scratch();
+                b.iter(|| l.run_batch_with(&inputs, &mut scratch).expect("runs"))
+            },
         );
         group.bench_with_input(
             BenchmarkId::new("run_per_image_b8", design.label()),
             &compiled,
             |b, l| {
+                let mut scratch = l.make_scratch();
                 b.iter(|| {
                     inputs
                         .iter()
-                        .map(|i| l.run(i).expect("runs"))
-                        .collect::<Vec<_>>()
+                        .map(|i| l.run_batch_with(std::slice::from_ref(i), &mut scratch))
+                        .collect::<Result<Vec<_>, _>>()
+                        .expect("runs")
                 })
             },
         );

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use red_core::prelude::*;
-use red_core::xbar::CrossbarArray;
+use red_core::xbar::{CrossbarArray, VmmScratch};
 
 fn make_weights(rows: usize, cols: usize) -> Vec<Vec<i64>> {
     (0..rows)
@@ -24,8 +24,9 @@ fn vmm_paths(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("exact", rows), &ideal, |b, a| {
             b.iter(|| a.vmm_exact(&input))
         });
+        let (mut scratch, mut out) = (VmmScratch::new(), vec![0i64; 32]);
         group.bench_with_input(BenchmarkId::new("analog_ideal", rows), &ideal, |b, a| {
-            b.iter(|| a.vmm_analog(&input))
+            b.iter(|| a.vmm_analog_into(&input, &mut scratch, &mut out))
         });
         let noisy_cfg = XbarConfig::noisy(0.05, 0.001, 0.001, 42);
         let noisy = CrossbarArray::program(&noisy_cfg, &weights).expect("programs");

@@ -315,7 +315,7 @@ fn main() -> ExitCode {
                     // engages the blocked exact VMMs — must compute the
                     // same function.
                     let batched = chip
-                        .run_batched(&inputs)
+                        .run_batched_with_scratch(&inputs, &mut chip.make_scratch())
                         .expect("stage-major batched path runs");
                     assert_eq!(
                         golden.outputs,

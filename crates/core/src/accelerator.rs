@@ -163,11 +163,12 @@ enum EngineKind {
     Red(RedEngine),
 }
 
-/// Reusable working memory for [`CompiledLayer::run_with`]: the compiled
-/// engine's scratch buffers (accumulators, gather windows, analog-path
-/// VMM state), built once per execution context — a batch, a pipeline
-/// worker — and reused across images so steady-state execution performs
-/// no per-pixel heap allocation.
+/// Reusable working memory for [`CompiledLayer::run_batch_with`]: the
+/// compiled engine's scratch buffers (gathered pixels or windows,
+/// partial sums, analog-path VMM state), built once per execution
+/// context — a serving replica, a pipeline worker — and reused across
+/// batches of any size, so steady-state execution performs no per-pixel
+/// heap allocation.
 #[derive(Debug)]
 pub struct LayerScratch(ScratchKind);
 
@@ -186,16 +187,18 @@ pub struct CompiledLayer {
 }
 
 impl CompiledLayer {
-    /// Executes the layer on `input`.
+    /// Executes the layer on one image through a fresh scratch.
     ///
     /// # Errors
     ///
     /// Returns [`ArchError::InputMismatch`] for a wrong-shaped input.
     pub fn run(&self, input: &FeatureMap<i64>) -> Result<Execution, ArchError> {
-        self.run_with(input, &mut self.make_scratch())
+        let one = std::slice::from_ref(input);
+        let mut runs = self.run_batch_with(one, &mut self.make_scratch())?;
+        Ok(runs.pop().expect("one execution per input"))
     }
 
-    /// Creates working memory for [`CompiledLayer::run_with`].
+    /// Creates working memory for [`CompiledLayer::run_batch_with`].
     pub fn make_scratch(&self) -> LayerScratch {
         LayerScratch(match &self.engine {
             EngineKind::ZeroPadding(e) => ScratchKind::ZeroPadding(e.make_scratch()),
@@ -204,94 +207,17 @@ impl CompiledLayer {
         })
     }
 
-    /// Executes the layer on `input` with caller-provided scratch, so
-    /// repeated executions (a batch, a serving loop) pay the buffer setup
-    /// once instead of per image.
+    /// Executes the layer on every input of a batch with caller-provided
+    /// scratch, one [`Execution`] per input, in order. Each image's
+    /// execution is the same whatever batch it runs in and whatever the
+    /// scratch ran before, so a single image is a batch of one, and a
+    /// serving loop pushing many batches through the same layer pays the
+    /// scratch setup once.
     ///
     /// # Errors
     ///
-    /// Returns [`ArchError::InputMismatch`] for a wrong-shaped input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was created by a [`CompiledLayer`] of a
-    /// different design.
-    pub fn run_with(
-        &self,
-        input: &FeatureMap<i64>,
-        scratch: &mut LayerScratch,
-    ) -> Result<Execution, ArchError> {
-        match (&self.engine, &mut scratch.0) {
-            (EngineKind::ZeroPadding(e), ScratchKind::ZeroPadding(s)) => e.run_with(input, s),
-            (EngineKind::PaddingFree(e), ScratchKind::PaddingFree(s)) => e.run_with(input, s),
-            (EngineKind::Red(e), ScratchKind::Red(s)) => e.run_with(input, s),
-            _ => panic!("LayerScratch used with a different design's CompiledLayer"),
-        }
-    }
-
-    /// [`CompiledLayer::run_with`] at an explicit precision tier: `prec`
-    /// selects how many low input bits every crossbar VMM drops (see
-    /// [`ExecPrecision`]); `ExecPrecision::Full` is bit-identical to
-    /// [`CompiledLayer::run_with`], and the worst-case output deviation
-    /// of a degraded tier is
-    /// [`CompiledLayer::truncation_error_bound`]. [`red_arch::ExecutionStats`]
-    /// are identical across tiers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InputMismatch`] for a wrong-shaped input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was created by a [`CompiledLayer`] of a
-    /// different design.
-    pub fn run_with_at(
-        &self,
-        input: &FeatureMap<i64>,
-        scratch: &mut LayerScratch,
-        prec: ExecPrecision,
-    ) -> Result<Execution, ArchError> {
-        match (&self.engine, &mut scratch.0) {
-            (EngineKind::ZeroPadding(e), ScratchKind::ZeroPadding(s)) => {
-                e.run_with_at(input, s, prec)
-            }
-            (EngineKind::PaddingFree(e), ScratchKind::PaddingFree(s)) => {
-                e.run_with_at(input, s, prec)
-            }
-            (EngineKind::Red(e), ScratchKind::Red(s)) => e.run_with_at(input, s, prec),
-            _ => panic!("LayerScratch used with a different design's CompiledLayer"),
-        }
-    }
-
-    /// Executes the layer on every input of a batch, bit-exact against
-    /// per-input [`CompiledLayer::run`] calls. Scratch buffers are reused
-    /// across the batch, and when an ideal crossbar is large enough the
-    /// engines multiply whole-batch gathers at once through the
-    /// row-blocked exact VMM, so its weights stream from cache once per
-    /// block instead of once per image.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledLayer::run`]; the first failing input aborts the
-    /// batch.
-    pub fn run_batch(&self, inputs: &[FeatureMap<i64>]) -> Result<Vec<Execution>, ArchError> {
-        match &self.engine {
-            EngineKind::ZeroPadding(e) => e.run_batch(inputs),
-            EngineKind::PaddingFree(e) => e.run_batch(inputs),
-            EngineKind::Red(e) => e.run_batch(inputs),
-        }
-    }
-
-    /// [`CompiledLayer::run_batch`] with caller-provided scratch: when
-    /// the crossbars are below the batched-VMM threshold the per-image
-    /// fallback reuses `scratch` instead of allocating one per call, so a
-    /// serving loop pushing many small batches through the same layer
-    /// performs no steady-state scratch allocation. Bit-exact against
-    /// [`CompiledLayer::run_batch`] on every path.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledLayer::run_batch`].
+    /// Returns [`ArchError::InputMismatch`] when an input's shape does not
+    /// match the layer; no input runs then.
     ///
     /// # Panics
     ///
@@ -302,24 +228,20 @@ impl CompiledLayer {
         inputs: &[FeatureMap<i64>],
         scratch: &mut LayerScratch,
     ) -> Result<Vec<Execution>, ArchError> {
-        match (&self.engine, &mut scratch.0) {
-            (EngineKind::ZeroPadding(e), ScratchKind::ZeroPadding(s)) => {
-                e.run_batch_with(inputs, s)
-            }
-            (EngineKind::PaddingFree(e), ScratchKind::PaddingFree(s)) => {
-                e.run_batch_with(inputs, s)
-            }
-            (EngineKind::Red(e), ScratchKind::Red(s)) => e.run_batch_with(inputs, s),
-            _ => panic!("LayerScratch used with a different design's CompiledLayer"),
-        }
+        self.run_batch_with_at(inputs, scratch, ExecPrecision::Full)
     }
 
-    /// [`CompiledLayer::run_batch_with`] at an explicit precision tier
-    /// (see [`CompiledLayer::run_with_at`]).
+    /// [`CompiledLayer::run_batch_with`] at an explicit precision tier:
+    /// `prec` selects how many low input bits every crossbar VMM drops
+    /// (see [`ExecPrecision`]); `ExecPrecision::Full` is bit-identical to
+    /// [`CompiledLayer::run_batch_with`], and the worst-case output
+    /// deviation of a degraded tier is
+    /// [`CompiledLayer::truncation_error_bound`].
+    /// [`red_arch::ExecutionStats`] are identical across tiers.
     ///
     /// # Errors
     ///
-    /// As [`CompiledLayer::run_batch`].
+    /// As [`CompiledLayer::run_batch_with`].
     ///
     /// # Panics
     ///
@@ -332,13 +254,9 @@ impl CompiledLayer {
         prec: ExecPrecision,
     ) -> Result<Vec<Execution>, ArchError> {
         match (&self.engine, &mut scratch.0) {
-            (EngineKind::ZeroPadding(e), ScratchKind::ZeroPadding(s)) => {
-                e.run_batch_with_at(inputs, s, prec)
-            }
-            (EngineKind::PaddingFree(e), ScratchKind::PaddingFree(s)) => {
-                e.run_batch_with_at(inputs, s, prec)
-            }
-            (EngineKind::Red(e), ScratchKind::Red(s)) => e.run_batch_with_at(inputs, s, prec),
+            (EngineKind::ZeroPadding(e), ScratchKind::ZeroPadding(s)) => e.run(inputs, s, prec),
+            (EngineKind::PaddingFree(e), ScratchKind::PaddingFree(s)) => e.run(inputs, s, prec),
+            (EngineKind::Red(e), ScratchKind::Red(s)) => e.run(inputs, s, prec),
             _ => panic!("LayerScratch used with a different design's CompiledLayer"),
         }
     }
@@ -423,14 +341,15 @@ mod tests {
         for design in Design::paper_lineup() {
             let acc = Accelerator::builder().design(design).build();
             let compiled = acc.compile(&layer, &kernel).unwrap();
-            let batch = compiled.run_batch(&inputs).unwrap();
             let mut scratch = compiled.make_scratch();
+            let batch = compiled.run_batch_with(&inputs, &mut scratch).unwrap();
             for (input, exec) in inputs.iter().zip(&batch) {
                 let single = compiled.run(input).unwrap();
-                let with = compiled.run_with(input, &mut scratch).unwrap();
+                let one = std::slice::from_ref(input);
+                let with = compiled.run_batch_with(one, &mut scratch).unwrap();
                 assert_eq!(single.output, exec.output, "{design}");
                 assert_eq!(single.stats, exec.stats, "{design}");
-                assert_eq!(with.output, exec.output, "{design}");
+                assert_eq!(with[0].output, exec.output, "{design}");
             }
         }
     }
@@ -452,7 +371,7 @@ mod tests {
             .compile(&layer, &kernel)
             .unwrap();
         let mut scratch = zp.make_scratch();
-        let _ = red.run_with(&input, &mut scratch);
+        let _ = red.run_batch_with(std::slice::from_ref(&input), &mut scratch);
     }
 
     #[test]

@@ -128,7 +128,8 @@ impl Floorplan {
 /// therefore cloning a whole [`Chip`] for fleet replication — shares the
 /// immutable compiled state instead of re-copying the programmed arrays.
 /// Mutable execution state lives entirely in the caller-provided scratch
-/// ([`Stage::run_with`]), which every clone creates for itself.
+/// ([`CompiledLayer::run_batch_with`]), which every clone creates for
+/// itself.
 #[derive(Debug, Clone)]
 pub struct Stage {
     compiled: Arc<CompiledLayer>,
@@ -149,7 +150,7 @@ impl Stage {
         &self.compiled
     }
 
-    /// Creates working memory for [`Stage::run_with`] (one per worker).
+    /// Creates working memory for [`Stage::run_one`] (one per worker).
     pub(crate) fn make_scratch(&self) -> red_core::LayerScratch {
         self.compiled.make_scratch()
     }
@@ -169,12 +170,16 @@ impl Stage {
         self.compiled.layer()
     }
 
-    pub(crate) fn run_with(
+    /// Runs one image through the stage's engine, as a batch of one.
+    pub(crate) fn run_one(
         &self,
         input: &FeatureMap<i64>,
         scratch: &mut red_core::LayerScratch,
     ) -> Result<Execution, RuntimeError> {
-        Ok(self.compiled.run_with(input, scratch)?)
+        let mut runs = self
+            .compiled
+            .run_batch_with(std::slice::from_ref(input), scratch)?;
+        Ok(runs.pop().expect("one execution per input"))
     }
 }
 

@@ -63,7 +63,7 @@ impl HardwarePerImage {
         live_mag_bits: u32,
     ) -> Self {
         // Two polarity phases per live magnitude bit — the sweep the
-        // analog engine actually performs (`CrossbarArray::vmm_analog`).
+        // analog engine actually performs (`CrossbarArray::vmm_analog_into`).
         let live = live_mag_bits.clamp(1, full_mag_bits.max(1));
         let phases = u128::from(2 * live);
         let full = full_mag_bits.max(1);

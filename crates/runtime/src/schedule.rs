@@ -58,8 +58,8 @@ pub struct BatchRun {
     pub report: RuntimeReport,
 }
 
-/// Reusable working memory for [`Chip::run_batched_with_scratch`]: one
-/// engine scratch per stage. Built once per serving context
+/// Reusable working memory for [`Chip::run_batched_with_scratch`] and
+/// [`Chip::run_sequential`]: one engine scratch per stage. Built once per serving context
 /// ([`Chip::make_scratch`]) and reused across batches, so a serving loop
 /// pushing many small batches through the chip performs no steady-state
 /// engine-scratch allocation.
@@ -97,12 +97,12 @@ impl Chip {
         let started = Instant::now();
         let depth = self.depth();
         let mut meters = vec![StageMeter::default(); depth];
-        let mut scratches: Vec<_> = self.stages().iter().map(|s| s.make_scratch()).collect();
+        let mut scratch = self.make_scratch();
         let mut outputs = Vec::with_capacity(inputs.len());
         for input in inputs {
             let mut fm = input.clone();
             for (k, stage) in self.stages().iter().enumerate() {
-                let exec = stage.run_with(&fm, &mut scratches[k])?;
+                let exec = stage.run_one(&fm, &mut scratch.stages[k])?;
                 meters[k].images += 1;
                 meters[k].cycles += u128::from(exec.stats.cycles);
                 fm = if k + 1 < depth {
@@ -120,25 +120,6 @@ impl Chip {
         })
     }
 
-    /// Runs `inputs` stage-major: every stage consumes the whole batch
-    /// through its engine's batched executor (`CompiledLayer::run_batch`)
-    /// before the next stage starts, so large ideal crossbars stream
-    /// their weight blocks across the batch instead of once per image,
-    /// and every stage reuses one scratch for the whole batch.
-    ///
-    /// Outputs are bit-exact against [`Chip::run_sequential`] (the
-    /// engines' batched executors are bit-exact against their per-image
-    /// paths), and the modeled hardware schedule is identical — only host
-    /// wall time moves.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::EmptyBatch`] for an empty batch;
-    /// [`RuntimeError::Arch`] when any stage rejects its input.
-    pub fn run_batched(&self, inputs: &[FeatureMap<i64>]) -> Result<BatchRun, RuntimeError> {
-        self.run_batched_with_scratch(inputs, &mut self.make_scratch())
-    }
-
     /// Creates working memory for [`Chip::run_batched_with_scratch`] (one
     /// per serving replica or worker).
     pub fn make_scratch(&self) -> ChipScratch {
@@ -147,16 +128,25 @@ impl Chip {
         }
     }
 
-    /// [`Chip::run_batched`] with caller-provided working memory: the
-    /// per-stage engine scratches are reused across calls instead of
-    /// rebuilt per batch, so a serving loop — `red-server` replicas drive
-    /// exactly this entry — pays the scratch setup once per replica, not
-    /// once per micro-batch. Outputs and the measured schedule are
-    /// bit-identical to [`Chip::run_batched`].
+    /// Runs `inputs` stage-major with caller-provided working memory:
+    /// every stage consumes the whole batch through its engine
+    /// ([`red_core::CompiledLayer::run_batch_with`]) before the next stage
+    /// starts, so each pixel drives the whole batch through one crossbar
+    /// call and large ideal crossbars stream their weight blocks once per
+    /// batch instead of once per image. The per-stage engine scratches
+    /// are reused across calls, so a serving loop — `red-server` replicas
+    /// drive exactly this entry — pays the scratch setup once per replica,
+    /// not once per micro-batch.
+    ///
+    /// Outputs are bit-exact against [`Chip::run_sequential`] (an
+    /// engine's execution of an image does not depend on its batch), and
+    /// the modeled hardware schedule is identical — only host wall time
+    /// moves.
     ///
     /// # Errors
     ///
-    /// As [`Chip::run_batched`].
+    /// [`RuntimeError::EmptyBatch`] for an empty batch;
+    /// [`RuntimeError::Arch`] when any stage rejects its input.
     ///
     /// # Panics
     ///
@@ -185,7 +175,7 @@ impl Chip {
     ///
     /// # Errors
     ///
-    /// As [`Chip::run_batched`].
+    /// As [`Chip::run_batched_with_scratch`].
     ///
     /// # Panics
     ///
@@ -290,7 +280,7 @@ impl Chip {
                                 let Ok((idx, fm)) = msg else {
                                     break; // upstream done or hung up
                                 };
-                                let exec = stage.run_with(&fm, &mut scratch)?;
+                                let exec = stage.run_one(&fm, &mut scratch)?;
                                 meter.images += 1;
                                 meter.cycles += u128::from(exec.stats.cycles);
                                 let out = if last {
@@ -487,7 +477,9 @@ mod tests {
                     .compile_seeded(&stack, 5, 11)
                     .unwrap();
                 let seq = chip.run_sequential(&inputs).unwrap();
-                let batched = chip.run_batched(&inputs).unwrap();
+                let batched = chip
+                    .run_batched_with_scratch(&inputs, &mut chip.make_scratch())
+                    .unwrap();
                 assert_eq!(seq.outputs, batched.outputs, "{design}");
                 assert_eq!(batched.report.mode, ExecMode::Batched);
                 // Stage-major batching is host-side only: same measured
@@ -563,7 +555,8 @@ mod tests {
             .run_batched_with_scratch_at(&inputs, &mut scratch, ExecPrecision::Full)
             .unwrap();
         // Full tier is the bit-identical golden path.
-        assert_eq!(full.outputs, chip.run_batched(&inputs).unwrap().outputs);
+        let fresh = chip.run_batched_with_scratch(&inputs, &mut chip.make_scratch());
+        assert_eq!(full.outputs, fresh.unwrap().outputs);
         assert_eq!(
             chip.hardware_per_image_at(ExecPrecision::Full),
             chip.hardware_per_image()
@@ -616,7 +609,7 @@ mod tests {
     fn batched_rejects_empty_batch() {
         let (chip, _) = chip_and_inputs(1);
         assert!(matches!(
-            chip.run_batched(&[]),
+            chip.run_batched_with_scratch(&[], &mut chip.make_scratch()),
             Err(RuntimeError::EmptyBatch)
         ));
     }

@@ -217,9 +217,9 @@ const WF_ACTIVE_WINDOW: u64 = 256;
 ///
 /// * a **doomed** request (predicted completion past its deadline) is
 ///   always shed — same zero-waste argument as [`DeadlineShed`];
-/// * a tenant returning from idle (no offer within the last
-///   [`WF_ACTIVE_WINDOW`] decisions) is lifted to the minimum active
-///   `norm`, so idleness banks no catch-up credit;
+/// * a tenant returning from idle (no offer within the last 256
+///   decisions) is lifted to the minimum active `norm`, so idleness
+///   banks no catch-up credit;
 /// * while the request's queue lag is within `max_lag_ns` the policy is
 ///   **work-conserving**: everything (with a meetable deadline) is
 ///   admitted, so an underloaded fleet never sheds;

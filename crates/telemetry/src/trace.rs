@@ -296,9 +296,10 @@ impl Telemetry {
         events
     }
 
-    /// Renders the retained events as Chrome trace-event JSON (see
-    /// [`crate::perfetto`]). Deterministic: byte-identical across
-    /// reruns of the same virtual-clock event sequence.
+    /// Renders the retained events as Chrome trace-event JSON, the
+    /// format Perfetto and `chrome://tracing` load. Deterministic:
+    /// byte-identical across reruns of the same virtual-clock event
+    /// sequence.
     pub fn export_chrome_trace(&self) -> String {
         let events = self.snapshot();
         let overflow = self.overflow_total();
@@ -346,7 +347,7 @@ impl Telemetry {
         }
     }
 
-    /// Publishes scraped time-series (one [`SeriesSnapshot`] per
+    /// Publishes scraped time-series (one [`crate::SeriesSnapshot`] per
     /// series) for later export; typically called once per partition
     /// at end of run. No-op on a disabled handle.
     pub fn publish_timeseries(&self, series: Vec<crate::scrape::SeriesSnapshot>) {

@@ -70,14 +70,15 @@ impl VmmScratch {
 ///
 /// * [`CrossbarArray::vmm_exact`] — the digital integer reference
 ///   (`out = Wᵀ x`);
-/// * [`CrossbarArray::vmm_analog`] — the full Fig. 1(a) pipeline:
+/// * [`CrossbarArray::vmm_analog_into`] — the full Fig. 1(a) pipeline:
 ///   bit-serial input phases, per-phase analog column-current summation
 ///   with dummy-column baseline cancellation, integrate-and-fire
 ///   conversion, and shift-add recombination.
 ///
 /// With an ideal configuration the two are bit-exact (property-tested);
-/// [`CrossbarArray::vmm`] dispatches to the fast exact path when the
-/// configuration is ideal and to the analog path otherwise.
+/// [`CrossbarArray::vmm_batch_at`] — the entry the engines execute through —
+/// dispatches to the fast exact path when the configuration is ideal and
+/// to the analog path otherwise.
 ///
 /// Everything the analog path needs that is fixed once the cells are
 /// written — conductance, geometry, wire droop, retention drift,
@@ -447,14 +448,14 @@ impl CrossbarArray {
         let _ = self.eff_current.set(plane);
     }
 
-    /// `true` when [`CrossbarArray::vmm_batch`] will actually cache-block
-    /// the exact path: the configuration is ideal and the weight matrix
-    /// is too large (≥ 1 MiB) to stay resident between back-to-back
-    /// per-input passes. Below the threshold a per-input loop with shared
-    /// scratch is faster (measured on the committed baseline host).
+    /// `true` when [`CrossbarArray::vmm_batch_at`] will actually
+    /// cache-block the exact path: the configuration is ideal and the
+    /// weight matrix is too large (≥ 1 MiB) to stay resident between
+    /// back-to-back per-input passes. Below the threshold a per-input loop
+    /// is faster (measured on the committed baseline host).
     ///
-    /// Engines consult this to decide whether to gather pixel-major
-    /// across a batch, which trades input locality for weight reuse. Only
+    /// The gate is private to that dispatch: no engine consults it. Every
+    /// engine hands `vmm_batch_at` the whole batch at each pixel, and only
     /// the blocked exact path reuses anything across inputs. The analog
     /// batch is a per-input loop: an analog VMM is bound by streaming its
     /// active plane rows, and the kernel's column tiles keep a tile's rows
@@ -498,29 +499,37 @@ impl CrossbarArray {
         }
     }
 
-    /// Cache-blocked multi-input exact VMM: `n` input vectors, flattened
+    /// The one execution-time VMM entry: `n` input vectors, flattened
     /// row-major into `inputs` (`n × rows`), produce `n × weight_cols`
-    /// results in `out`.
+    /// results in `out`, at precision tier `prec`.
     ///
-    /// When the weight matrix is too large to sit in cache across
-    /// back-to-back calls, it is walked in row blocks that stay resident
-    /// while every input of the batch consumes them, so weight traffic is
-    /// paid once per block instead of once per input; small matrices are
-    /// already cache-resident, so they take the straight per-input loop
-    /// (blocking would only add loop overhead). Integer accumulation is
-    /// order-independent, so the result is bit-identical to `n` calls of
-    /// [`CrossbarArray::vmm_exact_into`] either way.
+    /// Ideal arrays run the exact integer path; `prec` truncates each
+    /// input's dropped low bits first (staged through `scratch`). When
+    /// the weight matrix is too large to sit in cache across back-to-back
+    /// inputs ([`CrossbarArray::batching_pays`]), it is walked in row
+    /// blocks that stay resident while every input of the batch consumes
+    /// them, so weight traffic is paid once per block instead of once per
+    /// input; smaller matrices take the straight per-input loop. Integer
+    /// accumulation is order-independent, so either way each result
+    /// equals [`CrossbarArray::vmm_exact_into`] on the truncated input.
     ///
-    /// Non-ideal configurations have no exact path to block; those route
-    /// through [`CrossbarArray::vmm_analog_batch`], keeping the semantics
-    /// of [`CrossbarArray::vmm`].
-    /// `scratch` is only touched on the analog path and is the caller's,
-    /// so steady-state batched execution stays allocation-free.
+    /// Non-ideal arrays run [`CrossbarArray::vmm_analog_batch_at`], whose
+    /// dropped phases degrade the result the same way. Either path's
+    /// deviation from [`ExecPrecision::Full`] obeys
+    /// [`CrossbarArray::truncation_error_bound`]. `scratch` is the
+    /// caller's, so steady-state batched execution stays allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len() != n * rows` or `out.len() != n * weight_cols`.
-    pub fn vmm_batch(&self, inputs: &[i64], n: usize, scratch: &mut VmmScratch, out: &mut [i64]) {
+    pub fn vmm_batch_at(
+        &self,
+        inputs: &[i64],
+        n: usize,
+        scratch: &mut VmmScratch,
+        out: &mut [i64],
+        prec: ExecPrecision,
+    ) {
         assert_eq!(inputs.len(), n * self.rows, "inputs must be n x rows");
         assert_eq!(
             out.len(),
@@ -528,9 +537,24 @@ impl CrossbarArray {
             "out must be n x weight_cols"
         );
         if !self.is_ideal() {
-            self.vmm_analog_batch(inputs, n, scratch, out);
+            self.vmm_analog_batch_at(inputs, n, scratch, out, prec);
             return;
         }
+        let dropped = self.effective_dropped_bits(prec);
+        if dropped == 0 {
+            self.exact_batch(inputs, out);
+            return;
+        }
+        scratch.trunc.clear();
+        scratch
+            .trunc
+            .extend(inputs.iter().map(|&x| Self::truncate_input(x, dropped)));
+        self.exact_batch(&scratch.trunc, out);
+    }
+
+    /// The exact path of [`CrossbarArray::vmm_batch_at`], row-blocked
+    /// when [`CrossbarArray::batching_pays`].
+    fn exact_batch(&self, inputs: &[i64], out: &mut [i64]) {
         if !self.batching_pays() {
             for (input, o) in inputs
                 .chunks_exact(self.rows)
@@ -562,48 +586,6 @@ impl CrossbarArray {
         }
     }
 
-    /// [`CrossbarArray::vmm_batch`] at an explicit precision tier: the
-    /// same exact-vs-analog dispatch, with the ideal path staging
-    /// truncated inputs through the scratch and the analog path dropping
-    /// phase buckets batch-wide. `Full` is bit-identical to
-    /// [`CrossbarArray::vmm_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != n * rows` or `out.len() != n * weight_cols`.
-    pub fn vmm_batch_at(
-        &self,
-        inputs: &[i64],
-        n: usize,
-        scratch: &mut VmmScratch,
-        out: &mut [i64],
-        prec: ExecPrecision,
-    ) {
-        assert_eq!(inputs.len(), n * self.rows, "inputs must be n x rows");
-        assert_eq!(
-            out.len(),
-            n * self.weight_cols,
-            "out must be n x weight_cols"
-        );
-        if !self.is_ideal() {
-            self.vmm_analog_batch_at(inputs, n, scratch, out, prec);
-            return;
-        }
-        let dropped = self.effective_dropped_bits(prec);
-        if dropped == 0 {
-            self.vmm_batch(inputs, n, scratch, out);
-            return;
-        }
-        // Stage the truncated batch, then reuse the exact path (which
-        // never touches the scratch when ideal, so lending the buffer out
-        // is safe and keeps its allocation).
-        let mut trunc = std::mem::take(&mut scratch.trunc);
-        trunc.clear();
-        trunc.extend(inputs.iter().map(|&x| Self::truncate_input(x, dropped)));
-        self.vmm_batch(&trunc, n, scratch, out);
-        scratch.trunc = trunc;
-    }
-
     /// Vector-matrix multiply through the configured model: the fast exact
     /// path when the configuration is ideal, the full analog pipeline
     /// otherwise (the two are bit-identical in the ideal case, see the
@@ -614,59 +596,9 @@ impl CrossbarArray {
     /// Panics if `input.len() != rows`.
     pub fn vmm(&self, input: &[i64]) -> Vec<i64> {
         let mut out = vec![0i64; self.weight_cols];
-        self.vmm_into(input, &mut VmmScratch::new(), &mut out);
+        let full = ExecPrecision::Full;
+        self.vmm_batch_at(input, 1, &mut VmmScratch::new(), &mut out, full);
         out
-    }
-
-    /// Allocation-free [`CrossbarArray::vmm`]: dispatches between
-    /// [`CrossbarArray::vmm_exact_into`] and
-    /// [`CrossbarArray::vmm_analog_into`], writing the result into `out`.
-    /// `scratch` is only touched on the analog path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != rows` or `out.len() != weight_cols`.
-    pub fn vmm_into(&self, input: &[i64], scratch: &mut VmmScratch, out: &mut [i64]) {
-        if self.is_ideal() {
-            self.vmm_exact_into(input, out);
-        } else {
-            self.vmm_analog_into(input, scratch, out);
-        }
-    }
-
-    /// [`CrossbarArray::vmm_into`] at an explicit precision tier: the
-    /// ideal path truncates the input's dropped low bits and runs the
-    /// exact kernel; the analog path simply skips the dropped phase
-    /// buckets ([`CrossbarArray::vmm_analog_into_at`]) — the two
-    /// degradations are the same function of the input, so either path's
-    /// deviation from [`ExecPrecision::Full`] obeys
-    /// [`CrossbarArray::truncation_error_bound`]. `Full` is bit-identical
-    /// to [`CrossbarArray::vmm_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != rows` or `out.len() != weight_cols`.
-    pub fn vmm_into_at(
-        &self,
-        input: &[i64],
-        scratch: &mut VmmScratch,
-        out: &mut [i64],
-        prec: ExecPrecision,
-    ) {
-        if !self.is_ideal() {
-            self.vmm_analog_into_at(input, scratch, out, prec);
-            return;
-        }
-        let dropped = self.effective_dropped_bits(prec);
-        if dropped == 0 {
-            self.vmm_exact_into(input, out);
-            return;
-        }
-        scratch.trunc.clear();
-        scratch
-            .trunc
-            .extend(input.iter().map(|&x| Self::truncate_input(x, dropped)));
-        self.vmm_exact_into(&scratch.trunc, out);
     }
 
     /// Fallible wrapper over [`CrossbarArray::vmm`].
@@ -690,21 +622,11 @@ impl CrossbarArray {
         Ok(self.vmm(input))
     }
 
-    /// Full analog-pipeline simulation: bit-serial input phases, analog
+    /// Full analog-pipeline simulation — bit-serial input phases, analog
     /// column currents, dummy-column baseline cancellation,
-    /// integrate-and-fire conversion, shift-add recombination.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != rows`.
-    pub fn vmm_analog(&self, input: &[i64]) -> Vec<i64> {
-        let mut out = vec![0i64; self.weight_cols];
-        self.vmm_analog_into(input, &mut VmmScratch::new(), &mut out);
-        out
-    }
-
-    /// Allocation-free [`CrossbarArray::vmm_analog`]: one kernel over the
-    /// programming-time effective-current plane, in four moves.
+    /// integrate-and-fire conversion, shift-add recombination — as one
+    /// allocation-free kernel over the programming-time effective-current
+    /// plane, in four moves.
     ///
     /// 1. One set-bit pass over the input buckets the active rows of every
     ///    conversion phase (magnitude bit × polarity) at a fixed stride.
@@ -738,38 +660,10 @@ impl CrossbarArray {
     ///
     /// Panics if `input.len() != rows` or `out.len() != weight_cols`.
     pub fn vmm_analog_into(&self, input: &[i64], scratch: &mut VmmScratch, out: &mut [i64]) {
-        self.vmm_analog_into_at(input, scratch, out, ExecPrecision::Full);
+        self.vmm_analog_batch_at(input, 1, scratch, out, ExecPrecision::Full);
     }
 
-    /// [`CrossbarArray::vmm_analog_into`] at an explicit precision tier.
-    ///
-    /// The tier's dropped bits are masked off before the set-bit pass, so
-    /// their phases never pulse; phases no input reaches (every bit above
-    /// the live high bit) stay empty and are skipped. Truncation happens
-    /// *by construction*: dropping the `k` lowest phases is elementwise
-    /// identical to running the full pipeline on
-    /// `sign(x)·((|x| >> k) << k)`, so the [`ExecPrecision::Full`] result
-    /// minus the degraded result is exactly the dropped phases'
-    /// contribution — the quantity
-    /// [`CrossbarArray::truncation_error_bound`] bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != rows` or `out.len() != weight_cols`.
-    pub fn vmm_analog_into_at(
-        &self,
-        input: &[i64],
-        scratch: &mut VmmScratch,
-        out: &mut [i64],
-        prec: ExecPrecision,
-    ) {
-        assert_eq!(input.len(), self.rows, "input length must match rows");
-        assert_eq!(out.len(), self.weight_cols, "output length must match");
-        let all = std::iter::once(0..self.weight_cols);
-        self.vmm_analog_ranges(self.plane(), input, all, scratch, out, prec);
-    }
-
-    /// The analog kernel behind [`CrossbarArray::vmm_analog_into_at`],
+    /// The analog kernel behind [`CrossbarArray::vmm_analog_batch_at`],
     /// over any effective-current `plane` this array's configuration
     /// reads: `input.len()` rows by `out.len()` weight columns' physical
     /// columns, row-major. Only the weight columns in `ranges` (ascending,
@@ -900,8 +794,17 @@ impl CrossbarArray {
         self.vmm_analog_batch_at(inputs, n, scratch, out, ExecPrecision::Full);
     }
 
-    /// [`CrossbarArray::vmm_analog_batch`] at an explicit precision tier
-    /// (see [`CrossbarArray::vmm_analog_into_at`]).
+    /// [`CrossbarArray::vmm_analog_batch`] at an explicit precision tier.
+    ///
+    /// The tier's dropped bits are masked off before the set-bit pass, so
+    /// their phases never pulse; phases no input reaches (every bit above
+    /// the live high bit) stay empty and are skipped. Truncation happens
+    /// *by construction*: dropping the `k` lowest phases is elementwise
+    /// identical to running the full pipeline on
+    /// `sign(x)·((|x| >> k) << k)`, so the [`ExecPrecision::Full`] result
+    /// minus the degraded result is exactly the dropped phases'
+    /// contribution — the quantity
+    /// [`CrossbarArray::truncation_error_bound`] bounds.
     ///
     /// # Panics
     ///
@@ -920,11 +823,13 @@ impl CrossbarArray {
             n * self.weight_cols,
             "out must be n x weight_cols"
         );
+        let plane = self.plane();
         for (input, o) in inputs
             .chunks_exact(self.rows)
             .zip(out.chunks_exact_mut(self.weight_cols))
         {
-            self.vmm_analog_into_at(input, scratch, o, prec);
+            let all = std::iter::once(0..self.weight_cols);
+            self.vmm_analog_ranges(plane, input, all, scratch, o, prec);
         }
     }
 
@@ -1342,6 +1247,13 @@ mod tests {
             .collect()
     }
 
+    /// The analog kernel on one input, through a fresh scratch.
+    fn analog(a: &CrossbarArray, x: &[i64]) -> Vec<i64> {
+        let mut out = vec![0i64; a.weight_cols()];
+        a.vmm_analog_into(x, &mut VmmScratch::new(), &mut out);
+        out
+    }
+
     /// A lineup of non-ideal configurations spanning scheme x ADC x
     /// IR-drop x drift (plus variation and faults).
     fn nonideal_lineup() -> Vec<XbarConfig> {
@@ -1376,7 +1288,7 @@ mod tests {
         let w = ramp_weights(17, 5);
         let a = CrossbarArray::program(&cfg, &w).unwrap();
         let input: Vec<i64> = (0..17).map(|i| ((i * 13) % 255) as i64 - 127).collect();
-        assert_eq!(a.vmm_analog(&input), a.vmm_exact(&input));
+        assert_eq!(analog(&a, &input), a.vmm_exact(&input));
     }
 
     #[test]
@@ -1388,7 +1300,7 @@ mod tests {
         let w = ramp_weights(11, 4);
         let a = CrossbarArray::program(&cfg, &w).unwrap();
         let input: Vec<i64> = (0..11).map(|i| ((i * 29) % 200) as i64 - 100).collect();
-        assert_eq!(a.vmm_analog(&input), a.vmm_exact(&input));
+        assert_eq!(analog(&a, &input), a.vmm_exact(&input));
     }
 
     #[test]
@@ -1397,7 +1309,7 @@ mod tests {
             let a = CrossbarArray::program(&cfg, &ramp_weights(23, 5)).unwrap();
             let input: Vec<i64> = (0..23).map(|i| ((i * 19) % 255) as i64 - 127).collect();
             assert_eq!(
-                a.vmm_analog(&input),
+                analog(&a, &input),
                 a.vmm_analog_reference(&input),
                 "config {i} ({:?} scheme)",
                 cfg.scheme
@@ -1448,7 +1360,7 @@ mod tests {
                         .iter()
                         .map(|&v| CrossbarArray::truncate_input(v, k))
                         .collect();
-                    a.vmm_analog_into_at(&x, &mut scratch, &mut out, prec);
+                    a.vmm_analog_batch_at(&x, 1, &mut scratch, &mut out, prec);
                     let want = a.vmm_analog_reference(&trunc);
                     assert_eq!(out, want, "{phys} columns, {adc:?}, {prec}");
                 }
@@ -1471,7 +1383,7 @@ mod tests {
         ];
         for prec in ExecPrecision::ALL {
             let mut whole = vec![0i64; 200];
-            a.vmm_analog_into_at(&x, &mut scratch, &mut whole, prec);
+            a.vmm_analog_batch_at(&x, 1, &mut scratch, &mut whole, prec);
             for ranges in &cases {
                 let mut out = vec![i64::MIN; 200];
                 let it = ranges.iter().cloned();
@@ -1587,7 +1499,7 @@ mod tests {
             a.rebuild_plane();
             for x in [[127, -127, 127], [127, 127, -127], [-1, 64, 127], [0, 0, 5]] {
                 assert_eq!(
-                    a.vmm_analog(&x),
+                    analog(&a, &x),
                     a.vmm_analog_reference(&x),
                     "{bits} bits, input {x:?}"
                 );
@@ -1607,7 +1519,7 @@ mod tests {
     fn zero_input_gives_zero_output() {
         let cfg = XbarConfig::ideal();
         let a = CrossbarArray::program(&cfg, &ramp_weights(6, 2)).unwrap();
-        assert_eq!(a.vmm_analog(&[0; 6]), vec![0, 0]);
+        assert_eq!(analog(&a, &[0; 6]), vec![0, 0]);
     }
 
     #[test]
@@ -1620,7 +1532,7 @@ mod tests {
         let a = CrossbarArray::program(&cfg, &w).unwrap();
         let x = vec![127i64; 64];
         let exact: i64 = a.vmm_exact(&x)[0];
-        let analog = a.vmm_analog(&x)[0];
+        let analog = analog(&a, &x)[0];
         assert!(
             analog < exact,
             "saturated {analog} must be below exact {exact}"
@@ -1712,11 +1624,11 @@ mod tests {
             let x: Vec<i64> = (0..13).map(|i| ((i * 17) % 255) as i64 - 127).collect();
             let mut scratch = VmmScratch::new();
             let mut out = vec![0i64; 6];
-            a.vmm_into(&x, &mut scratch, &mut out);
+            a.vmm_batch_at(&x, 1, &mut scratch, &mut out, ExecPrecision::Full);
             assert_eq!(out, a.vmm(&x));
             // Scratch reuse across calls with different inputs stays exact.
             let y: Vec<i64> = x.iter().map(|v| -v / 2).collect();
-            a.vmm_into(&y, &mut scratch, &mut out);
+            a.vmm_batch_at(&y, 1, &mut scratch, &mut out, ExecPrecision::Full);
             assert_eq!(out, a.vmm(&y));
         }
     }
@@ -1731,8 +1643,8 @@ mod tests {
         let xb: Vec<i64> = (0..19).map(|i| (i * 3) as i64 - 20).collect();
         let mut os = vec![0i64; 2];
         let mut ob = vec![0i64; 7];
-        big.vmm_into(&xb, &mut scratch, &mut ob);
-        small.vmm_into(&xs, &mut scratch, &mut os);
+        big.vmm_batch_at(&xb, 1, &mut scratch, &mut ob, ExecPrecision::Full);
+        small.vmm_batch_at(&xs, 1, &mut scratch, &mut os, ExecPrecision::Full);
         assert_eq!(ob, big.vmm(&xb));
         assert_eq!(os, small.vmm(&xs));
     }
@@ -1750,7 +1662,13 @@ mod tests {
                 .map(|i| ((i * 31) % 255) as i64 - 127)
                 .collect();
             let mut out = vec![0i64; n * cols];
-            a.vmm_batch(&inputs, n, &mut VmmScratch::new(), &mut out);
+            a.vmm_batch_at(
+                &inputs,
+                n,
+                &mut VmmScratch::new(),
+                &mut out,
+                ExecPrecision::Full,
+            );
             for (k, chunk) in inputs.chunks_exact(rows).enumerate() {
                 assert_eq!(
                     &out[k * cols..(k + 1) * cols],
@@ -1768,7 +1686,13 @@ mod tests {
         let n = 3;
         let inputs: Vec<i64> = (0..n * 24).map(|i| ((i * 13) % 200) as i64 - 99).collect();
         let mut out = vec![0i64; n * 4];
-        a.vmm_batch(&inputs, n, &mut VmmScratch::new(), &mut out);
+        a.vmm_batch_at(
+            &inputs,
+            n,
+            &mut VmmScratch::new(),
+            &mut out,
+            ExecPrecision::Full,
+        );
         for (k, chunk) in inputs.chunks_exact(24).enumerate() {
             assert_eq!(&out[k * 4..(k + 1) * 4], a.vmm(chunk), "input {k}");
         }
@@ -1846,15 +1770,19 @@ mod tests {
             let x: Vec<i64> = (0..21).map(|i| ((i * 37) % 255) as i64 - 127).collect();
             let mut scratch = VmmScratch::new();
             let mut out = vec![0i64; 4];
-            a.vmm_into_at(&x, &mut scratch, &mut out, ExecPrecision::Full);
+            a.vmm_batch_at(&x, 1, &mut scratch, &mut out, ExecPrecision::Full);
             assert_eq!(out, a.vmm(&x), "config {i}");
             let n = 3;
             let inputs: Vec<i64> = (0..n * 21).map(|i| ((i * 11) % 255) as i64 - 127).collect();
             let mut bout = vec![0i64; n * 4];
             a.vmm_batch_at(&inputs, n, &mut scratch, &mut bout, ExecPrecision::Full);
-            let mut bref = vec![0i64; n * 4];
-            a.vmm_batch(&inputs, n, &mut scratch, &mut bref);
-            assert_eq!(bout, bref, "config {i} batch");
+            for (k, chunk) in inputs.chunks_exact(21).enumerate() {
+                assert_eq!(
+                    &bout[k * 4..(k + 1) * 4],
+                    a.vmm(chunk),
+                    "config {i} batch {k}"
+                );
+            }
         }
     }
 
@@ -1873,7 +1801,7 @@ mod tests {
                     .collect();
                 let mut scratch = VmmScratch::new();
                 let mut out = vec![0i64; 5];
-                a.vmm_into_at(&x, &mut scratch, &mut out, prec);
+                a.vmm_batch_at(&x, 1, &mut scratch, &mut out, prec);
                 assert_eq!(out, a.vmm_analog_reference(&trunc), "config {i} {prec}");
             }
         }
@@ -1895,7 +1823,7 @@ mod tests {
                 a.vmm_analog_batch_at(&inputs, n, &mut scratch, &mut batch, prec);
                 for (k, chunk) in inputs.chunks_exact(rows).enumerate() {
                     let mut one = vec![0i64; cols];
-                    a.vmm_into_at(chunk, &mut scratch, &mut one, prec);
+                    a.vmm_batch_at(chunk, 1, &mut scratch, &mut one, prec);
                     assert_eq!(
                         &batch[k * cols..(k + 1) * cols],
                         one.as_slice(),
@@ -1917,7 +1845,7 @@ mod tests {
             .collect();
         let mut scratch = VmmScratch::new();
         let mut out = vec![0i64; 3];
-        a.vmm_into_at(&x, &mut scratch, &mut out, ExecPrecision::Brownout);
+        a.vmm_batch_at(&x, 1, &mut scratch, &mut out, ExecPrecision::Brownout);
         assert_eq!(out, a.vmm_exact(&trunc));
         let n = 2;
         let inputs: Vec<i64> = (0..n * 13).map(|i| ((i * 7) % 255) as i64 - 127).collect();
@@ -1950,7 +1878,7 @@ mod tests {
             for prec in ExecPrecision::ALL {
                 let mut scratch = VmmScratch::new();
                 let mut out = vec![0i64; 4];
-                a.vmm_into_at(&x, &mut scratch, &mut out, prec);
+                a.vmm_batch_at(&x, 1, &mut scratch, &mut out, prec);
                 let bound = a.truncation_error_bound(prec);
                 for (m, (&got, &want)) in out.iter().zip(&full).enumerate() {
                     let err = (got - want).abs() as f64;
@@ -1973,7 +1901,7 @@ mod tests {
         let x = vec![7, -6, 5, -4, 7];
         let mut scratch = VmmScratch::new();
         let mut out = vec![0i64; 2];
-        a.vmm_into_at(&x, &mut scratch, &mut out, ExecPrecision::Brownout);
+        a.vmm_batch_at(&x, 1, &mut scratch, &mut out, ExecPrecision::Brownout);
         let trunc: Vec<i64> = x
             .iter()
             .map(|&v| CrossbarArray::truncate_input(v, 2))

@@ -203,7 +203,7 @@ impl SubCrossbarTensor {
     /// are.
     ///
     /// Each result equals driving the tap's sub-crossbar with the pixel
-    /// ([`CrossbarArray::vmm_into_at`]), the halved layout's with Eq. 2's
+    /// ([`CrossbarArray::vmm_batch_at`]), the halved layout's with Eq. 2's
     /// zero-filled `2C` vector, bit for bit. On non-ideal arrays a pixel
     /// is one analog kernel call over the fused plane, evaluating only the
     /// requested taps' columns; ideal arrays run each tap's exact VMM over
@@ -459,7 +459,7 @@ mod tests {
                             x[(t % per) * c..][..c].copy_from_slice(px);
                             let mut want = vec![0i64; m];
                             let array = sct.array(t / per);
-                            array.vmm_into_at(&x, &mut VmmScratch::new(), &mut want, prec);
+                            array.vmm_batch_at(&x, 1, &mut VmmScratch::new(), &mut want, prec);
                             assert_eq!(partials, want.as_slice(), "tap {t} {layout:?} {prec}");
                         }
                     }

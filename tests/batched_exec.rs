@@ -1,9 +1,11 @@
 //! Integration tests for the allocation-free batched execution layer:
-//! `CompiledLayer::run_batch` and the plan-based `run` must be bit-exact
-//! against per-image execution and the golden algorithm for all three
-//! designs — on the ideal path, on a noisy (`XbarConfig::noisy`) analog
-//! configuration, and through the pipelined runtime at every worker
-//! count — and steady-state execution must not allocate per pixel.
+//! `CompiledLayer::run_batch_with_at` must be bit-exact against per-image
+//! execution and the golden algorithm for all three designs, whatever
+//! batch an image runs in and whatever its scratch ran before — on the
+//! ideal path, on a noisy (`XbarConfig::noisy`) analog configuration, at
+//! every precision tier, and through the pipelined runtime at every
+//! worker count — and steady-state execution must not allocate per
+//! pixel.
 #![allow(unsafe_code)] // the counting global allocator below
 
 use proptest::prelude::*;
@@ -103,48 +105,91 @@ fn problem_strategy() -> impl Strategy<Value = Problem> {
         )
 }
 
+/// Runs `pb.batch` on `compiled` through one reused scratch three times
+/// per precision tier — the batch, the batch without its first image,
+/// then one image — and checks every image's execution against a
+/// fresh-scratch single-image run at the same tier, and on ideal arrays
+/// at `Full` against the golden algorithm. The merged replays resize
+/// their scratch on every call, so a shrinking batch must not see what
+/// a larger one left behind.
+fn check_scratch_reuse(
+    compiled: &CompiledLayer,
+    pb: &Problem,
+    ideal: bool,
+) -> Result<(), TestCaseError> {
+    let design = compiled.design();
+    let mut scratch = compiled.make_scratch();
+    for prec in ExecPrecision::ALL {
+        for inputs in [&pb.batch[..], &pb.batch[1..], &pb.batch[..1]] {
+            let runs = compiled
+                .run_batch_with_at(inputs, &mut scratch, prec)
+                .unwrap();
+            prop_assert_eq!(runs.len(), inputs.len());
+            for (input, exec) in inputs.iter().zip(&runs) {
+                let one = std::slice::from_ref(input);
+                let fresh = compiled
+                    .run_batch_with_at(one, &mut compiled.make_scratch(), prec)
+                    .unwrap();
+                prop_assert_eq!(
+                    &exec.output,
+                    &fresh[0].output,
+                    "{} at {} output",
+                    design,
+                    prec
+                );
+                prop_assert_eq!(&exec.stats, &fresh[0].stats, "{} at {} stats", design, prec);
+                if ideal && prec == ExecPrecision::Full {
+                    let golden = deconv_direct(input, &pb.kernel, pb.layer.spec()).unwrap();
+                    prop_assert_eq!(&exec.output, &golden, "{} reused scratch vs golden", design);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `run_batch`, scratch-reusing `run_with`, per-image `run`, and the
-    /// golden algorithm all agree on arbitrary geometry for all three
-    /// designs (the plan-based executor computes the seed per-pixel
-    /// function exactly).
+    /// A fresh-scratch batch, per-image `run`, a reused scratch across
+    /// shrinking batches at every precision tier, and the golden
+    /// algorithm all agree on arbitrary geometry for all three designs
+    /// (the plan-based executors compute the seed per-pixel function
+    /// exactly).
     #[test]
     fn batched_execution_is_bit_exact_on_arbitrary_geometry(pb in problem_strategy()) {
         for design in Design::paper_lineup() {
             let acc = Accelerator::builder().design(design).build();
             let compiled = acc.compile(&pb.layer, &pb.kernel).unwrap();
-            let batch = compiled.run_batch(&pb.batch).unwrap();
-            let mut scratch = compiled.make_scratch();
+            let batch = compiled.run_batch_with(&pb.batch, &mut compiled.make_scratch()).unwrap();
             for (input, exec) in pb.batch.iter().zip(&batch) {
                 let golden = deconv_direct(input, &pb.kernel, pb.layer.spec()).unwrap();
                 let single = compiled.run(input).unwrap();
-                let with = compiled.run_with(input, &mut scratch).unwrap();
-                prop_assert_eq!(&exec.output, &golden, "{} run_batch vs golden", design);
+                prop_assert_eq!(&exec.output, &golden, "{} batch vs golden", design);
                 prop_assert_eq!(&single.output, &golden, "{} run vs golden", design);
-                prop_assert_eq!(&with.output, &golden, "{} run_with vs golden", design);
                 prop_assert_eq!(&single.stats, &exec.stats, "{} stats", design);
             }
+            check_scratch_reuse(&compiled, &pb, true)?;
         }
     }
 
     /// On a noisy analog configuration (variation + stuck-at faults) the
-    /// batched path must still be bit-exact against per-image execution:
-    /// non-idealities are frozen at programming time, so execution stays
-    /// deterministic.
+    /// batched path must still be bit-exact against per-image execution,
+    /// at every precision tier and across scratch reuse: non-idealities
+    /// are frozen at programming time, so execution stays deterministic.
     #[test]
     fn batched_execution_matches_per_image_on_noisy_arrays(pb in problem_strategy()) {
         let noisy = XbarConfig::noisy(0.01, 0.002, 0.001, 1234);
         for design in Design::paper_lineup() {
             let acc = Accelerator::builder().design(design).xbar_config(noisy).build();
             let compiled = acc.compile(&pb.layer, &pb.kernel).unwrap();
-            let batch = compiled.run_batch(&pb.batch).unwrap();
+            let batch = compiled.run_batch_with(&pb.batch, &mut compiled.make_scratch()).unwrap();
             for (input, exec) in pb.batch.iter().zip(&batch) {
                 let single = compiled.run(input).unwrap();
                 prop_assert_eq!(&single.output, &exec.output, "{} noisy", design);
                 prop_assert_eq!(&single.stats, &exec.stats, "{} noisy stats", design);
             }
+            check_scratch_reuse(&compiled, &pb, false)?;
         }
     }
 }
@@ -188,7 +233,7 @@ fn pipelined_workers_one_vs_many_bit_exact_for_all_designs() {
 }
 
 /// A warmed caller-owned [`VmmScratch`] makes `vmm_analog_batch` — and
-/// the `vmm_batch` non-ideal fallback that routes through it — perform
+/// `vmm_batch_at`'s non-ideal path that routes through it — perform
 /// **zero** heap allocations on large and small planes alike: every
 /// buffer (phase buckets, column currents, shift-add sums) lives in the
 /// scratch, which the allocation-free contract hands to the caller.
@@ -214,11 +259,12 @@ fn warmed_analog_batch_allocates_nothing() {
         let mut scratch = VmmScratch::new();
         let mut out = vec![0i64; n * cols];
         // Warm both entry points, then count.
+        let full = ExecPrecision::Full;
         a.vmm_analog_batch(&inputs, n, &mut scratch, &mut out);
-        a.vmm_batch(&inputs, n, &mut scratch, &mut out);
+        a.vmm_batch_at(&inputs, n, &mut scratch, &mut out, full);
         let before = allocations_now();
         a.vmm_analog_batch(&inputs, n, &mut scratch, &mut out);
-        a.vmm_batch(&inputs, n, &mut scratch, &mut out);
+        a.vmm_batch_at(&inputs, n, &mut scratch, &mut out, full);
         let during = allocations_now() - before;
         assert_eq!(
             during, 0,
@@ -228,9 +274,10 @@ fn warmed_analog_batch_allocates_nothing() {
 }
 
 /// Batched noisy execution allocates per *batch*, never per pixel: a
-/// second `run_batch` on a layer with large effective-current planes
-/// stays within a small per-batch budget (outputs, one scratch) —
-/// orders of magnitude below the output-pixel count the batch produces.
+/// second fresh-scratch `run_batch_with` on a layer with large
+/// effective-current planes stays within a small per-batch budget
+/// (outputs, one scratch) — orders of magnitude below the output-pixel
+/// count the batch produces.
 #[test]
 fn noisy_run_batch_allocates_per_batch_not_per_pixel() {
     // 4x4 stride-2 deconv, 128 channels, 64 filters: the zero-padding
@@ -251,10 +298,11 @@ fn noisy_run_batch_allocates_per_batch_not_per_pixel() {
             .xbar_config(XbarConfig::noisy(0.01, 0.0005, 0.0, 5))
             .build();
         let compiled = acc.compile(&layer, &kernel).unwrap();
-        let warm = compiled.run_batch(&inputs).unwrap();
+        let warm = compiled.run_batch_with(&inputs, &mut compiled.make_scratch());
         let before = allocations_now();
-        let batch = compiled.run_batch(&inputs).unwrap();
+        let batch = compiled.run_batch_with(&inputs, &mut compiled.make_scratch());
         let during = allocations_now() - before;
+        let (warm, batch) = (warm.unwrap(), batch.unwrap());
         for (w, b) in warm.iter().zip(&batch) {
             assert_eq!(w.output, b.output);
         }
@@ -268,7 +316,7 @@ fn noisy_run_batch_allocates_per_batch_not_per_pixel() {
 
 /// Steady-state execution performs no per-pixel heap allocation: once the
 /// plan is built (compile time) and the scratch is warm (first run), a
-/// whole-image `run_with` allocates only the output tensor and a few
+/// one-image `run_batch_with` allocates only the output tensor and a few
 /// bookkeeping cells — orders of magnitude fewer allocations than the
 /// hundreds of output pixels it produces.
 #[test]
@@ -292,11 +340,12 @@ fn steady_state_run_allocates_output_only() {
                 .build();
             let compiled = acc.compile(&layer, &kernel).unwrap();
             let mut scratch = compiled.make_scratch();
-            let warm = compiled.run_with(&input, &mut scratch).unwrap();
+            let one = std::slice::from_ref(&input);
+            let warm = compiled.run_batch_with(one, &mut scratch).unwrap();
             let before = allocations_now();
-            let exec = compiled.run_with(&input, &mut scratch).unwrap();
+            let exec = compiled.run_batch_with(one, &mut scratch).unwrap();
             let during = allocations_now() - before;
-            assert_eq!(warm.output, exec.output);
+            assert_eq!(warm[0].output, exec[0].output);
             assert!(
                 during <= budget,
                 "{design}: {during} allocations in steady state (budget {budget}, \

@@ -16,7 +16,11 @@ fn conv_engine_runs_a_discriminator_block() {
     });
     let input = FeatureMap::from_fn(16, 16, 8, |h, w, c| ((h * 3 + w * 7 + c) % 50) as i64 + 1);
     let engine = ConvEngine::new(&XbarConfig::ideal(), &layer, &kernel).unwrap();
-    let exec = engine.run(&input).unwrap();
+    let mut scratch = engine.make_scratch();
+    let exec = engine
+        .run(std::slice::from_ref(&input), &mut scratch)
+        .unwrap();
+    let exec = &exec[0];
     let golden = conv2d(&input, &kernel, 2, 1).unwrap();
     assert_eq!(exec.output, golden);
     assert_eq!((exec.output.height(), exec.output.width()), (8, 8));
@@ -153,7 +157,9 @@ fn conv_then_deconv_autoencoder_roundtrip() {
     let enc_kernel = Kernel::from_fn(4, 4, 4, 8, |i, j, c, m| ((i + j + c + m) % 7) as i64 - 3);
     let image = FeatureMap::from_fn(8, 8, 4, |h, w, c| ((h * 5 + w * 3 + c) % 30) as i64 + 1);
     let encoder = ConvEngine::new(&XbarConfig::ideal(), &enc_layer, &enc_kernel).unwrap();
-    let code = encoder.run(&image).unwrap().output;
+    let mut scratch = encoder.make_scratch();
+    let code = encoder.run(std::slice::from_ref(&image), &mut scratch);
+    let code = code.unwrap().remove(0).output;
     assert_eq!((code.height(), code.width(), code.channels()), (4, 4, 8));
 
     // Clamp the code into crossbar input range before decoding.

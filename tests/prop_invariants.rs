@@ -156,7 +156,9 @@ proptest! {
             ..XbarConfig::ideal()
         };
         let arr = red_core::xbar::CrossbarArray::program(&cfg, &weights).unwrap();
-        prop_assert_eq!(arr.vmm_analog(&input), arr.vmm_exact(&input));
+        let mut analog = vec![0i64; cols];
+        arr.vmm_analog_into(&input, &mut red_core::xbar::VmmScratch::new(), &mut analog);
+        prop_assert_eq!(analog, arr.vmm_exact(&input));
     }
 
     /// Golden equivalence of the analog kernel: the planned path
@@ -248,7 +250,7 @@ proptest! {
             // Single-input planned path...
             let mut out = vec![0i64; cols];
             for (x, g) in inputs.chunks_exact(rows).zip(&golden) {
-                arr.vmm_analog_into_at(x, &mut scratch, &mut out, prec);
+                arr.vmm_analog_batch_at(x, 1, &mut scratch, &mut out, prec);
                 prop_assert_eq!(&out, g, "planned vs reference at {}, {:?}", prec, adc);
             }
             // ...and the public batched entry point.
@@ -306,7 +308,7 @@ proptest! {
         let per = sct.cycles_per_batch();
         let blocks = (geom.height.div_ceil(s) * geom.width.div_ceil(s)) as u64;
         let mut scratch = engine.make_scratch();
-        let batch = engine.run_batch_with_at(&inputs, &mut scratch, prec).unwrap();
+        let batch = engine.run(&inputs, &mut scratch, prec).unwrap();
         for (input, got) in inputs.iter().zip(&batch) {
             let mut want = FeatureMap::<i64>::zeros(geom.height, geom.width, m);
             let mut stats = ExecutionStats {
@@ -345,8 +347,8 @@ proptest! {
             }
             prop_assert_eq!(&got.output, &want, "{:?} at {}", policy, prec);
             prop_assert_eq!(got.stats, stats, "{:?} at {}", policy, prec);
-            let one = engine.run_with_at(input, &mut scratch, prec).unwrap();
-            prop_assert_eq!(&one, got, "single image vs batch");
+            let one = engine.run(std::slice::from_ref(input), &mut scratch, prec).unwrap();
+            prop_assert_eq!(&one[0], got, "single image vs batch");
         }
     }
 
@@ -393,10 +395,10 @@ proptest! {
         let input: Vec<i64> = (0..rows).map(|_| rng.gen_range(-127..=127)).collect();
         let mut scratch = VmmScratch::new();
         let mut full = vec![0i64; cols];
-        arr.vmm_into(&input, &mut scratch, &mut full);
+        arr.vmm_batch_at(&input, 1, &mut scratch, &mut full, ExecPrecision::Full);
         for prec in ExecPrecision::ALL {
             let mut out = vec![0i64; cols];
-            arr.vmm_into_at(&input, &mut scratch, &mut out, prec);
+            arr.vmm_batch_at(&input, 1, &mut scratch, &mut out, prec);
             let bound = arr.truncation_error_bound(prec);
             if prec == ExecPrecision::Full {
                 prop_assert_eq!(&out, &full, "full tier is bit-identical");
@@ -427,9 +429,9 @@ proptest! {
                     .map(|r| if r[worst] < 0 { -residue } else { residue })
                     .collect();
                 let mut out = vec![0i64; cols];
-                arr.vmm_into_at(&adversarial, &mut scratch, &mut out, prec);
+                arr.vmm_batch_at(&adversarial, 1, &mut scratch, &mut out, prec);
                 let mut exact = vec![0i64; cols];
-                arr.vmm_into(&adversarial, &mut scratch, &mut exact);
+                arr.vmm_batch_at(&adversarial, 1, &mut scratch, &mut exact, ExecPrecision::Full);
                 let attained = (out[worst] - exact[worst]).abs() as f64;
                 prop_assert_eq!(
                     attained,
