@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! cargo run --release -p red-bench --bin loadgen -- \
-//!     --mix --model-only --stream --requests 100000 --scrape-us 2000 \
+//!     --mix --model-only --requests 100000 --scrape-us 2000 \
 //!     --fault-plan crash:800:0:1 --trace trace.json --json out.json
 //! cargo run --release -p red-bench --bin analyze -- trace.json out.json
 //! ```

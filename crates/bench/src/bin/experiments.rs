@@ -308,13 +308,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          committed `BENCH_loadgen.json` baseline drives **one million\n\
          requests per policy row** through the DCGAN + SNGAN + FCN lineup\n\
          (`--mix`) with three tenant classes (weights 4:2:1, the interactive\n\
-         class on a 200 us SLO), the O(1)-memory streaming driver\n\
-         (`--stream`, ~30 MB peak RSS), model-only execution (identical\n\
-         virtual statistics, no functional crossbars) and deterministic\n\
-         replica autoscaling from a floor of 1. Regenerate it with:\n\n\
+         class on a 200 us SLO), model-only execution (identical virtual\n\
+         statistics, no functional crossbars) and deterministic replica\n\
+         autoscaling from a floor of 1. The driver runs the scheduler on\n\
+         the calling thread with a bounded window per client (~30 MB peak\n\
+         RSS). Regenerate it with:\n\n\
          ```sh\n\
          cargo run --release -p red-bench --bin loadgen -- \\\n\
-         \x20   --mix --model-only --stream --requests 1000000 \\\n\
+         \x20   --mix --model-only --requests 1000000 \\\n\
          \x20   --clients 12 --replicas 2 \\\n\
          \x20   --tenants interactive:4:0:200,standard:2:1:800,batch:1:2:0 \\\n\
          \x20   --policy weighted-fair,priority --max-lag-us 50 \\\n\
@@ -330,12 +331,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          overload, `max_batch 16` sustains strictly more images/sec than\n\
          `max_batch 1`; `deadline-shed` holds served p99 at or below the SLO\n\
          while `fifo` lets the tail grow without bound; weighted-fair\n\
-         work-conservation and starvation-freedom are proptested; the\n\
-         streaming and threaded drivers match bit-for-bit; and autoscale\n\
-         decision sequences replay identically. Served outputs stay bit-exact\n\
-         against `Chip::run_sequential` on every design, ideal and\n\
-         `full`-noisy, per network in multi-network fleets. CI's `bench-gate`\n\
-         job replays the command above (and the `BENCH_serve.json` one) and\n\
+         work-conservation and starvation-freedom are proptested; `drive`\n\
+         and a thread-per-client `Server::start` session match\n\
+         bit-for-bit; and autoscale decision sequences replay identically.\n\
+         Served outputs stay bit-exact against `Chip::run_sequential` on\n\
+         every design, ideal and `full`-noisy, per network in multi-network\n\
+         fleets. CI's `bench-gate` job replays the command above (and the\n\
+         `BENCH_serve.json` one) and\n\
          `benchdiff`s the fresh JSON against the committed baselines —\n\
          modeled metrics must match exactly; `host*` fields never gate.\n"
     )?;

@@ -13,7 +13,7 @@
 //!     --slo-us 120 --replicas 2 --requests 300 --json BENCH_loadgen.json
 //! cargo run --release -p red-bench --bin loadgen -- --closed --clients 8 --requests 200
 //! cargo run --release -p red-bench --bin loadgen -- \
-//!     --mix --model-only --stream --requests 1000000 --clients 12 --replicas 2 \
+//!     --mix --model-only --requests 1000000 --clients 12 --replicas 2 \
 //!     --tenants interactive:4:0:200,standard:2:1:800,batch:1:2:0 \
 //!     --policy weighted-fair,priority --rps 400000 --autoscale 1
 //! ```
@@ -37,9 +37,10 @@
 //! tenant classes (clients are assigned round-robin); `weighted-fair`
 //! and `priority` admission differentiate by class once queue lag
 //! exceeds `--max-lag-us`. `--model-only` skips functional execution
-//! (virtual statistics unchanged) and `--stream` switches the open loop
-//! to the O(1)-memory single-threaded driver — together they sustain
-//! `--requests 1000000` in seconds of host time and flat memory.
+//! (virtual statistics unchanged); the driver runs the scheduler on the
+//! calling thread with a bounded window per client, so a model-only run
+//! sustains `--requests 1000000` in seconds of host time and flat
+//! memory.
 //! `--autoscale N` enables per-partition replica autoscaling with floor
 //! N. `--brownout` arms precision-degrading overload control: under
 //! pressure each partition steps its execution tier full → eco →
@@ -383,7 +384,6 @@ struct JsonHeader<'a> {
     max_lag_us: f64,
     horizon_ms: f64,
     requests: usize,
-    stream: bool,
     model_only: bool,
     mix: bool,
     autoscale_min: usize,
@@ -417,12 +417,14 @@ fn write_json(
         })
         .collect();
     let objects: Vec<String> = rows.iter().map(LoadRow::json_object).collect();
+    // `stream` is always true: every session runs on the one windowed
+    // driver. Committed baselines pin the key, so it stays.
     let doc = format!(
         "{{\n  \"bench\": \"loadgen\",\n  \"version\": {JSON_SCHEMA_VERSION},\n  \
          \"scale\": {},\n  \"seed\": {},\n  \"clients\": {},\n  \
          \"replicas\": {},\n  \"max_wait_us\": {},\n  \
          \"slo_us\": {},\n  \"max_lag_us\": {},\n  \"horizon_ms\": {},\n  \
-         \"requests\": {},\n  \"stream\": {},\n  \"model_only\": {},\n  \
+         \"requests\": {},\n  \"stream\": true,\n  \"model_only\": {},\n  \
          \"mix\": {},\n  \"autoscale_min\": {},\n  \"autoscale_cooldown_us\": {},\n  \
          \"brownout\": {},\n  \"precision_floor\": \"{}\",\n  \
          \"tenants\": [{}],\n  \"fault_plan\": \"{}\",\n  \"scrape_us\": {},\n  \
@@ -437,7 +439,6 @@ fn write_json(
         h.max_lag_us,
         h.horizon_ms,
         h.requests,
-        h.stream,
         h.model_only,
         h.mix,
         h.autoscale_min,
@@ -465,7 +466,7 @@ fn usage() -> ExitCode {
          [--policy fifo|deadline-shed|weighted-fair|priority[,..]] \
          [--tenants name:weight:priority:slo_us[,..]] [--max-lag-us F] \
          [--replicas N] [--noisy variation|adc|ir-drop|full] [--closed] \
-         [--mix] [--stream] [--model-only] \
+         [--mix] [--model-only] \
          [--autoscale MIN] [--autoscale-cooldown-us F] \
          [--brownout] [--brownout-cooldown-us F] [--precision-floor full|eco|brownout] \
          [--duration-ms F] [--requests N] [--scale N] [--seed N] \
@@ -523,7 +524,6 @@ fn main() -> ExitCode {
     };
     let closed = args.iter().any(|a| a == "--closed");
     let mix = args.iter().any(|a| a == "--mix");
-    let stream = args.iter().any(|a| a == "--stream");
     let model_only = args.iter().any(|a| a == "--model-only");
     let brownout = args.iter().any(|a| a == "--brownout");
     let Some(brownout_cooldown_us) = parse_flag::<f64>(&args, "--brownout-cooldown-us", 500.0)
@@ -556,7 +556,13 @@ fn main() -> ExitCode {
             }
         },
     };
-    if clients == 0 || replicas == 0 || requests == 0 || scale == 0 || batch_list.is_empty() {
+    if clients == 0
+        || replicas == 0
+        || requests == 0
+        || scale == 0
+        || batch_list.is_empty()
+        || batch_list.contains(&0)
+    {
         eprintln!("--clients, --replicas, --requests, --scale and --max-batch must be positive");
         return ExitCode::from(2);
     }
@@ -707,10 +713,9 @@ fn main() -> ExitCode {
 
     println!("== red-server loadgen: online serving under load ==");
     println!(
-        "{mode_label}-loop{}{}{}, {clients} clients, {replicas} replica(s)/partition, \
+        "{mode_label}-loop{}{}, {clients} clients, {replicas} replica(s)/partition, \
          {} tenant class(es), scale {scale}, xbar {xbar_label}, max-wait {max_wait_us} us, \
          slo {slo_us} us, seed {seed}",
-        if stream { " (streaming)" } else { "" },
         if model_only { " (model-only)" } else { "" },
         if autoscale_min > 0 {
             " (autoscaled)"
@@ -814,7 +819,7 @@ fn main() -> ExitCode {
                             horizon_ns,
                             slo_ns,
                             seed,
-                            stream,
+                            stream: true,
                         };
                         let report = drive(&fleet, &server_cfg, &load, &traffic)
                             .expect("load generation runs");
@@ -980,7 +985,6 @@ fn main() -> ExitCode {
             max_lag_us,
             horizon_ms: duration_ms,
             requests,
-            stream,
             model_only,
             mix,
             autoscale_min,

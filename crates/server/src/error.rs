@@ -34,8 +34,8 @@ pub enum ServerError {
         /// How many tenant classes the config declares.
         tenants: usize,
     },
-    /// `submit_modeled` was called on a functional server — the replica
-    /// workers would have nothing to execute.
+    /// `submit_modeled` was called on a functional server — its replicas
+    /// would have nothing to execute.
     NeedsInput,
     /// The load generator's traffic set does not cover the fleet's
     /// partitions one-to-one.
@@ -53,21 +53,13 @@ pub enum ServerError {
     },
     /// The server (scheduler thread) is gone — submitted after shutdown.
     Disconnected,
-    /// A replica worker thread died (panicked) instead of reporting its
-    /// statistics at shutdown.
-    ReplicaFailed {
-        /// Fleet partition of the failed worker.
-        partition: usize,
-        /// Replica index within the partition.
-        replica: usize,
-    },
     /// The scheduler died (panicked) instead of returning its session
-    /// state — e.g. a panicking custom [`crate::AdmissionPolicy`] — or,
-    /// run on the caller's thread by [`crate::drive`], stopped making
-    /// progress. Surfaced as a value from [`crate::Server::try_finish`]
-    /// and [`crate::drive`] (and a clean panic message from
-    /// [`crate::Server::finish`]) rather than re-raising the foreign
-    /// panic payload.
+    /// state — e.g. in a custom [`crate::AdmissionPolicy`] or in a
+    /// replica's chip execution — or, run by [`crate::drive`], stopped
+    /// making progress. Surfaced as a value from
+    /// [`crate::Server::try_finish`] and [`crate::drive`] (and a clean
+    /// panic message from [`crate::Server::finish`]) rather than
+    /// re-raising the foreign panic payload.
     SchedulerFailed {
         /// The panic message, when the payload carried one.
         message: String,
@@ -115,10 +107,6 @@ impl std::fmt::Display for ServerError {
             ServerError::Disconnected => {
                 write!(f, "the server is no longer running (channel disconnected)")
             }
-            ServerError::ReplicaFailed { partition, replica } => write!(
-                f,
-                "replica worker {replica} of partition {partition} died without reporting"
-            ),
             ServerError::SchedulerFailed { message } => {
                 write!(f, "the scheduler failed without reporting: {message}")
             }
@@ -163,12 +151,6 @@ mod tests {
         .to_string();
         assert!(msg.contains('3') && msg.contains('2'));
         assert!(ServerError::NeedsInput.to_string().contains("model-only"));
-        let msg = ServerError::ReplicaFailed {
-            partition: 1,
-            replica: 2,
-        }
-        .to_string();
-        assert!(msg.contains("replica worker 2") && msg.contains("partition 1"));
         let msg = ServerError::TrafficMismatch {
             expected: 3,
             actual: 1,

@@ -9,8 +9,6 @@
 //! so a faulted session replays bit-identically (asserted in
 //! `tests/chaos_serving.rs`).
 
-use red_device::DriftModel;
-
 /// What one fault event does to its target.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
@@ -25,8 +23,9 @@ pub enum FaultKind {
         ns: u64,
     },
     /// Retention drift advances on every replica of the target
-    /// partition: conductances decay per [`DriftModel::after`] with the
-    /// configured exponent, detectable by the canary prober.
+    /// partition: conductances decay per
+    /// [`red_device::DriftModel::after`] with the configured exponent,
+    /// detectable by the canary prober.
     Drift {
         /// Time since programming the drift law is evaluated at, in
         /// seconds (composes additively across drift events).
@@ -143,7 +142,7 @@ impl FaultPlan {
     }
 
     /// Schedules a partition-wide drift advance to `elapsed_s` seconds
-    /// after programming (see [`DriftModel::after`]).
+    /// after programming (see [`red_device::DriftModel::after`]).
     pub fn drift(self, at_ns: u64, partition: usize, elapsed_s: f64) -> Self {
         self.push(FaultEvent {
             at_ns,
@@ -217,12 +216,6 @@ impl FaultPlan {
             };
         }
         Ok(plan)
-    }
-
-    /// The drift model `elapsed_s` additional seconds of aging maps to,
-    /// composed with `current` (drift advances never rejuvenate).
-    pub fn composed_drift(current: DriftModel, nu: f64, elapsed_s: f64) -> DriftModel {
-        DriftModel::after(nu, current.elapsed_s + elapsed_s)
     }
 }
 

@@ -11,8 +11,8 @@ use serde::Serialize;
 /// Replication is `Arc`-shallow: every replica shares the immutable
 /// compiled stages of the source [`Chip`] (programmed crossbars,
 /// effective-current planes, gather plans — see
-/// [`red_runtime::Stage::shared_compiled`]), and each replica worker
-/// builds its own mutable scratch ([`Chip::make_scratch`]). The modeled
+/// [`red_runtime::Stage::shared_compiled`]), and each functional
+/// replica builds its own mutable scratch ([`Chip::make_scratch`]). The modeled
 /// *hardware* cost of replication is real, though: every replica is a
 /// full physical copy of the chip's tile groups, and the fleet reports
 /// the aggregate floorplan accordingly.

@@ -27,9 +27,9 @@
 //! arrival the scheduler itself controls. The former then **drains**,
 //! finalizing whatever is pending — but the close *instant* must stay a
 //! pure function of the trace, not of when the scheduler happened to
-//! learn the trace was over (the threaded and streaming load drivers
-//! deliver the same trace with very different host pacing). Drain-mode
-//! closes therefore charge `min(close_by, max(last arrival,
+//! learn the trace was over (`drive` and a thread-per-client `Server`
+//! session deliver the same trace with very different host pacing).
+//! Drain-mode closes therefore charge `min(close_by, max(last arrival,
 //! drain_end))`, where `drain_end` is the virtual instant the trace
 //! provably ended: the latest final watermark among finished clients
 //! (a client disconnects at its last arrival or heartbeat). Mid-trace

@@ -17,8 +17,9 @@
 //!   across partitions;
 //! * a **[`Server`]** runs the dynamic micro-batching scheduler — a
 //!   synchronous core that its driver feeds client events and drains
-//!   effects from, wrapped in a thread-and-channel shell for functional
-//!   serving and external clients: requests arrive with virtual-clock
+//!   completions from, and that executes functional batches itself at
+//!   the end of each close loop, wrapped in a thread-and-channel shell
+//!   for external clients: requests arrive with virtual-clock
 //!   timestamps, optional deadlines, and a network routing tag; each partition's
 //!   [`BatchFormer`] closes a batch on `max_batch` **or** `max_wait`
 //!   (whichever first), and an [`AdmissionPolicy`] decides at dispatch
@@ -65,12 +66,11 @@
 //!   the scheduler's virtual charge against the replicas' own
 //!   accounting ([`ServerReport::reconciles`]);
 //! * a **load generator** ([`drive`]) pushes closed-loop or open-loop
-//!   (Poisson-arrival) multi-tenant traffic, either from
-//!   thread-per-client or from the O(1)-memory streaming driver
-//!   ([`LoadgenConfig::stream`]) that sustains 10⁶-request runs — on a
-//!   model-only server it runs the scheduler core on its own thread,
-//!   with no scheduler thread, worker or channel in between; exposed on
-//!   the command line as `red-bench --bin loadgen`.
+//!   (Poisson-arrival) multi-tenant traffic through the scheduler core
+//!   on the calling thread, with no shell thread or channel in between,
+//!   in memory bounded by a per-client window, which sustains
+//!   10⁶-request runs; exposed on the command line as
+//!   `red-bench --bin loadgen`.
 //!
 //! Served outputs are **bit-exact** against `Chip::run_sequential` of
 //! the same inputs: the scheduler changes *when and together with what*

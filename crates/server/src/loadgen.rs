@@ -19,39 +19,37 @@
 //! reproducible run to run — that determinism is what the committed
 //! `BENCH_loadgen.json` baseline and the CI bench-gate rely on.
 //!
-//! # Streaming mode
+//! # One driver
 //!
-//! The thread-per-client open-loop driver submits each client's whole
-//! trace before draining completions, which retains O(requests) channel
-//! memory — fine at 10⁴ requests, hopeless at 10⁶. With
-//! [`LoadgenConfig::stream`] set, open-loop traffic instead runs on a
-//! **single driver thread** that merges the per-client Poisson streams
-//! in global arrival order and caps each client's outstanding window at
-//! `2 · partitions · max_batch + 64` requests. When the earliest-
-//! arrival client is window-full, the driver heartbeats every client's
-//! watermark and collects completions: the watermarks push the
-//! scheduler's frontier past every outstanding arrival, and the window
-//! is wide enough that some partition then holds a closable full batch
-//! (pigeonhole over `2·max_batch` requests in one former), so collecting
-//! makes progress. On a model-only server the driver runs the scheduler
-//! core itself on the calling thread: it submits, heartbeats, runs the
-//! core's close loop and drains its outbox, with no scheduler thread,
-//! worker or channel in between, and the window bounds the outbox too.
-//! A pump that resolves nothing is returned as
-//! [`ServerError::SchedulerFailed`] rather than retried. A functional
-//! server is driven through its [`ClientHandle`]s instead, blocking on
-//! the window-full client's completions. Memory is O(clients · window),
-//! independent of the request budget — the property the CI
-//! million-request smoke's RSS ceiling asserts. The per-client traces are
-//! drawn from the same seeds and gap formula as the threaded driver, and
-//! batch close instants are trace-deterministic (see
-//! [`BatchFormer`](crate::BatchFormer)), so a streaming run's modeled
-//! statistics are **bit-identical** to the threaded run over the same
-//! configuration (asserted in `tests/server_serving.rs`).
+//! [`drive`] runs the scheduler core on the calling thread, for open and
+//! closed loops, functional and model-only servers alike: it submits,
+//! heartbeats, runs the core's close loop and drains its outbox, with no
+//! scheduler thread or channel in between. On a functional server the
+//! core executes each close loop's batches itself, in parallel across
+//! replicas (see the `server` module docs).
+//!
+//! Open-loop traffic is merged across clients in global arrival order,
+//! and each client's outstanding window is capped at
+//! `2 · partitions · max_batch + 64` requests. A closed-loop client has
+//! one request outstanding; its next arrival is the completion of the
+//! previous one. When the earliest pending arrival belongs to a
+//! window-full client, or no arrival is pending, the driver pumps:
+//! it heartbeats every pending arrival, so the scheduler's frontier
+//! clears all outstanding work, then runs the close loop and drains the
+//! outbox. The window is wide enough that some partition then holds a
+//! closable full batch (pigeonhole over `2·max_batch` requests in one
+//! former), and with no arrival pending every live client waits on a
+//! request in flight, so the frontier is unbounded and every former
+//! drains. A pump that resolves nothing would resolve nothing forever:
+//! it is returned as [`ServerError::SchedulerFailed`] rather than
+//! retried. Memory is O(clients · window), independent of the request
+//! budget — the property the CI million-request smoke's RSS ceiling
+//! asserts. Batch close instants are trace-deterministic (see
+//! [`BatchFormer`](crate::BatchFormer)), so the modeled statistics match
+//! a [`Server`](crate::Server) session fed the same traces by one thread
+//! per client, bit for bit (asserted in `tests/server_serving.rs`).
 
-use crate::server::{
-    panic_message, ClientHandle, ClientMode, ClientSpec, Scheduler, Server, ServerConfig,
-};
+use crate::server::{panic_message, ClientMode, ClientSpec, Scheduler, ServerConfig};
 use crate::{ChipFleet, RequestMeta, ServerError, ServerReport, TenantId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,9 +90,9 @@ pub struct LoadgenConfig {
     pub slo_ns: Option<u64>,
     /// Trace seed (per-client streams are derived from it).
     pub seed: u64,
-    /// Use the O(1)-memory single-threaded streaming driver for
-    /// open-loop traffic (see the module docs). Ignored for closed
-    /// loops, which are already O(clients).
+    /// Ignored: every session runs on the one inline driver (see the
+    /// module docs). The field stays so that configurations which set it
+    /// keep compiling.
     pub stream: bool,
 }
 
@@ -102,12 +100,6 @@ pub struct LoadgenConfig {
 /// clients get one extra).
 fn client_budget(total: usize, clients: usize, idx: usize) -> usize {
     total / clients + usize::from(idx < total % clients)
-}
-
-/// The per-client Poisson seed stream, shared verbatim by the threaded
-/// and streaming drivers so their traces are identical.
-fn client_rng(seed: u64, idx: usize) -> StdRng {
-    StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx as u64 + 1))
 }
 
 /// Drives `fleet` with the configured load and returns the session's
@@ -126,10 +118,10 @@ fn client_rng(seed: u64, idx: usize) -> StdRng {
 /// [`ServerError::NoInputs`] for an empty per-partition set;
 /// [`ServerError::InputMismatch`] when an input does not match its
 /// partition's first stage;
-/// [`ServerError::SchedulerFailed`] when the scheduler panicked (e.g. in
-/// a custom [`AdmissionPolicy`](crate::AdmissionPolicy)), whichever
-/// driver ran it, or when the model-only streaming driver stopped
-/// making progress.
+/// [`ServerError::SchedulerFailed`] when the scheduler or a chip
+/// execution panicked (e.g. in a custom
+/// [`AdmissionPolicy`](crate::AdmissionPolicy)), or when the driver
+/// stopped making progress.
 pub fn drive(
     fleet: &ChipFleet,
     server_config: &ServerConfig,
@@ -189,44 +181,23 @@ pub fn drive(
         partitions,
         functional: server_config.is_functional(),
     };
-    let streaming = load.stream && matches!(load.mode, LoadMode::Open { .. });
     let max_batch = server_config.max_batch_bound();
-    if streaming && !ctx.functional {
-        let mut core = Scheduler::new(fleet, server_config, &specs)?;
-        // The core runs on this thread, so a panic inside it (say, in a
-        // custom admission policy) unwinds here: report it the way the
-        // threaded shell's join does.
-        return catch_unwind(AssertUnwindSafe(move || {
-            drive_streaming(&mut core, &ctx, max_batch)?;
-            Ok(core.finish())
-        }))
-        .unwrap_or_else(|payload| {
-            Err(ServerError::SchedulerFailed {
-                message: panic_message(&*payload),
-            })
-        });
-    }
-    let (server, mut handles) = Server::start(fleet, server_config, &specs)?;
-    let streamed = if streaming {
-        drive_streaming(&mut handles, &ctx, max_batch)
-    } else {
-        std::thread::scope(|scope| {
-            for handle in handles.drain(..) {
-                let ctx = &ctx;
-                scope.spawn(move || drive_client(handle, ctx));
-            }
-        });
-        Ok(())
-    };
-    // Dropping finishes every client, even those of a stream cut short,
-    // so the shell can drain. A dead scheduler explains a broken stream,
-    // so its failure wins.
-    drop(handles);
-    let report = server.try_finish()?;
-    streamed.map(|()| report)
+    let mut core = Scheduler::new(fleet, server_config, &specs)?;
+    // The core, and on a functional server the chips, run on this
+    // thread or its scoped helpers, so a panic inside them (say, in a
+    // custom admission policy) unwinds here.
+    catch_unwind(AssertUnwindSafe(move || {
+        run(&mut core, &ctx, max_batch)?;
+        Ok(core.finish())
+    }))
+    .unwrap_or_else(|payload| {
+        Err(ServerError::SchedulerFailed {
+            message: panic_message(&*payload),
+        })
+    })
 }
 
-/// Everything a driver needs besides the handles.
+/// Everything the driver needs besides the core.
 struct DriveCtx<'a> {
     load: &'a LoadgenConfig,
     traffic: &'a [Vec<FeatureMap<i64>>],
@@ -252,86 +223,43 @@ impl DriveCtx<'_> {
         let set = &self.traffic[net];
         set[(idx + k * self.load.clients) % set.len()].clone()
     }
-
-    /// Submits request `k` of a client (functional or modeled).
-    fn submit(&self, handle: &mut ClientHandle, k: usize, arrival: u64) -> Result<(), ServerError> {
-        let idx = handle.id();
-        let net = self.network(idx, k);
-        let deadline = self.deadline(handle.tenant(), arrival);
-        if self.functional {
-            handle.submit_to(net, self.input(idx, k, net), arrival, deadline)?;
-        } else {
-            handle.submit_modeled(net, arrival, deadline)?;
-        }
-        Ok(())
-    }
 }
 
-/// One client thread's life: issue its trace, then drain completions.
-fn drive_client(mut handle: ClientHandle, ctx: &DriveCtx<'_>) {
-    let load = ctx.load;
-    let idx = handle.id();
-    let budget = client_budget(load.requests, load.clients, idx);
-    match load.mode {
-        LoadMode::Open { rps } => {
-            let rate = rps / load.clients as f64;
-            let mut rng = client_rng(load.seed, idx);
-            let mut clock = 0.0f64;
-            let mut sent = 0usize;
-            for k in 0..budget {
-                let u: f64 = rng.gen_range(0.0..1.0);
-                clock += -(1.0 - u).ln() / rate * 1e9;
-                if load.horizon_ns.is_some_and(|h| clock > h as f64) {
-                    break;
-                }
-                if ctx.submit(&mut handle, k, clock as u64).is_err() {
-                    break;
-                }
-                sent += 1;
-            }
-            handle.finish();
-            for _ in 0..sent {
-                if handle.recv().is_err() {
-                    break;
-                }
-            }
-        }
-        LoadMode::Closed => {
-            let mut clock = 0u64;
-            for k in 0..budget {
-                if load.horizon_ns.is_some_and(|h| clock > h) {
-                    break;
-                }
-                if ctx.submit(&mut handle, k, clock).is_err() {
-                    break;
-                }
-                match handle.recv() {
-                    // Shed completions advance the clock too: the caller
-                    // learns of the rejection at the shedding instant.
-                    Ok(completion) => clock = completion.timing.completion_ns,
-                    Err(_) => break,
-                }
-            }
-            handle.finish();
-        }
-    }
-}
-
-/// One client's trace inside the streaming driver.
+/// One client's trace.
 struct StreamClient {
     rng: StdRng,
     clock: f64,
     /// Next request index (gap draws and input rotation stay aligned
-    /// with the threaded driver's `k`).
+    /// with it).
     k: usize,
     budget: usize,
-    /// The next arrival, already drawn; `None` once the trace is
-    /// exhausted (budget spent or horizon passed).
+    /// The next arrival, already known; `None` while a closed-loop
+    /// request is in flight and once the trace is exhausted (budget
+    /// spent or horizon passed).
     next: Option<u64>,
 }
 
 impl StreamClient {
-    /// Draws the arrival of request `k`, or retires the trace.
+    /// Client `idx`'s trace, with its first arrival drawn: the first
+    /// Poisson gap in an open loop, instant 0 in a closed one.
+    fn new(load: &LoadgenConfig, idx: usize) -> Self {
+        let mut cl = StreamClient {
+            rng: StdRng::seed_from_u64(
+                load.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx as u64 + 1),
+            ),
+            clock: 0.0,
+            k: 0,
+            budget: client_budget(load.requests, load.clients, idx),
+            next: None,
+        };
+        match load.mode {
+            LoadMode::Open { rps } => cl.draw_next(load, rps / load.clients as f64),
+            LoadMode::Closed => cl.resume(load, 0),
+        }
+        cl
+    }
+
+    /// Draws the open-loop arrival of request `k`, or retires the trace.
     fn draw_next(&mut self, load: &LoadgenConfig, rate: f64) {
         if self.k >= self.budget {
             self.next = None;
@@ -345,178 +273,119 @@ impl StreamClient {
             };
         }
     }
-}
 
-/// Where the streaming driver sends its trace: a threaded server's client
-/// handles, or the scheduler core itself on the calling thread.
-trait Session {
-    /// Submits request `k` of `client`, arriving at `arrival_ns`.
-    fn send(
-        &mut self,
-        ctx: &DriveCtx<'_>,
-        client: usize,
-        k: usize,
-        arrival_ns: u64,
-    ) -> Result<(), ServerError>;
-
-    /// Promises that `client` submits nothing before `watermark_ns`.
-    fn heartbeat(&mut self, client: usize, watermark_ns: u64);
-
-    /// Declares `client`'s trace over.
-    fn retire(&mut self, client: usize);
-
-    /// Collects at least one completion of `client`, taking every
-    /// completion collected (of any client) off `outstanding`.
-    fn collect(&mut self, client: usize, outstanding: &mut [usize]) -> Result<(), ServerError>;
-}
-
-/// A threaded server: blocks on the client's own completion channel.
-impl Session for Vec<ClientHandle> {
-    fn send(
-        &mut self,
-        ctx: &DriveCtx<'_>,
-        client: usize,
-        k: usize,
-        arrival_ns: u64,
-    ) -> Result<(), ServerError> {
-        ctx.submit(&mut self[client], k, arrival_ns)
-    }
-
-    fn heartbeat(&mut self, client: usize, watermark_ns: u64) {
-        // A dead server surfaces at the next submit or collect.
-        let _ = self[client].advance(watermark_ns);
-    }
-
-    fn retire(&mut self, client: usize) {
-        self[client].finish();
-    }
-
-    fn collect(&mut self, client: usize, outstanding: &mut [usize]) -> Result<(), ServerError> {
-        self[client].recv()?;
-        outstanding[client] -= 1;
-        Ok(())
+    /// A closed-loop client learns of its previous completion (shed
+    /// completions too: the caller learns of the rejection at the
+    /// shedding instant) and submits request `k` then, unless its budget
+    /// is spent or its clock has passed the horizon.
+    fn resume(&mut self, load: &LoadgenConfig, at_ns: u64) {
+        let live = self.k < self.budget && load.horizon_ns.is_none_or(|h| at_ns <= h);
+        self.next = live.then_some(at_ns);
     }
 }
 
-/// The core on the calling thread: a collect runs its close loop and
-/// drains the outbox. The heartbeats before it have already told the
-/// core everything the driver knows, so a pump that resolves nothing
-/// would resolve nothing forever — an error, not a retry.
-impl Session for Scheduler {
-    fn send(
-        &mut self,
-        ctx: &DriveCtx<'_>,
-        client: usize,
-        k: usize,
-        arrival_ns: u64,
-    ) -> Result<(), ServerError> {
-        let tenant = ctx.specs[client].tenant;
-        let meta = RequestMeta {
-            client,
-            tenant,
-            network: ctx.network(client, k),
-            seq: k as u64,
-            arrival_ns,
-            deadline_ns: ctx.deadline(tenant, arrival_ns),
-        };
-        self.submit(meta, None);
-        Ok(())
-    }
-
-    fn heartbeat(&mut self, client: usize, watermark_ns: u64) {
-        self.advance(client, watermark_ns);
-    }
-
-    fn retire(&mut self, client: usize) {
-        self.finish_client(client);
-    }
-
-    fn collect(&mut self, client: usize, outstanding: &mut [usize]) -> Result<(), ServerError> {
-        self.close_ready();
-        let mut resolved = 0usize;
-        for completion in self.outbox() {
-            outstanding[completion.meta.client] -= 1;
-            resolved += 1;
-        }
-        if resolved == 0 {
-            return Err(ServerError::SchedulerFailed {
-                message: format!(
-                    "the streaming pump made no progress: client {client} has {} requests \
-                     outstanding and no batch can close",
-                    outstanding[client]
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// The O(1)-memory open-loop driver (see the module docs).
-fn drive_streaming(
-    session: &mut impl Session,
-    ctx: &DriveCtx<'_>,
-    max_batch: usize,
-) -> Result<(), ServerError> {
+/// The one driver (see the module docs).
+fn run(core: &mut Scheduler, ctx: &DriveCtx<'_>, max_batch: usize) -> Result<(), ServerError> {
     let load = ctx.load;
-    let LoadMode::Open { rps } = load.mode else {
-        unreachable!("streaming applies to open loops only");
+    let rate = match load.mode {
+        LoadMode::Open { rps } => Some(rps / load.clients as f64),
+        LoadMode::Closed => None,
     };
-    let rate = rps / load.clients as f64;
     let window = 2 * ctx.partitions * max_batch + 64;
     let mut cls: Vec<StreamClient> = (0..load.clients)
-        .map(|idx| StreamClient {
-            rng: client_rng(load.seed, idx),
-            clock: 0.0,
-            k: 0,
-            budget: client_budget(load.requests, load.clients, idx),
-            next: None,
-        })
+        .map(|idx| StreamClient::new(load, idx))
         .collect();
     let mut outstanding = vec![0usize; load.clients];
-    for (idx, cl) in cls.iter_mut().enumerate() {
-        cl.draw_next(load, rate);
+    for (idx, cl) in cls.iter().enumerate() {
         if cl.next.is_none() {
-            session.retire(idx);
+            core.finish_client(idx);
         }
     }
-    // Globally earliest pending arrival, lowest client id on ties.
-    let earliest = |cls: &[StreamClient]| {
-        cls.iter()
+    loop {
+        // Globally earliest pending arrival, lowest client id on ties.
+        let earliest = cls
+            .iter()
             .enumerate()
             .filter_map(|(i, cl)| cl.next.map(|t| (t, i)))
-            .min()
-            .map(|(_, i)| i)
-    };
-    while let Some(c) = earliest(&cls) {
-        if outstanding[c] < window {
-            let arrival = cls[c].next.take().expect("selected for a pending arrival");
-            let k = cls[c].k;
-            cls[c].k += 1;
-            session.send(ctx, c, k, arrival)?;
-            outstanding[c] += 1;
-            cls[c].draw_next(load, rate);
-            if cls[c].next.is_none() {
-                // Retire promptly: a quiet-but-unfinished client would
-                // pin the scheduler's frontier and stall everyone's
-                // batches.
-                session.retire(c);
-            }
-        } else {
-            // The earliest client is window-full: promise every
-            // client's next arrival to the scheduler so the frontier
-            // clears all outstanding work, then collect — the window
-            // guarantees a closable full batch.
-            for (i, cl) in cls.iter().enumerate() {
-                if let Some(t) = cl.next {
-                    session.heartbeat(i, t);
+            .min();
+        match earliest {
+            Some((arrival, c)) if outstanding[c] < window => {
+                let cl = &mut cls[c];
+                let k = cl.k;
+                cl.k += 1;
+                cl.next = None;
+                let tenant = ctx.specs[c].tenant;
+                let network = ctx.network(c, k);
+                let meta = RequestMeta {
+                    client: c,
+                    tenant,
+                    network,
+                    seq: k as u64,
+                    arrival_ns: arrival,
+                    deadline_ns: ctx.deadline(tenant, arrival),
+                };
+                let input = ctx.functional.then(|| ctx.input(c, k, network));
+                core.submit(meta, input);
+                outstanding[c] += 1;
+                if let Some(rate) = rate {
+                    cl.draw_next(load, rate);
+                    if cl.next.is_none() {
+                        // Retire promptly: a quiet-but-unfinished client
+                        // would pin the scheduler's frontier and stall
+                        // everyone's batches.
+                        core.finish_client(c);
+                    }
                 }
             }
-            session.collect(c, &mut outstanding)?;
+            _ if outstanding.iter().any(|&n| n > 0) => {
+                pump(core, load, &mut cls, &mut outstanding)?
+            }
+            _ => return Ok(()),
         }
     }
-    // Every trace is retired; drain what is in flight.
-    while let Some(c) = outstanding.iter().position(|&n| n > 0) {
-        session.collect(c, &mut outstanding)?;
+}
+
+/// Promises every pending arrival to the core, runs its close loop and
+/// drains its outbox. The heartbeats have told the core everything the
+/// driver knows, so a pump that resolves nothing would resolve nothing
+/// forever — an error, not a retry.
+fn pump(
+    core: &mut Scheduler,
+    load: &LoadgenConfig,
+    cls: &mut [StreamClient],
+    outstanding: &mut [usize],
+) -> Result<(), ServerError> {
+    for (i, cl) in cls.iter().enumerate() {
+        if let Some(t) = cl.next {
+            core.advance(i, t);
+        }
+    }
+    core.close_ready();
+    let closed = load.mode == LoadMode::Closed;
+    let mut resolved = 0usize;
+    for completion in core.outbox() {
+        let c = completion.meta.client;
+        outstanding[c] -= 1;
+        resolved += 1;
+        if closed {
+            cls[c].resume(load, completion.timing.completion_ns);
+        }
+    }
+    if resolved == 0 {
+        return Err(ServerError::SchedulerFailed {
+            message: format!(
+                "the driver made no progress: {} requests outstanding and no batch can close",
+                outstanding.iter().sum::<usize>()
+            ),
+        });
+    }
+    if closed {
+        // A closed-loop client whose last request came back is done.
+        for (i, cl) in cls.iter().enumerate() {
+            if cl.next.is_none() && outstanding[i] == 0 {
+                core.finish_client(i);
+            }
+        }
     }
     Ok(())
 }
@@ -533,6 +402,9 @@ mod tests {
         assert_eq!(client_budget(2, 4, 3), 0);
     }
 
+    /// The driver's own per-client draws reproduce the seed stream and
+    /// gap formula, inlined here, that every committed open-loop
+    /// baseline was recorded with.
     #[test]
     fn threaded_and_streaming_drivers_draw_identical_traces() {
         let load = LoadgenConfig {
@@ -544,28 +416,29 @@ mod tests {
             seed: 7,
             stream: true,
         };
+        let rate = 1000.0 / load.clients as f64;
         for idx in 0..load.clients {
-            let rate = 1000.0 / load.clients as f64;
-            // Threaded formula, inlined.
-            let mut rng = client_rng(load.seed, idx);
+            let budget = client_budget(load.requests, load.clients, idx);
+            // The formula, inlined.
+            let mut rng =
+                StdRng::seed_from_u64(7 ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx as u64 + 1));
             let mut clock = 0.0f64;
-            let threaded: Vec<u64> = (0..client_budget(load.requests, load.clients, idx))
+            let expected: Vec<u64> = (0..budget)
                 .map(|_| {
                     let u: f64 = rng.gen_range(0.0..1.0);
                     clock += -(1.0 - u).ln() / rate * 1e9;
                     clock as u64
                 })
                 .collect();
-            // Streaming draw loop.
-            let mut arrivals = Vec::new();
-            let mut rng = client_rng(load.seed, idx);
-            let mut clock = 0.0f64;
-            for _ in 0..client_budget(load.requests, load.clients, idx) {
-                let u: f64 = rng.gen_range(0.0..1.0);
-                clock += -(1.0 - u).ln() / rate * 1e9;
-                arrivals.push(clock as u64);
+            // The driver's draws, one per submitted request.
+            let mut cl = StreamClient::new(&load, idx);
+            let mut drawn = Vec::new();
+            while let Some(t) = cl.next {
+                drawn.push(t);
+                cl.k += 1;
+                cl.draw_next(&load, rate);
             }
-            assert_eq!(threaded, arrivals);
+            assert_eq!(drawn, expected, "client {idx}");
         }
     }
 }

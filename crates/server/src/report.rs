@@ -119,7 +119,7 @@ pub struct PartitionReport {
 }
 
 impl PartitionReport {
-    /// Scheduler-vs-workers ledger agreement for this partition (same
+    /// Scheduler-vs-replicas ledger agreement for this partition (same
     /// tolerance as [`ServerReport::reconciles`]: 1 ppb plus one ns of
     /// rounding skew per batch).
     pub fn reconciles(&self) -> bool {
@@ -139,7 +139,7 @@ impl PartitionReport {
 /// The scheduler charges every dispatched batch the chip's *analytic*
 /// pipelined schedule (`fill + (B-1)·steady`, from
 /// `red_arch::PipelineReport`) on the virtual clock, before the batch
-/// ever executes. Each replica worker independently re-derives the same
+/// ever executes. Each replica independently re-derives the same
 /// quantity from the **measured** `red_runtime::RuntimeReport` of its
 /// actual execution (per-stage issued cycles priced at cost-model cycle
 /// times). [`ServerReport::reconciles`] checks the two ledgers agree —
@@ -205,8 +205,8 @@ pub struct ServerReport {
     pub last_completion_ns: u64,
     /// Virtual busy time the scheduler charged, summed over batches.
     pub modeled_busy_ns: u64,
-    /// The same quantity re-derived on the replicas' side: by the
-    /// workers from measured `RuntimeReport`s, or per model-only batch
+    /// The same quantity re-derived on the replicas' side: from
+    /// measured `RuntimeReport`s, or per model-only batch
     /// from the chip's analytic schedule.
     pub runtime_modeled_ns: u64,
     /// `true` while every executed batch's measured schedule also
@@ -297,7 +297,7 @@ impl ServerReport {
     }
 
     /// `true` when the scheduler's virtual charge agrees with the
-    /// workers' measured re-derivation (1 ppb, plus per-batch rounding)
+    /// replicas' measured re-derivation (1 ppb, plus per-batch rounding)
     /// — in aggregate **and** partition by partition — and every
     /// batch's own `RuntimeReport` reconciled with the analytic
     /// pipeline prediction. See the type docs.

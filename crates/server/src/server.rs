@@ -7,24 +7,25 @@
 //! ```text
 //!               submit · advance · finish_client · close_ready
 //! driver ─────────────────────────────────────────────▶ Scheduler (core)
-//!    ▲                                                       │ effects
-//!    └── outbox: Completion, addressed by meta.client ◀──────┤
-//!        exec:   ExecBatch, per (partition, replica)  ◀──────┘
+//!    ▲                                                       │
+//!    └── outbox: Completion, addressed by meta.client ◀──────┘
 //!
-//! model-only streaming drive: the driver is the calling thread —
-//! no scheduler thread, no workers, no channels
+//! close_ready: close and commit every final batch (a functional batch
+//! queues on its replica), then run each replica's queue in dispatch
+//! order, replicas in parallel on scoped threads
 //!
-//! Server::start, the shell (functional serving, external clients):
+//! drive: the driver is the calling thread — no shell, no channels
+//!
+//! Server::start, the shell (external clients):
 //!
 //! clients ──(MPSC: Submit/Advance/Done)──▶ shell thread ⇄ core
-//!    ▲                                       │       │ ExecBatch (bounded,
-//!    ├──(Completion: shed, modeled)◀─────────┘       ▼  per replica)
-//!    └──(Completion: served)◀─────────────── replica workers
+//!    ▲                                       │
+//!    └──(Completion, per client channel)◀────┘
 //! ```
 //!
 //! The **core** (`Scheduler`) owns the virtual clock and does no I/O: its
-//! driver hands it client events as method calls, and it queues effects
-//! for the driver to carry out. It merges per-client request streams in
+//! driver hands it client events as method calls and drains the
+//! completions it queues. It merges per-client request streams in
 //! `(arrival, client, seq)` order, routes each request to its target
 //! **partition** (resident network), closes micro-batches through one
 //! [`BatchFormer`] per partition (never finalizing a batch a future
@@ -33,22 +34,23 @@
 //! modeled service law, and charges each executed batch the pipelined
 //! schedule `fill + (B-1)·steady` on the virtual clock. Shed requests
 //! cost zero chip time and are answered through the outbox. On a
-//! functional server each admitted batch leaves as an `ExecBatch` effect
-//! for a **replica worker**, which does the host-side functional
-//! execution (`Chip::run_batched_with_scratch`, bit-exact against the
-//! sequential golden path) and delivers outputs directly to clients, so
-//! virtual-time bookkeeping never waits on host execution. In model-only
-//! mode ([`ServerConfig::model_only`]) the core charges each batch in
-//! place and answers [`Outcome::Modeled`] through the outbox — every
-//! virtual-clock figure is unchanged, and with no thread or channel hop
-//! per request the load generator sustains 10⁶-request runs on one
-//! thread.
+//! functional server each admitted batch queues on its **replica**, and
+//! the close loop ends by executing every queue
+//! (`Chip::run_batched_with_scratch_at`, bit-exact against the
+//! sequential golden path): in dispatch order per replica, the replicas
+//! in parallel on scoped threads, their outputs appended to the outbox in
+//! replica order. Completions are stamped at dispatch, so virtual-time
+//! bookkeeping never depends on host execution. In model-only mode
+//! ([`ServerConfig::model_only`]) the core charges each batch in place
+//! and answers [`Outcome::Modeled`] through the outbox — every
+//! virtual-clock figure is unchanged, and with no chip work the load
+//! generator sustains 10⁶-request runs on one thread.
 //!
 //! Because every latency figure derives from the virtual clock, a
 //! serving session's statistics are a deterministic function of the
-//! request trace — independent of host thread interleaving — which is
-//! what makes the committed `BENCH_loadgen.json` baselines and the CI
-//! bench-gate assertions reproducible. Stateful admission and
+//! request trace — independent of how a shell's client threads
+//! interleave — which is what makes the committed `BENCH_loadgen.json`
+//! baselines and the CI bench-gate assertions reproducible. Stateful admission and
 //! autoscaling keep that property by scoping their state per partition:
 //! each partition's decision sequence is deterministic even though
 //! cross-partition dispatch interleaving is not.
@@ -82,9 +84,9 @@ use crate::report::{AlertReport, PartitionReport, ReplicaReport, ServerReport, T
 use crate::request::{ClientId, Completion, Outcome, RequestMeta, RequestTiming};
 use crate::tenant::{TenantClass, TenantId};
 use crate::{AutoscaleConfig, ChipFleet, ScaleEvent, ServerError};
-use red_arch::CostModel;
+use red_arch::{CostModel, PipelineReport};
 use red_device::DriftModel;
-use red_runtime::{Chip, ExecPrecision, HardwarePerImage};
+use red_runtime::{Chip, ChipScratch, ExecPrecision, HardwarePerImage};
 use red_telemetry::{
     AlertEngine, AlertPolicy, AlertState, AlertTransition, AlertWindow, ArgValue, Counter, Gauge,
     LatencyHistogram, Phase, ScrapeConfig, Scraper, Telemetry, TenantWindow, TraceEvent,
@@ -92,7 +94,7 @@ use red_telemetry::{
 };
 use red_tensor::FeatureMap;
 use std::collections::HashMap;
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -215,16 +217,6 @@ impl ServerConfig {
         self
     }
 
-    /// The armed fault plan, if any.
-    pub fn fault_plan_ref(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
-    }
-
-    /// The health/self-healing tuning.
-    pub fn health_config(&self) -> HealthConfig {
-        self.health
-    }
-
     /// Attaches a telemetry handle: the scheduler records per-request
     /// lifecycle spans, batch/stage execute spans, scale instants, and
     /// the per-tenant/per-partition metrics plane into it. The default
@@ -235,12 +227,6 @@ impl ServerConfig {
     pub fn telemetry(mut self, handle: Telemetry) -> Self {
         self.telemetry = handle;
         self
-    }
-
-    /// The attached telemetry handle (disabled unless
-    /// [`ServerConfig::telemetry`] was called).
-    pub fn telemetry_handle(&self) -> &Telemetry {
-        &self.telemetry
     }
 
     /// Arms the windowed time-series scraper: each partition snapshots
@@ -267,24 +253,13 @@ impl ServerConfig {
         self
     }
 
-    /// The armed scrape cadence, if any.
-    pub fn scrape_config(&self) -> Option<ScrapeConfig> {
-        self.scrape
-    }
-
-    /// The configured alert policy, if one was set.
-    pub fn alert_policy(&self) -> Option<AlertPolicy> {
-        self.alerts.clone()
-    }
-
     /// Skips functional execution: the scheduler core charges the
     /// modeled schedule itself and answers [`Outcome::Modeled`], so no
-    /// replica worker is spawned, and a streaming [`crate::drive`] runs
-    /// the core on the calling thread. Virtual-clock statistics are
-    /// identical to a functional run over the same trace (asserted in
-    /// `tests/server_serving.rs`); host cost drops by the chip
-    /// simulation and every thread and channel hop, which is what makes
-    /// 10⁶-request load runs feasible.
+    /// replica chip, scratch or execution thread is set up. Virtual-clock
+    /// statistics are identical to a functional run over the same trace
+    /// (asserted in `tests/server_serving.rs`); host cost drops by the
+    /// chip simulation, which is what makes 10⁶-request load runs
+    /// feasible.
     pub fn model_only(mut self) -> Self {
         self.functional = false;
         self
@@ -295,29 +270,9 @@ impl ServerConfig {
         self.max_batch
     }
 
-    /// The configured forming-window bound, in ns.
-    pub fn max_wait_bound_ns(&self) -> u64 {
-        self.max_wait_ns
-    }
-
-    /// The configured policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// The configured tenant classes.
     pub fn tenant_classes(&self) -> &[TenantClass] {
         &self.tenants
-    }
-
-    /// The autoscaler tuning, if autoscaling is enabled.
-    pub fn autoscale_config(&self) -> Option<AutoscaleConfig> {
-        self.autoscale
-    }
-
-    /// The brownout tuning, if brownout control is enabled.
-    pub fn brownout_config(&self) -> Option<BrownoutConfig> {
-        self.brownout
     }
 
     /// `false` when the server runs model-only.
@@ -516,9 +471,8 @@ impl ClientHandle {
     }
 
     /// Submits an input-less request on a model-only server (the
-    /// functional payload would never be executed; skipping it keeps
-    /// the 10⁶-request streaming load generator free of per-request
-    /// tensor clones).
+    /// functional payload would never be executed; skipping it keeps a
+    /// high-rate client free of per-request tensor clones).
     ///
     /// # Errors
     ///
@@ -573,9 +527,9 @@ impl ClientHandle {
     /// Promises the scheduler this client will submit nothing before
     /// virtual instant `watermark_ns` — a heartbeat that lets batches
     /// below the watermark close without this client submitting or
-    /// finishing. The streaming load generator sends one per client
-    /// before blocking on completions; no-op when the watermark does
-    /// not advance.
+    /// finishing. An open-loop client sends one before blocking on
+    /// completions while its trace goes on; no-op when the watermark
+    /// does not advance.
     ///
     /// # Errors
     ///
@@ -702,9 +656,10 @@ struct ExecBatch {
     tier: ExecPrecision,
 }
 
-/// One replica's side of the reconciliation ledger: kept by its worker
-/// and handed back at shutdown on a functional server, charged in place
-/// by the core on a model-only one.
+/// One replica's side of the reconciliation ledger: re-derived from
+/// each executed batch by [`Replica::execute`] on a functional server,
+/// charged by the core from the chip's analytic schedule on a model-only
+/// one ([`PartitionState::charge_modeled`]).
 #[derive(Default)]
 struct ReplicaStats {
     batches: u64,
@@ -721,6 +676,108 @@ struct ReplicaStats {
     /// Largest advertised worst-case bound among the tiers this
     /// replica actually executed at.
     error_bound: f64,
+}
+
+/// One replica of a functional server: its chip, the working memory its
+/// batches reuse, and the batches dispatched to it since the last
+/// execution pass of [`Scheduler::close_ready`].
+struct Replica {
+    chip: Chip,
+    /// The chip's analytic schedule, which every measured batch report
+    /// must reconcile with.
+    analytic: PipelineReport,
+    scratch: ChipScratch,
+    /// The full-precision reference scratch for degraded batches; built
+    /// on first use so brownout-free sessions pay nothing.
+    golden: Option<ChipScratch>,
+    /// Batches in dispatch order.
+    queue: Vec<ExecBatch>,
+}
+
+impl Replica {
+    /// Executes one batch through [`Chip::run_batched_with_scratch_at`]
+    /// at the batch's brownout tier, answers each request into `deliver`,
+    /// and re-derives the core's virtual charge from the *measured*
+    /// `RuntimeReport` for [`ServerReport::reconciles`] — the measured
+    /// schedule is value-independent, so a degraded batch scales the
+    /// measured fill and bottleneck by the same [`Chip::phase_ratio`] the
+    /// core priced it with. A degraded batch is also re-run at full
+    /// precision against the golden scratch to meter the session's worst
+    /// *observed* output error against the advertised
+    /// [`Chip::truncation_error_bound`].
+    fn execute(
+        &mut self,
+        batch: ExecBatch,
+        stats: &mut ReplicaStats,
+        deliver: &mut Vec<Completion>,
+    ) {
+        let chip = &self.chip;
+        match chip.run_batched_with_scratch_at(&batch.inputs, &mut self.scratch, batch.tier) {
+            Ok(run) => {
+                let b = batch.inputs.len() as u64;
+                // The measured pipelined charge: fill is the measured
+                // stage-latency sum; the steady interval is the measured
+                // bottleneck stage (the Batched-mode report keeps
+                // per-stage latencies even though its own schedule is
+                // sequential). Metering is value-independent, so the
+                // degraded tier reprices through the phase ratio exactly
+                // as the scheduler did.
+                let ratio = chip.phase_ratio(batch.tier);
+                let fill = (run.report.fill_latency_ns * ratio).round() as u64;
+                let bottleneck = (run
+                    .report
+                    .stages
+                    .iter()
+                    .map(|s| s.latency_ns)
+                    .fold(0.0, f64::max)
+                    * ratio)
+                    .round() as u64;
+                stats.runtime_modeled_ns += fill + (b - 1) * bottleneck;
+                if !run.report.reconciles_with(&self.analytic) {
+                    stats.unreconciled += 1;
+                }
+                stats.host_ns += run.report.wall_ns;
+                stats.batches += 1;
+                stats.images += b;
+                if batch.tier != ExecPrecision::Full {
+                    stats.error_bound = stats
+                        .error_bound
+                        .max(chip.truncation_error_bound(batch.tier));
+                    let reference = self.golden.get_or_insert_with(|| chip.make_scratch());
+                    if let Ok(exact) = chip.run_batched_with_scratch(&batch.inputs, reference) {
+                        for (deg, full) in run.outputs.iter().zip(&exact.outputs) {
+                            for (&d, &x) in deg.as_slice().iter().zip(full.as_slice()) {
+                                stats.max_observed_error =
+                                    stats.max_observed_error.max((d - x).abs() as f64);
+                            }
+                        }
+                    }
+                }
+                deliver.extend(
+                    batch
+                        .items
+                        .into_iter()
+                        .zip(run.outputs)
+                        .map(|(item, output)| Completion {
+                            meta: item.meta,
+                            timing: item.timing,
+                            outcome: Outcome::Served(output),
+                        }),
+                );
+            }
+            Err(e) => {
+                stats.failed += batch.items.len() as u64;
+                if stats.first_error.is_none() {
+                    stats.first_error = Some(e.to_string());
+                }
+                deliver.extend(batch.items.into_iter().map(|item| Completion {
+                    meta: item.meta,
+                    timing: item.timing,
+                    outcome: Outcome::Failed,
+                }));
+            }
+        }
+    }
 }
 
 /// A pending request's functional input (`None` on a model-only server).
@@ -1136,6 +1193,9 @@ struct PartitionState {
     analytic_steady_ns: f64,
     /// Per-replica reconciliation ledgers, by replica index.
     replica_stats: Vec<ReplicaStats>,
+    /// The replicas that execute dispatched batches, by replica index;
+    /// empty on a model-only server.
+    replicas: Vec<Replica>,
     free_at: Vec<u64>,
     active: usize,
     autoscaler: Option<Autoscaler>,
@@ -1449,11 +1509,12 @@ struct ChaosState {
 /// The synchronous scheduler core (see the module docs). Its driver
 /// hands it client events as method calls — [`Scheduler::submit`],
 /// [`Scheduler::advance`], [`Scheduler::finish_client`] — then runs
-/// [`Scheduler::close_ready`] and carries out the effects that queues:
-/// completions in the outbox, and functional batches for the replica
-/// workers. It does no I/O and spawns nothing, so a model-only streaming
-/// session runs it on the caller's thread and every other session runs
-/// it inside the [`Server`] shell: one scheduling code path for both.
+/// [`Scheduler::close_ready`] and delivers the completions that queues
+/// in the outbox. It does no I/O and keeps no thread: on a functional
+/// server the close loop executes its own batches, on scoped threads
+/// while more than one replica has work. [`crate::drive`] runs it on the
+/// caller's thread and [`Server::start`] inside the shell thread: one
+/// scheduling code path for both.
 pub(crate) struct Scheduler {
     clients: Vec<ClientState>,
     parts: Vec<PartitionState>,
@@ -1470,16 +1531,11 @@ pub(crate) struct Scheduler {
     first_arrival_ns: u64,
     /// Latest virtual completion of any settled request.
     last_completion_ns: u64,
-    /// Requests answered `Failed` because their replica worker was gone.
-    send_failures: u64,
     /// Admission verdicts of the batch being committed, in batch order
     /// (`None` = admitted); reused across batches.
     verdicts: Vec<Option<ShedReason>>,
     /// Completions awaiting delivery, each to client `meta.client`.
     outbox: Vec<Completion>,
-    /// Functional batches awaiting their replica worker, as `(partition,
-    /// replica, batch)`; never filled on a model-only server.
-    exec: Vec<(usize, usize, ExecBatch)>,
     /// The configuration the session report echoes.
     info: SessionInfo,
 }
@@ -1616,8 +1672,9 @@ impl Scheduler {
     }
 
     /// Closes and dispatches every batch the frontier has made final,
-    /// queueing the resulting effects, until no partition can close
-    /// another.
+    /// until no partition can close another, then executes every batch
+    /// that queued on a replica, so the outbox holds each completion the
+    /// loop produced and no batch is left queued.
     pub(crate) fn close_ready(&mut self) {
         loop {
             let mut progressed = false;
@@ -1633,6 +1690,54 @@ impl Scheduler {
                 break;
             }
         }
+        if self.functional {
+            self.execute_queued();
+        }
+    }
+
+    /// Runs each replica's queue in dispatch order, the replicas in
+    /// parallel on scoped threads (inline when only one has work), and
+    /// appends their completions to the outbox in replica order. A panic
+    /// in chip execution resumes on this thread with its own payload.
+    fn execute_queued(&mut self) {
+        fn drain(replica: &mut Replica, stats: &mut ReplicaStats, deliver: &mut Vec<Completion>) {
+            let mut queue = std::mem::take(&mut replica.queue);
+            for batch in queue.drain(..) {
+                replica.execute(batch, stats, deliver);
+            }
+            replica.queue = queue;
+        }
+        let mut busy: Vec<(&mut Replica, &mut ReplicaStats)> = self
+            .parts
+            .iter_mut()
+            .flat_map(|p| p.replicas.iter_mut().zip(&mut p.replica_stats))
+            .filter(|(replica, _)| !replica.queue.is_empty())
+            .collect();
+        if busy.len() <= 1 {
+            if let Some((replica, stats)) = busy.pop() {
+                drain(replica, stats, &mut self.outbox);
+            }
+            return;
+        }
+        let outbox = &mut self.outbox;
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = busy
+                .into_iter()
+                .map(|(replica, stats)| {
+                    scope.spawn(move || {
+                        let mut out = Vec::new();
+                        drain(replica, stats, &mut out);
+                        out
+                    })
+                })
+                .collect();
+            for run in runs {
+                let out = run
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                outbox.extend(out);
+            }
+        });
     }
 
     /// `true` once every client has finished and every former is empty:
@@ -1648,12 +1753,12 @@ impl Scheduler {
     }
 
     /// Hands an admitted batch to replica `r` of partition `p`. On a
-    /// functional server it leaves as an exec effect for the replica's
-    /// worker; on a model-only one it is charged to the replica's ledger
-    /// here and answered [`Outcome::Modeled`].
+    /// functional server it queues on the replica, which executes it at
+    /// the end of the close loop; on a model-only one it is charged to
+    /// the replica's ledger here and answered [`Outcome::Modeled`].
     fn ship(&mut self, p: usize, r: usize, batch: ExecBatch) {
         if self.functional {
-            self.exec.push((p, r, batch));
+            self.parts[p].replicas[r].queue.push(batch);
             return;
         }
         self.parts[p].charge_modeled(r, batch.items.len() as u64, batch.tier);
@@ -2467,36 +2572,18 @@ impl Scheduler {
 }
 
 /// The [`Server`] shell's thread: applies client events to the core,
-/// runs its close loop, and carries out its effects — each completion to
-/// its client's channel, each functional batch to its replica worker —
-/// until every client has finished and every batch is out. Returns the
-/// core for [`Server::try_finish`]; the batch senders drop on return,
-/// which releases the workers.
+/// runs its close loop, and sends each completion to its client's
+/// channel, until every client has finished and every batch is out.
+/// Returns the core for [`Server::try_finish`].
 fn run_shell(
     mut core: Scheduler,
     events: Receiver<Event>,
     clients: Vec<Sender<Completion>>,
-    replicas: Vec<Vec<SyncSender<ExecBatch>>>,
 ) -> Scheduler {
     loop {
         core.close_ready();
         for completion in core.outbox() {
             let _ = clients[completion.meta.client].send(completion);
-        }
-        for (p, r, batch) in core.exec.drain(..) {
-            if let Err(failed) = replicas[p][r].send(batch) {
-                // The worker is gone (cannot happen short of a panic);
-                // answer the batch here so closed-loop clients never
-                // hang.
-                core.send_failures += failed.0.items.len() as u64;
-                for item in failed.0.items {
-                    let _ = clients[item.meta.client].send(Completion {
-                        meta: item.meta,
-                        timing: item.timing,
-                        outcome: Outcome::Failed,
-                    });
-                }
-            }
         }
         if core.is_drained() {
             return core;
@@ -2519,111 +2606,19 @@ fn run_shell(
     }
 }
 
-/// Host-side execution of one replica of a functional server: drains its
-/// batch queue through [`Chip::run_batched_with_scratch_at`] at the
-/// batch's brownout tier with a persistent per-replica scratch, answers
-/// each request's client directly, and re-derives the core's virtual
-/// charge from the *measured* `RuntimeReport` for
-/// [`ServerReport::reconciles`] — the measured schedule is
-/// value-independent, so a degraded batch scales the measured fill and
-/// bottleneck by the same [`Chip::phase_ratio`] the core priced it with.
-/// A degraded batch is also re-run at full precision against a second
-/// (lazily built) scratch to meter the session's worst *observed* output
-/// error against the advertised [`Chip::truncation_error_bound`]. A
-/// model-only server has no workers: its core charges each batch itself
-/// ([`PartitionState::charge_modeled`]).
-fn replica_worker(
-    chip: Chip,
-    batches: Receiver<ExecBatch>,
-    clients: Vec<Sender<Completion>>,
-) -> ReplicaStats {
-    let analytic = chip.pipeline_report();
-    let mut stats = ReplicaStats::default();
-    let mut scratch = chip.make_scratch();
-    // The full-precision reference scratch for degraded batches; built
-    // on first use so brownout-free sessions pay nothing.
-    let mut golden: Option<red_runtime::ChipScratch> = None;
-    while let Ok(batch) = batches.recv() {
-        match chip.run_batched_with_scratch_at(&batch.inputs, &mut scratch, batch.tier) {
-            Ok(run) => {
-                let b = batch.inputs.len() as u64;
-                // The measured pipelined charge: fill is the measured
-                // stage-latency sum; the steady interval is the measured
-                // bottleneck stage (the Batched-mode report keeps
-                // per-stage latencies even though its own schedule is
-                // sequential). Metering is value-independent, so the
-                // degraded tier reprices through the phase ratio exactly
-                // as the scheduler did.
-                let ratio = chip.phase_ratio(batch.tier);
-                let fill = (run.report.fill_latency_ns * ratio).round() as u64;
-                let bottleneck = (run
-                    .report
-                    .stages
-                    .iter()
-                    .map(|s| s.latency_ns)
-                    .fold(0.0, f64::max)
-                    * ratio)
-                    .round() as u64;
-                stats.runtime_modeled_ns += fill + (b - 1) * bottleneck;
-                if !run.report.reconciles_with(&analytic) {
-                    stats.unreconciled += 1;
-                }
-                stats.host_ns += run.report.wall_ns;
-                stats.batches += 1;
-                stats.images += b;
-                if batch.tier != ExecPrecision::Full {
-                    stats.error_bound = stats
-                        .error_bound
-                        .max(chip.truncation_error_bound(batch.tier));
-                    let reference = golden.get_or_insert_with(|| chip.make_scratch());
-                    if let Ok(exact) = chip.run_batched_with_scratch(&batch.inputs, reference) {
-                        for (deg, full) in run.outputs.iter().zip(&exact.outputs) {
-                            for (&d, &x) in deg.as_slice().iter().zip(full.as_slice()) {
-                                stats.max_observed_error =
-                                    stats.max_observed_error.max((d - x).abs() as f64);
-                            }
-                        }
-                    }
-                }
-                for (item, output) in batch.items.into_iter().zip(run.outputs) {
-                    let _ = clients[item.meta.client].send(Completion {
-                        meta: item.meta,
-                        timing: item.timing,
-                        outcome: Outcome::Served(output),
-                    });
-                }
-            }
-            Err(e) => {
-                stats.failed += batch.items.len() as u64;
-                if stats.first_error.is_none() {
-                    stats.first_error = Some(e.to_string());
-                }
-                for item in batch.items {
-                    let _ = clients[item.meta.client].send(Completion {
-                        meta: item.meta,
-                        timing: item.timing,
-                        outcome: Outcome::Failed,
-                    });
-                }
-            }
-        }
-    }
-    stats
-}
-
-/// A running serving session over a [`ChipFleet`]: the thread-and-channel
-/// shell around the scheduler core (see the module docs).
+/// A running serving session over a [`ChipFleet`] for external clients:
+/// the thread-and-channel shell around the scheduler core (see the module
+/// docs).
 ///
-/// [`Server::start`] spawns the shell thread, which runs the core, and on
-/// a functional server one worker per provisioned replica, and returns a
-/// [`ClientHandle`] per requested client. Drop (or
+/// [`Server::start`] spawns the shell thread, which runs the core (and,
+/// on a functional server, the chip execution at the end of each close
+/// loop), and returns a [`ClientHandle`] per requested client. Drop (or
 /// [`finish`](ClientHandle::finish)) every handle, then call
 /// [`Server::finish`] to drain, join, and collect the [`ServerReport`].
 #[derive(Debug)]
 pub struct Server {
     events: Sender<Event>,
     scheduler: JoinHandle<Scheduler>,
-    workers: Vec<(usize, JoinHandle<ReplicaStats>)>,
 }
 
 impl Scheduler {
@@ -2706,6 +2701,19 @@ impl Scheduler {
                 analytic_steady_ns: analytic.steady_interval_ns(),
                 replica_stats: (0..partition.replicas())
                     .map(|_| ReplicaStats::default())
+                    .collect(),
+                replicas: (0..partition.replicas())
+                    .filter(|_| config.functional)
+                    .map(|_| {
+                        let chip = partition.replica_chip();
+                        Replica {
+                            analytic: analytic.clone(),
+                            scratch: chip.make_scratch(),
+                            golden: None,
+                            queue: Vec::new(),
+                            chip,
+                        }
+                    })
                     .collect(),
                 free_at: vec![0; partition.replicas()],
                 active,
@@ -2820,10 +2828,8 @@ impl Scheduler {
             chaos,
             first_arrival_ns: u64::MAX,
             last_completion_ns: 0,
-            send_failures: 0,
             verdicts: Vec::new(),
             outbox: Vec::new(),
-            exec: Vec::new(),
             info,
         })
     }
@@ -2832,9 +2838,9 @@ impl Scheduler {
     /// events and repairs the traffic never reached, publishes the
     /// ledger and flushes the last scrape window, and folds the ledger
     /// into a [`ServerReport`] — per partition, per tenant, and in
-    /// total. Called once [`Scheduler::is_drained`] holds and, on a
-    /// functional server, once the workers' ledgers are back in
-    /// `replica_stats`.
+    /// total. Called once the driver has stopped submitting and every
+    /// batch has closed ([`Scheduler::is_drained`]); every executed
+    /// batch is already in `replica_stats`.
     pub(crate) fn finish(mut self) -> ServerReport {
         self.finalize_chaos();
         self.flush_observability();
@@ -2992,7 +2998,7 @@ impl Scheduler {
             offered: all.offered,
             served: all.served,
             shed: all.shed,
-            failed: stats.iter().map(|s| s.failed).sum::<u64>() + self.send_failures,
+            failed: stats.iter().map(|s| s.failed).sum(),
             batches,
             queue_wait: all.queue_wait,
             execute: all.execute,
@@ -3030,11 +3036,13 @@ impl Scheduler {
 }
 
 impl Server {
-    /// Starts serving: the shell thread running the scheduler core, one
-    /// worker per provisioned replica of every partition on a functional
-    /// server, and one [`ClientHandle`] per entry of `clients`. Accepts
-    /// `&[ClientMode]` (every client under tenant 0) or `&[ClientSpec]`
-    /// for multi-tenant registration.
+    /// Starts serving: one shell thread running the scheduler core, which
+    /// on a functional server also executes each close loop's batches
+    /// (on scoped threads while more than one replica has work), and one
+    /// [`ClientHandle`] per entry of `clients`. Accepts `&[ClientMode]`
+    /// (every client under tenant 0) or `&[ClientSpec]` for multi-tenant
+    /// registration. [`crate::drive`] needs no shell: it runs the core
+    /// on the calling thread.
     ///
     /// # Errors
     ///
@@ -3061,33 +3069,7 @@ impl Server {
         let (event_tx, event_rx) = channel::<Event>();
         let (completion_tx, completion_rx): (Vec<_>, Vec<_>) =
             specs.iter().map(|_| channel::<Completion>()).unzip();
-        let mut workers = Vec::new();
-        let mut replica_tx = Vec::with_capacity(fleet.partition_count());
-        for (pi, partition) in fleet.partitions().iter().enumerate() {
-            // A model-only core charges its batches itself: no workers.
-            let replicas = if config.functional {
-                partition.replicas()
-            } else {
-                0
-            };
-            let mut txs = Vec::with_capacity(replicas);
-            for _ in 0..replicas {
-                // Capacity 2: classic double buffering — one batch
-                // executing, one staged — with backpressure into the
-                // shell.
-                let (tx, rx) = sync_channel::<ExecBatch>(2);
-                let chip = partition.replica_chip();
-                let clients = completion_tx.clone();
-                workers.push((
-                    pi,
-                    std::thread::spawn(move || replica_worker(chip, rx, clients)),
-                ));
-                txs.push(tx);
-            }
-            replica_tx.push(txs);
-        }
-        let scheduler =
-            std::thread::spawn(move || run_shell(core, event_rx, completion_tx, replica_tx));
+        let scheduler = std::thread::spawn(move || run_shell(core, event_rx, completion_tx));
         let handles = specs
             .iter()
             .zip(completion_rx)
@@ -3108,23 +3090,21 @@ impl Server {
             Server {
                 events: event_tx,
                 scheduler,
-                workers,
             },
             handles,
         ))
     }
 
-    /// Drains outstanding work, joins every thread, and returns the
+    /// Drains outstanding work, joins the shell thread, and returns the
     /// session report. Every [`ClientHandle`] must be finished or
     /// dropped first, or this blocks waiting for them.
     ///
     /// # Panics
     ///
-    /// Panics with [`ServerError::SchedulerFailed`] when the scheduler
-    /// thread died (a panicking custom [`AdmissionPolicy`] surfaces
-    /// here) and with [`ServerError::ReplicaFailed`] when a replica
-    /// worker died — use [`Server::try_finish`] to handle both cases as
-    /// values.
+    /// Panics with [`ServerError::SchedulerFailed`] when the shell thread
+    /// died (a panicking custom [`AdmissionPolicy`] or chip execution
+    /// surfaces here) — use [`Server::try_finish`] to handle that case
+    /// as a value.
     pub fn finish(self) -> ServerReport {
         match self.try_finish() {
             Ok(report) => report,
@@ -3132,54 +3112,23 @@ impl Server {
         }
     }
 
-    /// [`Server::finish`], but a dead thread comes back as a value
-    /// instead of a panic: [`ServerError::ReplicaFailed`] names the
-    /// partition and replica of a dead worker, and
-    /// [`ServerError::SchedulerFailed`] carries the shell thread's panic
-    /// message (the core owns the virtual clock, so there is no
-    /// meaningful report without it). Every surviving thread is still
-    /// joined first on both paths, so nothing is leaked.
+    /// [`Server::finish`], but a dead shell thread comes back as a value
+    /// instead of a panic: [`ServerError::SchedulerFailed`] carries its
+    /// panic message (the core owns the virtual clock, so there is no
+    /// meaningful report without it).
     ///
     /// # Errors
     ///
-    /// [`ServerError::SchedulerFailed`] when the shell thread panicked;
-    /// otherwise [`ServerError::ReplicaFailed`] for the first (by
-    /// partition, then replica index) worker thread that panicked
-    /// instead of reporting its ledger.
+    /// [`ServerError::SchedulerFailed`] when the shell thread panicked,
+    /// in the scheduler or in chip execution.
     pub fn try_finish(self) -> Result<ServerReport, ServerError> {
         drop(self.events);
-        let mut core = match self.scheduler.join() {
-            Ok(core) => core,
-            Err(payload) => {
-                // The unwinding shell dropped its batch senders, so the
-                // workers drain and exit; join them before reporting,
-                // leaking nothing on the error path.
-                for (_, worker) in self.workers {
-                    let _ = worker.join();
-                }
-                return Err(ServerError::SchedulerFailed {
-                    message: panic_message(&*payload),
-                });
-            }
-        };
-        // The shell dropped its batch senders on return: the workers
-        // drain their queues and hand back their ledgers.
-        let mut next_replica = vec![0usize; core.parts.len()];
-        let mut failed_worker = None;
-        for (p, worker) in self.workers {
-            let r = next_replica[p];
-            next_replica[p] += 1;
-            match worker.join() {
-                Ok(stats) => core.parts[p].replica_stats[r] = stats,
-                Err(_) => {
-                    failed_worker.get_or_insert((p, r));
-                }
-            }
+        match self.scheduler.join() {
+            Ok(core) => Ok(core.finish()),
+            Err(payload) => Err(ServerError::SchedulerFailed {
+                message: panic_message(&*payload),
+            }),
         }
-        if let Some((partition, replica)) = failed_worker {
-            return Err(ServerError::ReplicaFailed { partition, replica });
-        }
-        Ok(core.finish())
     }
 }
 

@@ -152,9 +152,11 @@ fn brownout_outserves_shedding_under_quarantine_overload() {
 #[test]
 fn degraded_functional_outputs_stay_within_the_advertised_bound() {
     // A tiny functional fleet, every tenant free to brown out, driven
-    // past capacity so the controller actually degrades: the workers
+    // past capacity so the controller actually degrades: the replicas
     // re-run every degraded batch at full precision and meter the worst
-    // observed deviation, which must respect the crossbar bound.
+    // observed deviation, which must respect the crossbar bound. With
+    // two replicas the degraded batches and their golden re-runs execute
+    // on parallel scoped threads inside the scheduler's close loop.
     let stack = networks::dcgan_generator(4).unwrap();
     let chip = ChipBuilder::new()
         .design(Design::red(RedLayoutPolicy::Auto))
@@ -166,7 +168,6 @@ fn degraded_functional_outputs_stay_within_the_advertised_bound() {
         0.0 < bound_eco && bound_eco <= bound_deep,
         "advertised bound grows with degradation depth"
     );
-    let fleet = ChipFleet::new(chip, 1).unwrap();
     let traffic = networks::request_stream(&stack, 8, 16, 0xBEEF);
     let config = ServerConfig::new()
         .max_batch(4)
@@ -176,31 +177,44 @@ fn degraded_functional_outputs_stay_within_the_advertised_bound() {
             cooldown_ns: 100_000,
             ..BrownoutConfig::default()
         });
-    let load = LoadgenConfig {
-        mode: LoadMode::Open {
-            rps: 3.0 * fleet.peak_throughput_per_s(),
-        },
-        clients: 2,
-        requests: 120,
-        horizon_ns: None,
-        slo_ns: None,
-        seed: 9,
-        stream: false,
-    };
-    let report = drive(&fleet, &config, &load, std::slice::from_ref(&traffic)).unwrap();
-    let degraded: u64 = report.served_by_tier[1..].iter().map(|&(_, n)| n).sum();
-    assert!(degraded > 0, "overload must reach a degraded tier");
-    assert!(
-        report.precision_error_bound >= bound_eco,
-        "the session advertises the deepest executed tier's bound"
-    );
-    assert!(
-        report.max_observed_error <= report.precision_error_bound,
-        "observed error {} exceeds the advertised bound {}",
-        report.max_observed_error,
-        report.precision_error_bound,
-    );
-    assert!(report.reconciles(), "tier repricing preserves the ledgers");
+    for replicas in [1, 2] {
+        let fleet = ChipFleet::new(chip.clone(), replicas).unwrap();
+        let load = LoadgenConfig {
+            mode: LoadMode::Open {
+                rps: 3.0 * fleet.peak_throughput_per_s(),
+            },
+            clients: 2,
+            requests: 120,
+            horizon_ns: None,
+            slo_ns: None,
+            seed: 9,
+            stream: false,
+        };
+        let report = drive(&fleet, &config, &load, std::slice::from_ref(&traffic)).unwrap();
+        let degraded: u64 = report.served_by_tier[1..].iter().map(|&(_, n)| n).sum();
+        assert!(
+            degraded > 0,
+            "{replicas} replica(s): overload must reach a degraded tier"
+        );
+        assert!(
+            report.precision_error_bound >= bound_eco,
+            "{replicas} replica(s): the session advertises the deepest executed tier's bound"
+        );
+        assert!(
+            report.max_observed_error <= report.precision_error_bound,
+            "{replicas} replica(s): observed error {} exceeds the advertised bound {}",
+            report.max_observed_error,
+            report.precision_error_bound,
+        );
+        assert!(
+            report.reconciles(),
+            "{replicas} replica(s): tier repricing preserves the ledgers"
+        );
+        assert_eq!(
+            report.failed, 0,
+            "{replicas} replica(s): every batch executes"
+        );
+    }
 }
 
 proptest! {

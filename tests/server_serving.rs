@@ -380,14 +380,15 @@ proptest! {
 }
 
 // ===========================================================================
-// Multi-tenant fleet serving: multi-network routing, streaming-driver
+// Multi-tenant fleet serving: multi-network routing, driver
 // equivalence, tenant isolation, model-only equivalence, autoscaling
 // determinism, and histogram accuracy at one million samples.
 // ===========================================================================
 
 use red_sim::red_server::{
-    AdmissionPolicy, AutoscaleConfig, BrownoutConfig, FaultPlan, LatencyHistogram, ScrapeConfig,
-    ServerError, ServerReport, ServiceEstimate, StrictPriority, TenantClass, WeightedFair,
+    AdmissionPolicy, AutoscaleConfig, BrownoutConfig, ClientSpec, FaultPlan, LatencyHistogram,
+    ScrapeConfig, ServerError, ServerReport, ServiceEstimate, StrictPriority, TenantClass,
+    WeightedFair,
 };
 use red_sim::red_telemetry::Telemetry;
 
@@ -567,14 +568,66 @@ fn multi_network_fleet_routes_requests_bit_exact_per_network() {
     );
 }
 
-/// The model-only streaming driver, which runs the scheduler core on
-/// the calling thread, and the thread-per-client driver, which goes
-/// through the threaded server shell, produce **bit-identical** modeled
-/// statistics for the same configuration — on a plain weighted-fair
-/// session and off the happy path: under a fault plan with a crash and
-/// a strike, with brownout armed, and with the scraper and alert engine
-/// on. Batch close instants are trace-deterministic, so the report
-/// cannot depend on which driver delivered the trace.
+/// An open-loop `Server::start` session fed `load`'s traces by one
+/// thread per client, each submitting its whole trace before collecting
+/// its completions. `drive`'s seed stream, gap formula, budget split,
+/// tenant rule and routing rule are copied here, so the two deliver the
+/// same requests through different hosts: the shell's channels and
+/// threads, and the core on the calling thread.
+fn thread_per_client_session(
+    fleet: &ChipFleet,
+    config: &ServerConfig,
+    load: &LoadgenConfig,
+) -> ServerReport {
+    let LoadMode::Open { rps } = load.mode else {
+        unreachable!("open loops only");
+    };
+    assert!(load.horizon_ns.is_none(), "budget-limited traces only");
+    let classes = config.tenant_classes();
+    let slos: Vec<Option<u64>> = classes.iter().map(|t| t.slo_ns.or(load.slo_ns)).collect();
+    let specs: Vec<ClientSpec> = (0..load.clients)
+        .map(|i| ClientSpec::open(i % classes.len()))
+        .collect();
+    let partitions = fleet.partition_count();
+    let (server, handles) = Server::start(fleet, config, &specs).unwrap();
+    std::thread::scope(|scope| {
+        for mut handle in handles {
+            let slos = &slos;
+            scope.spawn(move || {
+                let idx = handle.id();
+                let budget =
+                    load.requests / load.clients + usize::from(idx < load.requests % load.clients);
+                let rate = rps / load.clients as f64;
+                let mut rng = StdRng::seed_from_u64(
+                    load.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx as u64 + 1),
+                );
+                let mut clock = 0.0f64;
+                for k in 0..budget {
+                    let u: f64 = rng.gen_range(0.0..1.0);
+                    clock += -(1.0 - u).ln() / rate * 1e9;
+                    let arrival = clock as u64;
+                    let deadline = slos[handle.tenant()].map(|s| arrival + s);
+                    handle
+                        .submit_modeled((idx + k) % partitions, arrival, deadline)
+                        .unwrap();
+                }
+                handle.finish();
+                for _ in 0..budget {
+                    handle.recv().unwrap();
+                }
+            });
+        }
+    });
+    server.try_finish().unwrap()
+}
+
+/// `drive`, which runs the scheduler core on the calling thread, and a
+/// `Server::start` session fed the same traces by one thread per client
+/// produce **bit-identical** modeled statistics — on a plain
+/// weighted-fair session and off the happy path: under a fault plan with
+/// a crash and a strike, with brownout armed, and with the scraper and
+/// alert engine on. Batch close instants are trace-deterministic, so the
+/// report cannot depend on how the host delivered the trace.
 #[test]
 fn streaming_driver_matches_threaded_driver_bit_for_bit() {
     let (fleet, peak) = two_network_fleet(2);
@@ -605,41 +658,38 @@ fn streaming_driver_matches_threaded_driver_bit_for_bit() {
             }),
         other => unreachable!("no case {other}"),
     };
-    let load = |stream: bool| LoadgenConfig {
+    let load = LoadgenConfig {
         mode: LoadMode::Open { rps: 1.8 * peak },
         clients: 9,
         requests: 30_000,
         horizon_ns: None,
         slo_ns: None,
         seed: 23,
-        stream,
+        stream: true,
     };
     for case in ["plain", "chaos", "brownout", "alerts"] {
-        let threaded = drive(&fleet, &config(case), &load(false), &[]).unwrap();
-        let streaming = drive(&fleet, &config(case), &load(true), &[]).unwrap();
-        assert!(threaded.reconciles(), "{case}: threaded reconciles");
-        assert!(streaming.reconciles(), "{case}: streaming reconciles");
-        assert!(threaded.shed > 0, "{case}: 1.8x overload must shed");
-        assert_modeled_stats_identical(&threaded, &streaming);
-        assert_eq!(threaded.served_by_tier, streaming.served_by_tier, "{case}");
-        assert_eq!(threaded.retries, streaming.retries, "{case}: retries");
-        assert_eq!(threaded.hedges, streaming.hedges, "{case}: hedges");
-        assert_eq!(
-            threaded.sheds_by_reason, streaming.sheds_by_reason,
-            "{case}"
-        );
-        assert_eq!(threaded.alerts, streaming.alerts, "{case}: alert episodes");
+        let shell = thread_per_client_session(&fleet, &config(case), &load);
+        let inline = drive(&fleet, &config(case), &load, &[]).unwrap();
+        assert!(shell.reconciles(), "{case}: shell reconciles");
+        assert!(inline.reconciles(), "{case}: inline reconciles");
+        assert!(shell.shed > 0, "{case}: 1.8x overload must shed");
+        assert_modeled_stats_identical(&shell, &inline);
+        assert_eq!(shell.served_by_tier, inline.served_by_tier, "{case}");
+        assert_eq!(shell.retries, inline.retries, "{case}: retries");
+        assert_eq!(shell.hedges, inline.hedges, "{case}: hedges");
+        assert_eq!(shell.sheds_by_reason, inline.sheds_by_reason, "{case}");
+        assert_eq!(shell.alerts, inline.alerts, "{case}: alert episodes");
         // Each case must actually leave the happy path it names.
         match case {
-            "chaos" => assert_eq!(streaming.faults_injected, 2, "both faults fire"),
+            "chaos" => assert_eq!(inline.faults_injected, 2, "both faults fire"),
             "brownout" => assert!(
-                streaming
+                inline
                     .partition_reports
                     .iter()
                     .any(|p| !p.brownout_events.is_empty()),
                 "overload must step a brownout tier"
             ),
-            "alerts" => assert!(!streaming.alerts.is_empty(), "overload must fire an alert"),
+            "alerts" => assert!(!inline.alerts.is_empty(), "overload must fire an alert"),
             _ => {}
         }
     }
@@ -663,10 +713,10 @@ impl AdmissionPolicy for PanickingPolicy {
     }
 }
 
-/// A panicking custom policy surfaces as `SchedulerFailed` from `drive`
-/// whichever driver runs the scheduler: the model-only streaming driver
-/// runs the core on the calling thread, the functional thread-per-client
-/// driver inside the threaded server shell.
+/// A panicking custom policy surfaces as `SchedulerFailed` wherever the
+/// core runs: from `drive`, which runs it on the calling thread, on a
+/// model-only and on a functional server, and from `try_finish` of a
+/// `Server::start` session, whose shell thread runs it.
 #[test]
 fn a_panicking_policy_surfaces_as_scheduler_failed_on_both_drivers() {
     let stack = networks::dcgan_generator(SCALE).unwrap();
@@ -680,24 +730,34 @@ fn a_panicking_policy_surfaces_as_scheduler_failed_on_both_drivers() {
         .max_batch(4)
         .max_wait_ns(10_000)
         .policy(PanickingPolicy);
-    let load = |stream: bool| LoadgenConfig {
+    let load = LoadgenConfig {
         mode: LoadMode::Open { rps: 100_000.0 },
         clients: 3,
         requests: 24,
         horizon_ns: None,
         slo_ns: None,
         seed: 1,
-        stream,
+        stream: true,
+    };
+    let shell = || {
+        let (server, mut clients) = Server::start(&fleet, &config, &[ClientMode::Open]).unwrap();
+        for (i, input) in inputs.iter().enumerate() {
+            // The shell may already be gone: only try_finish reports.
+            let _ = clients[0].submit(input.clone(), 1_000 * i as u64, None);
+        }
+        drop(clients);
+        server.try_finish()
     };
     for (driver, result) in [
         (
-            "inline model-only",
-            drive(&fleet, &config.clone().model_only(), &load(true), &[]),
+            "drive model-only",
+            drive(&fleet, &config.clone().model_only(), &load, &[]),
         ),
         (
-            "threaded functional",
-            drive(&fleet, &config, &load(false), std::slice::from_ref(&inputs)),
+            "drive functional",
+            drive(&fleet, &config, &load, std::slice::from_ref(&inputs)),
         ),
+        ("Server::start", shell()),
     ] {
         match result {
             Err(ServerError::SchedulerFailed { message }) => assert!(
@@ -893,8 +953,7 @@ fn autoscaling_scales_up_under_overload_and_stays_deterministic() {
 /// One million log-uniform samples: every quantile the reports publish
 /// stays within one log-bucket (3.2% relative) of the exact sorted
 /// value, and the histogram's footprint does not grow with the sample
-/// count — the O(1)-memory property the streaming load generator
-/// depends on.
+/// count — the O(1)-memory property the load generator depends on.
 #[test]
 fn histogram_million_sample_quantiles_within_one_log_bucket() {
     let mut rng = StdRng::seed_from_u64(99);
