@@ -1,11 +1,11 @@
 //! Criterion benches: simulator images/sec of the pipelined chip runtime
-//! vs sequential execution of the same stack, so future PRs can track
-//! scheduler overhead (channel hops, thread wake-ups, feature-map clones)
-//! separately from engine throughput.
+//! vs sequential execution of the same stack, so executor overhead
+//! (shard threads, feature-map clones) stays visible separately from
+//! engine throughput.
 //!
-//! The `pipelined_b8_w1` vs `pipelined_b8_auto` pair isolates the
-//! intra-stage data-parallelism win: same chip, same batch, one worker
-//! per stage vs the derived pool. `layer_batch` tracks one batch call of
+//! `pipelined_b8` runs the batch as image shards, one scoped thread per
+//! available core; `sequential_b8` runs it one image at a time on one
+//! thread. `layer_batch` tracks one batch call of
 //! `CompiledLayer::run_batch_with` against eight one-image calls.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -22,28 +22,18 @@ fn serving_throughput(c: &mut Criterion) {
         .map(|i| synth::input_dense(&stack.layers[0], 64, 40 + i as u64))
         .collect();
     for design in Design::paper_lineup() {
-        let single = ChipBuilder::new()
-            .design(design)
-            .workers(1)
-            .compile_seeded(&stack, 5, 4)
-            .expect("chip compiles");
-        let auto = ChipBuilder::new()
+        let chip = ChipBuilder::new()
             .design(design)
             .compile_seeded(&stack, 5, 4)
             .expect("chip compiles");
         group.bench_with_input(
-            BenchmarkId::new("pipelined_b8_w1", design.label()),
-            &single,
-            |b, chip| b.iter(|| chip.run_pipelined(&inputs).expect("runs")),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("pipelined_b8_auto", design.label()),
-            &auto,
+            BenchmarkId::new("pipelined_b8", design.label()),
+            &chip,
             |b, chip| b.iter(|| chip.run_pipelined(&inputs).expect("runs")),
         );
         group.bench_with_input(
             BenchmarkId::new("sequential_b8", design.label()),
-            &auto,
+            &chip,
             |b, chip| b.iter(|| chip.run_sequential(&inputs).expect("runs")),
         );
     }

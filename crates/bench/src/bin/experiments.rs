@@ -342,6 +342,166 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          modeled metrics must match exactly; `host*` fields never gate.\n"
     )?;
 
+    // ---- observability, chaos, brownout and alerting recipes.
+    md.push_str(
+        r#"### Trace capture and diff (observability)
+
+Any serving experiment can be captured as a Perfetto timeline and a
+Prometheus metrics snapshot — both deterministic (byte-identical)
+functions of the request trace, which makes `diff`/`cmp` a valid
+regression tool for *scheduling behavior*, not just aggregate numbers:
+
+```sh
+# Capture a timeline + metrics for the first sweep row
+cargo run --release -p red-bench --bin loadgen -- \
+    --rps 200000 --max-batch 8 --requests 2000 --slo-us 120 \
+    --replicas 2 --policy deadline-shed --seed 7 \
+    --trace before.json --metrics before.prom
+
+# Validate the trace-event structure (CI does this on every push)
+cargo run --release -p red-bench --bin tracecheck -- before.json
+
+# ...change scheduler/policy/autoscaler code, re-run with after.json...
+cmp before.json after.json   # byte-identical ⇔ schedule unchanged
+diff before.prom after.prom  # counter-level view of what moved
+```
+
+A `cmp` mismatch pinpoints the first virtual instant where the new
+code dispatches differently; load both files at
+[ui.perfetto.dev](https://ui.perfetto.dev) and scroll to that
+timestamp to see the divergence on the timeline. The same works for
+the chip pipeline view via `serve --batch 8 --scale 8 --trace`.
+
+### Chaos replay (self-healing under injected faults)
+
+Arm a deterministic fault plan to watch the fleet heal itself —
+events are `kind:at_us:partition:...` (crash, stall + duration µs,
+drift + elapsed seconds, strike + cells), scheduled on the virtual
+clock so the whole faulted session replays byte-identically:
+
+```sh
+# Crash replica 0/1 at 800 us, age partition 1 by a month at 2 ms,
+# stall a replica for 400 us, strike 512 cells — 10^5 requests
+cargo run --release -p red-bench --bin loadgen -- \
+    --mix --model-only --requests 100000 --clients 12 \
+    --replicas 2 --tenants interactive:4:0:200,standard:2:1:800,batch:1:2:0 \
+    --policy weighted-fair --rps 600000 --autoscale 1 --seed 7 \
+    --fault-plan crash:800:0:1,drift:2000:1:2592000,stall:9000:1:1:400,strike:12000:0:0:512 \
+    --trace chaos.json --metrics chaos.prom
+```
+
+The summary line reports faults injected, reprograms, retries,
+hedges, and per-reason sheds, and asserts the no-lost-request
+invariant (`offered == served + shed`) whenever a plan is armed.
+Open `chaos.json` in Perfetto and look at the partition tracks: a
+`fault` instant at each event, `probe` instants from the canary
+prober (deviation in the args), `quarantine` instants when a
+threshold trips, and a `reprogram` span priced by
+`CostModel::reprogram_cost` covering the repair outage; orphaned
+requests carry a request-level `fault` instant before their retry or
+hedge resolves. CI's `bench-gate` replays exactly this plan twice at
+every push — zero lost requests, a structurally valid trace, pinned
+per-partition fault/repair counters, and `cmp`-identical JSON +
+trace between the two runs — while the fault-free baseline gates
+above prove the chaos layer is inert when disarmed.
+
+### Brownout under chaos (precision-degrading overload control)
+
+Overload plus lost capacity is where shedding hurts most — and where
+the bit-serial pipeline has a second lever. Arm brownout control on
+top of a quarantine-heavy plan at ~1.6× capacity (two crashes, so the
+fleet spends a window down a replica) and pin the interactive tenant
+to bit-exact service with the fifth tenant-spec field:
+
+```sh
+# Overload at 1.6x capacity + 2-event fault plan; interactive pinned
+# full, standard/batch free to degrade. This is CI's brownout smoke.
+cargo run --release -p red-bench --bin loadgen -- \
+    --mix --model-only --requests 100000 --clients 12 \
+    --replicas 2 --tenants interactive:4:0:200:full,standard:2:1:800,batch:1:2:0 \
+    --policy weighted-fair --max-lag-us 50 --rps 960000 --seed 7 \
+    --brownout --fault-plan crash:800:0:1,crash:5000:2:0 \
+    --json brownout.json --trace brownout_trace.json --metrics brownout.prom
+```
+
+Dropping `--brownout` from the identical trace yields the
+shed-vs-brownout comparison (seed 7, same faults, same arrivals):
+
+| run          | served     | shed       | tier transitions | served eco/brownout | interactive sheds |
+|--------------|------------|------------|------------------|---------------------|-------------------|
+| shedding only| 81 078     | 18 922     | 0                | 0                   | unchanged         |
+| brownout     | **81 235** | **18 765** | 8                | 0 / 306             | unchanged         |
+
+The 157 rescued requests are exactly the pure best-effort batches the
+controller caught inside its degraded windows — mixed batches carry an
+interactive request and run at full precision regardless, which is why
+the interactive column cannot move. Row-level JSON (schema ≥ v4) adds
+`served_by_tier`, `tier_transitions`, `max_observed_error` and
+`precision_error_bound`; the run asserts `max_observed_error <=
+precision_error_bound` whenever functional execution is on. CI's
+`bench-gate` pins the transition and per-tier counters, `cmp`s a
+double replay of the brownout run (byte-identical JSON + trace), and
+verifies the brownout-off run still matches the committed v3
+baselines — the control plane is provably inert when disarmed.
+
+### Alerting & analysis (brownout under chaos, root-caused)
+
+Add `--scrape-us` to any serving run and the metrics registry is
+scraped on the virtual clock: per-tenant served/shed/SLO-miss window
+deltas, fault counters, backlog/replica gauges and windowed latency
+quantiles become `"C"` counter tracks in the trace and a `timeseries`
+block in the JSON (schema v5), each series carrying an exact eviction
+ledger (`evicted_sum + Σ retained == total`). A deterministic
+multi-window burn-rate `AlertEngine` rides the window sequence —
+fast-burn / slow-burn per tenant SLO, level-triggered `replica-lost`
+and `quarantine`, end-of-session `error-bound` — and the `analyze`
+binary replays the whole capture as a root-cause story:
+
+```sh
+# Brownout under a mid-session crash, scraped every 500 virtual µs
+cargo run --release -p red-bench --bin loadgen -- \
+    --model-only --requests 2000 --clients 8 --replicas 2 \
+    --tenants interactive:4:0:200:full,standard:2:1:800 \
+    --policy weighted-fair --max-lag-us 50 --rps 400000 --seed 7 \
+    --brownout --fault-plan crash:2000:0:1 --scrape-us 500 \
+    --trace bo_trace.json --json bo.json
+
+cargo run --release -p red-bench --bin analyze -- bo_trace.json bo.json
+```
+
+The timeline interleaves operational events with alert edges and
+attributes every firing to its nearest preceding cause:
+
+```text
+   500.0 us  ALERT  fast-burn FIRE tenant 0 value 266.67 — no preceding operational event
+   517.2 us  ops    brownout (partition 0)
+  2000.0 us  ops    fault(crash) (partition 0)
+  2000.0 us  ops    quarantine (partition 0)
+  2000.0 us  ALERT  quarantine FIRE value 1.00 — 0.0 us after quarantine (partition 0)
+  3500.0 us  ALERT  quarantine resolve value 0.00
+```
+
+Reading it: sustained 2× overload burns the interactive tenant's
+error budget 266× faster than its SLO allows, so fast-burn pages at
+the very first window; the brownout controller reacts within 20 µs
+(the two `brownout` instants are tier transitions); the planned crash
+at 2 ms quarantines replica 0/1 — the `quarantine` alert fires at
+lag zero from the quarantine event — and resolves hysteretically
+three calm windows after the re-program lands. The phase table
+quantifies the outage (`pre-fault` 167 500 served/s → `degraded`
+82 397 → `recovered` 163 562) and the tenant table splits each class's
+latency into queue vs execute time, showing the overload lives in the
+queue (≈150 µs) not the array (≈30 µs). The final section re-checks
+the conservation ledger of every scraped counter series against the
+end-of-run totals and echoes the alert episodes the server reported.
+CI's `bench-gate` runs this analyzer over the chaos smoke and a
+dedicated attribution smoke, grepping the exact lines above; the
+alert/time-series record is proptested byte-identical across replays
+in `tests/observability.rs`.
+
+"#,
+    );
+
     // ---- functional verification.
     writeln!(
         md,

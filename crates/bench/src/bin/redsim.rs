@@ -38,6 +38,10 @@ fn parse_macros(s: &str) -> Option<MacroSpec> {
     }
 }
 
+fn parse_scale(s: &str) -> Option<usize> {
+    s.parse().ok().filter(|&n| n > 0)
+}
+
 fn find_benchmark(name: &str) -> Option<Benchmark> {
     Benchmark::all()
         .into_iter()
@@ -66,10 +70,30 @@ fn parse_layer(args: &[String]) -> Option<(LayerShape, usize)> {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// `flag`'s value through `parse`: `Ok(None)` when the flag is absent.
+/// A missing or rejected value prints which flag was bad and the usage
+/// text, and yields exit code 2.
+fn flag_value<T>(
+    args: &[String],
+    flag: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, ExitCode> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(value) => match parse(value) {
+            Some(v) => Ok(Some(v)),
+            None => {
+                eprintln!("invalid {flag} value {value:?}");
+                Err(usage())
+            }
+        },
+        None => {
+            eprintln!("{flag} requires a value");
+            Err(usage())
+        }
+    }
 }
 
 fn print_report(r: &CostReport) {
@@ -136,36 +160,35 @@ fn cmd_list() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_estimate(args: &[String]) -> ExitCode {
+fn cmd_estimate(args: &[String]) -> Result<ExitCode, ExitCode> {
     let Some((layer, _)) = parse_layer(args) else {
-        return usage();
+        return Err(usage());
     };
-    let design = flag_value(args, "--design")
-        .and_then(|s| parse_design(&s))
-        .unwrap_or(Design::red(RedLayoutPolicy::Auto));
+    let design =
+        flag_value(args, "--design", parse_design)?.unwrap_or(Design::red(RedLayoutPolicy::Auto));
     let model = CostModel::paper_default();
-    let report = match flag_value(args, "--macros").and_then(|s| parse_macros(&s)) {
+    let report = match flag_value(args, "--macros", parse_macros)? {
         Some(mac) => model.evaluate_tiled(design, &layer, mac),
         None => model.evaluate(design, &layer),
     };
     match report {
         Ok(r) => {
             print_report(&r);
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
 
-fn cmd_compare(args: &[String]) -> ExitCode {
+fn cmd_compare(args: &[String]) -> Result<ExitCode, ExitCode> {
     let Some((layer, _)) = parse_layer(args) else {
-        return usage();
+        return Err(usage());
     };
     let model = CostModel::paper_default();
-    let mac = flag_value(args, "--macros").and_then(|s| parse_macros(&s));
+    let mac = flag_value(args, "--macros", parse_macros)?;
     let reports: Vec<CostReport> = Design::paper_lineup()
         .iter()
         .map(|&d| match mac {
@@ -190,19 +213,16 @@ fn cmd_compare(args: &[String]) -> ExitCode {
         "{}",
         render_table(&["design", "speedup", "energy", "area", "cycles"], &rows)
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
+fn cmd_run(args: &[String]) -> Result<ExitCode, ExitCode> {
     let Some(bench) = args.first().and_then(|s| find_benchmark(s)) else {
-        return usage();
+        return Err(usage());
     };
-    let scale: usize = flag_value(args, "--scale")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
-    let design = flag_value(args, "--design")
-        .and_then(|s| parse_design(&s))
-        .unwrap_or(Design::red(RedLayoutPolicy::Auto));
+    let scale = flag_value(args, "--scale", parse_scale)?.unwrap_or(64);
+    let design =
+        flag_value(args, "--design", parse_design)?.unwrap_or(Design::red(RedLayoutPolicy::Auto));
     let layer = bench.scaled_layer(scale);
     let kernel = synth::kernel(&layer, 127, 1);
     let input = synth::input_dense(&layer, 127, 2);
@@ -211,7 +231,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         Ok(c) => c,
         Err(e) => {
             eprintln!("compile error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     match compiled.run(&input) {
@@ -228,11 +248,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 exec.stats.zero_slot_fraction() * 100.0,
                 exec.output == golden
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("run error: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
@@ -291,9 +311,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => cmd_list(),
-        Some("estimate") => cmd_estimate(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
+        Some("estimate") => cmd_estimate(&args[1..]).unwrap_or_else(|code| code),
+        Some("compare") => cmd_compare(&args[1..]).unwrap_or_else(|code| code),
+        Some("run") => cmd_run(&args[1..]).unwrap_or_else(|code| code),
         Some("pipeline") => cmd_pipeline(&args[1..]),
         _ => usage(),
     }

@@ -1,7 +1,9 @@
 //! `serve` — batched, pipelined end-to-end inference through the
 //! `red-runtime` chip: compiles the DCGAN / SNGAN / FCN-8s stacks onto
 //! per-layer tile groups for all three designs and pushes a configurable
-//! batch through each, printing the serving throughput table.
+//! batch through each with `Chip::run_pipelined` (image shards on one
+//! host thread per core; the modeled chip pipelines its layers), printing
+//! the serving throughput table.
 //!
 //! ```text
 //! cargo run --release -p red-bench --bin serve -- --batch 4 --scale 8
@@ -17,8 +19,6 @@
 //! `--verify` additionally runs the sequential golden path and asserts
 //! the pipelined **and** stage-major batched outputs are bit-exact
 //! against it.
-//! `--workers N` pins the per-stage host worker pool (default: derived
-//! from the machine's available parallelism).
 //! `--noisy <preset>` adds a second pass over the lineup with the named
 //! non-ideal crossbar configuration (`variation`, `adc`, `ir-drop`,
 //! `full` — see `XbarConfig::preset`), so the table and the JSON cover
@@ -55,7 +55,6 @@ struct ServeRow {
     design: String,
     xbar: String,
     exec_mode: String,
-    workers_per_stage: usize,
     stages: usize,
     macros: usize,
     area_mm2: f64,
@@ -90,7 +89,6 @@ impl ServeRow {
     fn json_object(&self) -> String {
         format!(
             "{{\"network\":\"{}\",\"design\":\"{}\",\"xbar\":\"{}\",\"exec_mode\":\"{}\",\
-             \"workers_per_stage\":{},\
              \"stages\":{},\"macros\":{},\
              \"area_mm2\":{:.6},\"fill_us\":{:.6},\"interval_us\":{:.6},\
              \"images_per_s\":{:.3},\"speedup_vs_zero_padding\":{:.4},\
@@ -100,7 +98,6 @@ impl ServeRow {
             json_escape(&self.design),
             json_escape(&self.xbar),
             json_escape(&self.exec_mode),
-            self.workers_per_stage,
             self.stages,
             self.macros,
             self.area_mm2,
@@ -118,8 +115,10 @@ impl ServeRow {
 
 /// Schema version of the `--json` document: 2 added the explicit
 /// `version` key plus per-row `exec_mode` (noisy rows previously shared
-/// the row schema by convention only); 3 added per-row `output_digest`.
-const JSON_SCHEMA_VERSION: u32 = 3;
+/// the row schema by convention only); 3 added per-row `output_digest`;
+/// 4 dropped per-row `workers_per_stage` (the host's core count, not a
+/// modeled figure).
+const JSON_SCHEMA_VERSION: u32 = 4;
 
 /// 64-bit FNV-1a over a batch's output tensors: each tensor's shape,
 /// then its values, as little-endian bytes.
@@ -160,13 +159,12 @@ fn write_json(path: &str, batch: usize, scale: usize, rows: &[ServeRow]) -> std:
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (Some(batch), Some(scale), Some(workers)) = (
+    let (Some(batch), Some(scale)) = (
         parse_flag::<usize>(&args, "--batch", 8),
         parse_flag::<usize>(&args, "--scale", 8),
-        parse_flag::<usize>(&args, "--workers", 0),
     ) else {
         eprintln!(
-            "usage: serve [--batch N] [--scale N] [--workers N] [--verify] \
+            "usage: serve [--batch N] [--scale N] [--verify] \
              [--noisy variation|adc|ir-drop|full] [--csv <dir>] [--json <path>] \
              [--trace <path>]"
         );
@@ -224,7 +222,7 @@ fn main() -> ExitCode {
 
     println!("== red-runtime serve: batched pipelined inference ==");
     println!(
-        "batch {batch}, channel scale {scale}, double-buffered stages{}{}",
+        "batch {batch}, channel scale {scale}, one image shard per core{}{}",
         match &noisy {
             Some((name, _)) => format!(", noisy pass: {name} preset"),
             None => String::new(),
@@ -264,11 +262,9 @@ fn main() -> ExitCode {
                 .collect();
             let mut zp_interval = 0.0;
             for design in Design::paper_lineup() {
-                let mut builder = ChipBuilder::new().design(design).xbar_config(*xbar_cfg);
-                if workers > 0 {
-                    builder = builder.workers(workers);
-                }
-                let mut chip = builder
+                let mut chip = ChipBuilder::new()
+                    .design(design)
+                    .xbar_config(*xbar_cfg)
                     .compile_seeded(stack, 5, 77)
                     .expect("stack compiles onto the chip");
                 if telemetry.is_enabled() {
@@ -335,7 +331,6 @@ fn main() -> ExitCode {
                     design: design.label().to_string(),
                     xbar: xbar_label.clone(),
                     exec_mode: "pipelined".to_string(),
-                    workers_per_stage: chip.workers_per_stage(),
                     stages: chip.depth(),
                     macros: plan.total_macros(),
                     area_mm2: plan.total_area_um2() / 1e6,

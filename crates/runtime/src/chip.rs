@@ -2,9 +2,7 @@
 
 use crate::hw::HardwarePerImage;
 use crate::{RuntimeError, StageStats};
-use red_arch::{
-    CostModel, CostReport, Design, Execution, MacroSpec, PipelineReport, RedLayoutPolicy,
-};
+use red_arch::{CostModel, CostReport, Design, MacroSpec, PipelineReport, RedLayoutPolicy};
 use red_core::xbar::XbarConfig;
 use red_core::{Accelerator, CompiledLayer};
 use red_tensor::{FeatureMap, Kernel, LayerShape};
@@ -150,11 +148,6 @@ impl Stage {
         &self.compiled
     }
 
-    /// Creates working memory for [`Stage::run_one`] (one per worker).
-    pub(crate) fn make_scratch(&self) -> red_core::LayerScratch {
-        self.compiled.make_scratch()
-    }
-
     /// The analytical cost report of this stage.
     pub fn cost(&self) -> &CostReport {
         self.compiled.cost()
@@ -168,18 +161,6 @@ impl Stage {
     /// The layer shape this stage executes.
     pub fn layer(&self) -> &LayerShape {
         self.compiled.layer()
-    }
-
-    /// Runs one image through the stage's engine, as a batch of one.
-    pub(crate) fn run_one(
-        &self,
-        input: &FeatureMap<i64>,
-        scratch: &mut red_core::LayerScratch,
-    ) -> Result<Execution, RuntimeError> {
-        let mut runs = self
-            .compiled
-            .run_batch_with(std::slice::from_ref(input), scratch)?;
-        Ok(runs.pop().expect("one execution per input"))
     }
 }
 
@@ -196,8 +177,6 @@ pub struct Chip {
     name: String,
     design: Design,
     activation: Activation,
-    queue_depth: usize,
-    workers: Option<usize>,
     macro_spec: MacroSpec,
     stages: Vec<Stage>,
     input_bits: u32,
@@ -209,7 +188,7 @@ pub struct Chip {
 impl Chip {
     /// Starts building a chip (defaults: RED design with the paper's
     /// layout policy, ideal crossbars, paper cost model, the repository's
-    /// standard inter-stage fold, 512×512 macros, double-buffered queues).
+    /// standard inter-stage fold, 512×512 macros).
     pub fn builder() -> ChipBuilder {
         ChipBuilder::new()
     }
@@ -227,29 +206,6 @@ impl Chip {
     /// The inter-stage activation.
     pub fn activation(&self) -> Activation {
         self.activation
-    }
-
-    /// Bounded inter-stage queue capacity (2 = double buffering).
-    pub fn queue_depth(&self) -> usize {
-        self.queue_depth
-    }
-
-    /// Host worker threads each pipeline stage shards its images across
-    /// during [`Chip::run_pipelined`].
-    ///
-    /// Explicitly configured via [`ChipBuilder::workers`], or derived from
-    /// [`std::thread::available_parallelism`] — roughly one hardware
-    /// thread per stage worker after giving every stage one, capped at 8
-    /// per stage. Always at least 1.
-    ///
-    /// This is purely a *host* throughput knob: the modeled hardware
-    /// schedule (one tile group per stage) and the computed outputs are
-    /// identical for every worker count.
-    pub fn workers_per_stage(&self) -> usize {
-        self.workers.unwrap_or_else(|| {
-            let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-            (threads / self.depth().max(1)).clamp(1, 8)
-        })
     }
 
     /// Number of pipeline stages.
@@ -555,8 +511,6 @@ pub struct ChipBuilder {
     model: CostModel,
     activation: Activation,
     macro_spec: MacroSpec,
-    queue_depth: usize,
-    workers: Option<usize>,
 }
 
 impl ChipBuilder {
@@ -568,8 +522,6 @@ impl ChipBuilder {
             model: CostModel::paper_default(),
             activation: Activation::default_fold(),
             macro_spec: MacroSpec::m512(),
-            queue_depth: 2,
-            workers: None,
         }
     }
 
@@ -582,12 +534,6 @@ impl ChipBuilder {
     /// Sets the functional crossbar configuration.
     pub fn xbar_config(mut self, cfg: XbarConfig) -> Self {
         self.xbar = cfg;
-        self
-    }
-
-    /// Sets the analytical cost model.
-    pub fn cost_model(mut self, model: CostModel) -> Self {
-        self.model = model;
         self
     }
 
@@ -609,35 +555,6 @@ impl ChipBuilder {
     /// Sets the macro bound for the physical tile split.
     pub fn macro_spec(mut self, mac: MacroSpec) -> Self {
         self.macro_spec = mac;
-        self
-    }
-
-    /// Sets the bounded inter-stage queue capacity (default 2: double
-    /// buffering — one feature map in flight, one staged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero (a rendezvous channel would serialize the
-    /// pipeline).
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "queue depth must be positive");
-        self.queue_depth = depth;
-        self
-    }
-
-    /// Sets the host worker-thread count each pipeline stage shards its
-    /// images across during [`Chip::run_pipelined`] (default: derived
-    /// from [`std::thread::available_parallelism`], see
-    /// [`Chip::workers_per_stage`]). `1` reproduces the strictly
-    /// one-thread-per-stage pipeline; outputs are bit-identical for every
-    /// value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "worker count must be positive");
-        self.workers = Some(workers);
         self
     }
 
@@ -692,8 +609,6 @@ impl ChipBuilder {
             name: stack.name.to_string(),
             design: self.design,
             activation: self.activation,
-            queue_depth: self.queue_depth,
-            workers: self.workers,
             macro_spec: self.macro_spec,
             stages,
             input_bits: self.xbar.input_bits,
@@ -842,11 +757,5 @@ mod tests {
         assert!(out.as_slice().iter().all(|&v| (1..=89).contains(&v)));
         let id = Activation::Identity.apply(&fm);
         assert_eq!(id, fm);
-    }
-
-    #[test]
-    #[should_panic(expected = "queue depth")]
-    fn zero_queue_depth_panics() {
-        let _ = ChipBuilder::new().queue_depth(0);
     }
 }

@@ -14,12 +14,13 @@
 //!   [`TileGroup`] per layer (geometry and area from the existing
 //!   `CostModel`, physical macro count from [`MacroSpec`]), and programs
 //!   each group with a compiled engine via `red_core::Accelerator`;
-//! * the **pipelined scheduler** ([`Chip::run_pipelined`]) runs batched
-//!   inference on `std::thread::scope` workers — a pool per stage
-//!   ([`ChipBuilder::workers`], defaulting to a share of
-//!   `std::thread::available_parallelism`) — connected by bounded,
-//!   double-buffered channels, so layer `k` processes several images
-//!   concurrently while layer `k-1` already processes later ones;
+//! * the **executors** ([`Chip::run_sequential`],
+//!   [`Chip::run_batched_with_scratch`], [`Chip::run_pipelined`]) share
+//!   one stage loop and differ only in how they slice the batch: one
+//!   image at a time, the whole batch, or contiguous shards on
+//!   `std::thread::scope` threads (one per available core). A shard
+//!   holds every stage's outputs for its images, as the batched executor
+//!   does for the whole batch;
 //! * the **runtime stats layer** ([`RuntimeReport`]) models fill latency,
 //!   steady-state interval, throughput, per-stage occupancy and energy from
 //!   the per-stage cost reports, and must reconcile with
@@ -29,8 +30,10 @@
 //!
 //! Pipelined execution is **bit-exact** against sequential
 //! single-accelerator execution of the same stack
-//! ([`Chip::run_sequential`]): the scheduler changes *when* stages run,
-//! never *what* they compute.
+//! ([`Chip::run_sequential`]): the executors change *where* and *when*
+//! stages run, never *what* they compute. Layer pipelining is a property
+//! of the modeled chip: [`ExecMode::Pipelined`] composes every stage's
+//! metered cycles into the overlapped schedule, whatever the host did.
 //!
 //! # Example
 //!

@@ -15,7 +15,11 @@ pub enum ExecMode {
     /// (one tile group per stage, no overlap) — only the host-side
     /// execution order, and therefore weight/plane cache reuse, differs.
     Batched,
-    /// Layer-parallel pipelining with bounded inter-stage queues.
+    /// Layer-parallel pipelining: the modeled chip overlaps its stages
+    /// across images, one output per bottleneck interval. On the host,
+    /// contiguous image shards run on scoped threads, and each shard
+    /// holds every stage's outputs for its images, as
+    /// [`ExecMode::Batched`] does for the whole batch.
     Pipelined,
 }
 

@@ -1,52 +1,48 @@
-//! The batched executors: the sequential golden path and the pipelined
-//! scheduler.
+//! The batched executors: the sequential golden path, stage-major
+//! batching and the pipelined executor, all over one stage loop.
 //!
-//! Pipelined execution spawns a pool of `std::thread::scope` workers per
-//! stage ([`crate::Chip::workers_per_stage`], configurable via
-//! [`crate::ChipBuilder::workers`]): the stage's workers pull images from
-//! a shared bounded channel, each with its own reusable engine scratch, so
-//! a stage drains its queue `workers`-wide while the stages still overlap
-//! pipeline-style. Channels are bounded to `queue_depth` packets per
-//! worker (default 2: classic double buffering — one feature map being
-//! consumed, one staged). A feeder thread streams the batch in at the
-//! front; the caller's thread drains outputs at the back and restores
-//! input order from the packet indices, so backpressure from the
-//! bottleneck stage propagates to the feeder instead of buffering the
-//! whole batch.
+//! Every executor runs `Chip::run_stages`: each stage consumes a slice
+//! of images through its engine
+//! ([`red_core::CompiledLayer::run_batch_with_at`]), the inter-stage
+//! activation runs on its outputs, and the stage meters what it issued.
+//! The executors differ only in how they slice the batch:
+//! [`Chip::run_sequential`] passes one image at a time,
+//! [`Chip::run_batched_with_scratch_at`] the whole batch, and
+//! [`Chip::run_pipelined`] contiguous shards, each on its own
+//! `std::thread::scope` thread. A shard holds every stage's outputs for
+//! its images, as the batched executor does for the whole batch.
 //!
-//! Both executors compute the *same function* — the scheduler only changes
-//! when and where stages run; every image is processed independently by a
-//! deterministic engine — so pipelined output is bit-exact against
-//! sequential output for every worker count (asserted by
-//! `tests/runtime_pipeline.rs` and `tests/batched_exec.rs`).
+//! All three compute the *same function*: an engine's execution of an
+//! image does not depend on its batch or on what its scratch ran before,
+//! so every executor is bit-exact against the sequential one for every
+//! shard count (asserted by `tests/runtime_pipeline.rs` and
+//! `tests/batched_exec.rs`).
 //!
-//! Intra-stage sharding is a *host* optimization only: the modeled
-//! hardware still has exactly one tile group per stage, so the measured
-//! schedule, the reconciliation against `PipelineReport`, and every
-//! latency/energy figure are identical for every worker count — only
-//! `wall_ns` (host time) shrinks.
+//! Sharding is a *host* optimization only. The modeled chip still has
+//! one tile group per stage and overlaps the stages across images, so
+//! the measured schedule, the reconciliation against `PipelineReport`,
+//! and every latency/energy figure are identical for every shard count;
+//! only `wall_ns` (host time) moves.
 //!
 //! # What "measured" means here
 //!
 //! The simulator is functional, not clocked, so hardware time cannot be
-//! read off the host clock. Instead, every worker meters the cycles its
+//! read off the host clock. Instead, every stage meters the cycles its
 //! engine *actually issued* for each image ([`ExecutionStats::cycles`]);
 //! the report prices those measured cycles at the stage's cost-model
-//! cycle time and composes them into the pipeline schedule the channel
-//! topology enforces. Reconciliation with the analytical
-//! `PipelineReport` is therefore a real cross-check: if a scheduler bug
-//! drops, duplicates or misroutes an image — or an engine issues a cycle
-//! count different from the priced geometry — the measured interval
-//! diverges from the predicted bottleneck and
-//! [`RuntimeReport::reconciles_with`] fails.
+//! cycle time and composes them into the schedule the execution mode
+//! models. Reconciliation with the analytical `PipelineReport` is
+//! therefore a real cross-check: if an executor drops, duplicates or
+//! misroutes an image — or an engine issues a cycle count different from
+//! the priced geometry — the measured interval diverges from the
+//! predicted bottleneck and [`RuntimeReport::reconciles_with`] fails.
 //!
 //! [`ExecutionStats::cycles`]: red_arch::ExecutionStats
 
 use crate::chip::Chip;
 use crate::{ExecMode, RuntimeError, RuntimeReport};
+use red_arch::ExecPrecision;
 use red_tensor::FeatureMap;
-use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Outputs and statistics of one batch pushed through a [`Chip`].
@@ -58,8 +54,8 @@ pub struct BatchRun {
     pub report: RuntimeReport,
 }
 
-/// Reusable working memory for [`Chip::run_batched_with_scratch`] and
-/// [`Chip::run_sequential`]: one engine scratch per stage. Built once per serving context
+/// Reusable working memory for [`Chip::run_batched_with_scratch`]: one
+/// engine scratch per stage. Built once per serving context
 /// ([`Chip::make_scratch`]) and reused across batches, so a serving loop
 /// pushing many small batches through the chip performs no steady-state
 /// engine-scratch allocation.
@@ -80,11 +76,9 @@ pub(crate) struct StageMeter {
     pub cycles: u128,
 }
 
-type Packet = (usize, FeatureMap<i64>);
-
 impl Chip {
     /// Runs `inputs` one image at a time through every stage — the
-    /// sequential golden path the pipelined scheduler is verified against.
+    /// sequential golden path the other executors are verified against.
     ///
     /// # Errors
     ///
@@ -95,23 +89,16 @@ impl Chip {
             return Err(RuntimeError::EmptyBatch);
         }
         let started = Instant::now();
-        let depth = self.depth();
-        let mut meters = vec![StageMeter::default(); depth];
+        let mut meters = vec![StageMeter::default(); self.depth()];
         let mut scratch = self.make_scratch();
         let mut outputs = Vec::with_capacity(inputs.len());
         for input in inputs {
-            let mut fm = input.clone();
-            for (k, stage) in self.stages().iter().enumerate() {
-                let exec = stage.run_one(&fm, &mut scratch.stages[k])?;
-                meters[k].images += 1;
-                meters[k].cycles += u128::from(exec.stats.cycles);
-                fm = if k + 1 < depth {
-                    self.activation().apply(&exec.output)
-                } else {
-                    exec.output
-                };
-            }
-            outputs.push(fm);
+            outputs.extend(self.run_stages(
+                std::slice::from_ref(input),
+                &mut scratch,
+                ExecPrecision::Full,
+                &mut meters,
+            )?);
         }
         let wall_ns = started.elapsed().as_nanos();
         Ok(BatchRun {
@@ -121,10 +108,14 @@ impl Chip {
     }
 
     /// Creates working memory for [`Chip::run_batched_with_scratch`] (one
-    /// per serving replica or worker).
+    /// per serving replica).
     pub fn make_scratch(&self) -> ChipScratch {
         ChipScratch {
-            stages: self.stages().iter().map(|s| s.make_scratch()).collect(),
+            stages: self
+                .stages()
+                .iter()
+                .map(|s| s.compiled().make_scratch())
+                .collect(),
         }
     }
 
@@ -157,7 +148,7 @@ impl Chip {
         inputs: &[FeatureMap<i64>],
         scratch: &mut ChipScratch,
     ) -> Result<BatchRun, RuntimeError> {
-        self.run_batched_with_scratch_at(inputs, scratch, red_arch::ExecPrecision::Full)
+        self.run_batched_with_scratch_at(inputs, scratch, ExecPrecision::Full)
     }
 
     /// [`Chip::run_batched_with_scratch`] at an explicit precision tier:
@@ -185,7 +176,7 @@ impl Chip {
         &self,
         inputs: &[FeatureMap<i64>],
         scratch: &mut ChipScratch,
-        prec: red_arch::ExecPrecision,
+        prec: ExecPrecision,
     ) -> Result<BatchRun, RuntimeError> {
         if inputs.is_empty() {
             return Err(RuntimeError::EmptyBatch);
@@ -196,24 +187,117 @@ impl Chip {
             "ChipScratch stage count must match the chip that uses it"
         );
         let started = Instant::now();
-        let depth = self.depth();
-        let mut meters = vec![StageMeter::default(); depth];
-        let mut fms = inputs.to_vec();
+        let mut meters = vec![StageMeter::default(); self.depth()];
+        let outputs = self.run_stages(inputs, scratch, prec, &mut meters)?;
+        let wall_ns = started.elapsed().as_nanos();
+        Ok(BatchRun {
+            report: self.measured_report(ExecMode::Batched, &meters, wall_ns),
+            outputs,
+        })
+    }
+
+    /// Runs `inputs` through the layer pipeline. The batch is split into
+    /// `min(batch, available_parallelism)` contiguous shards of sizes
+    /// that differ by at most one; each shard runs stage-major on its own
+    /// `std::thread::scope` thread with its own scratch (a single shard
+    /// runs on the calling thread). Outputs are concatenated in input
+    /// order and are bit-exact against [`Chip::run_sequential`]; the
+    /// shards' meters sum into the modeled pipeline schedule, which is
+    /// the same for every shard count.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::EmptyBatch`] for an empty batch;
+    /// [`RuntimeError::Arch`] when any stage rejects its input (every
+    /// shard finishes, and the error of the first failing shard in input
+    /// order is returned).
+    ///
+    /// # Panics
+    ///
+    /// A panic in a shard resumes on the caller with its own payload.
+    pub fn run_pipelined(&self, inputs: &[FeatureMap<i64>]) -> Result<BatchRun, RuntimeError> {
+        if inputs.is_empty() {
+            return Err(RuntimeError::EmptyBatch);
+        }
+        let started = Instant::now();
+        let shards = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(inputs.len());
+        let run_shard = |part: &[FeatureMap<i64>]| {
+            let mut meters = vec![StageMeter::default(); self.depth()];
+            let outputs = self.run_stages(
+                part,
+                &mut self.make_scratch(),
+                ExecPrecision::Full,
+                &mut meters,
+            )?;
+            Ok::<_, RuntimeError>((outputs, meters))
+        };
+        let runs: Vec<_> = if shards == 1 {
+            vec![run_shard(inputs)]
+        } else {
+            let (base, extra) = (inputs.len() / shards, inputs.len() % shards);
+            let mut rest = inputs;
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..shards)
+                    .map(|i| {
+                        let (part, tail) = rest.split_at(base + usize::from(i < extra));
+                        rest = tail;
+                        s.spawn(move || run_shard(part))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        let mut meters = vec![StageMeter::default(); self.depth()];
+        let mut outputs = Vec::with_capacity(inputs.len());
+        for run in runs {
+            let (shard_outputs, shard_meters) = run?;
+            outputs.extend(shard_outputs);
+            for (total, shard) in meters.iter_mut().zip(shard_meters) {
+                total.images += shard.images;
+                total.cycles += shard.cycles;
+            }
+        }
+        let wall_ns = started.elapsed().as_nanos();
+        Ok(BatchRun {
+            report: self.measured_report(ExecMode::Pipelined, &meters, wall_ns),
+            outputs,
+        })
+    }
+
+    /// The stage loop every executor runs: each stage consumes the
+    /// previous stage's outputs (`inputs` for the first) in one call to
+    /// its engine at `prec`, the activation runs on every stage's outputs
+    /// but the last's, and stage `k` adds the images and cycles it issued
+    /// to `meters[k]`. Returns the final-stage outputs in input order.
+    fn run_stages(
+        &self,
+        inputs: &[FeatureMap<i64>],
+        scratch: &mut ChipScratch,
+        prec: ExecPrecision,
+        meters: &mut [StageMeter],
+    ) -> Result<Vec<FeatureMap<i64>>, RuntimeError> {
+        let last = self.depth() - 1;
+        let mut fms = Vec::new();
         for (k, (stage, layer_scratch)) in self.stages().iter().zip(&mut scratch.stages).enumerate()
         {
+            let src = if k == 0 { inputs } else { &fms };
             let execs = stage
                 .compiled()
-                .run_batch_with_at(&fms, layer_scratch, prec)?;
+                .run_batch_with_at(src, layer_scratch, prec)?;
             meters[k].images += execs.len() as u64;
             meters[k].cycles += execs
                 .iter()
                 .map(|e| u128::from(e.stats.cycles))
                 .sum::<u128>();
-            let last = k + 1 == depth;
             fms = execs
                 .into_iter()
                 .map(|e| {
-                    if last {
+                    if k == last {
                         e.output
                     } else {
                         self.activation().apply(&e.output)
@@ -221,137 +305,7 @@ impl Chip {
                 })
                 .collect();
         }
-        let wall_ns = started.elapsed().as_nanos();
-        Ok(BatchRun {
-            report: self.measured_report(ExecMode::Batched, &meters, wall_ns),
-            outputs: fms,
-        })
-    }
-
-    /// Runs `inputs` through the layer pipeline: a pool of
-    /// [`Chip::workers_per_stage`] worker threads per stage pulling from a
-    /// shared bounded channel, so stage `k` processes up to `workers`
-    /// images concurrently while stage `k-1` already processes later
-    /// images. Outputs are restored to input order and are bit-exact
-    /// against [`Chip::run_sequential`] for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::EmptyBatch`] for an empty batch;
-    /// [`RuntimeError::Arch`] when any stage rejects its input (the
-    /// pipeline drains and the first stage error, in dataflow order, is
-    /// returned).
-    pub fn run_pipelined(&self, inputs: &[FeatureMap<i64>]) -> Result<BatchRun, RuntimeError> {
-        if inputs.is_empty() {
-            return Err(RuntimeError::EmptyBatch);
-        }
-        let started = Instant::now();
-        let depth = self.depth();
-        let pool = self.workers_per_stage();
-        // Double buffering per worker: each worker can have one packet in
-        // flight and one staged, whatever the pool size.
-        let cap = self.queue_depth() * pool;
-        let activation = self.activation();
-
-        let (first_tx, first_rx) = sync_channel::<Packet>(cap);
-        let (stage_results, mut collected) = std::thread::scope(|s| {
-            // Receivers are shared per stage: workers take turns pulling
-            // the next packet (the mutex is only held for the blocking
-            // recv, never while an engine runs). The Arc means a stage's
-            // input channel disconnects — propagating shutdown upstream —
-            // exactly when its last worker exits.
-            let mut prev_rx = Arc::new(Mutex::new(first_rx));
-            let mut workers = Vec::with_capacity(depth * pool);
-            for (k, stage) in self.stages().iter().enumerate() {
-                let (tx, rx) = sync_channel::<Packet>(cap);
-                let in_rx = std::mem::replace(&mut prev_rx, Arc::new(Mutex::new(rx)));
-                let last = k + 1 == depth;
-                for _ in 0..pool {
-                    let in_rx = Arc::clone(&in_rx);
-                    let tx = tx.clone();
-                    workers.push((
-                        k,
-                        s.spawn(move || -> Result<StageMeter, RuntimeError> {
-                            let mut scratch = stage.make_scratch();
-                            let mut meter = StageMeter::default();
-                            loop {
-                                let msg =
-                                    in_rx.lock().expect("receiver mutex never poisoned").recv();
-                                let Ok((idx, fm)) = msg else {
-                                    break; // upstream done or hung up
-                                };
-                                let exec = stage.run_one(&fm, &mut scratch)?;
-                                meter.images += 1;
-                                meter.cycles += u128::from(exec.stats.cycles);
-                                let out = if last {
-                                    exec.output
-                                } else {
-                                    activation.apply(&exec.output)
-                                };
-                                if tx.send((idx, out)).is_err() {
-                                    break; // downstream hung up (error drain)
-                                }
-                            }
-                            Ok(meter)
-                        }),
-                    ));
-                }
-                // The loop's `tx` clones live in the workers; dropping the
-                // original here lets stage k+1 see disconnect when stage
-                // k's last worker exits.
-            }
-            let sink = prev_rx;
-            let feeder = s.spawn(move || {
-                for (idx, input) in inputs.iter().enumerate() {
-                    if first_tx.send((idx, input.clone())).is_err() {
-                        break; // stage 0 hung up (error drain)
-                    }
-                }
-            });
-            let sink = sink.lock().expect("sink mutex never poisoned");
-            let mut collected: Vec<Packet> = Vec::with_capacity(inputs.len());
-            while let Ok(packet) = sink.recv() {
-                collected.push(packet);
-            }
-            feeder.join().expect("feeder thread never panics");
-            let results: Vec<(usize, Result<StageMeter, RuntimeError>)> = workers
-                .into_iter()
-                .map(|(k, w)| (k, w.join().expect("stage worker never panics")))
-                .collect();
-            (results, collected)
-        });
-        let wall_ns = started.elapsed().as_nanos();
-
-        // Sum each stage's worker meters; report the first error in
-        // dataflow order.
-        let mut meters = vec![StageMeter::default(); depth];
-        let mut first_err: Option<(usize, RuntimeError)> = None;
-        for (k, result) in stage_results {
-            match result {
-                Ok(m) => {
-                    meters[k].images += m.images;
-                    meters[k].cycles += m.cycles;
-                }
-                Err(e) if first_err.as_ref().is_none_or(|(fk, _)| k < *fk) => {
-                    first_err = Some((k, e));
-                }
-                Err(_) => {}
-            }
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        collected.sort_by_key(|(idx, _)| *idx);
-        let outputs: Vec<FeatureMap<i64>> = collected.into_iter().map(|(_, fm)| fm).collect();
-        assert_eq!(
-            outputs.len(),
-            inputs.len(),
-            "every stage succeeded, so every image must emerge"
-        );
-        Ok(BatchRun {
-            report: self.measured_report(ExecMode::Pipelined, &meters, wall_ns),
-            outputs,
-        })
+        Ok(fms)
     }
 
     /// Prices each stage's *measured* cycles at its cost-model cycle time
@@ -390,7 +344,7 @@ impl Chip {
             }
             ExecMode::Pipelined => {
                 // Event-driven recurrence over the dataflow dependencies
-                // the channel topology enforces: stage k starts image n
+                // of the modeled layer pipeline: stage k starts image n
                 // when both the image and the stage are free. With every
                 // input ready at t=0 this converges to one output per
                 // bottleneck interval — the reconciliation target.
@@ -615,50 +569,26 @@ mod tests {
     }
 
     #[test]
-    fn worker_pools_preserve_outputs_order_meters_and_schedule() {
-        let stack = networks::sngan_generator(64).unwrap();
-        let inputs: Vec<_> = (0..7)
-            .map(|i| synth::input_dense(&stack.layers[0], 40, 600 + i as u64))
-            .collect();
-        let one = ChipBuilder::new()
-            .design(Design::ZeroPadding)
-            .workers(1)
-            .compile_seeded(&stack, 5, 11)
-            .unwrap();
-        let wide = ChipBuilder::new()
-            .design(Design::ZeroPadding)
-            .workers(4)
-            .compile_seeded(&stack, 5, 11)
-            .unwrap();
-        assert_eq!(one.workers_per_stage(), 1);
-        assert_eq!(wide.workers_per_stage(), 4);
-        let run1 = one.run_pipelined(&inputs).unwrap();
-        let run4 = wide.run_pipelined(&inputs).unwrap();
-        // Bit-exact outputs in input order, identical modeled schedule:
-        // sharding is host-side only.
-        assert_eq!(run1.outputs, run4.outputs);
-        for (a, b) in run1.report.stages.iter().zip(&run4.report.stages) {
-            assert_eq!(a.images, b.images);
-            assert_eq!(a.cycles, b.cycles);
+    fn shards_preserve_outputs_order_meters_and_schedule() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (chip, inputs) = chip_and_inputs(2 * cores + 3);
+        let analytic = chip.pipeline_report();
+        // Every batch size from one image to more than two per shard, so
+        // single, even and uneven shards all run.
+        for batch in 1..=inputs.len() {
+            let inputs = &inputs[..batch];
+            let seq = chip.run_sequential(inputs).unwrap();
+            let pipe = chip.run_pipelined(inputs).unwrap();
+            // Bit-exact outputs in input order, identical meters:
+            // sharding is host-side only.
+            assert_eq!(seq.outputs, pipe.outputs, "batch {batch}");
+            for (a, b) in seq.report.stages.iter().zip(&pipe.report.stages) {
+                assert_eq!(a.images, b.images, "batch {batch}");
+                assert_eq!(a.cycles, b.cycles, "batch {batch}");
+            }
+            assert_eq!(pipe.report.batch, batch);
+            assert!(pipe.report.reconciles_with(&analytic), "batch {batch}");
         }
-        assert_eq!(run1.report.fill_latency_ns, run4.report.fill_latency_ns);
-        assert_eq!(
-            run1.report.steady_interval_ns,
-            run4.report.steady_interval_ns
-        );
-        assert!(run4.report.reconciles_with(&wide.pipeline_report()));
-    }
-
-    #[test]
-    fn default_worker_count_is_derived_and_positive() {
-        let (chip, _) = chip_and_inputs(1);
-        assert!(chip.workers_per_stage() >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker count must be positive")]
-    fn zero_workers_panics() {
-        let _ = ChipBuilder::new().workers(0);
     }
 
     #[test]
@@ -712,18 +642,51 @@ mod tests {
 
     #[test]
     fn wrong_shaped_input_drains_and_reports_the_stage_error() {
-        let (chip, mut inputs) = chip_and_inputs(3);
-        inputs[1] = FeatureMap::zeros(2, 2, 1);
-        let err = chip.run_pipelined(&inputs).unwrap_err();
-        assert!(matches!(
-            err,
-            RuntimeError::Arch(red_arch::ArchError::InputMismatch { .. })
-        ));
-        let err = chip.run_sequential(&inputs).unwrap_err();
-        assert!(matches!(
-            err,
-            RuntimeError::Arch(red_arch::ArchError::InputMismatch { .. })
-        ));
+        // One image per shard up to 8 shards, so the bad input lands in
+        // the first, a middle and the last shard in turn.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (chip, inputs) = chip_and_inputs(cores.clamp(3, 8));
+        let last = inputs.len() - 1;
+        for pos in 0..=last {
+            let mut inputs = inputs.clone();
+            inputs[pos] = FeatureMap::zeros(2, 2, 1);
+            if pos < last {
+                // A later bad input must not win: the error is that of the
+                // first failing image in input order.
+                inputs[last] = FeatureMap::zeros(3, 3, 1);
+            }
+            for err in [
+                chip.run_pipelined(&inputs).unwrap_err(),
+                chip.run_sequential(&inputs).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(
+                        err,
+                        RuntimeError::Arch(red_arch::ArchError::InputMismatch { .. })
+                    ),
+                    "position {pos}: {err}"
+                );
+                assert!(
+                    err.to_string().contains("input 2x2x1"),
+                    "position {pos}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "RangeFold modulus must be positive")]
+    fn shard_panics_resume_with_their_own_payload() {
+        let stack = networks::sngan_generator(64).unwrap();
+        let chip = ChipBuilder::new()
+            .design(Design::ZeroPadding)
+            .activation(crate::Activation::RangeFold { modulus: 0 })
+            .compile_seeded(&stack, 5, 11)
+            .unwrap();
+        let inputs: Vec<_> = (0..4)
+            .map(|i| synth::input_dense(&stack.layers[0], 40, 500 + i as u64))
+            .collect();
+        let _ = chip.run_pipelined(&inputs);
     }
 
     #[test]

@@ -113,7 +113,6 @@ pub struct ServerConfig {
     fault_plan: Option<FaultPlan>,
     health: HealthConfig,
     scrape: Option<ScrapeConfig>,
-    alerts: Option<AlertPolicy>,
 }
 
 impl ServerConfig {
@@ -133,7 +132,6 @@ impl ServerConfig {
             fault_plan: None,
             health: HealthConfig::default(),
             scrape: None,
-            alerts: None,
         }
     }
 
@@ -234,7 +232,7 @@ impl ServerConfig {
     /// interval, driven from the scheduler's batch-close pump so scrape
     /// instants — and everything derived from them — are a pure
     /// function of the request trace. Scraping feeds the alert engine
-    /// (see [`ServerConfig::alerts`]), emits Chrome-trace `"C"` counter
+    /// (running [`AlertPolicy::default`]), emits Chrome-trace `"C"` counter
     /// tracks interleaved with the request spans, and publishes the
     /// per-window series for the JSON reports. Only effective when a
     /// telemetry handle is attached ([`ServerConfig::telemetry`]);
@@ -242,14 +240,6 @@ impl ServerConfig {
     /// byte-identical to a scrape-free build.
     pub fn scrape(mut self, cfg: ScrapeConfig) -> Self {
         self.scrape = Some(cfg);
-        self
-    }
-
-    /// Tunes the multi-window SLO burn-rate alert rules evaluated over
-    /// the scrape windows (only read when [`ServerConfig::scrape`] is
-    /// armed; the scraper runs [`AlertPolicy::default`] otherwise).
-    pub fn alerts(mut self, policy: AlertPolicy) -> Self {
-        self.alerts = Some(policy);
         self
     }
 
@@ -301,7 +291,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("fault_plan", &self.fault_plan.as_ref().map(FaultPlan::len))
             .field("health", &self.health)
             .field("scrape", &self.scrape)
-            .field("alerts", &self.alerts.is_some())
             .finish()
     }
 }
@@ -662,8 +651,6 @@ struct ExecBatch {
 /// one ([`PartitionState::charge_modeled`]).
 #[derive(Default)]
 struct ReplicaStats {
-    batches: u64,
-    images: u64,
     runtime_modeled_ns: u64,
     host_ns: u128,
     unreconciled: u64,
@@ -737,8 +724,6 @@ impl Replica {
                     stats.unreconciled += 1;
                 }
                 stats.host_ns += run.report.wall_ns;
-                stats.batches += 1;
-                stats.images += b;
                 if batch.tier != ExecPrecision::Full {
                     stats.error_bound = stats
                         .error_bound
@@ -1221,8 +1206,6 @@ impl PartitionState {
         let steady = (self.analytic_steady_ns * ratio).round() as u64;
         let stats = &mut self.replica_stats[r];
         stats.runtime_modeled_ns += fill + (b - 1) * steady;
-        stats.batches += 1;
-        stats.images += b;
         if tier != ExecPrecision::Full {
             stats.error_bound = stats
                 .error_bound
@@ -1410,10 +1393,7 @@ impl PartitionMetrics {
                 ));
             }
             PartitionObs {
-                engine: AlertEngine::new(
-                    config.alerts.clone().unwrap_or_default(),
-                    config.tenants.len(),
-                ),
+                engine: AlertEngine::new(AlertPolicy::default(), config.tenants.len()),
                 scraper,
                 tele: tele.clone(),
                 partition: pi,
@@ -2807,8 +2787,7 @@ impl Scheduler {
                 .iter()
                 .map(|p| p.chip().name().to_string())
                 .collect(),
-            alert_policy: (config.scrape.is_some() && tele.is_enabled())
-                .then(|| config.alerts.clone().unwrap_or_default()),
+            alert_policy: (config.scrape.is_some() && tele.is_enabled()).then(AlertPolicy::default),
         };
         Ok(Scheduler {
             clients: specs

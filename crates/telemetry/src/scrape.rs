@@ -203,11 +203,6 @@ impl Scraper {
         self.window_hist.record(ns);
     }
 
-    /// Number of registered series.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
-    }
-
     /// Advances the scrape clock to `now_ns`, taking one sample per
     /// crossed window boundary (several when the clock jumps; later
     /// boundaries then carry zero deltas). Returns the closed windows

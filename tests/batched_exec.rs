@@ -195,40 +195,37 @@ proptest! {
 }
 
 #[test]
-fn pipelined_workers_one_vs_many_bit_exact_for_all_designs() {
+fn pipelined_shards_bit_exact_for_all_designs() {
     let stack = networks::dcgan_generator(16).unwrap();
     let inputs: Vec<_> = (0..6)
         .map(|i| synth::input_dense(&stack.layers[0], 64, 3_000 + i as u64))
         .collect();
     for design in Design::paper_lineup() {
-        let one = ChipBuilder::new()
+        let chip = ChipBuilder::new()
             .design(design)
-            .workers(1)
             .compile_seeded(&stack, 5, 42)
             .unwrap();
-        let many = ChipBuilder::new()
-            .design(design)
-            .workers(4)
-            .compile_seeded(&stack, 5, 42)
-            .unwrap();
-        let seq = one.run_sequential(&inputs).unwrap();
-        let run1 = one.run_pipelined(&inputs).unwrap();
-        let run4 = many.run_pipelined(&inputs).unwrap();
-        assert_eq!(
-            seq.outputs, run1.outputs,
-            "{design}: workers=1 vs sequential"
-        );
-        assert_eq!(
-            seq.outputs, run4.outputs,
-            "{design}: workers=4 vs sequential"
-        );
-        // The modeled hardware schedule is worker-count invariant.
-        assert_eq!(run1.report.fill_latency_ns, run4.report.fill_latency_ns);
-        assert_eq!(
-            run1.report.steady_interval_ns,
-            run4.report.steady_interval_ns
-        );
-        assert!(run4.report.reconciles_with(&many.pipeline_report()));
+        let analytic = chip.pipeline_report();
+        // One shard, then single-image, uneven and multi-image shards.
+        for batch in [1, 2, 3, 6] {
+            let inputs = &inputs[..batch];
+            let seq = chip.run_sequential(inputs).unwrap();
+            let pipe = chip.run_pipelined(inputs).unwrap();
+            assert_eq!(
+                seq.outputs, pipe.outputs,
+                "{design}, batch {batch}: pipelined vs sequential"
+            );
+            // The modeled hardware schedule is shard-count invariant.
+            for (a, b) in seq.report.stages.iter().zip(&pipe.report.stages) {
+                assert_eq!(a.images, b.images, "{design}, batch {batch}");
+                assert_eq!(a.cycles, b.cycles, "{design}, batch {batch}");
+            }
+            assert_eq!(seq.report.fill_latency_ns, pipe.report.fill_latency_ns);
+            assert!(
+                pipe.report.reconciles_with(&analytic),
+                "{design}, batch {batch}"
+            );
+        }
     }
 }
 
