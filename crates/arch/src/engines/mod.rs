@@ -15,16 +15,17 @@
 //! else. The *host* order is whatever computes the same outputs fastest;
 //! products do not depend on when the host computes them, and integer
 //! sums do not depend on their order. Two host replays serve all four
-//! engines, each driving a whole batch through one
-//! [`red_xbar::CrossbarArray::vmm_batch_at`] call per pixel:
+//! engines, each driving a whole batch through one crossbar call per
+//! pixel:
 //!
 //! - the window replay (zero-padding and conv) walks output pixels and
 //!   gathers each image's receptive field;
-//! - the scatter replay (padding-free and RED) walks input pixels and adds
-//!   each tap's partial sums straight into the output pixel it lands in.
-//!   For padding-free that differs from the modeled order, where the
-//!   output periphery overlap-adds every tap into the full tensor and
-//!   then crops it.
+//! - the scatter replay (padding-free and RED) walks input pixels,
+//!   evaluates only the taps that land in the output, and adds each
+//!   tap's partial sums straight into the output pixel it lands in. For
+//!   padding-free that differs from the modeled order, where every input
+//!   pixel drives all columns and the output periphery overlap-adds every
+//!   tap into the full tensor and then crops it.
 
 mod conv;
 mod padding_free;

@@ -7,12 +7,14 @@
 //! `KH·KW·M` columns, cropped taps included, and the output periphery
 //! overlap-adds every tap's partial products into the full scatter tensor
 //! and then crops it. [`ExecutionStats`] meter that schedule and nothing
-//! else. The *host* order skips the full tensor: per input pixel it runs
-//! one [`CrossbarArray::vmm_batch_at`] over all columns for the whole
-//! batch, then adds each tap's `M` partial sums straight into the output
-//! pixel `(s·x + i − p, s·y + j − p)` it lands in, when that pixel
-//! exists. Integer sums do not depend on their order, so outputs are
-//! bit-identical to overlap-adding and cropping.
+//! else. The *host* order skips the full tensor and the cropped taps: per
+//! input pixel it runs one [`CrossbarArray::vmm_batch_cols`] for the whole
+//! batch over the columns of the taps that land in an output pixel
+//! `(s·x + i − p, s·y + j − p)` that exists, then adds each of those
+//! taps' `M` partial sums straight into it. A column's result does not
+//! depend on which other columns are evaluated, and integer sums do not
+//! depend on their order, so outputs are bit-identical to driving every
+//! column, overlap-adding and cropping.
 
 use super::scatter::{self, ScatterScratch};
 use super::{check_kernel, DeconvEngine, Execution};
@@ -116,9 +118,10 @@ impl DeconvEngine for PaddingFreeEngine {
     }
 
     /// Replays the scatter schedule: per input pixel, one
-    /// [`CrossbarArray::vmm_batch_at`] call over all `KH·KW·M` columns for
-    /// the whole batch, then each landing tap's partial sums into its
-    /// output pixel. The only heap allocations per call are the outputs.
+    /// [`CrossbarArray::vmm_batch_cols`] call for the whole batch over the
+    /// landing taps' columns, then each landing tap's partial sums into
+    /// its output pixel. The only heap allocations per call are the
+    /// outputs.
     fn run(
         &self,
         inputs: &[FeatureMap<i64>],
@@ -126,6 +129,7 @@ impl DeconvEngine for PaddingFreeEngine {
         prec: ExecPrecision,
     ) -> Result<Vec<Execution>, ArchError> {
         let (n, cols) = (inputs.len(), self.array.weight_cols());
+        let m = self.layer.filters();
         let base = ExecutionStats {
             output_pixels: self.layer.output_geometry().pixels() as u64,
             ..ExecutionStats::default()
@@ -137,7 +141,11 @@ impl DeconvEngine for PaddingFreeEngine {
             base,
             &mut scratch.0,
             |stats, px, _| Self::meter_pixel(stats, px, cols),
-            |_, pixels, vmm, partials| self.array.vmm_batch_at(pixels, n, vmm, partials, prec),
+            |taps, pixels, vmm, partials| {
+                let landing = taps.iter().map(|t| t.start * m..t.end * m);
+                self.array
+                    .vmm_batch_cols(pixels, n, landing, vmm, partials, prec)
+            },
         )
     }
 }
@@ -217,9 +225,9 @@ mod tests {
     #[test]
     fn run_batch_pixel_major_path_matches_per_image() {
         // 128 channels x (16 taps x 64 filters) = 1 MiB of weights:
-        // crosses the blocking threshold, exercising vmm_batch_at's row
-        // blocking across the batch. The noisy twin takes the per-input
-        // analog loop.
+        // crosses the blocking threshold, exercising vmm_batch_cols' row
+        // blocking across the batch. The noisy twin takes the batch-major
+        // analog kernel over several column tiles.
         let (layer, kernel, input) = setup(4, 2, 1, 0, 4, 128, 64);
         for cfg in [
             XbarConfig::ideal(),

@@ -2,12 +2,14 @@
 //! engines.
 //!
 //! Padding-free and RED do the same host arithmetic per input pixel: drive
-//! the pixel through the kernel taps, then add each tap's `M` partial sums
-//! into the output pixel the tap lands in ([`InputSchedule`]). They differ
-//! in how a pixel is metered and in which crossbar call evaluates its taps,
-//! so the replay takes both as closures. It runs pixel-major over the
-//! batch — one evaluation per input pixel for every image at once — and a
-//! single image is a batch of one.
+//! the pixel through the kernel taps that land in the output, then add
+//! each such tap's `M` partial sums into the output pixel it lands in
+//! ([`InputSchedule`]). They differ in how a pixel is metered and in which
+//! crossbar call evaluates its taps, so the replay takes both as closures.
+//! It runs pixel-major over the batch — one evaluation per input pixel
+//! position for every image at once, which the batch-major analog kernel
+//! turns into tile reuse and shared conversions — and a single image is
+//! a batch of one.
 
 use super::{check_input, Execution};
 use crate::plan::InputSchedule;

@@ -1,7 +1,8 @@
 //! Criterion benches: the non-ideal analog VMM pipeline — the seed
 //! per-phase-recompute reference vs the planned kernel over the
 //! programming-time effective-current plane, the planned kernel on the
-//! array shapes that dominate the `full`-preset serving lineup, and
+//! array shapes that dominate the `full`-preset serving lineup, one
+//! batch-major call against single calls on two padding-free planes, and
 //! RED's per-input-pixel work on its fused plane.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -83,6 +84,37 @@ fn analog_lineup(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 8-input call of the batch-major kernel against eight single
+/// calls, with activations in 1..=89, on two padding-free planes: DCGAN
+/// stage 0 (128 channels × 25 taps · 64 filters, 25 column tiles), where
+/// each tile's plane rows serve all 8 inputs while they are cached, and
+/// FCN stage 1 (2 channels × 256 taps · 2 filters, 8 tiles), where the 8
+/// inputs' phases pulse at most 3 distinct row sets, each summed and
+/// converted once per tile.
+fn analog_batch(c: &mut Criterion) {
+    const BATCH: usize = 8;
+    let mut group = c.benchmark_group("analog_batch");
+    for (label, rows, cols) in [("dcgan_pf_s0", 128usize, 1600usize), ("fcn_pf_s1", 2, 512)] {
+        let a = CrossbarArray::program(&noisy_cfg(), &make_weights(rows, cols)).expect("programs");
+        let inputs: Vec<i64> = (0..BATCH * rows)
+            .map(|i| (i * 37 % 89) as i64 + 1)
+            .collect();
+        let mut scratch = VmmScratch::new();
+        let mut out = vec![0i64; BATCH * cols];
+        group.bench_with_input(BenchmarkId::new("batch", label), &a, |b, a| {
+            b.iter(|| a.vmm_analog_batch(&inputs, BATCH, &mut scratch, &mut out))
+        });
+        group.bench_with_input(BenchmarkId::new("single", label), &a, |b, a| {
+            b.iter(|| {
+                for (x, o) in inputs.chunks_exact(rows).zip(out.chunks_exact_mut(cols)) {
+                    a.vmm_analog_into(x, &mut scratch, o);
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 /// RED's work for one input pixel on two lineup shapes: one fused call
 /// over every tap the pixel feeds (what the engine runs) against one VMM
 /// per tap on the tap's own array (the per-gather shape it replaced).
@@ -124,5 +156,11 @@ fn analog_red_pixel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, analog_single, analog_lineup, analog_red_pixel);
+criterion_group!(
+    benches,
+    analog_single,
+    analog_lineup,
+    analog_batch,
+    analog_red_pixel
+);
 criterion_main!(benches);

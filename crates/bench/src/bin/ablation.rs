@@ -11,14 +11,14 @@
 //!    bounded 512×512 / 128×128 macros: do the orderings survive?
 //! 6. **pipelined stacks** — whole-generator throughput per design.
 
-use red_bench::render_table;
+use red_bench::{out, outln, render_table};
 use red_core::prelude::*;
 
 fn main() {
     let model = CostModel::paper_default();
 
     // ---- 1. zero-skipping ablation.
-    println!("ABLATION 1 — pixel-wise mapping WITHOUT zero-skipping\n");
+    outln!("ABLATION 1 — pixel-wise mapping WITHOUT zero-skipping\n");
     let mut rows = Vec::new();
     for b in Benchmark::all() {
         let layer = b.layer();
@@ -39,17 +39,17 @@ fn main() {
             format!("{:.2}x", red.speedup_vs(&zp) / mapping_only.speedup_vs(&zp)),
         ]);
     }
-    print!(
+    out!(
         "{}",
         render_table(
             &["benchmark", "mapping only", "mapping + skip", "skip gain"],
             &rows
         )
     );
-    println!("(zero-skipping supplies essentially the whole speedup — the mapping\n alone only restructures the array, as §III-B argues)\n");
+    outln!("(zero-skipping supplies essentially the whole speedup — the mapping\n alone only restructures the array, as §III-B argues)\n");
 
     // ---- 2. Eq. 2 halving everywhere.
-    println!("ABLATION 2 — full vs halved SCT (Eq. 2) on every benchmark\n");
+    outln!("ABLATION 2 — full vs halved SCT (Eq. 2) on every benchmark\n");
     let mut rows = Vec::new();
     for b in Benchmark::all() {
         let layer = b.layer();
@@ -74,17 +74,17 @@ fn main() {
             ),
         ]);
     }
-    print!(
+    out!(
         "{}",
         render_table(
             &["benchmark", "full: speedup/area", "halved: speedup/area"],
             &rows
         )
     );
-    println!("(the paper picks halved only for the 256-tap FCN kernel)\n");
+    outln!("(the paper picks halved only for the 256-tap FCN kernel)\n");
 
     // ---- 3. Driver-upsizing exponent sweep.
-    println!("ABLATION 3 — wordline driver energy law vs padding-free array penalty\n");
+    outln!("ABLATION 3 — wordline driver energy law vs padding-free array penalty\n");
     let layer = Benchmark::GanDeconv1.layer();
     let mut rows = Vec::new();
     for exp in [0.0, 0.25, 0.55, 0.75, 1.0] {
@@ -101,17 +101,17 @@ fn main() {
             format!("{:.2}x", pf.total_energy_pj() / zp.total_energy_pj()),
         ]);
     }
-    print!(
+    out!(
         "{}",
         render_table(
             &["upsize exp", "PF/ZP array energy", "PF/ZP total energy"],
             &rows
         )
     );
-    println!("(exp=0 is the pure-capacitive bound; the calibrated 0.55 lands the\n paper's 4.48x-7.53x band; 1.0 is the literal quadratic-power reading)\n");
+    outln!("(exp=0 is the pure-capacitive bound; the calibrated 0.55 lands the\n paper's 4.48x-7.53x band; 1.0 is the literal quadratic-power reading)\n");
 
     // ---- 4. Precision sweep.
-    println!("ABLATION 4 — weight precision vs RED cost (GAN_Deconv3)\n");
+    outln!("ABLATION 4 — weight precision vs RED cost (GAN_Deconv3)\n");
     let layer = Benchmark::GanDeconv3.layer();
     let mut rows = Vec::new();
     for bits in [4u32, 8, 16] {
@@ -132,7 +132,7 @@ fn main() {
             format!("{:.3}", r.total_area_um2() / 1e6),
         ]);
     }
-    print!(
+    out!(
         "{}",
         render_table(
             &[
@@ -147,7 +147,7 @@ fn main() {
     );
 
     // ---- 5. Physical tiling.
-    println!("\nABLATION 5 — logical arrays vs bounded physical macros (GAN_Deconv3)\n");
+    outln!("\nABLATION 5 — logical arrays vs bounded physical macros (GAN_Deconv3)\n");
     let layer = Benchmark::GanDeconv3.layer();
     let mut rows = Vec::new();
     for (name, mac) in [
@@ -168,17 +168,17 @@ fn main() {
             format!("{:.3}", zp.total_area_um2() / 1e6),
         ]);
     }
-    print!(
+    out!(
         "{}",
         render_table(
             &["array model", "RED speedup", "RED saving", "ZP area (mm2)"],
             &rows
         )
     );
-    println!("(absolute costs move under tiling; the paper's orderings do not)\n");
+    outln!("(absolute costs move under tiling; the paper's orderings do not)\n");
 
     // ---- 6. Pipelined stacks.
-    println!("ABLATION 6 — pipelined DCGAN generator (4 stages)\n");
+    outln!("ABLATION 6 — pipelined DCGAN generator (4 stages)\n");
     let stack = red_core::workloads::networks::dcgan_generator(1).unwrap();
     let mut rows = Vec::new();
     let zp_pipe = PipelineReport::evaluate(&model, Design::ZeroPadding, &stack.layers).unwrap();
@@ -193,7 +193,7 @@ fn main() {
             format!("{:.1}", p.energy_per_input_pj() / 1e6),
         ]);
     }
-    print!(
+    out!(
         "{}",
         render_table(
             &[
@@ -207,10 +207,10 @@ fn main() {
             &rows
         )
     );
-    println!("(PipeLayer/ReGAN-style inter-layer pipelining; RED compresses the\n bottleneck stage by ~stride^2, so throughput scales with the single-layer speedup)");
+    outln!("(PipeLayer/ReGAN-style inter-layer pipelining; RED compresses the\n bottleneck stage by ~stride^2, so throughput scales with the single-layer speedup)");
 
     // ---- 7. Buffer traffic.
-    println!("\nABLATION 7 — feature-map buffer traffic (words moved per layer)\n");
+    outln!("\nABLATION 7 — feature-map buffer traffic (words moved per layer)\n");
     let mut rows = Vec::new();
     for b in Benchmark::all() {
         let layer = b.layer();
@@ -230,7 +230,7 @@ fn main() {
             format!("{:.2e}", pf.partial_traffic as f64),
         ]);
     }
-    print!(
+    out!(
         "{}",
         render_table(
             &[
@@ -243,5 +243,5 @@ fn main() {
             &rows
         )
     );
-    println!("(RED matches zero-padding's useful traffic with no partial-sum spill;\n padding-free trades input re-reads for overlap-add buffer traffic)");
+    outln!("(RED matches zero-padding's useful traffic with no partial-sum spill;\n padding-free trades input re-reads for overlap-add buffer traffic)");
 }

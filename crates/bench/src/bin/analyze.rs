@@ -24,7 +24,7 @@
 //! its planned fault fails the gate.
 
 use red_bench::analyze::{analyze_trace, check_loadgen, render};
-use red_bench::minijson::parse;
+use red_bench::{minijson::parse, out, outln};
 use std::process::ExitCode;
 
 fn fail(msg: &str) -> ExitCode {
@@ -54,7 +54,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => return fail(&format!("{trace_path}: {e}")),
     };
-    print!("{}", render(&analysis));
+    out!("{}", render(&analysis));
     if let Some(path) = json_path {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
@@ -66,8 +66,8 @@ fn main() -> ExitCode {
         };
         match check_loadgen(&doc) {
             Ok(summary) => {
-                println!("\n-- loadgen json --");
-                print!("{summary}");
+                outln!("\n-- loadgen json --");
+                out!("{summary}");
             }
             Err(e) => return fail(&format!("{path}: {e}")),
         }

@@ -26,6 +26,7 @@
 //! 2 = usage or parse error.
 
 use red_bench::minijson::{parse, JsonValue};
+use red_bench::outln;
 use std::process::ExitCode;
 
 /// `true` for keys whose values measure the host machine, not the
@@ -140,7 +141,7 @@ fn main() -> ExitCode {
     let mut drift = Vec::new();
     let mut host_diffs = 0usize;
     diff("$", &baseline, &fresh, &mut drift, &mut host_diffs);
-    println!(
+    outln!(
         "benchdiff: {} vs {} — {} modeled divergence(s), {} host-metric difference(s) (informational)",
         baseline_path,
         fresh_path,
@@ -148,13 +149,13 @@ fn main() -> ExitCode {
         host_diffs
     );
     if drift.is_empty() {
-        println!("benchdiff: modeled metrics reproduce the baseline exactly");
+        outln!("benchdiff: modeled metrics reproduce the baseline exactly");
         ExitCode::SUCCESS
     } else {
         for line in &drift {
-            println!("  DRIFT {line}");
+            outln!("  DRIFT {line}");
         }
-        println!(
+        outln!(
             "benchdiff: modeled metrics drifted — either the change is unintended, or the \
              baseline needs regenerating with the committed config"
         );

@@ -5,7 +5,7 @@
 //! cargo run -p red-bench --bin experiments   # writes ./EXPERIMENTS.md
 //! ```
 
-use red_bench::{all_comparisons, headline_checks, render_table};
+use red_bench::{all_comparisons, headline_checks, outln, render_table};
 use red_core::tensor::redundancy::sweep_strides;
 use std::fmt::Write as _;
 
@@ -522,6 +522,6 @@ in `tests/observability.rs`.
     )?;
 
     std::fs::write("EXPERIMENTS.md", &md)?;
-    println!("wrote EXPERIMENTS.md ({} bytes)", md.len());
+    outln!("wrote EXPERIMENTS.md ({} bytes)", md.len());
     Ok(())
 }

@@ -5,7 +5,7 @@
 //!
 //! Paper anchors: 86.8 % at stride 2 and 99.8 % at stride 32 (SNGAN curve).
 
-use red_bench::{maybe_write_csv, render_table};
+use red_bench::{maybe_write_csv, out, outln, render_table};
 use red_core::tensor::redundancy::sweep_strides;
 
 fn main() {
@@ -13,7 +13,7 @@ fn main() {
     let sngan = sweep_strides(4, 4, 4, 1, &strides).expect("SNGAN sweep");
     let fcn = sweep_strides(16, 16, 16, 0, &strides).expect("FCN sweep");
 
-    println!("FIG. 4 — ZERO REDUNDANCY RATIO vs STRIDE\n");
+    outln!("FIG. 4 — ZERO REDUNDANCY RATIO vs STRIDE\n");
     let rows: Vec<Vec<String>> = strides
         .iter()
         .enumerate()
@@ -34,13 +34,13 @@ fn main() {
         "FCN 16x16 (map)",
         "FCN 16x16 (per-MAC)",
     ];
-    print!("{}", render_table(&headers, &rows));
+    out!("{}", render_table(&headers, &rows));
     maybe_write_csv("fig4", &headers, &rows);
-    println!(
+    outln!(
         "\npaper anchors: 86.8% @ stride 2 -> measured {:.1}%;  99.8% @ stride 32 -> measured {:.1}%",
         sngan[1].map_zero_fraction * 100.0,
         sngan[5].map_zero_fraction * 100.0
     );
-    println!("(map = zero fraction of the padded input map, the paper's metric;");
-    println!(" per-MAC = fraction of window-tap multiplies with a zero operand)");
+    outln!("(map = zero fraction of the padded input map, the paper's metric;");
+    outln!(" per-MAC = fraction of window-tap multiplies with a zero operand)");
 }

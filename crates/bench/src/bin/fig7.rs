@@ -3,13 +3,13 @@
 //! into array (wd + bd) and periphery (dec + mux + rc + sa) portions
 //! (Eq. 3).
 
-use red_bench::{all_comparisons, maybe_write_csv, render_table};
+use red_bench::{all_comparisons, maybe_write_csv, out, outln, render_table};
 use red_core::Comparison;
 
 fn main() {
     let comps = all_comparisons();
 
-    println!("FIG. 7(a) — SPEEDUP (normalized to zero-padding)\n");
+    outln!("FIG. 7(a) — SPEEDUP (normalized to zero-padding)\n");
     let rows: Vec<Vec<String>> = comps
         .iter()
         .map(|(b, c)| {
@@ -23,10 +23,10 @@ fn main() {
         })
         .collect();
     let headers = ["benchmark", "zero-padding", "padding-free", "RED"];
-    print!("{}", render_table(&headers, &rows));
+    out!("{}", render_table(&headers, &rows));
     maybe_write_csv("fig7a_speedup", &headers, &rows);
 
-    println!("\nFIG. 7(b) — EXECUTION TIME BREAKDOWN (% of each design's own total)\n");
+    outln!("\nFIG. 7(b) — EXECUTION TIME BREAKDOWN (% of each design's own total)\n");
     let mut rows = Vec::new();
     for (b, c) in &comps {
         for r in c.reports() {
@@ -40,7 +40,7 @@ fn main() {
             ]);
         }
     }
-    print!(
+    out!(
         "{}",
         render_table(
             &["benchmark", "design", "array", "periphery", "total (ns)"],
@@ -48,14 +48,14 @@ fn main() {
         )
     );
 
-    println!("\nper-component latency shares (GAN_Deconv1):");
+    outln!("\nper-component latency shares (GAN_Deconv1):");
     let (_, c) = &comps[0];
     for r in c.reports() {
         let parts: Vec<String> = Comparison::latency_breakdown_pct(r)
             .into_iter()
             .map(|(comp, pct)| format!("{}={pct:.1}%", comp.abbr()))
             .collect();
-        println!("  {:13} {}", r.design.label(), parts.join("  "));
+        outln!("  {:13} {}", r.design.label(), parts.join("  "));
     }
 
     let zp_pf: Vec<f64> = comps
@@ -63,7 +63,7 @@ fn main() {
         .filter(|(b, _)| b.is_gan())
         .map(|(_, c)| c.zero_padding().total_latency_ns() / c.padding_free().total_latency_ns())
         .collect();
-    println!(
+    outln!(
         "\nzero-padding vs padding-free on GANs: {:.2}x - {:.2}x slower (paper: 1.55x - 2.62x)",
         zp_pf.iter().copied().fold(f64::INFINITY, f64::min),
         zp_pf.iter().copied().fold(0.0, f64::max)

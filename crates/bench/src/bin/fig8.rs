@@ -2,13 +2,13 @@
 //! zero-padding, (b) per-design energy breakdown into array (c + wd + bd)
 //! and periphery (dec + mux + rc + sa) portions (Eq. 4).
 
-use red_bench::{all_comparisons, maybe_write_csv, render_table};
+use red_bench::{all_comparisons, maybe_write_csv, out, outln, render_table};
 use red_core::prelude::*;
 
 fn main() {
     let comps = all_comparisons();
 
-    println!("FIG. 8(a) — ENERGY (normalized to zero-padding; saving = 1 - value)\n");
+    outln!("FIG. 8(a) — ENERGY (normalized to zero-padding; saving = 1 - value)\n");
     let rows: Vec<Vec<String>> = comps
         .iter()
         .map(|(b, c)| {
@@ -29,10 +29,10 @@ fn main() {
         "RED",
         "RED saving",
     ];
-    print!("{}", render_table(&headers, &rows));
+    out!("{}", render_table(&headers, &rows));
     maybe_write_csv("fig8a_energy", &headers, &rows);
 
-    println!("\nFIG. 8(b) — ENERGY BREAKDOWN (% of each design's own total)\n");
+    outln!("\nFIG. 8(b) — ENERGY BREAKDOWN (% of each design's own total)\n");
     let mut rows = Vec::new();
     for (b, c) in &comps {
         for r in c.reports() {
@@ -46,7 +46,7 @@ fn main() {
             ]);
         }
     }
-    print!(
+    out!(
         "{}",
         render_table(
             &["benchmark", "design", "array", "periphery", "total (pJ)"],
@@ -54,7 +54,7 @@ fn main() {
         )
     );
 
-    println!("\nper-component energy shares (GAN_Deconv1):");
+    outln!("\nper-component energy shares (GAN_Deconv1):");
     let (_, c) = &comps[0];
     for r in c.reports() {
         let total = r.total_energy_pj();
@@ -65,7 +65,7 @@ fn main() {
                 (v > 0.0).then(|| format!("{}={:.1}%", comp.abbr(), 100.0 * v / total))
             })
             .collect();
-        println!("  {:13} {}", r.design.label(), parts.join("  "));
+        outln!("  {:13} {}", r.design.label(), parts.join("  "));
     }
 
     let pf_arr: Vec<f64> = comps
@@ -73,7 +73,7 @@ fn main() {
         .filter(|(b, _)| b.is_gan())
         .map(|(_, c)| c.padding_free().array_energy_pj() / c.zero_padding().array_energy_pj())
         .collect();
-    println!(
+    outln!(
         "\npadding-free array energy on GANs: {:.2}x - {:.2}x the zero-padding design's \
          (paper: 4.48x - 7.53x)",
         pf_arr.iter().copied().fold(f64::INFINITY, f64::min),

@@ -1,10 +1,10 @@
 //! Checks every §IV headline claim of the paper against this
 //! reproduction's measurements and prints a verdict table.
 
-use red_bench::{headline_checks, render_table};
+use red_bench::{headline_checks, out, outln, render_table};
 
 fn main() {
-    println!("HEADLINE CLAIMS (paper SIV) vs THIS REPRODUCTION\n");
+    outln!("HEADLINE CLAIMS (paper SIV) vs THIS REPRODUCTION\n");
     let rows: Vec<Vec<String>> = headline_checks()
         .into_iter()
         .map(|c| {
@@ -20,9 +20,9 @@ fn main() {
             ]
         })
         .collect();
-    print!(
+    out!(
         "{}",
         render_table(&["source", "paper claim", "measured", "verdict"], &rows)
     );
-    println!("\n(bands are the reproduction tolerances asserted by tests/paper_bands.rs)");
+    outln!("\n(bands are the reproduction tolerances asserted by tests/paper_bands.rs)");
 }

@@ -80,7 +80,9 @@
 //! deterministic functions of the virtual-clock schedule: the same seed
 //! produces byte-identical files on any host.
 
-use red_bench::{json_escape, maybe_write_csv, parse_flag, parse_list_flag, render_table};
+use red_bench::{
+    json_escape, maybe_write_csv, out, outln, parse_flag, parse_list_flag, render_table,
+};
 use red_core::prelude::*;
 use red_core::workloads::networks;
 use red_runtime::ChipBuilder;
@@ -711,8 +713,8 @@ fn main() -> ExitCode {
     };
     let mode_label = if closed { "closed" } else { "open" };
 
-    println!("== red-server loadgen: online serving under load ==");
-    println!(
+    outln!("== red-server loadgen: online serving under load ==");
+    outln!(
         "{mode_label}-loop{}{}, {clients} clients, {replicas} replica(s)/partition, \
          {} tenant class(es), scale {scale}, xbar {xbar_label}, max-wait {max_wait_us} us, \
          slo {slo_us} us, seed {seed}",
@@ -725,7 +727,7 @@ fn main() -> ExitCode {
         tenants.len(),
     );
     if brownout {
-        println!(
+        outln!(
             "(brownout overload control armed, cooldown {brownout_cooldown_us} us{})",
             match precision_floor {
                 Some(f) => format!(", blanket precision floor {f}"),
@@ -939,11 +941,11 @@ fn main() -> ExitCode {
         "host (ms)",
     ];
     let cells: Vec<Vec<String>> = rows.iter().map(LoadRow::table_cells).collect();
-    print!("{}", render_table(&headers, &cells));
+    out!("{}", render_table(&headers, &cells));
     maybe_write_csv("loadgen", &headers, &cells);
     if let Some(plan) = &fault_plan {
         let sum = |f: fn(&LoadRow) -> u64| rows.iter().map(f).sum::<u64>();
-        println!(
+        outln!(
             "(chaos: {} planned event(s)/row; across rows {} fault(s) injected, \
              {} reprogram(s), {} retrie(s), {} hedge(s); zero requests lost)",
             plan.len(),
@@ -963,13 +965,13 @@ fn main() -> ExitCode {
             .iter()
             .map(|r| r.precision_error_bound)
             .fold(0.0, f64::max);
-        println!(
+        outln!(
             "(brownout: {transitions} tier transition(s) across rows; \
              max observed output error {max_err:.1} within advertised bound {bound:.1})"
         );
     }
     if scrape_us > 0.0 {
-        println!(
+        outln!(
             "(scrape: {scrape_us} us cadence on the first row; \
              {alert_episodes} alert episode(s) across rows)"
         );
@@ -1000,7 +1002,7 @@ fn main() -> ExitCode {
             .map(Telemetry::timeseries_snapshot)
             .unwrap_or_default();
         match write_json(path, &header, &rows, &timeseries) {
-            Ok(()) => println!("(wrote {path})"),
+            Ok(()) => outln!("(wrote {path})"),
             Err(e) => {
                 eprintln!("json write failed for {path}: {e}");
                 return ExitCode::FAILURE;
@@ -1010,7 +1012,7 @@ fn main() -> ExitCode {
     if let Some(tele) = &telemetry_out {
         if let Some(path) = &trace_path {
             match std::fs::write(path, tele.export_chrome_trace()) {
-                Ok(()) => println!("(wrote {path})"),
+                Ok(()) => outln!("(wrote {path})"),
                 Err(e) => {
                     eprintln!("trace write failed for {path}: {e}");
                     return ExitCode::FAILURE;
@@ -1019,7 +1021,7 @@ fn main() -> ExitCode {
         }
         if let Some(path) = &metrics_path {
             match std::fs::write(path, tele.export_prometheus()) {
-                Ok(()) => println!("(wrote {path})"),
+                Ok(()) => outln!("(wrote {path})"),
                 Err(e) => {
                     eprintln!("metrics write failed for {path}: {e}");
                     return ExitCode::FAILURE;
@@ -1027,7 +1029,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    println!(
+    outln!(
         "\nAll figures are virtual (modeled hardware) time; every row's scheduler\n\
          charge reconciled with the replicas' accounting. Larger micro-batches\n\
          amortize the pipeline fill across outputs (img/s -> the fleet's\n\
@@ -1036,7 +1038,7 @@ fn main() -> ExitCode {
          pins tier 0's tail at the lower tiers' expense."
     );
     if let Some(kb) = peak_rss_kb() {
-        println!("(peak RSS {kb} kB)");
+        outln!("(peak RSS {kb} kB)");
     }
     ExitCode::SUCCESS
 }

@@ -10,13 +10,13 @@
 //! redsim pipeline dcgan                     # pipelined network totals
 //! ```
 
-use red_bench::render_table;
+use red_bench::{out, outln, render_table};
 use red_core::prelude::*;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  redsim list\n  redsim estimate <benchmark|custom IH C M K S P [OP]> [--design zp|pf|red] [--macros 512|128]\n  redsim compare <benchmark> [--macros 512|128]\n  redsim run <benchmark> [--scale N] [--design zp|pf|red]\n  redsim pipeline <dcgan|sngan|fcn>"
+        "usage:\n  redsim list\n  redsim estimate <benchmark|custom IH C M K S P [OP]> [--design zp|pf|red] [--macros 512|128]\n  redsim compare <benchmark|custom IH C M K S P [OP]> [--macros 512|128]\n  redsim run <benchmark> [--scale N] [--design zp|pf|red]\n  redsim pipeline <dcgan|sngan|fcn>"
     );
     ExitCode::from(2)
 }
@@ -48,26 +48,43 @@ fn find_benchmark(name: &str) -> Option<Benchmark> {
         .find(|b| b.name().eq_ignore_ascii_case(name))
 }
 
-/// Parses either a benchmark name or `custom IH C M K S P [OP]`,
-/// returning the layer and how many positional args it consumed.
-fn parse_layer(args: &[String]) -> Option<(LayerShape, usize)> {
-    let first = args.first()?;
-    if first == "custom" {
-        let nums: Vec<usize> = args[1..]
-            .iter()
-            .take_while(|a| !a.starts_with("--"))
-            .filter_map(|a| a.parse().ok())
-            .collect();
-        if nums.len() < 6 {
-            return None;
-        }
-        let op = nums.get(6).copied().unwrap_or(0);
-        let spec = DeconvSpec::with_output_padding(nums[3], nums[3], nums[4], nums[5], op).ok()?;
-        let layer = LayerShape::with_spec(nums[0], nums[0], nums[1], nums[2], spec).ok()?;
-        Some((layer, 1 + nums.len()))
-    } else {
-        find_benchmark(first).map(|b| (b.layer(), 1))
+/// Parses either a benchmark name or `custom IH C M K S P [OP]`. Every
+/// field before the first `--` flag must be a number, six or seven of
+/// them, describing a valid layer. A bad field prints which one, and the
+/// usage text follows with exit code 2.
+fn parse_layer(args: &[String]) -> Result<LayerShape, ExitCode> {
+    const FIELDS: [&str; 7] = ["IH", "C", "M", "K", "S", "P", "OP"];
+    let Some(first) = args.first() else {
+        return Err(usage());
+    };
+    if first != "custom" {
+        return find_benchmark(first).map(|b| b.layer()).ok_or_else(usage);
     }
+    let fields: Vec<&String> = args[1..]
+        .iter()
+        .take_while(|a| !a.starts_with("--"))
+        .collect();
+    if !(6..=FIELDS.len()).contains(&fields.len()) {
+        eprintln!(
+            "custom takes IH C M K S P [OP], got {} fields",
+            fields.len()
+        );
+        return Err(usage());
+    }
+    let mut nums = [0usize; 7];
+    for ((name, value), num) in FIELDS.iter().zip(fields).zip(&mut nums) {
+        *num = value.parse().map_err(|_| {
+            eprintln!("invalid custom field {name} {value:?}");
+            usage()
+        })?;
+    }
+    let [ih, c, m, k, s, p, op] = nums;
+    let layer = DeconvSpec::with_output_padding(k, k, s, p, op)
+        .and_then(|spec| LayerShape::with_spec(ih, ih, c, m, spec));
+    layer.map_err(|e| {
+        eprintln!("invalid custom layer: {e}");
+        usage()
+    })
 }
 
 /// `flag`'s value through `parse`: `Ok(None)` when the flag is absent.
@@ -97,7 +114,7 @@ fn flag_value<T>(
 }
 
 fn print_report(r: &CostReport) {
-    println!(
+    outln!(
         "design {} | cycles {} | latency {:.3} us | energy {:.3} uJ | area {:.4} mm2",
         r.design.label(),
         r.geometry.cycles,
@@ -118,7 +135,7 @@ fn print_report(r: &CostReport) {
             ]
         })
         .collect();
-    print!(
+    out!(
         "{}",
         render_table(
             &["part", "group", "latency (us)", "energy (uJ)", "area (mm2)"],
@@ -153,7 +170,7 @@ fn cmd_list() -> ExitCode {
             ]
         })
         .collect();
-    print!(
+    out!(
         "{}",
         render_table(&["benchmark", "network", "shape", "kernel"], &rows)
     );
@@ -161,9 +178,7 @@ fn cmd_list() -> ExitCode {
 }
 
 fn cmd_estimate(args: &[String]) -> Result<ExitCode, ExitCode> {
-    let Some((layer, _)) = parse_layer(args) else {
-        return Err(usage());
-    };
+    let layer = parse_layer(args)?;
     let design =
         flag_value(args, "--design", parse_design)?.unwrap_or(Design::red(RedLayoutPolicy::Auto));
     let model = CostModel::paper_default();
@@ -184,9 +199,7 @@ fn cmd_estimate(args: &[String]) -> Result<ExitCode, ExitCode> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<ExitCode, ExitCode> {
-    let Some((layer, _)) = parse_layer(args) else {
-        return Err(usage());
-    };
+    let layer = parse_layer(args)?;
     let model = CostModel::paper_default();
     let mac = flag_value(args, "--macros", parse_macros)?;
     let reports: Vec<CostReport> = Design::paper_lineup()
@@ -209,7 +222,7 @@ fn cmd_compare(args: &[String]) -> Result<ExitCode, ExitCode> {
             ]
         })
         .collect();
-    print!(
+    out!(
         "{}",
         render_table(&["design", "speedup", "energy", "area", "cycles"], &rows)
     );
@@ -238,7 +251,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ExitCode> {
         Ok(exec) => {
             let golden = red_core::tensor::deconv::deconv_direct(&input, &kernel, layer.spec())
                 .expect("golden deconvolution");
-            println!(
+            outln!(
                 "{bench} (C/M scaled /{scale}) on {}: cycles={} vector-ops={} \
                  nonzero-activations={} zero-slots={:.1}% bit-exact={}",
                 design.label(),
@@ -273,7 +286,7 @@ fn cmd_pipeline(args: &[String]) -> ExitCode {
         }
     };
     let model = CostModel::paper_default();
-    println!("{} — {} stages", stack.name, stack.layers.len());
+    outln!("{} — {} stages", stack.name, stack.layers.len());
     let zp =
         PipelineReport::evaluate(&model, Design::ZeroPadding, &stack.layers).expect("evaluates");
     let rows: Vec<Vec<String>> = Design::paper_lineup()
@@ -290,7 +303,7 @@ fn cmd_pipeline(args: &[String]) -> ExitCode {
             ]
         })
         .collect();
-    print!(
+    out!(
         "{}",
         render_table(
             &[

@@ -42,7 +42,7 @@
 //! misroutes images, or an engine whose dataflow diverges from its priced
 //! geometry, fails the CI smoke instead of printing wrong numbers.
 
-use red_bench::{json_escape, maybe_write_csv, parse_flag, render_table};
+use red_bench::{json_escape, maybe_write_csv, out, outln, parse_flag, render_table};
 use red_core::prelude::*;
 use red_core::workloads::networks;
 use red_runtime::ChipBuilder;
@@ -220,8 +220,8 @@ fn main() -> ExitCode {
         Telemetry::disabled()
     };
 
-    println!("== red-runtime serve: batched pipelined inference ==");
-    println!(
+    outln!("== red-runtime serve: batched pipelined inference ==");
+    outln!(
         "batch {batch}, channel scale {scale}, one image shard per core{}{}",
         match &noisy {
             Some((name, _)) => format!(", noisy pass: {name} preset"),
@@ -347,11 +347,11 @@ fn main() -> ExitCode {
         }
     }
     let cells: Vec<Vec<String>> = rows.iter().map(ServeRow::table_cells).collect();
-    print!("{}", render_table(&headers, &cells));
+    out!("{}", render_table(&headers, &cells));
     maybe_write_csv("serve", &headers, &cells);
     if let Some(path) = &json_path {
         match write_json(path, batch, scale, &rows) {
-            Ok(()) => println!("(wrote {path})"),
+            Ok(()) => outln!("(wrote {path})"),
             Err(e) => {
                 eprintln!("json write failed for {path}: {e}");
                 return ExitCode::FAILURE;
@@ -360,14 +360,14 @@ fn main() -> ExitCode {
     }
     if let Some(path) = &trace_path {
         match std::fs::write(path, telemetry.export_chrome_trace()) {
-            Ok(()) => println!("(wrote {path})"),
+            Ok(()) => outln!("(wrote {path})"),
             Err(e) => {
                 eprintln!("trace write failed for {path}: {e}");
                 return ExitCode::FAILURE;
             }
         }
     }
-    println!(
+    outln!(
         "\nIntervals are the measured steady-state output spacing; each row is\n\
          asserted to match the analytic bottleneck stage. RED compresses every\n\
          stage by ~stride^2, so it compresses the pipeline bottleneck — and the\n\
@@ -379,7 +379,7 @@ fn main() -> ExitCode {
         }
     );
     if let Some(kb) = peak_rss_kb() {
-        println!("(peak RSS {kb} kB)");
+        outln!("(peak RSS {kb} kB)");
     }
     ExitCode::SUCCESS
 }

@@ -1,10 +1,10 @@
 //! Regenerates the paper's Table I: the benchmark deconvolution layers.
 
-use red_bench::render_table;
+use red_bench::{out, outln, render_table};
 use red_core::prelude::*;
 
 fn main() {
-    println!("TABLE I — BENCHMARKS USED IN THIS WORK\n");
+    outln!("TABLE I — BENCHMARKS USED IN THIS WORK\n");
     let rows: Vec<Vec<String>> = Benchmark::all()
         .iter()
         .map(|b| {
@@ -27,7 +27,7 @@ fn main() {
             ]
         })
         .collect();
-    print!(
+    out!(
         "{}",
         render_table(
             &[
@@ -42,5 +42,5 @@ fn main() {
             &rows
         )
     );
-    println!("\n(paper Table I reproduced exactly; geometry validated by red-workloads tests)");
+    outln!("\n(paper Table I reproduced exactly; geometry validated by red-workloads tests)");
 }

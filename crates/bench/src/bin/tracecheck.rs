@@ -36,6 +36,7 @@
 //! silently producing a timeline Perfetto cannot load.
 
 use red_bench::minijson::{parse, JsonValue};
+use red_bench::outln;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -208,7 +209,7 @@ fn main() -> ExitCode {
     } else {
         String::new()
     };
-    println!(
+    outln!(
         "tracecheck: {path} OK — {} events ({metadata} metadata, {spans} spans, \
          {instants} instants, {async_events} async, {counters} counters{trunc_note})",
         events.len()

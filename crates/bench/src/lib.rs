@@ -27,6 +27,47 @@ pub mod minijson;
 
 use red_core::prelude::*;
 use red_core::Comparison;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once stdout's reader has gone away; every later write is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes `args` to stdout: every red-bench binary prints through here,
+/// by way of [`out!`] and [`outln!`]. Once stdout is closed — a reader
+/// such as `head -1` that stops early — this and every later write is
+/// dropped, where `println!` would panic with status 101. The program
+/// runs on, so the files it writes and its exit status are those of a
+/// run whose stdout stayed open. Any other write error still panics.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::{ErrorKind, Write};
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => STDOUT_CLOSED.store(true, Ordering::Relaxed),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
+/// `print!` through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// A named paper claim with its measured counterpart, used by `headline`
 /// and `experiments`.
@@ -184,7 +225,7 @@ pub fn maybe_write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
             .unwrap_or_else(|| "results".to_string());
         let path = std::path::Path::new(&dir).join(format!("{name}.csv"));
         match write_csv(&path, headers, rows) {
-            Ok(()) => println!("(wrote {})", path.display()),
+            Ok(()) => write_stdout(format_args!("(wrote {})\n", path.display())),
             Err(e) => eprintln!("csv write failed: {e}"),
         }
     }

@@ -6,43 +6,180 @@ use red_device::variation::StuckPolarity;
 use red_device::DriftModel;
 use std::ops::Range;
 
-/// Physical columns per tile of the analog kernel: one tile's `f64`
-/// currents and column sums take 4 KiB each, so together with the plane
-/// row slices a phase reads they stay in L1 across the tile's phases.
+/// Physical columns per tile of the analog kernel, rounded down to whole
+/// weights: one tile's `f64` currents take 4 KiB, so together with the
+/// plane row slices a set reads they stay in L1 while the tile is summed.
 const TILE_COLS: usize = 512;
+
+/// End of a chain of [`SetUse`]s.
+const NO_USE: u32 = u32::MAX;
+
+/// One active-row set of an analog kernel call: the rows one or more
+/// conversion phases pulse.
+#[derive(Debug, Clone, Copy)]
+struct RowSet {
+    /// The set's rows, `rows[start..][..len]` of the buffer that lists
+    /// them, ascending.
+    start: u32,
+    len: u32,
+    /// The first and last row, the key a set is looked up under with
+    /// `len`.
+    ends: u64,
+    /// The first input's use; any later input's [`SetUse`] is chained
+    /// from it through `RowSets::uses`, up to the one at `last`
+    /// ([`NO_USE`] while `first` is the only one).
+    first: SetUse,
+    last: u32,
+    /// Number of inputs that pulse it.
+    users: u32,
+}
+
+/// One input's use of a [`RowSet`]: the merged `Σ ±2^bit` scale of the
+/// input's phases whose active rows are exactly the set.
+#[derive(Debug, Clone, Copy)]
+struct SetUse {
+    input: u32,
+    scale: i64,
+    /// The set's next use, or [`NO_USE`].
+    next: u32,
+}
+
+impl SetUse {
+    fn new(input: usize, scale: i64) -> Self {
+        let (input, next) = (input as u32, NO_USE);
+        Self { input, scale, next }
+    }
+}
+
+/// The active-row sets of one kernel run and their uses.
+#[derive(Debug, Clone, Default)]
+struct RowSets {
+    sets: Vec<RowSet>,
+    /// The batch-major run's distinct sets' rows, packed.
+    rows: Vec<u32>,
+    uses: Vec<SetUse>,
+    /// Open-addressed lookup of `sets` by `(len, ends)`: set index + 1,
+    /// 0 for an empty slot.
+    slots: Vec<u32>,
+    /// Per input, `Σ ±len · 2^bit` over its live phases: how many offset
+    /// units offset binary's reference column subtracts.
+    pulses: Vec<i128>,
+}
+
+impl RowSets {
+    fn clear(&mut self) {
+        self.sets.clear();
+        self.rows.clear();
+        self.uses.clear();
+        self.pulses.clear();
+    }
+
+    /// Appends a set that `input` pulses at `scale`.
+    fn push(&mut self, start: usize, len: u32, ends: u64, input: usize, scale: i64) {
+        self.sets.push(RowSet {
+            start: start as u32,
+            len,
+            ends,
+            first: SetUse::new(input, scale),
+            last: NO_USE,
+            users: 1,
+        });
+    }
+
+    /// Records that `input`'s phase of `scale` pulses set `d`: merged
+    /// into the input's use when it already has one (uses arrive in input
+    /// order), chained otherwise.
+    fn add_use(&mut self, d: usize, input: usize, scale: i64) {
+        let u = self.uses.len() as u32;
+        let set = &mut self.sets[d];
+        let last = match set.last {
+            NO_USE => &mut set.first,
+            at => &mut self.uses[at as usize],
+        };
+        if last.input as usize == input {
+            last.scale += scale;
+            return;
+        }
+        last.next = u;
+        set.last = u;
+        set.users += 1;
+        self.uses.push(SetUse::new(input, scale));
+    }
+
+    /// Lists one input's live phase buckets as sets of their own, their
+    /// rows left in the buckets `stride` apart.
+    fn list_phases(&mut self, phase_len: &[u32], stride: usize) {
+        self.clear();
+        let mut pulses = 0;
+        for (p, &len) in phase_len.iter().enumerate().filter(|(_, &len)| len > 0) {
+            let scale = phase_scale(p);
+            pulses += i128::from(len) * i128::from(scale);
+            self.push(p * stride, len, 0, 0, scale);
+        }
+        self.pulses.push(pulses);
+    }
+
+    /// The uses of `set`, in input order.
+    fn uses_of<'a>(&'a self, set: &'a RowSet) -> impl Iterator<Item = &'a SetUse> {
+        let uses = &self.uses;
+        std::iter::successors(Some(&set.first), |u| uses.get(u.next as usize))
+    }
+}
+
+/// One column tile's working sums.
+#[derive(Debug, Clone, Default)]
+struct TileSums {
+    /// Per-physical-column current accumulator for one set (on the `i128`
+    /// path, then its baseline-cancelled, LSB-normalized value).
+    currents: Vec<f64>,
+    /// Per input, the tile's per-physical-column sums of `code · scale`
+    /// over the sets only it uses, in `f64`, for converters whose sums
+    /// stay exact integers there ([`CrossbarArray::f64_full_scale`]);
+    /// then one more tile, a shared set's codes.
+    col_sum: Vec<f64>,
+    /// The same in `i128` for every other converter.
+    col_acc: Vec<i128>,
+    /// Per input, the tile's per-weight sums of `scale ·` the shared
+    /// sets' recombined codes; then one more row, one shared set's.
+    shared: Vec<i128>,
+    /// Per input, whether it pulses a set no other input pulses. An input
+    /// that does not has all-zero column sums, and its read-out skips
+    /// them: on FCN's 2-row planes most inputs share every set, and
+    /// recombining their zeros made a batch of 8 take 1.75× as long.
+    owns: Vec<bool>,
+}
+
+/// The scale `±2^bit` of phase bucket `p = 2·bit + (input < 0)`: analog
+/// sums cannot carry input signs, so positive-sign and negative-sign rows
+/// pulse in separate phases and subtract digitally (standard practice).
+fn phase_scale(p: usize) -> i64 {
+    let polarity: i64 = if p.is_multiple_of(2) { 1 } else { -1 };
+    polarity << (p / 2)
+}
 
 /// Reusable working memory for the analog VMM pipeline.
 ///
-/// [`CrossbarArray::vmm_analog_into`] needs a handful of working buffers
-/// (the per-phase active-row buckets, the per-phase column-current
-/// accumulator, and the per-column sums of converted codes). A scratch
-/// owns them so steady-state execution — thousands of VMMs through the
-/// same array — performs no per-call heap allocation: the buffers are
-/// grown on first use and reused afterwards. One scratch serves arrays
-/// of any geometry (buffers are resized per call), so an engine can
-/// share a single scratch across all its sub-crossbars.
+/// [`CrossbarArray::vmm_analog_batch_at`] needs a handful of working
+/// buffers (one input's per-phase active-row buckets, the batch's
+/// active-row sets, one tile's column currents, and every input's
+/// per-column sums of converted codes). A scratch owns them so
+/// steady-state execution — thousands of VMMs through the same array —
+/// performs no per-call heap allocation: the buffers are grown on first
+/// use and reused afterwards. One scratch serves arrays of any geometry
+/// (buffers are resized per call), so an engine can share a single
+/// scratch across all its sub-crossbars.
 #[derive(Debug, Clone, Default)]
 pub struct VmmScratch {
-    /// Active-row indices per phase bucket, `rows` apart: bucket `p`
-    /// owns `phase_rows[p·rows..][..phase_len[p]]`, ascending (the f64
-    /// summation order contract). Grown, never cleared: only the first
-    /// `phase_len[p]` slots of a bucket are ever read.
+    /// One input's active-row indices per phase bucket, `rows` apart:
+    /// bucket `p` owns `phase_rows[p·rows..][..phase_len[p]]`, ascending
+    /// (the f64 summation order contract). Every input of a batch reuses
+    /// it. Grown, never cleared: only the first `phase_len[p]` slots of a
+    /// bucket are ever read.
     phase_rows: Vec<u32>,
     /// Active-row count of phase bucket `2·bit + (input < 0)`.
     phase_len: Vec<u32>,
-    /// Per-physical-column current accumulator for one conversion phase
-    /// of one column tile (on the `i128` path, then its
-    /// baseline-cancelled, LSB-normalized value).
-    currents: Vec<f64>,
-    /// Per-physical-column sums of `±count · 2^bit` over every phase, in
-    /// `f64`, for converters whose sums stay exact integers there
-    /// ([`CrossbarArray::f64_full_scale`]); the requested columns only,
-    /// packed in order.
-    col_sum: Vec<f64>,
-    /// Per-physical-column sums of `±count · 2^bit` over every phase, in
-    /// `i128`, packed like `col_sum`: accumulated directly for every other
-    /// converter, converted from `col_sum` once per VMM otherwise.
-    col_acc: Vec<i128>,
+    sets: RowSets,
+    tile: TileSums,
     /// Truncated-input staging for the exact path at reduced precision
     /// (the analog path truncates implicitly by masking phase bits).
     trunc: Vec<i64>,
@@ -455,12 +592,13 @@ impl CrossbarArray {
     /// is faster (measured on the committed baseline host).
     ///
     /// The gate is private to that dispatch: no engine consults it. Every
-    /// engine hands `vmm_batch_at` the whole batch at each pixel, and only
-    /// the blocked exact path reuses anything across inputs. The analog
-    /// batch is a per-input loop: an analog VMM is bound by streaming its
-    /// active plane rows, and the kernel's column tiles keep a tile's rows
-    /// and sums hot across that VMM's phases, but nothing yet reuses a
-    /// tile across inputs.
+    /// engine hands `vmm_batch_at` the whole batch at each pixel. The
+    /// analog path picks its own order from the columns it is asked for:
+    /// past one column tile it runs batch-major, every input's phases on
+    /// a tile before the next tile, so the tile's plane rows are reused
+    /// across the batch and an active-row set that repeats across phases
+    /// or inputs is summed and converted once per tile; within one tile
+    /// it runs input by input.
     pub fn batching_pays(&self) -> bool {
         const BLOCK_BYTES_MIN: usize = 1 << 20;
         self.is_ideal() && std::mem::size_of_val(self.weights.as_slice()) >= BLOCK_BYTES_MIN
@@ -470,8 +608,7 @@ impl CrossbarArray {
     ///
     /// # Panics
     ///
-    /// Panics if `input.len() != rows` (use [`CrossbarArray::vmm_checked`]
-    /// for a fallible variant).
+    /// Panics if `input.len() != rows`.
     pub fn vmm_exact(&self, input: &[i64]) -> Vec<i64> {
         let mut out = vec![0i64; self.weight_cols];
         self.vmm_exact_into(input, &mut out);
@@ -487,12 +624,19 @@ impl CrossbarArray {
     pub fn vmm_exact_into(&self, input: &[i64], out: &mut [i64]) {
         assert_eq!(input.len(), self.rows, "input length must match rows");
         assert_eq!(out.len(), self.weight_cols, "output length must match");
+        self.exact_cols(input, 0..self.weight_cols, out);
+    }
+
+    /// [`CrossbarArray::vmm_exact_into`] over the weight columns in
+    /// `cols` alone; the rest of `out` is left as it is.
+    fn exact_cols(&self, input: &[i64], cols: Range<usize>, out: &mut [i64]) {
+        let out = &mut out[cols.clone()];
         out.fill(0);
         for (r, &x) in input.iter().enumerate() {
             if x == 0 {
                 continue;
             }
-            let row = &self.weights[r * self.weight_cols..(r + 1) * self.weight_cols];
+            let row = &self.weights[r * self.weight_cols..][cols.clone()];
             for (o, &w) in out.iter_mut().zip(row) {
                 *o += x * w;
             }
@@ -513,9 +657,10 @@ impl CrossbarArray {
     /// accumulation is order-independent, so either way each result
     /// equals [`CrossbarArray::vmm_exact_into`] on the truncated input.
     ///
-    /// Non-ideal arrays run [`CrossbarArray::vmm_analog_batch_at`], whose
-    /// dropped phases degrade the result the same way. Either path's
-    /// deviation from [`ExecPrecision::Full`] obeys
+    /// Non-ideal arrays run the analog kernel of
+    /// [`CrossbarArray::vmm_analog_batch_at`], whose dropped phases
+    /// degrade the result the same way. Either path's deviation from
+    /// [`ExecPrecision::Full`] obeys
     /// [`CrossbarArray::truncation_error_bound`]. `scratch` is the
     /// caller's, so steady-state batched execution stays allocation-free.
     ///
@@ -530,56 +675,93 @@ impl CrossbarArray {
         out: &mut [i64],
         prec: ExecPrecision,
     ) {
+        let all = std::iter::once(0..self.weight_cols);
+        self.vmm_batch_cols(inputs, n, all, scratch, out, prec);
+    }
+
+    /// [`CrossbarArray::vmm_batch_at`] over the weight columns in `cols`
+    /// alone (ascending, disjoint ranges): each input's results in those
+    /// columns are written, bit for bit what `vmm_batch_at` writes there,
+    /// and the rest of `out` is left as it is. An input-stationary engine
+    /// passes the columns of the taps that land in its output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len() != n * rows`, `out.len() != n *
+    /// weight_cols`, or a range ends past `weight_cols`.
+    pub fn vmm_batch_cols<C>(
+        &self,
+        inputs: &[i64],
+        n: usize,
+        cols: C,
+        scratch: &mut VmmScratch,
+        out: &mut [i64],
+        prec: ExecPrecision,
+    ) where
+        C: IntoIterator<Item = Range<usize>>,
+        C::IntoIter: Clone,
+    {
         assert_eq!(inputs.len(), n * self.rows, "inputs must be n x rows");
         assert_eq!(
             out.len(),
             n * self.weight_cols,
             "out must be n x weight_cols"
         );
+        let cols = cols.into_iter();
         if !self.is_ideal() {
-            self.vmm_analog_batch_at(inputs, n, scratch, out, prec);
+            self.vmm_analog_ranges(self.plane(), inputs, n, cols, scratch, out, prec);
             return;
         }
         let dropped = self.effective_dropped_bits(prec);
         if dropped == 0 {
-            self.exact_batch(inputs, out);
+            self.exact_batch(inputs, cols, out);
             return;
         }
         scratch.trunc.clear();
         scratch
             .trunc
             .extend(inputs.iter().map(|&x| Self::truncate_input(x, dropped)));
-        self.exact_batch(&scratch.trunc, out);
+        self.exact_batch(&scratch.trunc, cols, out);
     }
 
-    /// The exact path of [`CrossbarArray::vmm_batch_at`], row-blocked
-    /// when [`CrossbarArray::batching_pays`].
-    fn exact_batch(&self, inputs: &[i64], out: &mut [i64]) {
+    /// The exact path of [`CrossbarArray::vmm_batch_cols`]. When
+    /// [`CrossbarArray::batching_pays`], each column range's weights are
+    /// walked in blocks of rows that stay hot while the whole batch
+    /// streams over them; otherwise it is a straight per-input loop.
+    fn exact_batch(
+        &self,
+        inputs: &[i64],
+        cols: impl Iterator<Item = Range<usize>> + Clone,
+        out: &mut [i64],
+    ) {
+        const ROW_BLOCK: usize = 64;
+        let m = self.weight_cols;
+        assert!(
+            cols.clone().all(|c| c.end <= m),
+            "column range out of bounds"
+        );
         if !self.batching_pays() {
-            for (input, o) in inputs
-                .chunks_exact(self.rows)
-                .zip(out.chunks_exact_mut(self.weight_cols))
-            {
-                self.vmm_exact_into(input, o);
+            for (input, o) in inputs.chunks_exact(self.rows).zip(out.chunks_exact_mut(m)) {
+                cols.clone().for_each(|c| self.exact_cols(input, c, o));
             }
             return;
         }
-        out.fill(0);
-        // Row blocking: ~ROW_BLOCK * weight_cols weights stay hot while the
-        // whole batch streams over them.
-        const ROW_BLOCK: usize = 64;
-        let m = self.weight_cols;
-        for r0 in (0..self.rows).step_by(ROW_BLOCK) {
-            let r1 = (r0 + ROW_BLOCK).min(self.rows);
-            let wblock = &self.weights[r0 * m..r1 * m];
-            for (input, o) in inputs.chunks_exact(self.rows).zip(out.chunks_exact_mut(m)) {
-                for (dr, &x) in input[r0..r1].iter().enumerate() {
-                    if x == 0 {
-                        continue;
-                    }
-                    let row = &wblock[dr * m..(dr + 1) * m];
-                    for (acc, &w) in o.iter_mut().zip(row) {
-                        *acc += x * w;
+        for c in cols {
+            for o in out.chunks_exact_mut(m) {
+                o[c.clone()].fill(0);
+            }
+            for r0 in (0..self.rows).step_by(ROW_BLOCK) {
+                let r1 = (r0 + ROW_BLOCK).min(self.rows);
+                for (input, o) in inputs.chunks_exact(self.rows).zip(out.chunks_exact_mut(m)) {
+                    let o = &mut o[c.clone()];
+                    for (r, &x) in (r0..r1).zip(&input[r0..r1]) {
+                        if x == 0 {
+                            continue;
+                        }
+                        let row = &self.weights[r * m..][c.clone()];
+                        for (acc, &w) in o.iter_mut().zip(row) {
+                            *acc += x * w;
+                        }
                     }
                 }
             }
@@ -601,60 +783,14 @@ impl CrossbarArray {
         out
     }
 
-    /// Fallible wrapper over [`CrossbarArray::vmm`].
-    ///
-    /// # Errors
-    ///
-    /// * [`XbarError::InputLengthMismatch`] on a wrong-sized vector;
-    /// * [`XbarError::InputOutOfRange`] when a value exceeds
-    ///   `±(2^(input_bits-1) - 1)`.
-    pub fn vmm_checked(&self, input: &[i64]) -> Result<Vec<i64>, XbarError> {
-        if input.len() != self.rows {
-            return Err(XbarError::InputLengthMismatch {
-                rows: self.rows,
-                input: input.len(),
-            });
-        }
-        let bound = self.cfg.input_bound();
-        if let Some(&x) = input.iter().find(|x| x.abs() > bound) {
-            return Err(XbarError::InputOutOfRange { value: x, bound });
-        }
-        Ok(self.vmm(input))
-    }
-
     /// Full analog-pipeline simulation — bit-serial input phases, analog
     /// column currents, dummy-column baseline cancellation,
-    /// integrate-and-fire conversion, shift-add recombination — as one
-    /// allocation-free kernel over the programming-time effective-current
-    /// plane, in four moves.
-    ///
-    /// 1. One set-bit pass over the input buckets the active rows of every
-    ///    conversion phase (magnitude bit × polarity) at a fixed stride.
-    /// 2. For each tile of at most 512 physical columns, each phase sums
-    ///    its active rows' contiguous plane slices, four rows per sweep of
-    ///    the column accumulator, so the tile stays in L1 across phases.
-    /// 3. Each phase then converts the tile's columns in one branch-free
-    ///    pass: cancel the baseline, normalize by the LSB, quantize, and
-    ///    add `±count · 2^bit` into that column's sum. The sums are `f64`
-    ///    when they provably stay exact integers there (a saturating
-    ///    converter with `bits + magnitude bits + 1 ≤ 53`), so the pass
-    ///    vectorizes, and `i128` otherwise.
-    /// 4. The shift-add recombination into weights — and offset binary's
-    ///    reference term — runs once per VMM instead of once per phase,
-    ///    on the column sums read as `i128`.
+    /// integrate-and-fire conversion, shift-add recombination — of one
+    /// input: [`CrossbarArray::vmm_analog_batch_at`] on a batch of one.
     ///
     /// The result is **bit-identical** to
     /// [`CrossbarArray::vmm_analog_reference`] for every configuration
-    /// (golden-equivalence property tests). Tiles only regroup columns:
-    /// per column within a phase the `f64` additions happen in the
-    /// reference's ascending-row order, from `0.0`, and the baseline is
-    /// cancelled by the same subtraction and division by `lsb`. The
-    /// converter rounds exactly as
-    /// [`AdcModel::quantize`] does. Everything after quantization is
-    /// integer arithmetic — in `f64` only where every partial sum is an
-    /// integer below 2^53, which `f64` adds exactly — and deferring the
-    /// shift-add to the end is an identity, so every output — and every
-    /// `accumulator overflow` — matches the per-phase recombination.
+    /// (golden-equivalence property tests).
     ///
     /// # Panics
     ///
@@ -665,121 +801,250 @@ impl CrossbarArray {
 
     /// The analog kernel behind [`CrossbarArray::vmm_analog_batch_at`],
     /// over any effective-current `plane` this array's configuration
-    /// reads: `input.len()` rows by `out.len()` weight columns' physical
-    /// columns, row-major. Only the weight columns in `ranges` (ascending,
-    /// disjoint) are evaluated and written; the rest of `out` is left as
-    /// it is. `self` supplies the read-out (converter, LSB, baseline,
-    /// scheme), which every array programmed with one configuration
-    /// shares — so `SubCrossbarTensor` runs a fused plane of several
-    /// arrays' rows through one call.
+    /// reads: `n` inputs of `inputs.len() / n` rows, each driving the
+    /// plane's `out.len() / n` weight columns' physical columns,
+    /// row-major. Only the weight columns in `ranges` (ascending,
+    /// disjoint) are evaluated and written, for every input; the rest of
+    /// `out` is left as it is. `self` supplies the read-out (converter,
+    /// LSB, baseline, scheme), which every array programmed with one
+    /// configuration shares — so `SubCrossbarTensor` runs a fused plane of
+    /// several arrays' rows through one call.
     ///
-    /// The set-bit pass runs once. Then each tile of at most
-    /// [`TILE_COLS`] physical columns runs every live phase's row sums and
-    /// conversion on that tile alone, so the tile's currents, column sums
-    /// and plane row slices stay in L1 across phases instead of streaming
-    /// through L2 per phase. Per column that is the same arithmetic in the
-    /// same order as one pass over all columns. The read-out and the
-    /// shift-add run once, over the requested columns.
-    pub(crate) fn vmm_analog_ranges<R>(
+    /// Columns are evaluated in tiles of whole weights, at most 512
+    /// physical columns. When the ranges hold more than one tile's worth
+    /// of weights the call runs batch-major:
+    ///
+    /// 1. One set-bit pass per input buckets the active rows of every
+    ///    conversion phase (magnitude bit × polarity), and the batch's
+    ///    distinct active-row sets are gathered. Each set records, per
+    ///    input that pulses it, the merged scale `Σ ±2^bit` of that
+    ///    input's phases (one input's phases share a set only within one
+    ///    polarity, since a row's input has one sign).
+    /// 2. Each tile then runs every set (see
+    ///    [`CrossbarArray::run_tiles`]) and reads every input out, so a
+    ///    tile's plane rows serve the whole batch while they are hot, and
+    ///    a set that repeats across phases or inputs is summed and
+    ///    converted once per tile.
+    ///
+    /// A narrower call runs input by input, each phase bucket a set of
+    /// its own, its rows read in place: with one tile, batch-major order
+    /// would visit the plane just as input order does, and on so few
+    /// columns looking sets up costs about what a repeated set saves (the
+    /// lineup's zero-padding windows ran slower with it).
+    ///
+    /// The result is **bit-identical** to
+    /// [`CrossbarArray::vmm_analog_reference`] on every input. Tiles only
+    /// regroup columns, and a set's currents do not depend on who pulses
+    /// it: per column the `f64` additions happen in the reference's
+    /// ascending-row order, from `0.0`, and the baseline is cancelled by
+    /// the same subtraction and division by `lsb`. The converter rounds
+    /// exactly as [`AdcModel::quantize`] does. Everything after
+    /// quantization is integer arithmetic — in `f64` only where every
+    /// partial sum is an integer below 2^53, which `f64` adds exactly in
+    /// any order — so merging a set's scales, and deferring the shift-add
+    /// to the read-out, are identities: every output, and every
+    /// `accumulator overflow`, matches the per-phase recombination.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn vmm_analog_ranges(
         &self,
         plane: &[f64],
-        input: &[i64],
-        ranges: R,
+        inputs: &[i64],
+        n: usize,
+        ranges: impl Iterator<Item = Range<usize>> + Clone,
         scratch: &mut VmmScratch,
         out: &mut [i64],
         prec: ExecPrecision,
-    ) where
-        R: Iterator<Item = Range<usize>> + Clone,
-    {
-        let rows = input.len();
-        let per_weight = self.cfg.phys_cols_per_weight();
-        let plane_cols = out.len() * per_weight;
+    ) {
+        if n == 0 {
+            return;
+        }
+        let (rows, out_cols) = (inputs.len() / n, out.len() / n);
+        assert_eq!(inputs.len(), n * rows, "inputs must be n x rows");
+        assert_eq!(out.len(), n * out_cols, "out must be n x weight columns");
+        let plane_cols = out_cols * self.cfg.phys_cols_per_weight();
         assert_eq!(plane.len(), rows * plane_cols, "plane must be rows x out");
-        self.bucket_phases(input, self.effective_dropped_bits(prec), scratch);
+        let lo = self.effective_dropped_bits(prec);
+        let weights: usize = ranges.clone().map(|r| r.len()).sum();
+        let VmmScratch {
+            phase_rows,
+            phase_len,
+            sets,
+            tile,
+            ..
+        } = scratch;
+        if weights > self.tile_weights() {
+            self.collect_sets(inputs, n, lo, phase_rows, phase_len, sets);
+            self.run_tiles(plane, ranges, sets, &sets.rows, tile, out);
+            return;
+        }
+        for (input, o) in inputs
+            .chunks_exact(rows)
+            .zip(out.chunks_exact_mut(out_cols))
+        {
+            self.bucket_phases(input, lo, phase_rows, phase_len);
+            sets.list_phases(phase_len, rows);
+            self.run_tiles(plane, ranges.clone(), sets, phase_rows, tile, o);
+        }
+    }
 
+    /// Weights per column tile: as many as fit in [`TILE_COLS`] physical
+    /// columns, at least one.
+    fn tile_weights(&self) -> usize {
+        (TILE_COLS / self.cfg.phys_cols_per_weight()).max(1)
+    }
+
+    /// Evaluates the `sets` (rows listed in `rows`) on every tile of the
+    /// weight columns in `ranges`, for the `sets.pulses.len()` inputs whose
+    /// results fill `out` row-major. On each tile, each set sums its rows'
+    /// contiguous plane slices, four rows per sweep of the tile's
+    /// currents, and converts them in one branch-free pass: cancel the
+    /// baseline, normalize by the LSB, quantize. A set one input uses adds
+    /// `code · scale` straight into that input's column sums. A shared set
+    /// converts once into a spare code tile, which is shift-added into
+    /// weights once; each user adds its scale times those weights, since
+    /// the recombination is linear. The sums are `f64` when they provably
+    /// stay exact integers there (a saturating converter with
+    /// `bits + magnitude bits + 1 ≤ 53`), so the pass vectorizes, and
+    /// `i128` otherwise. Each input's tile is then read out: the shift-add
+    /// recombination of its own column sums into weights in `i128`, plus
+    /// its shared sets' weights, less offset binary's reference term.
+    fn run_tiles(
+        &self,
+        plane: &[f64],
+        ranges: impl Iterator<Item = Range<usize>>,
+        sets: &RowSets,
+        rows: &[u32],
+        tile: &mut TileSums,
+        out: &mut [i64],
+    ) {
+        let n = sets.pulses.len();
+        let out_cols = out.len() / n;
+        let per_weight = self.cfg.phys_cols_per_weight();
+        let plane_cols = out_cols * per_weight;
         let v_read = self.cfg.cell.read_voltage;
         let lsb = v_read * self.g_step;
         let full_scale = self.f64_full_scale();
-        let width = ranges.clone().map(|r| r.len()).sum::<usize>() * per_weight;
-        scratch.currents.resize(TILE_COLS, 0.0);
-        scratch.col_sum.clear();
-        scratch.col_acc.clear();
-        match full_scale {
-            Some(_) => scratch.col_sum.resize(width, 0.0),
-            None => scratch.col_acc.resize(width, 0),
-        }
-        // Two polarity phases per magnitude bit: analog sums cannot carry
-        // input signs, so positive-sign and negative-sign rows pulse in
-        // separate phases and subtract digitally (standard practice).
-        let scale = |p: usize| -> i64 {
-            let polarity: i64 = if p.is_multiple_of(2) { 1 } else { -1 };
-            polarity << (p / 2)
+        let offset = match self.cfg.scheme {
+            WeightScheme::Differential => 0,
+            // Every active row contributes the fixed offset 2^(wb-1) in
+            // each weight, summed digitally from the known pulse count
+            // (the hardware's dummy reference column).
+            WeightScheme::OffsetBinary => i128::from(1i64 << (self.cfg.weight_bits - 1)),
         };
-        // Σ ±len·2^bit over the phases: how many offset units the
-        // reference column subtracts, weighted like the counts.
-        let pulses: i128 = (scratch.phase_len.iter().enumerate())
-            .map(|(p, &len)| i128::from(len) * i128::from(scale(p)))
-            .sum();
-        // `at` is the tile's first column in the packed column sums.
-        let mut at = 0;
-        for r in ranges.clone() {
-            for c0 in (r.start * per_weight..r.end * per_weight).step_by(TILE_COLS) {
-                let w = TILE_COLS.min(r.end * per_weight - c0);
-                let currents = &mut scratch.currents[..w];
-                for (p, &len) in scratch.phase_len.iter().enumerate() {
-                    if len == 0 {
-                        continue;
-                    }
-                    let active = &scratch.phase_rows[p * rows..][..len as usize];
+        let tile_weights = self.tile_weights();
+        let width = tile_weights * per_weight;
+        let TileSums {
+            currents,
+            col_sum,
+            col_acc,
+            shared,
+            owns,
+        } = tile;
+        currents.resize(width, 0.0);
+        // Every input's tile sums, then one more tile: a shared set's codes.
+        match full_scale {
+            Some(_) => col_sum.resize((n + 1) * width, 0.0),
+            None => col_acc.resize((n + 1) * width, 0),
+        }
+        shared.resize((n + 1) * tile_weights, 0);
+        owns.clear();
+        owns.resize(n, false);
+        for set in sets.sets.iter().filter(|set| set.users == 1) {
+            owns[set.first.input as usize] = true;
+        }
+        // Recombines one weight's columns of f64 sums or codes; each is an
+        // integer below 2^52, so the truncating cast is exact.
+        let recombine = |cols: &[f64]| self.shift_add(cols, |s| i128::from(s as i64));
+        for r in ranges {
+            assert!(r.end <= out_cols, "column range out of bounds");
+            for w0 in r.clone().step_by(tile_weights) {
+                let w1 = (w0 + tile_weights).min(r.end);
+                let (c0, w) = (w0 * per_weight, (w1 - w0) * per_weight);
+                let weights = w1 - w0;
+                let currents = &mut currents[..w];
+                match full_scale {
+                    Some(_) => col_sum[..n * w].fill(0.0),
+                    None => col_acc[..n * w].fill(0),
+                }
+                shared[..n * weights].fill(0);
+                for set in &sets.sets {
+                    let active = &rows[set.start as usize..][..set.len as usize];
                     sum_rows(plane, plane_cols, c0, active, currents);
                     // The dummy (baseline) column sits next to the sense
                     // amps, so its reference current sees the same droop
                     // statistics as a column-0 read; first-order, the
                     // baseline stays V·g_min per active row.
-                    let baseline = len as f64 * v_read * self.g_min;
+                    let baseline = set.len as f64 * v_read * self.g_min;
+                    let is_shared = set.users > 1;
+                    let (at, scale) = match is_shared {
+                        true => (n, 1),
+                        false => (set.first.input as usize, set.first.scale),
+                    };
+                    // A shared set's codes land in the spare tile and are
+                    // recombined into weights once, into the spare row.
+                    let (per_input, spare) = shared.split_at_mut(n * weights);
+                    let recombined = &mut spare[..weights];
                     if let Some(max) = full_scale {
-                        let sums = &mut scratch.col_sum[at..at + w];
-                        convert(sums, currents, baseline, lsb, max, scale(p) as f64);
+                        let sums = &mut col_sum[at * w..][..w];
+                        if is_shared {
+                            sums.fill(0.0);
+                        }
+                        convert(sums, currents, baseline, lsb, max, scale as f64);
+                        if is_shared {
+                            let cols = sums.chunks_exact(per_weight);
+                            for (v, cols) in recombined.iter_mut().zip(cols) {
+                                *v = recombine(cols);
+                            }
+                        }
                     } else {
                         normalize(currents, baseline, lsb);
-                        let acc = &mut scratch.col_acc[at..at + w];
+                        let acc = &mut col_acc[at * w..][..w];
+                        if is_shared {
+                            acc.fill(0);
+                        }
                         match self.cfg.adc {
-                            AdcModel::Ideal => accumulate(acc, currents, scale(p), round_half_away),
+                            AdcModel::Ideal => accumulate(acc, currents, scale, round_half_away),
                             AdcModel::Saturating { bits } => {
                                 let max = (1i64 << bits) - 1;
-                                accumulate(acc, currents, scale(p), |x| round_to_code(x, max));
+                                accumulate(acc, currents, scale, |x| round_to_code(x, max));
+                            }
+                        }
+                        if is_shared {
+                            let cols = acc.chunks_exact(per_weight);
+                            for (v, cols) in recombined.iter_mut().zip(cols) {
+                                *v = self.shift_add(cols, |c| c);
                             }
                         }
                     }
+                    if is_shared {
+                        for u in sets.uses_of(set) {
+                            let sums = &mut per_input[u.input as usize * weights..][..weights];
+                            add_scaled(sums, recombined, i128::from(u.scale));
+                        }
+                    }
                 }
-                at += w;
-            }
-        }
-        if full_scale.is_some() {
-            // Integers below 2^53: the truncating cast is exact.
-            let sums = scratch.col_sum.iter().map(|&s| i128::from(s as i64));
-            scratch.col_acc.extend(sums);
-        }
-
-        let reference = match self.cfg.scheme {
-            WeightScheme::Differential => 0,
-            // Every active row contributes the fixed offset 2^(wb-1) in
-            // each weight, summed digitally from the known pulse count
-            // (the hardware's dummy reference column).
-            WeightScheme::OffsetBinary => i128::from(1i64 << (self.cfg.weight_bits - 1)) * pulses,
-        };
-        let mut sums = scratch.col_acc.chunks_exact(per_weight);
-        for r in ranges {
-            for (o, cols) in out[r].iter_mut().zip(&mut sums) {
-                *o = i64::try_from(self.shift_add(cols) - reference).expect("accumulator overflow");
+                for (k, &pulses) in sets.pulses.iter().enumerate() {
+                    let reference = offset * pulses;
+                    let outs = &mut out[k * out_cols..][w0..w1];
+                    let from_shared = &shared[k * weights..][..weights];
+                    for (m, (o, &from_shared)) in outs.iter_mut().zip(from_shared).enumerate() {
+                        let cols = m * per_weight..(m + 1) * per_weight;
+                        let own = match full_scale {
+                            _ if !owns[k] => 0,
+                            Some(_) => recombine(&col_sum[k * w..][cols]),
+                            None => self.shift_add(&col_acc[k * w..][cols], |c| c),
+                        };
+                        let value = own + from_shared - reference;
+                        *o = i64::try_from(value).expect("accumulator overflow");
+                    }
+                }
             }
         }
     }
 
     /// Batched analog VMM: `n` input vectors, flattened row-major into
     /// `inputs` (`n × rows`), produce `n × weight_cols` results in `out`,
-    /// one [`CrossbarArray::vmm_analog_into`] per input over the shared
-    /// scratch.
+    /// in one batch-major kernel call over the shared scratch.
     ///
     /// # Panics
     ///
@@ -823,14 +1088,8 @@ impl CrossbarArray {
             n * self.weight_cols,
             "out must be n x weight_cols"
         );
-        let plane = self.plane();
-        for (input, o) in inputs
-            .chunks_exact(self.rows)
-            .zip(out.chunks_exact_mut(self.weight_cols))
-        {
-            let all = std::iter::once(0..self.weight_cols);
-            self.vmm_analog_ranges(plane, input, all, scratch, o, prec);
-        }
+        let all = std::iter::once(0..self.weight_cols);
+        self.vmm_analog_ranges(self.plane(), inputs, n, all, scratch, out, prec);
     }
 
     /// Signed input magnitude bits streamed bit-serially (sign handled by
@@ -877,22 +1136,28 @@ impl CrossbarArray {
     }
 
     /// The set-bit pass: every row whose input has magnitude bit `b` set
-    /// lands in phase bucket `2·b + (x < 0)`, in ascending row order —
-    /// the order the `f64` per-column summation contract requires. Bits
-    /// below `lo` (the tier's dropped bits) and at or above the streamed
-    /// magnitude width never pulse, so they are masked off first; a row
-    /// costs one step per set bit, and buckets no input reaches stay
-    /// empty. A block of 8 zero rows — the inserted zeros of a
-    /// zero-padded window — costs one OR-reduction.
-    fn bucket_phases(&self, input: &[i64], lo: u32, scratch: &mut VmmScratch) {
+    /// lands in phase bucket `2·b + (x < 0)`, `input.len()` slots apart,
+    /// in ascending row order — the order the `f64` per-column summation
+    /// contract requires. Bits below `lo` (the tier's dropped bits) and at
+    /// or above the streamed magnitude width never pulse, so they are
+    /// masked off first; a row costs one step per set bit, and buckets no
+    /// input reaches stay empty. A block of 8 zero rows — the inserted
+    /// zeros of a zero-padded window — costs one OR-reduction.
+    fn bucket_phases(
+        &self,
+        input: &[i64],
+        lo: u32,
+        phase_rows: &mut Vec<u32>,
+        phase_len: &mut Vec<u32>,
+    ) {
         const BLOCK: usize = 8;
         let mag_bits = self.input_mag_bits();
         let window = (u64::MAX >> (u64::BITS - mag_bits)) & (u64::MAX << lo);
         let (buckets, rows) = (2 * mag_bits as usize, input.len());
-        scratch.phase_len.clear();
-        scratch.phase_len.resize(buckets, 0);
-        if scratch.phase_rows.len() < buckets * rows {
-            scratch.phase_rows.resize(buckets * rows, 0);
+        phase_len.clear();
+        phase_len.resize(buckets, 0);
+        if phase_rows.len() < buckets * rows {
+            phase_rows.resize(buckets * rows, 0);
         }
         for (b, block) in input.chunks(BLOCK).enumerate() {
             if block.iter().fold(0, |any, &x| any | x) == 0 {
@@ -903,8 +1168,8 @@ impl CrossbarArray {
                 let mut mag = x.unsigned_abs() & window;
                 while mag != 0 {
                     let p = 2 * mag.trailing_zeros() as usize + polarity;
-                    let len = &mut scratch.phase_len[p];
-                    scratch.phase_rows[p * rows + *len as usize] = r as u32;
+                    let len = &mut phase_len[p];
+                    phase_rows[p * rows + *len as usize] = r as u32;
                     *len += 1;
                     mag &= mag - 1;
                 }
@@ -912,21 +1177,76 @@ impl CrossbarArray {
         }
     }
 
+    /// Buckets each of the `n` inputs in turn and gathers the batch's
+    /// distinct active-row sets into `sets`, in order of first use, their
+    /// rows packed in `sets.rows`, with each input's merged scale per set
+    /// and its pulse count. A bucket is looked up by its length and its
+    /// first and last row, and an equal key is confirmed by comparing the
+    /// rows, so only equal row lists are merged. The buckets hold one
+    /// input at a time; the packed rows hold each distinct set once.
+    fn collect_sets(
+        &self,
+        inputs: &[i64],
+        n: usize,
+        lo: u32,
+        phase_rows: &mut Vec<u32>,
+        phase_len: &mut Vec<u32>,
+        sets: &mut RowSets,
+    ) {
+        let rows = inputs.len() / n;
+        // At most half full, so probe sequences stay short.
+        let slots = (4 * n * self.input_mag_bits() as usize).next_power_of_two();
+        let shift = u64::BITS - slots.trailing_zeros();
+        sets.clear();
+        sets.slots.clear();
+        sets.slots.resize(slots, 0);
+        for (k, input) in inputs.chunks_exact(rows).enumerate() {
+            self.bucket_phases(input, lo, phase_rows, phase_len);
+            let mut pulses = 0;
+            for (p, &len) in phase_len.iter().enumerate().filter(|(_, &len)| len > 0) {
+                let scale = phase_scale(p);
+                pulses += i128::from(len) * i128::from(scale);
+                let active = &phase_rows[p * rows..][..len as usize];
+                let ends = u64::from(active[0]) << 32 | u64::from(active[active.len() - 1]);
+                let hash = (ends ^ u64::from(len) << 20).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let mut slot = (hash >> shift) as usize;
+                loop {
+                    let Some(d) = sets.slots[slot].checked_sub(1) else {
+                        sets.slots[slot] = sets.sets.len() as u32 + 1;
+                        sets.push(sets.rows.len(), len, ends, k, scale);
+                        sets.rows.extend_from_slice(active);
+                        break;
+                    };
+                    let set = &sets.sets[d as usize];
+                    if (set.len, set.ends) == (len, ends)
+                        && sets.rows[set.start as usize..][..active.len()] == *active
+                    {
+                        sets.add_use(d as usize, k, scale);
+                        break;
+                    }
+                    slot = (slot + 1) & (slots - 1);
+                }
+            }
+            sets.pulses.push(pulses);
+        }
+    }
+
     /// Shift-add recombination of one weight's physical-column values
-    /// (counts or sums of counts): slice `s` enters at `s·bits_per_cell`,
-    /// a differential pair as `pos − neg`.
-    fn shift_add(&self, cols: &[i128]) -> i128 {
+    /// (counts or sums of counts), each read as an integer by `int`:
+    /// slice `s` enters at `s·bits_per_cell`, a differential pair as
+    /// `pos − neg`.
+    fn shift_add<T: Copy>(&self, cols: &[T], int: impl Fn(T) -> i128) -> i128 {
         let bpc = self.cfg.cell.bits_per_cell;
         match self.cfg.scheme {
             WeightScheme::Differential => cols
                 .chunks_exact(2)
                 .enumerate()
-                .map(|(s, pair)| (pair[0] - pair[1]) << (s as u32 * bpc))
+                .map(|(s, pair)| (int(pair[0]) - int(pair[1])) << (s as u32 * bpc))
                 .sum(),
             WeightScheme::OffsetBinary => cols
                 .iter()
                 .enumerate()
-                .map(|(s, &v)| v << (s as u32 * bpc))
+                .map(|(s, &v)| int(v) << (s as u32 * bpc))
                 .sum(),
         }
     }
@@ -1061,8 +1381,8 @@ impl CrossbarArray {
             .chunks_exact(per_weight)
             .zip(lower.chunks_exact(per_weight))
             .map(|(u, l)| {
-                let hi = self.shift_add(u).unsigned_abs();
-                hi.max((self.shift_add(l) - ref_max).unsigned_abs())
+                let hi = self.shift_add(u, i128::from).unsigned_abs();
+                hi.max((self.shift_add(l, i128::from) - ref_max).unsigned_abs())
             })
             .max()
             .unwrap_or(0) as f64
@@ -1198,10 +1518,20 @@ fn normalize(currents: &mut [f64], baseline: f64, lsb: f64) {
 }
 
 /// Adds `quantize(raw) · scale` into each physical column's sum, with
-/// the phase's `scale = ±2^bit` (one widening multiply per column).
+/// the set's merged `scale = Σ ±2^bit` (one widening multiply per
+/// column).
 fn accumulate(sums: &mut [i128], raw: &[f64], scale: i64, quantize: impl Fn(f64) -> i64) {
     for (s, &x) in sums.iter_mut().zip(raw) {
         *s += i128::from(quantize(x)) * i128::from(scale);
+    }
+}
+
+/// Adds a shared set's recombined weights times one user's merged scale
+/// into the user's weight sums. Every term and partial sum is an integer
+/// well inside `i128`, so the order in which users add does not matter.
+fn add_scaled(sums: &mut [i128], weights: &[i128], scale: i128) {
+    for (s, &w) in sums.iter_mut().zip(weights) {
+        *s += w * scale;
     }
 }
 
@@ -1387,11 +1717,73 @@ mod tests {
             for ranges in &cases {
                 let mut out = vec![i64::MIN; 200];
                 let it = ranges.iter().cloned();
-                a.vmm_analog_ranges(a.plane(), &x, it, &mut scratch, &mut out, prec);
+                a.vmm_analog_ranges(a.plane(), &x, 1, it, &mut scratch, &mut out, prec);
                 for (m, (&got, &want)) in out.iter().zip(&whole).enumerate() {
                     let inside = ranges.iter().any(|r| r.contains(&m));
                     let want = if inside { want } else { i64::MIN };
                     assert_eq!(got, want, "column {m} of {ranges:?} at {prec}");
+                }
+            }
+        }
+    }
+
+    /// Planes of 1 to 4 rows, wide enough for several tiles: an input's
+    /// phases pulse few distinct row sets, and inputs 3 and 5 repeat
+    /// inputs 0 and 1, so the batch-major kernel merges scales and shares
+    /// code tiles. Every input still equals the reference on its own, and
+    /// columns outside the ranges stay untouched.
+    #[test]
+    fn shared_row_sets_match_reference_per_input() {
+        let full = XbarConfig::preset("full").unwrap();
+        let cols = 300; // 4 or 8 physical columns each: past one tile
+        let ranges = [0..3, 40..300];
+        for rows in 1..=4 {
+            for scheme in [WeightScheme::Differential, WeightScheme::OffsetBinary] {
+                for adc in [full.adc, AdcModel::Ideal] {
+                    let cfg = XbarConfig {
+                        scheme,
+                        adc,
+                        ..full
+                    };
+                    let a = CrossbarArray::program(&cfg, &ramp_weights(rows, cols)).unwrap();
+                    let inputs: Vec<i64> = [0, 1, 2, 0, 3, 1]
+                        .iter()
+                        .flat_map(|&k| {
+                            (0..rows).map(move |r| ((k * 37 + r * 11) % 255) as i64 - 127)
+                        })
+                        .collect();
+                    let n = inputs.len() / rows;
+                    let mut scratch = VmmScratch::new();
+                    for prec in ExecPrecision::ALL {
+                        let mut out = vec![i64::MIN; n * cols];
+                        let it = ranges.iter().cloned();
+                        a.vmm_analog_ranges(
+                            a.plane(),
+                            &inputs,
+                            n,
+                            it,
+                            &mut scratch,
+                            &mut out,
+                            prec,
+                        );
+                        assert!(
+                            scratch.sets.sets.iter().any(|s| s.users > 1),
+                            "no set shared"
+                        );
+                        let k = a.effective_dropped_bits(prec);
+                        for (x, got) in inputs.chunks_exact(rows).zip(out.chunks_exact(cols)) {
+                            let trunc: Vec<i64> = x
+                                .iter()
+                                .map(|&v| CrossbarArray::truncate_input(v, k))
+                                .collect();
+                            let want = a.vmm_analog_reference(&trunc);
+                            for (m, (&got, &want)) in got.iter().zip(&want).enumerate() {
+                                let inside = ranges.iter().any(|r| r.contains(&m));
+                                let want = if inside { want } else { i64::MIN };
+                                assert_eq!(got, want, "{rows} rows, {scheme:?}, {adc:?}, {prec}");
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -1585,24 +1977,6 @@ mod tests {
         assert!(CrossbarArray::program(&cfg, &[]).is_err());
         assert!(CrossbarArray::program(&cfg, &[vec![]]).is_err());
         assert!(CrossbarArray::program(&cfg, &[vec![1, 2], vec![3]]).is_err());
-    }
-
-    #[test]
-    fn vmm_checked_validates_input() {
-        let cfg = XbarConfig::ideal();
-        let a = CrossbarArray::program(&cfg, &ramp_weights(3, 2)).unwrap();
-        assert!(matches!(
-            a.vmm_checked(&[1, 2]),
-            Err(XbarError::InputLengthMismatch { rows: 3, input: 2 })
-        ));
-        assert!(matches!(
-            a.vmm_checked(&[1, 2, 200]),
-            Err(XbarError::InputOutOfRange {
-                value: 200,
-                bound: 127
-            })
-        ));
-        assert!(a.vmm_checked(&[1, 2, 3]).is_ok());
     }
 
     #[test]

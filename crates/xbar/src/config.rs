@@ -18,21 +18,6 @@ pub enum XbarError {
     },
     /// The weight matrix is empty or ragged.
     BadWeightMatrix(String),
-    /// An input vector length does not match the array row count.
-    InputLengthMismatch {
-        /// Rows in the array.
-        rows: usize,
-        /// Supplied input length.
-        input: usize,
-    },
-    /// An input value exceeds the representable range for the configured
-    /// `input_bits`.
-    InputOutOfRange {
-        /// The offending input value.
-        value: i64,
-        /// The symmetric bound `2^(input_bits-1) - 1`.
-        bound: i64,
-    },
 }
 
 impl fmt::Display for XbarError {
@@ -42,12 +27,6 @@ impl fmt::Display for XbarError {
                 write!(f, "weight {value} outside representable range ±{bound}")
             }
             XbarError::BadWeightMatrix(msg) => write!(f, "bad weight matrix: {msg}"),
-            XbarError::InputLengthMismatch { rows, input } => {
-                write!(f, "input length {input} does not match {rows} rows")
-            }
-            XbarError::InputOutOfRange { value, bound } => {
-                write!(f, "input {value} outside representable range ±{bound}")
-            }
         }
     }
 }

@@ -5,12 +5,15 @@
 //! by the real input pixels one `s × s` block of output pixels gathers,
 //! and `red-arch`'s `RedEngine` meters exactly that. The *host* order is
 //! free to differ, because a (input pixel, tap) product does not depend on
-//! when it is computed: the host drives each input pixel once through
-//! every tap it feeds ([`SubCrossbarTensor::eval_taps`]). On non-ideal
-//! arrays that is one analog kernel call over a fused plane that holds
-//! every tap's rows side by side, so a pixel pays the kernel's fixed cost
-//! (the set-bit pass, the phase dispatch, the read-out) once instead of
-//! once per tap. Ideal arrays run the taps' exact VMMs.
+//! when it is computed: the host drives each input pixel position once,
+//! for a whole batch, through every tap it feeds
+//! ([`SubCrossbarTensor::eval_taps`]). On non-ideal arrays that is one
+//! batch-major analog kernel call over a fused plane that holds every
+//! tap's rows side by side, so a pixel pays the kernel's fixed cost (the
+//! set-bit pass, the phase dispatch, the read-out) once instead of once
+//! per tap, the batch's images reuse each column tile's plane rows, and
+//! an active-row set that repeats across phases or images is converted
+//! once per tile. Ideal arrays run the taps' exact VMMs.
 
 use crate::{CrossbarArray, ExecPrecision, VmmScratch, XbarConfig, XbarError};
 use red_tensor::Kernel;
@@ -204,11 +207,12 @@ impl SubCrossbarTensor {
     ///
     /// Each result equals driving the tap's sub-crossbar with the pixel
     /// ([`CrossbarArray::vmm_batch_at`]), the halved layout's with Eq. 2's
-    /// zero-filled `2C` vector, bit for bit. On non-ideal arrays a pixel
-    /// is one analog kernel call over the fused plane, evaluating only the
-    /// requested taps' columns; ideal arrays run each tap's exact VMM over
-    /// all `n` pixels at once ([`CrossbarArray::vmm_batch_at`], which
-    /// cache-blocks large weight matrices).
+    /// zero-filled `2C` vector, bit for bit. On non-ideal arrays the `n`
+    /// pixels are one batch-major analog kernel call over the fused plane,
+    /// evaluating only the requested taps' columns; ideal arrays run each
+    /// tap's exact VMM over all `n` pixels at once
+    /// ([`CrossbarArray::vmm_batch_at`], which cache-blocks large weight
+    /// matrices).
     ///
     /// # Panics
     ///
@@ -231,9 +235,7 @@ impl SubCrossbarTensor {
         if !self.fused.is_empty() {
             let cols = taps.iter().map(|r| r.start * m..r.end * m);
             let read = &self.arrays[0];
-            for (x, o) in inputs.chunks_exact(c).zip(out.chunks_exact_mut(width)) {
-                read.vmm_analog_ranges(&self.fused, x, cols.clone(), scratch, o, prec);
-            }
+            read.vmm_analog_ranges(&self.fused, inputs, n, cols, scratch, out, prec);
             return;
         }
         let per = self.cycles_per_batch();

@@ -262,6 +262,91 @@ proptest! {
         }
     }
 
+    /// Golden equivalence of the batch-major kernel where active-row sets
+    /// repeat across phases and inputs: planes of 1–4 rows whose columns
+    /// span one to several tiles, batches of 1–9 inputs that copy earlier
+    /// inputs at random, random disjoint weight-column ranges, both
+    /// schemes and every tier, on an ideal converter (`i128` sums) or a
+    /// saturating one of 3..=10 bits (`f64` sums), plus each case's
+    /// 44..=62-bit `wide_bits` converter, which crosses the bound between
+    /// the two. Every input's results in the ranges equal
+    /// `vmm_analog_reference` on its own truncated input, and the other
+    /// columns stay untouched.
+    #[test]
+    fn analog_batch_shared_sets_bit_identical_to_reference(
+        (rows, cols, n) in (1usize..=4, 1usize..=200, 1usize..=9),
+        wseed in any::<u64>(),
+        xseed in any::<u64>(),
+        offset_binary in any::<bool>(),
+        adc_bits in 0u32..=10,          // <3: ideal converter
+        (tier, wide_bits) in (0usize..=2, 44u32..=62),
+    ) {
+        use rand::{Rng, SeedableRng};
+        use red_core::xbar::{CrossbarArray, ExecPrecision, VmmScratch};
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(wseed);
+        let weights: Vec<Vec<i64>> = (0..rows)
+            .map(|_| (0..cols).map(|_| rng.gen_range(-127..=127)).collect())
+            .collect();
+        let cfg = XbarConfig {
+            scheme: if offset_binary { WeightScheme::OffsetBinary } else { WeightScheme::Differential },
+            adc: if adc_bits < 3 {
+                AdcModel::Ideal
+            } else {
+                AdcModel::Saturating { bits: adc_bits }
+            },
+            ..XbarConfig::preset("full").unwrap()
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(xseed);
+        let bound = cfg.input_bound();
+        let mut inputs: Vec<i64> = Vec::with_capacity(n * rows);
+        for k in 0..n {
+            if k > 0 && rng.gen_bool(0.4) {
+                let j = rng.gen_range(0..k);
+                inputs.extend_from_within(j * rows..(j + 1) * rows);
+            } else {
+                inputs.extend((0..rows).map(|_| rng.gen_range(-bound..=bound)));
+            }
+        }
+        // Every other segment between random cuts of the columns.
+        let mut cuts: Vec<usize> = (0..4).map(|_| rng.gen_range(0..=cols)).chain([0, cols]).collect();
+        cuts.sort_unstable();
+        let parity = rng.gen_range(0..2usize);
+        let ranges: Vec<std::ops::Range<usize>> = cuts
+            .windows(2)
+            .enumerate()
+            .filter(|&(i, _)| i % 2 == parity)
+            .map(|(_, w)| w[0]..w[1])
+            .collect();
+
+        let prec = ExecPrecision::ALL[tier];
+        // 8-bit inputs stream 7 magnitude bits, and one stays live.
+        let dropped = prec.dropped_bits().min(6);
+        let arr = CrossbarArray::program(&cfg, &weights).unwrap();
+        let wide = CrossbarArray::program(
+            &XbarConfig { adc: AdcModel::Saturating { bits: wide_bits }, ..cfg },
+            &weights,
+        )
+        .unwrap();
+        let mut scratch = VmmScratch::new();
+        for arr in [&arr, &wide] {
+            let adc = arr.config().adc;
+            let mut out = vec![i64::MIN; n * cols];
+            arr.vmm_batch_cols(&inputs, n, ranges.iter().cloned(), &mut scratch, &mut out, prec);
+            for (k, (x, got)) in inputs.chunks_exact(rows).zip(out.chunks_exact(cols)).enumerate() {
+                let truncated: Vec<i64> = x
+                    .iter()
+                    .map(|&v| v.signum() * ((v.abs() >> dropped) << dropped))
+                    .collect();
+                let golden = arr.vmm_analog_reference(&truncated);
+                for (m, (&got, &golden)) in got.iter().zip(&golden).enumerate() {
+                    let want = if ranges.iter().any(|r| r.contains(&m)) { golden } else { i64::MIN };
+                    prop_assert_eq!(got, want, "input {} column {} at {}, {:?}", k, m, prec, adc);
+                }
+            }
+        }
+    }
+
     /// Golden equivalence of RED's input-stationary replay: on noisy
     /// crossbars of both schemes, with a saturating or an ideal
     /// converter, in both layouts (odd tap counts included) and at every
@@ -347,6 +432,85 @@ proptest! {
             }
             prop_assert_eq!(&got.output, &want, "{:?} at {}", policy, prec);
             prop_assert_eq!(got.stats, stats, "{:?} at {}", policy, prec);
+            let one = engine.run(std::slice::from_ref(input), &mut scratch, prec).unwrap();
+            prop_assert_eq!(&one[0], got, "single image vs batch");
+        }
+    }
+
+    /// Golden equivalence of padding-free's landing-column replay: on
+    /// noisy crossbars of both schemes, with a saturating or an ideal
+    /// converter, at every precision tier, for the lineup's k5/s2/p2/op1
+    /// and k4/s2/p1 specs, the engine's outputs equal evaluating every
+    /// input pixel on all `KH·KW·M` columns through `vmm_analog_reference`
+    /// (on the tier's truncated pixel) and adding each tap's partial sums
+    /// into output pixel `(s·x + i − p, s·y + j − p)` when that pixel
+    /// exists. The batch repeats an image, so row sets recur across
+    /// inputs; 1–4 channels make them recur across phases; up to 6
+    /// filters take the array past one column tile.
+    #[test]
+    fn padding_free_replay_matches_full_column_reference(
+        k5 in any::<bool>(),
+        (ih, c, m) in (1usize..=4, 1usize..=4, 1usize..=6),
+        offset_binary in any::<bool>(),
+        saturating in any::<bool>(),
+        tier in 0usize..=2,
+        seed in any::<u64>(),
+    ) {
+        use red_core::arch::PaddingFreeEngine;
+        use red_core::device::variation::{FaultModel, VariationModel};
+
+        let spec = if k5 {
+            DeconvSpec::with_output_padding(5, 5, 2, 2, 1)
+        } else {
+            DeconvSpec::new(4, 4, 2, 1)
+        }
+        .unwrap();
+        let layer = LayerShape::with_spec(ih, ih, c, m, spec).unwrap();
+        let kernel = red_core::workloads::synth::kernel(&layer, 127, seed);
+        let input = red_core::workloads::synth::input_sparse(&layer, 127, 0.25, seed ^ 3);
+        let cfg = XbarConfig {
+            scheme: if offset_binary { WeightScheme::OffsetBinary } else { WeightScheme::Differential },
+            adc: if saturating { AdcModel::Saturating { bits: 8 } } else { AdcModel::Ideal },
+            variation: VariationModel::with_sigma(0.03, seed),
+            faults: FaultModel::with_rates(0.002, 0.001, seed ^ 1),
+            ..XbarConfig::preset("full").unwrap()
+        };
+        let engine = PaddingFreeEngine::new(&cfg, &layer, &kernel).unwrap();
+        let prec = ExecPrecision::ALL[tier];
+        // 8-bit inputs stream 7 magnitude bits, and one stays live.
+        let dropped = prec.dropped_bits().min(6);
+        // Mixed signs, so both polarity phases pulse.
+        let mixed = input.map(|v| if v % 3 == 1 { -v } else { v });
+        let inputs = [mixed.clone(), input.map(|v| -v), mixed];
+
+        let (k, s, p) = (spec.kernel_w(), spec.stride(), spec.padding());
+        let geom = layer.output_geometry();
+        let mut scratch = engine.make_scratch();
+        let batch = engine.run(&inputs, &mut scratch, prec).unwrap();
+        for (input, got) in inputs.iter().zip(&batch) {
+            let mut want = FeatureMap::<i64>::zeros(geom.height, geom.width, m);
+            for (x, y) in (0..ih).flat_map(|x| (0..ih).map(move |y| (x, y))) {
+                let px: Vec<i64> = input
+                    .pixel(x, y)
+                    .iter()
+                    .map(|&v| v.signum() * ((v.abs() >> dropped) << dropped))
+                    .collect();
+                let partials = engine.array().vmm_analog_reference(&px);
+                for (i, j) in (0..k).flat_map(|i| (0..k).map(move |j| (i, j))) {
+                    let (Some(u), Some(v)) = ((s * x + i).checked_sub(p), (s * y + j).checked_sub(p))
+                    else {
+                        continue;
+                    };
+                    if u >= geom.height || v >= geom.width {
+                        continue;
+                    }
+                    let t = i * k + j;
+                    for (o, &q) in want.pixel_mut(u, v).iter_mut().zip(&partials[t * m..]) {
+                        *o += q;
+                    }
+                }
+            }
+            prop_assert_eq!(&got.output, &want, "k{} at {}", k, prec);
             let one = engine.run(std::slice::from_ref(input), &mut scratch, prec).unwrap();
             prop_assert_eq!(&one[0], got, "single image vs batch");
         }
