@@ -1,5 +1,5 @@
-use super::window::{self, WindowGeom, WindowScratch};
-use super::Execution;
+use super::window::{self, WindowGeom};
+use super::{Execution, LayerScratch};
 use crate::plan::ExecPlan;
 use crate::{ArchError, CostModel, CostReport, Design, DesignGeometry};
 use red_tensor::{ConvLayerShape, FeatureMap, Kernel, LayerShape};
@@ -24,12 +24,6 @@ pub struct ConvEngine {
     array: CrossbarArray,
     plan: ExecPlan,
 }
-
-/// Reusable working memory for [`ConvEngine::run`]: one gathered
-/// receptive-field window and one output pixel per image of the batch,
-/// and the VMM scratch.
-#[derive(Debug, Clone)]
-pub struct ConvScratch(WindowScratch);
 
 impl ConvEngine {
     /// Programs the engine for `layer` with `kernel`.
@@ -126,11 +120,6 @@ impl ConvEngine {
         &self.array
     }
 
-    /// Creates working memory for [`ConvEngine::run`].
-    pub fn make_scratch(&self) -> ConvScratch {
-        ConvScratch(WindowScratch::default())
-    }
-
     fn check_input(&self, input: &FeatureMap<i64>) -> Result<(), ArchError> {
         let l = &self.layer;
         if input.height() != l.input_h()
@@ -164,7 +153,7 @@ impl ConvEngine {
     pub fn run(
         &self,
         inputs: &[FeatureMap<i64>],
-        scratch: &mut ConvScratch,
+        scratch: &mut LayerScratch,
     ) -> Result<Vec<Execution>, ArchError> {
         for input in inputs {
             self.check_input(input)?;
@@ -183,7 +172,7 @@ impl ConvEngine {
             &self.array,
             g,
             inputs,
-            &mut scratch.0,
+            scratch,
             ExecPrecision::Full,
         ))
     }
@@ -237,7 +226,7 @@ mod tests {
     use red_tensor::conv::conv2d;
 
     fn run_one(engine: &ConvEngine, input: &FeatureMap<i64>) -> Result<Execution, ArchError> {
-        let mut runs = engine.run(std::slice::from_ref(input), &mut engine.make_scratch())?;
+        let mut runs = engine.run(std::slice::from_ref(input), &mut LayerScratch::default())?;
         Ok(runs.pop().expect("one execution per input"))
     }
 
@@ -277,7 +266,7 @@ mod tests {
         let inputs: Vec<_> = (0..3).map(|k| input.map(|v| v + k as i64)).collect();
         for cfg in [XbarConfig::ideal(), XbarConfig::noisy(0.01, 0.001, 0.0, 31)] {
             let engine = ConvEngine::new(&cfg, &layer, &kernel).unwrap();
-            let batch = engine.run(&inputs, &mut engine.make_scratch()).unwrap();
+            let batch = engine.run(&inputs, &mut LayerScratch::default()).unwrap();
             for (one, exec) in inputs.iter().zip(&batch) {
                 let single = run_one(&engine, one).unwrap();
                 assert_eq!(single.output, exec.output);
@@ -295,7 +284,7 @@ mod tests {
         let engine = ConvEngine::new(&XbarConfig::ideal(), &layer, &kernel).unwrap();
         assert!(engine.array().batching_pays());
         let inputs: Vec<_> = (0..2).map(|k| input.map(|v| v + k as i64)).collect();
-        let batch = engine.run(&inputs, &mut engine.make_scratch()).unwrap();
+        let batch = engine.run(&inputs, &mut LayerScratch::default()).unwrap();
         for (one, exec) in inputs.iter().zip(&batch) {
             let single = run_one(&engine, one).unwrap();
             assert_eq!(single.output, exec.output);

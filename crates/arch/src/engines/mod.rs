@@ -16,7 +16,8 @@
 //! products do not depend on when the host computes them, and integer
 //! sums do not depend on their order. Two host replays serve all four
 //! engines, each driving a whole batch through one crossbar call per
-//! pixel:
+//! pixel and both working in one [`LayerScratch`], so a single scratch
+//! serves every engine, layer and design in turn:
 //!
 //! - the window replay (zero-padding and conv) walks output pixels and
 //!   gathers each image's receptive field;
@@ -34,14 +35,14 @@ mod scatter;
 mod window;
 mod zero_padding;
 
-pub use conv::{ConvEngine, ConvScratch};
-pub use padding_free::{PaddingFreeEngine, PfScratch};
-pub use red::{RedEngine, RedScratch};
-pub use zero_padding::{ZeroPaddingEngine, ZpScratch};
+pub use conv::ConvEngine;
+pub use padding_free::PaddingFreeEngine;
+pub use red::RedEngine;
+pub use zero_padding::ZeroPaddingEngine;
 
 use crate::{ArchError, Design, ExecutionStats};
 use red_tensor::{FeatureMap, Kernel, LayerShape};
-use red_xbar::ExecPrecision;
+use red_xbar::{ExecPrecision, VmmScratch};
 
 /// Result of running one layer through an engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,22 +53,39 @@ pub struct Execution {
     pub stats: ExecutionStats,
 }
 
-/// A functional deconvolution accelerator engine.
-pub trait DeconvEngine {
-    /// Reusable working memory for [`DeconvEngine::run`].
-    type Scratch;
+/// Reusable working memory for [`DeconvEngine::run`] and
+/// [`ConvEngine::run`]: each image's crossbar input at the current pixel
+/// (a gathered window or an input pixel), their crossbar outputs, and
+/// the [`VmmScratch`]. Every buffer grows on first use and is resized on
+/// every call, so one scratch serves batches of any size on any engine,
+/// layer or design, and a serving loop reusing it stays allocation-free
+/// in steady state.
+#[derive(Debug, Default)]
+pub struct LayerScratch {
+    /// `n × row_len`: each image's crossbar input at the current pixel.
+    inputs: Vec<i64>,
+    /// `n × out_len`: their crossbar outputs.
+    outputs: Vec<i64>,
+    vmm: VmmScratch,
+}
 
+/// A functional deconvolution accelerator engine.
+pub trait DeconvEngine: std::fmt::Debug + Send + Sync {
     /// The design this engine implements.
     fn design(&self) -> Design;
 
     /// The layer this engine was programmed for.
     fn layer(&self) -> &LayerShape;
 
-    /// Creates working memory for [`DeconvEngine::run`]. Its buffers grow
-    /// on first use and are resized on every call, so one scratch serves
-    /// batches of any size, and a serving loop reusing it stays
-    /// allocation-free in steady state.
-    fn make_scratch(&self) -> Self::Scratch;
+    /// Worst-case absolute deviation of any output element at `prec`
+    /// relative to the same input at [`ExecPrecision::Full`]: the per-VMM
+    /// bound (see [`red_xbar::CrossbarArray::truncation_error_bound`])
+    /// scaled by the design's accumulation fan-in — zero-padding computes
+    /// each output pixel in one VMM, while padding-free's overlap-add and
+    /// RED's vertical sum-up each merge up to `KH·KW` tap VMMs into one
+    /// output element. Zero for `Full`; a sound (per-tap-tight) upper
+    /// bound for degraded tiers.
+    fn truncation_error_bound(&self, prec: ExecPrecision) -> f64;
 
     /// Executes the layer on every input of a batch at precision tier
     /// `prec`, one [`Execution`] per input, in order. A single image is a
@@ -86,19 +104,19 @@ pub trait DeconvEngine {
     fn run(
         &self,
         inputs: &[FeatureMap<i64>],
-        scratch: &mut Self::Scratch,
+        scratch: &mut LayerScratch,
         prec: ExecPrecision,
     ) -> Result<Vec<Execution>, ArchError>;
 }
 
 /// Runs one image at full precision through a fresh scratch.
 #[cfg(test)]
-pub(crate) fn run_one<E: DeconvEngine>(
-    engine: &E,
+pub(crate) fn run_one(
+    engine: &dyn DeconvEngine,
     input: &FeatureMap<i64>,
 ) -> Result<Execution, ArchError> {
     let one = std::slice::from_ref(input);
-    let mut runs = engine.run(one, &mut engine.make_scratch(), ExecPrecision::Full)?;
+    let mut runs = engine.run(one, &mut LayerScratch::default(), ExecPrecision::Full)?;
     Ok(runs.pop().expect("one execution per input"))
 }
 

@@ -16,8 +16,8 @@
 //! depend on their order, so outputs are bit-identical to driving every
 //! column, overlap-adding and cropping.
 
-use super::scatter::{self, ScatterScratch};
-use super::{check_kernel, DeconvEngine, Execution};
+use super::scatter;
+use super::{check_kernel, DeconvEngine, Execution, LayerScratch};
 use crate::plan::InputSchedule;
 use crate::{ArchError, Design, ExecutionStats};
 use red_tensor::{FeatureMap, Kernel, LayerShape};
@@ -40,12 +40,6 @@ pub struct PaddingFreeEngine {
     array: CrossbarArray,
     schedule: InputSchedule,
 }
-
-/// Reusable working memory for the padding-free engine's
-/// [`DeconvEngine::run`]: one input pixel position across the images of a
-/// batch, their partial products, and the VMM scratch.
-#[derive(Debug, Clone)]
-pub struct PfScratch(ScatterScratch);
 
 impl PaddingFreeEngine {
     /// Programs the engine for `layer` with `kernel`.
@@ -103,8 +97,6 @@ impl PaddingFreeEngine {
 }
 
 impl DeconvEngine for PaddingFreeEngine {
-    type Scratch = PfScratch;
-
     fn design(&self) -> Design {
         Design::PaddingFree
     }
@@ -113,8 +105,8 @@ impl DeconvEngine for PaddingFreeEngine {
         &self.layer
     }
 
-    fn make_scratch(&self) -> PfScratch {
-        PfScratch(ScatterScratch::default())
+    fn truncation_error_bound(&self, prec: ExecPrecision) -> f64 {
+        self.layer.spec().taps() as f64 * self.array.truncation_error_bound(prec)
     }
 
     /// Replays the scatter schedule: per input pixel, one
@@ -125,7 +117,7 @@ impl DeconvEngine for PaddingFreeEngine {
     fn run(
         &self,
         inputs: &[FeatureMap<i64>],
-        scratch: &mut PfScratch,
+        scratch: &mut LayerScratch,
         prec: ExecPrecision,
     ) -> Result<Vec<Execution>, ArchError> {
         let (n, cols) = (inputs.len(), self.array.weight_cols());
@@ -139,7 +131,7 @@ impl DeconvEngine for PaddingFreeEngine {
             &self.schedule,
             inputs,
             base,
-            &mut scratch.0,
+            scratch,
             |stats, px, _| Self::meter_pixel(stats, px, cols),
             |taps, pixels, vmm, partials| {
                 let landing = taps.iter().map(|t| t.start * m..t.end * m);
@@ -212,7 +204,7 @@ mod tests {
         for cfg in [XbarConfig::ideal(), XbarConfig::noisy(0.01, 0.0, 0.001, 23)] {
             let engine = PaddingFreeEngine::new(&cfg, &layer, &kernel).unwrap();
             let batch = engine
-                .run(&inputs, &mut engine.make_scratch(), ExecPrecision::Full)
+                .run(&inputs, &mut LayerScratch::default(), ExecPrecision::Full)
                 .unwrap();
             for (one, exec) in inputs.iter().zip(&batch) {
                 let single = run_one(&engine, one).unwrap();
@@ -239,7 +231,7 @@ mod tests {
             }
             let inputs: Vec<_> = (0..2).map(|k| input.map(|v| v - k as i64)).collect();
             let batch = engine
-                .run(&inputs, &mut engine.make_scratch(), ExecPrecision::Full)
+                .run(&inputs, &mut LayerScratch::default(), ExecPrecision::Full)
                 .unwrap();
             for (one, exec) in inputs.iter().zip(&batch) {
                 let single = run_one(&engine, one).unwrap();

@@ -13,8 +13,8 @@
 //! sums do not depend on their order, so outputs are bit-identical to
 //! replaying the modeled schedule gather by gather.
 
-use super::scatter::{self, ScatterScratch};
-use super::{check_kernel, DeconvEngine, Execution};
+use super::scatter;
+use super::{check_kernel, DeconvEngine, Execution, LayerScratch};
 use crate::plan::InputSchedule;
 use crate::{ArchError, Design, ExecutionStats, RedLayoutPolicy};
 use red_tensor::modes::ModeSet;
@@ -45,12 +45,6 @@ pub struct RedEngine {
     /// `s × s` output blocks per image (Fig. 5(c) batches).
     blocks: u64,
 }
-
-/// Reusable working memory for RED's [`DeconvEngine::run`]: one input
-/// pixel position across the images of a batch, their partial sums, and
-/// the sub-crossbar VMM scratch.
-#[derive(Debug, Clone)]
-pub struct RedScratch(ScatterScratch);
 
 impl RedEngine {
     /// Programs the engine for `layer` with `kernel` under `policy`.
@@ -122,8 +116,6 @@ impl RedEngine {
 }
 
 impl DeconvEngine for RedEngine {
-    type Scratch = RedScratch;
-
     fn design(&self) -> Design {
         Design::Red {
             policy: match self.sct.layout() {
@@ -137,8 +129,8 @@ impl DeconvEngine for RedEngine {
         &self.layer
     }
 
-    fn make_scratch(&self) -> RedScratch {
-        RedScratch(ScatterScratch::default())
+    fn truncation_error_bound(&self, prec: ExecPrecision) -> f64 {
+        self.layer.spec().taps() as f64 * self.sct.truncation_error_bound(prec)
     }
 
     /// Replays the zero-skipping schedule input pixel by input pixel: each
@@ -149,7 +141,7 @@ impl DeconvEngine for RedEngine {
     fn run(
         &self,
         inputs: &[FeatureMap<i64>],
-        scratch: &mut RedScratch,
+        scratch: &mut LayerScratch,
         prec: ExecPrecision,
     ) -> Result<Vec<Execution>, ArchError> {
         let m = self.layer.filters();
@@ -158,7 +150,7 @@ impl DeconvEngine for RedEngine {
             &self.schedule,
             inputs,
             self.base_stats(),
-            &mut scratch.0,
+            scratch,
             |stats, px, gathers| Self::meter_gathers(stats, px, gathers, m),
             |taps, pixels, vmm, partials| self.sct.eval_taps(taps, pixels, vmm, partials, prec),
         )
@@ -293,7 +285,7 @@ mod tests {
         )
         .unwrap();
         let inputs: Vec<_> = (0..3).map(|k| input.map(|v| v + k as i64)).collect();
-        let mut scratch = engine.make_scratch();
+        let mut scratch = LayerScratch::default();
         let batch = engine
             .run(&inputs, &mut scratch, ExecPrecision::Full)
             .unwrap();
@@ -318,7 +310,7 @@ mod tests {
         for policy in [RedLayoutPolicy::AlwaysFull, RedLayoutPolicy::AlwaysHalved] {
             let engine = RedEngine::new(&cfg, &layer, &kernel, policy).unwrap();
             let inputs: Vec<_> = (0..3).map(|k| input.map(|v| v + k as i64)).collect();
-            let mut scratch = engine.make_scratch();
+            let mut scratch = LayerScratch::default();
             let batch = engine
                 .run(&inputs, &mut scratch, ExecPrecision::Full)
                 .unwrap();
@@ -441,7 +433,7 @@ mod tests {
         .unwrap();
         assert!(engine.sct().array(0).batching_pays());
         let inputs: Vec<_> = (0..3).map(|k| input.map(|v| v - k as i64)).collect();
-        let mut scratch = engine.make_scratch();
+        let mut scratch = LayerScratch::default();
         let batch = engine
             .run(&inputs, &mut scratch, ExecPrecision::Full)
             .unwrap();

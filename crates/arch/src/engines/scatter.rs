@@ -11,26 +11,12 @@
 //! turns into tile reuse and shared conversions — and a single image is
 //! a batch of one.
 
-use super::{check_input, Execution};
+use super::{check_input, Execution, LayerScratch};
 use crate::plan::InputSchedule;
 use crate::{ArchError, ExecutionStats};
 use red_tensor::{FeatureMap, LayerShape};
 use red_xbar::VmmScratch;
 use std::ops::Range;
-
-/// Reusable working memory for [`run_schedule`]: one input pixel position
-/// across the images of a batch, their partial sums, and the VMM scratch.
-/// Grown on first use and resized on every call, so one scratch serves
-/// batches of any size and steady-state execution performs no per-pixel
-/// heap allocation.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ScatterScratch {
-    /// `n × C`: input pixel `(x, y)` of each image.
-    pixels: Vec<i64>,
-    /// `n × KH·KW·M`: their partial sums, tap-major per image.
-    partials: Vec<i64>,
-    vmm: VmmScratch,
-}
 
 /// Replays `schedule` over `inputs`, input pixel by input pixel. Each
 /// image's execution starts from `base` stats, and each image's pixel is
@@ -39,13 +25,16 @@ pub(crate) struct ScatterScratch {
 /// `pixels` is `n × C`, and it must write at least the taps in `taps` of
 /// the `n × KH·KW·M` `partials` — and each landing's partial sums are
 /// added into its output pixel. Pixels no tap lands from are metered but
-/// not evaluated.
+/// not evaluated. The scratch's crossbar inputs hold the pixels and its
+/// crossbar outputs the partial sums, tap-major per image; only the
+/// partial sums `eval` wrote are read, so whatever the scratch held
+/// before never reaches an output.
 pub(crate) fn run_schedule(
     layer: &LayerShape,
     schedule: &InputSchedule,
     inputs: &[FeatureMap<i64>],
     base: ExecutionStats,
-    scratch: &mut ScatterScratch,
+    scratch: &mut LayerScratch,
     meter: impl Fn(&mut ExecutionStats, &[i64], usize),
     mut eval: impl FnMut(&[Range<usize>], &[i64], &mut VmmScratch, &mut [i64]),
 ) -> Result<Vec<Execution>, ArchError> {
@@ -62,24 +51,24 @@ pub(crate) fn run_schedule(
             stats: base,
         })
         .collect();
-    scratch.partials.resize(inputs.len() * width, 0);
+    scratch.outputs.resize(inputs.len() * width, 0);
     for (xy, (scatters, taps)) in schedule.pixels().enumerate() {
-        scratch.pixels.clear();
+        scratch.inputs.clear();
         for (input, run) in inputs.iter().zip(&mut runs) {
             let px = input.pixel(xy / iw, xy % iw);
             meter(&mut run.stats, px, scatters.len());
-            scratch.pixels.extend_from_slice(px);
+            scratch.inputs.extend_from_slice(px);
         }
         if scatters.is_empty() {
             continue;
         }
         eval(
             taps,
-            &scratch.pixels,
+            &scratch.inputs,
             &mut scratch.vmm,
-            &mut scratch.partials,
+            &mut scratch.outputs,
         );
-        for (run, partials) in runs.iter_mut().zip(scratch.partials.chunks_exact(width)) {
+        for (run, partials) in runs.iter_mut().zip(scratch.outputs.chunks_exact(width)) {
             for g in scatters {
                 let out = run.output.pixel_mut(g.u as usize, g.v as usize);
                 for (o, &q) in out.iter_mut().zip(&partials[g.tap as usize * m..]) {

@@ -6,16 +6,16 @@
 //! coordinates); executing a built plan — gather each output pixel's
 //! receptive field, meter it, multiply it through the crossbar — is
 //! identical. This module holds that executor once. It runs pixel-major:
-//! at each output pixel it gathers every image's window and drives the
-//! whole batch through one [`CrossbarArray::vmm_batch_at`] call, which
-//! row-blocks large ideal arrays across the batch. A single image is a
-//! batch of one.
+//! at each output pixel it gathers every image's window into the
+//! [`LayerScratch`]'s crossbar inputs and drives the whole batch through
+//! one [`CrossbarArray::vmm_batch_at`] call, which row-blocks large ideal
+//! arrays across the batch. A single image is a batch of one.
 
-use super::Execution;
+use super::{Execution, LayerScratch};
 use crate::plan::{ExecPlan, GatherEntry};
 use crate::ExecutionStats;
 use red_tensor::FeatureMap;
-use red_xbar::{CrossbarArray, ExecPrecision, VmmScratch};
+use red_xbar::{CrossbarArray, ExecPrecision};
 
 /// Static geometry a window plan executes against.
 #[derive(Debug, Clone, Copy)]
@@ -30,20 +30,6 @@ pub(crate) struct WindowGeom {
     pub out_w: usize,
     /// Receptive-field window length (`taps · C`).
     pub window_len: usize,
-}
-
-/// Reusable working memory for [`run_plan`]: one gathered window and one
-/// output pixel per image of the batch, and the VMM scratch. Grown on
-/// first use and resized on every call, so one scratch serves batches of
-/// any size.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WindowScratch {
-    /// `n × window_len`, all zeros between pixels: a pixel writes only its
-    /// gathered slots and clears them after its VMM.
-    windows: Vec<i64>,
-    /// `n × M`: the pixel's outputs, image-major.
-    outs: Vec<i64>,
-    vmm: VmmScratch,
 }
 
 /// Gathers one pixel's receptive field into its slots of the all-zero
@@ -86,17 +72,20 @@ fn meter_window(stats: &mut ExecutionStats, nnz: u128, window_len: usize, filter
 
 /// Replays a window plan pixel-major over a batch with caller-provided
 /// scratch; the only heap allocations are the outputs. Inputs must
-/// already be shape-checked. Each image is metered on its own over the
-/// *untruncated* gathered window, so [`ExecutionStats`] are identical
-/// across precision tiers (the tier changes conversion phases, not the
-/// value-structure schedule), and each image's execution is the same
-/// whatever batch it runs in.
+/// already be shape-checked. The scratch's crossbar inputs hold one
+/// `window_len` window per image, all zeros between pixels: a pixel
+/// writes only its gathered slots and clears them after its VMM. Its
+/// crossbar outputs hold the pixel's `M` outputs per image. Each image
+/// is metered on its own over the *untruncated* gathered window, so
+/// [`ExecutionStats`] are identical across precision tiers (the tier
+/// changes conversion phases, not the value-structure schedule), and
+/// each image's execution is the same whatever batch it runs in.
 pub(crate) fn run_plan(
     plan: &ExecPlan,
     array: &CrossbarArray,
     geom: WindowGeom,
     inputs: &[FeatureMap<i64>],
-    scratch: &mut WindowScratch,
+    scratch: &mut LayerScratch,
     prec: ExecPrecision,
 ) -> Vec<Execution> {
     let (n, m, len) = (inputs.len(), geom.filters, geom.window_len);
@@ -107,14 +96,14 @@ pub(crate) fn run_plan(
             stats: ExecutionStats::default(),
         })
         .collect();
-    // Zeroed once per call, so a run that panicked mid-pixel cannot
-    // leave gathered values behind in a reused scratch.
-    scratch.windows.clear();
-    scratch.windows.resize(n * len, 0);
-    scratch.outs.resize(n * m, 0);
+    // Zeroed once per call, so neither a run that panicked mid-pixel nor
+    // another engine's run can leave values behind in a reused scratch.
+    scratch.inputs.clear();
+    scratch.inputs.resize(n * len, 0);
+    scratch.outputs.resize(n * m, 0);
     for ((u, v), gathers) in plan.iter() {
         for (window, (input, run)) in scratch
-            .windows
+            .inputs
             .chunks_exact_mut(len)
             .zip(inputs.iter().zip(&mut runs))
         {
@@ -122,16 +111,16 @@ pub(crate) fn run_plan(
             meter_window(&mut run.stats, nnz, len, m);
         }
         array.vmm_batch_at(
-            &scratch.windows,
+            &scratch.inputs,
             n,
             &mut scratch.vmm,
-            &mut scratch.outs,
+            &mut scratch.outputs,
             prec,
         );
         for (window, (run, out)) in scratch
-            .windows
+            .inputs
             .chunks_exact_mut(len)
-            .zip(runs.iter_mut().zip(scratch.outs.chunks_exact(m)))
+            .zip(runs.iter_mut().zip(scratch.outputs.chunks_exact(m)))
         {
             clear_window(gathers, geom.channels, window);
             run.output.pixel_mut(u, v).copy_from_slice(out);

@@ -1,5 +1,5 @@
-use super::window::{self, WindowGeom, WindowScratch};
-use super::{check_input, check_kernel, DeconvEngine, Execution};
+use super::window::{self, WindowGeom};
+use super::{check_input, check_kernel, DeconvEngine, Execution, LayerScratch};
 use crate::plan::ExecPlan;
 use crate::{ArchError, Design};
 use red_tensor::{FeatureMap, Kernel, LayerShape};
@@ -24,12 +24,6 @@ pub struct ZeroPaddingEngine {
     array: CrossbarArray,
     plan: ExecPlan,
 }
-
-/// Reusable working memory for the zero-padding engine's
-/// [`DeconvEngine::run`]: one gathered receptive-field window and one
-/// output pixel per image of the batch, and the VMM scratch.
-#[derive(Debug, Clone)]
-pub struct ZpScratch(WindowScratch);
 
 impl ZeroPaddingEngine {
     /// Programs the engine for `layer` with `kernel`.
@@ -115,8 +109,6 @@ impl ZeroPaddingEngine {
 }
 
 impl DeconvEngine for ZeroPaddingEngine {
-    type Scratch = ZpScratch;
-
     fn design(&self) -> Design {
         Design::ZeroPadding
     }
@@ -125,8 +117,8 @@ impl DeconvEngine for ZeroPaddingEngine {
         &self.layer
     }
 
-    fn make_scratch(&self) -> ZpScratch {
-        ZpScratch(WindowScratch::default())
+    fn truncation_error_bound(&self, prec: ExecPrecision) -> f64 {
+        self.array.truncation_error_bound(prec)
     }
 
     /// Replays the compile-time window plan pixel-major (the
@@ -136,7 +128,7 @@ impl DeconvEngine for ZeroPaddingEngine {
     fn run(
         &self,
         inputs: &[FeatureMap<i64>],
-        scratch: &mut ZpScratch,
+        scratch: &mut LayerScratch,
         prec: ExecPrecision,
     ) -> Result<Vec<Execution>, ArchError> {
         for input in inputs {
@@ -155,7 +147,7 @@ impl DeconvEngine for ZeroPaddingEngine {
             &self.array,
             g,
             inputs,
-            &mut scratch.0,
+            scratch,
             prec,
         ))
     }
@@ -233,7 +225,7 @@ mod tests {
         for cfg in [XbarConfig::ideal(), XbarConfig::noisy(0.01, 0.001, 0.0, 17)] {
             let engine = ZeroPaddingEngine::new(&cfg, &layer, &kernel).unwrap();
             let batch = engine
-                .run(&inputs, &mut engine.make_scratch(), ExecPrecision::Full)
+                .run(&inputs, &mut LayerScratch::default(), ExecPrecision::Full)
                 .unwrap();
             for (one, exec) in inputs.iter().zip(&batch) {
                 let single = run_one(&engine, one).unwrap();
@@ -254,7 +246,7 @@ mod tests {
         assert!(engine.array().batching_pays());
         let inputs: Vec<_> = (0..2).map(|k| input.map(|v| v + k as i64)).collect();
         let batch = engine
-            .run(&inputs, &mut engine.make_scratch(), ExecPrecision::Full)
+            .run(&inputs, &mut LayerScratch::default(), ExecPrecision::Full)
             .unwrap();
         for (one, exec) in inputs.iter().zip(&batch) {
             let single = run_one(&engine, one).unwrap();
@@ -275,7 +267,7 @@ mod tests {
             .collect();
         for cfg in [XbarConfig::ideal(), XbarConfig::noisy(0.01, 0.001, 0.0, 5)] {
             let engine = ZeroPaddingEngine::new(&cfg, &layer, &kernel).unwrap();
-            let mut scratch = engine.make_scratch();
+            let mut scratch = LayerScratch::default();
             let fresh: Vec<_> = inputs
                 .iter()
                 .map(|x| run_one(&engine, x).unwrap())

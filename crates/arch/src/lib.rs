@@ -59,8 +59,8 @@ mod traffic;
 pub use cost::{Component, CostModel, CostReport, ReprogramCost};
 pub use design::{Design, RedLayoutPolicy};
 pub use engines::{
-    ConvEngine, ConvScratch, DeconvEngine, Execution, PaddingFreeEngine, PfScratch, RedEngine,
-    RedScratch, ZeroPaddingEngine, ZpScratch,
+    ConvEngine, DeconvEngine, Execution, LayerScratch, PaddingFreeEngine, RedEngine,
+    ZeroPaddingEngine,
 };
 pub use error::ArchError;
 pub use geometry::{ArrayShape, DesignGeometry};

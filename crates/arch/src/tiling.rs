@@ -12,7 +12,7 @@
 //! Used by `ablation` to show that the paper's headline *orderings* are
 //! robust to the tiling assumption even though the absolute numbers move.
 
-use crate::{ArchError, CostModel, CostReport, Design};
+use crate::{ArchError, CostModel, CostReport, Design, DesignGeometry};
 use red_tensor::LayerShape;
 use serde::{Deserialize, Serialize};
 
@@ -57,6 +57,19 @@ impl MacroSpec {
             max_phys_cols,
         }
     }
+
+    /// The `(row_tiles, col_tiles)` grid each logical array instance of
+    /// `geometry` splits into: its wordlines over `max_rows` and its
+    /// physical columns over `max_phys_cols`, each rounded up. The tiled
+    /// price and the chip floorplan both split through here.
+    pub fn split(&self, geometry: &DesignGeometry) -> (usize, usize) {
+        (
+            geometry.array.rows.div_ceil(self.max_rows),
+            geometry
+                .phys_cols_per_instance()
+                .div_ceil(self.max_phys_cols),
+        )
+    }
 }
 
 impl CostModel {
@@ -77,14 +90,11 @@ impl CostModel {
         layer: &LayerShape,
         mac: MacroSpec,
     ) -> Result<CostReport, ArchError> {
-        let base = crate::DesignGeometry::derive(design, layer, self.cells_per_weight())?;
-        let rows = base.array.rows;
-        let phys_cols = base.phys_cols_per_instance();
-        let row_tiles = rows.div_ceil(mac.max_rows);
-        let col_tiles = phys_cols.div_ceil(mac.max_phys_cols);
+        let base = DesignGeometry::derive(design, layer, self.cells_per_weight())?;
+        let (row_tiles, col_tiles) = mac.split(&base);
 
         let mut g = base;
-        g.array.rows = rows.div_ceil(row_tiles);
+        g.array.rows = base.array.rows.div_ceil(row_tiles);
         g.array.weight_cols = base.array.weight_cols.div_ceil(col_tiles);
         g.array.instances = base.array.instances * row_tiles * col_tiles;
         // Each logical row is now segmented across `col_tiles` wordlines.
@@ -136,6 +146,8 @@ mod tests {
             .evaluate_tiled(Design::ZeroPadding, &gan_d3(), MacroSpec::m512())
             .unwrap();
         assert_eq!(r.geometry.array.instances, 16 * 2); // 16 row x 2 col tiles
+        let base = model.evaluate(Design::ZeroPadding, &gan_d3()).unwrap();
+        assert_eq!(MacroSpec::m512().split(&base.geometry), (16, 2));
         assert_eq!(r.geometry.array.rows, 512);
         assert_eq!(r.geometry.merge_width, 16);
     }

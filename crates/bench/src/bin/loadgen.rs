@@ -572,6 +572,20 @@ fn main() -> ExitCode {
         eprintln!("--rps rates must be positive and finite");
         return ExitCode::from(2);
     }
+    for (flag, value) in [
+        ("--max-wait-us", max_wait_us),
+        ("--slo-us", slo_us),
+        ("--max-lag-us", max_lag_us),
+        ("--duration-ms", duration_ms),
+        ("--scrape-us", scrape_us),
+        ("--autoscale-cooldown-us", autoscale_cooldown_us),
+        ("--brownout-cooldown-us", brownout_cooldown_us),
+    ] {
+        if !(value.is_finite() && value >= 0.0) {
+            eprintln!("{flag} must be finite and non-negative");
+            return ExitCode::from(2);
+        }
+    }
     let mut tenants: Vec<TenantClass> = if tenant_specs.is_empty() {
         vec![TenantClass::default()]
     } else {

@@ -9,7 +9,9 @@
 //! general-purpose JSON library: numbers are `f64` (exact for the u64
 //! counters the baselines carry up to 2⁵³, far beyond any request
 //! budget here) and `\uXXXX` surrogate pairs outside the BMP are
-//! accepted pairwise but not validated exhaustively.
+//! accepted pairwise but not validated exhaustively. Arrays and objects
+//! nest at most [`MAX_DEPTH`] deep, so no input can overflow the stack
+//! through the parser's recursion.
 
 /// A parsed JSON value. Object members keep document order, so a diff
 /// walks baselines in the order the emitter wrote them.
@@ -76,16 +78,20 @@ impl JsonValue {
     }
 }
 
+/// The deepest array and object nesting [`parse`] accepts. The bench
+/// binaries write documents at most 5 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 ///
 /// # Errors
 ///
-/// A human-readable message with a byte offset on malformed input or
-/// trailing non-whitespace.
+/// A human-readable message with a byte offset on malformed input,
+/// nesting deeper than [`MAX_DEPTH`], or trailing non-whitespace.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -113,12 +119,19 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses one value inside `depth` enclosing arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", JsonValue::Bool(false)),
@@ -211,7 +224,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -220,7 +233,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -233,7 +246,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -246,7 +259,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        members.push((key, parse_value(bytes, pos)?));
+        members.push((key, parse_value(bytes, pos, depth)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -298,6 +311,16 @@ mod tests {
         assert!(parse("12 34").is_err(), "trailing garbage");
         assert!(parse("\"open").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn rejects_nesting_one_level_past_the_limit() {
+        for (open, leaf, close) in [("[", "", "]"), ("{\"k\":", "null", "}")] {
+            let doc = |depth| format!("{}{leaf}{}", open.repeat(depth), close.repeat(depth));
+            assert!(parse(&doc(MAX_DEPTH)).is_ok(), "{open}");
+            let err = parse(&doc(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains(&format!("deeper than {MAX_DEPTH}")), "{err}");
+        }
     }
 
     #[test]

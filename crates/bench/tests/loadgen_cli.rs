@@ -1,6 +1,7 @@
-//! The `loadgen` binary rejects bad flags — a bad `--rps` or a zero
-//! `--max-batch` entry — with a message naming the flag and exit code 2,
-//! before any fleet is built: never a panic. A stdout closed before the
+//! The `loadgen` binary rejects bad flags — a bad `--rps`, a zero
+//! `--max-batch` entry, or a non-finite or negative duration — with a
+//! message naming the flag and exit code 2, before any fleet is built:
+//! never a panic. A stdout closed before the
 //! run prints anything costs none of the files it was asked to write.
 
 use std::process::{Command, Stdio};
@@ -16,6 +17,20 @@ fn non_finite_and_non_positive_rates_exit_2() {
         ("--rps", "1000,NaN"),
         ("--max-batch", "0"),
         ("--max-batch", "8,0"),
+        ("--max-wait-us", "nan"),
+        ("--max-wait-us", "-1"),
+        ("--slo-us", "inf"),
+        ("--slo-us", "-200"),
+        ("--max-lag-us", "NaN"),
+        ("--max-lag-us", "-50"),
+        ("--duration-ms", "inf"),
+        ("--duration-ms", "-1"),
+        ("--scrape-us", "nan"),
+        ("--scrape-us", "-500"),
+        ("--autoscale-cooldown-us", "-inf"),
+        ("--autoscale-cooldown-us", "-1"),
+        ("--brownout-cooldown-us", "nan"),
+        ("--brownout-cooldown-us", "-1"),
     ];
     for (flag, value) in bad_flags {
         let out = Command::new(env!("CARGO_BIN_EXE_loadgen"))

@@ -1,6 +1,6 @@
 use red_arch::{
-    ArchError, CostModel, CostReport, DeconvEngine, Design, Execution, PaddingFreeEngine,
-    RedEngine, RedLayoutPolicy, ZeroPaddingEngine,
+    ArchError, CostModel, CostReport, DeconvEngine, Design, Execution, LayerScratch,
+    PaddingFreeEngine, RedEngine, RedLayoutPolicy, ZeroPaddingEngine,
 };
 use red_tensor::{FeatureMap, Kernel, LayerShape};
 use red_xbar::{ExecPrecision, XbarConfig};
@@ -82,16 +82,10 @@ impl Accelerator {
         kernel: &Kernel<i64>,
     ) -> Result<CompiledLayer, ArchError> {
         let cost = self.estimate(layer)?;
-        let engine = match self.design {
-            Design::ZeroPadding => {
-                EngineKind::ZeroPadding(ZeroPaddingEngine::new(&self.xbar, layer, kernel)?)
-            }
-            Design::PaddingFree => {
-                EngineKind::PaddingFree(PaddingFreeEngine::new(&self.xbar, layer, kernel)?)
-            }
-            Design::Red { policy } => {
-                EngineKind::Red(RedEngine::new(&self.xbar, layer, kernel, policy)?)
-            }
+        let engine: Box<dyn DeconvEngine> = match self.design {
+            Design::ZeroPadding => Box::new(ZeroPaddingEngine::new(&self.xbar, layer, kernel)?),
+            Design::PaddingFree => Box::new(PaddingFreeEngine::new(&self.xbar, layer, kernel)?),
+            Design::Red { policy } => Box::new(RedEngine::new(&self.xbar, layer, kernel, policy)?),
         };
         Ok(CompiledLayer { engine, cost })
     }
@@ -156,33 +150,13 @@ impl Default for AcceleratorBuilder {
     }
 }
 
-#[derive(Debug, Clone)]
-enum EngineKind {
-    ZeroPadding(ZeroPaddingEngine),
-    PaddingFree(PaddingFreeEngine),
-    Red(RedEngine),
-}
-
-/// Reusable working memory for [`CompiledLayer::run_batch_with`]: the
-/// compiled engine's scratch buffers (gathered pixels or windows,
-/// partial sums, analog-path VMM state), built once per execution
-/// context — a serving replica, a pipeline worker — and reused across
-/// batches of any size, so steady-state execution performs no per-pixel
-/// heap allocation.
+/// A layer compiled onto simulated crossbars, ready to execute: the
+/// design's engine and its cost report. It holds no working memory:
+/// every run takes a caller's [`LayerScratch`], and one scratch serves
+/// every compiled layer of any design.
 #[derive(Debug)]
-pub struct LayerScratch(ScratchKind);
-
-#[derive(Debug)]
-enum ScratchKind {
-    ZeroPadding(red_arch::ZpScratch),
-    PaddingFree(red_arch::PfScratch),
-    Red(red_arch::RedScratch),
-}
-
-/// A layer compiled onto simulated crossbars, ready to execute.
-#[derive(Debug, Clone)]
 pub struct CompiledLayer {
-    engine: EngineKind,
+    engine: Box<dyn DeconvEngine>,
     cost: CostReport,
 }
 
@@ -198,31 +172,23 @@ impl CompiledLayer {
         Ok(runs.pop().expect("one execution per input"))
     }
 
-    /// Creates working memory for [`CompiledLayer::run_batch_with`].
+    /// Creates working memory for [`CompiledLayer::run_batch_with`]. It
+    /// serves this layer and any other, whatever its design.
     pub fn make_scratch(&self) -> LayerScratch {
-        LayerScratch(match &self.engine {
-            EngineKind::ZeroPadding(e) => ScratchKind::ZeroPadding(e.make_scratch()),
-            EngineKind::PaddingFree(e) => ScratchKind::PaddingFree(e.make_scratch()),
-            EngineKind::Red(e) => ScratchKind::Red(e.make_scratch()),
-        })
+        LayerScratch::default()
     }
 
     /// Executes the layer on every input of a batch with caller-provided
     /// scratch, one [`Execution`] per input, in order. Each image's
     /// execution is the same whatever batch it runs in and whatever the
-    /// scratch ran before, so a single image is a batch of one, and a
-    /// serving loop pushing many batches through the same layer pays the
-    /// scratch setup once.
+    /// scratch ran before, on this layer or another, so a single image is
+    /// a batch of one, and a serving loop pushing many batches through
+    /// its layers pays the scratch setup once.
     ///
     /// # Errors
     ///
     /// Returns [`ArchError::InputMismatch`] when an input's shape does not
     /// match the layer; no input runs then.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was created by a [`CompiledLayer`] of a
-    /// different design.
     pub fn run_batch_with(
         &self,
         inputs: &[FeatureMap<i64>],
@@ -242,41 +208,20 @@ impl CompiledLayer {
     /// # Errors
     ///
     /// As [`CompiledLayer::run_batch_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was created by a [`CompiledLayer`] of a
-    /// different design.
     pub fn run_batch_with_at(
         &self,
         inputs: &[FeatureMap<i64>],
         scratch: &mut LayerScratch,
         prec: ExecPrecision,
     ) -> Result<Vec<Execution>, ArchError> {
-        match (&self.engine, &mut scratch.0) {
-            (EngineKind::ZeroPadding(e), ScratchKind::ZeroPadding(s)) => e.run(inputs, s, prec),
-            (EngineKind::PaddingFree(e), ScratchKind::PaddingFree(s)) => e.run(inputs, s, prec),
-            (EngineKind::Red(e), ScratchKind::Red(s)) => e.run(inputs, s, prec),
-            _ => panic!("LayerScratch used with a different design's CompiledLayer"),
-        }
+        self.engine.run(inputs, scratch, prec)
     }
 
     /// Worst-case absolute deviation of any output element at `prec`
-    /// relative to the same input at [`ExecPrecision::Full`]: the
-    /// per-VMM bound (see
-    /// [`red_xbar::CrossbarArray::truncation_error_bound`]) scaled by
-    /// the design's accumulation fan-in — zero-padding computes each
-    /// output pixel in one VMM, while padding-free's overlap-add and
-    /// RED's vertical sum-up each merge up to `KH·KW` tap VMMs into one
-    /// output element. Zero for `Full`; a sound (per-tap-tight) upper
-    /// bound for degraded tiers.
+    /// relative to the same input at [`ExecPrecision::Full`]
+    /// ([`DeconvEngine::truncation_error_bound`]).
     pub fn truncation_error_bound(&self, prec: ExecPrecision) -> f64 {
-        let taps = self.layer().spec().taps() as f64;
-        match &self.engine {
-            EngineKind::ZeroPadding(e) => e.array().truncation_error_bound(prec),
-            EngineKind::PaddingFree(e) => taps * e.array().truncation_error_bound(prec),
-            EngineKind::Red(e) => taps * e.sct().truncation_error_bound(prec),
-        }
+        self.engine.truncation_error_bound(prec)
     }
 
     /// The analytical cost report for this layer on this design.
@@ -286,20 +231,12 @@ impl CompiledLayer {
 
     /// The design this layer was compiled for.
     pub fn design(&self) -> Design {
-        match &self.engine {
-            EngineKind::ZeroPadding(e) => e.design(),
-            EngineKind::PaddingFree(e) => e.design(),
-            EngineKind::Red(e) => e.design(),
-        }
+        self.engine.design()
     }
 
     /// The layer shape this was compiled for.
     pub fn layer(&self) -> &LayerShape {
-        match &self.engine {
-            EngineKind::ZeroPadding(e) => e.layer(),
-            EngineKind::PaddingFree(e) => e.layer(),
-            EngineKind::Red(e) => e.layer(),
-        }
+        self.engine.layer()
     }
 }
 
@@ -352,26 +289,6 @@ mod tests {
                 assert_eq!(with[0].output, exec.output, "{design}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "different design")]
-    fn mismatched_scratch_panics() {
-        let layer = Benchmark::GanDeconv3.scaled_layer(128);
-        let kernel = synth::kernel(&layer, 100, 1);
-        let input = synth::input_dense(&layer, 100, 2);
-        let red = Accelerator::builder()
-            .design(Design::red(RedLayoutPolicy::Auto))
-            .build()
-            .compile(&layer, &kernel)
-            .unwrap();
-        let zp = Accelerator::builder()
-            .design(Design::ZeroPadding)
-            .build()
-            .compile(&layer, &kernel)
-            .unwrap();
-        let mut scratch = zp.make_scratch();
-        let _ = red.run_batch_with(std::slice::from_ref(&input), &mut scratch);
     }
 
     #[test]

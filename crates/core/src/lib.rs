@@ -55,8 +55,9 @@ mod accelerator;
 mod comparison;
 pub mod prelude;
 
-pub use accelerator::{Accelerator, AcceleratorBuilder, CompiledLayer, LayerScratch};
+pub use accelerator::{Accelerator, AcceleratorBuilder, CompiledLayer};
 pub use comparison::{Comparison, DesignRow};
+pub use red_arch::LayerScratch;
 
 /// The tensor / golden-algorithm substrate (re-export of `red-tensor`).
 pub use red_tensor as tensor;

@@ -62,8 +62,8 @@ impl Activation {
 /// `instances` are the design's logical sub-crossbars (RED's `KH·KW`
 /// pixel-wise arrays, one monolithic array for the baselines); `macros`
 /// is the physical tile count after splitting every instance into
-/// [`MacroSpec`]-bounded macros, the same split `CostModel::evaluate_tiled`
-/// prices.
+/// [`MacroSpec`]-bounded macros ([`MacroSpec::split`]), the same split
+/// `CostModel::evaluate_tiled` prices.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TileGroup {
     /// Pipeline stage (layer index in dataflow order).
@@ -83,15 +83,12 @@ pub struct TileGroup {
 impl TileGroup {
     fn derive(stage: usize, cost: &CostReport, mac: MacroSpec) -> Self {
         let g = &cost.geometry;
-        let rows = g.array.rows;
-        let phys_cols = g.phys_cols_per_instance();
-        let row_tiles = rows.div_ceil(mac.max_rows);
-        let col_tiles = phys_cols.div_ceil(mac.max_phys_cols);
+        let (row_tiles, col_tiles) = mac.split(g);
         TileGroup {
             stage,
             instances: g.array.instances,
-            rows,
-            phys_cols,
+            rows: g.array.rows,
+            phys_cols: g.phys_cols_per_instance(),
             macros: g.array.instances * row_tiles * col_tiles,
             area_um2: cost.total_area_um2(),
         }
@@ -125,9 +122,9 @@ impl Floorplan {
 /// gather plans) is held behind an [`Arc`], so cloning a stage — and
 /// therefore cloning a whole [`Chip`] for fleet replication — shares the
 /// immutable compiled state instead of re-copying the programmed arrays.
-/// Mutable execution state lives entirely in the caller-provided scratch
-/// ([`CompiledLayer::run_batch_with`]), which every clone creates for
-/// itself.
+/// Mutable execution state lives entirely in the caller-provided
+/// [`red_core::LayerScratch`] ([`CompiledLayer::run_batch_with`]): a
+/// stage holds none, and one scratch serves every stage of every chip.
 #[derive(Debug, Clone)]
 pub struct Stage {
     compiled: Arc<CompiledLayer>,
@@ -698,6 +695,15 @@ mod tests {
             .compile_seeded(&stack, 5, 7)
             .unwrap();
         assert!(small.floorplan().total_macros() > big.floorplan().total_macros());
+        // Every tile group holds as many macros as the tiled price bills.
+        let model = CostModel::paper_default();
+        for chip in [&big, &small] {
+            let plan = chip.floorplan();
+            for (tile, stage) in plan.tiles.iter().zip(chip.stages()) {
+                let tiled = model.evaluate_tiled(chip.design(), stage.layer(), plan.macro_spec);
+                assert_eq!(tile.macros, tiled.unwrap().geometry.array.instances);
+            }
+        }
         // Logical instances are macro-independent.
         assert_eq!(
             big.floorplan().tiles[0].instances,

@@ -5,12 +5,15 @@
 //! of images through its engine
 //! ([`red_core::CompiledLayer::run_batch_with_at`]), the inter-stage
 //! activation runs on its outputs, and the stage meters what it issued.
-//! The executors differ only in how they slice the batch:
+//! The stages run in turn in one [`ChipScratch`], whose single engine
+//! scratch serves every stage of any chip. The executors differ only in
+//! how they slice the batch:
 //! [`Chip::run_sequential`] passes one image at a time,
 //! [`Chip::run_batched_with_scratch_at`] the whole batch, and
 //! [`Chip::run_pipelined`] contiguous shards, each on its own
-//! `std::thread::scope` thread. A shard holds every stage's outputs for
-//! its images, as the batched executor does for the whole batch.
+//! `std::thread::scope` thread with a scratch of its own. A shard holds
+//! every stage's outputs for its images, as the batched executor does
+//! for the whole batch.
 //!
 //! All three compute the *same function*: an engine's execution of an
 //! image does not depend on its batch or on what its scratch ran before,
@@ -41,7 +44,7 @@
 
 use crate::chip::Chip;
 use crate::{ExecMode, RuntimeError, RuntimeReport};
-use red_arch::ExecPrecision;
+use red_arch::{ExecPrecision, LayerScratch};
 use red_tensor::FeatureMap;
 use std::time::Instant;
 
@@ -54,17 +57,15 @@ pub struct BatchRun {
     pub report: RuntimeReport,
 }
 
-/// Reusable working memory for [`Chip::run_batched_with_scratch`]: one
-/// engine scratch per stage. Built once per serving context
-/// ([`Chip::make_scratch`]) and reused across batches, so a serving loop
-/// pushing many small batches through the chip performs no steady-state
-/// engine-scratch allocation.
-///
-/// A scratch is tied to the chip (design and stage lineup) that created
-/// it; using it with a different chip panics in the stage engines.
+/// Reusable working memory for [`Chip::run_batched_with_scratch`]: the
+/// one [`LayerScratch`] every stage's engine uses in turn. Built once per
+/// serving context ([`Chip::make_scratch`]) and reused across batches, so
+/// a serving loop pushing many small batches through the chip performs
+/// no steady-state engine-scratch allocation. A scratch is not tied to
+/// the chip that made it: any chip's scratch runs any chip.
 #[derive(Debug)]
 pub struct ChipScratch {
-    stages: Vec<red_core::LayerScratch>,
+    layer: LayerScratch,
 }
 
 /// Per-stage execution meter: what one stage actually did during a run.
@@ -111,11 +112,7 @@ impl Chip {
     /// per serving replica).
     pub fn make_scratch(&self) -> ChipScratch {
         ChipScratch {
-            stages: self
-                .stages()
-                .iter()
-                .map(|s| s.compiled().make_scratch())
-                .collect(),
+            layer: LayerScratch::default(),
         }
     }
 
@@ -124,10 +121,10 @@ impl Chip {
     /// ([`red_core::CompiledLayer::run_batch_with`]) before the next stage
     /// starts, so each pixel drives the whole batch through one crossbar
     /// call and large ideal crossbars stream their weight blocks once per
-    /// batch instead of once per image. The per-stage engine scratches
-    /// are reused across calls, so a serving loop — `red-server` replicas
-    /// drive exactly this entry — pays the scratch setup once per replica,
-    /// not once per micro-batch.
+    /// batch instead of once per image. Every stage runs in the scratch's
+    /// one engine scratch, which is reused across calls, so a serving
+    /// loop — `red-server` replicas drive exactly this entry — pays the
+    /// scratch setup once per replica, not once per micro-batch.
     ///
     /// Outputs are bit-exact against [`Chip::run_sequential`] (an
     /// engine's execution of an image does not depend on its batch), and
@@ -138,11 +135,6 @@ impl Chip {
     ///
     /// [`RuntimeError::EmptyBatch`] for an empty batch;
     /// [`RuntimeError::Arch`] when any stage rejects its input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was created by a different chip's
-    /// [`Chip::make_scratch`].
     pub fn run_batched_with_scratch(
         &self,
         inputs: &[FeatureMap<i64>],
@@ -167,11 +159,6 @@ impl Chip {
     /// # Errors
     ///
     /// As [`Chip::run_batched_with_scratch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was created by a different chip's
-    /// [`Chip::make_scratch`].
     pub fn run_batched_with_scratch_at(
         &self,
         inputs: &[FeatureMap<i64>],
@@ -181,11 +168,6 @@ impl Chip {
         if inputs.is_empty() {
             return Err(RuntimeError::EmptyBatch);
         }
-        assert_eq!(
-            scratch.stages.len(),
-            self.depth(),
-            "ChipScratch stage count must match the chip that uses it"
-        );
         let started = Instant::now();
         let mut meters = vec![StageMeter::default(); self.depth()];
         let outputs = self.run_stages(inputs, scratch, prec, &mut meters)?;
@@ -283,12 +265,11 @@ impl Chip {
     ) -> Result<Vec<FeatureMap<i64>>, RuntimeError> {
         let last = self.depth() - 1;
         let mut fms = Vec::new();
-        for (k, (stage, layer_scratch)) in self.stages().iter().zip(&mut scratch.stages).enumerate()
-        {
+        for (k, stage) in self.stages().iter().enumerate() {
             let src = if k == 0 { inputs } else { &fms };
             let execs = stage
                 .compiled()
-                .run_batch_with_at(src, layer_scratch, prec)?;
+                .run_batch_with_at(src, &mut scratch.layer, prec)?;
             meters[k].images += execs.len() as u64;
             meters[k].cycles += execs
                 .iter()
@@ -420,6 +401,9 @@ mod tests {
         let inputs: Vec<_> = (0..4)
             .map(|i| synth::input_dense(&stack.layers[0], 40, 800 + i as u64))
             .collect();
+        // One scratch, made by the first chip, serves all six in turn.
+        let mut shared = None;
+        let mut first = None;
         for cfg in [
             XbarConfig::ideal(),
             XbarConfig::preset("full").expect("known preset"),
@@ -430,10 +414,9 @@ mod tests {
                     .xbar_config(cfg)
                     .compile_seeded(&stack, 5, 11)
                     .unwrap();
+                let scratch = shared.get_or_insert_with(|| chip.make_scratch());
                 let seq = chip.run_sequential(&inputs).unwrap();
-                let batched = chip
-                    .run_batched_with_scratch(&inputs, &mut chip.make_scratch())
-                    .unwrap();
+                let batched = chip.run_batched_with_scratch(&inputs, scratch).unwrap();
                 assert_eq!(seq.outputs, batched.outputs, "{design}");
                 assert_eq!(batched.report.mode, ExecMode::Batched);
                 // Stage-major batching is host-side only: same measured
@@ -444,8 +427,15 @@ mod tests {
                     batched.report.steady_interval_ns
                 );
                 assert!(batched.report.reconciles_with(&chip.pipeline_report()));
+                first.get_or_insert((chip, seq));
             }
         }
+        // After the other five chips, the first reruns on the shared
+        // scratch unchanged.
+        let (chip, seq) = first.expect("six chips ran");
+        let scratch = shared.as_mut().expect("six chips ran");
+        let again = chip.run_batched_with_scratch(&inputs, scratch).unwrap();
+        assert_eq!(seq.outputs, again.outputs);
     }
 
     #[test]

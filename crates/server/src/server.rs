@@ -674,9 +674,6 @@ struct Replica {
     /// must reconcile with.
     analytic: PipelineReport,
     scratch: ChipScratch,
-    /// The full-precision reference scratch for degraded batches; built
-    /// on first use so brownout-free sessions pay nothing.
-    golden: Option<ChipScratch>,
     /// Batches in dispatch order.
     queue: Vec<ExecBatch>,
 }
@@ -689,7 +686,7 @@ impl Replica {
     /// schedule is value-independent, so a degraded batch scales the
     /// measured fill and bottleneck by the same [`Chip::phase_ratio`] the
     /// core priced it with. A degraded batch is also re-run at full
-    /// precision against the golden scratch to meter the session's worst
+    /// precision in the same scratch to meter the session's worst
     /// *observed* output error against the advertised
     /// [`Chip::truncation_error_bound`].
     fn execute(
@@ -728,8 +725,9 @@ impl Replica {
                     stats.error_bound = stats
                         .error_bound
                         .max(chip.truncation_error_bound(batch.tier));
-                    let reference = self.golden.get_or_insert_with(|| chip.make_scratch());
-                    if let Ok(exact) = chip.run_batched_with_scratch(&batch.inputs, reference) {
+                    if let Ok(exact) =
+                        chip.run_batched_with_scratch(&batch.inputs, &mut self.scratch)
+                    {
                         for (deg, full) in run.outputs.iter().zip(&exact.outputs) {
                             for (&d, &x) in deg.as_slice().iter().zip(full.as_slice()) {
                                 stats.max_observed_error =
@@ -2689,7 +2687,6 @@ impl Scheduler {
                         Replica {
                             analytic: analytic.clone(),
                             scratch: chip.make_scratch(),
-                            golden: None,
                             queue: Vec::new(),
                             chip,
                         }

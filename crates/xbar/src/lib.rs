@@ -18,8 +18,7 @@
 //!   ([`CrossbarArray::vmm`]);
 //! * [`SubCrossbarTensor`] — RED's pixel-wise mapping (paper Eq. 1): the
 //!   kernel split into `KH·KW` sub-crossbars of shape `C × M`, plus the
-//!   area-efficient halved arrangement (paper Eq. 2);
-//! * [`tiling`] — partitioning logical arrays into bounded physical tiles.
+//!   area-efficient halved arrangement (paper Eq. 2).
 //!
 //! With an ideal ADC and no variation, the analog path is bit-exact with
 //! the digital reference (property-tested); with a saturating ADC,
@@ -51,7 +50,6 @@ mod config;
 mod ir_drop;
 mod precision;
 mod sct;
-pub mod tiling;
 
 pub use array::{CrossbarArray, VmmScratch};
 pub use config::{AdcModel, WeightScheme, XbarConfig, XbarError};

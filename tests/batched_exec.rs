@@ -315,7 +315,9 @@ fn noisy_run_batch_allocates_per_batch_not_per_pixel() {
 /// plan is built (compile time) and the scratch is warm (first run), a
 /// one-image `run_batch_with` allocates only the output tensor and a few
 /// bookkeeping cells — orders of magnitude fewer allocations than the
-/// hundreds of output pixels it produces.
+/// hundreds of output pixels it produces. One scratch, warmed on all
+/// three designs, keeps every design within that budget and bit-exact
+/// against a fresh scratch.
 #[test]
 fn steady_state_run_allocates_output_only() {
     let layer = Benchmark::GanDeconv3.scaled_layer(64); // 8x8 -> stride-2 deconv
@@ -330,19 +332,30 @@ fn steady_state_run_allocates_output_only() {
         // live in the warmed scratch.
         (XbarConfig::noisy(0.01, 0.001, 0.0, 5), 8u64),
     ] {
-        for design in Design::paper_lineup() {
-            let acc = Accelerator::builder()
-                .design(design)
-                .xbar_config(cfg)
-                .build();
-            let compiled = acc.compile(&layer, &kernel).unwrap();
-            let mut scratch = compiled.make_scratch();
-            let one = std::slice::from_ref(&input);
-            let warm = compiled.run_batch_with(one, &mut scratch).unwrap();
+        let compiled: Vec<_> = Design::paper_lineup()
+            .into_iter()
+            .map(|design| {
+                let acc = Accelerator::builder()
+                    .design(design)
+                    .xbar_config(cfg)
+                    .build();
+                acc.compile(&layer, &kernel).unwrap()
+            })
+            .collect();
+        let one = std::slice::from_ref(&input);
+        let mut scratch = compiled[0].make_scratch();
+        let warm: Vec<_> = compiled
+            .iter()
+            .map(|c| c.run_batch_with(one, &mut scratch).unwrap())
+            .collect();
+        for (compiled, warm) in compiled.iter().zip(&warm) {
+            let design = compiled.design();
             let before = allocations_now();
             let exec = compiled.run_batch_with(one, &mut scratch).unwrap();
             let during = allocations_now() - before;
-            assert_eq!(warm[0].output, exec[0].output);
+            let fresh = compiled.run_batch_with(one, &mut compiled.make_scratch());
+            assert_eq!(warm[0].output, exec[0].output, "{design}");
+            assert_eq!(fresh.unwrap(), exec, "{design}");
             assert!(
                 during <= budget,
                 "{design}: {during} allocations in steady state (budget {budget}, \

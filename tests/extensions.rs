@@ -16,7 +16,7 @@ fn conv_engine_runs_a_discriminator_block() {
     });
     let input = FeatureMap::from_fn(16, 16, 8, |h, w, c| ((h * 3 + w * 7 + c) % 50) as i64 + 1);
     let engine = ConvEngine::new(&XbarConfig::ideal(), &layer, &kernel).unwrap();
-    let mut scratch = engine.make_scratch();
+    let mut scratch = LayerScratch::default();
     let exec = engine
         .run(std::slice::from_ref(&input), &mut scratch)
         .unwrap();
@@ -157,7 +157,7 @@ fn conv_then_deconv_autoencoder_roundtrip() {
     let enc_kernel = Kernel::from_fn(4, 4, 4, 8, |i, j, c, m| ((i + j + c + m) % 7) as i64 - 3);
     let image = FeatureMap::from_fn(8, 8, 4, |h, w, c| ((h * 5 + w * 3 + c) % 30) as i64 + 1);
     let encoder = ConvEngine::new(&XbarConfig::ideal(), &enc_layer, &enc_kernel).unwrap();
-    let mut scratch = encoder.make_scratch();
+    let mut scratch = LayerScratch::default();
     let code = encoder.run(std::slice::from_ref(&image), &mut scratch);
     let code = code.unwrap().remove(0).output;
     assert_eq!((code.height(), code.width(), code.channels()), (4, 4, 8));
@@ -171,11 +171,13 @@ fn conv_then_deconv_autoencoder_roundtrip() {
     let acc = Accelerator::builder()
         .design(Design::red(RedLayoutPolicy::Auto))
         .build();
+    // The decoder runs in the encoder's scratch: one scratch serves both.
     let decoded = acc
         .compile(&dec_layer, &dec_kernel)
         .unwrap()
-        .run(&code)
-        .unwrap();
+        .run_batch_with(std::slice::from_ref(&code), &mut scratch)
+        .unwrap()
+        .remove(0);
     assert_eq!(
         (
             decoded.output.height(),

@@ -392,7 +392,7 @@ proptest! {
         let sct = engine.sct();
         let per = sct.cycles_per_batch();
         let blocks = (geom.height.div_ceil(s) * geom.width.div_ceil(s)) as u64;
-        let mut scratch = engine.make_scratch();
+        let mut scratch = LayerScratch::default();
         let batch = engine.run(&inputs, &mut scratch, prec).unwrap();
         for (input, got) in inputs.iter().zip(&batch) {
             let mut want = FeatureMap::<i64>::zeros(geom.height, geom.width, m);
@@ -485,7 +485,7 @@ proptest! {
 
         let (k, s, p) = (spec.kernel_w(), spec.stride(), spec.padding());
         let geom = layer.output_geometry();
-        let mut scratch = engine.make_scratch();
+        let mut scratch = LayerScratch::default();
         let batch = engine.run(&inputs, &mut scratch, prec).unwrap();
         for (input, got) in inputs.iter().zip(&batch) {
             let mut want = FeatureMap::<i64>::zeros(geom.height, geom.width, m);
