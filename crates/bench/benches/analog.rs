@@ -2,18 +2,29 @@
 //! per-phase-recompute reference vs the planned kernel over the
 //! programming-time effective-current plane, the planned kernel on the
 //! array shapes that dominate the `full`-preset serving lineup, one
-//! batch-major call against single calls on two padding-free planes, and
-//! RED's per-input-pixel work on its fused plane.
+//! batch-major call against single calls on two padding-free planes,
+//! RED's per-input-pixel work on its fused plane, and two lineup shapes
+//! programmed with the lineup's ±5 weights against ±127 ones.
+//!
+//! Every group but the last programs ±127 weights, which fill every bit
+//! slice, so no plane column is dead there. The lineup's ±5 weights
+//! leave the upper two of the four 2-bit slices with code-0 cells only,
+//! and the plane elides their columns (`analog_narrow`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use red_core::prelude::*;
 use red_core::xbar::{CrossbarArray, SubCrossbarTensor, VmmScratch};
 
 fn make_weights(rows: usize, cols: usize) -> Vec<Vec<i64>> {
+    bounded_weights(rows, cols, 127)
+}
+
+/// A ramp of weights within `±bound`.
+fn bounded_weights(rows: usize, cols: usize, bound: usize) -> Vec<Vec<i64>> {
     (0..rows)
         .map(|r| {
             (0..cols)
-                .map(|c| ((r * 37 + c * 13) % 255) as i64 - 127)
+                .map(|c| ((r * 37 + c * 13) % (2 * bound + 1)) as i64 - bound as i64)
                 .collect()
         })
         .collect()
@@ -156,11 +167,45 @@ fn analog_red_pixel(c: &mut Criterion) {
     group.finish();
 }
 
+/// Dead-column elision on two lineup shapes, each programmed with the
+/// lineup's ±5 weights and with ±127 ones, activations in 1..=89: one
+/// 8-input call on DCGAN stage 0's 128 × 1,600 padding-free plane, whose
+/// ±5 plane keeps about half its 12,800 columns, and one input on the
+/// 3,200 × 64 zero-padding window at 1/4 density.
+fn analog_narrow(c: &mut Criterion) {
+    const BATCH: usize = 8;
+    let mut group = c.benchmark_group("analog_narrow");
+    let shapes = [
+        ("dcgan_pf_s0", 128usize, 1600usize, 1usize, BATCH),
+        ("window_3200x64_1of4", 3200, 64, 4, 1),
+    ];
+    for (label, rows, cols, every, n) in shapes {
+        let inputs: Vec<i64> = (0..n * rows)
+            .map(|i| match i % every {
+                0 => (i * 37 % 89) as i64 + 1,
+                _ => 0,
+            })
+            .collect();
+        for bound in [5, 127] {
+            let weights = bounded_weights(rows, cols, bound);
+            let a = CrossbarArray::program(&noisy_cfg(), &weights).expect("programs");
+            let mut scratch = VmmScratch::new();
+            let mut out = vec![0i64; n * cols];
+            let id = BenchmarkId::new(format!("bound{bound}"), label);
+            group.bench_with_input(id, &a, |b, a| {
+                b.iter(|| a.vmm_analog_batch(&inputs, n, &mut scratch, &mut out))
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     analog_single,
     analog_lineup,
     analog_batch,
-    analog_red_pixel
+    analog_red_pixel,
+    analog_narrow
 );
 criterion_main!(benches);

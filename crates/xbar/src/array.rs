@@ -14,6 +14,61 @@ const TILE_COLS: usize = 512;
 /// End of a chain of [`SetUse`]s.
 const NO_USE: u32 = u32::MAX;
 
+/// The flag of a live column's [`Plane::roles`] entry that marks a
+/// differential pair's negative column; the low bits hold the slice's
+/// shift.
+const NEGATED: u8 = 0x80;
+
+/// An effective-current plane, with its dead columns left out.
+///
+/// A physical column is *dead* when no active-row set can convert it to
+/// anything but code 0 (see [`CrossbarArray::code_ranges`]): its cells
+/// all read within less than half an LSB, in total, of the dummy-column
+/// baseline, as the upper slices of narrow weights do. A dead column
+/// adds 0 to every shift-add, so the plane keeps only the *live*
+/// columns, and the kernel sums, converts and recombines those alone. An
+/// array with no dead column keeps every column, in place.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Plane {
+    /// Effective read current per cell of the live columns, row-major
+    /// `rows × live()`.
+    pub(crate) currents: Vec<f64>,
+    /// `weights + 1` ascending offsets: weight `m`'s live columns are
+    /// `starts[m]..starts[m + 1]` of every row.
+    pub(crate) starts: Vec<u32>,
+    /// Per live column, its shift-add role: the slice's shift
+    /// `s · bits_per_cell`, plus [`NEGATED`] for a differential pair's
+    /// negative column.
+    pub(crate) roles: Vec<u8>,
+    /// Worst-case |recombined value| of one conversion phase
+    /// ([`CrossbarArray::phase_value_bound`]).
+    phase_bound: f64,
+}
+
+impl Plane {
+    /// Live columns per row: the row stride of `currents`.
+    pub(crate) fn live(&self) -> usize {
+        self.roles.len()
+    }
+
+    /// The end of the column tile that starts at weight `w0` of a range
+    /// ending at weight `end`: as many whole weights as fit in
+    /// [`TILE_COLS`] live columns, at least one.
+    fn tile_end(&self, w0: usize, end: usize) -> usize {
+        let c0 = self.starts[w0];
+        let fit = self.starts[w0 + 1..=end].partition_point(|&s| (s - c0) as usize <= TILE_COLS);
+        w0 + fit.max(1)
+    }
+
+    /// Live columns of the weights in `r`.
+    fn live_in(&self, r: &Range<usize>) -> usize {
+        match r.is_empty() {
+            true => 0,
+            false => (self.starts[r.end] - self.starts[r.start]) as usize,
+        }
+    }
+}
+
 /// One active-row set of an analog kernel call: the rows one or more
 /// conversion phases pulse.
 #[derive(Debug, Clone, Copy)]
@@ -223,7 +278,11 @@ impl VmmScratch {
 /// time into the **effective-current plane** (`i_eff[r][col]`, the read
 /// current each cell contributes to its bitline), so a conversion phase
 /// is nothing but streaming additions over contiguous row slices of the
-/// plane.
+/// plane. The same pass bounds every physical column's converted code
+/// over all active-row sets, and the plane keeps only the columns that
+/// can convert to a non-zero code: with narrow weights, the upper bit
+/// slices hold only code-0 cells, which can never reach half an LSB
+/// above the baseline, so no phase sums, converts or recombines them.
 #[derive(Debug)]
 pub struct CrossbarArray {
     cfg: XbarConfig,
@@ -235,16 +294,16 @@ pub struct CrossbarArray {
     /// Per-cell conductance in siemens, row-major `rows x phys_cols`,
     /// including programming variation and stuck-at faults.
     conductance: Vec<f64>,
-    /// Effective read current per cell in amperes, row-major
-    /// `rows x phys_cols`: `i_eff = IrDropModel::cell_current_a(v_read,
-    /// g, r, col)` — conductance with wire droop already folded in, so a
+    /// Effective read current per cell in amperes of the live columns,
+    /// row-major: `i_eff = IrDropModel::cell_current_a(v_read, g, r,
+    /// col)` — conductance with wire droop already folded in, so a
     /// conversion phase only sums plane entries. Populated at programming
     /// time for non-ideal configurations (the only ones whose `vmm`
     /// dispatch reaches the analog path); ideal arrays — which only hit
     /// the analog pipeline through explicit `vmm_analog*` calls, e.g. the
     /// equivalence tests — build it lazily on first use, so the exact
     /// serving path never pays the doubled memory.
-    eff_current: std::sync::OnceLock<Vec<f64>>,
+    eff_current: std::sync::OnceLock<Plane>,
     g_min: f64,
     g_step: f64,
     /// Cells pinned to a rail by post-programming stuck-at strikes
@@ -290,10 +349,21 @@ impl CrossbarArray {
     ///
     /// # Errors
     ///
+    /// * [`XbarError::BadBitWidth`] for a cell, input or weight width the
+    ///   array cannot represent;
     /// * [`XbarError::BadWeightMatrix`] for an empty or ragged matrix;
     /// * [`XbarError::WeightOutOfRange`] when a weight exceeds
-    ///   `±(2^(weight_bits-1) - 1)`.
+    ///   `±(2^(weight_bits-1) - 1)`;
+    /// * [`XbarError::OutputOverflow`] when some input within the streamed
+    ///   width could drive an output past `i64`, on the exact path
+    ///   (`rows · (2^mag − 1) · max|weight|`, `mag` the streamed
+    ///   magnitude bits) or, for a non-ideal array, the analog one:
+    ///   `(2^mag − 1)` times the widest span of any weight's recombined
+    ///   phase value over all active-row sets, bounded from the code
+    ///   range of each of its physical columns or, where that is too
+    ///   loose, row by row.
     pub fn program(cfg: &XbarConfig, weights: &[Vec<i64>]) -> Result<Self, XbarError> {
+        check_widths(cfg)?;
         let rows = weights.len();
         if rows == 0 {
             return Err(XbarError::BadWeightMatrix("no rows".into()));
@@ -333,6 +403,7 @@ impl CrossbarArray {
         weight_cols: usize,
         weights: Vec<i64>,
     ) -> Result<Self, XbarError> {
+        check_widths(cfg)?;
         if rows == 0 || weight_cols == 0 {
             return Err(XbarError::BadWeightMatrix("zero dimension".into()));
         }
@@ -345,6 +416,18 @@ impl CrossbarArray {
         let bound = cfg.weight_bound();
         if let Some(&w) = weights.iter().find(|w| w.abs() > bound) {
             return Err(XbarError::WeightOutOfRange { value: w, bound });
+        }
+        let overflow = || XbarError::OutputOverflow {
+            rows,
+            input_bits: cfg.input_bits,
+            weight_bits: cfg.weight_bits,
+        };
+        let max_input = (1i128 << input_mag_bits(cfg)) - 1;
+        let exact = (rows as i128)
+            .checked_mul(max_input)
+            .and_then(|x| x.checked_mul(i128::from(bound)));
+        if exact.is_none_or(|b| b > i128::from(i64::MAX)) {
+            return Err(overflow());
         }
 
         let slices = cfg.slices();
@@ -431,7 +514,8 @@ impl CrossbarArray {
         // arrays never reach the analog path through `vmm`, so they defer
         // the build to a first explicit `vmm_analog*` call.
         if !arr.is_ideal() {
-            let _ = arr.eff_current.set(arr.build_plane());
+            let plane = arr.build_plane().ok_or_else(overflow)?;
+            let _ = arr.eff_current.set(plane);
         }
         Ok(arr)
     }
@@ -439,27 +523,112 @@ impl CrossbarArray {
     /// Builds the effective-current plane: wire droop depends only on the
     /// cell's position and conductance, both frozen at programming, so it
     /// is folded in once instead of once per cell per conversion phase.
-    fn build_plane(&self) -> Vec<f64> {
+    ///
+    /// The same pass sums each physical column's deviations from the
+    /// dummy-column baseline, the cells above it and those below, in
+    /// ascending row order: the interval every active-row set's summed
+    /// deviation lies in. From it come the truncation bound
+    /// ([`CrossbarArray::phase_value_bound`]), each column's code range
+    /// ([`CrossbarArray::code_ranges`]) and the read-out bound
+    /// ([`CrossbarArray::readout_bound`]). When that bound leaves `i64`,
+    /// a tighter one, row by row
+    /// ([`CrossbarArray::row_readout_bound`]), gets a second say. A
+    /// column whose code range is `[0, 0]` is dead, and the plane's rows
+    /// are closed up over it in place. `None` when neither bound keeps
+    /// the read-out in `i64`.
+    fn build_plane(&self) -> Option<Plane> {
+        let (rows, pc) = (self.rows, self.phys_cols);
+        let (mut currents, pos, neg) = self.currents_and_deviations();
+        let codes = self.code_ranges(&pos, &neg);
+        // Every partial sum of the read-out stays within a few times the
+        // code-range bound, so the row bound may stand in for it only
+        // while that bound has room in i128.
+        let fits = |bound: Option<i128>| bound.is_some_and(|b| b <= i128::from(i64::MAX));
+        match self.readout_bound(&codes) {
+            bound if fits(bound) => {}
+            Some(b)
+                if b <= i128::MAX >> 8 && fits(self.row_readout_bound(&currents, &pos, &neg)) => {}
+            _ => return None,
+        }
+        // Each end lies within its column's code range, which the
+        // code-range bound keeps far from overflowing the shift-add.
+        let phase_bound = self.phase_value_bound(&pos, &neg);
+        let per_weight = self.cfg.phys_cols_per_weight();
+        let mut keep = Vec::with_capacity(pc);
+        let mut starts = Vec::with_capacity(self.weight_cols + 1);
+        starts.push(0);
+        for (m, cols) in codes.chunks_exact(per_weight).enumerate() {
+            for (j, &range) in cols.iter().enumerate() {
+                if range != (0, 0) {
+                    keep.push((m * per_weight + j) as u32);
+                }
+            }
+            starts.push(keep.len() as u32);
+        }
+        let roles = keep
+            .iter()
+            .map(|&c| self.role(c as usize % per_weight))
+            .collect();
+        let live = keep.len();
+        if live < pc {
+            // Each live cell moves to an index at or below its own, in
+            // ascending order, so nothing is overwritten before it moves.
+            for r in 0..rows {
+                for (j, &c) in keep.iter().enumerate() {
+                    currents[r * live + j] = currents[r * pc + c as usize];
+                }
+            }
+            currents.truncate(rows * live);
+            currents.shrink_to_fit();
+        }
+        Some(Plane {
+            currents,
+            starts,
+            roles,
+            phase_bound,
+        })
+    }
+
+    /// Every cell's effective current, row-major over all physical
+    /// columns, and each column's summed deviations above (`pos`) and
+    /// below (`neg`) the dummy-column baseline, in ascending row order.
+    fn currents_and_deviations(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let (rows, pc) = (self.rows, self.phys_cols);
         let ir = &self.cfg.ir_drop;
         let v_read = self.cfg.cell.read_voltage;
-        self.conductance
-            .iter()
-            .enumerate()
-            .map(|(idx, &g)| {
-                ir.cell_current_a(
-                    v_read,
-                    g,
-                    idx / self.phys_cols,
-                    idx % self.phys_cols,
-                    self.rows,
-                )
-            })
-            .collect()
+        let baseline_per_row = v_read * self.g_min;
+        let mut currents = Vec::with_capacity(rows * pc);
+        let mut pos = vec![0.0f64; pc];
+        let mut neg = vec![0.0f64; pc];
+        for (r, row) in self.conductance.chunks_exact(pc).enumerate() {
+            let at = currents.len();
+            let cells = row.iter().enumerate();
+            currents.extend(cells.map(|(c, &g)| ir.cell_current_a(v_read, g, r, c, rows)));
+            // Branch-free, so it vectorizes: adding 0.0 leaves a sum of
+            // non-negative terms as it is, and `n + (−d)` is `n − d`.
+            for ((p, n), &i_eff) in pos.iter_mut().zip(&mut neg).zip(&currents[at..]) {
+                let d = i_eff - baseline_per_row;
+                let (up, down) = if d >= 0.0 { (d, 0.0) } else { (0.0, -d) };
+                *p += up;
+                *n += down;
+            }
+        }
+        (currents, pos, neg)
     }
 
     /// The effective-current plane, built on first use for ideal arrays.
-    fn plane(&self) -> &[f64] {
-        self.eff_current.get_or_init(|| self.build_plane())
+    ///
+    /// # Panics
+    ///
+    /// Panics if a first build finds that the analog read-out could leave
+    /// `i64`. `program_flat` bounds an ideal array's exact product, and
+    /// the row bound ([`CrossbarArray::row_readout_bound`]) of an ideal
+    /// array is that product's bound for its weights unless its rounding
+    /// slack reaches half a code, which at the default cell's on/off
+    /// ratio takes millions of rows.
+    fn plane(&self) -> &Plane {
+        self.eff_current
+            .get_or_init(|| self.build_plane().expect(READOUT_OVERFLOW))
     }
 
     fn cell_conductance(
@@ -541,6 +710,10 @@ impl CrossbarArray {
     /// compose deterministically (each call draws from its own seeded
     /// stream). Strikes may land on already-struck cells; `struck` counts
     /// strike events, not distinct cells.
+    ///
+    /// # Panics
+    ///
+    /// As [`CrossbarArray::rebuild_plane`].
     pub fn apply_faults(&mut self, strikes: usize, seed: u64) -> u64 {
         if strikes == 0 {
             return self.struck;
@@ -564,6 +737,10 @@ impl CrossbarArray {
     /// exact — re-programming with `model` in the config yields the same
     /// plane up to the variation/fault streams, which are untouched).
     /// Rebuilds the effective-current plane.
+    ///
+    /// # Panics
+    ///
+    /// As [`CrossbarArray::rebuild_plane`].
     pub fn advance_drift(&mut self, model: DriftModel) {
         let ratio = model.factor() / self.cfg.drift.factor();
         if ratio != 1.0 {
@@ -578,9 +755,17 @@ impl CrossbarArray {
     /// Recomputes the effective-current plane from the current
     /// conductances — the modeled analogue of a read-calibration pass
     /// after [`CrossbarArray::apply_faults`] or
-    /// [`CrossbarArray::advance_drift`] mutate the cells.
+    /// [`CrossbarArray::advance_drift`] mutate the cells. Which columns
+    /// are dead is decided afresh: a stuck-on strike can revive one, and
+    /// drift can move one either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mutated cells could drive the analog read-out past
+    /// `i64`, which takes widths near 63 bits; the same check fails
+    /// [`CrossbarArray::program`] with [`XbarError::OutputOverflow`].
     pub fn rebuild_plane(&mut self) {
-        let plane = self.build_plane();
+        let plane = self.build_plane().expect(READOUT_OVERFLOW);
         self.eff_current = std::sync::OnceLock::new();
         let _ = self.eff_current.set(plane);
     }
@@ -802,17 +987,18 @@ impl CrossbarArray {
     /// The analog kernel behind [`CrossbarArray::vmm_analog_batch_at`],
     /// over any effective-current `plane` this array's configuration
     /// reads: `n` inputs of `inputs.len() / n` rows, each driving the
-    /// plane's `out.len() / n` weight columns' physical columns,
-    /// row-major. Only the weight columns in `ranges` (ascending,
-    /// disjoint) are evaluated and written, for every input; the rest of
-    /// `out` is left as it is. `self` supplies the read-out (converter,
-    /// LSB, baseline, scheme), which every array programmed with one
-    /// configuration shares — so `SubCrossbarTensor` runs a fused plane of
-    /// several arrays' rows through one call.
+    /// plane's live columns of `out.len() / n` weight columns, row-major.
+    /// Only the weight columns in `ranges` (ascending, disjoint) are
+    /// evaluated and written, for every input; the rest of `out` is left
+    /// as it is. `self` supplies the read-out (converter, LSB, baseline,
+    /// scheme), which every array programmed with one configuration
+    /// shares — so `SubCrossbarTensor` runs a fused plane of several
+    /// arrays' rows through one call.
     ///
-    /// Columns are evaluated in tiles of whole weights, at most 512
-    /// physical columns. When the ranges hold more than one tile's worth
-    /// of weights the call runs batch-major:
+    /// Columns are evaluated in tiles of whole weights, at most 512 live
+    /// columns; the plane's dead columns would convert to 0 on every set,
+    /// so no tile holds them. When the ranges hold more than one tile's
+    /// worth of live columns the call runs batch-major:
     ///
     /// 1. One set-bit pass per input buckets the active rows of every
     ///    conversion phase (magnitude bit × polarity), and the batch's
@@ -834,20 +1020,21 @@ impl CrossbarArray {
     ///
     /// The result is **bit-identical** to
     /// [`CrossbarArray::vmm_analog_reference`] on every input. Tiles only
-    /// regroup columns, and a set's currents do not depend on who pulses
-    /// it: per column the `f64` additions happen in the reference's
-    /// ascending-row order, from `0.0`, and the baseline is cancelled by
-    /// the same subtraction and division by `lsb`. The converter rounds
-    /// exactly as [`AdcModel::quantize`] does. Everything after
-    /// quantization is integer arithmetic — in `f64` only where every
-    /// partial sum is an integer below 2^53, which `f64` adds exactly in
-    /// any order — so merging a set's scales, and deferring the shift-add
-    /// to the read-out, are identities: every output, and every
-    /// `accumulator overflow`, matches the per-phase recombination.
+    /// regroup columns, a dead column's code is 0 on every set, and a
+    /// set's currents do not depend on who pulses it: per column the
+    /// `f64` additions happen in the reference's ascending-row order,
+    /// from `0.0`, and the baseline is cancelled by the same subtraction
+    /// and division by `lsb`. The converter rounds exactly as
+    /// [`AdcModel::quantize`] does. Everything after quantization is
+    /// integer arithmetic — in `f64` only where every partial sum is an
+    /// integer below 2^53, which `f64` adds exactly in any order — so
+    /// merging a set's scales, and deferring the shift-add to the
+    /// read-out, are identities: every output matches the per-phase
+    /// recombination.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn vmm_analog_ranges(
         &self,
-        plane: &[f64],
+        plane: &Plane,
         inputs: &[i64],
         n: usize,
         ranges: impl Iterator<Item = Range<usize>> + Clone,
@@ -861,10 +1048,18 @@ impl CrossbarArray {
         let (rows, out_cols) = (inputs.len() / n, out.len() / n);
         assert_eq!(inputs.len(), n * rows, "inputs must be n x rows");
         assert_eq!(out.len(), n * out_cols, "out must be n x weight columns");
-        let plane_cols = out_cols * self.cfg.phys_cols_per_weight();
-        assert_eq!(plane.len(), rows * plane_cols, "plane must be rows x out");
+        assert_eq!(plane.starts.len(), out_cols + 1, "plane must span out");
+        assert_eq!(
+            plane.currents.len(),
+            rows * plane.live(),
+            "plane must be rows x live"
+        );
+        assert!(
+            ranges.clone().all(|r| r.end <= out_cols),
+            "column range out of bounds"
+        );
         let lo = self.effective_dropped_bits(prec);
-        let weights: usize = ranges.clone().map(|r| r.len()).sum();
+        let live: usize = ranges.clone().map(|r| plane.live_in(&r)).sum();
         let VmmScratch {
             phase_rows,
             phase_len,
@@ -872,7 +1067,7 @@ impl CrossbarArray {
             tile,
             ..
         } = scratch;
-        if weights > self.tile_weights() {
+        if live > TILE_COLS {
             self.collect_sets(inputs, n, lo, phase_rows, phase_len, sets);
             self.run_tiles(plane, ranges, sets, &sets.rows, tile, out);
             return;
@@ -887,30 +1082,24 @@ impl CrossbarArray {
         }
     }
 
-    /// Weights per column tile: as many as fit in [`TILE_COLS`] physical
-    /// columns, at least one.
-    fn tile_weights(&self) -> usize {
-        (TILE_COLS / self.cfg.phys_cols_per_weight()).max(1)
-    }
-
     /// Evaluates the `sets` (rows listed in `rows`) on every tile of the
     /// weight columns in `ranges`, for the `sets.pulses.len()` inputs whose
     /// results fill `out` row-major. On each tile, each set sums its rows'
-    /// contiguous plane slices, four rows per sweep of the tile's
-    /// currents, and converts them in one branch-free pass: cancel the
-    /// baseline, normalize by the LSB, quantize. A set one input uses adds
-    /// `code · scale` straight into that input's column sums. A shared set
-    /// converts once into a spare code tile, which is shift-added into
-    /// weights once; each user adds its scale times those weights, since
-    /// the recombination is linear. The sums are `f64` when they provably
-    /// stay exact integers there (a saturating converter with
-    /// `bits + magnitude bits + 1 ≤ 53`), so the pass vectorizes, and
+    /// contiguous slices of the plane's live columns, four rows per sweep
+    /// of the tile's currents, and converts them in one branch-free pass:
+    /// cancel the baseline, normalize by the LSB, quantize. A set one
+    /// input uses adds `code · scale` straight into that input's column
+    /// sums. A shared set converts once into a spare code tile, which is
+    /// shift-added into weights once; each user adds its scale times those
+    /// weights, since the recombination is linear. The sums are `f64` when
+    /// they provably stay exact integers there (a saturating converter
+    /// with `bits + magnitude bits + 1 ≤ 53`), so the pass vectorizes, and
     /// `i128` otherwise. Each input's tile is then read out: the shift-add
     /// recombination of its own column sums into weights in `i128`, plus
     /// its shared sets' weights, less offset binary's reference term.
     fn run_tiles(
         &self,
-        plane: &[f64],
+        plane: &Plane,
         ranges: impl Iterator<Item = Range<usize>>,
         sets: &RowSets,
         rows: &[u32],
@@ -919,8 +1108,6 @@ impl CrossbarArray {
     ) {
         let n = sets.pulses.len();
         let out_cols = out.len() / n;
-        let per_weight = self.cfg.phys_cols_per_weight();
-        let plane_cols = out_cols * per_weight;
         let v_read = self.cfg.cell.read_voltage;
         let lsb = v_read * self.g_step;
         let full_scale = self.f64_full_scale();
@@ -931,8 +1118,11 @@ impl CrossbarArray {
             // (the hardware's dummy reference column).
             WeightScheme::OffsetBinary => i128::from(1i64 << (self.cfg.weight_bits - 1)),
         };
-        let tile_weights = self.tile_weights();
-        let width = tile_weights * per_weight;
+        // A weight of at most 63 bits has at most 124 physical columns,
+        // so a tile holds at most TILE_COLS live columns; its weight count
+        // has no such cap (a weight may have no live column), so `shared`
+        // grows per tile.
+        let width = TILE_COLS;
         let TileSums {
             currents,
             col_sum,
@@ -946,30 +1136,37 @@ impl CrossbarArray {
             Some(_) => col_sum.resize((n + 1) * width, 0.0),
             None => col_acc.resize((n + 1) * width, 0),
         }
-        shared.resize((n + 1) * tile_weights, 0);
         owns.clear();
         owns.resize(n, false);
         for set in sets.sets.iter().filter(|set| set.users == 1) {
             owns[set.first.input as usize] = true;
         }
-        // Recombines one weight's columns of f64 sums or codes; each is an
-        // integer below 2^52, so the truncating cast is exact.
-        let recombine = |cols: &[f64]| self.shift_add(cols, |s| i128::from(s as i64));
+        // Recombines one weight's live columns of f64 sums or codes; each
+        // is an integer below 2^52, so the truncating cast is exact.
+        let recombine =
+            |cols: &[f64], roles: &[u8]| shift_add(cols, roles, |s| i128::from(s as i64));
         for r in ranges {
-            assert!(r.end <= out_cols, "column range out of bounds");
-            for w0 in r.clone().step_by(tile_weights) {
-                let w1 = (w0 + tile_weights).min(r.end);
-                let (c0, w) = (w0 * per_weight, (w1 - w0) * per_weight);
-                let weights = w1 - w0;
+            let mut w0 = r.start;
+            while w0 < r.end {
+                let w1 = plane.tile_end(w0, r.end);
+                let (c0, c1) = (plane.starts[w0] as usize, plane.starts[w1] as usize);
+                let (w, weights) = (c1 - c0, w1 - w0);
+                // Weight `w0 + m`'s live columns within the tile.
+                let starts = &plane.starts[w0..=w1];
+                let span = |m: usize| (starts[m] as usize - c0)..(starts[m + 1] as usize - c0);
+                let roles = &plane.roles[c0..c1];
                 let currents = &mut currents[..w];
                 match full_scale {
                     Some(_) => col_sum[..n * w].fill(0.0),
                     None => col_acc[..n * w].fill(0),
                 }
+                if shared.len() < (n + 1) * weights {
+                    shared.resize((n + 1) * weights, 0);
+                }
                 shared[..n * weights].fill(0);
                 for set in &sets.sets {
                     let active = &rows[set.start as usize..][..set.len as usize];
-                    sum_rows(plane, plane_cols, c0, active, currents);
+                    sum_rows(&plane.currents, plane.live(), c0, active, currents);
                     // The dummy (baseline) column sits next to the sense
                     // amps, so its reference current sees the same droop
                     // statistics as a column-0 read; first-order, the
@@ -991,9 +1188,8 @@ impl CrossbarArray {
                         }
                         convert(sums, currents, baseline, lsb, max, scale as f64);
                         if is_shared {
-                            let cols = sums.chunks_exact(per_weight);
-                            for (v, cols) in recombined.iter_mut().zip(cols) {
-                                *v = recombine(cols);
+                            for (m, v) in recombined.iter_mut().enumerate() {
+                                *v = recombine(&sums[span(m)], &roles[span(m)]);
                             }
                         }
                     } else {
@@ -1010,9 +1206,8 @@ impl CrossbarArray {
                             }
                         }
                         if is_shared {
-                            let cols = acc.chunks_exact(per_weight);
-                            for (v, cols) in recombined.iter_mut().zip(cols) {
-                                *v = self.shift_add(cols, |c| c);
+                            for (m, v) in recombined.iter_mut().enumerate() {
+                                *v = shift_add(&acc[span(m)], &roles[span(m)], |c| c);
                             }
                         }
                     }
@@ -1028,16 +1223,28 @@ impl CrossbarArray {
                     let outs = &mut out[k * out_cols..][w0..w1];
                     let from_shared = &shared[k * weights..][..weights];
                     for (m, (o, &from_shared)) in outs.iter_mut().zip(from_shared).enumerate() {
-                        let cols = m * per_weight..(m + 1) * per_weight;
+                        let (cols, roles) = (span(m), &roles[span(m)]);
                         let own = match full_scale {
                             _ if !owns[k] => 0,
-                            Some(_) => recombine(&col_sum[k * w..][cols]),
-                            None => self.shift_add(&col_acc[k * w..][cols], |c| c),
+                            Some(_) => recombine(&col_sum[k * w..][cols], roles),
+                            None => shift_add(&col_acc[k * w..][cols], roles, |c| c),
                         };
                         let value = own + from_shared - reference;
+                        // Unreachable overflow: `value` is this weight's
+                        // output, the sum over the live phases of `±2^bit`
+                        // times a recombined phase value, so |value| stays
+                        // within `readout_bound` (every code lies in its
+                        // column's range from `code_ranges`) and within
+                        // `row_readout_bound`. Every plane build checks
+                        // one of them against i64 (`program` returns
+                        // `OutputOverflow`), and a fused plane joins planes
+                        // that passed it. Every i128 partial sum stays
+                        // within a few times `readout_bound`, which the
+                        // build keeps below i128::MAX >> 8.
                         *o = i64::try_from(value).expect("accumulator overflow");
                     }
                 }
+                w0 = w1;
             }
         }
     }
@@ -1095,7 +1302,7 @@ impl CrossbarArray {
     /// Signed input magnitude bits streamed bit-serially (sign handled by
     /// the polarity phases).
     fn input_mag_bits(&self) -> u32 {
-        self.cfg.input_bits.saturating_sub(1).max(1)
+        input_mag_bits(&self.cfg)
     }
 
     /// The saturating converter's full-scale code `2^bits − 1`, when every
@@ -1231,23 +1438,19 @@ impl CrossbarArray {
         }
     }
 
-    /// Shift-add recombination of one weight's physical-column values
-    /// (counts or sums of counts), each read as an integer by `int`:
-    /// slice `s` enters at `s·bits_per_cell`, a differential pair as
-    /// `pos − neg`.
-    fn shift_add<T: Copy>(&self, cols: &[T], int: impl Fn(T) -> i128) -> i128 {
-        let bpc = self.cfg.cell.bits_per_cell;
-        match self.cfg.scheme {
-            WeightScheme::Differential => cols
-                .chunks_exact(2)
-                .enumerate()
-                .map(|(s, pair)| (int(pair[0]) - int(pair[1])) << (s as u32 * bpc))
-                .sum(),
-            WeightScheme::OffsetBinary => cols
-                .iter()
-                .enumerate()
-                .map(|(s, &v)| int(v) << (s as u32 * bpc))
-                .sum(),
+    /// The shift-add role ([`Plane::roles`]) of a weight's physical
+    /// column `j`: a differential pair's slice `j / 2`, its negative
+    /// column when `j` is odd; offset binary's slice `j`.
+    fn role(&self, j: usize) -> u8 {
+        let (slice, negated) = match self.cfg.scheme {
+            WeightScheme::Differential => (j / 2, j % 2 == 1),
+            WeightScheme::OffsetBinary => (j, false),
+        };
+        let shift = (slice as u32 * self.cfg.cell.bits_per_cell) as u8;
+        if negated {
+            shift | NEGATED
+        } else {
+            shift
         }
     }
 
@@ -1312,17 +1515,18 @@ impl CrossbarArray {
             cols.into_iter().max().unwrap_or(0) as f64
         } else {
             // Σ_{b<k} 2^b · (two polarity phases) = 2·(2^k − 1).
-            2.0 * self.phase_value_bound()
+            2.0 * self.plane().phase_bound
         }
     }
 
     /// Detaches the effective-current plane, building it first if it is
     /// not built. The array stays usable: its next analog read rebuilds
     /// the identical plane from the conductances.
-    pub(crate) fn take_plane(&mut self) -> Vec<f64> {
-        self.eff_current
-            .take()
-            .unwrap_or_else(|| self.build_plane())
+    pub(crate) fn take_plane(&mut self) -> Plane {
+        match self.eff_current.take() {
+            Some(plane) => plane,
+            None => self.build_plane().expect(READOUT_OVERFLOW),
+        }
     }
 
     /// `true` while the effective-current plane is built.
@@ -1332,29 +1536,14 @@ impl CrossbarArray {
     }
 
     /// Worst-case |recombined value| of any single conversion phase over
-    /// any active-row set, from the frozen plane: per physical column,
-    /// split every cell's baseline-cancelled deviation into its positive
-    /// and negative parts — any subset's summed deviation lies between
-    /// `−N_col` and `P_col`, and the ADC's monotonicity carries the
-    /// interval through quantization, the shift-add slices, and (for
-    /// offset binary) the `[0, 2^(wb−1)·rows]` reference-sum range.
-    fn phase_value_bound(&self) -> f64 {
-        let plane = self.plane();
-        let v_read = self.cfg.cell.read_voltage;
-        let lsb = v_read * self.g_step;
-        let baseline_per_row = v_read * self.g_min;
-        let mut pos = vec![0.0f64; self.phys_cols];
-        let mut neg = vec![0.0f64; self.phys_cols];
-        for row in plane.chunks_exact(self.phys_cols) {
-            for ((p, n), &i_eff) in pos.iter_mut().zip(&mut neg).zip(row) {
-                let d = i_eff - baseline_per_row;
-                if d >= 0.0 {
-                    *p += d;
-                } else {
-                    *n -= d;
-                }
-            }
-        }
+    /// any active-row set, from each physical column's summed positive
+    /// (`pos`) and negative (`neg`) deviations from the baseline: any
+    /// subset's summed deviation lies between `−neg` and `pos`, and the
+    /// ADC's monotonicity carries the interval through quantization, the
+    /// shift-add slices, and (for offset binary) the `[0, 2^(wb−1)·rows]`
+    /// reference-sum range.
+    fn phase_value_bound(&self, pos: &[f64], neg: &[f64]) -> f64 {
+        let lsb = self.cfg.cell.read_voltage * self.g_step;
         // Per physical column, the extreme counts any subset reaches. A
         // differential pair's negative column enters its weight negated,
         // so its extremes swap.
@@ -1370,22 +1559,204 @@ impl CrossbarArray {
                 (hi, lo)
             };
         }
-        let ref_max = match self.cfg.scheme {
-            WeightScheme::Differential => 0,
-            WeightScheme::OffsetBinary => {
-                i128::from(1i64 << (self.cfg.weight_bits - 1)) * self.rows as i128
-            }
-        };
+        let ref_max = self.reference_max();
         let per_weight = self.cfg.phys_cols_per_weight();
+        let roles: Vec<u8> = (0..per_weight).map(|j| self.role(j)).collect();
         upper
             .chunks_exact(per_weight)
             .zip(lower.chunks_exact(per_weight))
             .map(|(u, l)| {
-                let hi = self.shift_add(u, i128::from).unsigned_abs();
-                hi.max((self.shift_add(l, i128::from) - ref_max).unsigned_abs())
+                let hi = shift_add(u, &roles, i128::from).unsigned_abs();
+                hi.max((shift_add(l, &roles, i128::from) - ref_max).unsigned_abs())
             })
             .max()
             .unwrap_or(0) as f64
+    }
+
+    /// The largest reference sum offset binary subtracts from one phase,
+    /// `2^(wb−1)` per active row, all rows active; 0 for differential
+    /// pairs.
+    fn reference_max(&self) -> i128 {
+        match self.cfg.scheme {
+            WeightScheme::Differential => 0,
+            WeightScheme::OffsetBinary => {
+                i128::from(1i64 << (self.cfg.weight_bits - 1)) * self.rows as i128
+            }
+        }
+    }
+
+    /// Per physical column, the lowest and highest code any active-row
+    /// set converts it to, rigorously: `phase_value_bound`'s interval
+    /// `[−neg, pos]` widened by a margin that covers every `f64`
+    /// rounding between the cells' currents and the converter's input.
+    /// A column whose range is `(0, 0)` is dead.
+    ///
+    /// The margin: a set of `k ≤ R` rows (`R` the array's rows) sums its
+    /// currents in a chain of `k − 1` additions and subtracts a baseline
+    /// `fl(fl(k·v)·g_min)`; `pos` and `neg` are chains of `R` additions
+    /// of rounded deviations. With `u = 2^−53`, `ρ = (R + 2)·u ≤ 2^−10`
+    /// (any array that fits in memory) and `b = |fl(v·g_min)|`, the
+    /// standard bounds on those chains put the real difference
+    /// `current − baseline` within `3ρ·(pos + neg + (R + 4)·b)` of the
+    /// interval. Twice that more covers the rounding of the margin's own
+    /// evaluation, and `(R + 4)·f64::MIN_POSITIVE` the absolute error of
+    /// subnormal results. Every later step (the subtraction, the division
+    /// by `lsb`, the converter) is monotone, so the widened ends,
+    /// converted the same way, bound every code. A NaN end widens to the
+    /// converter's whole range.
+    fn code_ranges(&self, pos: &[f64], neg: &[f64]) -> Vec<(i64, i64)> {
+        let lsb = self.cfg.cell.read_voltage * self.g_step;
+        let code = |raw: f64, nan: f64| self.cfg.adc.quantize(if raw.is_nan() { nan } else { raw });
+        pos.iter()
+            .zip(neg)
+            .map(|(&p, &n)| {
+                let margin = self.rounding_margin(p, n);
+                let lo = code(-(n + margin) / lsb, f64::NEG_INFINITY);
+                let hi = code((p + margin) / lsb, f64::INFINITY);
+                (lo, hi)
+            })
+            .collect()
+    }
+
+    /// [`CrossbarArray::code_ranges`]' margin for a column whose summed
+    /// deviations are `pos` above the baseline and `neg` below it.
+    fn rounding_margin(&self, pos: f64, neg: f64) -> f64 {
+        let reach = (self.rows + 4) as f64;
+        let rho = (self.rows + 2) as f64 * (f64::EPSILON / 2.0);
+        let b = (self.cfg.cell.read_voltage * self.g_min).abs();
+        8.0 * rho * (pos + neg + reach * b) + reach * f64::MIN_POSITIVE
+    }
+
+    /// The largest |output| the analog read-out can produce for any input
+    /// (`None` past `i128`), from the columns' code ranges.
+    ///
+    /// Proof: per weight, a phase's recombined value — the shift-add of
+    /// its codes, less offset binary's reference sum in `[0, ref_max]` —
+    /// lies in `[lo, hi]`, the shift-adds of the columns' lowest and
+    /// highest codes (extremes swapped for a negative column) less
+    /// `ref_max` and less 0. Every range holds 0, so `lo ≤ 0 ≤ hi`. Bit
+    /// `b`'s two polarity phases add `2^b·(v⁺ − v⁻)`, at most `2^b·(hi −
+    /// lo)` in magnitude, so no output exceeds `(2^mag − 1)·(hi − lo)`,
+    /// `mag` the streamed magnitude bits. Bounding each column alone, it
+    /// cannot see that offset binary's reference sum cancels each active
+    /// row's offset, and there reads up to 3× the true read-out.
+    fn readout_bound(&self, codes: &[(i64, i64)]) -> Option<i128> {
+        let ref_max = self.reference_max();
+        let mut widest = 0i128;
+        for cols in codes.chunks_exact(self.cfg.phys_cols_per_weight()) {
+            let (mut hi, mut lo) = (0i128, -ref_max);
+            for (j, &(low, high)) in cols.iter().enumerate() {
+                let role = self.role(j);
+                // A code is an i64 and a shift at most 62: no overflow.
+                let unit = 1i128 << (role & !NEGATED);
+                let (low, high) = (i128::from(low) * unit, i128::from(high) * unit);
+                let (low, high) = match role & NEGATED == 0 {
+                    true => (low, high),
+                    false => (-high, -low),
+                };
+                hi = hi.checked_add(high)?;
+                lo = lo.checked_add(low)?;
+            }
+            widest = widest.max(hi.checked_sub(lo)?);
+        }
+        widest.checked_mul((1i128 << self.input_mag_bits()) - 1)
+    }
+
+    /// The read-out bound taken row by row (`None` when it cannot bound
+    /// the read-out), from the plane's full-width `currents` and each
+    /// column's summed deviations `pos` and `neg`. It reads every cell
+    /// again, so [`CrossbarArray::build_plane`] asks for it only when the
+    /// code-range bound ([`CrossbarArray::readout_bound`]) leaves `i64`.
+    ///
+    /// Proof: write each cell's deviation from the baseline, in LSBs, as
+    /// its nearest integer count `n` plus a residual. A set's converter
+    /// input for a column is then `C + E + ε`: `C` the sum of its rows'
+    /// counts, an integer; `E` the sum of their residuals, between the
+    /// column's summed negative and positive residuals; `|ε|` within
+    /// three times the column's [`CrossbarArray::rounding_margin`] in
+    /// LSBs (the addition chains behind that margin, the subtraction and
+    /// the division, each residual's own rounding). Since `⌈x − ½⌉ ≤
+    /// round(x) ≤ ⌊x + ½⌋`, the code is `C + t` with `t` an integer in
+    /// `[−⌊F⁻ + ½⌋, ⌊F⁺ + ½⌋]`, `F±` the residual sums, grown by `2ρ`
+    /// for their own rounding (`ρ` as in `code_ranges`), plus that
+    /// slack; a saturating converter's clamp to `[0, max]` widens the
+    /// ends to at least the column's summed negative counts and its
+    /// summed positive counts less `max`. A weight's phase value is then
+    /// the sum over the set of `ω_r`, row `r`'s shift-add of its counts
+    /// less the offset (the weight as that row reads it), plus the
+    /// shift-add of the `t`s: between the sum of the negative `ω_r` and
+    /// that of the positive ones, each widened by the shift-add of the
+    /// `t`s' ends. That interval holds 0, and the output follows as in
+    /// `readout_bound`. On an ideal array every `ω_r` is the programmed
+    /// weight and, short of millions of rows, every `t` is 0: the bound
+    /// is `(2^mag − 1)·Σ_r |w_r|`, all the exact product can reach.
+    fn row_readout_bound(&self, currents: &[f64], pos: &[f64], neg: &[f64]) -> Option<i128> {
+        const INTEGRAL: f64 = (1u64 << 52) as f64;
+        let (pc, per_weight) = (self.phys_cols, self.cfg.phys_cols_per_weight());
+        let v_read = self.cfg.cell.read_voltage;
+        let (baseline, lsb) = (v_read * self.g_min, v_read * self.g_step);
+        let offset = self.reference_max() / self.rows as i128;
+        let roles: Vec<u8> = (0..per_weight).map(|j| self.role(j)).collect();
+        // Per column, its counts summed above and below 0 and its
+        // residuals likewise; per weight, its rows' `ω_r` likewise.
+        let mut counts = vec![(0i128, 0i128); pc];
+        let mut residuals = vec![(0.0f64, 0.0f64); pc];
+        let mut reads = vec![(0i128, 0i128); self.weight_cols];
+        let mut row = vec![0i128; per_weight];
+        for cells in currents.chunks_exact(pc) {
+            for (m, (up, down)) in reads.iter_mut().enumerate() {
+                for (j, n) in row.iter_mut().enumerate() {
+                    let c = m * per_weight + j;
+                    let z = (cells[c] - baseline) / lsb;
+                    if z.is_nan() || z.abs() >= INTEGRAL {
+                        return None;
+                    }
+                    let count = i128::from(round_half_away(z));
+                    // Exact: `count` is 0 or within a factor 2 of `z`.
+                    let e = z - count as f64;
+                    *n = count;
+                    counts[c].0 += count.max(0);
+                    counts[c].1 -= count.min(0);
+                    residuals[c].0 += e.max(0.0);
+                    residuals[c].1 -= e.min(0.0);
+                }
+                // Counts below 2^52 and shifts below 63 keep this in i128.
+                let read = shift_add(&row, &roles, |n| n) - offset;
+                *up = up.checked_add(read.max(0))?;
+                *down = down.checked_sub(read.min(0))?;
+            }
+        }
+        let rho = (self.rows + 2) as f64 * (f64::EPSILON / 2.0);
+        // `⌊F + ½⌋` for `F` ≥ 0 widened by the slack; `None` past 2^52.
+        let steps = |residual: f64, slack: f64| {
+            let f = residual * (1.0 + 2.0 * rho) + slack + 0.5;
+            (f < INTEGRAL).then(|| i128::from(f as i64))
+        };
+        let mut widest = 0i128;
+        for (m, &(up, down)) in reads.iter().enumerate() {
+            let (mut hi, mut lo) = (up, -down);
+            for (j, &role) in roles.iter().enumerate() {
+                let c = m * per_weight + j;
+                let slack = 3.0 * self.rounding_margin(pos[c], neg[c]) / lsb;
+                let (t_up, t_down) = (steps(residuals[c].0, slack)?, steps(residuals[c].1, slack)?);
+                let (t_up, t_down) = match self.cfg.adc {
+                    AdcModel::Ideal => (t_up, t_down),
+                    AdcModel::Saturating { bits } => {
+                        let max = (1i128 << bits) - 1;
+                        (t_up.max(counts[c].1), t_down.max(counts[c].0 - max))
+                    }
+                };
+                let (t_up, t_down) = match role & NEGATED == 0 {
+                    true => (t_up, t_down),
+                    false => (t_down, t_up),
+                };
+                let unit = 1i128 << (role & !NEGATED);
+                hi = hi.checked_add(t_up.checked_mul(unit)?)?;
+                lo = lo.checked_sub(t_down.checked_mul(unit)?)?;
+            }
+            widest = widest.max(hi.checked_sub(lo)?);
+        }
+        widest.checked_mul((1i128 << self.input_mag_bits()) - 1)
     }
 
     /// The original per-phase-recompute analog pipeline, kept verbatim as
@@ -1406,6 +1777,9 @@ impl CrossbarArray {
     #[allow(clippy::needless_range_loop)] // strided views; indexing reads clearer
     pub fn vmm_analog_reference(&self, input: &[i64]) -> Vec<i64> {
         assert_eq!(input.len(), self.rows, "input length must match rows");
+        // Builds the plane if it is not built, which checks the read-out
+        // bound the final conversion below relies on.
+        let _ = self.plane();
         let input_mag_bits = self.input_mag_bits();
         let v_read = self.cfg.cell.read_voltage;
         let ir = &self.cfg.ir_drop;
@@ -1465,10 +1839,59 @@ impl CrossbarArray {
             }
         }
 
+        // Unreachable overflow: each code comes from the plane's currents,
+        // summed and converted as the kernel does, so `acc` lies within
+        // both `readout_bound` and `row_readout_bound`, one of which the
+        // plane build checked against i64.
         acc.iter()
             .map(|&v| i64::try_from(v).expect("accumulator overflow"))
             .collect()
     }
+}
+
+/// The message of a plane build whose read-out bound leaves `i64`.
+const READOUT_OVERFLOW: &str = "analog read-out can leave i64";
+
+/// Signed input magnitude bits `cfg` streams bit-serially.
+fn input_mag_bits(cfg: &XbarConfig) -> u32 {
+    cfg.input_bits.saturating_sub(1).max(1)
+}
+
+/// Rejects the widths an array cannot represent: cells of 0 bits (no
+/// level to slice onto) or of 16 and more (the level count is a `u16`),
+/// and inputs or weights of 0 or more than 63 bits (their bounds are
+/// `i64`).
+fn check_widths(cfg: &XbarConfig) -> Result<(), XbarError> {
+    let widths = [
+        ("bits_per_cell", cfg.cell.bits_per_cell, 15),
+        ("input_bits", cfg.input_bits, 63),
+        ("weight_bits", cfg.weight_bits, 63),
+    ];
+    match widths
+        .into_iter()
+        .find(|&(_, bits, max)| !(1..=max).contains(&bits))
+    {
+        Some((field, bits, _)) => Err(XbarError::BadBitWidth { field, bits }),
+        None => Ok(()),
+    }
+}
+
+/// Shift-add recombination of one weight's column values (counts or sums
+/// of counts), each read as an integer by `int`: a column enters at its
+/// slice's shift, negated for a differential pair's negative column, as
+/// its role says ([`Plane::roles`]).
+fn shift_add<T: Copy>(cols: &[T], roles: &[u8], int: impl Fn(T) -> i128) -> i128 {
+    cols.iter()
+        .zip(roles)
+        .map(|(&v, &role)| {
+            let term = int(v) << (role & !NEGATED);
+            if role & NEGATED == 0 {
+                term
+            } else {
+                -term
+            }
+        })
+        .sum()
 }
 
 /// Sums the active rows' effective currents over one tile of `plane`
@@ -1566,6 +1989,7 @@ fn convert(sums: &mut [f64], currents: &[f64], baseline: f64, lsb: f64, max: f64
 mod tests {
     use super::*;
     use crate::config::tests::within_4_ulps;
+    use red_device::DriftModel;
 
     fn ramp_weights(rows: usize, cols: usize) -> Vec<Vec<i64>> {
         (0..rows)
@@ -2282,6 +2706,352 @@ mod tests {
             .collect();
         assert_eq!(out, a.vmm_exact(&trunc));
         assert!(out.iter().any(|&v| v != 0), "one bit must stay live");
+    }
+
+    /// Weights of `rows x cols` within `±bound`, from a ramp.
+    fn narrow_weights(rows: usize, cols: usize, bound: i64) -> Vec<Vec<i64>> {
+        (0..rows)
+            .map(|r| {
+                (0..cols)
+                    .map(|c| ((r * 31 + c * 7) as i64 % (2 * bound + 1)) - bound)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every mixed-sign input over `rows` rows drawn from `values`.
+    fn all_inputs(rows: usize, values: &[i64]) -> Vec<Vec<i64>> {
+        (0..values.len().pow(rows as u32))
+            .map(|mut k| {
+                (0..rows)
+                    .map(|_| {
+                        let v = values[k % values.len()];
+                        k /= values.len();
+                        v
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Live columns of each weight in the array's plane.
+    fn live_per_weight(a: &CrossbarArray) -> Vec<u32> {
+        a.plane().starts.windows(2).map(|w| w[1] - w[0]).collect()
+    }
+
+    /// A column whose cells sum to just under half an LSB above the
+    /// baseline is dead, and converts to 0 on every set; just over half,
+    /// it is live, and the set of both rows converts it to 1. Either way
+    /// the kernel equals the reference on every input.
+    #[test]
+    fn dead_column_threshold_sits_at_half_an_lsb() {
+        let adc = XbarConfig::preset("adc").unwrap();
+        for cfg in [
+            adc,
+            XbarConfig {
+                adc: AdcModel::Ideal,
+                ..adc
+            },
+        ] {
+            for (second, live) in [(0.2 - 1e-9, 0), (0.2 + 1e-9, 1)] {
+                // Two rows of zero weights: every cell sits on g_min,
+                // except physical column 0's two cells, 0.3 and `second`
+                // of a level above it.
+                let mut a = CrossbarArray::program(&cfg, &[vec![0], vec![0]]).unwrap();
+                a.conductance[0] = a.g_min + 0.3 * a.g_step;
+                a.conductance[a.phys_cols] = a.g_min + second * a.g_step;
+                a.rebuild_plane();
+                assert_eq!(live_per_weight(&a), [live], "{:?}, {second}", cfg.adc);
+                assert_eq!(
+                    analog(&a, &[1, 1]),
+                    [live as i64],
+                    "{:?}, {second}",
+                    cfg.adc
+                );
+                for x in all_inputs(2, &[-3, -1, 0, 1, 2]) {
+                    assert_eq!(analog(&a, &x), a.vmm_analog_reference(&x), "{x:?}");
+                }
+            }
+        }
+    }
+
+    /// Narrow weights leave the upper slices dead; an in-field stuck-on
+    /// strike into one revives it, and the rebuilt plane keeps exactly
+    /// the columns that hold a cell above the baseline.
+    #[test]
+    fn stuck_on_strike_revives_a_dead_column() {
+        let cfg = XbarConfig::preset("adc").unwrap();
+        let mut a = CrossbarArray::program(&cfg, &narrow_weights(6, 8, 1)).unwrap();
+        // Live iff some cell of the column conducts above g_min: the
+        // converter clamps everything at or below the baseline to 0.
+        let expected = |a: &CrossbarArray| -> Vec<u32> {
+            (0..a.weight_cols)
+                .map(|m| {
+                    let cols = m * 8..(m + 1) * 8;
+                    let above = |c: usize| (0..a.rows).any(|r| a.conductance[r * 64 + c] > a.g_min);
+                    cols.filter(|&c| above(c)).count() as u32
+                })
+                .collect()
+        };
+        let before = live_per_weight(&a);
+        assert_eq!(before, expected(&a));
+        assert!(before.iter().all(|&l| l <= 2), "slice 0 only: {before:?}");
+        a.apply_faults(40, 5);
+        let after = live_per_weight(&a);
+        assert_eq!(after, expected(&a));
+        assert!(
+            after.iter().sum::<u32>() > before.iter().sum::<u32>(),
+            "no dead column revived: {before:?} -> {after:?}"
+        );
+        for x in all_inputs(6, &[-5, 0, 3]).into_iter().step_by(7) {
+            assert_eq!(analog(&a, &x), a.vmm_analog_reference(&x), "{x:?}");
+        }
+    }
+
+    /// With the ideal converter a column is dead only while its cells'
+    /// summed shortfall below the baseline stays under half an LSB too:
+    /// 30 days of drift pull 24 code-0 cells about 0.77 LSB below it, so
+    /// every column comes alive, and advancing back to fresh cells kills
+    /// the upper slices again.
+    #[test]
+    fn advance_drift_reclassifies_columns() {
+        let mut a =
+            CrossbarArray::program(&XbarConfig::ideal(), &narrow_weights(24, 4, 1)).unwrap();
+        let x: Vec<i64> = (0..24).map(|r| [1, 7, -3][r % 3]).collect();
+        let fresh = live_per_weight(&a);
+        assert!(fresh.iter().all(|&l| l <= 2), "slice 0 only: {fresh:?}");
+        a.advance_drift(DriftModel::after(0.02, 30.0 * 86_400.0));
+        assert_eq!(live_per_weight(&a), [8; 4]);
+        assert_eq!(analog(&a, &x), a.vmm_analog_reference(&x));
+        a.advance_drift(DriftModel::fresh());
+        assert_eq!(live_per_weight(&a), fresh);
+        assert_eq!(analog(&a, &x), a.vmm_analog_reference(&x));
+    }
+
+    /// The truncation bound of an array whose plane elides columns equals,
+    /// bit for bit, the bound from the summed deviations of its
+    /// full-width plane.
+    #[test]
+    fn truncation_bound_matches_full_width_plane() {
+        let mut elided = 0;
+        for cfg in nonideal_lineup() {
+            for bound in [1, 5] {
+                let a = CrossbarArray::program(&cfg, &narrow_weights(29, 6, bound)).unwrap();
+                elided += usize::from(a.plane().live() < a.phys_cols);
+                let (v_read, pc) = (cfg.cell.read_voltage, a.phys_cols);
+                let baseline_per_row = v_read * a.g_min;
+                let mut pos = vec![0.0f64; pc];
+                let mut neg = vec![0.0f64; pc];
+                for (idx, &g) in a.conductance.iter().enumerate() {
+                    let i_eff = cfg
+                        .ir_drop
+                        .cell_current_a(v_read, g, idx / pc, idx % pc, a.rows);
+                    let d = i_eff - baseline_per_row;
+                    if d >= 0.0 {
+                        pos[idx % pc] += d;
+                    } else {
+                        neg[idx % pc] -= d;
+                    }
+                }
+                let per_residue = 2.0 * a.phase_value_bound(&pos, &neg);
+                for k in 0..8 {
+                    let want = a.dropped_residues(k) * per_residue;
+                    let got = a.truncation_error_bound_bits(k);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{cfg:?}, ±{bound}, {k} bits");
+                }
+            }
+        }
+        assert!(elided > 0, "no plane elided a column");
+    }
+
+    #[test]
+    fn unrepresentable_widths_are_typed_errors() {
+        for (field, bits) in [
+            ("bits_per_cell", 0),
+            ("bits_per_cell", 16),
+            ("input_bits", 0),
+            ("input_bits", 64),
+            ("weight_bits", 0),
+            ("weight_bits", 64),
+        ] {
+            let mut cfg = XbarConfig::ideal();
+            match field {
+                "bits_per_cell" => cfg.cell.bits_per_cell = bits,
+                "input_bits" => cfg.input_bits = bits,
+                _ => cfg.weight_bits = bits,
+            }
+            let want = Err(XbarError::BadBitWidth { field, bits });
+            assert_eq!(CrossbarArray::program(&cfg, &[vec![0]]).map(|_| ()), want);
+            let flat = CrossbarArray::program_flat(&cfg, 1, 1, vec![0]);
+            assert_eq!(flat.map(|_| ()), want);
+        }
+    }
+
+    /// 2 rows of 40-bit weights at 40-bit inputs reach 2^79: the exact
+    /// path would wrap, so programming refuses the array.
+    #[test]
+    fn exact_overflow_is_a_typed_error() {
+        let cfg = XbarConfig {
+            input_bits: 40,
+            weight_bits: 40,
+            ..XbarConfig::ideal()
+        };
+        let w = cfg.weight_bound();
+        let got = CrossbarArray::program(&cfg, &[vec![w], vec![w]]).map(|_| ());
+        let want = XbarError::OutputOverflow {
+            rows: 2,
+            input_bits: 40,
+            weight_bits: 40,
+        };
+        assert_eq!(got, Err(want));
+    }
+
+    /// At the widest input width each configuration of either scheme
+    /// accepts for 2 rows of 32-bit weights (one bit more is an
+    /// `OutputOverflow`), extreme inputs read out without overflow, the
+    /// kernel equal to the reference and, on the ideal array, both equal
+    /// to the exact product. Without noise that width is the exact path's
+    /// 32 bits: offset binary's code-range bound is 3× too loose there,
+    /// and the row bound must accept it.
+    #[test]
+    fn widest_accepted_configuration_reads_out_in_range() {
+        let adc = XbarConfig::preset("adc").unwrap();
+        let variation = XbarConfig::preset("variation").unwrap();
+        let schemes = [WeightScheme::Differential, WeightScheme::OffsetBinary];
+        for (base, scheme) in [XbarConfig::ideal(), adc, variation]
+            .into_iter()
+            .flat_map(|base| schemes.map(|scheme| (base, scheme)))
+        {
+            let at = |input_bits| XbarConfig {
+                input_bits,
+                weight_bits: 32,
+                scheme,
+                ..base
+            };
+            let w = at(2).weight_bound();
+            let weights = [vec![w, -w, 1], vec![w, w, -1]];
+            let widest = (2..=63)
+                .take_while(|&b| CrossbarArray::program(&at(b), &weights).is_ok())
+                .last()
+                .expect("2-bit inputs are accepted");
+            if base != variation {
+                assert_eq!(widest, 32, "{base:?} {scheme:?}");
+            }
+            if widest < 63 {
+                let over = CrossbarArray::program(&at(widest + 1), &weights).map(|_| ());
+                assert!(
+                    matches!(over, Err(XbarError::OutputOverflow { rows: 2, .. })),
+                    "{over:?}"
+                );
+            }
+            let a = CrossbarArray::program(&at(widest), &weights).unwrap();
+            let x = at(widest).input_bound();
+            for input in [[x, x], [x, -x], [-x, -x], [x - 1, 1]] {
+                let kernel = analog(&a, &input);
+                assert_eq!(kernel, a.vmm_analog_reference(&input), "{input:?}");
+                if base == XbarConfig::ideal() {
+                    let exact: Vec<i64> = (0..3)
+                        .map(|m| {
+                            let sum = i128::from(input[0]) * i128::from(weights[0][m])
+                                + i128::from(input[1]) * i128::from(weights[1][m]);
+                            i64::try_from(sum).unwrap()
+                        })
+                        .collect();
+                    assert_eq!(a.vmm_exact(&input), exact, "{input:?}");
+                    assert_eq!(kernel, exact, "{input:?}");
+                }
+            }
+        }
+    }
+
+    /// Both read-out bounds hold every output of every input on 10,000
+    /// seeded-random 3 × 2 arrays: either scheme, an ideal converter or
+    /// one that clamps at 1–3 bits, variation, drift and low on/off
+    /// ratios (whose drifted code-0 cells count −1), and on one array
+    /// picked so that a clamp raises negative counts: every term of the
+    /// row bound's slack is needed somewhere. On an ideal array the
+    /// row bound is what the exact product reaches, and for offset binary
+    /// the code-range bound is looser.
+    #[test]
+    fn readout_bounds_cover_every_output() {
+        use red_device::variation::VariationModel;
+        let inputs = all_inputs(3, &[-1, 0, 1]);
+        let worst = |a: &CrossbarArray| {
+            let outputs = inputs.iter().flat_map(|x| a.vmm_analog_reference(x));
+            outputs.map(|v| i128::from(v).abs()).max().unwrap()
+        };
+        let bounds = |a: &CrossbarArray| {
+            let (currents, pos, neg) = a.currents_and_deviations();
+            let by_codes = a.readout_bound(&a.code_ranges(&pos, &neg)).unwrap();
+            (
+                by_codes,
+                a.row_readout_bound(&currents, &pos, &neg).unwrap(),
+            )
+        };
+        let schemes = [WeightScheme::Differential, WeightScheme::OffsetBinary];
+        let mut rng = StdRng::seed_from_u64(1);
+        for seed in 0..10_000 {
+            let mut cfg = XbarConfig {
+                scheme: schemes[rng.gen_range(0usize..2)],
+                adc: match rng.gen_range(0..4) {
+                    0 => AdcModel::Ideal,
+                    bits => AdcModel::Saturating { bits },
+                },
+                variation: VariationModel::with_sigma(
+                    [0.0, 0.05, 0.1][rng.gen_range(0usize..3)],
+                    seed,
+                ),
+                drift: DriftModel::after(rng.gen_range(0.0..0.05), 30.0 * 86_400.0),
+                input_bits: 2,
+                weight_bits: rng.gen_range(2..=6),
+                ..XbarConfig::ideal()
+            };
+            cfg.cell.r_off_ohm = [22e3, 30e3, 60e3, 500e3][rng.gen_range(0usize..4)];
+            let b = cfg.weight_bound();
+            let weights: Vec<Vec<i64>> = (0..3)
+                .map(|_| (0..2).map(|_| rng.gen_range(-b..=b)).collect())
+                .collect();
+            let a = CrossbarArray::program(&cfg, &weights).unwrap();
+            let (by_codes, by_rows) = bounds(&a);
+            let worst = worst(&a);
+            assert!(
+                worst <= by_codes.min(by_rows),
+                "{worst} > {by_codes} or {by_rows}: {cfg:?} {weights:?}"
+            );
+        }
+        // Drifted code-0 cells of a low-ratio cell count −1, and the
+        // clamping converter raises such a sum to 0: the row bound's upper
+        // end needs the column's summed negative counts here.
+        let mut cfg = XbarConfig {
+            scheme: WeightScheme::OffsetBinary,
+            adc: AdcModel::Saturating { bits: 3 },
+            drift: DriftModel::after(0.01, 30.0 * 86_400.0),
+            input_bits: 2,
+            weight_bits: 6,
+            ..XbarConfig::ideal()
+        };
+        cfg.cell.r_off_ohm = 30e3;
+        let a = CrossbarArray::program(&cfg, &[vec![-12, 24], vec![13, -30], vec![13, 9]]).unwrap();
+        assert!(worst(&a) <= bounds(&a).1);
+        for scheme in schemes {
+            let cfg = XbarConfig {
+                scheme,
+                input_bits: 2,
+                weight_bits: 6,
+                ..XbarConfig::ideal()
+            };
+            let weights = narrow_weights(3, 5, cfg.weight_bound());
+            let a = CrossbarArray::program(&cfg, &weights).unwrap();
+            let (by_codes, by_rows) = bounds(&a);
+            let exact = (0..5)
+                .map(|m| weights.iter().map(|w| i128::from(w[m].abs())).sum::<i128>())
+                .max()
+                .unwrap();
+            assert_eq!((by_rows, worst(&a)), (exact, exact), "{scheme:?}");
+            if scheme == WeightScheme::OffsetBinary {
+                assert!(by_codes > by_rows);
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,24 @@ pub enum XbarError {
     },
     /// The weight matrix is empty or ragged.
     BadWeightMatrix(String),
+    /// A bit width the array cannot represent: `bits_per_cell` outside
+    /// `1..=15`, or `input_bits` or `weight_bits` outside `1..=63`.
+    BadBitWidth {
+        /// The configuration field.
+        field: &'static str,
+        /// Its value.
+        bits: u32,
+    },
+    /// Some input within the streamed width could drive an output of this
+    /// array past `i64`, on the exact path or the analog one.
+    OutputOverflow {
+        /// Rows of the array.
+        rows: usize,
+        /// Configured input width.
+        input_bits: u32,
+        /// Configured weight width.
+        weight_bits: u32,
+    },
 }
 
 impl fmt::Display for XbarError {
@@ -27,6 +45,18 @@ impl fmt::Display for XbarError {
                 write!(f, "weight {value} outside representable range ±{bound}")
             }
             XbarError::BadWeightMatrix(msg) => write!(f, "bad weight matrix: {msg}"),
+            XbarError::BadBitWidth { field, bits } => {
+                write!(f, "{field} = {bits} is outside the representable widths")
+            }
+            XbarError::OutputOverflow {
+                rows,
+                input_bits,
+                weight_bits,
+            } => write!(
+                f,
+                "a {rows}-row array at {input_bits}-bit inputs and {weight_bits}-bit \
+                 weights can read out past i64"
+            ),
         }
     }
 }

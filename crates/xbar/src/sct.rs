@@ -13,8 +13,12 @@
 //! set-bit pass, the phase dispatch, the read-out) once instead of once
 //! per tap, the batch's images reuse each column tile's plane rows, and
 //! an active-row set that repeats across phases or images is converted
-//! once per tile. Ideal arrays run the taps' exact VMMs.
+//! once per tile. Each tap brings only its array's live columns: a
+//! column no active-row set can convert to a non-zero code (the upper
+//! slices of narrow weights) is left out of the fused plane, as it is
+//! of the array's own. Ideal arrays run the taps' exact VMMs.
 
+use crate::array::Plane;
 use crate::{CrossbarArray, ExecPrecision, VmmScratch, XbarConfig, XbarError};
 use red_tensor::Kernel;
 use std::ops::Range;
@@ -67,12 +71,14 @@ pub struct SubCrossbarTensor {
     filters: usize,
     arrays: Vec<CrossbarArray>,
     /// Non-ideal configurations only (empty otherwise): the effective
-    /// currents of every tap's `C` rows, `C × (KH·KW·M·per_weight)`
-    /// row-major, tap `t` in columns `t·M·per_weight..`. They are copied
-    /// from each tap array's plane at mapping time, and those planes are
-    /// then dropped, so the fused plane replaces them rather than
-    /// doubling them.
-    fused: Vec<f64>,
+    /// currents of every tap's `C` rows over its array's live columns,
+    /// row-major, tap `t`'s block after tap `t − 1`'s, with the `KH·KW·M`
+    /// fused weights' live-column ranges and roles. They are copied from
+    /// each tap array's plane at mapping time, and those planes are then
+    /// dropped, so the fused plane replaces them rather than doubling
+    /// them. A tap keeps its array's live columns, so both taps of a
+    /// halved array keep the columns either one needs.
+    fused: Plane,
     /// The largest [`CrossbarArray`] truncation error per dropped residue
     /// over the arrays, recorded at mapping time while each plane exists.
     error_per_residue: f64,
@@ -101,13 +107,19 @@ impl SubCrossbarTensor {
             channels: c,
             filters: m,
             arrays: Vec::new(),
-            fused: Vec::new(),
+            fused: Plane::default(),
             error_per_residue: 0.0,
         };
         // Array `n` holds the `per` taps from `per·n`, tap `per·n + half`
         // in rows `half·C..`; a tap past an odd count leaves zero rows.
         let per = sct.cycles_per_batch();
-        let fused_cols = taps * m * cfg.phys_cols_per_weight();
+        // Each tap's live block is first copied to where its full-width
+        // block would sit, `t·M·per_weight` into a row of `full` columns,
+        // then the rows are closed up in place once every width is known.
+        let tap_cols = m * cfg.phys_cols_per_weight();
+        let full = taps * tap_cols;
+        let mut widths = Vec::new();
+        let fused = &mut sct.fused;
         for n in 0..taps.div_ceil(per) {
             let mut flat = Vec::with_capacity(per * c * m);
             for t in per * n..per * (n + 1) {
@@ -123,19 +135,40 @@ impl SubCrossbarTensor {
             let bound = array.error_per_residue();
             sct.error_per_residue = sct.error_per_residue.max(bound);
             if !array.is_ideal() {
-                if sct.fused.is_empty() {
-                    sct.fused = vec![0.0; c * fused_cols];
+                if fused.currents.is_empty() {
+                    fused.currents = vec![0.0; c * full];
+                    fused.starts.push(0);
                 }
                 let plane = array.take_plane();
-                let pc = array.phys_cols();
+                let live = plane.live();
                 for (half, t) in (per * n..taps.min(per * (n + 1))).enumerate() {
                     for ch in 0..c {
-                        sct.fused[ch * fused_cols + t * pc..][..pc]
-                            .copy_from_slice(&plane[(half * c + ch) * pc..][..pc]);
+                        fused.currents[ch * full + t * tap_cols..][..live]
+                            .copy_from_slice(&plane.currents[(half * c + ch) * live..][..live]);
                     }
+                    let at = fused.roles.len() as u32;
+                    fused
+                        .starts
+                        .extend(plane.starts[1..].iter().map(|&s| at + s));
+                    fused.roles.extend_from_slice(&plane.roles);
+                    widths.push(live);
                 }
             }
             sct.arrays.push(array);
+        }
+        if !widths.is_empty() && fused.live() < full {
+            // Every block moves to an index at or below its own, in
+            // ascending order, so nothing is overwritten before it moves.
+            let mut to = 0;
+            for ch in 0..c {
+                for (t, &live) in widths.iter().enumerate() {
+                    let from = ch * full + t * tap_cols;
+                    fused.currents.copy_within(from..from + live, to);
+                    to += live;
+                }
+            }
+            fused.currents.truncate(to);
+            fused.currents.shrink_to_fit();
         }
         Ok(sct)
     }
@@ -232,7 +265,7 @@ impl SubCrossbarTensor {
         assert_eq!(inputs.len() % c, 0, "inputs must be n x C");
         let n = inputs.len() / c;
         assert_eq!(out.len(), n * width, "out must be n x taps x M");
-        if !self.fused.is_empty() {
+        if !self.fused.starts.is_empty() {
             let cols = taps.iter().map(|r| r.start * m..r.end * m);
             let read = &self.arrays[0];
             read.vmm_analog_ranges(&self.fused, inputs, n, cols, scratch, out, prec);
@@ -283,6 +316,18 @@ mod tests {
         })
     }
 
+    /// A kernel within `±bound`.
+    fn bounded_kernel(kh: usize, kw: usize, c: usize, m: usize, bound: i64) -> Kernel<i64> {
+        Kernel::from_fn(kh, kw, c, m, |i, j, cc, mm| {
+            ((i * 53 + j * 19 + cc * 7 + mm * 3) as i64 % (2 * bound + 1)) - bound
+        })
+    }
+
+    /// Kernel bounds the fused-plane tests draw: ±1 and ±5 leave the
+    /// upper slices' columns dead, elided from the fused plane unless a
+    /// stuck-on cell revives one; ±127 fills every slice.
+    const BOUNDS: [i64; 3] = [1, 5, 127];
+
     /// One pixel's partial sums for the taps in `taps`, `KH·KW·M` long.
     fn eval(sct: &SubCrossbarTensor, taps: &[Range<usize>], input: &[i64]) -> Vec<i64> {
         let width = sct.kernel_h() * sct.kernel_w() * sct.filters();
@@ -293,18 +338,19 @@ mod tests {
     }
 
     /// The noisy configurations the fused plane must reproduce exactly:
-    /// both schemes, saturating and ideal converters.
+    /// both schemes of each non-ideal preset, so saturating (`adc`,
+    /// `full`) and ideal (`variation`, `ir-drop`) converters.
     fn noisy_lineup() -> Vec<XbarConfig> {
-        let full = XbarConfig::preset("full").unwrap();
-        let variation = XbarConfig::preset("variation").unwrap();
-        let mut cfgs = vec![full, variation];
-        for cfg in [full, variation] {
-            cfgs.push(XbarConfig {
-                scheme: crate::WeightScheme::OffsetBinary,
-                ..cfg
-            });
-        }
-        cfgs
+        let presets = ["variation", "adc", "ir-drop", "full"];
+        let cfgs: Vec<XbarConfig> = presets
+            .iter()
+            .map(|name| XbarConfig::preset(name).unwrap())
+            .collect();
+        let offset = cfgs.iter().map(|&cfg| XbarConfig {
+            scheme: crate::WeightScheme::OffsetBinary,
+            ..cfg
+        });
+        cfgs.iter().copied().chain(offset).collect()
     }
 
     #[test]
@@ -426,43 +472,53 @@ mod tests {
         }
     }
 
-    /// Every tap of every pixel, noisy or ideal, in both layouts and at
-    /// every tier, equals driving the tap's own array (the halved layout's
-    /// with the zero-filled `2C` vector) through the reference pipeline;
-    /// a batch of pixels equals the pixels one at a time over a shared
-    /// scratch, and taps outside the requested ranges stay untouched.
+    /// Every tap of every pixel, noisy or ideal, in both layouts, at every
+    /// tier and for every kernel bound, equals driving the tap's own array
+    /// (the halved layout's with the zero-filled `2C` vector) through the
+    /// reference pipeline on the tier's truncated pixel — the exact path
+    /// on ideal arrays; a batch of pixels equals the pixels one at a time
+    /// over a shared scratch, and taps outside the requested ranges stay
+    /// untouched.
     #[test]
     fn eval_tap_batch_matches_per_pixel_both_layouts() {
-        let k = kernel(3, 3, 5, 4); // 9 taps: the halved layout's last pair is half empty
         let (c, m, width) = (5, 4, 9 * 4);
         let n = 3;
         let inputs: Vec<i64> = (0..n * c).map(|i| ((i * 37) % 255) as i64 - 127).collect();
         let taps = [0..2, 3..4, 5..9];
         let mut cfgs = noisy_lineup();
         cfgs.push(XbarConfig::ideal());
-        for cfg in cfgs {
+        for (cfg, bound) in cfgs.into_iter().flat_map(|cfg| BOUNDS.map(|b| (cfg, b))) {
+            // 9 taps: the halved layout's last pair is half empty.
+            let k = bounded_kernel(3, 3, c, m, bound);
             for layout in [SctLayout::Full, SctLayout::Halved] {
                 let sct = SubCrossbarTensor::map(&cfg, &k, layout).unwrap();
                 let per = sct.cycles_per_batch();
                 let mut scratch = VmmScratch::new();
                 for prec in ExecPrecision::ALL {
+                    let what = format!("{cfg:?} ±{bound} {layout:?} {prec}");
+                    // 8-bit inputs stream 7 magnitude bits, and one stays live.
+                    let dropped = prec.dropped_bits().min(6);
                     let mut batch = vec![i64::MIN; n * width];
                     sct.eval_taps(&taps, &inputs, &mut scratch, &mut batch, prec);
                     for (px, got) in inputs.chunks_exact(c).zip(batch.chunks_exact(width)) {
                         let mut one = vec![i64::MIN; width];
                         sct.eval_taps(&taps, px, &mut scratch, &mut one, prec);
-                        assert_eq!(got, one.as_slice(), "{layout:?} {prec}");
+                        assert_eq!(got, one.as_slice(), "{what}");
                         for (t, partials) in got.chunks_exact(m).enumerate() {
                             if !taps.iter().any(|r| r.contains(&t)) {
                                 assert!(partials.iter().all(|&v| v == i64::MIN), "tap {t}");
                                 continue;
                             }
                             let mut x = vec![0i64; per * c];
-                            x[(t % per) * c..][..c].copy_from_slice(px);
-                            let mut want = vec![0i64; m];
+                            for (d, &v) in x[(t % per) * c..].iter_mut().zip(px) {
+                                *d = v.signum() * ((v.abs() >> dropped) << dropped);
+                            }
                             let array = sct.array(t / per);
-                            array.vmm_batch_at(&x, 1, &mut VmmScratch::new(), &mut want, prec);
-                            assert_eq!(partials, want.as_slice(), "tap {t} {layout:?} {prec}");
+                            let want = match array.is_ideal() {
+                                true => array.vmm_exact(&x),
+                                false => array.vmm_analog_reference(&x),
+                            };
+                            assert_eq!(partials, want.as_slice(), "tap {t} {what}");
                         }
                     }
                 }
@@ -475,10 +531,10 @@ mod tests {
     /// both layouts, and asking for it builds no tap plane back.
     #[test]
     fn truncation_bound_matches_fresh_arrays_without_planes() {
-        let k = kernel(3, 3, 5, 4);
         let mut cfgs = noisy_lineup();
         cfgs.push(XbarConfig::ideal());
-        for cfg in cfgs {
+        for (cfg, bound) in cfgs.into_iter().flat_map(|cfg| BOUNDS.map(|b| (cfg, b))) {
+            let k = bounded_kernel(3, 3, 5, 4, bound);
             for layout in [SctLayout::Full, SctLayout::Halved] {
                 let sct = SubCrossbarTensor::map(&cfg, &k, layout).unwrap();
                 let fresh: Vec<CrossbarArray> = (0..sct.sub_crossbars())
@@ -499,7 +555,15 @@ mod tests {
                     assert_eq!(got.to_bits(), want.to_bits(), "{layout:?} {prec}");
                 }
                 assert!(sct.arrays.iter().all(|a| !a.plane_built()), "{layout:?}");
-                assert_eq!(sct.fused.is_empty(), cfg == XbarConfig::ideal());
+                assert_eq!(sct.fused.starts.is_empty(), cfg == XbarConfig::ideal());
+                // Narrow differential weights leave the upper slices
+                // dead, and the fused plane keeps none of them.
+                let full_width = 9 * 4 * cfg.phys_cols_per_weight();
+                let narrow = bound < 127 && cfg.scheme == crate::WeightScheme::Differential;
+                if narrow && cfg != XbarConfig::ideal() {
+                    assert!(sct.fused.live() < full_width, "{cfg:?} ±{bound} {layout:?}");
+                    assert_eq!(sct.fused.currents.len(), 5 * sct.fused.live());
+                }
             }
         }
     }

@@ -20,6 +20,14 @@ struct Problem {
     input: FeatureMap<i64>,
 }
 
+/// Weight bounds the analog golden tests draw from: ±127 fills every
+/// slice, while ±1 and ±5 (the serving lineup's bound) leave the upper
+/// slices with code-0 cells only, whose columns the plane elides.
+const WEIGHT_BOUNDS: [i64; 3] = [1, 5, 127];
+
+/// The non-ideal crossbar presets.
+const NOISY_PRESETS: [&str; 4] = ["variation", "adc", "ir-drop", "full"];
+
 fn problem_strategy() -> impl Strategy<Value = Problem> {
     // kernel 1..=5, stride 1..=4, padding < kernel, op < stride,
     // input 1..=5, channels/filters 1..=4.
@@ -173,7 +181,10 @@ proptest! {
     /// checked against the reference on truncated inputs. Every case
     /// also reruns on a saturating converter of 44..=62 bits, which
     /// crosses the `bits + magnitude bits + 1 ≤ 53` bound between the
-    /// kernel's f64 column sums and its i128 fallback.
+    /// kernel's f64 column sums and its i128 fallback. Weights are drawn
+    /// within ±1, ±5 or ±127: the narrow bounds leave the upper slices'
+    /// columns dead (code-0 cells only) unless a stuck-on cell revives
+    /// them, so the plane's dead-column elision is checked too.
     #[test]
     fn analog_plane_bit_identical_to_reference(
         (rows, cols) in (1usize..=24, 1usize..=6),
@@ -185,15 +196,17 @@ proptest! {
         drift_days in 0u32..=365,
         sigma_pct in 0u32..=5,
         fault_pm in 0u32..=20,          // stuck-off rate, per-mille
-        (cell_bits, input_bits, tier, wide_bits) in (0usize..=2, 2u32..=8, 0usize..=2, 44u32..=62),
+        (cell_bits, input_bits, tier, wide_bits, wbound) in
+            (0usize..=2, 2u32..=8, 0usize..=2, 44u32..=62, 0usize..=2),
     ) {
         use rand::{Rng, SeedableRng};
         use red_core::device::DriftModel;
         use red_core::xbar::{CrossbarArray, ExecPrecision, IrDropModel, VmmScratch};
 
+        let wb = WEIGHT_BOUNDS[wbound];
         let mut rng = rand::rngs::StdRng::seed_from_u64(wseed);
         let weights: Vec<Vec<i64>> = (0..rows)
-            .map(|_| (0..cols).map(|_| rng.gen_range(-127..=127)).collect())
+            .map(|_| (0..cols).map(|_| rng.gen_range(-wb..=wb)).collect())
             .collect();
         let mut cfg = XbarConfig {
             scheme: if offset_binary { WeightScheme::OffsetBinary } else { WeightScheme::Differential },
@@ -271,7 +284,10 @@ proptest! {
     /// 44..=62-bit `wide_bits` converter, which crosses the bound between
     /// the two. Every input's results in the ranges equal
     /// `vmm_analog_reference` on its own truncated input, and the other
-    /// columns stay untouched.
+    /// columns stay untouched. The other effects come from the
+    /// `variation`, `adc`, `ir-drop` or `full` preset, and weights lie
+    /// within ±1, ±5 or ±127, so tiles hold dead columns elided, stuck-on
+    /// cells reviving them, or none.
     #[test]
     fn analog_batch_shared_sets_bit_identical_to_reference(
         (rows, cols, n) in (1usize..=4, 1usize..=200, 1usize..=9),
@@ -279,14 +295,15 @@ proptest! {
         xseed in any::<u64>(),
         offset_binary in any::<bool>(),
         adc_bits in 0u32..=10,          // <3: ideal converter
-        (tier, wide_bits) in (0usize..=2, 44u32..=62),
+        (tier, wide_bits, preset, wbound) in (0usize..=2, 44u32..=62, 0usize..=3, 0usize..=2),
     ) {
         use rand::{Rng, SeedableRng};
         use red_core::xbar::{CrossbarArray, ExecPrecision, VmmScratch};
 
+        let wb = WEIGHT_BOUNDS[wbound];
         let mut rng = rand::rngs::StdRng::seed_from_u64(wseed);
         let weights: Vec<Vec<i64>> = (0..rows)
-            .map(|_| (0..cols).map(|_| rng.gen_range(-127..=127)).collect())
+            .map(|_| (0..cols).map(|_| rng.gen_range(-wb..=wb)).collect())
             .collect();
         let cfg = XbarConfig {
             scheme: if offset_binary { WeightScheme::OffsetBinary } else { WeightScheme::Differential },
@@ -295,7 +312,7 @@ proptest! {
             } else {
                 AdcModel::Saturating { bits: adc_bits }
             },
-            ..XbarConfig::preset("full").unwrap()
+            ..XbarConfig::preset(NOISY_PRESETS[preset]).unwrap()
         };
         let mut rng = rand::rngs::StdRng::seed_from_u64(xseed);
         let bound = cfg.input_bound();
@@ -357,14 +374,19 @@ proptest! {
     /// `(s·x + i − p, s·y + j − p)` when that pixel exists — drives the
     /// tap's own array through `vmm_analog_reference` (the halved
     /// layout's with the zero-filled `2C` vector) on the tier's truncated
-    /// pixel, and meters each gather on its own.
+    /// pixel, and meters each gather on its own. The crossbars take the
+    /// `variation`, `adc`, `ir-drop` or `full` preset's other effects,
+    /// with stuck-at faults and σ = 0.03 variation always on, both seeded
+    /// per case, and the kernel is drawn within ±1, ±5 or ±127, so the
+    /// fused plane holds dead columns elided, stuck-on cells reviving
+    /// them, or none.
     #[test]
     fn red_replay_matches_gathered_reference(
         pb in problem_strategy(),
         halved in any::<bool>(),
         offset_binary in any::<bool>(),
         saturating in any::<bool>(),
-        tier in 0usize..=2,
+        (tier, preset, wbound) in (0usize..=2, 0usize..=3, 0usize..=2),
         seed in any::<u64>(),
     ) {
         use red_core::arch::RedEngine;
@@ -375,10 +397,11 @@ proptest! {
             adc: if saturating { AdcModel::Saturating { bits: 8 } } else { AdcModel::Ideal },
             variation: VariationModel::with_sigma(0.03, seed),
             faults: FaultModel::with_rates(0.002, 0.001, seed ^ 1),
-            ..XbarConfig::preset("full").unwrap()
+            ..XbarConfig::preset(NOISY_PRESETS[preset]).unwrap()
         };
+        let kernel = red_core::workloads::synth::kernel(&pb.layer, WEIGHT_BOUNDS[wbound], seed);
         let policy = if halved { RedLayoutPolicy::AlwaysHalved } else { RedLayoutPolicy::AlwaysFull };
-        let engine = RedEngine::new(&cfg, &pb.layer, &pb.kernel, policy).unwrap();
+        let engine = RedEngine::new(&cfg, &pb.layer, &kernel, policy).unwrap();
         let prec = ExecPrecision::ALL[tier];
         // 8-bit inputs stream 7 magnitude bits, and one stays live.
         let dropped = prec.dropped_bits().min(6);
@@ -446,14 +469,19 @@ proptest! {
     /// into output pixel `(s·x + i − p, s·y + j − p)` when that pixel
     /// exists. The batch repeats an image, so row sets recur across
     /// inputs; 1–4 channels make them recur across phases; up to 6
-    /// filters take the array past one column tile.
+    /// filters take the array past one column tile. The crossbars take
+    /// the `variation`, `adc`, `ir-drop` or `full` preset's other effects,
+    /// with stuck-at faults and σ = 0.03 variation always on, both seeded
+    /// per case, and the kernel is drawn within ±1, ±5 or ±127, so the
+    /// plane holds dead columns elided, stuck-on cells reviving them, or
+    /// none.
     #[test]
     fn padding_free_replay_matches_full_column_reference(
         k5 in any::<bool>(),
         (ih, c, m) in (1usize..=4, 1usize..=4, 1usize..=6),
         offset_binary in any::<bool>(),
         saturating in any::<bool>(),
-        tier in 0usize..=2,
+        (tier, preset, wbound) in (0usize..=2, 0usize..=3, 0usize..=2),
         seed in any::<u64>(),
     ) {
         use red_core::arch::PaddingFreeEngine;
@@ -466,14 +494,14 @@ proptest! {
         }
         .unwrap();
         let layer = LayerShape::with_spec(ih, ih, c, m, spec).unwrap();
-        let kernel = red_core::workloads::synth::kernel(&layer, 127, seed);
+        let kernel = red_core::workloads::synth::kernel(&layer, WEIGHT_BOUNDS[wbound], seed);
         let input = red_core::workloads::synth::input_sparse(&layer, 127, 0.25, seed ^ 3);
         let cfg = XbarConfig {
             scheme: if offset_binary { WeightScheme::OffsetBinary } else { WeightScheme::Differential },
             adc: if saturating { AdcModel::Saturating { bits: 8 } } else { AdcModel::Ideal },
             variation: VariationModel::with_sigma(0.03, seed),
             faults: FaultModel::with_rates(0.002, 0.001, seed ^ 1),
-            ..XbarConfig::preset("full").unwrap()
+            ..XbarConfig::preset(NOISY_PRESETS[preset]).unwrap()
         };
         let engine = PaddingFreeEngine::new(&cfg, &layer, &kernel).unwrap();
         let prec = ExecPrecision::ALL[tier];
