@@ -45,6 +45,8 @@ fn noisy_cfg() -> XbarConfig {
 
 /// Seed per-phase-recompute pipeline vs the planned plane path, one
 /// input at a time. `(512, 64)` is a 2 MiB plane; `(64, 32)` fits in L2.
+/// Arrays keep no conductance matrix, so each reference call first
+/// regenerates it from the seeded samplers, and its time includes that.
 fn analog_single(c: &mut Criterion) {
     let mut group = c.benchmark_group("analog");
     for (rows, cols) in [(64usize, 32usize), (512, 64)] {

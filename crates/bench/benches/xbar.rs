@@ -6,10 +6,15 @@ use red_core::prelude::*;
 use red_core::xbar::{CrossbarArray, VmmScratch};
 
 fn make_weights(rows: usize, cols: usize) -> Vec<Vec<i64>> {
+    bounded_weights(rows, cols, 127)
+}
+
+/// A ramp of weights within `±bound`.
+fn bounded_weights(rows: usize, cols: usize, bound: usize) -> Vec<Vec<i64>> {
     (0..rows)
         .map(|r| {
             (0..cols)
-                .map(|c| ((r * 37 + c * 13) % 255) as i64 - 127)
+                .map(|c| ((r * 37 + c * 13) % (2 * bound + 1)) as i64 - bound as i64)
                 .collect()
         })
         .collect()
@@ -37,6 +42,11 @@ fn vmm_paths(c: &mut Criterion) {
     group.finish();
 }
 
+/// Programming: ideal arrays, which keep only their weights, and DCGAN
+/// stage 0's 3,200 × 64 zero-padding window (5 × 5 taps × 128 channels)
+/// under the `full` preset at the serving lineup's ±5 weights, whose
+/// plane build replays the seeded samplers row by row: one layer of
+/// `noisy_lineup`'s `setup_s`.
 fn programming(c: &mut Criterion) {
     let mut group = c.benchmark_group("program");
     for rows in [64usize, 512] {
@@ -45,6 +55,11 @@ fn programming(c: &mut Criterion) {
             b.iter(|| CrossbarArray::program(&XbarConfig::ideal(), w).expect("programs"))
         });
     }
+    let full = XbarConfig::preset("full").expect("known preset");
+    let window = bounded_weights(3200, 64, 5);
+    group.bench_with_input(BenchmarkId::new("full_narrow", 3200), &window, |b, w| {
+        b.iter(|| CrossbarArray::program(&full, w).expect("programs"))
+    });
     group.finish();
 }
 

@@ -1,73 +1,20 @@
 use crate::config::{round_half_away, round_to_code};
+use crate::plane::{shift_add, Plane};
 use crate::{AdcModel, ExecPrecision, WeightScheme, XbarConfig, XbarError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use red_device::variation::StuckPolarity;
 use red_device::DriftModel;
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// Physical columns per tile of the analog kernel, rounded down to whole
 /// weights: one tile's `f64` currents take 4 KiB, so together with the
 /// plane row slices a set reads they stay in L1 while the tile is summed.
-const TILE_COLS: usize = 512;
+pub(crate) const TILE_COLS: usize = 512;
 
 /// End of a chain of [`SetUse`]s.
 const NO_USE: u32 = u32::MAX;
-
-/// The flag of a live column's [`Plane::roles`] entry that marks a
-/// differential pair's negative column; the low bits hold the slice's
-/// shift.
-const NEGATED: u8 = 0x80;
-
-/// An effective-current plane, with its dead columns left out.
-///
-/// A physical column is *dead* when no active-row set can convert it to
-/// anything but code 0 (see [`CrossbarArray::code_ranges`]): its cells
-/// all read within less than half an LSB, in total, of the dummy-column
-/// baseline, as the upper slices of narrow weights do. A dead column
-/// adds 0 to every shift-add, so the plane keeps only the *live*
-/// columns, and the kernel sums, converts and recombines those alone. An
-/// array with no dead column keeps every column, in place.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Plane {
-    /// Effective read current per cell of the live columns, row-major
-    /// `rows × live()`.
-    pub(crate) currents: Vec<f64>,
-    /// `weights + 1` ascending offsets: weight `m`'s live columns are
-    /// `starts[m]..starts[m + 1]` of every row.
-    pub(crate) starts: Vec<u32>,
-    /// Per live column, its shift-add role: the slice's shift
-    /// `s · bits_per_cell`, plus [`NEGATED`] for a differential pair's
-    /// negative column.
-    pub(crate) roles: Vec<u8>,
-    /// Worst-case |recombined value| of one conversion phase
-    /// ([`CrossbarArray::phase_value_bound`]).
-    phase_bound: f64,
-}
-
-impl Plane {
-    /// Live columns per row: the row stride of `currents`.
-    pub(crate) fn live(&self) -> usize {
-        self.roles.len()
-    }
-
-    /// The end of the column tile that starts at weight `w0` of a range
-    /// ending at weight `end`: as many whole weights as fit in
-    /// [`TILE_COLS`] live columns, at least one.
-    fn tile_end(&self, w0: usize, end: usize) -> usize {
-        let c0 = self.starts[w0];
-        let fit = self.starts[w0 + 1..=end].partition_point(|&s| (s - c0) as usize <= TILE_COLS);
-        w0 + fit.max(1)
-    }
-
-    /// Live columns of the weights in `r`.
-    fn live_in(&self, r: &Range<usize>) -> usize {
-        match r.is_empty() {
-            true => 0,
-            false => (self.starts[r.end] - self.starts[r.start]) as usize,
-        }
-    }
-}
 
 /// One active-row set of an analog kernel call: the rows one or more
 /// conversion phases pulse.
@@ -283,17 +230,23 @@ impl VmmScratch {
 /// can convert to a non-zero code: with narrow weights, the upper bit
 /// slices hold only code-0 cells, which can never reach half an LSB
 /// above the baseline, so no phase sums, converts or recombines them.
-#[derive(Debug)]
+///
+/// No conductance matrix is kept: its samplers seeded from the
+/// configuration, it is a pure function of that and the weights, which a
+/// plane build replays row by row. Only a strike or a drift advance, which
+/// no replay reproduces, makes the array hold it.
+#[derive(Debug, Clone)]
 pub struct CrossbarArray {
-    cfg: XbarConfig,
-    rows: usize,
-    weight_cols: usize,
-    phys_cols: usize,
+    pub(crate) cfg: XbarConfig,
+    pub(crate) rows: usize,
+    pub(crate) weight_cols: usize,
+    pub(crate) phys_cols: usize,
     /// Reference copy of the programmed weights (digital golden model).
     weights: Vec<i64>,
-    /// Per-cell conductance in siemens, row-major `rows x phys_cols`,
-    /// including programming variation and stuck-at faults.
-    conductance: Vec<f64>,
+    /// Per-cell conductance in siemens, row-major `rows x phys_cols`, held
+    /// only once a strike or a drift advance changed a cell; until then
+    /// [`CrossbarArray::for_each_row`] replays it.
+    conductance: Option<Vec<f64>>,
     /// Effective read current per cell in amperes of the live columns,
     /// row-major: `i_eff = IrDropModel::cell_current_a(v_read, g, r,
     /// col)` — conductance with wire droop already folded in, so a
@@ -301,38 +254,15 @@ pub struct CrossbarArray {
     /// time for non-ideal configurations (the only ones whose `vmm`
     /// dispatch reaches the analog path); ideal arrays — which only hit
     /// the analog pipeline through explicit `vmm_analog*` calls, e.g. the
-    /// equivalence tests — build it lazily on first use, so the exact
-    /// serving path never pays the doubled memory.
+    /// equivalence tests — build it lazily on first use, so an ideal
+    /// array on the exact serving path holds nothing but its weights.
     eff_current: std::sync::OnceLock<Plane>,
-    g_min: f64,
-    g_step: f64,
+    pub(crate) g_min: f64,
+    pub(crate) g_step: f64,
     /// Cells pinned to a rail by post-programming stuck-at strikes
     /// ([`CrossbarArray::apply_faults`]); counted so `is_ideal` knows the
     /// array left the exact path even under an otherwise ideal config.
     struck: u64,
-}
-
-impl Clone for CrossbarArray {
-    fn clone(&self) -> Self {
-        // OnceLock is not Clone; carry over an already-built plane so a
-        // cloned noisy array stays ready-to-run.
-        let eff_current = std::sync::OnceLock::new();
-        if let Some(plane) = self.eff_current.get() {
-            let _ = eff_current.set(plane.clone());
-        }
-        Self {
-            cfg: self.cfg,
-            rows: self.rows,
-            weight_cols: self.weight_cols,
-            phys_cols: self.phys_cols,
-            weights: self.weights.clone(),
-            conductance: self.conductance.clone(),
-            eff_current,
-            g_min: self.g_min,
-            g_step: self.g_step,
-            struck: self.struck,
-        }
-    }
 }
 
 impl CrossbarArray {
@@ -341,11 +271,11 @@ impl CrossbarArray {
     /// Device-to-device variation and stuck-at faults from the
     /// configuration are applied once here, at programming time, exactly
     /// as write-and-verify hardware would freeze them. For non-ideal
-    /// configurations the same pass precomputes the effective-current
-    /// plane the analog read path sums over (one extra `f64` per cell —
-    /// the price of never re-deriving wire droop per conversion phase);
-    /// ideal arrays skip it, since their `vmm` dispatch never reaches the
-    /// analog path.
+    /// configurations the cells stream, row by row, into the
+    /// effective-current plane the analog read path sums over (one `f64`
+    /// per live cell — the price of never re-deriving wire droop per
+    /// conversion phase), and only the plane is kept; ideal arrays keep
+    /// only their weights, since their `vmm` never reaches the analog path.
     ///
     /// # Errors
     ///
@@ -430,83 +360,17 @@ impl CrossbarArray {
             return Err(overflow());
         }
 
-        let slices = cfg.slices();
-        let per_weight = cfg.phys_cols_per_weight();
-        let phys_cols = weight_cols * per_weight;
-        let levels = cfg.cell.levels();
         let g_min = 1.0 / cfg.cell.r_off_ohm;
-        let g_max = 1.0 / cfg.cell.r_on_ohm;
-        let g_step = (g_max - g_min) / f64::from(levels - 1);
-        let bpc = cfg.cell.bits_per_cell;
-        let level_mask = u64::from(levels - 1);
-
-        let mut variation = cfg.variation.sampler();
-        let mut faults = cfg.faults.sampler();
-        // Retention drift scales every programmed filament uniformly (the
-        // read circuit's reference levels stay fresh, which is exactly why
-        // drifted arrays misread).
-        let drift = cfg.drift.factor();
-        let mut conductance = vec![0.0f64; rows * phys_cols];
-
-        for r in 0..rows {
-            for m in 0..weight_cols {
-                let w = weights[r * weight_cols + m];
-                for s in 0..slices {
-                    let shift = (s as u32) * bpc;
-                    match cfg.scheme {
-                        WeightScheme::Differential => {
-                            let mag = w.unsigned_abs();
-                            let code = ((mag >> shift) & level_mask) as u16;
-                            let (pos_code, neg_code) = if w >= 0 { (code, 0) } else { (0, code) };
-                            let base = r * phys_cols + m * per_weight + 2 * s;
-                            conductance[base] = drift
-                                * Self::cell_conductance(
-                                    pos_code,
-                                    g_min,
-                                    g_max,
-                                    g_step,
-                                    &mut variation,
-                                    &mut faults,
-                                );
-                            conductance[base + 1] = drift
-                                * Self::cell_conductance(
-                                    neg_code,
-                                    g_min,
-                                    g_max,
-                                    g_step,
-                                    &mut variation,
-                                    &mut faults,
-                                );
-                        }
-                        WeightScheme::OffsetBinary => {
-                            let offset = (w + (1i64 << (cfg.weight_bits - 1))) as u64;
-                            let code = ((offset >> shift) & level_mask) as u16;
-                            let base = r * phys_cols + m * per_weight + s;
-                            conductance[base] = drift
-                                * Self::cell_conductance(
-                                    code,
-                                    g_min,
-                                    g_max,
-                                    g_step,
-                                    &mut variation,
-                                    &mut faults,
-                                );
-                        }
-                    }
-                }
-            }
-        }
-
         let arr = Self {
             cfg: *cfg,
             rows,
             weight_cols,
-            phys_cols,
+            phys_cols: weight_cols * cfg.phys_cols_per_weight(),
             weights,
-            conductance,
+            conductance: None,
             eff_current: std::sync::OnceLock::new(),
             g_min,
-            g_step,
+            g_step: (1.0 / cfg.cell.r_on_ohm - g_min) / f64::from(cfg.cell.levels() - 1),
             struck: 0,
         };
         // Non-ideal configurations freeze the effective-current plane at
@@ -518,102 +382,6 @@ impl CrossbarArray {
             let _ = arr.eff_current.set(plane);
         }
         Ok(arr)
-    }
-
-    /// Builds the effective-current plane: wire droop depends only on the
-    /// cell's position and conductance, both frozen at programming, so it
-    /// is folded in once instead of once per cell per conversion phase.
-    ///
-    /// The same pass sums each physical column's deviations from the
-    /// dummy-column baseline, the cells above it and those below, in
-    /// ascending row order: the interval every active-row set's summed
-    /// deviation lies in. From it come the truncation bound
-    /// ([`CrossbarArray::phase_value_bound`]), each column's code range
-    /// ([`CrossbarArray::code_ranges`]) and the read-out bound
-    /// ([`CrossbarArray::readout_bound`]). When that bound leaves `i64`,
-    /// a tighter one, row by row
-    /// ([`CrossbarArray::row_readout_bound`]), gets a second say. A
-    /// column whose code range is `[0, 0]` is dead, and the plane's rows
-    /// are closed up over it in place. `None` when neither bound keeps
-    /// the read-out in `i64`.
-    fn build_plane(&self) -> Option<Plane> {
-        let (rows, pc) = (self.rows, self.phys_cols);
-        let (mut currents, pos, neg) = self.currents_and_deviations();
-        let codes = self.code_ranges(&pos, &neg);
-        // Every partial sum of the read-out stays within a few times the
-        // code-range bound, so the row bound may stand in for it only
-        // while that bound has room in i128.
-        let fits = |bound: Option<i128>| bound.is_some_and(|b| b <= i128::from(i64::MAX));
-        match self.readout_bound(&codes) {
-            bound if fits(bound) => {}
-            Some(b)
-                if b <= i128::MAX >> 8 && fits(self.row_readout_bound(&currents, &pos, &neg)) => {}
-            _ => return None,
-        }
-        // Each end lies within its column's code range, which the
-        // code-range bound keeps far from overflowing the shift-add.
-        let phase_bound = self.phase_value_bound(&pos, &neg);
-        let per_weight = self.cfg.phys_cols_per_weight();
-        let mut keep = Vec::with_capacity(pc);
-        let mut starts = Vec::with_capacity(self.weight_cols + 1);
-        starts.push(0);
-        for (m, cols) in codes.chunks_exact(per_weight).enumerate() {
-            for (j, &range) in cols.iter().enumerate() {
-                if range != (0, 0) {
-                    keep.push((m * per_weight + j) as u32);
-                }
-            }
-            starts.push(keep.len() as u32);
-        }
-        let roles = keep
-            .iter()
-            .map(|&c| self.role(c as usize % per_weight))
-            .collect();
-        let live = keep.len();
-        if live < pc {
-            // Each live cell moves to an index at or below its own, in
-            // ascending order, so nothing is overwritten before it moves.
-            for r in 0..rows {
-                for (j, &c) in keep.iter().enumerate() {
-                    currents[r * live + j] = currents[r * pc + c as usize];
-                }
-            }
-            currents.truncate(rows * live);
-            currents.shrink_to_fit();
-        }
-        Some(Plane {
-            currents,
-            starts,
-            roles,
-            phase_bound,
-        })
-    }
-
-    /// Every cell's effective current, row-major over all physical
-    /// columns, and each column's summed deviations above (`pos`) and
-    /// below (`neg`) the dummy-column baseline, in ascending row order.
-    fn currents_and_deviations(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let (rows, pc) = (self.rows, self.phys_cols);
-        let ir = &self.cfg.ir_drop;
-        let v_read = self.cfg.cell.read_voltage;
-        let baseline_per_row = v_read * self.g_min;
-        let mut currents = Vec::with_capacity(rows * pc);
-        let mut pos = vec![0.0f64; pc];
-        let mut neg = vec![0.0f64; pc];
-        for (r, row) in self.conductance.chunks_exact(pc).enumerate() {
-            let at = currents.len();
-            let cells = row.iter().enumerate();
-            currents.extend(cells.map(|(c, &g)| ir.cell_current_a(v_read, g, r, c, rows)));
-            // Branch-free, so it vectorizes: adding 0.0 leaves a sum of
-            // non-negative terms as it is, and `n + (−d)` is `n − d`.
-            for ((p, n), &i_eff) in pos.iter_mut().zip(&mut neg).zip(&currents[at..]) {
-                let d = i_eff - baseline_per_row;
-                let (up, down) = if d >= 0.0 { (d, 0.0) } else { (0.0, -d) };
-                *p += up;
-                *n += down;
-            }
-        }
-        (currents, pos, neg)
     }
 
     /// The effective-current plane, built on first use for ideal arrays.
@@ -631,20 +399,76 @@ impl CrossbarArray {
             .get_or_init(|| self.build_plane().expect(READOUT_OVERFLOW))
     }
 
-    fn cell_conductance(
-        code: u16,
-        g_min: f64,
-        g_max: f64,
-        g_step: f64,
-        variation: &mut red_device::variation::VariationSampler,
-        faults: &mut red_device::variation::FaultSampler,
-    ) -> f64 {
-        let ideal = g_min + g_step * f64::from(code);
-        match faults.next_fault() {
-            Some(StuckPolarity::StuckOff) => g_min,
-            Some(StuckPolarity::StuckOn) => g_max,
-            None => ideal * variation.next_factor(),
+    /// Calls `f` with each row index and row of the conductance matrix,
+    /// in order: the held matrix's or, while the array holds none, the
+    /// programming loop's, replayed one row at a time. Its samplers are
+    /// seeded from the configuration and draw in row-major cell order, so
+    /// every replay writes the same bits.
+    pub(crate) fn for_each_row(&self, mut f: impl FnMut(usize, &[f64])) {
+        if let Some(matrix) = &self.conductance {
+            matrix
+                .chunks_exact(self.phys_cols)
+                .enumerate()
+                .for_each(|(r, row)| f(r, row));
+            return;
         }
+        let (cfg, g_min, g_step) = (&self.cfg, self.g_min, self.g_step);
+        let g_max = 1.0 / cfg.cell.r_on_ohm;
+        let (bpc, level_mask) = (cfg.cell.bits_per_cell, u64::from(cfg.cell.levels() - 1));
+        let mut variation = cfg.variation.sampler();
+        let mut faults = cfg.faults.sampler();
+        // Retention drift scales every programmed filament uniformly (the
+        // read circuit's reference levels stay fresh, which is exactly why
+        // drifted arrays misread).
+        let drift = cfg.drift.factor();
+        let mut cell = |code: u16| match faults.next_fault() {
+            Some(StuckPolarity::StuckOff) => drift * g_min,
+            Some(StuckPolarity::StuckOn) => drift * g_max,
+            None => drift * ((g_min + g_step * f64::from(code)) * variation.next_factor()),
+        };
+        let mut row = vec![0.0f64; self.phys_cols];
+        for (r, weights) in self.weights.chunks_exact(self.weight_cols).enumerate() {
+            let per_weight = row.chunks_exact_mut(cfg.phys_cols_per_weight());
+            for (&w, cells) in weights.iter().zip(per_weight) {
+                for s in 0..cfg.slices() {
+                    let shift = (s as u32) * bpc;
+                    match cfg.scheme {
+                        WeightScheme::Differential => {
+                            let code = ((w.unsigned_abs() >> shift) & level_mask) as u16;
+                            let (pos_code, neg_code) = if w >= 0 { (code, 0) } else { (0, code) };
+                            cells[2 * s] = cell(pos_code);
+                            cells[2 * s + 1] = cell(neg_code);
+                        }
+                        WeightScheme::OffsetBinary => {
+                            let offset = (w + (1i64 << (cfg.weight_bits - 1))) as u64;
+                            cells[s] = cell(((offset >> shift) & level_mask) as u16);
+                        }
+                    }
+                }
+            }
+            f(r, &row);
+        }
+    }
+
+    /// The conductance matrix, row-major: the held one, or a copy
+    /// regenerated by [`CrossbarArray::for_each_row`].
+    fn conductances(&self) -> Cow<'_, [f64]> {
+        if let Some(matrix) = &self.conductance {
+            return Cow::Borrowed(matrix);
+        }
+        let mut matrix = Vec::with_capacity(self.rows * self.phys_cols);
+        self.for_each_row(|_, row| matrix.extend_from_slice(row));
+        Cow::Owned(matrix)
+    }
+
+    /// The conductance matrix, to change in place: regenerated if the
+    /// array holds none, and held from then on.
+    fn hold_conductances(&mut self) -> &mut [f64] {
+        let matrix = match self.conductance.take() {
+            Some(matrix) => matrix,
+            None => self.conductances().into_owned(),
+        };
+        self.conductance.insert(matrix)
     }
 
     /// Input channel (row) count.
@@ -703,6 +527,8 @@ impl CrossbarArray {
     /// a conductance rail (SA0 → `g_min`, SA1 → `g_max`, polarity drawn
     /// from the same stream as the position), then the effective-current
     /// plane is rebuilt so the analog path sees the damage immediately.
+    /// The array holds its conductance matrix from then on: a struck cell
+    /// cannot be replayed from the configuration.
     ///
     /// The strike map is a pure function of `(geometry, strikes, seed)`:
     /// two identically programmed arrays struck with the same arguments
@@ -718,13 +544,14 @@ impl CrossbarArray {
         if strikes == 0 {
             return self.struck;
         }
-        let levels = self.cfg.cell.levels();
-        let g_max = self.g_min + self.g_step * f64::from(levels - 1);
+        let (g_min, levels) = (self.g_min, self.cfg.cell.levels());
+        let g_max = g_min + self.g_step * f64::from(levels - 1);
         let mut rng = StdRng::seed_from_u64(seed);
+        let conductance = self.hold_conductances();
         for _ in 0..strikes {
-            let idx = rng.gen_range(0..self.conductance.len());
+            let idx = rng.gen_range(0..conductance.len());
             let on: f64 = rng.gen_range(0.0..1.0);
-            self.conductance[idx] = if on < 0.5 { self.g_min } else { g_max };
+            conductance[idx] = if on < 0.5 { g_min } else { g_max };
         }
         self.struck += strikes as u64;
         self.rebuild_plane();
@@ -736,15 +563,19 @@ impl CrossbarArray {
     /// at programming time (drift is multiplicative, so the update is
     /// exact — re-programming with `model` in the config yields the same
     /// plane up to the variation/fault streams, which are untouched).
-    /// Rebuilds the effective-current plane.
+    /// Rebuilds the effective-current plane. The array holds its
+    /// conductance matrix from then on: `g · (new / old)` need not round
+    /// as a replay under `model` would.
     ///
     /// # Panics
     ///
     /// As [`CrossbarArray::rebuild_plane`].
     pub fn advance_drift(&mut self, model: DriftModel) {
         let ratio = model.factor() / self.cfg.drift.factor();
+        // Held before the replay's drift factor changes.
+        let conductance = self.hold_conductances();
         if ratio != 1.0 {
-            for g in &mut self.conductance {
+            for g in conductance {
                 *g *= ratio;
             }
         }
@@ -753,7 +584,8 @@ impl CrossbarArray {
     }
 
     /// Recomputes the effective-current plane from the current
-    /// conductances — the modeled analogue of a read-calibration pass
+    /// conductances (the held matrix, or the programmed cells replayed
+    /// from the configuration) — the modeled analogue of a read-calibration pass
     /// after [`CrossbarArray::apply_faults`] or
     /// [`CrossbarArray::advance_drift`] mutate the cells. Which columns
     /// are dead is decided afresh: a stuck-on strike can revive one, and
@@ -765,9 +597,7 @@ impl CrossbarArray {
     /// `i64`, which takes widths near 63 bits; the same check fails
     /// [`CrossbarArray::program`] with [`XbarError::OutputOverflow`].
     pub fn rebuild_plane(&mut self) {
-        let plane = self.build_plane().expect(READOUT_OVERFLOW);
-        self.eff_current = std::sync::OnceLock::new();
-        let _ = self.eff_current.set(plane);
+        self.eff_current = self.build_plane().expect(READOUT_OVERFLOW).into();
     }
 
     /// `true` when [`CrossbarArray::vmm_batch_at`] will actually
@@ -1301,7 +1131,7 @@ impl CrossbarArray {
 
     /// Signed input magnitude bits streamed bit-serially (sign handled by
     /// the polarity phases).
-    fn input_mag_bits(&self) -> u32 {
+    pub(crate) fn input_mag_bits(&self) -> u32 {
         input_mag_bits(&self.cfg)
     }
 
@@ -1438,22 +1268,6 @@ impl CrossbarArray {
         }
     }
 
-    /// The shift-add role ([`Plane::roles`]) of a weight's physical
-    /// column `j`: a differential pair's slice `j / 2`, its negative
-    /// column when `j` is odd; offset binary's slice `j`.
-    fn role(&self, j: usize) -> u8 {
-        let (slice, negated) = match self.cfg.scheme {
-            WeightScheme::Differential => (j / 2, j % 2 == 1),
-            WeightScheme::OffsetBinary => (j, false),
-        };
-        let shift = (slice as u32 * self.cfg.cell.bits_per_cell) as u8;
-        if negated {
-            shift | NEGATED
-        } else {
-            shift
-        }
-    }
-
     /// Worst-case elementwise output error of serving at `prec` instead
     /// of [`ExecPrecision::Full`], in output LSBs (as a `f64` — the
     /// analog case folds conversion thresholds that are not integral).
@@ -1521,12 +1335,11 @@ impl CrossbarArray {
 
     /// Detaches the effective-current plane, building it first if it is
     /// not built. The array stays usable: its next analog read rebuilds
-    /// the identical plane from the conductances.
+    /// the identical plane from the same conductance rows, replayed from
+    /// the configuration unless the array holds its matrix.
     pub(crate) fn take_plane(&mut self) -> Plane {
-        match self.eff_current.take() {
-            Some(plane) => plane,
-            None => self.build_plane().expect(READOUT_OVERFLOW),
-        }
+        let plane = self.eff_current.take();
+        plane.unwrap_or_else(|| self.build_plane().expect(READOUT_OVERFLOW))
     }
 
     /// `true` while the effective-current plane is built.
@@ -1535,236 +1348,13 @@ impl CrossbarArray {
         self.eff_current.get().is_some()
     }
 
-    /// Worst-case |recombined value| of any single conversion phase over
-    /// any active-row set, from each physical column's summed positive
-    /// (`pos`) and negative (`neg`) deviations from the baseline: any
-    /// subset's summed deviation lies between `−neg` and `pos`, and the
-    /// ADC's monotonicity carries the interval through quantization, the
-    /// shift-add slices, and (for offset binary) the `[0, 2^(wb−1)·rows]`
-    /// reference-sum range.
-    fn phase_value_bound(&self, pos: &[f64], neg: &[f64]) -> f64 {
-        let lsb = self.cfg.cell.read_voltage * self.g_step;
-        // Per physical column, the extreme counts any subset reaches. A
-        // differential pair's negative column enters its weight negated,
-        // so its extremes swap.
-        let differential = self.cfg.scheme == WeightScheme::Differential;
-        let mut upper = vec![0i128; self.phys_cols];
-        let mut lower = vec![0i128; self.phys_cols];
-        for c in 0..self.phys_cols {
-            let hi = i128::from(self.cfg.adc.quantize(pos[c] / lsb));
-            let lo = i128::from(self.cfg.adc.quantize(-neg[c] / lsb));
-            (upper[c], lower[c]) = if differential && c % 2 == 1 {
-                (lo, hi)
-            } else {
-                (hi, lo)
-            };
-        }
-        let ref_max = self.reference_max();
-        let per_weight = self.cfg.phys_cols_per_weight();
-        let roles: Vec<u8> = (0..per_weight).map(|j| self.role(j)).collect();
-        upper
-            .chunks_exact(per_weight)
-            .zip(lower.chunks_exact(per_weight))
-            .map(|(u, l)| {
-                let hi = shift_add(u, &roles, i128::from).unsigned_abs();
-                hi.max((shift_add(l, &roles, i128::from) - ref_max).unsigned_abs())
-            })
-            .max()
-            .unwrap_or(0) as f64
-    }
-
-    /// The largest reference sum offset binary subtracts from one phase,
-    /// `2^(wb−1)` per active row, all rows active; 0 for differential
-    /// pairs.
-    fn reference_max(&self) -> i128 {
-        match self.cfg.scheme {
-            WeightScheme::Differential => 0,
-            WeightScheme::OffsetBinary => {
-                i128::from(1i64 << (self.cfg.weight_bits - 1)) * self.rows as i128
-            }
-        }
-    }
-
-    /// Per physical column, the lowest and highest code any active-row
-    /// set converts it to, rigorously: `phase_value_bound`'s interval
-    /// `[−neg, pos]` widened by a margin that covers every `f64`
-    /// rounding between the cells' currents and the converter's input.
-    /// A column whose range is `(0, 0)` is dead.
-    ///
-    /// The margin: a set of `k ≤ R` rows (`R` the array's rows) sums its
-    /// currents in a chain of `k − 1` additions and subtracts a baseline
-    /// `fl(fl(k·v)·g_min)`; `pos` and `neg` are chains of `R` additions
-    /// of rounded deviations. With `u = 2^−53`, `ρ = (R + 2)·u ≤ 2^−10`
-    /// (any array that fits in memory) and `b = |fl(v·g_min)|`, the
-    /// standard bounds on those chains put the real difference
-    /// `current − baseline` within `3ρ·(pos + neg + (R + 4)·b)` of the
-    /// interval. Twice that more covers the rounding of the margin's own
-    /// evaluation, and `(R + 4)·f64::MIN_POSITIVE` the absolute error of
-    /// subnormal results. Every later step (the subtraction, the division
-    /// by `lsb`, the converter) is monotone, so the widened ends,
-    /// converted the same way, bound every code. A NaN end widens to the
-    /// converter's whole range.
-    fn code_ranges(&self, pos: &[f64], neg: &[f64]) -> Vec<(i64, i64)> {
-        let lsb = self.cfg.cell.read_voltage * self.g_step;
-        let code = |raw: f64, nan: f64| self.cfg.adc.quantize(if raw.is_nan() { nan } else { raw });
-        pos.iter()
-            .zip(neg)
-            .map(|(&p, &n)| {
-                let margin = self.rounding_margin(p, n);
-                let lo = code(-(n + margin) / lsb, f64::NEG_INFINITY);
-                let hi = code((p + margin) / lsb, f64::INFINITY);
-                (lo, hi)
-            })
-            .collect()
-    }
-
-    /// [`CrossbarArray::code_ranges`]' margin for a column whose summed
-    /// deviations are `pos` above the baseline and `neg` below it.
-    fn rounding_margin(&self, pos: f64, neg: f64) -> f64 {
-        let reach = (self.rows + 4) as f64;
-        let rho = (self.rows + 2) as f64 * (f64::EPSILON / 2.0);
-        let b = (self.cfg.cell.read_voltage * self.g_min).abs();
-        8.0 * rho * (pos + neg + reach * b) + reach * f64::MIN_POSITIVE
-    }
-
-    /// The largest |output| the analog read-out can produce for any input
-    /// (`None` past `i128`), from the columns' code ranges.
-    ///
-    /// Proof: per weight, a phase's recombined value — the shift-add of
-    /// its codes, less offset binary's reference sum in `[0, ref_max]` —
-    /// lies in `[lo, hi]`, the shift-adds of the columns' lowest and
-    /// highest codes (extremes swapped for a negative column) less
-    /// `ref_max` and less 0. Every range holds 0, so `lo ≤ 0 ≤ hi`. Bit
-    /// `b`'s two polarity phases add `2^b·(v⁺ − v⁻)`, at most `2^b·(hi −
-    /// lo)` in magnitude, so no output exceeds `(2^mag − 1)·(hi − lo)`,
-    /// `mag` the streamed magnitude bits. Bounding each column alone, it
-    /// cannot see that offset binary's reference sum cancels each active
-    /// row's offset, and there reads up to 3× the true read-out.
-    fn readout_bound(&self, codes: &[(i64, i64)]) -> Option<i128> {
-        let ref_max = self.reference_max();
-        let mut widest = 0i128;
-        for cols in codes.chunks_exact(self.cfg.phys_cols_per_weight()) {
-            let (mut hi, mut lo) = (0i128, -ref_max);
-            for (j, &(low, high)) in cols.iter().enumerate() {
-                let role = self.role(j);
-                // A code is an i64 and a shift at most 62: no overflow.
-                let unit = 1i128 << (role & !NEGATED);
-                let (low, high) = (i128::from(low) * unit, i128::from(high) * unit);
-                let (low, high) = match role & NEGATED == 0 {
-                    true => (low, high),
-                    false => (-high, -low),
-                };
-                hi = hi.checked_add(high)?;
-                lo = lo.checked_add(low)?;
-            }
-            widest = widest.max(hi.checked_sub(lo)?);
-        }
-        widest.checked_mul((1i128 << self.input_mag_bits()) - 1)
-    }
-
-    /// The read-out bound taken row by row (`None` when it cannot bound
-    /// the read-out), from the plane's full-width `currents` and each
-    /// column's summed deviations `pos` and `neg`. It reads every cell
-    /// again, so [`CrossbarArray::build_plane`] asks for it only when the
-    /// code-range bound ([`CrossbarArray::readout_bound`]) leaves `i64`.
-    ///
-    /// Proof: write each cell's deviation from the baseline, in LSBs, as
-    /// its nearest integer count `n` plus a residual. A set's converter
-    /// input for a column is then `C + E + ε`: `C` the sum of its rows'
-    /// counts, an integer; `E` the sum of their residuals, between the
-    /// column's summed negative and positive residuals; `|ε|` within
-    /// three times the column's [`CrossbarArray::rounding_margin`] in
-    /// LSBs (the addition chains behind that margin, the subtraction and
-    /// the division, each residual's own rounding). Since `⌈x − ½⌉ ≤
-    /// round(x) ≤ ⌊x + ½⌋`, the code is `C + t` with `t` an integer in
-    /// `[−⌊F⁻ + ½⌋, ⌊F⁺ + ½⌋]`, `F±` the residual sums, grown by `2ρ`
-    /// for their own rounding (`ρ` as in `code_ranges`), plus that
-    /// slack; a saturating converter's clamp to `[0, max]` widens the
-    /// ends to at least the column's summed negative counts and its
-    /// summed positive counts less `max`. A weight's phase value is then
-    /// the sum over the set of `ω_r`, row `r`'s shift-add of its counts
-    /// less the offset (the weight as that row reads it), plus the
-    /// shift-add of the `t`s: between the sum of the negative `ω_r` and
-    /// that of the positive ones, each widened by the shift-add of the
-    /// `t`s' ends. That interval holds 0, and the output follows as in
-    /// `readout_bound`. On an ideal array every `ω_r` is the programmed
-    /// weight and, short of millions of rows, every `t` is 0: the bound
-    /// is `(2^mag − 1)·Σ_r |w_r|`, all the exact product can reach.
-    fn row_readout_bound(&self, currents: &[f64], pos: &[f64], neg: &[f64]) -> Option<i128> {
-        const INTEGRAL: f64 = (1u64 << 52) as f64;
-        let (pc, per_weight) = (self.phys_cols, self.cfg.phys_cols_per_weight());
-        let v_read = self.cfg.cell.read_voltage;
-        let (baseline, lsb) = (v_read * self.g_min, v_read * self.g_step);
-        let offset = self.reference_max() / self.rows as i128;
-        let roles: Vec<u8> = (0..per_weight).map(|j| self.role(j)).collect();
-        // Per column, its counts summed above and below 0 and its
-        // residuals likewise; per weight, its rows' `ω_r` likewise.
-        let mut counts = vec![(0i128, 0i128); pc];
-        let mut residuals = vec![(0.0f64, 0.0f64); pc];
-        let mut reads = vec![(0i128, 0i128); self.weight_cols];
-        let mut row = vec![0i128; per_weight];
-        for cells in currents.chunks_exact(pc) {
-            for (m, (up, down)) in reads.iter_mut().enumerate() {
-                for (j, n) in row.iter_mut().enumerate() {
-                    let c = m * per_weight + j;
-                    let z = (cells[c] - baseline) / lsb;
-                    if z.is_nan() || z.abs() >= INTEGRAL {
-                        return None;
-                    }
-                    let count = i128::from(round_half_away(z));
-                    // Exact: `count` is 0 or within a factor 2 of `z`.
-                    let e = z - count as f64;
-                    *n = count;
-                    counts[c].0 += count.max(0);
-                    counts[c].1 -= count.min(0);
-                    residuals[c].0 += e.max(0.0);
-                    residuals[c].1 -= e.min(0.0);
-                }
-                // Counts below 2^52 and shifts below 63 keep this in i128.
-                let read = shift_add(&row, &roles, |n| n) - offset;
-                *up = up.checked_add(read.max(0))?;
-                *down = down.checked_sub(read.min(0))?;
-            }
-        }
-        let rho = (self.rows + 2) as f64 * (f64::EPSILON / 2.0);
-        // `⌊F + ½⌋` for `F` ≥ 0 widened by the slack; `None` past 2^52.
-        let steps = |residual: f64, slack: f64| {
-            let f = residual * (1.0 + 2.0 * rho) + slack + 0.5;
-            (f < INTEGRAL).then(|| i128::from(f as i64))
-        };
-        let mut widest = 0i128;
-        for (m, &(up, down)) in reads.iter().enumerate() {
-            let (mut hi, mut lo) = (up, -down);
-            for (j, &role) in roles.iter().enumerate() {
-                let c = m * per_weight + j;
-                let slack = 3.0 * self.rounding_margin(pos[c], neg[c]) / lsb;
-                let (t_up, t_down) = (steps(residuals[c].0, slack)?, steps(residuals[c].1, slack)?);
-                let (t_up, t_down) = match self.cfg.adc {
-                    AdcModel::Ideal => (t_up, t_down),
-                    AdcModel::Saturating { bits } => {
-                        let max = (1i128 << bits) - 1;
-                        (t_up.max(counts[c].1), t_down.max(counts[c].0 - max))
-                    }
-                };
-                let (t_up, t_down) = match role & NEGATED == 0 {
-                    true => (t_up, t_down),
-                    false => (t_down, t_up),
-                };
-                let unit = 1i128 << (role & !NEGATED);
-                hi = hi.checked_add(t_up.checked_mul(unit)?)?;
-                lo = lo.checked_sub(t_down.checked_mul(unit)?)?;
-            }
-            widest = widest.max(hi.checked_sub(lo)?);
-        }
-        widest.checked_mul((1i128 << self.input_mag_bits()) - 1)
-    }
-
     /// The original per-phase-recompute analog pipeline, kept verbatim as
     /// the golden reference: every phase rescans all rows for its active
     /// set, every cell's wire droop is re-derived from the conductance
     /// matrix inside a column-outer strided loop, and every phase
     /// recombines its own counts — no effective-current plane, no
-    /// deferred shift-add.
+    /// deferred shift-add. An array that holds no conductance matrix
+    /// regenerates it on every call.
     ///
     /// [`CrossbarArray::vmm_analog_into`] must stay **bit-identical** to
     /// this for every scheme × ADC × IR-drop × drift combination; the
@@ -1780,6 +1370,7 @@ impl CrossbarArray {
         // Builds the plane if it is not built, which checks the read-out
         // bound the final conversion below relies on.
         let _ = self.plane();
+        let conductance = self.conductances();
         let input_mag_bits = self.input_mag_bits();
         let v_read = self.cfg.cell.read_voltage;
         let ir = &self.cfg.ir_drop;
@@ -1805,7 +1396,7 @@ impl CrossbarArray {
                 for col in 0..self.phys_cols {
                     let mut current = 0.0f64;
                     for &r in &active {
-                        let g = self.conductance[r * self.phys_cols + col];
+                        let g = conductance[r * self.phys_cols + col];
                         current += ir.cell_current_a(v_read, g, r, col, self.rows);
                     }
                     col_counts[col] = self.cfg.adc.quantize((current - baseline) / lsb);
@@ -1874,24 +1465,6 @@ fn check_widths(cfg: &XbarConfig) -> Result<(), XbarError> {
         Some((field, bits, _)) => Err(XbarError::BadBitWidth { field, bits }),
         None => Ok(()),
     }
-}
-
-/// Shift-add recombination of one weight's column values (counts or sums
-/// of counts), each read as an integer by `int`: a column enters at its
-/// slice's shift, negated for a differential pair's negative column, as
-/// its role says ([`Plane::roles`]).
-fn shift_add<T: Copy>(cols: &[T], roles: &[u8], int: impl Fn(T) -> i128) -> i128 {
-    cols.iter()
-        .zip(roles)
-        .map(|(&v, &role)| {
-            let term = int(v) << (role & !NEGATED);
-            if role & NEGATED == 0 {
-                term
-            } else {
-                -term
-            }
-        })
-        .sum()
 }
 
 /// Sums the active rows' effective currents over one tile of `plane`
@@ -2309,8 +1882,9 @@ mod tests {
                 3.5,
                 full * 2.0,
             ];
-            for (i, g) in a.conductance.iter_mut().enumerate() {
-                *g = a.g_min + levels[i % levels.len()] * a.g_step;
+            let (g_min, g_step) = (a.g_min, a.g_step);
+            for (i, g) in a.hold_conductances().iter_mut().enumerate() {
+                *g = g_min + levels[i % levels.len()] * g_step;
             }
             a.rebuild_plane();
             for x in [[127, -127, 127], [127, 127, -127], [-1, 64, 127], [0, 0, 5]] {
@@ -2758,8 +2332,10 @@ mod tests {
                 // except physical column 0's two cells, 0.3 and `second`
                 // of a level above it.
                 let mut a = CrossbarArray::program(&cfg, &[vec![0], vec![0]]).unwrap();
-                a.conductance[0] = a.g_min + 0.3 * a.g_step;
-                a.conductance[a.phys_cols] = a.g_min + second * a.g_step;
+                let (g_min, g_step, pc) = (a.g_min, a.g_step, a.phys_cols);
+                let conductance = a.hold_conductances();
+                conductance[0] = g_min + 0.3 * g_step;
+                conductance[pc] = g_min + second * g_step;
                 a.rebuild_plane();
                 assert_eq!(live_per_weight(&a), [live], "{:?}, {second}", cfg.adc);
                 assert_eq!(
@@ -2788,7 +2364,8 @@ mod tests {
             (0..a.weight_cols)
                 .map(|m| {
                     let cols = m * 8..(m + 1) * 8;
-                    let above = |c: usize| (0..a.rows).any(|r| a.conductance[r * 64 + c] > a.g_min);
+                    let conductance = a.conductances();
+                    let above = |c: usize| (0..a.rows).any(|r| conductance[r * 64 + c] > a.g_min);
                     cols.filter(|&c| above(c)).count() as u32
                 })
                 .collect()
@@ -2842,7 +2419,7 @@ mod tests {
                 let baseline_per_row = v_read * a.g_min;
                 let mut pos = vec![0.0f64; pc];
                 let mut neg = vec![0.0f64; pc];
-                for (idx, &g) in a.conductance.iter().enumerate() {
+                for (idx, &g) in a.conductances().iter().enumerate() {
                     let i_eff = cfg
                         .ir_drop
                         .cell_current_a(v_read, g, idx / pc, idx % pc, a.rows);
@@ -2862,6 +2439,169 @@ mod tests {
             }
         }
         assert!(elided > 0, "no plane elided a column");
+    }
+
+    /// `true` while `a` holds its conductance matrix.
+    fn matrix_held(a: &CrossbarArray) -> bool {
+        a.conductance.is_some()
+    }
+
+    /// An array's plane, bit for bit: currents, live-column starts and
+    /// roles, and the per-phase bound.
+    fn plane_bits(a: &CrossbarArray) -> (Vec<u64>, Vec<u32>, Vec<u8>, u64) {
+        let p = a.plane();
+        let currents = p.currents.iter().map(|c| c.to_bits()).collect();
+        (
+            currents,
+            p.starts.clone(),
+            p.roles.clone(),
+            p.phase_bound.to_bits(),
+        )
+    }
+
+    /// The replayed conductance matrix equals, bit for bit, the matrix the
+    /// programming loop writes cell by cell in row-major order: the fault
+    /// drawn first, a variation factor only for a healthy cell, a
+    /// differential pair's positive cell before its negative one, drift
+    /// last. Heavy fault rates put both stuck polarities in every array.
+    #[test]
+    fn replayed_matrix_equals_the_programming_loop() {
+        let faulty = XbarConfig {
+            drift: DriftModel::after(0.02, 86_400.0),
+            ..XbarConfig::noisy(0.05, 0.2, 0.2, 3)
+        };
+        let offset = XbarConfig {
+            scheme: WeightScheme::OffsetBinary,
+            ..faulty
+        };
+        for cfg in nonideal_lineup().into_iter().chain([faulty, offset]) {
+            for bound in [1, 5, 127] {
+                let (rows, cols) = (9, 5);
+                let w = narrow_weights(rows, cols, bound);
+                let a = CrossbarArray::program(&cfg, &w).unwrap();
+                let (per_weight, pc) = (cfg.phys_cols_per_weight(), a.phys_cols);
+                let (g_min, g_max) = (1.0 / cfg.cell.r_off_ohm, 1.0 / cfg.cell.r_on_ohm);
+                let mask = u64::from(cfg.cell.levels() - 1);
+                let (mut variation, mut faults) = (cfg.variation.sampler(), cfg.faults.sampler());
+                let mut want = vec![0.0f64; rows * pc];
+                for (r, m, s) in (0..rows).flat_map(|r| {
+                    (0..cols).flat_map(move |m| (0..cfg.slices()).map(move |s| (r, m, s)))
+                }) {
+                    let (shift, x) = (s as u32 * cfg.cell.bits_per_cell, w[r][m]);
+                    let cells = match cfg.scheme {
+                        WeightScheme::Differential => {
+                            let code = (x.unsigned_abs() >> shift) & mask;
+                            let (p, n) = if x >= 0 { (code, 0) } else { (0, code) };
+                            vec![(2 * s, p), (2 * s + 1, n)]
+                        }
+                        WeightScheme::OffsetBinary => {
+                            let stored = (x + (1 << (cfg.weight_bits - 1))) as u64;
+                            vec![(s, (stored >> shift) & mask)]
+                        }
+                    };
+                    for (j, code) in cells {
+                        let g = match faults.next_fault() {
+                            Some(StuckPolarity::StuckOff) => g_min,
+                            Some(StuckPolarity::StuckOn) => g_max,
+                            None => (g_min + a.g_step * code as f64) * variation.next_factor(),
+                        };
+                        want[r * pc + m * per_weight + j] = cfg.drift.factor() * g;
+                    }
+                }
+                let bits = |g: &[f64]| g.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a.conductances()), bits(&want), "{cfg:?}, ±{bound}");
+            }
+        }
+    }
+
+    /// A plane built from rows replayed from the configuration equals, bit
+    /// for bit, the plane rebuilt from the same array's held matrix, and so
+    /// does every truncation bound, on weights that leave columns dead (±1,
+    /// ±5) and that fill every slice (±127).
+    #[test]
+    fn replayed_rows_build_the_plane_a_held_matrix_builds() {
+        for cfg in nonideal_lineup() {
+            for bound in [1, 5, 127] {
+                let a = CrossbarArray::program(&cfg, &narrow_weights(29, 6, bound)).unwrap();
+                let mut held = a.clone();
+                held.hold_conductances();
+                held.rebuild_plane();
+                assert!(!matrix_held(&a) && matrix_held(&held));
+                assert_eq!(plane_bits(&a), plane_bits(&held), "{cfg:?}, ±{bound}");
+                for k in 0..8 {
+                    let (got, want) = (
+                        a.truncation_error_bound_bits(k),
+                        held.truncation_error_bound_bits(k),
+                    );
+                    assert_eq!(got.to_bits(), want.to_bits(), "{cfg:?}, ±{bound}, {k} bits");
+                }
+            }
+        }
+    }
+
+    /// The same strikes and drift advances, applied to a pristine array and
+    /// to a clone that already holds its matrix, leave equal planes and
+    /// equal kernel and reference outputs after every step.
+    #[test]
+    fn mutations_match_on_a_clone_that_holds_its_matrix() {
+        let x: Vec<i64> = (0..29).map(|r| ((r * 37) % 255) as i64 - 127).collect();
+        let steps: [&dyn Fn(&mut CrossbarArray); 4] = [
+            &|a| {
+                a.apply_faults(12, 3);
+            },
+            &|a| a.advance_drift(DriftModel::after(0.02, 86_400.0)),
+            &|a| {
+                a.apply_faults(5, 4);
+            },
+            &|a| a.advance_drift(DriftModel::after(0.02, 30.0 * 86_400.0)),
+        ];
+        for cfg in nonideal_lineup().into_iter().chain([XbarConfig::ideal()]) {
+            for bound in [1, 5, 127] {
+                let mut a = CrossbarArray::program(&cfg, &narrow_weights(29, 6, bound)).unwrap();
+                let mut held = a.clone();
+                held.hold_conductances();
+                for (i, step) in steps.iter().enumerate() {
+                    step(&mut a);
+                    step(&mut held);
+                    let what = format!("{cfg:?}, ±{bound}, step {i}");
+                    assert_eq!(plane_bits(&a), plane_bits(&held), "{what}");
+                    assert_eq!(analog(&a, &x), analog(&held, &x), "{what}");
+                    let reference = a.vmm_analog_reference(&x);
+                    assert_eq!(reference, held.vmm_analog_reference(&x), "{what}");
+                    assert_eq!(analog(&a, &x), reference, "{what}");
+                }
+            }
+        }
+    }
+
+    /// After programming no array holds a matrix and an ideal one holds no
+    /// plane; analog and reference reads of an ideal array build its plane
+    /// and hold no matrix; a strike or a drift advance leaves the matrix
+    /// held; a clone holds what its source holds.
+    #[test]
+    fn only_mutations_make_an_array_hold_its_matrix() {
+        let w = narrow_weights(7, 3, 5);
+        let x = [3, -1, 0, 7, 2, -5, 1];
+        let ideal = CrossbarArray::program(&XbarConfig::ideal(), &w).unwrap();
+        let noisy = CrossbarArray::program(&XbarConfig::preset("full").unwrap(), &w).unwrap();
+        assert!(!matrix_held(&ideal) && !ideal.plane_built());
+        assert!(!matrix_held(&noisy) && noisy.plane_built());
+        let read = ideal.clone();
+        assert_eq!(analog(&read, &x), read.vmm_analog_reference(&x));
+        assert!(!matrix_held(&read) && read.plane_built());
+        let mut arrays = vec![ideal, read];
+        for a in [arrays[0].clone(), noisy] {
+            let (mut struck, mut drifted) = (a.clone(), a.clone());
+            struck.apply_faults(3, 1);
+            drifted.advance_drift(DriftModel::after(0.02, 86_400.0));
+            assert!(matrix_held(&struck) && matrix_held(&drifted));
+            arrays.extend([a, struck, drifted]);
+        }
+        for a in &arrays {
+            let copy = a.clone();
+            let held = |a: &CrossbarArray| (matrix_held(a), a.plane_built());
+            assert_eq!(held(&copy), held(a));
+        }
     }
 
     #[test]

@@ -48,6 +48,7 @@
 mod array;
 mod config;
 mod ir_drop;
+mod plane;
 mod precision;
 mod sct;
 

@@ -18,7 +18,7 @@
 //! slices of narrow weights) is left out of the fused plane, as it is
 //! of the array's own. Ideal arrays run the taps' exact VMMs.
 
-use crate::array::Plane;
+use crate::plane::Plane;
 use crate::{CrossbarArray, ExecPrecision, VmmScratch, XbarConfig, XbarError};
 use red_tensor::Kernel;
 use std::ops::Range;
