@@ -1,9 +1,9 @@
-use super::window::{self, WindowGeom};
+use super::window::{self, PhaseOrder, WindowGeom};
 use super::{Execution, LayerScratch};
 use crate::plan::ExecPlan;
 use crate::{ArchError, CostModel, CostReport, Design, DesignGeometry};
 use red_tensor::{ConvLayerShape, FeatureMap, Kernel, LayerShape};
-use red_xbar::{CrossbarArray, ExecPrecision, XbarConfig};
+use red_xbar::{CrossbarArray, ExecPrecision, PhasedCrossbar, XbarConfig};
 
 /// Standard-convolution engine on the crossbar substrate.
 ///
@@ -17,12 +17,15 @@ use red_xbar::{CrossbarArray, ExecPrecision, XbarConfig};
 ///
 /// Like the deconvolution engines, the receptive-field window schedule is
 /// resolved once at construction into an [`ExecPlan`] and replayed
-/// allocation-free on every run.
+/// allocation-free on every run, through the zero-padding engine's window
+/// replay: every tap of a conv window can read a real input, so its
+/// crossbar is one stride phase.
 #[derive(Debug, Clone)]
 pub struct ConvEngine {
     layer: ConvLayerShape,
-    array: CrossbarArray,
+    crossbar: PhasedCrossbar,
     plan: ExecPlan,
+    order: PhaseOrder,
 }
 
 impl ConvEngine {
@@ -70,12 +73,14 @@ impl ConvEngine {
                 }
             }
         }
-        let array = CrossbarArray::program_flat(cfg, kh * kw * c, m, flat)?;
+        let crossbar = PhasedCrossbar::program(cfg, kh * kw * c, m, flat, 1, |_| 0)?;
         let plan = Self::build_plan(layer);
+        let order = PhaseOrder::new(&plan, &crossbar, c);
         Ok(Self {
             layer: *layer,
-            array,
+            crossbar,
             plan,
+            order,
         })
     }
 
@@ -117,7 +122,7 @@ impl ConvEngine {
 
     /// The programmed crossbar (for inspection/tests).
     pub fn array(&self) -> &CrossbarArray {
-        &self.array
+        self.crossbar.array()
     }
 
     fn check_input(&self, input: &FeatureMap<i64>) -> Result<(), ArchError> {
@@ -142,7 +147,7 @@ impl ConvEngine {
     }
 
     /// Executes the convolution on every input of a batch, replaying the
-    /// compile-time window plan pixel-major at full precision; the only
+    /// compile-time window plan at full precision; the only
     /// heap allocations per call are the outputs. A single image is a
     /// batch of one.
     ///
@@ -161,7 +166,6 @@ impl ConvEngine {
         let l = &self.layer;
         let (oh, ow) = l.output_extent();
         let g = WindowGeom {
-            channels: l.channels(),
             filters: l.filters(),
             out_h: oh,
             out_w: ow,
@@ -169,7 +173,8 @@ impl ConvEngine {
         };
         Ok(window::run_plan(
             &self.plan,
-            &self.array,
+            &self.order,
+            &self.crossbar,
             g,
             inputs,
             scratch,
@@ -278,8 +283,9 @@ mod tests {
     #[test]
     fn run_batch_pixel_major_path_matches_per_image() {
         // 16 taps x 128 channels x 64 filters = 1 MiB of weights: crosses
-        // the blocking threshold, exercising vmm_batch_at's row blocking
-        // across the batch.
+        // the blocking threshold, and a conv window is one stride phase,
+        // so this exercises the exact path's row blocking across chunks
+        // of (pixel, image) pairs.
         let (layer, kernel, input) = setup(4, 1, 1, 6, 128, 64);
         let engine = ConvEngine::new(&XbarConfig::ideal(), &layer, &kernel).unwrap();
         assert!(engine.array().batching_pays());

@@ -15,12 +15,15 @@
 //! else. The *host* order is whatever computes the same outputs fastest;
 //! products do not depend on when the host computes them, and integer
 //! sums do not depend on their order. Two host replays serve all four
-//! engines, each driving a whole batch through one crossbar call per
-//! pixel and both working in one [`LayerScratch`], so a single scratch
-//! serves every engine, layer and design in turn:
+//! engines, both driving whole batches through each crossbar call and
+//! working in one [`LayerScratch`], so a single scratch serves every
+//! engine, layer and design in turn:
 //!
-//! - the window replay (zero-padding and conv) walks output pixels and
-//!   gathers each image's receptive field;
+//! - the window replay (zero-padding and conv) walks stride phases: in
+//!   each, it gathers chunks of (output pixel, image) pairs densely into
+//!   the only window rows that can hold real inputs, the phase's, and
+//!   drives each chunk through one call. Zero-padding's inserted zeros
+//!   are metered, as the design drives them, but never driven;
 //! - the scatter replay (padding-free and RED) walks input pixels,
 //!   evaluates only the taps that land in the output, and adds each
 //!   tap's partial sums straight into the output pixel it lands in. For
@@ -54,17 +57,19 @@ pub struct Execution {
 }
 
 /// Reusable working memory for [`DeconvEngine::run`] and
-/// [`ConvEngine::run`]: each image's crossbar input at the current pixel
-/// (a gathered window or an input pixel), their crossbar outputs, and
+/// [`ConvEngine::run`]: the crossbar inputs of one call (an input pixel
+/// per image, or a chunk of (output pixel, image) pairs' stride-phase
+/// rows, which stays within the `n × (window_len + M)` values whole
+/// windows and their outputs would take), their crossbar outputs, and
 /// the [`VmmScratch`]. Every buffer grows on first use and is resized on
 /// every call, so one scratch serves batches of any size on any engine,
 /// layer or design, and a serving loop reusing it stays allocation-free
 /// in steady state.
 #[derive(Debug, Default)]
 pub struct LayerScratch {
-    /// `n × row_len`: each image's crossbar input at the current pixel.
+    /// `k × row_len`: the crossbar inputs of one call.
     inputs: Vec<i64>,
-    /// `n × out_len`: their crossbar outputs.
+    /// `k × out_len`: their crossbar outputs.
     outputs: Vec<i64>,
     vmm: VmmScratch,
 }

@@ -8,8 +8,8 @@
 //! crossbar call evaluates its taps, so the replay takes both as closures.
 //! It runs pixel-major over the batch — one evaluation per input pixel
 //! position for every image at once, which the batch-major analog kernel
-//! turns into tile reuse and shared conversions — and a single image is
-//! a batch of one.
+//! turns into tile reuse, and a few-row plane into set-table lookups —
+//! and a single image is a batch of one.
 
 use super::{check_input, Execution, LayerScratch};
 use crate::plan::InputSchedule;

@@ -1,9 +1,9 @@
-use super::window::{self, WindowGeom};
+use super::window::{self, PhaseOrder, WindowGeom};
 use super::{check_input, check_kernel, DeconvEngine, Execution, LayerScratch};
 use crate::plan::ExecPlan;
 use crate::{ArchError, Design};
 use red_tensor::{FeatureMap, Kernel, LayerShape};
-use red_xbar::{CrossbarArray, ExecPrecision, XbarConfig};
+use red_xbar::{CrossbarArray, ExecPrecision, PhasedCrossbar, XbarConfig};
 
 /// The conventional zero-padding design (paper Fig. 3(a)): the kernel maps
 /// like a standard convolution onto one `(KH·KW·C) × M` crossbar, and the
@@ -14,15 +14,27 @@ use red_xbar::{CrossbarArray, ExecPrecision, XbarConfig};
 /// Row order matches the window flattening `((i·KW + j)·C + c)` with the
 /// 180°-rotated kernel, exactly composing Algorithm 1's two steps.
 ///
-/// Instead of materialising the zero-inserted padded tensor per image, the
-/// window schedule — which real input pixel lands in which receptive-field
-/// slot of which output pixel — is resolved once at construction into an
-/// [`ExecPlan`] and replayed allocation-free by every run.
+/// The engine keeps two orders apart. The *modeled* order is the design's:
+/// every output pixel drives all `KH·KW·C` rows, and [`ExecutionStats`]
+/// meter exactly that. The *host* order evaluates only the rows that can
+/// hold real inputs. Rotated tap `(i, j)` of output pixel `(u, v)` reads
+/// a real input only when `u + i` and `v + j` sit `stride`-aligned past
+/// the border, so a pixel's real inputs all fall in the taps of one
+/// stride phase `(i mod s, j mod s)`. The array's rows are partitioned
+/// into those `s²` phases ([`PhasedCrossbar`]), and the window schedule —
+/// which real input pixel lands in which receptive-field slot of which
+/// output pixel — is resolved once at construction into an [`ExecPlan`],
+/// grouped by phase, and replayed allocation-free by every run. Driving
+/// a phase's rows equals driving the whole window with the inserted
+/// zeros, bit for bit.
+///
+/// [`ExecutionStats`]: crate::ExecutionStats
 #[derive(Debug, Clone)]
 pub struct ZeroPaddingEngine {
     layer: LayerShape,
-    array: CrossbarArray,
+    crossbar: PhasedCrossbar,
     plan: ExecPlan,
+    order: PhaseOrder,
 }
 
 impl ZeroPaddingEngine {
@@ -49,12 +61,19 @@ impl ZeroPaddingEngine {
                 }
             }
         }
-        let array = CrossbarArray::program_flat(cfg, kh * kw * c, m, flat)?;
+        let s = layer.spec().stride();
+        let phase_of = |r: usize| {
+            let (i, j) = (r / c / kw, r / c % kw);
+            (i % s) * s + j % s
+        };
+        let crossbar = PhasedCrossbar::program(cfg, kh * kw * c, m, flat, s * s, phase_of)?;
         let plan = Self::build_plan(layer);
+        let order = PhaseOrder::new(&plan, &crossbar, c);
         Ok(Self {
             layer: *layer,
-            array,
+            crossbar,
             plan,
+            order,
         })
     }
 
@@ -97,9 +116,10 @@ impl ZeroPaddingEngine {
         plan
     }
 
-    /// The programmed crossbar (for inspection/tests).
+    /// The programmed crossbar (for inspection/tests): the modeled
+    /// window array, which holds its weights only.
     pub fn array(&self) -> &CrossbarArray {
-        &self.array
+        self.crossbar.array()
     }
 
     /// The frozen window schedule (for inspection/tests).
@@ -118,13 +138,16 @@ impl DeconvEngine for ZeroPaddingEngine {
     }
 
     fn truncation_error_bound(&self, prec: ExecPrecision) -> f64 {
-        self.array.truncation_error_bound(prec)
+        self.crossbar.truncation_error_bound(prec)
     }
 
-    /// Replays the compile-time window plan pixel-major (the
-    /// rotated-kernel row order means window element `((i·KW + j)·C + c)`
-    /// pairs with rotated tap `(i, j)`); the only heap allocations per
-    /// call are the outputs.
+    /// Replays the compile-time window plan mode-major: phase by phase,
+    /// chunks of (output pixel, image) pairs gather their real inputs
+    /// densely into the phase's rows (the rotated-kernel row order means
+    /// window element `((i·KW + j)·C + c)` pairs with rotated tap
+    /// `(i, j)`) and go through one crossbar call. Every pixel is metered
+    /// over its full window. The only heap allocations per call are the
+    /// outputs.
     fn run(
         &self,
         inputs: &[FeatureMap<i64>],
@@ -136,7 +159,6 @@ impl DeconvEngine for ZeroPaddingEngine {
         }
         let geom = self.layer.output_geometry();
         let g = WindowGeom {
-            channels: self.layer.channels(),
             filters: self.layer.filters(),
             out_h: geom.height,
             out_w: geom.width,
@@ -144,7 +166,8 @@ impl DeconvEngine for ZeroPaddingEngine {
         };
         Ok(window::run_plan(
             &self.plan,
-            &self.array,
+            &self.order,
+            &self.crossbar,
             g,
             inputs,
             scratch,
@@ -236,14 +259,18 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_pixel_major_path_matches_per_image() {
-        // 16 taps x 128 channels x 64 filters = 1 MiB of weights: crosses
-        // the blocking threshold, so this exercises vmm_batch_at's row
-        // blocking across the batch (the small-layer test above covers its
-        // per-input loop).
+    fn run_batch_wide_window_matches_per_image() {
+        // 16 taps x 128 channels x 64 filters: the modeled window holds 1
+        // MiB of weights, past the exact path's row-blocking threshold,
+        // but the host drives one stride phase at a time, 4 taps of 256
+        // KiB each, so every phase takes the per-input exact loop over
+        // chunks of many (pixel, image) pairs.
         let (layer, kernel, input) = setup(4, 2, 1, 0, 4, 128, 64);
         let engine = ZeroPaddingEngine::new(&XbarConfig::ideal(), &layer, &kernel).unwrap();
         assert!(engine.array().batching_pays());
+        let phases = engine.crossbar.phases();
+        assert_eq!(phases, 4);
+        assert!((0..phases).all(|p| engine.crossbar.phase_rows(p).len() == 4 * 128));
         let inputs: Vec<_> = (0..2).map(|k| input.map(|v| v + k as i64)).collect();
         let batch = engine
             .run(&inputs, &mut LayerScratch::default(), ExecPrecision::Full)
@@ -258,9 +285,9 @@ mod tests {
     #[test]
     fn reused_scratch_matches_fresh_runs_on_sparse_windows() {
         // k16/s8 as in FCN-8s' upscore: each receptive field holds at most
-        // 2x2 real pixels among 16x16 slots, 1/64 dense. A pixel writes
-        // only its gathered slots into the window and clears them after
-        // its VMM, so a reused scratch must carry nothing over.
+        // 2x2 real pixels among 16x16 slots, 1/64 dense, all in one of 64
+        // stride phases. A chunk zero-fills its phase rows before its
+        // gathers, so a reused scratch must carry nothing over.
         let (layer, kernel, input) = setup(16, 8, 4, 0, 3, 2, 3);
         let inputs: Vec<_> = (0..3i64)
             .map(|k| input.map(|v| (v * (k + 1) + 7 * k) % 60))

@@ -104,15 +104,21 @@ impl ExecPlan {
         self.entries.len()
     }
 
+    /// The `i`th planned output pixel's coordinates and resolved gathers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= pixel_count()`.
+    pub(crate) fn pixel(&self, i: usize) -> ((usize, usize), &[GatherEntry]) {
+        let p = &self.pixels[i];
+        let gathers = &self.entries[p.start as usize..p.end as usize];
+        ((p.u as usize, p.v as usize), gathers)
+    }
+
     /// Iterates the plan in the recorded pixel order, yielding each output
     /// pixel's coordinates and its resolved gathers.
     pub fn iter(&self) -> impl Iterator<Item = ((usize, usize), &[GatherEntry])> + '_ {
-        self.pixels.iter().map(|p| {
-            (
-                (p.u as usize, p.v as usize),
-                &self.entries[p.start as usize..p.end as usize],
-            )
-        })
+        (0..self.pixels.len()).map(|i| self.pixel(i))
     }
 }
 

@@ -65,29 +65,19 @@ fn analog_single(c: &mut Criterion) {
     group.finish();
 }
 
-/// The planned kernel on the lineup's hot shapes, with activations in
-/// 1..=89 like the lineup's ReLU feature maps: a dense 128 x 64 window
-/// array, a 3200 x 64 zero-padding window at 1/4 density (the zero
-/// insertion leaves three of four rows idle), and RED's 2 x 512
-/// two-row sub-crossbar VMMs.
+/// The planned kernel on the lineup's hot shapes, with dense activations
+/// in 1..=89 like the lineup's ReLU feature maps: a 128 x 64 window
+/// array, DCGAN stage 0's largest zero-padding stride phase (1,152 of
+/// the 3,200 window rows: 9 taps x 128 channels), FCN stage 1's 8-row
+/// zero-padding phase (2 x 2 taps x 2 channels), whose set table the
+/// kernel looks each phase up in, and RED's 2 x 512 two-row
+/// sub-crossbar VMMs, also tabulated.
 fn analog_lineup(c: &mut Criterion) {
     let mut group = c.benchmark_group("analog_lineup");
-    for (rows, cols, every) in [(128usize, 64usize, 1usize), (3200, 64, 4), (2, 512, 1)] {
+    for (rows, cols) in [(128usize, 64usize), (1152, 64), (8, 2), (2, 512)] {
         let a = CrossbarArray::program(&noisy_cfg(), &make_weights(rows, cols)).expect("programs");
-        let input: Vec<i64> = (0..rows)
-            .map(|r| {
-                if r % every == 0 {
-                    (r * 7 % 89) as i64 + 1
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let label = if every == 1 {
-            format!("{rows}x{cols}")
-        } else {
-            format!("{rows}x{cols}_1of{every}")
-        };
+        let input: Vec<i64> = (0..rows).map(|r| (r * 7 % 89) as i64 + 1).collect();
+        let label = format!("{rows}x{cols}");
         let mut scratch = VmmScratch::new();
         let mut out = vec![0i64; cols];
         group.bench_with_input(BenchmarkId::new("planned", &label), &a, |b, a| {
@@ -101,9 +91,8 @@ fn analog_lineup(c: &mut Criterion) {
 /// calls, with activations in 1..=89, on two padding-free planes: DCGAN
 /// stage 0 (128 channels × 25 taps · 64 filters, 25 column tiles), where
 /// each tile's plane rows serve all 8 inputs while they are cached, and
-/// FCN stage 1 (2 channels × 256 taps · 2 filters, 8 tiles), where the 8
-/// inputs' phases pulse at most 3 distinct row sets, each summed and
-/// converted once per tile.
+/// FCN stage 1 (2 channels × 256 taps · 2 filters), whose 3 active-row
+/// sets were converted once, at programming, into its set table.
 fn analog_batch(c: &mut Criterion) {
     const BATCH: usize = 8;
     let mut group = c.benchmark_group("analog_batch");
@@ -172,22 +161,17 @@ fn analog_red_pixel(c: &mut Criterion) {
 /// Dead-column elision on two lineup shapes, each programmed with the
 /// lineup's ±5 weights and with ±127 ones, activations in 1..=89: one
 /// 8-input call on DCGAN stage 0's 128 × 1,600 padding-free plane, whose
-/// ±5 plane keeps about half its 12,800 columns, and one input on the
-/// 3,200 × 64 zero-padding window at 1/4 density.
+/// ±5 plane keeps about half its 12,800 columns, and one input on its
+/// zero-padding window's 1,152-row stride phase.
 fn analog_narrow(c: &mut Criterion) {
     const BATCH: usize = 8;
     let mut group = c.benchmark_group("analog_narrow");
     let shapes = [
-        ("dcgan_pf_s0", 128usize, 1600usize, 1usize, BATCH),
-        ("window_3200x64_1of4", 3200, 64, 4, 1),
+        ("dcgan_pf_s0", 128usize, 1600usize, BATCH),
+        ("dcgan_zp_s0_phase", 1152, 64, 1),
     ];
-    for (label, rows, cols, every, n) in shapes {
-        let inputs: Vec<i64> = (0..n * rows)
-            .map(|i| match i % every {
-                0 => (i * 37 % 89) as i64 + 1,
-                _ => 0,
-            })
-            .collect();
+    for (label, rows, cols, n) in shapes {
+        let inputs: Vec<i64> = (0..n * rows).map(|i| (i * 37 % 89) as i64 + 1).collect();
         for bound in [5, 127] {
             let weights = bounded_weights(rows, cols, bound);
             let a = CrossbarArray::program(&noisy_cfg(), &weights).expect("programs");

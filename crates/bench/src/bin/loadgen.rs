@@ -82,6 +82,7 @@
 
 use red_bench::{
     json_escape, maybe_write_csv, out, outln, parse_flag, parse_list_flag, render_table,
+    unknown_arg,
 };
 use red_core::prelude::*;
 use red_core::workloads::networks;
@@ -461,28 +462,33 @@ fn write_json(
     std::fs::write(path, doc)
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: loadgen [--rps F[,F..]] [--clients N] [--max-batch N[,N..]] \
-         [--max-wait-us F] [--slo-us F] \
-         [--policy fifo|deadline-shed|weighted-fair|priority[,..]] \
-         [--tenants name:weight:priority:slo_us[,..]] [--max-lag-us F] \
-         [--replicas N] [--noisy variation|adc|ir-drop|full] [--closed] \
-         [--mix] [--model-only] \
-         [--autoscale MIN] [--autoscale-cooldown-us F] \
-         [--brownout] [--brownout-cooldown-us F] [--precision-floor full|eco|brownout] \
-         [--duration-ms F] [--requests N] [--scale N] [--seed N] \
-         [--network dcgan|sngan|fcn|all] [--design zero-padding|padding-free|red|all] \
-         [--fault-plan crash:AT_US:P:R,stall:AT_US:P:R:DUR_US,drift:AT_US:P:SECS,\
+/// Every flag `loadgen` knows, as [`unknown_arg`] reads them.
+const USAGE: &str = "usage: loadgen [--rps F[,F..]] [--clients N] [--max-batch N[,N..]] \
+    [--max-wait-us F] [--slo-us F] \
+    [--policy fifo|deadline-shed|weighted-fair|priority[,..]] \
+    [--tenants name:weight:priority:slo_us[,..]] [--max-lag-us F] \
+    [--replicas N] [--noisy variation|adc|ir-drop|full] [--closed] \
+    [--mix] [--model-only] \
+    [--autoscale MIN] [--autoscale-cooldown-us F] \
+    [--brownout] [--brownout-cooldown-us F] [--precision-floor full|eco|brownout] \
+    [--duration-ms F] [--requests N] [--scale N] [--seed N] \
+    [--network dcgan|sngan|fcn|all] [--design zero-padding|padding-free|red|all] \
+    [--fault-plan crash:AT_US:P:R,stall:AT_US:P:R:DUR_US,drift:AT_US:P:SECS,\
 strike:AT_US:P:R:CELLS] \
-         [--scrape-us F] \
-         [--csv <dir>] [--json <path>] [--trace <path>] [--metrics <path>]"
-    );
+    [--scrape-us F] \
+    [--csv <dir>] [--json <path>] [--trace <path>] [--metrics <path>]";
+
+fn usage() -> ExitCode {
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(arg) = unknown_arg(&args, USAGE) {
+        eprintln!("unknown argument {arg:?}");
+        return usage();
+    }
     let (
         Some(rps_list),
         Some(clients),

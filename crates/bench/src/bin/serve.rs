@@ -42,7 +42,7 @@
 //! misroutes images, or an engine whose dataflow diverges from its priced
 //! geometry, fails the CI smoke instead of printing wrong numbers.
 
-use red_bench::{json_escape, maybe_write_csv, out, outln, parse_flag, render_table};
+use red_bench::{json_escape, maybe_write_csv, out, outln, parse_flag, render_table, unknown_arg};
 use red_core::prelude::*;
 use red_core::workloads::networks;
 use red_runtime::ChipBuilder;
@@ -157,18 +157,27 @@ fn write_json(path: &str, batch: usize, scale: usize, rows: &[ServeRow]) -> std:
     std::fs::write(path, doc)
 }
 
+/// Every flag `serve` knows, as [`unknown_arg`] reads them.
+const USAGE: &str = "usage: serve [--batch N] [--scale N] [--verify] \
+    [--noisy variation|adc|ir-drop|full] [--csv <dir>] [--json <path>] \
+    [--trace <path>]";
+
+fn usage() -> ExitCode {
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(arg) = unknown_arg(&args, USAGE) {
+        eprintln!("unknown argument {arg:?}");
+        return usage();
+    }
     let (Some(batch), Some(scale)) = (
         parse_flag::<usize>(&args, "--batch", 8),
         parse_flag::<usize>(&args, "--scale", 8),
     ) else {
-        eprintln!(
-            "usage: serve [--batch N] [--scale N] [--verify] \
-             [--noisy variation|adc|ir-drop|full] [--csv <dir>] [--json <path>] \
-             [--trace <path>]"
-        );
-        return ExitCode::from(2);
+        return usage();
     };
     if batch == 0 || scale == 0 {
         eprintln!("--batch and --scale must be positive");

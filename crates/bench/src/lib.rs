@@ -116,6 +116,37 @@ pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T)
     }
 }
 
+/// The first argument in `args` that a binary's `usage` text does not
+/// document, or `None` when every argument is known. The usage text lists
+/// each flag in brackets, `[--flag]` for a switch and `[--flag VALUE]`
+/// for a flag that takes the next argument as its value, so it is the
+/// binary's one list of known flags. A binary reports what this returns
+/// as a usage error instead of silently ignoring a misspelt flag.
+pub fn unknown_arg<'a>(args: &'a [String], usage: &str) -> Option<&'a str> {
+    // `Some(true)` for a documented flag that takes a value.
+    let documented = |arg: &str| {
+        let name = arg.strip_prefix("--")?;
+        usage.split_whitespace().find_map(|token| {
+            match token.strip_prefix("[--")?.strip_prefix(name)? {
+                "" => Some(true),
+                "]" => Some(false),
+                _ => None,
+            }
+        })
+    };
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        match documented(arg) {
+            Some(true) => {
+                args.next();
+            }
+            Some(false) => {}
+            None => return Some(arg),
+        }
+    }
+    None
+}
+
 /// Parses `--flag a,b,c` as a comma-separated list: `default` when the
 /// flag is absent, `None` when present without a fully parsable list.
 pub fn parse_list_flag<T: std::str::FromStr + Clone>(
@@ -335,6 +366,30 @@ mod tests {
                 check.source, check.paper, check.measured
             );
         }
+    }
+
+    #[test]
+    fn unknown_arg_reads_the_flags_from_usage() {
+        let usage = "usage: x [--n N[,N..]] [--verbose] [--verbose-level N] [--out <dir>]";
+        let unknown = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            unknown_arg(&args, usage).map(str::to_owned)
+        };
+        let known = [
+            "--n",
+            "1,2",
+            "--verbose",
+            "--out",
+            "d",
+            "--verbose-level",
+            "2",
+        ];
+        assert_eq!(unknown(&known[..]), None);
+        assert_eq!(unknown(&["--verbose", "stray"]).as_deref(), Some("stray"));
+        assert_eq!(unknown(&["--verb"]).as_deref(), Some("--verb"));
+        assert_eq!(unknown(&["--verbose-level"]), None);
+        assert_eq!(unknown(&["-n", "1"]).as_deref(), Some("-n"));
+        assert_eq!(unknown(&["--x"]).as_deref(), Some("--x"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The `loadgen` binary rejects bad flags — a bad `--rps`, a zero
-//! `--max-batch` entry, or a non-finite or negative duration — with a
-//! message naming the flag and exit code 2, before any fleet is built:
-//! never a panic. A stdout closed before the
+//! `--max-batch` entry, a non-finite or negative duration, or a flag it
+//! does not know — with a message naming the flag and exit code 2,
+//! before any fleet is built: never a panic. A stdout closed before the
 //! run prints anything costs none of the files it was asked to write.
 
 use std::process::{Command, Stdio};
@@ -40,6 +40,28 @@ fn non_finite_and_non_positive_rates_exit_2() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
         assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+    }
+}
+
+#[test]
+fn unknown_arguments_exit_2_naming_them() {
+    let cases: [&[&str]; 3] = [
+        &["--requests", "4", "--bogus", "1"],
+        &["--model-only", "--requests", "4", "--stream"],
+        &["--mix", "stray"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_loadgen"))
+            .args(args)
+            .output()
+            .expect("the loadgen binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let unknown = args
+            .iter()
+            .find(|a| ["--bogus", "--stream", "stray"].contains(a));
+        assert!(stderr.contains(unknown.unwrap()), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: loadgen"), "{args:?}: {stderr}");
     }
 }
 

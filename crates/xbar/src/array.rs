@@ -13,56 +13,25 @@ use std::ops::Range;
 /// plane row slices a set reads they stay in L1 while the tile is summed.
 pub(crate) const TILE_COLS: usize = 512;
 
-/// End of a chain of [`SetUse`]s.
-const NO_USE: u32 = u32::MAX;
-
-/// One active-row set of an analog kernel call: the rows one or more
-/// conversion phases pulse.
+/// One active-row set of an analog kernel call: the rows one input's
+/// conversion phase pulses.
 #[derive(Debug, Clone, Copy)]
 struct RowSet {
     /// The set's rows, `rows[start..][..len]` of the buffer that lists
     /// them, ascending.
     start: u32,
     len: u32,
-    /// The first and last row, the key a set is looked up under with
-    /// `len`.
-    ends: u64,
-    /// The first input's use; any later input's [`SetUse`] is chained
-    /// from it through `RowSets::uses`, up to the one at `last`
-    /// ([`NO_USE`] while `first` is the only one).
-    first: SetUse,
-    last: u32,
-    /// Number of inputs that pulse it.
-    users: u32,
-}
-
-/// One input's use of a [`RowSet`]: the merged `Σ ±2^bit` scale of the
-/// input's phases whose active rows are exactly the set.
-#[derive(Debug, Clone, Copy)]
-struct SetUse {
+    /// The input that pulses it, at the phase's scale `±2^bit`.
     input: u32,
     scale: i64,
-    /// The set's next use, or [`NO_USE`].
-    next: u32,
 }
 
-impl SetUse {
-    fn new(input: usize, scale: i64) -> Self {
-        let (input, next) = (input as u32, NO_USE);
-        Self { input, scale, next }
-    }
-}
-
-/// The active-row sets of one kernel run and their uses.
+/// The active-row sets of one kernel run.
 #[derive(Debug, Clone, Default)]
 struct RowSets {
     sets: Vec<RowSet>,
-    /// The batch-major run's distinct sets' rows, packed.
+    /// The sets' rows, packed.
     rows: Vec<u32>,
-    uses: Vec<SetUse>,
-    /// Open-addressed lookup of `sets` by `(len, ends)`: set index + 1,
-    /// 0 for an empty slot.
-    slots: Vec<u32>,
     /// Per input, `Σ ±len · 2^bit` over its live phases: how many offset
     /// units offset binary's reference column subtracts.
     pulses: Vec<i128>,
@@ -72,59 +41,29 @@ impl RowSets {
     fn clear(&mut self) {
         self.sets.clear();
         self.rows.clear();
-        self.uses.clear();
         self.pulses.clear();
     }
 
-    /// Appends a set that `input` pulses at `scale`.
-    fn push(&mut self, start: usize, len: u32, ends: u64, input: usize, scale: i64) {
-        self.sets.push(RowSet {
-            start: start as u32,
-            len,
-            ends,
-            first: SetUse::new(input, scale),
-            last: NO_USE,
-            users: 1,
-        });
-    }
-
-    /// Records that `input`'s phase of `scale` pulses set `d`: merged
-    /// into the input's use when it already has one (uses arrive in input
-    /// order), chained otherwise.
-    fn add_use(&mut self, d: usize, input: usize, scale: i64) {
-        let u = self.uses.len() as u32;
-        let set = &mut self.sets[d];
-        let last = match set.last {
-            NO_USE => &mut set.first,
-            at => &mut self.uses[at as usize],
-        };
-        if last.input as usize == input {
-            last.scale += scale;
-            return;
-        }
-        last.next = u;
-        set.last = u;
-        set.users += 1;
-        self.uses.push(SetUse::new(input, scale));
-    }
-
-    /// Lists one input's live phase buckets as sets of their own, their
-    /// rows left in the buckets `stride` apart.
-    fn list_phases(&mut self, phase_len: &[u32], stride: usize) {
-        self.clear();
+    /// Appends one input's live phase buckets (`stride` slots apart in
+    /// `phase_rows`) as sets, their rows copied to the end of `rows`, and
+    /// the input's pulse count.
+    fn push_phases(&mut self, phase_rows: &[u32], phase_len: &[u32], stride: usize) {
+        let input = self.pulses.len() as u32;
         let mut pulses = 0;
         for (p, &len) in phase_len.iter().enumerate().filter(|(_, &len)| len > 0) {
             let scale = phase_scale(p);
             pulses += i128::from(len) * i128::from(scale);
-            self.push(p * stride, len, 0, 0, scale);
+            let start = self.rows.len() as u32;
+            self.rows
+                .extend_from_slice(&phase_rows[p * stride..][..len as usize]);
+            self.sets.push(RowSet {
+                start,
+                len,
+                input,
+                scale,
+            });
         }
         self.pulses.push(pulses);
-    }
-
-    /// The uses of `set`, in input order.
-    fn uses_of<'a>(&'a self, set: &'a RowSet) -> impl Iterator<Item = &'a SetUse> {
-        let uses = &self.uses;
-        std::iter::successors(Some(&set.first), |u| uses.get(u.next as usize))
     }
 }
 
@@ -135,20 +74,11 @@ struct TileSums {
     /// path, then its baseline-cancelled, LSB-normalized value).
     currents: Vec<f64>,
     /// Per input, the tile's per-physical-column sums of `code · scale`
-    /// over the sets only it uses, in `f64`, for converters whose sums
-    /// stay exact integers there ([`CrossbarArray::f64_full_scale`]);
-    /// then one more tile, a shared set's codes.
+    /// over its sets, in `f64`, for converters whose sums stay exact
+    /// integers there ([`CrossbarArray::f64_full_scale`]).
     col_sum: Vec<f64>,
     /// The same in `i128` for every other converter.
     col_acc: Vec<i128>,
-    /// Per input, the tile's per-weight sums of `scale ·` the shared
-    /// sets' recombined codes; then one more row, one shared set's.
-    shared: Vec<i128>,
-    /// Per input, whether it pulses a set no other input pulses. An input
-    /// that does not has all-zero column sums, and its read-out skips
-    /// them: on FCN's 2-row planes most inputs share every set, and
-    /// recombining their zeros made a batch of 8 take 1.75× as long.
-    owns: Vec<bool>,
 }
 
 /// The scale `±2^bit` of phase bucket `p = 2·bit + (input < 0)`: analog
@@ -161,15 +91,15 @@ fn phase_scale(p: usize) -> i64 {
 
 /// Reusable working memory for the analog VMM pipeline.
 ///
-/// [`CrossbarArray::vmm_analog_batch_at`] needs a handful of working
-/// buffers (one input's per-phase active-row buckets, the batch's
-/// active-row sets, one tile's column currents, and every input's
-/// per-column sums of converted codes). A scratch owns them so
+/// The analog kernel needs a handful of working buffers: one input's
+/// per-phase active-row buckets, the call's active-row sets, one tile's
+/// column currents, and every input's per-column sums of converted codes
+/// (a tabulated plane needs none of them). A scratch owns them so
 /// steady-state execution — thousands of VMMs through the same array —
 /// performs no per-call heap allocation: the buffers are grown on first
-/// use and reused afterwards. One scratch serves arrays of any geometry
-/// (buffers are resized per call), so an engine can share a single
-/// scratch across all its sub-crossbars.
+/// use and reused afterwards. One scratch serves arrays and planes of any
+/// geometry (buffers are resized per call), so an engine can share a
+/// single scratch across all its sub-crossbars and stride phases.
 #[derive(Debug, Clone, Default)]
 pub struct VmmScratch {
     /// One input's active-row indices per phase bucket, `rows` apart:
@@ -333,6 +263,28 @@ impl CrossbarArray {
         weight_cols: usize,
         weights: Vec<i64>,
     ) -> Result<Self, XbarError> {
+        let arr = Self::program_weights(cfg, rows, weight_cols, weights)?;
+        // Non-ideal configurations freeze the effective-current plane at
+        // programming time, exactly like write-and-verify hardware; ideal
+        // arrays never reach the analog path through `vmm`, so they defer
+        // the build to a first explicit `vmm_analog*` call.
+        if !arr.is_ideal() {
+            let plane = arr.build_plane().ok_or_else(|| arr.overflow())?;
+            let _ = arr.eff_current.set(plane);
+        }
+        Ok(arr)
+    }
+
+    /// [`CrossbarArray::program_flat`] short of building the plane: the
+    /// weights checked and held, the exact path's overflow checked, and
+    /// nothing else. A caller that builds its own planes from the rows
+    /// (`PhasedCrossbar`) must check the analog read-out itself.
+    pub(crate) fn program_weights(
+        cfg: &XbarConfig,
+        rows: usize,
+        weight_cols: usize,
+        weights: Vec<i64>,
+    ) -> Result<Self, XbarError> {
         check_widths(cfg)?;
         if rows == 0 || weight_cols == 0 {
             return Err(XbarError::BadWeightMatrix("zero dimension".into()));
@@ -347,19 +299,6 @@ impl CrossbarArray {
         if let Some(&w) = weights.iter().find(|w| w.abs() > bound) {
             return Err(XbarError::WeightOutOfRange { value: w, bound });
         }
-        let overflow = || XbarError::OutputOverflow {
-            rows,
-            input_bits: cfg.input_bits,
-            weight_bits: cfg.weight_bits,
-        };
-        let max_input = (1i128 << input_mag_bits(cfg)) - 1;
-        let exact = (rows as i128)
-            .checked_mul(max_input)
-            .and_then(|x| x.checked_mul(i128::from(bound)));
-        if exact.is_none_or(|b| b > i128::from(i64::MAX)) {
-            return Err(overflow());
-        }
-
         let g_min = 1.0 / cfg.cell.r_off_ohm;
         let arr = Self {
             cfg: *cfg,
@@ -373,15 +312,23 @@ impl CrossbarArray {
             g_step: (1.0 / cfg.cell.r_on_ohm - g_min) / f64::from(cfg.cell.levels() - 1),
             struck: 0,
         };
-        // Non-ideal configurations freeze the effective-current plane at
-        // programming time, exactly like write-and-verify hardware; ideal
-        // arrays never reach the analog path through `vmm`, so they defer
-        // the build to a first explicit `vmm_analog*` call.
-        if !arr.is_ideal() {
-            let plane = arr.build_plane().ok_or_else(overflow)?;
-            let _ = arr.eff_current.set(plane);
+        let max_input = (1i128 << input_mag_bits(cfg)) - 1;
+        let exact = (rows as i128)
+            .checked_mul(max_input)
+            .and_then(|x| x.checked_mul(i128::from(bound)));
+        if exact.is_none_or(|b| b > i128::from(i64::MAX)) {
+            return Err(arr.overflow());
         }
         Ok(arr)
+    }
+
+    /// The error of an array whose output could leave `i64`.
+    pub(crate) fn overflow(&self) -> XbarError {
+        XbarError::OutputOverflow {
+            rows: self.rows,
+            input_bits: self.cfg.input_bits,
+            weight_bits: self.cfg.weight_bits,
+        }
     }
 
     /// The effective-current plane, built on first use for ideal arrays.
@@ -394,7 +341,7 @@ impl CrossbarArray {
     /// array is that product's bound for its weights unless its rounding
     /// slack reaches half a code, which at the default cell's on/off
     /// ratio takes millions of rows.
-    fn plane(&self) -> &Plane {
+    pub(crate) fn plane(&self) -> &Plane {
         self.eff_current
             .get_or_init(|| self.build_plane().expect(READOUT_OVERFLOW))
     }
@@ -606,17 +553,15 @@ impl CrossbarArray {
     /// back-to-back per-input passes. Below the threshold a per-input loop
     /// is faster (measured on the committed baseline host).
     ///
-    /// The gate is private to that dispatch: no engine consults it. Every
-    /// engine hands `vmm_batch_at` the whole batch at each pixel. The
-    /// analog path picks its own order from the columns it is asked for:
-    /// past one column tile it runs batch-major, every input's phases on
-    /// a tile before the next tile, so the tile's plane rows are reused
-    /// across the batch and an active-row set that repeats across phases
-    /// or inputs is summed and converted once per tile; within one tile
-    /// it runs input by input.
+    /// The gate is private to that dispatch: no engine consults it. The
+    /// analog path picks its own order from the plane and the columns it
+    /// is asked for: a plane of at most 8 rows looks each phase's set up
+    /// in its table; otherwise, past one column tile, it runs
+    /// batch-major, every input's phases on a tile before the next tile,
+    /// so the tile's plane rows are reused across the batch; within one
+    /// tile it runs input by input.
     pub fn batching_pays(&self) -> bool {
-        const BLOCK_BYTES_MIN: usize = 1 << 20;
-        self.is_ideal() && std::mem::size_of_val(self.weights.as_slice()) >= BLOCK_BYTES_MIN
+        self.is_ideal() && blocking_pays(self.rows, self.weight_cols)
     }
 
     /// Exact digital vector-matrix multiply: `out[m] = Σ_r input[r] * W[r,m]`.
@@ -639,23 +584,7 @@ impl CrossbarArray {
     pub fn vmm_exact_into(&self, input: &[i64], out: &mut [i64]) {
         assert_eq!(input.len(), self.rows, "input length must match rows");
         assert_eq!(out.len(), self.weight_cols, "output length must match");
-        self.exact_cols(input, 0..self.weight_cols, out);
-    }
-
-    /// [`CrossbarArray::vmm_exact_into`] over the weight columns in
-    /// `cols` alone; the rest of `out` is left as it is.
-    fn exact_cols(&self, input: &[i64], cols: Range<usize>, out: &mut [i64]) {
-        let out = &mut out[cols.clone()];
-        out.fill(0);
-        for (r, &x) in input.iter().enumerate() {
-            if x == 0 {
-                continue;
-            }
-            let row = &self.weights[r * self.weight_cols..][cols.clone()];
-            for (o, &w) in out.iter_mut().zip(row) {
-                *o += x * w;
-            }
-        }
+        exact_cols(&self.weights, |j| j, input, 0..self.weight_cols, out);
     }
 
     /// The one execution-time VMM entry: `n` input vectors, flattened
@@ -723,41 +652,68 @@ impl CrossbarArray {
             "out must be n x weight_cols"
         );
         let cols = cols.into_iter();
-        if !self.is_ideal() {
-            self.vmm_analog_ranges(self.plane(), inputs, n, cols, scratch, out, prec);
-            return;
+        match self.is_ideal() {
+            true => self.exact_ranges(None, inputs, cols, scratch, out, prec),
+            false => self.vmm_analog_ranges(self.plane(), inputs, n, cols, scratch, out, prec),
         }
-        let dropped = self.effective_dropped_bits(prec);
-        if dropped == 0 {
-            self.exact_batch(inputs, cols, out);
-            return;
-        }
-        scratch.trunc.clear();
-        scratch
-            .trunc
-            .extend(inputs.iter().map(|&x| Self::truncate_input(x, dropped)));
-        self.exact_batch(&scratch.trunc, cols, out);
     }
 
-    /// The exact path of [`CrossbarArray::vmm_batch_cols`]. When
-    /// [`CrossbarArray::batching_pays`], each column range's weights are
+    /// The exact path of [`CrossbarArray::vmm_batch_cols`] over the
+    /// weight rows `rows` of this array, ascending (all of them when
+    /// `None`, or a stride phase's), each input listing its values for
+    /// those rows in order: `prec` truncates each input's dropped low bits
+    /// first (staged through `scratch`). When the rows' weights are too
+    /// large to sit in cache across back-to-back inputs (1 MiB, as
+    /// [`CrossbarArray::batching_pays`]), each column range's weights are
     /// walked in blocks of rows that stay hot while the whole batch
     /// streams over them; otherwise it is a straight per-input loop.
+    pub(crate) fn exact_ranges(
+        &self,
+        rows: Option<&[u32]>,
+        inputs: &[i64],
+        cols: impl Iterator<Item = Range<usize>> + Clone,
+        scratch: &mut VmmScratch,
+        out: &mut [i64],
+        prec: ExecPrecision,
+    ) {
+        assert!(
+            cols.clone().all(|c| c.end <= self.weight_cols),
+            "column range out of bounds"
+        );
+        let dropped = self.effective_dropped_bits(prec);
+        let inputs = match dropped {
+            0 => inputs,
+            _ => {
+                scratch.trunc.clear();
+                let truncated = inputs.iter().map(|&x| Self::truncate_input(x, dropped));
+                scratch.trunc.extend(truncated);
+                &scratch.trunc
+            }
+        };
+        // Monomorphized per row map, so the whole array's walk indexes
+        // its rows directly.
+        match rows {
+            None => self.exact_batch(|j| j, self.rows, inputs, cols, out),
+            Some(rows) => self.exact_batch(|j| rows[j] as usize, rows.len(), inputs, cols, out),
+        }
+    }
+
+    /// [`CrossbarArray::exact_ranges`] on `inputs` already truncated, each
+    /// of `rows` values, value `j` driving weight row `row_of(j)`.
     fn exact_batch(
         &self,
+        row_of: impl Fn(usize) -> usize + Copy,
+        rows: usize,
         inputs: &[i64],
         cols: impl Iterator<Item = Range<usize>> + Clone,
         out: &mut [i64],
     ) {
         const ROW_BLOCK: usize = 64;
-        let m = self.weight_cols;
-        assert!(
-            cols.clone().all(|c| c.end <= m),
-            "column range out of bounds"
-        );
-        if !self.batching_pays() {
-            for (input, o) in inputs.chunks_exact(self.rows).zip(out.chunks_exact_mut(m)) {
-                cols.clone().for_each(|c| self.exact_cols(input, c, o));
+        let (m, weights) = (self.weight_cols, &self.weights);
+        if !blocking_pays(rows, m) {
+            for (input, o) in inputs.chunks_exact(rows).zip(out.chunks_exact_mut(m)) {
+                cols.clone()
+                    .for_each(|c| exact_cols(weights, row_of, input, c, o));
             }
             return;
         }
@@ -765,15 +721,15 @@ impl CrossbarArray {
             for o in out.chunks_exact_mut(m) {
                 o[c.clone()].fill(0);
             }
-            for r0 in (0..self.rows).step_by(ROW_BLOCK) {
-                let r1 = (r0 + ROW_BLOCK).min(self.rows);
-                for (input, o) in inputs.chunks_exact(self.rows).zip(out.chunks_exact_mut(m)) {
+            for r0 in (0..rows).step_by(ROW_BLOCK) {
+                let r1 = (r0 + ROW_BLOCK).min(rows);
+                for (input, o) in inputs.chunks_exact(rows).zip(out.chunks_exact_mut(m)) {
                     let o = &mut o[c.clone()];
-                    for (r, &x) in (r0..r1).zip(&input[r0..r1]) {
+                    for (j, &x) in (r0..r1).zip(&input[r0..r1]) {
                         if x == 0 {
                             continue;
                         }
-                        let row = &self.weights[r * m..][c.clone()];
+                        let row = &weights[row_of(j) * m..][c.clone()];
                         for (acc, &w) in o.iter_mut().zip(row) {
                             *acc += x * w;
                         }
@@ -823,43 +779,40 @@ impl CrossbarArray {
     /// as it is. `self` supplies the read-out (converter, LSB, baseline,
     /// scheme), which every array programmed with one configuration
     /// shares — so `SubCrossbarTensor` runs a fused plane of several
-    /// arrays' rows through one call.
+    /// arrays' rows through one call, and `PhasedCrossbar` a stride
+    /// phase's rows of its window.
     ///
-    /// Columns are evaluated in tiles of whole weights, at most 512 live
-    /// columns; the plane's dead columns would convert to 0 on every set,
-    /// so no tile holds them. When the ranges hold more than one tile's
-    /// worth of live columns the call runs batch-major:
+    /// A plane of at most 8 rows carries a table of every active-row
+    /// set's recombined phase values ([`CrossbarArray::tabulate`]), built
+    /// at programming, so each input's set-bit pass gives each live
+    /// phase's row mask, and the phase adds `±2^bit` times its set's
+    /// entries over the ranges (see [`CrossbarArray::table_ranges`]).
     ///
-    /// 1. One set-bit pass per input buckets the active rows of every
-    ///    conversion phase (magnitude bit × polarity), and the batch's
-    ///    distinct active-row sets are gathered. Each set records, per
-    ///    input that pulses it, the merged scale `Σ ±2^bit` of that
-    ///    input's phases (one input's phases share a set only within one
-    ///    polarity, since a row's input has one sign).
-    /// 2. Each tile then runs every set (see
-    ///    [`CrossbarArray::run_tiles`]) and reads every input out, so a
-    ///    tile's plane rows serve the whole batch while they are hot, and
-    ///    a set that repeats across phases or inputs is summed and
-    ///    converted once per tile.
-    ///
-    /// A narrower call runs input by input, each phase bucket a set of
-    /// its own, its rows read in place: with one tile, batch-major order
-    /// would visit the plane just as input order does, and on so few
-    /// columns looking sets up costs about what a repeated set saves (the
-    /// lineup's zero-padding windows ran slower with it).
+    /// Any other plane is summed and converted set by set, each conversion
+    /// phase (magnitude bit × polarity) a set of its own, in tiles of
+    /// whole weights of at most 512 live columns; the plane's dead columns
+    /// would convert to 0 on every set, so no tile holds them. When the
+    /// ranges hold more than one tile's worth of live columns the call
+    /// runs batch-major: one set-bit pass per input buckets the active
+    /// rows of every phase, and each tile then runs every input's sets
+    /// (see [`CrossbarArray::run_tiles`]) and reads every input out, so a
+    /// tile's plane rows serve the whole batch while they are hot. A
+    /// narrower call runs input by input, each input's set rows packed as
+    /// the batch-major path packs them: with one tile, batch-major order
+    /// would visit the plane just as input order does.
     ///
     /// The result is **bit-identical** to
     /// [`CrossbarArray::vmm_analog_reference`] on every input. Tiles only
     /// regroup columns, a dead column's code is 0 on every set, and a
-    /// set's currents do not depend on who pulses it: per column the
-    /// `f64` additions happen in the reference's ascending-row order,
+    /// set's currents do not depend on which input pulses it: per column
+    /// the `f64` additions happen in the reference's ascending-row order,
     /// from `0.0`, and the baseline is cancelled by the same subtraction
     /// and division by `lsb`. The converter rounds exactly as
     /// [`AdcModel::quantize`] does. Everything after quantization is
     /// integer arithmetic — in `f64` only where every partial sum is an
     /// integer below 2^53, which `f64` adds exactly in any order — so
-    /// merging a set's scales, and deferring the shift-add to the
-    /// read-out, are identities: every output matches the per-phase
+    /// deferring the shift-add to the read-out, or taking it from a
+    /// table, is an identity: every output matches the per-phase
     /// recombination.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn vmm_analog_ranges(
@@ -889,6 +842,10 @@ impl CrossbarArray {
             "column range out of bounds"
         );
         let lo = self.effective_dropped_bits(prec);
+        if !plane.table.is_empty() {
+            self.table_ranges(&plane.table, inputs, n, ranges, out, lo);
+            return;
+        }
         let live: usize = ranges.clone().map(|r| plane.live_in(&r)).sum();
         let VmmScratch {
             phase_rows,
@@ -897,9 +854,13 @@ impl CrossbarArray {
             tile,
             ..
         } = scratch;
+        sets.clear();
         if live > TILE_COLS {
-            self.collect_sets(inputs, n, lo, phase_rows, phase_len, sets);
-            self.run_tiles(plane, ranges, sets, &sets.rows, tile, out);
+            for input in inputs.chunks_exact(rows) {
+                self.bucket_phases(input, lo, phase_rows, phase_len);
+                sets.push_phases(phase_rows, phase_len, rows);
+            }
+            self.run_tiles(plane, ranges, sets, tile, out);
             return;
         }
         for (input, o) in inputs
@@ -907,32 +868,92 @@ impl CrossbarArray {
             .zip(out.chunks_exact_mut(out_cols))
         {
             self.bucket_phases(input, lo, phase_rows, phase_len);
-            sets.list_phases(phase_len, rows);
-            self.run_tiles(plane, ranges.clone(), sets, phase_rows, tile, o);
+            sets.clear();
+            sets.push_phases(phase_rows, phase_len, rows);
+            self.run_tiles(plane, ranges.clone(), sets, tile, o);
         }
     }
 
-    /// Evaluates the `sets` (rows listed in `rows`) on every tile of the
-    /// weight columns in `ranges`, for the `sets.pulses.len()` inputs whose
-    /// results fill `out` row-major. On each tile, each set sums its rows'
-    /// contiguous slices of the plane's live columns, four rows per sweep
+    /// The kernel on a tabulated plane (`table`, see [`Plane::table`]):
+    /// per input, one pass over its rows records each live phase's row
+    /// mask (bits below `lo` and at or above the streamed magnitude width
+    /// never pulse), and each live phase then adds `±2^bit` times its
+    /// mask's table row into the ranges' outputs. The table rows hold
+    /// each set's recombined phase value, so this is the per-phase
+    /// recombination itself. It runs modulo 2^64, which leaves every
+    /// output exact: each lies in `i64` (the plane's read-out check).
+    fn table_ranges(
+        &self,
+        table: &[i64],
+        inputs: &[i64],
+        n: usize,
+        ranges: impl Iterator<Item = Range<usize>> + Clone,
+        out: &mut [i64],
+        lo: u32,
+    ) {
+        let (rows, out_cols) = (inputs.len() / n, out.len() / n);
+        assert_eq!(
+            table.len(),
+            ((1 << rows) - 1) * out_cols,
+            "table must be sets x weight columns"
+        );
+        let mag_bits = self.input_mag_bits();
+        let window = (u64::MAX >> (u64::BITS - mag_bits)) & (u64::MAX << lo);
+        // Two polarity phases per streamed magnitude bit, at most 62.
+        let mut buckets = [0u8; 2 * 62];
+        let masks = &mut buckets[..2 * mag_bits as usize];
+        for (input, o) in inputs
+            .chunks_exact(rows)
+            .zip(out.chunks_exact_mut(out_cols))
+        {
+            masks.fill(0);
+            for (r, &x) in input.iter().enumerate() {
+                let polarity = usize::from(x < 0);
+                let mut mag = x.unsigned_abs() & window;
+                while mag != 0 {
+                    masks[2 * mag.trailing_zeros() as usize + polarity] |= 1 << r;
+                    mag &= mag - 1;
+                }
+            }
+            for r in ranges.clone() {
+                o[r].fill(0);
+            }
+            for (p, &mask) in masks.iter().enumerate().filter(|(_, &mask)| mask != 0) {
+                let values = &table[(usize::from(mask) - 1) * out_cols..][..out_cols];
+                let bit = (p / 2) as u32;
+                for r in ranges.clone() {
+                    let (o, values) = (&mut o[r.clone()], &values[r]);
+                    if p % 2 == 0 {
+                        for (o, &v) in o.iter_mut().zip(values) {
+                            *o = o.wrapping_add(v.wrapping_shl(bit));
+                        }
+                    } else {
+                        for (o, &v) in o.iter_mut().zip(values) {
+                            *o = o.wrapping_sub(v.wrapping_shl(bit));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Evaluates the `sets` on every tile of the weight columns in
+    /// `ranges`, for the `sets.pulses.len()` inputs whose results fill
+    /// `out` row-major. On each tile, each set sums its rows' contiguous
+    /// slices of the plane's live columns, four rows per sweep
     /// of the tile's currents, and converts them in one branch-free pass:
-    /// cancel the baseline, normalize by the LSB, quantize. A set one
-    /// input uses adds `code · scale` straight into that input's column
-    /// sums. A shared set converts once into a spare code tile, which is
-    /// shift-added into weights once; each user adds its scale times those
-    /// weights, since the recombination is linear. The sums are `f64` when
-    /// they provably stay exact integers there (a saturating converter
-    /// with `bits + magnitude bits + 1 ≤ 53`), so the pass vectorizes, and
-    /// `i128` otherwise. Each input's tile is then read out: the shift-add
-    /// recombination of its own column sums into weights in `i128`, plus
-    /// its shared sets' weights, less offset binary's reference term.
+    /// cancel the baseline, normalize by the LSB, quantize, and add
+    /// `code · scale` into its input's column sums. The sums are `f64`
+    /// when they provably stay exact integers there (a saturating
+    /// converter with `bits + magnitude bits + 1 ≤ 53`), so the pass
+    /// vectorizes, and `i128` otherwise. Each input's tile is then read
+    /// out: the shift-add recombination of its column sums into weights in
+    /// `i128`, less offset binary's reference term.
     fn run_tiles(
         &self,
         plane: &Plane,
         ranges: impl Iterator<Item = Range<usize>>,
         sets: &RowSets,
-        rows: &[u32],
         tile: &mut TileSums,
         out: &mut [i64],
     ) {
@@ -941,38 +962,22 @@ impl CrossbarArray {
         let v_read = self.cfg.cell.read_voltage;
         let lsb = v_read * self.g_step;
         let full_scale = self.f64_full_scale();
-        let offset = match self.cfg.scheme {
-            WeightScheme::Differential => 0,
-            // Every active row contributes the fixed offset 2^(wb-1) in
-            // each weight, summed digitally from the known pulse count
-            // (the hardware's dummy reference column).
-            WeightScheme::OffsetBinary => i128::from(1i64 << (self.cfg.weight_bits - 1)),
-        };
+        let offset = self.row_offset();
         // A weight of at most 63 bits has at most 124 physical columns,
-        // so a tile holds at most TILE_COLS live columns; its weight count
-        // has no such cap (a weight may have no live column), so `shared`
-        // grows per tile.
+        // so a tile holds at most TILE_COLS live columns.
         let width = TILE_COLS;
         let TileSums {
             currents,
             col_sum,
             col_acc,
-            shared,
-            owns,
         } = tile;
         currents.resize(width, 0.0);
-        // Every input's tile sums, then one more tile: a shared set's codes.
         match full_scale {
-            Some(_) => col_sum.resize((n + 1) * width, 0.0),
-            None => col_acc.resize((n + 1) * width, 0),
+            Some(_) => col_sum.resize(n * width, 0.0),
+            None => col_acc.resize(n * width, 0),
         }
-        owns.clear();
-        owns.resize(n, false);
-        for set in sets.sets.iter().filter(|set| set.users == 1) {
-            owns[set.first.input as usize] = true;
-        }
-        // Recombines one weight's live columns of f64 sums or codes; each
-        // is an integer below 2^52, so the truncating cast is exact.
+        // Recombines one weight's live columns of f64 sums; each is an
+        // integer below 2^52, so the truncating cast is exact.
         let recombine =
             |cols: &[f64], roles: &[u8]| shift_add(cols, roles, |s| i128::from(s as i64));
         for r in ranges {
@@ -980,7 +985,7 @@ impl CrossbarArray {
             while w0 < r.end {
                 let w1 = plane.tile_end(w0, r.end);
                 let (c0, c1) = (plane.starts[w0] as usize, plane.starts[w1] as usize);
-                let (w, weights) = (c1 - c0, w1 - w0);
+                let w = c1 - c0;
                 // Weight `w0 + m`'s live columns within the tile.
                 let starts = &plane.starts[w0..=w1];
                 let span = |m: usize| (starts[m] as usize - c0)..(starts[m + 1] as usize - c0);
@@ -990,76 +995,41 @@ impl CrossbarArray {
                     Some(_) => col_sum[..n * w].fill(0.0),
                     None => col_acc[..n * w].fill(0),
                 }
-                if shared.len() < (n + 1) * weights {
-                    shared.resize((n + 1) * weights, 0);
-                }
-                shared[..n * weights].fill(0);
                 for set in &sets.sets {
-                    let active = &rows[set.start as usize..][..set.len as usize];
+                    let active = &sets.rows[set.start as usize..][..set.len as usize];
                     sum_rows(&plane.currents, plane.live(), c0, active, currents);
                     // The dummy (baseline) column sits next to the sense
                     // amps, so its reference current sees the same droop
                     // statistics as a column-0 read; first-order, the
                     // baseline stays V·g_min per active row.
                     let baseline = set.len as f64 * v_read * self.g_min;
-                    let is_shared = set.users > 1;
-                    let (at, scale) = match is_shared {
-                        true => (n, 1),
-                        false => (set.first.input as usize, set.first.scale),
-                    };
-                    // A shared set's codes land in the spare tile and are
-                    // recombined into weights once, into the spare row.
-                    let (per_input, spare) = shared.split_at_mut(n * weights);
-                    let recombined = &mut spare[..weights];
+                    let at = set.input as usize * w;
                     if let Some(max) = full_scale {
-                        let sums = &mut col_sum[at * w..][..w];
-                        if is_shared {
-                            sums.fill(0.0);
-                        }
-                        convert(sums, currents, baseline, lsb, max, scale as f64);
-                        if is_shared {
-                            for (m, v) in recombined.iter_mut().enumerate() {
-                                *v = recombine(&sums[span(m)], &roles[span(m)]);
-                            }
-                        }
+                        let sums = &mut col_sum[at..][..w];
+                        convert(sums, currents, baseline, lsb, max, set.scale as f64);
                     } else {
                         normalize(currents, baseline, lsb);
-                        let acc = &mut col_acc[at * w..][..w];
-                        if is_shared {
-                            acc.fill(0);
-                        }
+                        let acc = &mut col_acc[at..][..w];
                         match self.cfg.adc {
-                            AdcModel::Ideal => accumulate(acc, currents, scale, round_half_away),
+                            AdcModel::Ideal => {
+                                accumulate(acc, currents, set.scale, round_half_away)
+                            }
                             AdcModel::Saturating { bits } => {
                                 let max = (1i64 << bits) - 1;
-                                accumulate(acc, currents, scale, |x| round_to_code(x, max));
+                                accumulate(acc, currents, set.scale, |x| round_to_code(x, max));
                             }
-                        }
-                        if is_shared {
-                            for (m, v) in recombined.iter_mut().enumerate() {
-                                *v = shift_add(&acc[span(m)], &roles[span(m)], |c| c);
-                            }
-                        }
-                    }
-                    if is_shared {
-                        for u in sets.uses_of(set) {
-                            let sums = &mut per_input[u.input as usize * weights..][..weights];
-                            add_scaled(sums, recombined, i128::from(u.scale));
                         }
                     }
                 }
                 for (k, &pulses) in sets.pulses.iter().enumerate() {
                     let reference = offset * pulses;
                     let outs = &mut out[k * out_cols..][w0..w1];
-                    let from_shared = &shared[k * weights..][..weights];
-                    for (m, (o, &from_shared)) in outs.iter_mut().zip(from_shared).enumerate() {
+                    for (m, o) in outs.iter_mut().enumerate() {
                         let (cols, roles) = (span(m), &roles[span(m)]);
-                        let own = match full_scale {
-                            _ if !owns[k] => 0,
+                        let value = match full_scale {
                             Some(_) => recombine(&col_sum[k * w..][cols], roles),
                             None => shift_add(&col_acc[k * w..][cols], roles, |c| c),
-                        };
-                        let value = own + from_shared - reference;
+                        } - reference;
                         // Unreachable overflow: `value` is this weight's
                         // output, the sum over the live phases of `±2^bit`
                         // times a recombined phase value, so |value| stays
@@ -1067,10 +1037,11 @@ impl CrossbarArray {
                         // column's range from `code_ranges`) and within
                         // `row_readout_bound`. Every plane build checks
                         // one of them against i64 (`program` returns
-                        // `OutputOverflow`), and a fused plane joins planes
-                        // that passed it. Every i128 partial sum stays
-                        // within a few times `readout_bound`, which the
-                        // build keeps below i128::MAX >> 8.
+                        // `OutputOverflow`); a fused plane joins planes
+                        // that passed it, and a phase plane is cut from a
+                        // window that passed it. Every i128 partial sum
+                        // stays within a few times `readout_bound`, which
+                        // the build keeps below i128::MAX >> 8.
                         *o = i64::try_from(value).expect("accumulator overflow");
                     }
                 }
@@ -1178,8 +1149,7 @@ impl CrossbarArray {
     /// contract requires. Bits below `lo` (the tier's dropped bits) and at
     /// or above the streamed magnitude width never pulse, so they are
     /// masked off first; a row costs one step per set bit, and buckets no
-    /// input reaches stay empty. A block of 8 zero rows — the inserted
-    /// zeros of a zero-padded window — costs one OR-reduction.
+    /// input reaches stay empty.
     fn bucket_phases(
         &self,
         input: &[i64],
@@ -1187,7 +1157,6 @@ impl CrossbarArray {
         phase_rows: &mut Vec<u32>,
         phase_len: &mut Vec<u32>,
     ) {
-        const BLOCK: usize = 8;
         let mag_bits = self.input_mag_bits();
         let window = (u64::MAX >> (u64::BITS - mag_bits)) & (u64::MAX << lo);
         let (buckets, rows) = (2 * mag_bits as usize, input.len());
@@ -1196,75 +1165,16 @@ impl CrossbarArray {
         if phase_rows.len() < buckets * rows {
             phase_rows.resize(buckets * rows, 0);
         }
-        for (b, block) in input.chunks(BLOCK).enumerate() {
-            if block.iter().fold(0, |any, &x| any | x) == 0 {
-                continue;
+        for (r, &x) in input.iter().enumerate() {
+            let polarity = usize::from(x < 0);
+            let mut mag = x.unsigned_abs() & window;
+            while mag != 0 {
+                let p = 2 * mag.trailing_zeros() as usize + polarity;
+                let len = &mut phase_len[p];
+                phase_rows[p * rows + *len as usize] = r as u32;
+                *len += 1;
+                mag &= mag - 1;
             }
-            for (r, &x) in (b * BLOCK..).zip(block) {
-                let polarity = usize::from(x < 0);
-                let mut mag = x.unsigned_abs() & window;
-                while mag != 0 {
-                    let p = 2 * mag.trailing_zeros() as usize + polarity;
-                    let len = &mut phase_len[p];
-                    phase_rows[p * rows + *len as usize] = r as u32;
-                    *len += 1;
-                    mag &= mag - 1;
-                }
-            }
-        }
-    }
-
-    /// Buckets each of the `n` inputs in turn and gathers the batch's
-    /// distinct active-row sets into `sets`, in order of first use, their
-    /// rows packed in `sets.rows`, with each input's merged scale per set
-    /// and its pulse count. A bucket is looked up by its length and its
-    /// first and last row, and an equal key is confirmed by comparing the
-    /// rows, so only equal row lists are merged. The buckets hold one
-    /// input at a time; the packed rows hold each distinct set once.
-    fn collect_sets(
-        &self,
-        inputs: &[i64],
-        n: usize,
-        lo: u32,
-        phase_rows: &mut Vec<u32>,
-        phase_len: &mut Vec<u32>,
-        sets: &mut RowSets,
-    ) {
-        let rows = inputs.len() / n;
-        // At most half full, so probe sequences stay short.
-        let slots = (4 * n * self.input_mag_bits() as usize).next_power_of_two();
-        let shift = u64::BITS - slots.trailing_zeros();
-        sets.clear();
-        sets.slots.clear();
-        sets.slots.resize(slots, 0);
-        for (k, input) in inputs.chunks_exact(rows).enumerate() {
-            self.bucket_phases(input, lo, phase_rows, phase_len);
-            let mut pulses = 0;
-            for (p, &len) in phase_len.iter().enumerate().filter(|(_, &len)| len > 0) {
-                let scale = phase_scale(p);
-                pulses += i128::from(len) * i128::from(scale);
-                let active = &phase_rows[p * rows..][..len as usize];
-                let ends = u64::from(active[0]) << 32 | u64::from(active[active.len() - 1]);
-                let hash = (ends ^ u64::from(len) << 20).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                let mut slot = (hash >> shift) as usize;
-                loop {
-                    let Some(d) = sets.slots[slot].checked_sub(1) else {
-                        sets.slots[slot] = sets.sets.len() as u32 + 1;
-                        sets.push(sets.rows.len(), len, ends, k, scale);
-                        sets.rows.extend_from_slice(active);
-                        break;
-                    };
-                    let set = &sets.sets[d as usize];
-                    if (set.len, set.ends) == (len, ends)
-                        && sets.rows[set.start as usize..][..active.len()] == *active
-                    {
-                        sets.add_use(d as usize, k, scale);
-                        break;
-                    }
-                    slot = (slot + 1) & (slots - 1);
-                }
-            }
-            sets.pulses.push(pulses);
         }
     }
 
@@ -1467,6 +1377,39 @@ fn check_widths(cfg: &XbarConfig) -> Result<(), XbarError> {
     }
 }
 
+/// `true` when an exact weight matrix of `rows × cols` is too large (≥ 1
+/// MiB) to stay resident between back-to-back per-input passes, so the
+/// exact path walks it in row blocks across the batch; below it a
+/// per-input loop is faster (measured on the committed baseline host).
+fn blocking_pays(rows: usize, cols: usize) -> bool {
+    const BLOCK_BYTES_MIN: usize = 1 << 20;
+    rows * cols * std::mem::size_of::<i64>() >= BLOCK_BYTES_MIN
+}
+
+/// The exact VMM of one input over the columns in `cols` of `weights`
+/// (rows of `out.len()` columns, row-major), input value `j` driving row
+/// `row_of(j)`; the rest of `out` is left as it is.
+fn exact_cols(
+    weights: &[i64],
+    row_of: impl Fn(usize) -> usize,
+    input: &[i64],
+    cols: Range<usize>,
+    out: &mut [i64],
+) {
+    let m = out.len();
+    let out = &mut out[cols.clone()];
+    out.fill(0);
+    for (j, &x) in input.iter().enumerate() {
+        if x == 0 {
+            continue;
+        }
+        let row = &weights[row_of(j) * m..][cols.clone()];
+        for (o, &w) in out.iter_mut().zip(row) {
+            *o += x * w;
+        }
+    }
+}
+
 /// Sums the active rows' effective currents over one tile of `plane`
 /// (`plane_cols` columns a row): columns `c0..c0 + sums.len()`, four
 /// plane rows per sweep of `sums` as `(((s + a) + b) + c) + d`. Any
@@ -1514,20 +1457,10 @@ fn normalize(currents: &mut [f64], baseline: f64, lsb: f64) {
 }
 
 /// Adds `quantize(raw) · scale` into each physical column's sum, with
-/// the set's merged `scale = Σ ±2^bit` (one widening multiply per
-/// column).
+/// the phase's `scale = ±2^bit` (one widening multiply per column).
 fn accumulate(sums: &mut [i128], raw: &[f64], scale: i64, quantize: impl Fn(f64) -> i64) {
     for (s, &x) in sums.iter_mut().zip(raw) {
         *s += i128::from(quantize(x)) * i128::from(scale);
-    }
-}
-
-/// Adds a shared set's recombined weights times one user's merged scale
-/// into the user's weight sums. Every term and partial sum is an integer
-/// well inside `i128`, so the order in which users add does not matter.
-fn add_scaled(sums: &mut [i128], weights: &[i128], scale: i128) {
-    for (s, &w) in sums.iter_mut().zip(weights) {
-        *s += w * scale;
     }
 }
 
@@ -1562,6 +1495,7 @@ fn convert(sums: &mut [f64], currents: &[f64], baseline: f64, lsb: f64, max: f64
 mod tests {
     use super::*;
     use crate::config::tests::within_4_ulps;
+    use crate::plane::TABLE_ROWS;
     use red_device::DriftModel;
 
     fn ramp_weights(rows: usize, cols: usize) -> Vec<Vec<i64>> {
@@ -1657,8 +1591,13 @@ mod tests {
             (1300, WeightScheme::Differential, 5, 2),
             (4096, WeightScheme::Differential, 8, 2),
         ];
-        let x = [-90i64, 127, 0, 45, -3];
-        for (phys, scheme, weight_bits, bits_per_cell) in shapes {
+        // 5 rows take the set table, 10 the row sums.
+        let short = [-90i64, 127, 0, 45, -3];
+        let long = [-90i64, 127, 0, 45, -3, 64, -1, 0, 33, -127];
+        for (x, (phys, scheme, weight_bits, bits_per_cell)) in [&short[..], &long[..]]
+            .into_iter()
+            .flat_map(|x| shapes.map(|shape| (x, shape)))
+        {
             // f64 column sums (saturating) and the i128 path (ideal ADC).
             for adc in [full.adc, AdcModel::Ideal] {
                 let mut cfg = XbarConfig {
@@ -1687,9 +1626,10 @@ mod tests {
                         .iter()
                         .map(|&v| CrossbarArray::truncate_input(v, k))
                         .collect();
-                    a.vmm_analog_batch_at(&x, 1, &mut scratch, &mut out, prec);
+                    a.vmm_analog_batch_at(x, 1, &mut scratch, &mut out, prec);
                     let want = a.vmm_analog_reference(&trunc);
-                    assert_eq!(out, want, "{phys} columns, {adc:?}, {prec}");
+                    let rows = x.len();
+                    assert_eq!(out, want, "{rows} rows, {phys} columns, {adc:?}, {prec}");
                 }
             }
         }
@@ -1697,10 +1637,11 @@ mod tests {
 
     #[test]
     fn ranged_kernel_writes_only_its_ranges() {
-        // 200 weights x 8 = 1600 physical columns: ranges cross tiles.
+        // 200 weights x 8 = 1600 physical columns: ranges cross tiles. 6
+        // rows take the set table, 11 the row sums.
         let cfg = XbarConfig::preset("full").unwrap();
-        let a = CrossbarArray::program(&cfg, &ramp_weights(6, 200)).unwrap();
-        let x = [17i64, -127, 0, 64, 5, -33];
+        let short = [17i64, -127, 0, 64, 5, -33];
+        let long = [17i64, -127, 0, 64, 5, -33, 90, 0, -2, 127, 1];
         let mut scratch = VmmScratch::new();
         let cases = [
             vec![0..1, 3..4],
@@ -1708,33 +1649,38 @@ mod tests {
             std::iter::once(0..200).collect(),
             vec![],
         ];
-        for prec in ExecPrecision::ALL {
+        for (x, prec) in [&short[..], &long[..]]
+            .into_iter()
+            .flat_map(|x| ExecPrecision::ALL.map(|prec| (x, prec)))
+        {
+            let a = CrossbarArray::program(&cfg, &ramp_weights(x.len(), 200)).unwrap();
             let mut whole = vec![0i64; 200];
-            a.vmm_analog_batch_at(&x, 1, &mut scratch, &mut whole, prec);
+            a.vmm_analog_batch_at(x, 1, &mut scratch, &mut whole, prec);
             for ranges in &cases {
                 let mut out = vec![i64::MIN; 200];
                 let it = ranges.iter().cloned();
-                a.vmm_analog_ranges(a.plane(), &x, 1, it, &mut scratch, &mut out, prec);
+                a.vmm_analog_ranges(a.plane(), x, 1, it, &mut scratch, &mut out, prec);
                 for (m, (&got, &want)) in out.iter().zip(&whole).enumerate() {
                     let inside = ranges.iter().any(|r| r.contains(&m));
                     let want = if inside { want } else { i64::MIN };
-                    assert_eq!(got, want, "column {m} of {ranges:?} at {prec}");
+                    let rows = x.len();
+                    assert_eq!(got, want, "{rows} rows, column {m} of {ranges:?} at {prec}");
                 }
             }
         }
     }
 
-    /// Planes of 1 to 4 rows, wide enough for several tiles: an input's
-    /// phases pulse few distinct row sets, and inputs 3 and 5 repeat
-    /// inputs 0 and 1, so the batch-major kernel merges scales and shares
-    /// code tiles. Every input still equals the reference on its own, and
-    /// columns outside the ranges stay untouched.
+    /// Planes of 1 to 4 rows (set tables) and of 9 to 12 (row sums), wide
+    /// enough for several tiles: an input's phases pulse few distinct row
+    /// sets, and inputs 3 and 5 repeat inputs 0 and 1. Every input equals
+    /// the reference on its own, and columns outside the ranges stay
+    /// untouched.
     #[test]
     fn shared_row_sets_match_reference_per_input() {
         let full = XbarConfig::preset("full").unwrap();
         let cols = 300; // 4 or 8 physical columns each: past one tile
         let ranges = [0..3, 40..300];
-        for rows in 1..=4 {
+        for rows in (1..=4).chain(9..=12) {
             for scheme in [WeightScheme::Differential, WeightScheme::OffsetBinary] {
                 for adc in [full.adc, AdcModel::Ideal] {
                     let cfg = XbarConfig {
@@ -1743,6 +1689,7 @@ mod tests {
                         ..full
                     };
                     let a = CrossbarArray::program(&cfg, &ramp_weights(rows, cols)).unwrap();
+                    assert_eq!(a.plane().table.is_empty(), rows > TABLE_ROWS);
                     let inputs: Vec<i64> = [0, 1, 2, 0, 3, 1]
                         .iter()
                         .flat_map(|&k| {
@@ -1763,10 +1710,6 @@ mod tests {
                             &mut out,
                             prec,
                         );
-                        assert!(
-                            scratch.sets.sets.iter().any(|s| s.users > 1),
-                            "no set shared"
-                        );
                         let k = a.effective_dropped_bits(prec);
                         for (x, got) in inputs.chunks_exact(rows).zip(out.chunks_exact(cols)) {
                             let trunc: Vec<i64> = x
@@ -1780,6 +1723,64 @@ mod tests {
                                 assert_eq!(got, want, "{rows} rows, {scheme:?}, {adc:?}, {prec}");
                             }
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every active-row set of a plane of 1 to 8 rows, driven at either
+    /// polarity and at every tier, reads out from the set table exactly
+    /// what the reference pipeline computes, in both schemes, with an
+    /// ideal, an 8-bit and a 44- or 50-bit saturating converter; a
+    /// 9-row plane carries no table.
+    #[test]
+    fn set_tables_match_reference_on_every_set() {
+        let full = XbarConfig::preset("full").unwrap();
+        let adcs = [
+            AdcModel::Ideal,
+            AdcModel::Saturating { bits: 8 },
+            AdcModel::Saturating { bits: 44 },
+            AdcModel::Saturating { bits: 50 },
+        ];
+        for rows in 1..=9 {
+            for scheme in [WeightScheme::Differential, WeightScheme::OffsetBinary] {
+                for adc in adcs {
+                    let cfg = XbarConfig {
+                        scheme,
+                        adc,
+                        ..full
+                    };
+                    let a = CrossbarArray::program(&cfg, &narrow_weights(rows, 5, 5)).unwrap();
+                    let sets = (1usize << rows) - 1;
+                    if rows > TABLE_ROWS {
+                        assert!(a.plane().table.is_empty(), "{rows} rows");
+                        continue;
+                    }
+                    assert_eq!(a.plane().table.len(), sets * 5);
+                    let mut scratch = VmmScratch::new();
+                    let mut out = vec![0i64; 5];
+                    for (mask, sign, prec) in (1..=sets).flat_map(|mask| {
+                        [1i64, -1].into_iter().flat_map(move |sign| {
+                            ExecPrecision::ALL.map(move |prec| (mask, sign, prec))
+                        })
+                    }) {
+                        // Magnitudes with high and low bits, so every tier
+                        // keeps some phases and drops others.
+                        let x: Vec<i64> = (0..rows)
+                            .map(|r| match mask >> r & 1 {
+                                1 => sign * [127, 65, 96, 3, 81][r % 5],
+                                _ => 0,
+                            })
+                            .collect();
+                        a.vmm_analog_batch_at(&x, 1, &mut scratch, &mut out, prec);
+                        let k = a.effective_dropped_bits(prec);
+                        let trunc: Vec<i64> = x
+                            .iter()
+                            .map(|&v| CrossbarArray::truncate_input(v, k))
+                            .collect();
+                        let want = a.vmm_analog_reference(&trunc);
+                        assert_eq!(out, want, "{rows} rows {scheme:?} {adc:?} {x:?} {prec}");
                     }
                 }
             }
@@ -1865,13 +1866,18 @@ mod tests {
         // bits + mag + 1 = 53 and takes the f64 sums; a 46-bit one is 54
         // and falls back to i128. Conductances `g_min + c·g_step` with `c`
         // near the converter's full scale drive codes to its top, so the
-        // f64 path sums up to (2^45 - 1)(2^7 - 1), just under 2^52.
-        for (bits, fused) in [(45u32, true), (46, false)] {
+        // f64 path sums up to (2^45 - 1)(2^7 - 1), just under 2^52. At 3
+        // rows the set table holds those values; 10 rows, the last 7
+        // driven by 0, take the row sums, which then reach the same codes.
+        for (bits, fused, rows) in [(45u32, true), (46, false)]
+            .into_iter()
+            .flat_map(|(bits, fused)| [3, 10].map(|rows| (bits, fused, rows)))
+        {
             let cfg = XbarConfig {
                 adc: AdcModel::Saturating { bits },
                 ..XbarConfig::ideal()
             };
-            let mut a = CrossbarArray::program(&cfg, &ramp_weights(3, 2)).unwrap();
+            let mut a = CrossbarArray::program(&cfg, &ramp_weights(rows, 2)).unwrap();
             assert_eq!(a.f64_full_scale().is_some(), fused, "{bits} bits");
             let full = ((1u64 << bits) - 1) as f64;
             let levels = [
@@ -1887,11 +1893,13 @@ mod tests {
                 *g = g_min + levels[i % levels.len()] * g_step;
             }
             a.rebuild_plane();
+            assert_eq!(a.plane().table.is_empty(), rows > TABLE_ROWS);
             for x in [[127, -127, 127], [127, 127, -127], [-1, 64, 127], [0, 0, 5]] {
+                let x: Vec<i64> = x.into_iter().chain([0; 7]).take(rows).collect();
                 assert_eq!(
                     analog(&a, &x),
                     a.vmm_analog_reference(&x),
-                    "{bits} bits, input {x:?}"
+                    "{bits} bits, {rows} rows, input {x:?}"
                 );
             }
         }
@@ -2652,15 +2660,19 @@ mod tests {
     /// kernel equal to the reference and, on the ideal array, both equal
     /// to the exact product. Without noise that width is the exact path's
     /// 32 bits: offset binary's code-range bound is 3× too loose there,
-    /// and the row bound must accept it.
+    /// and the row bound must accept it. The 2 rows read out from the set
+    /// table. The same weight rows repeated to 10 rows, whose widest
+    /// exact-path width is 29 bits (`10 · (2^28 − 1) · (2^31 − 1)` stays
+    /// below 2^63), take the row sums' `i128` read-out.
     #[test]
     fn widest_accepted_configuration_reads_out_in_range() {
         let adc = XbarConfig::preset("adc").unwrap();
         let variation = XbarConfig::preset("variation").unwrap();
         let schemes = [WeightScheme::Differential, WeightScheme::OffsetBinary];
-        for (base, scheme) in [XbarConfig::ideal(), adc, variation]
+        for (base, scheme, (rows, exact_widest)) in [XbarConfig::ideal(), adc, variation]
             .into_iter()
             .flat_map(|base| schemes.map(|scheme| (base, scheme)))
+            .flat_map(|(base, scheme)| [(2, 32), (10, 29)].map(|rows| (base, scheme, rows)))
         {
             let at = |input_bits| XbarConfig {
                 input_bits,
@@ -2669,31 +2681,37 @@ mod tests {
                 ..base
             };
             let w = at(2).weight_bound();
-            let weights = [vec![w, -w, 1], vec![w, w, -1]];
+            let pair = [vec![w, -w, 1], vec![w, w, -1]];
+            let weights: Vec<Vec<i64>> = pair.iter().cycle().take(rows).cloned().collect();
             let widest = (2..=63)
                 .take_while(|&b| CrossbarArray::program(&at(b), &weights).is_ok())
                 .last()
                 .expect("2-bit inputs are accepted");
             if base != variation {
-                assert_eq!(widest, 32, "{base:?} {scheme:?}");
+                assert_eq!(widest, exact_widest, "{base:?} {scheme:?} {rows} rows");
             }
             if widest < 63 {
                 let over = CrossbarArray::program(&at(widest + 1), &weights).map(|_| ());
                 assert!(
-                    matches!(over, Err(XbarError::OutputOverflow { rows: 2, .. })),
+                    matches!(over, Err(XbarError::OutputOverflow { rows: r, .. }) if r == rows),
                     "{over:?}"
                 );
             }
             let a = CrossbarArray::program(&at(widest), &weights).unwrap();
+            assert_eq!(a.plane().table.is_empty(), rows > TABLE_ROWS);
             let x = at(widest).input_bound();
             for input in [[x, x], [x, -x], [-x, -x], [x - 1, 1]] {
+                let input: Vec<i64> = input.iter().copied().cycle().take(rows).collect();
                 let kernel = analog(&a, &input);
                 assert_eq!(kernel, a.vmm_analog_reference(&input), "{input:?}");
                 if base == XbarConfig::ideal() {
                     let exact: Vec<i64> = (0..3)
                         .map(|m| {
-                            let sum = i128::from(input[0]) * i128::from(weights[0][m])
-                                + i128::from(input[1]) * i128::from(weights[1][m]);
+                            let sum: i128 = input
+                                .iter()
+                                .zip(&weights)
+                                .map(|(&x, w)| i128::from(x) * i128::from(w[m]))
+                                .sum();
                             i64::try_from(sum).unwrap()
                         })
                         .collect();

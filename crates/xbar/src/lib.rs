@@ -18,7 +18,9 @@
 //!   ([`CrossbarArray::vmm`]);
 //! * [`SubCrossbarTensor`] — RED's pixel-wise mapping (paper Eq. 1): the
 //!   kernel split into `KH·KW` sub-crossbars of shape `C × M`, plus the
-//!   area-efficient halved arrangement (paper Eq. 2).
+//!   area-efficient halved arrangement (paper Eq. 2);
+//! * [`PhasedCrossbar`] — the zero-padding design's window crossbar,
+//!   evaluated one stride phase's rows at a time (paper Fig. 4).
 //!
 //! With an ideal ADC and no variation, the analog path is bit-exact with
 //! the digital reference (property-tested); with a saturating ADC,
@@ -48,6 +50,7 @@
 mod array;
 mod config;
 mod ir_drop;
+mod phased;
 mod plane;
 mod precision;
 mod sct;
@@ -55,5 +58,6 @@ mod sct;
 pub use array::{CrossbarArray, VmmScratch};
 pub use config::{AdcModel, WeightScheme, XbarConfig, XbarError};
 pub use ir_drop::IrDropModel;
+pub use phased::PhasedCrossbar;
 pub use precision::ExecPrecision;
 pub use sct::{SctLayout, SubCrossbarTensor};

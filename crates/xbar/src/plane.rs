@@ -1,15 +1,23 @@
 //! The effective-current plane and its one builder, which reads an array's
-//! conductance rows one at a time ([`CrossbarArray::for_each_row`]).
+//! conductance rows one at a time ([`CrossbarArray::for_each_row`]), and
+//! the set tables of planes with few rows.
 
 use crate::array::TILE_COLS;
 use crate::config::round_half_away;
 use crate::{AdcModel, CrossbarArray, WeightScheme};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// The flag of a live column's [`Plane::roles`] entry that marks a
 /// differential pair's negative column; the low bits hold the slice's
 /// shift.
 const NEGATED: u8 = 0x80;
+
+/// The most rows a plane tabulates ([`Plane::table`]): at 8 rows a plane
+/// has 255 active-row sets, so converting each once at programming costs
+/// at most 255 row sums per column, and its table holds 255 values per
+/// weight.
+pub(crate) const TABLE_ROWS: usize = 8;
 
 /// An effective-current plane, with its dead columns left out.
 ///
@@ -35,6 +43,11 @@ pub(crate) struct Plane {
     /// Worst-case |recombined value| of one conversion phase
     /// ([`CrossbarArray::phase_value_bound`]).
     pub(crate) phase_bound: f64,
+    /// Planes of at most [`TABLE_ROWS`] rows: every active-row set's
+    /// recombined phase value, `(2^rows − 1) × weights`, the set whose
+    /// rows are the set bits of `mask` at row `mask − 1`. Empty for a
+    /// plane of more rows. See [`CrossbarArray::tabulate`].
+    pub(crate) table: Vec<i64>,
 }
 
 impl Plane {
@@ -61,6 +74,41 @@ impl Plane {
     }
 }
 
+/// One plane's rows as a replay streams them in: every cell's effective
+/// current over all physical columns, row-major, and each column's
+/// summed deviations above (`pos`) and below (`neg`) the dummy-column
+/// baseline, in the order the rows came.
+#[derive(Debug, Clone)]
+struct PlaneBuilder {
+    currents: Vec<f64>,
+    pos: Vec<f64>,
+    neg: Vec<f64>,
+}
+
+impl PlaneBuilder {
+    /// An empty builder for `rows` rows of `phys_cols` columns.
+    fn new(rows: usize, phys_cols: usize) -> Self {
+        Self {
+            currents: Vec::with_capacity(rows * phys_cols),
+            pos: vec![0.0; phys_cols],
+            neg: vec![0.0; phys_cols],
+        }
+    }
+}
+
+/// Adds one row of effective currents' deviations from the baseline
+/// `baseline_per_row` to each column's sums. Branch-free, so it
+/// vectorizes: adding 0.0 leaves a sum of non-negative terms as it is,
+/// and `n + (−d)` is `n − d`.
+fn add_deviations(pos: &mut [f64], neg: &mut [f64], row: &[f64], baseline_per_row: f64) {
+    for ((p, n), &i_eff) in pos.iter_mut().zip(neg).zip(row) {
+        let d = i_eff - baseline_per_row;
+        let (up, down) = if d >= 0.0 { (d, 0.0) } else { (0.0, -d) };
+        *p += up;
+        *n += down;
+    }
+}
+
 impl CrossbarArray {
     /// Builds the effective-current plane: wire droop depends only on the
     /// cell's position and conductance, both frozen at programming, so it
@@ -72,27 +120,123 @@ impl CrossbarArray {
     /// ascending row order: the interval every active-row set's summed
     /// deviation lies in. From it come the truncation bound
     /// ([`CrossbarArray::phase_value_bound`]), each column's code range
-    /// ([`CrossbarArray::code_ranges`]) and the read-out bound
-    /// ([`CrossbarArray::readout_bound`]). When that bound leaves `i64`,
-    /// a tighter one, row by row
-    /// ([`CrossbarArray::row_readout_bound`]), gets a second say. A
-    /// column whose code range is `[0, 0]` is dead, and the plane's rows
-    /// are closed up over it in place. `None` when neither bound keeps
-    /// the read-out in `i64`.
+    /// ([`CrossbarArray::code_ranges`]) and the read-out check
+    /// ([`CrossbarArray::readout_fits`]). `None` when the read-out could
+    /// leave `i64`.
     pub(crate) fn build_plane(&self) -> Option<Plane> {
-        let (rows, pc) = (self.rows, self.phys_cols);
-        let (mut currents, pos, neg) = self.currents_and_deviations();
-        let codes = self.code_ranges(&pos, &neg);
+        let (currents, pos, neg) = self.currents_and_deviations();
+        if !self.readout_fits(&pos, &neg, || Cow::Borrowed(&currents)) {
+            return None;
+        }
+        Some(self.finish_plane(PlaneBuilder { currents, pos, neg }))
+    }
+
+    /// One plane per part of a partition of the rows, from one replay:
+    /// row `r` streams, with its own index for the droop model, into the
+    /// builder of part `part_of[r]`, so each part's plane holds its rows
+    /// in ascending order, bit for bit as the whole array's plane holds
+    /// them, and finds its own dead columns. The whole array's deviations,
+    /// summed in the same pass, give the read-out check and the
+    /// per-residue truncation bound (`2 · phase_value_bound`), equal to
+    /// what the whole array's plane would record. `None` when the
+    /// read-out could leave `i64`, as [`CrossbarArray::build_plane`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part_of` is not `rows` long or names a part past `parts`.
+    pub(crate) fn build_part_planes(
+        &self,
+        part_of: &[u32],
+        parts: usize,
+    ) -> Option<(Vec<Plane>, f64)> {
+        assert_eq!(part_of.len(), self.rows, "one part per row");
+        let pc = self.phys_cols;
+        let mut counts = vec![0usize; parts];
+        part_of.iter().for_each(|&p| counts[p as usize] += 1);
+        let mut builders: Vec<PlaneBuilder> = counts
+            .iter()
+            .map(|&rows| PlaneBuilder::new(rows, pc))
+            .collect();
+        let (mut pos, mut neg) = (vec![0.0f64; pc], vec![0.0f64; pc]);
+        let baseline_per_row = self.cfg.cell.read_voltage * self.g_min;
+        self.for_each_row(|r, row| {
+            let currents = self.push_row(&mut builders[part_of[r] as usize], r, row);
+            add_deviations(&mut pos, &mut neg, currents, baseline_per_row);
+        });
+        // The row bound reads every row in order, so it takes a replay of
+        // its own, only when the code-range bound leaves i64.
+        let whole = || Cow::Owned(self.currents_and_deviations().0);
+        if !self.readout_fits(&pos, &neg, whole) {
+            return None;
+        }
+        let per_residue = 2.0 * self.phase_value_bound(&pos, &neg);
+        let planes = builders.into_iter().map(|b| self.finish_plane(b));
+        Some((planes.collect(), per_residue))
+    }
+
+    /// Appends conductance row `row`, the array's row `r`, to `builder`
+    /// as effective currents and adds their deviations to its sums;
+    /// returns the appended currents.
+    fn push_row<'a>(&self, builder: &'a mut PlaneBuilder, r: usize, row: &[f64]) -> &'a [f64] {
+        let ir = &self.cfg.ir_drop;
+        let v_read = self.cfg.cell.read_voltage;
+        let at = builder.currents.len();
+        let cells = row.iter().enumerate();
+        let currents = cells.map(|(c, &g)| ir.cell_current_a(v_read, g, r, c, self.rows));
+        builder.currents.extend(currents);
+        let (pos, neg) = (&mut builder.pos, &mut builder.neg);
+        add_deviations(pos, neg, &builder.currents[at..], v_read * self.g_min);
+        &builder.currents[at..]
+    }
+
+    /// Every cell's effective current, row-major over all physical
+    /// columns, and each column's summed deviations above (`pos`) and
+    /// below (`neg`) the dummy-column baseline, in ascending row order, in
+    /// one pass over the conductance rows: a build's one full-width buffer.
+    pub(crate) fn currents_and_deviations(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let mut builder = PlaneBuilder::new(self.rows, self.phys_cols);
+        self.for_each_row(|r, row| {
+            self.push_row(&mut builder, r, row);
+        });
+        (builder.currents, builder.pos, builder.neg)
+    }
+
+    /// `true` when the analog read-out provably stays in `i64`: the
+    /// code-range bound ([`CrossbarArray::readout_bound`]) from the
+    /// array's summed deviations `pos` and `neg` or, when that leaves
+    /// `i64`, a tighter one, row by row
+    /// ([`CrossbarArray::row_readout_bound`]), over the full-width
+    /// `currents`, which are asked for only then.
+    fn readout_fits<'a>(
+        &self,
+        pos: &[f64],
+        neg: &[f64],
+        currents: impl FnOnce() -> Cow<'a, [f64]>,
+    ) -> bool {
         // Every partial sum of the read-out stays within a few times the
         // code-range bound, so the row bound may stand in for it only
         // while that bound has room in i128.
         let fits = |bound: Option<i128>| bound.is_some_and(|b| b <= i128::from(i64::MAX));
-        match self.readout_bound(&codes) {
-            bound if fits(bound) => {}
-            Some(b)
-                if b <= i128::MAX >> 8 && fits(self.row_readout_bound(&currents, &pos, &neg)) => {}
-            _ => return None,
+        match self.readout_bound(&self.code_ranges(pos, neg)) {
+            bound if fits(bound) => true,
+            Some(b) if b <= i128::MAX >> 8 => fits(self.row_readout_bound(&currents(), pos, neg)),
+            _ => false,
         }
+    }
+
+    /// Finishes a plane from its builder: each column's code range from
+    /// the builder's deviations, the dead columns' cells closed up in
+    /// place, the per-phase bound and, for a plane of at most
+    /// [`TABLE_ROWS`] rows, its set table.
+    fn finish_plane(&self, builder: PlaneBuilder) -> Plane {
+        let PlaneBuilder {
+            mut currents,
+            pos,
+            neg,
+        } = builder;
+        let pc = self.phys_cols;
+        let rows = currents.len() / pc;
+        let codes = self.code_ranges(&pos, &neg);
         // Each end lies within its column's code range, which the
         // code-range bound keeps far from overflowing the shift-add.
         let phase_bound = self.phase_value_bound(&pos, &neg);
@@ -124,40 +268,68 @@ impl CrossbarArray {
             currents.truncate(rows * live);
             currents.shrink_to_fit();
         }
-        Some(Plane {
+        let mut plane = Plane {
             currents,
             starts,
             roles,
             phase_bound,
-        })
+            table: Vec::new(),
+        };
+        self.tabulate(&mut plane, rows);
+        plane
     }
 
-    /// Every cell's effective current, row-major over all physical
-    /// columns, and each column's summed deviations above (`pos`) and
-    /// below (`neg`) the dummy-column baseline, in ascending row order, in
-    /// one pass over the conductance rows: a build's one full-width buffer.
-    pub(crate) fn currents_and_deviations(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let (rows, pc) = (self.rows, self.phys_cols);
-        let ir = &self.cfg.ir_drop;
+    /// Fills the set table ([`Plane::table`]) of a plane of `rows ≤`
+    /// [`TABLE_ROWS`] rows; a plane of more rows keeps none. Each
+    /// active-row set converts once, as the kernel would convert it: per
+    /// live column its rows' currents summed in ascending order from
+    /// `0.0`, the baseline cancelled by the same subtraction and division
+    /// by the LSB, and the code quantized; then each weight's codes are
+    /// shift-added, less offset binary's reference for the set's rows.
+    /// The set `mask`'s sums are set `mask` less its highest row's sums
+    /// plus that row, which is the ascending chain itself, so each costs
+    /// one addition per column. `self` supplies the read-out (converter,
+    /// LSB, baseline, scheme), which every array programmed with one
+    /// configuration shares.
+    ///
+    /// Every value fits `i64`: it is the output a magnitude of 1 on the
+    /// set's rows reads out, which a plane build's read-out check (the
+    /// array's own, or for a fused or partitioned plane the arrays' or
+    /// the window's that it was cut from) keeps in `i64`. Partial sums are
+    /// added modulo 2^64, which leaves the exact result where that fits.
+    pub(crate) fn tabulate(&self, plane: &mut Plane, rows: usize) {
+        if rows > TABLE_ROWS {
+            return;
+        }
+        let (live, weights) = (plane.live(), plane.starts.len() - 1);
+        let sets = (1usize << rows) - 1;
         let v_read = self.cfg.cell.read_voltage;
-        let baseline_per_row = v_read * self.g_min;
-        let mut currents = Vec::with_capacity(rows * pc);
-        let mut pos = vec![0.0f64; pc];
-        let mut neg = vec![0.0f64; pc];
-        self.for_each_row(|r, row| {
-            let at = currents.len();
-            let cells = row.iter().enumerate();
-            currents.extend(cells.map(|(c, &g)| ir.cell_current_a(v_read, g, r, c, rows)));
-            // Branch-free, so it vectorizes: adding 0.0 leaves a sum of
-            // non-negative terms as it is, and `n + (−d)` is `n − d`.
-            for ((p, n), &i_eff) in pos.iter_mut().zip(&mut neg).zip(&currents[at..]) {
-                let d = i_eff - baseline_per_row;
-                let (up, down) = if d >= 0.0 { (d, 0.0) } else { (0.0, -d) };
-                *p += up;
-                *n += down;
+        let lsb = v_read * self.g_step;
+        let offset = self.row_offset() as i64;
+        let mut table = vec![0i64; sets * weights];
+        for (mask, values) in (1..=sets).zip(table.chunks_exact_mut(weights)) {
+            let reference = offset.wrapping_mul(mask.count_ones() as i64);
+            values.fill(reference.wrapping_neg());
+        }
+        let mut sums = vec![0.0f64; sets + 1];
+        for m in 0..weights {
+            for c in plane.starts[m] as usize..plane.starts[m + 1] as usize {
+                let role = plane.roles[c];
+                for mask in 1..=sets {
+                    let top = (usize::BITS - 1 - mask.leading_zeros()) as usize;
+                    sums[mask] = sums[mask & !(1 << top)] + plane.currents[top * live + c];
+                    let baseline = mask.count_ones() as f64 * v_read * self.g_min;
+                    let code = self.cfg.adc.quantize((sums[mask] - baseline) / lsb);
+                    let term = code.wrapping_shl(u32::from(role & !NEGATED));
+                    let value = &mut table[(mask - 1) * weights + m];
+                    *value = match role & NEGATED == 0 {
+                        true => value.wrapping_add(term),
+                        false => value.wrapping_sub(term),
+                    };
+                }
             }
-        });
-        (currents, pos, neg)
+        }
+        plane.table = table;
     }
 
     /// The shift-add role ([`Plane::roles`]) of a weight's physical
@@ -214,16 +386,21 @@ impl CrossbarArray {
             .unwrap_or(0) as f64
     }
 
-    /// The largest reference sum offset binary subtracts from one phase,
-    /// `2^(wb−1)` per active row, all rows active; 0 for differential
-    /// pairs.
-    fn reference_max(&self) -> i128 {
+    /// The reference offset binary subtracts per active row of a phase:
+    /// the `2^(wb−1)` every stored weight is offset by, summed digitally
+    /// from the phase's pulse count (the hardware's dummy reference
+    /// column); 0 for differential pairs.
+    pub(crate) fn row_offset(&self) -> i128 {
         match self.cfg.scheme {
             WeightScheme::Differential => 0,
-            WeightScheme::OffsetBinary => {
-                i128::from(1i64 << (self.cfg.weight_bits - 1)) * self.rows as i128
-            }
+            WeightScheme::OffsetBinary => i128::from(1i64 << (self.cfg.weight_bits - 1)),
         }
+    }
+
+    /// The largest reference sum offset binary subtracts from one phase,
+    /// all rows active.
+    fn reference_max(&self) -> i128 {
+        self.row_offset() * self.rows as i128
     }
 
     /// Per physical column, the lowest and highest code any active-row
@@ -341,7 +518,7 @@ impl CrossbarArray {
         let (pc, per_weight) = (self.phys_cols, self.cfg.phys_cols_per_weight());
         let v_read = self.cfg.cell.read_voltage;
         let (baseline, lsb) = (v_read * self.g_min, v_read * self.g_step);
-        let offset = self.reference_max() / self.rows as i128;
+        let offset = self.row_offset();
         let roles: Vec<u8> = (0..per_weight).map(|j| self.role(j)).collect();
         // Per column, its counts summed above and below 0 and its
         // residuals likewise; per weight, its rows' `ω_r` likewise.

@@ -11,12 +11,13 @@
 //! batch-major analog kernel call over a fused plane that holds every
 //! tap's rows side by side, so a pixel pays the kernel's fixed cost (the
 //! set-bit pass, the phase dispatch, the read-out) once instead of once
-//! per tap, the batch's images reuse each column tile's plane rows, and
-//! an active-row set that repeats across phases or images is converted
-//! once per tile. Each tap brings only its array's live columns: a
-//! column no active-row set can convert to a non-zero code (the upper
-//! slices of narrow weights) is left out of the fused plane, as it is
-//! of the array's own. Ideal arrays run the taps' exact VMMs.
+//! per tap, and the batch's images reuse each column tile's plane rows.
+//! A fused plane of at most 8 rows (`C ≤ 8`) converts each of its
+//! active-row sets once, at mapping, into a table the kernel looks sets
+//! up in. Each tap brings only its array's live columns: a column no
+//! active-row set can convert to a non-zero code (the upper slices of
+//! narrow weights) is left out of the fused plane, as it is of the
+//! array's own. Ideal arrays run the taps' exact VMMs.
 
 use crate::plane::Plane;
 use crate::{CrossbarArray, ExecPrecision, VmmScratch, XbarConfig, XbarError};
@@ -73,7 +74,8 @@ pub struct SubCrossbarTensor {
     /// Non-ideal configurations only (empty otherwise): the effective
     /// currents of every tap's `C` rows over its array's live columns,
     /// row-major, tap `t`'s block after tap `t − 1`'s, with the `KH·KW·M`
-    /// fused weights' live-column ranges and roles. They are copied from
+    /// fused weights' live-column ranges and roles, and a set table when
+    /// `C` is at most 8. They are copied from
     /// each tap array's plane at mapping time, and those planes are then
     /// dropped, so the fused plane replaces them rather than doubling
     /// them. A tap keeps its array's live columns, so both taps of a
@@ -169,6 +171,9 @@ impl SubCrossbarTensor {
             }
             fused.currents.truncate(to);
             fused.currents.shrink_to_fit();
+        }
+        if !widths.is_empty() {
+            sct.arrays[0].tabulate(&mut sct.fused, c);
         }
         Ok(sct)
     }
@@ -478,24 +483,31 @@ mod tests {
     /// reference pipeline on the tier's truncated pixel — the exact path
     /// on ideal arrays; a batch of pixels equals the pixels one at a time
     /// over a shared scratch, and taps outside the requested ranges stay
-    /// untouched.
+    /// untouched. 5 channels make a fused plane of 5 rows, which takes a
+    /// set table, and 10 one that sums its rows.
     #[test]
     fn eval_tap_batch_matches_per_pixel_both_layouts() {
-        let (c, m, width) = (5, 4, 9 * 4);
+        let (m, width) = (4, 9 * 4);
         let n = 3;
-        let inputs: Vec<i64> = (0..n * c).map(|i| ((i * 37) % 255) as i64 - 127).collect();
         let taps = [0..2, 3..4, 5..9];
         let mut cfgs = noisy_lineup();
         cfgs.push(XbarConfig::ideal());
-        for (cfg, bound) in cfgs.into_iter().flat_map(|cfg| BOUNDS.map(|b| (cfg, b))) {
+        for (c, cfg, bound) in [5, 10].into_iter().flat_map(|c| {
+            cfgs.iter()
+                .flat_map(move |&cfg| BOUNDS.map(|b| (c, cfg, b)))
+        }) {
+            let inputs: Vec<i64> = (0..n * c).map(|i| ((i * 37) % 255) as i64 - 127).collect();
             // 9 taps: the halved layout's last pair is half empty.
             let k = bounded_kernel(3, 3, c, m, bound);
             for layout in [SctLayout::Full, SctLayout::Halved] {
                 let sct = SubCrossbarTensor::map(&cfg, &k, layout).unwrap();
+                if cfg != XbarConfig::ideal() {
+                    assert_eq!(sct.fused.table.is_empty(), c > crate::plane::TABLE_ROWS);
+                }
                 let per = sct.cycles_per_batch();
                 let mut scratch = VmmScratch::new();
                 for prec in ExecPrecision::ALL {
-                    let what = format!("{cfg:?} ±{bound} {layout:?} {prec}");
+                    let what = format!("C{c} {cfg:?} ±{bound} {layout:?} {prec}");
                     // 8-bit inputs stream 7 magnitude bits, and one stays live.
                     let dropped = prec.dropped_bits().min(6);
                     let mut batch = vec![i64::MIN; n * width];

@@ -29,9 +29,20 @@ const WEIGHT_BOUNDS: [i64; 3] = [1, 5, 127];
 const NOISY_PRESETS: [&str; 4] = ["variation", "adc", "ir-drop", "full"];
 
 fn problem_strategy() -> impl Strategy<Value = Problem> {
+    problem_with_channels(1usize..=4)
+}
+
+/// Channel counts for the analog replay tests: 1–4 give planes of at
+/// most 8 rows, which read set tables, and 9–12 planes that sum rows.
+fn table_and_sum_channels() -> impl Strategy<Value = usize> {
+    (0usize..8).prop_map(|i| [1, 2, 3, 4, 9, 10, 11, 12][i])
+}
+
+/// [`problem_strategy`] with the channel count drawn from `channels`.
+fn problem_with_channels(channels: impl Strategy<Value = usize>) -> impl Strategy<Value = Problem> {
     // kernel 1..=5, stride 1..=4, padding < kernel, op < stride,
-    // input 1..=5, channels/filters 1..=4.
-    (1usize..=5, 1usize..=4, 1usize..=5, 1usize..=4, 1usize..=4)
+    // input 1..=5, filters 1..=4.
+    (1usize..=5, 1usize..=4, 1usize..=5, channels, 1usize..=4)
         .prop_flat_map(|(k, s, ih, c, m)| {
             (
                 Just(k),
@@ -275,14 +286,14 @@ proptest! {
         }
     }
 
-    /// Golden equivalence of the batch-major kernel where active-row sets
-    /// repeat across phases and inputs: planes of 1–4 rows whose columns
-    /// span one to several tiles, batches of 1–9 inputs that copy earlier
-    /// inputs at random, random disjoint weight-column ranges, both
-    /// schemes and every tier, on an ideal converter (`i128` sums) or a
-    /// saturating one of 3..=10 bits (`f64` sums), plus each case's
-    /// 44..=62-bit `wide_bits` converter, which crosses the bound between
-    /// the two. Every input's results in the ranges equal
+    /// Golden equivalence of the kernel where active-row sets repeat
+    /// across phases and inputs: planes of 1–12 rows (set tables up to 8,
+    /// row sums past it) whose columns span one to several tiles, batches
+    /// of 1–9 inputs that copy earlier inputs at random, random disjoint
+    /// weight-column ranges, both schemes and every tier, on an ideal
+    /// converter (`i128` sums) or a saturating one of 3..=10 bits (`f64`
+    /// sums), plus each case's 44..=62-bit `wide_bits` converter, which
+    /// crosses the bound between the two. Every input's results in the ranges equal
     /// `vmm_analog_reference` on its own truncated input, and the other
     /// columns stay untouched. The other effects come from the
     /// `variation`, `adc`, `ir-drop` or `full` preset, and weights lie
@@ -290,7 +301,7 @@ proptest! {
     /// cells reviving them, or none.
     #[test]
     fn analog_batch_shared_sets_bit_identical_to_reference(
-        (rows, cols, n) in (1usize..=4, 1usize..=200, 1usize..=9),
+        (rows, cols, n) in (1usize..=12, 1usize..=200, 1usize..=9),
         wseed in any::<u64>(),
         xseed in any::<u64>(),
         offset_binary in any::<bool>(),
@@ -379,10 +390,11 @@ proptest! {
     /// with stuck-at faults and σ = 0.03 variation always on, both seeded
     /// per case, and the kernel is drawn within ±1, ±5 or ±127, so the
     /// fused plane holds dead columns elided, stuck-on cells reviving
-    /// them, or none.
+    /// them, or none. The fused plane has a row per channel, so 1–4
+    /// channels read its set table and 9–12 sum its rows.
     #[test]
     fn red_replay_matches_gathered_reference(
-        pb in problem_strategy(),
+        pb in problem_with_channels(table_and_sum_channels()),
         halved in any::<bool>(),
         offset_binary in any::<bool>(),
         saturating in any::<bool>(),
@@ -468,8 +480,10 @@ proptest! {
     /// (on the tier's truncated pixel) and adding each tap's partial sums
     /// into output pixel `(s·x + i − p, s·y + j − p)` when that pixel
     /// exists. The batch repeats an image, so row sets recur across
-    /// inputs; 1–4 channels make them recur across phases; up to 6
-    /// filters take the array past one column tile. The crossbars take
+    /// inputs; 1–4 channels make them recur across phases and give a
+    /// plane of at most 8 rows, which reads its set table, and 9–12 one
+    /// that sums its rows; up to 6 filters take the array past one
+    /// column tile. The crossbars take
     /// the `variation`, `adc`, `ir-drop` or `full` preset's other effects,
     /// with stuck-at faults and σ = 0.03 variation always on, both seeded
     /// per case, and the kernel is drawn within ±1, ±5 or ±127, so the
@@ -478,7 +492,7 @@ proptest! {
     #[test]
     fn padding_free_replay_matches_full_column_reference(
         k5 in any::<bool>(),
-        (ih, c, m) in (1usize..=4, 1usize..=4, 1usize..=6),
+        (ih, c, m) in (1usize..=4, table_and_sum_channels(), 1usize..=6),
         offset_binary in any::<bool>(),
         saturating in any::<bool>(),
         (tier, preset, wbound) in (0usize..=2, 0usize..=3, 0usize..=2),
@@ -539,6 +553,104 @@ proptest! {
                 }
             }
             prop_assert_eq!(&got.output, &want, "k{} at {}", k, prec);
+            let one = engine.run(std::slice::from_ref(input), &mut scratch, prec).unwrap();
+            prop_assert_eq!(&one[0], got, "single image vs batch");
+        }
+    }
+
+    /// Golden equivalence of zero-padding's stride-phase replay: on noisy
+    /// crossbars of both schemes, with a saturating or an ideal
+    /// converter, at every precision tier, for the lineup's k5/s2/p2/op1,
+    /// k4/s2/p1 and k16/s8/p0 specs with 1–4 channels (so stride phases
+    /// of 4 to 36 rows fall on both sides of the set tables' 8-row
+    /// bound), the engine's outputs equal gathering every output pixel's
+    /// full zero-inserted window from `zero_insert_pad` and driving the
+    /// modeled window array through `vmm_analog_reference` on the tier's
+    /// truncated window, and its [`ExecutionStats`] equal metering every
+    /// full window. The batch repeats an image, and one image run alone
+    /// equals its result in the batch. The crossbars take the
+    /// `variation`, `adc`, `ir-drop` or `full` preset's other effects,
+    /// with stuck-at faults and σ = 0.03 variation always on, both seeded
+    /// per case, and the kernel is drawn within ±1, ±5 or ±127, so the
+    /// phase planes hold dead columns elided, stuck-on cells reviving
+    /// them, or none.
+    #[test]
+    fn zero_padding_replay_matches_window_reference(
+        spec_at in 0usize..=2,
+        (ih, c, m) in (1usize..=3, 1usize..=4, 1usize..=3),
+        offset_binary in any::<bool>(),
+        saturating in any::<bool>(),
+        (tier, preset, wbound) in (0usize..=2, 0usize..=3, 0usize..=2),
+        seed in any::<u64>(),
+    ) {
+        use red_core::arch::ZeroPaddingEngine;
+        use red_core::device::variation::{FaultModel, VariationModel};
+        use red_core::tensor::deconv::zero_insert_pad;
+        use std::collections::HashMap;
+
+        let spec = match spec_at {
+            0 => DeconvSpec::with_output_padding(5, 5, 2, 2, 1),
+            1 => DeconvSpec::new(4, 4, 2, 1),
+            _ => DeconvSpec::new(16, 16, 8, 0),
+        }
+        .unwrap();
+        // The k16/s8 window is 256·C rows: one or two input pixels a side
+        // keep the reference's per-window replays affordable.
+        let ih = if spec_at == 2 { ih.min(2) } else { ih };
+        let layer = LayerShape::with_spec(ih, ih, c, m, spec).unwrap();
+        let kernel = red_core::workloads::synth::kernel(&layer, WEIGHT_BOUNDS[wbound], seed);
+        let input = red_core::workloads::synth::input_sparse(&layer, 127, 0.25, seed ^ 3);
+        let cfg = XbarConfig {
+            scheme: if offset_binary { WeightScheme::OffsetBinary } else { WeightScheme::Differential },
+            adc: if saturating { AdcModel::Saturating { bits: 8 } } else { AdcModel::Ideal },
+            variation: VariationModel::with_sigma(0.03, seed),
+            faults: FaultModel::with_rates(0.002, 0.001, seed ^ 1),
+            ..XbarConfig::preset(NOISY_PRESETS[preset]).unwrap()
+        };
+        let engine = ZeroPaddingEngine::new(&cfg, &layer, &kernel).unwrap();
+        let prec = ExecPrecision::ALL[tier];
+        // 8-bit inputs stream 7 magnitude bits, and one stays live.
+        let dropped = prec.dropped_bits().min(6);
+        // Mixed signs, so both polarity phases pulse.
+        let mixed = input.map(|v| if v % 3 == 1 { -v } else { v });
+        let inputs = [mixed.clone(), input.map(|v| -v), mixed];
+
+        let k = spec.kernel_w();
+        let geom = layer.output_geometry();
+        let len = k * k * c;
+        let array = engine.array();
+        let mut scratch = LayerScratch::default();
+        let batch = engine.run(&inputs, &mut scratch, prec).unwrap();
+        // Equal windows read out equal values, so each distinct truncated
+        // window goes through the reference once.
+        let mut reference: HashMap<Vec<i64>, Vec<i64>> = HashMap::new();
+        for (input, got) in inputs.iter().zip(&batch) {
+            let padded = zero_insert_pad(input, &spec);
+            let mut want = FeatureMap::<i64>::zeros(geom.height, geom.width, m);
+            let mut stats = ExecutionStats::default();
+            for (u, v) in (0..geom.height).flat_map(|u| (0..geom.width).map(move |v| (u, v))) {
+                let window: Vec<i64> = (0..k)
+                    .flat_map(|i| (0..k).map(move |j| (i, j)))
+                    .flat_map(|(i, j)| padded.pixel(u + i, v + j).to_vec())
+                    .collect();
+                let truncated: Vec<i64> = window
+                    .iter()
+                    .map(|&x| x.signum() * ((x.abs() >> dropped) << dropped))
+                    .collect();
+                let out = reference
+                    .entry(truncated)
+                    .or_insert_with_key(|x| array.vmm_analog_reference(x));
+                want.pixel_mut(u, v).copy_from_slice(out);
+                let nnz = window.iter().filter(|&&x| x != 0).count() as u128;
+                stats.cycles += 1;
+                stats.vector_ops += 1;
+                stats.nonzero_row_activations += nnz;
+                stats.total_row_slots += len as u128;
+                stats.nonzero_macs += nnz * m as u128;
+                stats.output_pixels += 1;
+            }
+            prop_assert_eq!(&got.output, &want, "k{} C{} at {}", k, c, prec);
+            prop_assert_eq!(got.stats, stats, "k{} C{} at {}", k, c, prec);
             let one = engine.run(std::slice::from_ref(input), &mut scratch, prec).unwrap();
             prop_assert_eq!(&one[0], got, "single image vs batch");
         }
