@@ -11,10 +11,17 @@
 //!    bounded 512×512 / 128×128 macros: do the orderings survive?
 //! 6. **pipelined stacks** — whole-generator throughput per design.
 
-use red_bench::{out, outln, render_table};
+use red_bench::{cli_args, out, outln, render_table};
 use red_core::prelude::*;
+use std::process::ExitCode;
 
-fn main() {
+/// `ablation` takes no flags, so [`red_bench::unknown_arg`] rejects every argument.
+const USAGE: &str = "usage: ablation";
+
+fn main() -> ExitCode {
+    if cli_args(USAGE).is_none() {
+        return ExitCode::from(2);
+    }
     let model = CostModel::paper_default();
 
     // ---- 1. zero-skipping ablation.
@@ -244,4 +251,5 @@ fn main() {
         )
     );
     outln!("(RED matches zero-padding's useful traffic with no partial-sum spill;\n padding-free trades input re-reads for overlap-add buffer traffic)");
+    ExitCode::SUCCESS
 }

@@ -5,11 +5,18 @@
 //! cargo run -p red-bench --bin experiments   # writes ./EXPERIMENTS.md
 //! ```
 
-use red_bench::{all_comparisons, headline_checks, outln, render_table};
+use red_bench::{all_comparisons, cli_args, headline_checks, outln, render_table};
 use red_core::tensor::redundancy::sweep_strides;
 use std::fmt::Write as _;
+use std::process::ExitCode;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// `experiments` takes no flags, so [`red_bench::unknown_arg`] rejects every argument.
+const USAGE: &str = "usage: experiments";
+
+fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
+    if cli_args(USAGE).is_none() {
+        return Ok(ExitCode::from(2));
+    }
     let mut md = String::new();
     let comps = all_comparisons();
 
@@ -523,5 +530,5 @@ in `tests/observability.rs`.
 
     std::fs::write("EXPERIMENTS.md", &md)?;
     outln!("wrote EXPERIMENTS.md ({} bytes)", md.len());
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }

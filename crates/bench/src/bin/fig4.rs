@@ -5,10 +5,17 @@
 //!
 //! Paper anchors: 86.8 % at stride 2 and 99.8 % at stride 32 (SNGAN curve).
 
-use red_bench::{maybe_write_csv, out, outln, render_table};
+use red_bench::{cli_args, csv_dir, maybe_write_csv, out, outln, render_table};
 use red_core::tensor::redundancy::sweep_strides;
+use std::process::ExitCode;
 
-fn main() {
+/// Every flag `fig4` knows, as [`red_bench::unknown_arg`] reads them.
+const USAGE: &str = "usage: fig4 [--csv <dir>]";
+
+fn main() -> ExitCode {
+    let Some(args) = cli_args(USAGE) else {
+        return ExitCode::from(2);
+    };
     let strides = [1usize, 2, 4, 8, 16, 32];
     let sngan = sweep_strides(4, 4, 4, 1, &strides).expect("SNGAN sweep");
     let fcn = sweep_strides(16, 16, 16, 0, &strides).expect("FCN sweep");
@@ -35,7 +42,7 @@ fn main() {
         "FCN 16x16 (per-MAC)",
     ];
     out!("{}", render_table(&headers, &rows));
-    maybe_write_csv("fig4", &headers, &rows);
+    maybe_write_csv(csv_dir(&args), "fig4", &headers, &rows);
     outln!(
         "\npaper anchors: 86.8% @ stride 2 -> measured {:.1}%;  99.8% @ stride 32 -> measured {:.1}%",
         sngan[1].map_zero_fraction * 100.0,
@@ -43,4 +50,5 @@ fn main() {
     );
     outln!("(map = zero fraction of the padded input map, the paper's metric;");
     outln!(" per-MAC = fraction of window-tap multiplies with a zero operand)");
+    ExitCode::SUCCESS
 }

@@ -3,10 +3,17 @@
 //! into array (wd + bd) and periphery (dec + mux + rc + sa) portions
 //! (Eq. 3).
 
-use red_bench::{all_comparisons, maybe_write_csv, out, outln, render_table};
+use red_bench::{all_comparisons, cli_args, csv_dir, maybe_write_csv, out, outln, render_table};
 use red_core::Comparison;
+use std::process::ExitCode;
 
-fn main() {
+/// Every flag `fig7` knows, as [`red_bench::unknown_arg`] reads them.
+const USAGE: &str = "usage: fig7 [--csv <dir>]";
+
+fn main() -> ExitCode {
+    let Some(args) = cli_args(USAGE) else {
+        return ExitCode::from(2);
+    };
     let comps = all_comparisons();
 
     outln!("FIG. 7(a) — SPEEDUP (normalized to zero-padding)\n");
@@ -24,7 +31,7 @@ fn main() {
         .collect();
     let headers = ["benchmark", "zero-padding", "padding-free", "RED"];
     out!("{}", render_table(&headers, &rows));
-    maybe_write_csv("fig7a_speedup", &headers, &rows);
+    maybe_write_csv(csv_dir(&args), "fig7a_speedup", &headers, &rows);
 
     outln!("\nFIG. 7(b) — EXECUTION TIME BREAKDOWN (% of each design's own total)\n");
     let mut rows = Vec::new();
@@ -68,4 +75,5 @@ fn main() {
         zp_pf.iter().copied().fold(f64::INFINITY, f64::min),
         zp_pf.iter().copied().fold(0.0, f64::max)
     );
+    ExitCode::SUCCESS
 }

@@ -2,10 +2,17 @@
 //! zero-padding, (b) per-design energy breakdown into array (c + wd + bd)
 //! and periphery (dec + mux + rc + sa) portions (Eq. 4).
 
-use red_bench::{all_comparisons, maybe_write_csv, out, outln, render_table};
+use red_bench::{all_comparisons, cli_args, csv_dir, maybe_write_csv, out, outln, render_table};
 use red_core::prelude::*;
+use std::process::ExitCode;
 
-fn main() {
+/// Every flag `fig8` knows, as [`red_bench::unknown_arg`] reads them.
+const USAGE: &str = "usage: fig8 [--csv <dir>]";
+
+fn main() -> ExitCode {
+    let Some(args) = cli_args(USAGE) else {
+        return ExitCode::from(2);
+    };
     let comps = all_comparisons();
 
     outln!("FIG. 8(a) — ENERGY (normalized to zero-padding; saving = 1 - value)\n");
@@ -30,7 +37,7 @@ fn main() {
         "RED saving",
     ];
     out!("{}", render_table(&headers, &rows));
-    maybe_write_csv("fig8a_energy", &headers, &rows);
+    maybe_write_csv(csv_dir(&args), "fig8a_energy", &headers, &rows);
 
     outln!("\nFIG. 8(b) — ENERGY BREAKDOWN (% of each design's own total)\n");
     let mut rows = Vec::new();
@@ -79,4 +86,5 @@ fn main() {
         pf_arr.iter().copied().fold(f64::INFINITY, f64::min),
         pf_arr.iter().copied().fold(0.0, f64::max)
     );
+    ExitCode::SUCCESS
 }

@@ -2,10 +2,17 @@
 //! normalized to the zero-padding design, for GAN_Deconv1 and FCN_Deconv2
 //! (the two layers the paper plots) plus a summary over all benchmarks.
 
-use red_bench::{all_comparisons, maybe_write_csv, out, outln, render_table};
+use red_bench::{all_comparisons, cli_args, csv_dir, maybe_write_csv, out, outln, render_table};
 use red_core::prelude::*;
+use std::process::ExitCode;
 
-fn main() {
+/// Every flag `fig9` knows, as [`red_bench::unknown_arg`] reads them.
+const USAGE: &str = "usage: fig9 [--csv <dir>]";
+
+fn main() -> ExitCode {
+    let Some(args) = cli_args(USAGE) else {
+        return ExitCode::from(2);
+    };
     let comps = all_comparisons();
 
     outln!("FIG. 9 — AREA BREAKDOWN (normalized to zero-padding total = 100%)\n");
@@ -58,7 +65,7 @@ fn main() {
         .collect();
     let headers = ["benchmark", "padding-free", "RED"];
     out!("{}", render_table(&headers, &rows));
-    maybe_write_csv("fig9_area_overhead", &headers, &rows);
+    maybe_write_csv(csv_dir(&args), "fig9_area_overhead", &headers, &rows);
 
     outln!("\nper-component area (GAN_Deconv1, RED):");
     let (_, c) = &comps[0];
@@ -80,4 +87,5 @@ fn main() {
          Our FCN RED overhead exceeds the paper's flat claim because 21-channel\n\
          sub-crossbars cannot amortize per-instance periphery (see EXPERIMENTS.md)."
     );
+    ExitCode::SUCCESS
 }

@@ -1,9 +1,16 @@
 //! Checks every §IV headline claim of the paper against this
 //! reproduction's measurements and prints a verdict table.
 
-use red_bench::{headline_checks, out, outln, render_table};
+use red_bench::{cli_args, headline_checks, out, outln, render_table};
+use std::process::ExitCode;
 
-fn main() {
+/// `headline` takes no flags, so [`red_bench::unknown_arg`] rejects every argument.
+const USAGE: &str = "usage: headline";
+
+fn main() -> ExitCode {
+    if cli_args(USAGE).is_none() {
+        return ExitCode::from(2);
+    }
     outln!("HEADLINE CLAIMS (paper SIV) vs THIS REPRODUCTION\n");
     let rows: Vec<Vec<String>> = headline_checks()
         .into_iter()
@@ -25,4 +32,5 @@ fn main() {
         render_table(&["source", "paper claim", "measured", "verdict"], &rows)
     );
     outln!("\n(bands are the reproduction tolerances asserted by tests/paper_bands.rs)");
+    ExitCode::SUCCESS
 }

@@ -81,8 +81,8 @@
 //! produces byte-identical files on any host.
 
 use red_bench::{
-    json_escape, maybe_write_csv, out, outln, parse_flag, parse_list_flag, render_table,
-    unknown_arg,
+    cli_args, csv_dir, flag_value, json_escape, maybe_write_csv, out, outln, parse_flag,
+    parse_list_flag, render_table,
 };
 use red_core::prelude::*;
 use red_core::workloads::networks;
@@ -462,7 +462,7 @@ fn write_json(
     std::fs::write(path, doc)
 }
 
-/// Every flag `loadgen` knows, as [`unknown_arg`] reads them.
+/// Every flag `loadgen` knows, as [`red_bench::unknown_arg`] reads them.
 const USAGE: &str = "usage: loadgen [--rps F[,F..]] [--clients N] [--max-batch N[,N..]] \
     [--max-wait-us F] [--slo-us F] \
     [--policy fifo|deadline-shed|weighted-fair|priority[,..]] \
@@ -484,11 +484,9 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(arg) = unknown_arg(&args, USAGE) {
-        eprintln!("unknown argument {arg:?}");
-        return usage();
-    }
+    let Some(args) = cli_args(USAGE) else {
+        return ExitCode::from(2);
+    };
     let (
         Some(rps_list),
         Some(clients),
@@ -610,33 +608,26 @@ fn main() -> ExitCode {
             t.precision_floor = t.precision_floor.min(floor);
         }
     }
-    let noisy = match args.iter().position(|a| a == "--noisy") {
+    let noisy = match flag_value(&args, "--noisy") {
         None => None,
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some(name) if !name.starts_with("--") => match XbarConfig::preset(name) {
-                Some(cfg) => Some((name.to_string(), cfg)),
-                None => {
-                    eprintln!(
-                        "unknown --noisy preset {name:?} \
-                         (expected variation, adc, ir-drop, or full)"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            _ => {
-                eprintln!("--noisy requires a preset name argument");
+        Some(Some(name)) => match XbarConfig::preset(name) {
+            Some(cfg) => Some((name.to_string(), cfg)),
+            None => {
+                eprintln!(
+                    "unknown --noisy preset {name:?} \
+                     (expected variation, adc, ir-drop, or full)"
+                );
                 return ExitCode::from(2);
             }
         },
-    };
-    let path_flag = |name: &str| -> Result<Option<String>, ()> {
-        match args.iter().position(|a| a == name) {
-            None => Ok(None),
-            Some(i) => match args.get(i + 1) {
-                Some(path) if !path.starts_with("--") => Ok(Some(path.clone())),
-                _ => Err(()),
-            },
+        Some(None) => {
+            eprintln!("--noisy requires a preset name argument");
+            return ExitCode::from(2);
         }
+    };
+    let path_flag = |name: &str| match flag_value(&args, name) {
+        Some(None) => Err(()),
+        path => Ok(path.flatten().map(str::to_owned)),
     };
     let Ok(json_path) = path_flag("--json") else {
         eprintln!("--json requires a path argument");
@@ -962,7 +953,7 @@ fn main() -> ExitCode {
     ];
     let cells: Vec<Vec<String>> = rows.iter().map(LoadRow::table_cells).collect();
     out!("{}", render_table(&headers, &cells));
-    maybe_write_csv("loadgen", &headers, &cells);
+    maybe_write_csv(csv_dir(&args), "loadgen", &headers, &cells);
     if let Some(plan) = &fault_plan {
         let sum = |f: fn(&LoadRow) -> u64| rows.iter().map(f).sum::<u64>();
         outln!(

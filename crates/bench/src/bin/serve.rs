@@ -42,7 +42,10 @@
 //! misroutes images, or an engine whose dataflow diverges from its priced
 //! geometry, fails the CI smoke instead of printing wrong numbers.
 
-use red_bench::{json_escape, maybe_write_csv, out, outln, parse_flag, render_table, unknown_arg};
+use red_bench::{
+    cli_args, csv_dir, flag_value, json_escape, maybe_write_csv, out, outln, parse_flag,
+    render_table,
+};
 use red_core::prelude::*;
 use red_core::workloads::networks;
 use red_runtime::ChipBuilder;
@@ -157,7 +160,7 @@ fn write_json(path: &str, batch: usize, scale: usize, rows: &[ServeRow]) -> std:
     std::fs::write(path, doc)
 }
 
-/// Every flag `serve` knows, as [`unknown_arg`] reads them.
+/// Every flag `serve` knows, as [`red_bench::unknown_arg`] reads them.
 const USAGE: &str = "usage: serve [--batch N] [--scale N] [--verify] \
     [--noisy variation|adc|ir-drop|full] [--csv <dir>] [--json <path>] \
     [--trace <path>]";
@@ -168,11 +171,9 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(arg) = unknown_arg(&args, USAGE) {
-        eprintln!("unknown argument {arg:?}");
-        return usage();
-    }
+    let Some(args) = cli_args(USAGE) else {
+        return ExitCode::from(2);
+    };
     let (Some(batch), Some(scale)) = (
         parse_flag::<usize>(&args, "--batch", 8),
         parse_flag::<usize>(&args, "--scale", 8),
@@ -184,44 +185,34 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let verify = args.iter().any(|a| a == "--verify");
-    let noisy = match args.iter().position(|a| a == "--noisy") {
+    let noisy = match flag_value(&args, "--noisy") {
         None => None,
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some(name) if !name.starts_with("--") => match XbarConfig::preset(name) {
-                Some(cfg) => Some((name.to_string(), cfg)),
-                None => {
-                    eprintln!(
-                        "unknown --noisy preset {name:?} \
-                         (expected variation, adc, ir-drop, or full)"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            _ => {
-                eprintln!("--noisy requires a preset name argument");
+        Some(Some(name)) => match XbarConfig::preset(name) {
+            Some(cfg) => Some((name.to_string(), cfg)),
+            None => {
+                eprintln!(
+                    "unknown --noisy preset {name:?} \
+                     (expected variation, adc, ir-drop, or full)"
+                );
                 return ExitCode::from(2);
             }
         },
+        Some(None) => {
+            eprintln!("--noisy requires a preset name argument");
+            return ExitCode::from(2);
+        }
     };
-    let json_path = match args.iter().position(|a| a == "--json") {
-        None => None,
-        Some(i) => match args.get(i + 1) {
-            Some(path) if !path.starts_with("--") => Some(path.clone()),
-            _ => {
-                eprintln!("--json requires a path argument");
-                return ExitCode::from(2);
-            }
-        },
+    let path_flag = |name: &str| match flag_value(&args, name) {
+        Some(None) => Err(()),
+        path => Ok(path.flatten().map(str::to_owned)),
     };
-    let trace_path = match args.iter().position(|a| a == "--trace") {
-        None => None,
-        Some(i) => match args.get(i + 1) {
-            Some(path) if !path.starts_with("--") => Some(path.clone()),
-            _ => {
-                eprintln!("--trace requires a path argument");
-                return ExitCode::from(2);
-            }
-        },
+    let Ok(json_path) = path_flag("--json") else {
+        eprintln!("--json requires a path argument");
+        return ExitCode::from(2);
+    };
+    let Ok(trace_path) = path_flag("--trace") else {
+        eprintln!("--trace requires a path argument");
+        return ExitCode::from(2);
     };
     let telemetry = if trace_path.is_some() {
         Telemetry::enabled()
@@ -357,7 +348,7 @@ fn main() -> ExitCode {
     }
     let cells: Vec<Vec<String>> = rows.iter().map(ServeRow::table_cells).collect();
     out!("{}", render_table(&headers, &cells));
-    maybe_write_csv("serve", &headers, &cells);
+    maybe_write_csv(csv_dir(&args), "serve", &headers, &cells);
     if let Some(path) = &json_path {
         match write_json(path, batch, scale, &rows) {
             Ok(()) => outln!("(wrote {path})"),

@@ -1,9 +1,16 @@
 //! Regenerates the paper's Table I: the benchmark deconvolution layers.
 
-use red_bench::{out, outln, render_table};
+use red_bench::{cli_args, out, outln, render_table};
 use red_core::prelude::*;
+use std::process::ExitCode;
 
-fn main() {
+/// `table1` takes no flags, so [`red_bench::unknown_arg`] rejects every argument.
+const USAGE: &str = "usage: table1";
+
+fn main() -> ExitCode {
+    if cli_args(USAGE).is_none() {
+        return ExitCode::from(2);
+    }
     outln!("TABLE I — BENCHMARKS USED IN THIS WORK\n");
     let rows: Vec<Vec<String>> = Benchmark::all()
         .iter()
@@ -43,4 +50,5 @@ fn main() {
         )
     );
     outln!("\n(paper Table I reproduced exactly; geometry validated by red-workloads tests)");
+    ExitCode::SUCCESS
 }

@@ -106,13 +106,41 @@ pub fn all_comparisons() -> Vec<(Benchmark, Comparison)> {
     })
 }
 
+/// The value that follows `flag` in `args`: `None` when the flag is
+/// absent, `Some(None)` when nothing follows it or another flag does (a
+/// value never starts with `--`), and `Some(Some(value))` otherwise.
+/// Every flag value a binary reads, and [`unknown_arg`], go by this rule.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<Option<&'a str>> {
+    let i = args.iter().position(|a| a == flag)?;
+    Some(args.get(i + 1).map(String::as_str).filter(|v| is_value(v)))
+}
+
+/// `true` when `arg` can be a flag's value: it does not start with `--`.
+fn is_value(arg: &str) -> bool {
+    !arg.starts_with("--")
+}
+
 /// Parses `--flag V` from a raw argument list: the default when the flag
 /// is absent, `None` (a usage error) when it is present without a
 /// parsable value.
 pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Option<T> {
-    match args.iter().position(|a| a == flag) {
+    match flag_value(args, flag) {
         None => Some(default),
-        Some(i) => args.get(i + 1)?.parse().ok(),
+        Some(value) => value?.parse().ok(),
+    }
+}
+
+/// The process's arguments after the program name or, when one of them
+/// is not in `usage` ([`unknown_arg`]), `None` once that argument and the
+/// usage are printed to stderr: a binary then exits with code 2.
+pub fn cli_args(usage: &str) -> Option<Vec<String>> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match unknown_arg(&args, usage) {
+        None => Some(args),
+        Some(arg) => {
+            eprintln!("unknown argument {arg:?}\n{usage}");
+            None
+        }
     }
 }
 
@@ -121,7 +149,9 @@ pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T)
 /// each flag in brackets, `[--flag]` for a switch and `[--flag VALUE]`
 /// for a flag that takes the next argument as its value, so it is the
 /// binary's one list of known flags. A binary reports what this returns
-/// as a usage error instead of silently ignoring a misspelt flag.
+/// as a usage error instead of silently ignoring a misspelt flag. A flag
+/// takes the next argument as its value only as [`flag_value`] does, so
+/// another flag after it is checked in its own right.
 pub fn unknown_arg<'a>(args: &'a [String], usage: &str) -> Option<&'a str> {
     // `Some(true)` for a documented flag that takes a value.
     let documented = |arg: &str| {
@@ -134,11 +164,11 @@ pub fn unknown_arg<'a>(args: &'a [String], usage: &str) -> Option<&'a str> {
             }
         })
     };
-    let mut args = args.iter().map(String::as_str);
+    let mut args = args.iter().map(String::as_str).peekable();
     while let Some(arg) = args.next() {
         match documented(arg) {
             Some(true) => {
-                args.next();
+                args.next_if(|v| is_value(v));
             }
             Some(false) => {}
             None => return Some(arg),
@@ -154,13 +184,9 @@ pub fn parse_list_flag<T: std::str::FromStr + Clone>(
     flag: &str,
     default: &[T],
 ) -> Option<Vec<T>> {
-    match args.iter().position(|a| a == flag) {
+    match flag_value(args, flag) {
         None => Some(default.to_vec()),
-        Some(i) => args
-            .get(i + 1)?
-            .split(',')
-            .map(|s| s.trim().parse().ok())
-            .collect(),
+        Some(list) => list?.split(',').map(|s| s.trim().parse().ok()).collect(),
     }
 }
 
@@ -245,20 +271,23 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// If the process was invoked with `--csv <dir>`, writes the table there
-/// as `<name>.csv` and reports the path on stdout.
-pub fn maybe_write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--csv") {
-        let dir = args
-            .get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| "results".to_string());
-        let path = std::path::Path::new(&dir).join(format!("{name}.csv"));
-        match write_csv(&path, headers, rows) {
-            Ok(()) => write_stdout(format_args!("(wrote {})\n", path.display())),
-            Err(e) => eprintln!("csv write failed: {e}"),
-        }
+/// The directory `--csv` names in `args`: `results` when it names none
+/// (a trailing `--csv`, or one another flag follows), `None` without
+/// `--csv`.
+pub fn csv_dir(args: &[String]) -> Option<&str> {
+    flag_value(args, "--csv").map(|dir| dir.unwrap_or("results"))
+}
+
+/// With a directory `dir` ([`csv_dir`]), writes the table there as
+/// `<name>.csv` and reports the path on stdout; without one, nothing.
+pub fn maybe_write_csv(dir: Option<&str>, name: &str, headers: &[&str], rows: &[Vec<String>]) {
+    let Some(dir) = dir else {
+        return;
+    };
+    let path = std::path::Path::new(dir).join(format!("{name}.csv"));
+    match write_csv(&path, headers, rows) {
+        Ok(()) => write_stdout(format_args!("(wrote {})\n", path.display())),
+        Err(e) => eprintln!("csv write failed: {e}"),
     }
 }
 
@@ -390,6 +419,24 @@ mod tests {
         assert_eq!(unknown(&["--verbose-level"]), None);
         assert_eq!(unknown(&["-n", "1"]).as_deref(), Some("-n"));
         assert_eq!(unknown(&["--x"]).as_deref(), Some("--x"));
+        // A flag is never taken as another flag's value.
+        assert_eq!(unknown(&["--out", "--bogus"]).as_deref(), Some("--bogus"));
+        assert_eq!(unknown(&["--out", "--verbose"]), None);
+    }
+
+    #[test]
+    fn a_flag_value_never_starts_with_two_dashes() {
+        let args: Vec<String> = ["--csv", "--verify", "--json", "out.json", "--n", "-3"]
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        assert_eq!(flag_value(&args, "--csv"), Some(None));
+        assert_eq!(flag_value(&args, "--json"), Some(Some("out.json")));
+        assert_eq!(flag_value(&args, "--trace"), None);
+        assert_eq!(csv_dir(&args), Some("results"));
+        assert_eq!(csv_dir(&args[2..]), None);
+        assert_eq!(parse_flag(&args, "--n", 0i64), Some(-3));
+        assert_eq!(parse_flag(&args, "--csv", 0i64), None);
     }
 
     #[test]

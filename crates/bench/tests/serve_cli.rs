@@ -1,7 +1,8 @@
 //! The `serve` binary rejects an argument it does not know — a misspelt
 //! flag or a stray value — with usage naming it and exit code 2, before
 //! any chip is compiled, as it rejects a bad value; every flag it
-//! documents, `--csv` included, still parses.
+//! documents, `--csv` included, still parses, and a flag is never taken
+//! as another flag's value.
 
 use std::process::Command;
 
@@ -44,5 +45,27 @@ fn documented_flags_parse() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(dir.join("serve.csv").exists(), "{stderr}");
     assert!(json.exists(), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `--csv` followed by another flag writes to `results/`, as a trailing
+/// `--csv` does, and the flag after it still takes effect.
+#[test]
+fn csv_followed_by_a_flag_writes_to_results() {
+    let dir = std::env::temp_dir().join(format!("serve-cli-csv-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--batch", "1", "--scale", "64", "--csv", "--verify"])
+        .current_dir(&dir)
+        .output()
+        .expect("the serve binary runs");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(dir.join("results/serve.csv").exists(), "{stdout}");
+    assert!(!dir.join("--verify").exists(), "{stdout}");
+    assert!(stdout.contains("outputs verified bit-exact"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }

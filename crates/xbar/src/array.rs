@@ -89,12 +89,13 @@ fn phase_scale(p: usize) -> i64 {
     polarity << (p / 2)
 }
 
-/// Reusable working memory for the analog VMM pipeline.
+/// Reusable working memory for the VMM kernels.
 ///
 /// The analog kernel needs a handful of working buffers: one input's
 /// per-phase active-row buckets, the call's active-row sets, one tile's
 /// column currents, and every input's per-column sums of converted codes
-/// (a tabulated plane needs none of them). A scratch owns them so
+/// (a tabulated plane needs none of them). The exact path needs one: the
+/// inputs truncated to a degraded tier. A scratch owns them so
 /// steady-state execution — thousands of VMMs through the same array —
 /// performs no per-call heap allocation: the buffers are grown on first
 /// use and reused afterwards. One scratch serves arrays and planes of any
@@ -115,11 +116,6 @@ pub struct VmmScratch {
     /// Truncated-input staging for the exact path at reduced precision
     /// (the analog path truncates implicitly by masking phase bits).
     trunc: Vec<i64>,
-    /// `SubCrossbarTensor`'s staging for exact tap VMMs: the tap arrays'
-    /// input rows (the halved layout's zero-filled `2C` vectors) and one
-    /// tap's partial sums.
-    pub(crate) tap_inputs: Vec<i64>,
-    pub(crate) tap_out: Vec<i64>,
 }
 
 impl VmmScratch {
@@ -145,9 +141,9 @@ impl VmmScratch {
 ///   conversion, and shift-add recombination.
 ///
 /// With an ideal configuration the two are bit-exact (property-tested);
-/// [`CrossbarArray::vmm_batch_at`] — the entry the engines execute through —
-/// dispatches to the fast exact path when the configuration is ideal and
-/// to the analog path otherwise.
+/// [`CrossbarArray::vmm_batch_cols`] — the entry the engines execute
+/// through — dispatches to the fast exact path when the configuration is
+/// ideal and to the analog path otherwise.
 ///
 /// Everything the analog path needs that is fixed once the cells are
 /// written — conductance, geometry, wire droop, retention drift,
@@ -547,7 +543,7 @@ impl CrossbarArray {
         self.eff_current = self.build_plane().expect(READOUT_OVERFLOW).into();
     }
 
-    /// `true` when [`CrossbarArray::vmm_batch_at`] will actually
+    /// `true` when [`CrossbarArray::vmm_batch_cols`] will actually
     /// cache-block the exact path: the configuration is ideal and the
     /// weight matrix is too large (≥ 1 MiB) to stay resident between
     /// back-to-back per-input passes. Below the threshold a per-input loop
@@ -588,8 +584,12 @@ impl CrossbarArray {
     }
 
     /// The one execution-time VMM entry: `n` input vectors, flattened
-    /// row-major into `inputs` (`n × rows`), produce `n × weight_cols`
-    /// results in `out`, at precision tier `prec`.
+    /// row-major into `inputs` (`n × rows`), drive the weight columns in
+    /// `cols` (ascending, disjoint ranges) at precision tier `prec`. Each
+    /// input's results in those columns are written into its row of
+    /// `out` (`n × weight_cols`), and the rest of `out` is left as it is:
+    /// an input-stationary engine passes the columns of the taps that
+    /// land in its output, and `once(0..weight_cols)` asks for them all.
     ///
     /// Ideal arrays run the exact integer path; `prec` truncates each
     /// input's dropped low bits first (staged through `scratch`). When
@@ -607,27 +607,6 @@ impl CrossbarArray {
     /// [`ExecPrecision::Full`] obeys
     /// [`CrossbarArray::truncation_error_bound`]. `scratch` is the
     /// caller's, so steady-state batched execution stays allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != n * rows` or `out.len() != n * weight_cols`.
-    pub fn vmm_batch_at(
-        &self,
-        inputs: &[i64],
-        n: usize,
-        scratch: &mut VmmScratch,
-        out: &mut [i64],
-        prec: ExecPrecision,
-    ) {
-        let all = std::iter::once(0..self.weight_cols);
-        self.vmm_batch_cols(inputs, n, all, scratch, out, prec);
-    }
-
-    /// [`CrossbarArray::vmm_batch_at`] over the weight columns in `cols`
-    /// alone (ascending, disjoint ranges): each input's results in those
-    /// columns are written, bit for bit what `vmm_batch_at` writes there,
-    /// and the rest of `out` is left as it is. An input-stationary engine
-    /// passes the columns of the taps that land in its output.
     ///
     /// # Panics
     ///
@@ -662,11 +641,8 @@ impl CrossbarArray {
     /// weight rows `rows` of this array, ascending (all of them when
     /// `None`, or a stride phase's), each input listing its values for
     /// those rows in order: `prec` truncates each input's dropped low bits
-    /// first (staged through `scratch`). When the rows' weights are too
-    /// large to sit in cache across back-to-back inputs (1 MiB, as
-    /// [`CrossbarArray::batching_pays`]), each column range's weights are
-    /// walked in blocks of rows that stay hot while the whole batch
-    /// streams over them; otherwise it is a straight per-input loop.
+    /// first (staged through `scratch`), then [`CrossbarArray::exact_batch`]
+    /// drives the rows.
     pub(crate) fn exact_ranges(
         &self,
         rows: Option<&[u32]>,
@@ -680,51 +656,79 @@ impl CrossbarArray {
             cols.clone().all(|c| c.end <= self.weight_cols),
             "column range out of bounds"
         );
-        let dropped = self.effective_dropped_bits(prec);
-        let inputs = match dropped {
-            0 => inputs,
-            _ => {
-                scratch.trunc.clear();
-                let truncated = inputs.iter().map(|&x| Self::truncate_input(x, dropped));
-                scratch.trunc.extend(truncated);
-                &scratch.trunc
-            }
-        };
+        let inputs = self.truncated(inputs, prec, scratch);
         // Monomorphized per row map, so the whole array's walk indexes
         // its rows directly.
         match rows {
-            None => self.exact_batch(|j| j, self.rows, inputs, cols, out),
-            Some(rows) => self.exact_batch(|j| rows[j] as usize, rows.len(), inputs, cols, out),
+            None => self.exact_batch(|j| j, self.rows, inputs, cols, out, 0),
+            Some(rows) => {
+                let row_of = |j| rows[j] as usize;
+                self.exact_batch(row_of, rows.len(), inputs, cols, out, 0)
+            }
         }
     }
 
-    /// [`CrossbarArray::exact_ranges`] on `inputs` already truncated, each
-    /// of `rows` values, value `j` driving weight row `row_of(j)`.
-    fn exact_batch(
+    /// `inputs` truncated to tier `prec` ([`CrossbarArray::truncate_input`]
+    /// on every value, staged through `scratch`), or `inputs` itself at a
+    /// tier that drops no bit of this array's inputs.
+    pub(crate) fn truncated<'a>(
+        &self,
+        inputs: &'a [i64],
+        prec: ExecPrecision,
+        scratch: &'a mut VmmScratch,
+    ) -> &'a [i64] {
+        let dropped = self.effective_dropped_bits(prec);
+        if dropped == 0 {
+            return inputs;
+        }
+        scratch.trunc.clear();
+        let truncated = inputs.iter().map(|&x| Self::truncate_input(x, dropped));
+        scratch.trunc.extend(truncated);
+        &scratch.trunc
+    }
+
+    /// The exact products of `inputs`, already truncated, each of `rows`
+    /// values, value `j` driving weight row `row_of(j)`, over the weight
+    /// columns in `cols`: input `k`'s result for weight column `c` lands
+    /// in `out[k·stride + at + c]`, `stride` being `out.len()` over the
+    /// input count, and the rest of `out` is left as it is. When the
+    /// driven weights are too large to sit in cache across back-to-back
+    /// inputs (1 MiB, as [`CrossbarArray::batching_pays`]), each column
+    /// range's weights are walked in blocks of rows that stay hot while
+    /// the whole batch streams over them; otherwise it is a straight
+    /// per-input loop.
+    pub(crate) fn exact_batch(
         &self,
         row_of: impl Fn(usize) -> usize + Copy,
         rows: usize,
         inputs: &[i64],
         cols: impl Iterator<Item = Range<usize>> + Clone,
         out: &mut [i64],
+        at: usize,
     ) {
         const ROW_BLOCK: usize = 64;
         let (m, weights) = (self.weight_cols, &self.weights);
+        let n = inputs.len() / rows;
+        if n == 0 {
+            return;
+        }
+        let stride = out.len() / n;
         if !blocking_pays(rows, m) {
-            for (input, o) in inputs.chunks_exact(rows).zip(out.chunks_exact_mut(m)) {
+            for (input, o) in inputs.chunks_exact(rows).zip(out.chunks_exact_mut(stride)) {
+                let o = &mut o[at..][..m];
                 cols.clone()
                     .for_each(|c| exact_cols(weights, row_of, input, c, o));
             }
             return;
         }
         for c in cols {
-            for o in out.chunks_exact_mut(m) {
-                o[c.clone()].fill(0);
+            for o in out.chunks_exact_mut(stride) {
+                o[at..][c.clone()].fill(0);
             }
             for r0 in (0..rows).step_by(ROW_BLOCK) {
                 let r1 = (r0 + ROW_BLOCK).min(rows);
-                for (input, o) in inputs.chunks_exact(rows).zip(out.chunks_exact_mut(m)) {
-                    let o = &mut o[c.clone()];
+                for (input, o) in inputs.chunks_exact(rows).zip(out.chunks_exact_mut(stride)) {
+                    let o = &mut o[at..][c.clone()];
                     for (j, &x) in (r0..r1).zip(&input[r0..r1]) {
                         if x == 0 {
                             continue;
@@ -749,8 +753,8 @@ impl CrossbarArray {
     /// Panics if `input.len() != rows`.
     pub fn vmm(&self, input: &[i64]) -> Vec<i64> {
         let mut out = vec![0i64; self.weight_cols];
-        let full = ExecPrecision::Full;
-        self.vmm_batch_at(input, 1, &mut VmmScratch::new(), &mut out, full);
+        let (all, full) = (std::iter::once(0..self.weight_cols), ExecPrecision::Full);
+        self.vmm_batch_cols(input, 1, all, &mut VmmScratch::new(), &mut out, full);
         out
     }
 
@@ -778,9 +782,9 @@ impl CrossbarArray {
     /// evaluated and written, for every input; the rest of `out` is left
     /// as it is. `self` supplies the read-out (converter, LSB, baseline,
     /// scheme), which every array programmed with one configuration
-    /// shares — so `SubCrossbarTensor` runs a fused plane of several
-    /// arrays' rows through one call, and `PhasedCrossbar` a stride
-    /// phase's rows of its window.
+    /// shares — so `SubCrossbarTensor` runs a fused plane of its taps'
+    /// planes through one call, and `PhasedCrossbar` a stride phase's rows
+    /// of its window.
     ///
     /// A plane of at most 8 rows carries a table of every active-row
     /// set's recombined phase values ([`CrossbarArray::tabulate`]), built
@@ -1037,9 +1041,11 @@ impl CrossbarArray {
                         // column's range from `code_ranges`) and within
                         // `row_readout_bound`. Every plane build checks
                         // one of them against i64 (`program` returns
-                        // `OutputOverflow`); a fused plane joins planes
-                        // that passed it, and a phase plane is cut from a
-                        // window that passed it. Every i128 partial sum
+                        // `OutputOverflow`): a part's plane is cut from an
+                        // array that passed it, a stride phase's from its
+                        // window and a RED tap's from its sub-crossbar,
+                        // and a fused plane lays tap planes side by side,
+                        // each driven by its own rows. Every i128 partial sum
                         // stays within a few times `readout_bound`, which
                         // the build keeps below i128::MAX >> 8.
                         *o = i64::try_from(value).expect("accumulator overflow");
@@ -1241,15 +1247,6 @@ impl CrossbarArray {
             // Σ_{b<k} 2^b · (two polarity phases) = 2·(2^k − 1).
             2.0 * self.plane().phase_bound
         }
-    }
-
-    /// Detaches the effective-current plane, building it first if it is
-    /// not built. The array stays usable: its next analog read rebuilds
-    /// the identical plane from the same conductance rows, replayed from
-    /// the configuration unless the array holds its matrix.
-    pub(crate) fn take_plane(&mut self) -> Plane {
-        let plane = self.eff_current.take();
-        plane.unwrap_or_else(|| self.build_plane().expect(READOUT_OVERFLOW))
     }
 
     /// `true` while the effective-current plane is built.
@@ -1497,6 +1494,7 @@ mod tests {
     use crate::config::tests::within_4_ulps;
     use crate::plane::TABLE_ROWS;
     use red_device::DriftModel;
+    use std::iter::once;
 
     fn ramp_weights(rows: usize, cols: usize) -> Vec<Vec<i64>> {
         (0..rows)
@@ -2004,11 +2002,25 @@ mod tests {
             let x: Vec<i64> = (0..13).map(|i| ((i * 17) % 255) as i64 - 127).collect();
             let mut scratch = VmmScratch::new();
             let mut out = vec![0i64; 6];
-            a.vmm_batch_at(&x, 1, &mut scratch, &mut out, ExecPrecision::Full);
+            a.vmm_batch_cols(
+                &x,
+                1,
+                once(0..6),
+                &mut scratch,
+                &mut out,
+                ExecPrecision::Full,
+            );
             assert_eq!(out, a.vmm(&x));
             // Scratch reuse across calls with different inputs stays exact.
             let y: Vec<i64> = x.iter().map(|v| -v / 2).collect();
-            a.vmm_batch_at(&y, 1, &mut scratch, &mut out, ExecPrecision::Full);
+            a.vmm_batch_cols(
+                &y,
+                1,
+                once(0..6),
+                &mut scratch,
+                &mut out,
+                ExecPrecision::Full,
+            );
             assert_eq!(out, a.vmm(&y));
         }
     }
@@ -2023,8 +2035,22 @@ mod tests {
         let xb: Vec<i64> = (0..19).map(|i| (i * 3) as i64 - 20).collect();
         let mut os = vec![0i64; 2];
         let mut ob = vec![0i64; 7];
-        big.vmm_batch_at(&xb, 1, &mut scratch, &mut ob, ExecPrecision::Full);
-        small.vmm_batch_at(&xs, 1, &mut scratch, &mut os, ExecPrecision::Full);
+        big.vmm_batch_cols(
+            &xb,
+            1,
+            once(0..7),
+            &mut scratch,
+            &mut ob,
+            ExecPrecision::Full,
+        );
+        small.vmm_batch_cols(
+            &xs,
+            1,
+            once(0..2),
+            &mut scratch,
+            &mut os,
+            ExecPrecision::Full,
+        );
         assert_eq!(ob, big.vmm(&xb));
         assert_eq!(os, small.vmm(&xs));
     }
@@ -2042,9 +2068,10 @@ mod tests {
                 .map(|i| ((i * 31) % 255) as i64 - 127)
                 .collect();
             let mut out = vec![0i64; n * cols];
-            a.vmm_batch_at(
+            a.vmm_batch_cols(
                 &inputs,
                 n,
+                once(0..cols),
                 &mut VmmScratch::new(),
                 &mut out,
                 ExecPrecision::Full,
@@ -2066,9 +2093,10 @@ mod tests {
         let n = 3;
         let inputs: Vec<i64> = (0..n * 24).map(|i| ((i * 13) % 200) as i64 - 99).collect();
         let mut out = vec![0i64; n * 4];
-        a.vmm_batch_at(
+        a.vmm_batch_cols(
             &inputs,
             n,
+            once(0..4),
             &mut VmmScratch::new(),
             &mut out,
             ExecPrecision::Full,
@@ -2150,12 +2178,26 @@ mod tests {
             let x: Vec<i64> = (0..21).map(|i| ((i * 37) % 255) as i64 - 127).collect();
             let mut scratch = VmmScratch::new();
             let mut out = vec![0i64; 4];
-            a.vmm_batch_at(&x, 1, &mut scratch, &mut out, ExecPrecision::Full);
+            a.vmm_batch_cols(
+                &x,
+                1,
+                once(0..4),
+                &mut scratch,
+                &mut out,
+                ExecPrecision::Full,
+            );
             assert_eq!(out, a.vmm(&x), "config {i}");
             let n = 3;
             let inputs: Vec<i64> = (0..n * 21).map(|i| ((i * 11) % 255) as i64 - 127).collect();
             let mut bout = vec![0i64; n * 4];
-            a.vmm_batch_at(&inputs, n, &mut scratch, &mut bout, ExecPrecision::Full);
+            a.vmm_batch_cols(
+                &inputs,
+                n,
+                once(0..4),
+                &mut scratch,
+                &mut bout,
+                ExecPrecision::Full,
+            );
             for (k, chunk) in inputs.chunks_exact(21).enumerate() {
                 assert_eq!(
                     &bout[k * 4..(k + 1) * 4],
@@ -2181,7 +2223,7 @@ mod tests {
                     .collect();
                 let mut scratch = VmmScratch::new();
                 let mut out = vec![0i64; 5];
-                a.vmm_batch_at(&x, 1, &mut scratch, &mut out, prec);
+                a.vmm_batch_cols(&x, 1, once(0..5), &mut scratch, &mut out, prec);
                 assert_eq!(out, a.vmm_analog_reference(&trunc), "config {i} {prec}");
             }
         }
@@ -2203,7 +2245,7 @@ mod tests {
                 a.vmm_analog_batch_at(&inputs, n, &mut scratch, &mut batch, prec);
                 for (k, chunk) in inputs.chunks_exact(rows).enumerate() {
                     let mut one = vec![0i64; cols];
-                    a.vmm_batch_at(chunk, 1, &mut scratch, &mut one, prec);
+                    a.vmm_batch_cols(chunk, 1, once(0..cols), &mut scratch, &mut one, prec);
                     assert_eq!(
                         &batch[k * cols..(k + 1) * cols],
                         one.as_slice(),
@@ -2225,12 +2267,26 @@ mod tests {
             .collect();
         let mut scratch = VmmScratch::new();
         let mut out = vec![0i64; 3];
-        a.vmm_batch_at(&x, 1, &mut scratch, &mut out, ExecPrecision::Brownout);
+        a.vmm_batch_cols(
+            &x,
+            1,
+            once(0..3),
+            &mut scratch,
+            &mut out,
+            ExecPrecision::Brownout,
+        );
         assert_eq!(out, a.vmm_exact(&trunc));
         let n = 2;
         let inputs: Vec<i64> = (0..n * 13).map(|i| ((i * 7) % 255) as i64 - 127).collect();
         let mut bout = vec![0i64; n * 3];
-        a.vmm_batch_at(&inputs, n, &mut scratch, &mut bout, ExecPrecision::Brownout);
+        a.vmm_batch_cols(
+            &inputs,
+            n,
+            once(0..3),
+            &mut scratch,
+            &mut bout,
+            ExecPrecision::Brownout,
+        );
         for (k, chunk) in inputs.chunks_exact(13).enumerate() {
             let t: Vec<i64> = chunk
                 .iter()
@@ -2258,7 +2314,7 @@ mod tests {
             for prec in ExecPrecision::ALL {
                 let mut scratch = VmmScratch::new();
                 let mut out = vec![0i64; 4];
-                a.vmm_batch_at(&x, 1, &mut scratch, &mut out, prec);
+                a.vmm_batch_cols(&x, 1, once(0..4), &mut scratch, &mut out, prec);
                 let bound = a.truncation_error_bound(prec);
                 for (m, (&got, &want)) in out.iter().zip(&full).enumerate() {
                     let err = (got - want).abs() as f64;
@@ -2281,7 +2337,14 @@ mod tests {
         let x = vec![7, -6, 5, -4, 7];
         let mut scratch = VmmScratch::new();
         let mut out = vec![0i64; 2];
-        a.vmm_batch_at(&x, 1, &mut scratch, &mut out, ExecPrecision::Brownout);
+        a.vmm_batch_cols(
+            &x,
+            1,
+            once(0..2),
+            &mut scratch,
+            &mut out,
+            ExecPrecision::Brownout,
+        );
         let trunc: Vec<i64> = x
             .iter()
             .map(|&v| CrossbarArray::truncate_input(v, 2))

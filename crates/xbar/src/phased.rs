@@ -94,23 +94,17 @@ impl PhasedCrossbar {
         phase_of: impl Fn(usize) -> usize,
     ) -> Result<Self, XbarError> {
         let array = CrossbarArray::program_weights(cfg, rows, weight_cols, weights)?;
-        let part_of: Vec<u32> = (0..rows).map(|r| phase_of(r) as u32).collect();
         let mut parts = vec![Vec::new(); phases];
-        for (r, &p) in part_of.iter().enumerate() {
-            parts[p as usize].push(r as u32);
-        }
-        let (planes, error_per_residue) = if array.is_ideal() {
-            (vec![None; phases], array.error_per_residue())
-        } else {
-            let (planes, per_residue) = array
-                .build_part_planes(&part_of, phases)
-                .ok_or_else(|| array.overflow())?;
-            (planes.into_iter().map(Some).collect(), per_residue)
-        };
+        (0..rows).for_each(|r| parts[phase_of(r)].push(r as u32));
+        // An ideal array builds no plane, so each phase takes `None`.
+        let (planes, error_per_residue) = array.part_planes(phases, &phase_of)?;
+        let mut planes = planes.into_iter();
         let phases = parts
             .into_iter()
-            .zip(planes)
-            .map(|(rows, plane)| Phase { rows, plane })
+            .map(|rows| Phase {
+                rows,
+                plane: planes.next(),
+            })
             .collect();
         Ok(Self {
             array,
@@ -145,7 +139,7 @@ impl PhasedCrossbar {
     ///
     /// Each result equals driving the whole window with the input in the
     /// phase's rows and zeros elsewhere through
-    /// [`CrossbarArray::vmm_batch_at`], bit for bit: the exact path over
+    /// [`CrossbarArray::vmm_batch_cols`], bit for bit: the exact path over
     /// the phase's rows of weights on an ideal array, the analog kernel
     /// over its plane otherwise. A phase with no rows reads out zeros.
     ///

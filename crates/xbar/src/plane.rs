@@ -4,7 +4,7 @@
 
 use crate::array::TILE_COLS;
 use crate::config::round_half_away;
-use crate::{AdcModel, CrossbarArray, WeightScheme};
+use crate::{AdcModel, CrossbarArray, WeightScheme, XbarError};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -72,6 +72,43 @@ impl Plane {
             false => (self.starts[r.end] - self.starts[r.start]) as usize,
         }
     }
+
+    /// The planes `blocks`, each of `rows` rows, laid side by side as one
+    /// plane: each row holds every block's row in turn, and block `b`'s
+    /// weights, with their live columns, roles and set-table entries,
+    /// follow block `b − 1`'s. Each block is dropped once it is copied.
+    pub(crate) fn side_by_side(blocks: Vec<Plane>, rows: usize) -> Plane {
+        let live: usize = blocks.iter().map(Plane::live).sum();
+        let weights: usize = blocks.iter().map(|b| b.starts.len() - 1).sum();
+        let sets = blocks
+            .first()
+            .map_or(0, |b| b.table.len() / (b.starts.len() - 1));
+        let mut plane = Plane {
+            currents: vec![0.0; rows * live],
+            starts: Vec::with_capacity(weights + 1),
+            roles: Vec::with_capacity(live),
+            phase_bound: blocks.iter().map(|b| b.phase_bound).fold(0.0, f64::max),
+            table: vec![0; sets * weights],
+        };
+        plane.starts.push(0);
+        for block in blocks {
+            // The block's first live column and first weight.
+            let (col, weight) = (plane.live(), plane.starts.len() - 1);
+            let (width, count) = (block.live(), block.starts.len() - 1);
+            for r in 0..rows {
+                let row = &block.currents[r * width..][..width];
+                plane.currents[r * live + col..][..width].copy_from_slice(row);
+            }
+            for set in 0..sets {
+                let values = &block.table[set * count..][..count];
+                plane.table[set * weights + weight..][..count].copy_from_slice(values);
+            }
+            let starts = block.starts[1..].iter().map(|&s| s + col as u32);
+            plane.starts.extend(starts);
+            plane.roles.extend_from_slice(&block.roles);
+        }
+        plane
+    }
 }
 
 /// One plane's rows as a replay streams them in: every cell's effective
@@ -131,28 +168,37 @@ impl CrossbarArray {
         Some(self.finish_plane(PlaneBuilder { currents, pos, neg }))
     }
 
-    /// One plane per part of a partition of the rows, from one replay:
-    /// row `r` streams, with its own index for the droop model, into the
-    /// builder of part `part_of[r]`, so each part's plane holds its rows
-    /// in ascending order, bit for bit as the whole array's plane holds
-    /// them, and finds its own dead columns. The whole array's deviations,
-    /// summed in the same pass, give the read-out check and the
-    /// per-residue truncation bound (`2 · phase_value_bound`), equal to
-    /// what the whole array's plane would record. `None` when the
-    /// read-out could leave `i64`, as [`CrossbarArray::build_plane`].
+    /// One plane per part of a partition of the rows, from one replay,
+    /// and the whole array's truncation error per dropped residue
+    /// ([`CrossbarArray::error_per_residue`]). Row `r` streams, with its
+    /// own index for the droop model, into the builder of part
+    /// `part_of(r)`, so each part's plane holds its rows in ascending
+    /// order, bit for bit as the whole array's plane holds them, and
+    /// finds its own dead columns. The whole array's deviations, summed in
+    /// the same pass, give the read-out check and the per-residue bound
+    /// (`2 · phase_value_bound`), equal to what the whole array's plane
+    /// would record. An ideal array builds no plane: its parts drive its
+    /// weights in place, and its bound is the weights'.
+    ///
+    /// # Errors
+    ///
+    /// [`XbarError::OutputOverflow`] when the analog read-out could leave
+    /// `i64`, as [`CrossbarArray::program_flat`] returns it.
     ///
     /// # Panics
     ///
-    /// Panics if `part_of` is not `rows` long or names a part past `parts`.
-    pub(crate) fn build_part_planes(
+    /// Panics if `part_of` names a part at or past `parts`.
+    pub(crate) fn part_planes(
         &self,
-        part_of: &[u32],
         parts: usize,
-    ) -> Option<(Vec<Plane>, f64)> {
-        assert_eq!(part_of.len(), self.rows, "one part per row");
+        part_of: impl Fn(usize) -> usize,
+    ) -> Result<(Vec<Plane>, f64), XbarError> {
+        if self.is_ideal() {
+            return Ok((Vec::new(), self.error_per_residue()));
+        }
         let pc = self.phys_cols;
         let mut counts = vec![0usize; parts];
-        part_of.iter().for_each(|&p| counts[p as usize] += 1);
+        (0..self.rows).for_each(|r| counts[part_of(r)] += 1);
         let mut builders: Vec<PlaneBuilder> = counts
             .iter()
             .map(|&rows| PlaneBuilder::new(rows, pc))
@@ -160,18 +206,18 @@ impl CrossbarArray {
         let (mut pos, mut neg) = (vec![0.0f64; pc], vec![0.0f64; pc]);
         let baseline_per_row = self.cfg.cell.read_voltage * self.g_min;
         self.for_each_row(|r, row| {
-            let currents = self.push_row(&mut builders[part_of[r] as usize], r, row);
+            let currents = self.push_row(&mut builders[part_of(r)], r, row);
             add_deviations(&mut pos, &mut neg, currents, baseline_per_row);
         });
         // The row bound reads every row in order, so it takes a replay of
         // its own, only when the code-range bound leaves i64.
         let whole = || Cow::Owned(self.currents_and_deviations().0);
         if !self.readout_fits(&pos, &neg, whole) {
-            return None;
+            return Err(self.overflow());
         }
         let per_residue = 2.0 * self.phase_value_bound(&pos, &neg);
         let planes = builders.into_iter().map(|b| self.finish_plane(b));
-        Some((planes.collect(), per_residue))
+        Ok((planes.collect(), per_residue))
     }
 
     /// Appends conductance row `row`, the array's row `r`, to `builder`
@@ -294,10 +340,10 @@ impl CrossbarArray {
     ///
     /// Every value fits `i64`: it is the output a magnitude of 1 on the
     /// set's rows reads out, which a plane build's read-out check (the
-    /// array's own, or for a fused or partitioned plane the arrays' or
-    /// the window's that it was cut from) keeps in `i64`. Partial sums are
-    /// added modulo 2^64, which leaves the exact result where that fits.
-    pub(crate) fn tabulate(&self, plane: &mut Plane, rows: usize) {
+    /// array's own, or for a partitioned plane the whole array's that it
+    /// was cut from) keeps in `i64`. Partial sums are added modulo 2^64,
+    /// which leaves the exact result where that fits.
+    fn tabulate(&self, plane: &mut Plane, rows: usize) {
         if rows > TABLE_ROWS {
             return;
         }

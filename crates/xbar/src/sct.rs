@@ -14,10 +14,12 @@
 //! per tap, and the batch's images reuse each column tile's plane rows.
 //! A fused plane of at most 8 rows (`C ≤ 8`) converts each of its
 //! active-row sets once, at mapping, into a table the kernel looks sets
-//! up in. Each tap brings only its array's live columns: a column no
-//! active-row set can convert to a non-zero code (the upper slices of
-//! narrow weights) is left out of the fused plane, as it is of the
-//! array's own. Ideal arrays run the taps' exact VMMs.
+//! up in. Each tap brings only its own live columns: a column no set of
+//! the tap's rows can convert to a non-zero code (the upper slices of
+//! narrow weights) is left out of the fused plane. On ideal arrays each
+//! tap drives its `C` rows of its sub-crossbar's weights in place through
+//! the exact kernel, which writes the tap's partial sums straight into
+//! its columns of the output.
 
 use crate::plane::Plane;
 use crate::{CrossbarArray, ExecPrecision, VmmScratch, XbarConfig, XbarError};
@@ -70,19 +72,20 @@ pub struct SubCrossbarTensor {
     kernel_w: usize,
     channels: usize,
     filters: usize,
+    /// The sub-crossbars, which hold their weights only.
     arrays: Vec<CrossbarArray>,
-    /// Non-ideal configurations only (empty otherwise): the effective
-    /// currents of every tap's `C` rows over its array's live columns,
-    /// row-major, tap `t`'s block after tap `t − 1`'s, with the `KH·KW·M`
-    /// fused weights' live-column ranges and roles, and a set table when
-    /// `C` is at most 8. They are copied from
-    /// each tap array's plane at mapping time, and those planes are then
-    /// dropped, so the fused plane replaces them rather than doubling
-    /// them. A tap keeps its array's live columns, so both taps of a
-    /// halved array keep the columns either one needs.
+    /// Non-ideal configurations only (empty otherwise): every tap's plane
+    /// of its `C` rows, laid side by side ([`Plane::side_by_side`]), tap
+    /// `t`'s weights after tap `t − 1`'s, so the fused plane's `KH·KW·M`
+    /// weights are the taps' in order, with a set table when `C` is at
+    /// most 8. Each sub-crossbar's one row replay builds its taps'
+    /// planes, its rows partitioned by tap half
+    /// ([`CrossbarArray::part_planes`]), so each tap keeps only its own
+    /// live columns and no sub-crossbar plane is built.
     fused: Plane,
     /// The largest [`CrossbarArray`] truncation error per dropped residue
-    /// over the arrays, recorded at mapping time while each plane exists.
+    /// over the arrays, recorded at mapping time from each whole
+    /// sub-crossbar's row replay.
     error_per_residue: f64,
 }
 
@@ -92,8 +95,9 @@ impl SubCrossbarTensor {
     ///
     /// # Errors
     ///
-    /// Propagates [`XbarError`] from array programming (weight range
-    /// violations).
+    /// Propagates [`XbarError`] from array programming: weight range
+    /// violations, and [`XbarError::OutputOverflow`] (of a sub-crossbar's
+    /// `rows_per_array()` rows) when an output could leave `i64`.
     pub fn map(
         cfg: &XbarConfig,
         kernel: &Kernel<i64>,
@@ -115,13 +119,7 @@ impl SubCrossbarTensor {
         // Array `n` holds the `per` taps from `per·n`, tap `per·n + half`
         // in rows `half·C..`; a tap past an odd count leaves zero rows.
         let per = sct.cycles_per_batch();
-        // Each tap's live block is first copied to where its full-width
-        // block would sit, `t·M·per_weight` into a row of `full` columns,
-        // then the rows are closed up in place once every width is known.
-        let tap_cols = m * cfg.phys_cols_per_weight();
-        let full = taps * tap_cols;
-        let mut widths = Vec::new();
-        let fused = &mut sct.fused;
+        let mut blocks = Vec::new();
         for n in 0..taps.div_ceil(per) {
             let mut flat = Vec::with_capacity(per * c * m);
             for t in per * n..per * (n + 1) {
@@ -133,47 +131,15 @@ impl SubCrossbarTensor {
                     flat.extend(std::iter::repeat_n(0, c * m));
                 }
             }
-            let mut array = CrossbarArray::program_flat(cfg, per * c, m, flat)?;
-            let bound = array.error_per_residue();
+            let array = CrossbarArray::program_weights(cfg, per * c, m, flat)?;
+            let (planes, bound) = array.part_planes(per, |r| r / c)?;
             sct.error_per_residue = sct.error_per_residue.max(bound);
-            if !array.is_ideal() {
-                if fused.currents.is_empty() {
-                    fused.currents = vec![0.0; c * full];
-                    fused.starts.push(0);
-                }
-                let plane = array.take_plane();
-                let live = plane.live();
-                for (half, t) in (per * n..taps.min(per * (n + 1))).enumerate() {
-                    for ch in 0..c {
-                        fused.currents[ch * full + t * tap_cols..][..live]
-                            .copy_from_slice(&plane.currents[(half * c + ch) * live..][..live]);
-                    }
-                    let at = fused.roles.len() as u32;
-                    fused
-                        .starts
-                        .extend(plane.starts[1..].iter().map(|&s| at + s));
-                    fused.roles.extend_from_slice(&plane.roles);
-                    widths.push(live);
-                }
-            }
+            // The zero rows of a tap past an odd count make no block.
+            blocks.extend(planes.into_iter().take(taps - per * n));
             sct.arrays.push(array);
         }
-        if !widths.is_empty() && fused.live() < full {
-            // Every block moves to an index at or below its own, in
-            // ascending order, so nothing is overwritten before it moves.
-            let mut to = 0;
-            for ch in 0..c {
-                for (t, &live) in widths.iter().enumerate() {
-                    let from = ch * full + t * tap_cols;
-                    fused.currents.copy_within(from..from + live, to);
-                    to += live;
-                }
-            }
-            fused.currents.truncate(to);
-            fused.currents.shrink_to_fit();
-        }
-        if !widths.is_empty() {
-            sct.arrays[0].tabulate(&mut sct.fused, c);
+        if !blocks.is_empty() {
+            sct.fused = Plane::side_by_side(blocks, c);
         }
         Ok(sct)
     }
@@ -244,13 +210,15 @@ impl SubCrossbarTensor {
     /// are.
     ///
     /// Each result equals driving the tap's sub-crossbar with the pixel
-    /// ([`CrossbarArray::vmm_batch_at`]), the halved layout's with Eq. 2's
-    /// zero-filled `2C` vector, bit for bit. On non-ideal arrays the `n`
-    /// pixels are one batch-major analog kernel call over the fused plane,
-    /// evaluating only the requested taps' columns; ideal arrays run each
-    /// tap's exact VMM over all `n` pixels at once
-    /// ([`CrossbarArray::vmm_batch_at`], which cache-blocks large weight
-    /// matrices).
+    /// ([`CrossbarArray::vmm_batch_cols`]), the halved layout's with Eq.
+    /// 2's zero-filled `2C` vector, bit for bit. On non-ideal arrays the
+    /// `n` pixels are one batch-major analog kernel call over the fused
+    /// plane, evaluating only the requested taps' columns. On ideal arrays
+    /// the pixels are truncated to `prec` once, then each tap drives its
+    /// `C` rows of its sub-crossbar's weights in place for all `n` pixels
+    /// through the exact kernel, which cache-blocks a tap of at least 1
+    /// MiB of weights and writes each pixel's partial sums straight into
+    /// the tap's columns of `out`.
     ///
     /// # Panics
     ///
@@ -277,27 +245,12 @@ impl SubCrossbarTensor {
             return;
         }
         let per = self.cycles_per_batch();
-        let mut staged = std::mem::take(&mut scratch.tap_inputs);
-        let mut partials = std::mem::take(&mut scratch.tap_out);
-        partials.resize(n * m, 0);
+        let inputs = self.arrays[0].truncated(inputs, prec, scratch);
         for t in taps.iter().flat_map(Clone::clone) {
-            let x = if per == 1 {
-                inputs
-            } else {
-                staged.clear();
-                staged.resize(n * per * c, 0);
-                for (row, px) in staged.chunks_exact_mut(per * c).zip(inputs.chunks_exact(c)) {
-                    row[(t % per) * c..][..c].copy_from_slice(px);
-                }
-                &staged
-            };
-            self.arrays[t / per].vmm_batch_at(x, n, scratch, &mut partials, prec);
-            for (o, p) in out.chunks_exact_mut(width).zip(partials.chunks_exact(m)) {
-                o[t * m..][..m].copy_from_slice(p);
-            }
+            let first = t % per * c;
+            let tap = std::iter::once(0..m);
+            self.arrays[t / per].exact_batch(|j| first + j, c, inputs, tap, out, t * m);
         }
-        scratch.tap_inputs = staged;
-        scratch.tap_out = partials;
     }
 
     /// Worst-case elementwise partial-sum error of evaluating taps at
@@ -575,6 +528,41 @@ mod tests {
                 if narrow && cfg != XbarConfig::ideal() {
                     assert!(sct.fused.live() < full_width, "{cfg:?} ±{bound} {layout:?}");
                     assert_eq!(sct.fused.currents.len(), 5 * sct.fused.live());
+                }
+            }
+        }
+    }
+
+    /// `map` accepts a kernel as far as its sub-crossbars' outputs stay in
+    /// `i64`. At ±(2^31 − 1) weights of 32 bits the full layout maps
+    /// inputs of at most 31 bits at `C` = 3 and 29 at `C` = 10, where the
+    /// `C`-row exact product still fits, and at that width the halved
+    /// layout's `2C`-row sub-crossbars are refused with `OutputOverflow`
+    /// naming their rows: on ideal and noisy crossbars, whose fused
+    /// planes fall on either side of the 8-row table bound.
+    #[test]
+    fn map_accepts_exactly_the_widths_its_sub_crossbars_read_out() {
+        let w = (1i64 << 31) - 1;
+        let cfgs = ["variation", "full"].map(|p| XbarConfig::preset(p).unwrap());
+        for cfg in cfgs.into_iter().chain([XbarConfig::ideal()]) {
+            for (c, widest) in [(3, 31), (10, 29)] {
+                let k = Kernel::from_fn(2, 2, c, 2, |i, j, cc, mm| match (i + j + cc + mm) % 2 {
+                    0 => w,
+                    _ => -w,
+                });
+                let map = |input_bits, layout| {
+                    let cfg = XbarConfig {
+                        input_bits,
+                        weight_bits: 32,
+                        ..cfg
+                    };
+                    SubCrossbarTensor::map(&cfg, &k, layout)
+                };
+                let found = (1..=63).rev().find(|&b| map(b, SctLayout::Full).is_ok());
+                assert_eq!(found, Some(widest), "C{c} {cfg:?}");
+                match map(widest, SctLayout::Halved) {
+                    Err(XbarError::OutputOverflow { rows, .. }) => assert_eq!(rows, 2 * c),
+                    other => panic!("C{c} {cfg:?}: halved mapped as {other:?}"),
                 }
             }
         }

@@ -15,6 +15,7 @@ use red_sim::red_core::workloads::networks;
 use red_sim::red_runtime::ChipBuilder;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::iter::once;
 
 /// System allocator wrapper counting every allocation *per thread*, so
 /// the allocation-budget test measures only its own thread's work even
@@ -230,7 +231,7 @@ fn pipelined_shards_bit_exact_for_all_designs() {
 }
 
 /// A warmed caller-owned [`VmmScratch`] makes `vmm_analog_batch` — and
-/// `vmm_batch_at`'s non-ideal path that routes through it — perform
+/// `vmm_batch_cols`' non-ideal path that routes through it — perform
 /// **zero** heap allocations on large and small planes alike: every
 /// buffer (phase buckets, column currents, shift-add sums) lives in the
 /// scratch, which the allocation-free contract hands to the caller.
@@ -258,15 +259,50 @@ fn warmed_analog_batch_allocates_nothing() {
         // Warm both entry points, then count.
         let full = ExecPrecision::Full;
         a.vmm_analog_batch(&inputs, n, &mut scratch, &mut out);
-        a.vmm_batch_at(&inputs, n, &mut scratch, &mut out, full);
+        a.vmm_batch_cols(&inputs, n, once(0..cols), &mut scratch, &mut out, full);
         let before = allocations_now();
         a.vmm_analog_batch(&inputs, n, &mut scratch, &mut out);
-        a.vmm_batch_at(&inputs, n, &mut scratch, &mut out, full);
+        a.vmm_batch_cols(&inputs, n, once(0..cols), &mut scratch, &mut out, full);
         let during = allocations_now() - before;
         assert_eq!(
             during, 0,
             "{rows}x{cols}: warmed analog batch must not touch the heap"
         );
+    }
+}
+
+/// A warmed [`VmmScratch`] drives RED's taps
+/// (`SubCrossbarTensor::eval_taps`) with **zero** heap allocations, on
+/// ideal and `full` sub-crossbars, in both layouts and at every tier: the
+/// fused plane's kernel buffers and the exact path's truncated inputs
+/// both live in the scratch. 5 channels make a fused plane that takes a
+/// set table, and 10 one that sums its rows.
+#[test]
+fn warmed_tap_evaluation_allocates_nothing() {
+    use red_sim::red_core::xbar::{SubCrossbarTensor, VmmScratch};
+    let (m, n, taps) = (4, 3, [0..2, 3..9]);
+    for c in [5, 10] {
+        let kernel = Kernel::from_fn(3, 3, c, m, |i, j, cc, mm| {
+            ((i * 53 + j * 19 + cc * 7 + mm * 3) % 255) as i64 - 127
+        });
+        let inputs: Vec<i64> = (0..n * c).map(|i| ((i * 37) % 255) as i64 - 127).collect();
+        for cfg in [XbarConfig::ideal(), XbarConfig::preset("full").unwrap()] {
+            for layout in [SctLayout::Full, SctLayout::Halved] {
+                let sct = SubCrossbarTensor::map(&cfg, &kernel, layout).unwrap();
+                let mut scratch = VmmScratch::new();
+                let mut out = vec![0i64; n * 9 * m];
+                let mut run = |scratch: &mut VmmScratch| {
+                    for prec in ExecPrecision::ALL {
+                        sct.eval_taps(&taps, &inputs, scratch, &mut out, prec);
+                    }
+                };
+                run(&mut scratch);
+                let before = allocations_now();
+                run(&mut scratch);
+                let during = allocations_now() - before;
+                assert_eq!(during, 0, "C{c} {cfg:?} {layout:?}: warmed taps allocated");
+            }
+        }
     }
 }
 

@@ -11,6 +11,7 @@ use red_core::prelude::*;
 use red_core::tensor::deconv::{deconv_direct, deconv_padding_free, deconv_zero_padding};
 use red_core::tensor::modes::ModeSet;
 use red_core::tensor::redundancy;
+use std::iter::once;
 
 /// A random small-but-arbitrary deconvolution problem.
 #[derive(Debug, Clone)]
@@ -699,10 +700,10 @@ proptest! {
         let input: Vec<i64> = (0..rows).map(|_| rng.gen_range(-127..=127)).collect();
         let mut scratch = VmmScratch::new();
         let mut full = vec![0i64; cols];
-        arr.vmm_batch_at(&input, 1, &mut scratch, &mut full, ExecPrecision::Full);
+        arr.vmm_batch_cols(&input, 1, once(0..cols), &mut scratch, &mut full, ExecPrecision::Full);
         for prec in ExecPrecision::ALL {
             let mut out = vec![0i64; cols];
-            arr.vmm_batch_at(&input, 1, &mut scratch, &mut out, prec);
+            arr.vmm_batch_cols(&input, 1, once(0..cols), &mut scratch, &mut out, prec);
             let bound = arr.truncation_error_bound(prec);
             if prec == ExecPrecision::Full {
                 prop_assert_eq!(&out, &full, "full tier is bit-identical");
@@ -733,9 +734,10 @@ proptest! {
                     .map(|r| if r[worst] < 0 { -residue } else { residue })
                     .collect();
                 let mut out = vec![0i64; cols];
-                arr.vmm_batch_at(&adversarial, 1, &mut scratch, &mut out, prec);
+                arr.vmm_batch_cols(&adversarial, 1, once(0..cols), &mut scratch, &mut out, prec);
                 let mut exact = vec![0i64; cols];
-                arr.vmm_batch_at(&adversarial, 1, &mut scratch, &mut exact, ExecPrecision::Full);
+                let (all, full_tier) = (once(0..cols), ExecPrecision::Full);
+                arr.vmm_batch_cols(&adversarial, 1, all, &mut scratch, &mut exact, full_tier);
                 let attained = (out[worst] - exact[worst]).abs() as f64;
                 prop_assert_eq!(
                     attained,
